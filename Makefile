@@ -10,16 +10,17 @@ BENCH_OUT ?= BENCH_$(shell date +%F).json
 # benchmarks and fails on a >15% time regression against that snapshot.
 BENCH_BASELINE ?=
 
-.PHONY: all check build vet test determinism race detect-smoke bench bench-sim benchdiff benchgate telemetry-overhead trace-golden postmortem-golden fuzz fuzz-smoke churn-fuzz cache-fuzz cover examples experiments clean
+.PHONY: all check build vet test determinism race detect-smoke bench bench-sim bench-e2e bench-e2e-test benchdiff benchgate telemetry-overhead trace-golden postmortem-golden fuzz fuzz-smoke churn-fuzz cache-fuzz cover examples experiments clean
 
 all: check
 
 # check is the pre-merge gate: build, vet, tests, the parallel-determinism
 # contract under the race detector, the full race suite, the
 # detect-vs-prevent matrix smoke, the bounded differential fuzz smoke,
-# the trace-format and post-mortem goldens, the telemetry overhead gate,
-# and (opt-in via BENCH_BASELINE) the benchmark regression gate.
-check: build vet test determinism race detect-smoke fuzz-smoke churn-fuzz cache-fuzz trace-golden postmortem-golden telemetry-overhead benchgate
+# the trace-format and post-mortem goldens, the end-to-end benchmark's own
+# tests, the telemetry overhead gate, and (opt-in via BENCH_BASELINE) the
+# benchmark regression gate.
+check: build vet test determinism race detect-smoke fuzz-smoke churn-fuzz cache-fuzz trace-golden postmortem-golden bench-e2e-test telemetry-overhead benchgate
 
 build:
 	$(GO) build ./...
@@ -60,6 +61,17 @@ bench:
 # large-Clos soak slice the sweep runner fans out over.
 bench-sim:
 	$(GO) test -run '^$$' -bench 'BenchmarkEventScheduleDispatch|BenchmarkSteadyStateForwarding|BenchmarkLargeClosSoak' -benchmem -benchtime $(BENCHTIME) ./internal/sim/
+
+# The layered end-to-end benchmark BENCHMARK.json declares (bench/ is a
+# module of its own, see bench/README.md): every workload untraced and
+# traced, at the driver's run length. Results land in bench/results/.
+bench-e2e:
+	$(GO) run -C bench repro/bench/e2e -seconds 12
+
+# The benchmark's own tests (small fabrics, a few seconds). `go test
+# ./...` does not reach into bench/, so `make check` runs them here.
+bench-e2e-test:
+	$(GO) test -C bench ./...
 
 # Compares two snapshots; fails on a >15% time regression.
 # Usage: make benchdiff OLD=BENCH_seed.json NEW=BENCH_2026-08-05.json
@@ -123,13 +135,16 @@ fuzz:
 	$(GO) test -fuzz FuzzRunCase -fuzztime 60s ./internal/check/
 	$(GO) test -fuzz FuzzShrinkConvergence -fuzztime 30s ./internal/check/
 	$(GO) test -fuzz FuzzTraceDecode -fuzztime 30s ./internal/trace/
+	$(GO) test -fuzz FuzzPathIndex -fuzztime 30s ./internal/routing/
 
 # Bounded differential fuzzing for the pre-merge gate: a few seconds of
-# native coverage-guided fuzzing over the check battery plus a seeded
-# taggerfuzz sweep of every topology family. Failing inputs shrink to
+# native coverage-guided fuzzing over the check battery and over the path
+# index (against its string-keyed reference) plus a seeded taggerfuzz
+# sweep of every topology family. Failing inputs shrink to
 # runnable repro tests under internal/check/testdata/fuzz-corpus/.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzRunCase -fuzztime 5s ./internal/check/
+	$(GO) test -fuzz FuzzPathIndex -fuzztime 5s ./internal/routing/
 	$(GO) run ./cmd/taggerfuzz -seeds 25 -topo all -q
 
 # The churn differential: fuzzed link-flap/drain/pod-add sequences where

@@ -15,6 +15,7 @@ import (
 	"repro/internal/cbd"
 	"repro/internal/core"
 	"repro/internal/dataplane"
+	"repro/internal/deploy"
 	"repro/internal/elp"
 	"repro/internal/paper"
 	"repro/internal/routing"
@@ -670,6 +671,64 @@ func BenchmarkFatTreePodMemoized(b *testing.B) {
 		r, err := cache.ClosKBounce(ft.Graph, ft.Edges, 1)
 		if err != nil || !r.PodMemoized {
 			b.Fatalf("pod stamping not used (memoized=%v err=%v)", r.PodMemoized, err)
+		}
+	}
+}
+
+// --- The start path: ELP enumeration, export, per-switch TCAM images --------------------------
+
+// BenchmarkELPShortestAllJellyfish200 is the share of a warm controller
+// start that no cache absorbs: 200 BFS trees over one sorted adjacency
+// and 39 800 validated, deduplicated Set.Add calls.
+func BenchmarkELPShortestAllJellyfish200(b *testing.B) {
+	j, err := topology.NewJellyfish(topology.JellyfishConfig{Switches: 200, Ports: 24, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n := elp.ShortestAll(j.Graph, j.Switches).Len(); n != 39800 {
+			b.Fatalf("%d paths, want 39800", n)
+		}
+	}
+}
+
+// startPathRules synthesizes the Jellyfish200 ruleset the export and
+// compile benchmarks share.
+func startPathRules(b *testing.B) (*topology.Jellyfish, *core.Ruleset) {
+	b.Helper()
+	j, paths := synthCacheJellyfish(b)
+	sys, err := core.Synthesize(j.Graph, paths, core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return j, sys.Rules
+}
+
+// BenchmarkDeployExportJellyfish200: ruleset to per-switch bundle, the
+// sorted order already memoized (as it is on a cache hit).
+func BenchmarkDeployExportJellyfish200(b *testing.B) {
+	_, rs := startPathRules(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := len(deploy.Export(rs).Switches); got != 200 {
+			b.Fatalf("bundle covers %d switches, want 200", got)
+		}
+	}
+}
+
+// BenchmarkDataplaneCompileJellyfish200: one compressed TCAM image per
+// switch, each cut from the ruleset's sorted order (this was quadratic —
+// a full sort per switch, about a second — until RulesAt used the memo).
+func BenchmarkDataplaneCompileJellyfish200(b *testing.B) {
+	j, rs := startPathRules(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if dataplane.Compile(j.Graph, rs).TotalEntries() == 0 {
+			b.Fatal("empty image")
 		}
 	}
 }

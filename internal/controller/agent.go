@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -353,23 +354,25 @@ func (c *Controller) installVerify(sw string, want deploy.SwitchBundle) error {
 	return err
 }
 
-// sameRules compares rule lists order-insensitively (agents may reorder).
+// sameRules compares rule lists as multisets (agents may reorder). A
+// readback of an untouched canonical table matches element for element,
+// which settles it without building the multiset.
 func sameRules(a, b []deploy.RuleJSON) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	key := func(r deploy.RuleJSON) string {
-		return fmt.Sprintf("%d/%d/%d>%d", r.Tag, r.In, r.Out, r.NewTag)
+	if slices.Equal(a, b) {
+		return true
 	}
-	set := make(map[string]int, len(a))
+	counts := make(map[deploy.RuleJSON]int, len(a))
 	for _, r := range a {
-		set[key(r)]++
+		counts[r]++
 	}
 	for _, r := range b {
-		set[key(r)]--
-		if set[key(r)] < 0 {
+		if counts[r] == 0 {
 			return false
 		}
+		counts[r]--
 	}
 	return true
 }

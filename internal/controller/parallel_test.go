@@ -1,11 +1,14 @@
 package controller
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/deploy"
 	"repro/internal/paper"
 )
 
@@ -131,5 +134,83 @@ func TestParallelStagingAbortLeavesActiveUntouched(t *testing.T) {
 	}
 	if live := fab.ActiveBundle(2); len(live.Switches) != 0 {
 		t.Fatal("staging-phase abort still activated switches")
+	}
+}
+
+// startSignal wraps an agent and reports the first Install, so a test can
+// act while a push is provably in flight.
+type startSignal struct {
+	SwitchAgent
+	once    sync.Once
+	started chan struct{}
+}
+
+func (a *startSignal) Install(sw string, b deploy.SwitchBundle) error {
+	a.once.Do(func() { close(a.started) })
+	return a.SwitchAgent.Install(sw, b)
+}
+
+// TestMarshalDuringParallelPush: an operator (or the ops endpoint)
+// serializing the bundle while the parallel workers and the agents are
+// reading its rule slices must not write to them. The tables are built
+// out of canonical order, the one case where Marshal has sorting to do;
+// run under -race this fails if it sorts in place.
+func TestMarshalDuringParallelPush(t *testing.T) {
+	const switches, rules = 48, 120
+	names := make([]string, switches)
+	for i := range names {
+		names[i] = fmt.Sprintf("sw%02d", i)
+	}
+	build := func() *deploy.Bundle {
+		b := &deploy.Bundle{MaxTag: 3, Switches: make(map[string]deploy.SwitchBundle)}
+		for i, name := range names {
+			rs := make([]deploy.RuleJSON, rules)
+			for j := range rs {
+				rs[j] = deploy.RuleJSON{Tag: 1 + (rules-j)%3, In: (rules - j) / 3, Out: i, NewTag: 3}
+			}
+			b.Switches[name] = deploy.SwitchBundle{Rules: rs}
+		}
+		return b
+	}
+	// The reference bytes come from a twin, so the pushed bundle reaches
+	// the workers never having been marshalled.
+	want, err := build().Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := build()
+
+	c := paper.Testbed()
+	fab := chaos.NewFabric(append(switchNames(c.Graph), names...))
+	ctl, err := NewClos(c, 1, WithAgent(fab), WithDeployConfig(parallelCfg(3, 8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	agent := &startSignal{SwitchAgent: fab, started: make(chan struct{})}
+	ctl.agent = agent
+
+	done := make(chan error, 1)
+	go func() {
+		ctl.mu.Lock()
+		defer ctl.mu.Unlock()
+		done <- ctl.pushBundle(b, true)
+	}()
+	<-agent.started
+	for pushing := true; pushing; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			pushing = false
+		default:
+		}
+		got, err := b.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatal("Marshal output changed while a push was in flight")
+		}
 	}
 }

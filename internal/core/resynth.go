@@ -153,9 +153,9 @@ type rsHop struct {
 }
 
 // rsPath is one tracked ELP slot's cached replay state; the path itself
-// and its liveness bit live in the Resynth's parallel paths/lives slices,
-// which hot scans (activePaths, lookup) walk without dragging these wider
-// structs through the cache. A slot with lives[idx]=false is *parked*:
+// lives in the Resynth's path index and its liveness bit in the parallel
+// lives slice, which hot scans (activePaths) walk without dragging these
+// wider structs through the cache. A slot with lives[idx]=false is *parked*:
 // the path left the ELP but its static metadata, key set, and index
 // entries stay resident so a re-add (the flap-recovery case) revives it
 // without recomputing graph state or touching the key index. ver
@@ -239,19 +239,15 @@ func (e *rsPath) replayInto(rs *Ruleset, chain []uint32, keys []uint64) ([]uint3
 type Resynth struct {
 	g    *topology.Graph
 	opts Options
-	// byKey maps path hash → slot index (parked slots included, so check
-	// lives on lookup), with true hash collisions spilling to the overflow
-	// map; lookups verify node-for-node. Hashing the node IDs directly
-	// avoids routing.Path.Key's string construction on the churn hot path.
-	byKey     map[uint64]int32
-	byKeyOver map[uint64][]int32
-	list      []rsPath
-	paths     []routing.Path // per-slot path, parallel to list
-	lives     []bool         // per-slot liveness, parallel to list
-	dead      int            // parked slot count
-	bf        refGraph
-	run       refGraph
-	sys       *System
+	// ix holds every resident path (parked slots included, so check lives
+	// after Find); its slots index list and lives.
+	ix    routing.PathIndex
+	list  []rsPath
+	lives []bool // per-slot liveness, parallel to list
+	dead  int    // parked slot count
+	bf    refGraph
+	run   refGraph
+	sys   *System
 
 	// keyIdx maps each consulted rule key to the slots that consulted it,
 	// as packed idx<<32|ver entries. Parked slots keep their entries
@@ -280,59 +276,9 @@ type Resynth struct {
 	broken bool
 }
 
-// pathHash is an FNV-1a style hash over the path's node IDs.
-func pathHash(p routing.Path) uint64 {
-	h := uint64(14695981039346656037)
-	for _, n := range p {
-		h = (h ^ uint64(uint32(n))) * 1099511628211
-	}
-	return h
-}
-
-func pathsEqual(a, b routing.Path) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// lookup finds the slot (live or parked) tracking p.
-func (r *Resynth) lookup(p routing.Path) (int, bool) {
-	h := pathHash(p)
-	if idx, ok := r.byKey[h]; ok {
-		if pathsEqual(r.paths[idx], p) {
-			return int(idx), true
-		}
-		for _, idx := range r.byKeyOver[h] {
-			if pathsEqual(r.paths[idx], p) {
-				return int(idx), true
-			}
-		}
-	}
-	return 0, false
-}
-
-// insert registers slot idx in the path index.
-func (r *Resynth) insert(idx int) {
-	h := pathHash(r.paths[idx])
-	if _, ok := r.byKey[h]; !ok {
-		r.byKey[h] = int32(idx)
-		return
-	}
-	if r.byKeyOver == nil {
-		r.byKeyOver = make(map[uint64][]int32)
-	}
-	r.byKeyOver[h] = append(r.byKeyOver[h], int32(idx))
-}
-
 // NewResynth synthesizes the initial system from scratch and returns the
-// incremental state tracking it. Duplicate paths (by Key) are dropped,
-// matching elp.Set semantics.
+// incremental state tracking it. Duplicate paths (same node sequence)
+// are dropped, matching elp.Set semantics.
 func NewResynth(g *topology.Graph, paths []routing.Path, opts Options) (*Resynth, error) {
 	return NewResynthFull(g, paths, opts, nil)
 }
@@ -354,16 +300,13 @@ func NewResynthFull(g *topology.Graph, paths []routing.Path, opts Options,
 	if opts.StartTag != 1 {
 		return nil, fmt.Errorf("core: resynth requires StartTag 1, got %d", opts.StartTag)
 	}
-	deduped := make([]routing.Path, 0, len(paths))
-	seen := make(map[string]bool, len(paths))
+	var deduped routing.PathIndex
+	deduped.Reserve(len(paths))
 	for _, p := range paths {
-		if k := p.Key(); !seen[k] {
-			seen[k] = true
-			deduped = append(deduped, p)
-		}
+		deduped.Add(p)
 	}
 	r := &Resynth{g: g, opts: opts, fullSynth: fn}
-	sys, err := r.synthesize(deduped)
+	sys, err := r.synthesize(deduped.Paths())
 	if err != nil {
 		return nil, err
 	}
@@ -386,10 +329,9 @@ func (r *Resynth) synthesize(paths []routing.Path) (*System, error) {
 // graphs, cached chains, key index) from a freshly synthesized system.
 func (r *Resynth) initFrom(sys *System) error {
 	r.sys = sys
-	r.byKey = make(map[uint64]int32, len(sys.ELP))
-	r.byKeyOver = nil
+	r.ix = routing.PathIndex{}
+	r.ix.Reserve(len(sys.ELP))
 	r.list = make([]rsPath, 0, len(sys.ELP))
-	r.paths = make([]routing.Path, 0, len(sys.ELP))
 	r.lives = make([]bool, 0, len(sys.ELP))
 	r.dead = 0
 	r.bf = newRefGraph()
@@ -407,15 +349,22 @@ func (r *Resynth) initFrom(sys *System) error {
 			return fmt.Errorf("core: resynth init: path %s lossy under synthesized rules", p.String(r.g))
 		}
 		e.chain, e.keys = chain, keys
-		idx := len(r.list)
 		r.run.addChain(chain)
-		r.list = append(r.list, e)
-		r.paths = append(r.paths, p)
-		r.lives = append(r.lives, true)
-		r.insert(idx)
-		r.indexKeys(idx)
+		r.indexKeys(r.track(p, e))
 	}
 	return nil
+}
+
+// track appends a live slot for p, which must not be resident, and
+// returns it.
+func (r *Resynth) track(p routing.Path, e rsPath) int {
+	idx, added := r.ix.Add(p)
+	if !added || idx != len(r.list) {
+		panic("core: resynth path index out of step with its slot list")
+	}
+	r.list = append(r.list, e)
+	r.lives = append(r.lives, true)
+	return idx
 }
 
 // indexKeys registers r.list[idx]'s consulted keys in the key index.
@@ -471,9 +420,10 @@ func (r *Resynth) Paths() []routing.Path { return r.activePaths() }
 
 func (r *Resynth) activePaths() []routing.Path {
 	out := make([]routing.Path, 0, len(r.list)-r.dead)
+	paths := r.ix.Paths()
 	for i, alive := range r.lives {
 		if alive {
-			out = append(out, r.paths[i])
+			out = append(out, paths[i])
 		}
 	}
 	return out
@@ -524,7 +474,7 @@ func (r *Resynth) Apply(added, removed []routing.Path) (*System, error) {
 	// entries wait for revival.
 	remChains := r.remBuf[:0]
 	for _, p := range removed {
-		idx, ok := r.lookup(p)
+		idx, ok := r.ix.Find(p)
 		if !ok || !r.lives[idx] {
 			continue
 		}
@@ -538,7 +488,7 @@ func (r *Resynth) Apply(added, removed []routing.Path) (*System, error) {
 	r.remBuf = remChains
 	addedIdx := r.addBuf[:0]
 	for _, p := range added {
-		if idx, ok := r.lookup(p); ok {
+		if idx, ok := r.ix.Find(p); ok {
 			if !r.lives[idx] {
 				// Revival: the parked metadata was validated when the
 				// path first entered, and ports never renumber.
@@ -557,12 +507,7 @@ func (r *Resynth) Apply(added, removed []routing.Path) (*System, error) {
 		e := pathState(r.g, p)
 		buf = bfChainOf(e.pids, buf)
 		r.bf.addChain(buf)
-		idx := len(r.list)
-		r.list = append(r.list, e)
-		r.paths = append(r.paths, p)
-		r.lives = append(r.lives, true)
-		r.insert(idx)
-		addedIdx = append(addedIdx, idx)
+		addedIdx = append(addedIdx, r.track(p, e))
 	}
 	r.addBuf = addedIdx
 	telemetry.Default.Counter("resynth_paths_removed_total").Add(int64(len(remChains)))
@@ -774,22 +719,25 @@ func keysEqual(a, b []uint64) bool {
 // the delta — the entry point for policy re-evaluation (e.g. after a pod
 // expansion re-enumerates ELP paths).
 func (r *Resynth) ApplySet(paths []routing.Path) (*System, error) {
-	want := make(map[string]bool, len(paths))
+	var want routing.PathIndex
+	want.Reserve(len(paths))
 	var added []routing.Path
 	for _, p := range paths {
-		k := p.Key()
-		if want[k] {
+		if _, fresh := want.Add(p); !fresh {
 			continue
 		}
-		want[k] = true
-		if idx, ok := r.lookup(p); !ok || !r.lives[idx] {
+		if idx, ok := r.ix.Find(p); !ok || !r.lives[idx] {
 			added = append(added, p)
 		}
 	}
 	var removed []routing.Path
+	tracked := r.ix.Paths()
 	for i, alive := range r.lives {
-		if alive && !want[r.paths[i].Key()] {
-			removed = append(removed, r.paths[i])
+		if !alive {
+			continue
+		}
+		if _, ok := want.Find(tracked[i]); !ok {
+			removed = append(removed, tracked[i])
 		}
 	}
 	return r.Apply(added, removed)
@@ -801,25 +749,16 @@ func (r *Resynth) ApplySet(paths []routing.Path) (*System, error) {
 func (r *Resynth) compact() {
 	if r.dead > len(r.list)/2 && r.dead > 0 {
 		n := len(r.list) - r.dead
-		live := make([]rsPath, 0, n)
-		paths := make([]routing.Path, 0, n)
-		for i, alive := range r.lives {
+		old, oldList, oldLives := r.ix.Paths(), r.list, r.lives
+		r.ix = routing.PathIndex{}
+		r.ix.Reserve(n)
+		r.list, r.lives, r.dead = make([]rsPath, 0, n), make([]bool, 0, n), 0
+		for i, alive := range oldLives {
 			if alive {
-				live = append(live, r.list[i])
-				paths = append(paths, r.paths[i])
+				r.track(old[i], oldList[i])
 			}
 		}
-		r.list, r.paths, r.dead = live, paths, 0
-		r.lives = make([]bool, n)
-		for i := range r.lives {
-			r.lives[i] = true
-		}
 		r.seen = nil
-		r.byKey = make(map[uint64]int32, n)
-		r.byKeyOver = nil
-		for idx := range r.list {
-			r.insert(idx)
-		}
 		r.rebuildIndex() // entry idx fields shifted
 		return
 	}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/parallel"
 	"repro/internal/routing"
@@ -82,12 +84,14 @@ type Ruleset struct {
 	maxTag  int    // largest lossless tag any rule can assign or match
 	isHostP []bool // dense by PortID: port attaches a host
 
-	// ids/idKeys is the dense rule-ID index: each installed key's index
-	// in Rules() order, so a rule has one stable small integer identity
-	// for the flight recorder's TCAM attribution. Built lazily on first
-	// ClassifyID/RuleByID and dropped whenever the table mutates.
-	ids    map[ruleKey]int
-	idKeys []ruleKey
+	// sorted memoizes the installed keys in ascending order — Rules()
+	// order, since a packed key compares like its (switch, tag, in, out)
+	// tuple. A key's position is the rule's dense ID (the flight
+	// recorder's TCAM attribution), and a switch's rules are one
+	// contiguous run. Built on first use and dropped by every mutation;
+	// atomic so concurrent readers of a settled ruleset may race to build
+	// it (they store identical slices).
+	sorted atomic.Pointer[[]ruleKey]
 }
 
 // NewRuleset returns an empty ruleset over g with the given largest
@@ -138,7 +142,7 @@ func (rs *Ruleset) HostFacing(sw topology.NodeID, num int) bool {
 // if the key already existed with a different rewrite (the caller decides
 // the resolution; Add keeps the new value).
 func (rs *Ruleset) Add(r Rule) (old int, conflicted bool) {
-	rs.ids, rs.idKeys = nil, nil
+	rs.sorted.Store(nil)
 	k := packRuleKey(r.Switch, r.Tag, r.In, r.Out)
 	if prev, ok := rs.rules[k]; ok && prev != r.NewTag {
 		rs.rules[k] = r.NewTag
@@ -187,18 +191,34 @@ func (rs *Ruleset) Classify(sw topology.NodeID, tag, in, out int) int {
 // Len returns the number of installed rules.
 func (rs *Ruleset) Len() int { return len(rs.rules) }
 
-// buildIDs materializes the dense rule-ID index in Rules() order.
-func (rs *Ruleset) buildIDs() {
+// sortedKeys returns the installed keys in ascending order. The slice is
+// the memo itself: callers must not modify it.
+func (rs *Ruleset) sortedKeys() []ruleKey {
+	if p := rs.sorted.Load(); p != nil {
+		return *p
+	}
 	keys := make([]ruleKey, 0, len(rs.rules))
 	for k := range rs.rules {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	ids := make(map[ruleKey]int, len(keys))
+	slices.Sort(keys)
+	rs.sorted.Store(&keys)
+	return keys
+}
+
+// ruleOf materializes the rule installed at k.
+func (rs *Ruleset) ruleOf(k ruleKey) Rule {
+	sw, tag, in, out := k.unpack()
+	return Rule{Switch: sw, Tag: tag, In: in, Out: out, NewTag: rs.rules[k]}
+}
+
+// rulesOf materializes the rules of a run of sorted keys.
+func (rs *Ruleset) rulesOf(keys []ruleKey) []Rule {
+	out := make([]Rule, len(keys))
 	for i, k := range keys {
-		ids[k] = i
+		out[i] = rs.ruleOf(k)
 	}
-	rs.ids, rs.idKeys = ids, keys
+	return out
 }
 
 // ClassifyID is Classify, additionally reporting which exact TCAM entry
@@ -211,10 +231,8 @@ func (rs *Ruleset) ClassifyID(sw topology.NodeID, tag, in, out int) (newTag, id 
 	}
 	if k, ok := packRuleKeyOK(sw, tag, in, out); ok {
 		if nt, hit := rs.rules[k]; hit {
-			if rs.ids == nil {
-				rs.buildIDs()
-			}
-			return nt, rs.ids[k]
+			id, _ := slices.BinarySearch(rs.sortedKeys(), k)
+			return nt, id
 		}
 	}
 	if rs.HostFacing(sw, in) {
@@ -228,43 +246,29 @@ func (rs *Ruleset) ClassifyID(sw topology.NodeID, tag, in, out int) (newTag, id 
 
 // RuleByID resolves a dense rule ID back to its rule.
 func (rs *Ruleset) RuleByID(id int) (Rule, bool) {
-	if rs.ids == nil {
-		rs.buildIDs()
-	}
-	if id < 0 || id >= len(rs.idKeys) {
+	keys := rs.sortedKeys()
+	if id < 0 || id >= len(keys) {
 		return Rule{}, false
 	}
-	k := rs.idKeys[id]
-	sw, tag, in, o := k.unpack()
-	return Rule{Switch: sw, Tag: tag, In: in, Out: o, NewTag: rs.rules[k]}, true
+	return rs.ruleOf(keys[id]), true
 }
 
-// Rules returns all rules in deterministic order.
-func (rs *Ruleset) Rules() []Rule {
-	// The packed key compares exactly like the (switch, tag, in, out)
-	// tuple, so sorting the keys sorts the rules.
-	keys := make([]ruleKey, 0, len(rs.rules))
-	for k := range rs.rules {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([]Rule, len(keys))
-	for i, k := range keys {
-		sw, tag, in, o := k.unpack()
-		out[i] = Rule{Switch: sw, Tag: tag, In: in, Out: o, NewTag: rs.rules[k]}
-	}
-	return out
-}
+// Rules returns all rules in deterministic order: ascending (switch,
+// tag, in, out).
+func (rs *Ruleset) Rules() []Rule { return rs.rulesOf(rs.sortedKeys()) }
 
 // RulesAt returns the rules installed at one switch, in the same order.
 func (rs *Ruleset) RulesAt(sw topology.NodeID) []Rule {
-	var out []Rule
-	for _, r := range rs.Rules() {
-		if r.Switch == sw {
-			out = append(out, r)
-		}
+	keys := rs.sortedKeys()
+	lo, _ := slices.BinarySearch(keys, ruleKey(sw)<<40)
+	hi := lo
+	for hi < len(keys) && keys[hi]>>40 == ruleKey(sw) {
+		hi++
 	}
-	return out
+	if lo == hi {
+		return nil // also every sw no key can carry: the run test never matches
+	}
+	return rs.rulesOf(keys[lo:hi])
 }
 
 // DeriveRules converts a tagged graph into the match-action rules each

@@ -45,13 +45,9 @@ type Switch struct {
 // defaults (host-facing port knowledge); all rewrite decisions go through
 // the compressed entries, which is the point.
 func NewSwitch(node topology.NodeID, rs *core.Ruleset) *Switch {
-	var own []core.Rule
-	for _, r := range rs.RulesAt(node) {
-		own = append(own, r)
-	}
 	return &Switch{
 		node:    node,
-		entries: tcam.Compress(own),
+		entries: tcam.Compress(rs.RulesAt(node)),
 		rules:   rs,
 		maxTag:  rs.MaxTag(),
 	}

@@ -1,8 +1,9 @@
 package deploy
 
 import (
-	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -26,7 +27,8 @@ type Group struct {
 func GroupIdentical(b *Bundle, switches []string) []Group {
 	byKey := make(map[string][]string)
 	for _, sw := range switches {
-		byKey[ruleKey(b.Switches[sw])] = append(byKey[ruleKey(b.Switches[sw])], sw)
+		k := ruleKey(b.Switches[sw])
+		byKey[k] = append(byKey[k], sw)
 	}
 	groups := make([]Group, 0, len(byKey))
 	for k, members := range byKey {
@@ -41,12 +43,21 @@ func GroupIdentical(b *Bundle, switches []string) []Group {
 // (tag, in, out), serialized. Two bundles with equal keys install the
 // same forwarding behavior.
 func ruleKey(b SwitchBundle) string {
-	rs := append([]RuleJSON(nil), b.Rules...)
-	sortRules(rs)
-	var sb strings.Builder
-	sb.Grow(len(rs) * 16)
-	for _, r := range rs {
-		fmt.Fprintf(&sb, "%d/%d/%d>%d;", r.Tag, r.In, r.Out, r.NewTag)
+	rs := b.Rules
+	if !slices.IsSortedFunc(rs, compareMatch) {
+		rs = slices.Clone(rs)
+		sortRules(rs)
 	}
-	return sb.String()
+	buf := make([]byte, 0, len(rs)*16)
+	for _, r := range rs {
+		buf = strconv.AppendInt(buf, int64(r.Tag), 10)
+		buf = append(buf, '/')
+		buf = strconv.AppendInt(buf, int64(r.In), 10)
+		buf = append(buf, '/')
+		buf = strconv.AppendInt(buf, int64(r.Out), 10)
+		buf = append(buf, '>')
+		buf = strconv.AppendInt(buf, int64(r.NewTag), 10)
+		buf = append(buf, ';')
+	}
+	return string(buf)
 }

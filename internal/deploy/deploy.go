@@ -6,9 +6,11 @@
 package deploy
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/topology"
@@ -40,30 +42,43 @@ type Bundle struct {
 func Export(rs *core.Ruleset) *Bundle {
 	g := rs.Graph()
 	b := &Bundle{MaxTag: rs.MaxTag(), Switches: make(map[string]SwitchBundle)}
-	for _, r := range rs.Rules() {
-		name := g.Node(r.Switch).Name
-		sb := b.Switches[name]
-		sb.Rules = append(sb.Rules, RuleJSON{Tag: r.Tag, In: r.In, Out: r.Out, NewTag: r.NewTag})
-		b.Switches[name] = sb
+	// Rules() is switch-major with (tag, in, out) ascending inside a
+	// switch, so each switch's table is one run, already in canonical
+	// order: carve them all out of a single backing array.
+	rules := rs.Rules()
+	all := make([]RuleJSON, len(rules))
+	for lo := 0; lo < len(rules); {
+		sw := rules[lo].Switch
+		hi := lo
+		for ; hi < len(rules) && rules[hi].Switch == sw; hi++ {
+			r := rules[hi]
+			all[hi] = RuleJSON{Tag: r.Tag, In: r.In, Out: r.Out, NewTag: r.NewTag}
+		}
+		b.Switches[g.Node(sw).Name] = SwitchBundle{Rules: all[lo:hi:hi]}
+		lo = hi
 	}
 	return b
 }
 
-// Marshal renders the bundle as deterministic, indented JSON.
+// Marshal renders the bundle as deterministic, indented JSON: every
+// switch's rules in canonical (tag, in, out) order. The bundle itself is
+// never modified — agents and parallel push workers may be holding its
+// rule slices — so a table that arrives out of order (never after
+// Export) is sorted in a copy.
 func (b *Bundle) Marshal() ([]byte, error) {
-	for _, sb := range b.Switches {
-		sort.Slice(sb.Rules, func(i, j int) bool {
-			a, c := sb.Rules[i], sb.Rules[j]
-			if a.Tag != c.Tag {
-				return a.Tag < c.Tag
-			}
-			if a.In != c.In {
-				return a.In < c.In
-			}
-			return a.Out < c.Out
-		})
+	out := b
+	for name, sb := range b.Switches {
+		if slices.IsSortedFunc(sb.Rules, compareMatch) {
+			continue
+		}
+		if out == b {
+			out = &Bundle{MaxTag: b.MaxTag, Switches: maps.Clone(b.Switches)}
+		}
+		sorted := slices.Clone(sb.Rules)
+		sortRules(sorted)
+		out.Switches[name] = SwitchBundle{Rules: sorted}
 	}
-	return json.MarshalIndent(b, "", "  ")
+	return json.MarshalIndent(out, "", "  ")
 }
 
 // Unmarshal parses a bundle.
@@ -120,17 +135,24 @@ func (d SwitchDiff) Counts() (added, removed, modified int) {
 	return len(d.Added), len(d.Removed), len(d.Modified)
 }
 
-// matchKey identifies a rule by its match fields only.
-func matchKey(r RuleJSON) string { return fmt.Sprintf("%d/%d/%d", r.Tag, r.In, r.Out) }
+// match identifies a rule by its match fields only.
+type match struct{ Tag, In, Out int }
+
+func matchKey(r RuleJSON) match { return match{r.Tag, r.In, r.Out} }
+
+// compareMatch orders rules by (tag, in, out), the canonical table order.
+func compareMatch(a, b RuleJSON) int {
+	return cmp.Or(cmp.Compare(a.Tag, b.Tag), cmp.Compare(a.In, b.In), cmp.Compare(a.Out, b.Out))
+}
 
 // DeltaFor computes the patch turning one switch's table `from` into
 // `to`, in canonical (sorted) order.
 func DeltaFor(from, to SwitchBundle) SwitchDiff {
-	fromSet := make(map[string]RuleJSON, len(from.Rules))
+	fromSet := make(map[match]RuleJSON, len(from.Rules))
 	for _, r := range from.Rules {
 		fromSet[matchKey(r)] = r
 	}
-	toSet := make(map[string]RuleJSON, len(to.Rules))
+	toSet := make(map[match]RuleJSON, len(to.Rules))
 	for _, r := range to.Rules {
 		toSet[matchKey(r)] = r
 	}
@@ -151,16 +173,7 @@ func DeltaFor(from, to SwitchBundle) SwitchDiff {
 	}
 	sortRules(d.Added)
 	sortRules(d.Removed)
-	sort.Slice(d.Modified, func(i, j int) bool {
-		a, c := d.Modified[i].RuleJSON, d.Modified[j].RuleJSON
-		if a.Tag != c.Tag {
-			return a.Tag < c.Tag
-		}
-		if a.In != c.In {
-			return a.In < c.In
-		}
-		return a.Out < c.Out
-	})
+	slices.SortFunc(d.Modified, func(a, b ModifiedRule) int { return compareMatch(a.RuleJSON, b.RuleJSON) })
 	return d
 }
 
@@ -169,7 +182,7 @@ func DeltaFor(from, to SwitchBundle) SwitchDiff {
 // modifies both install their NewTag, so applying the same delta twice is
 // idempotent (the agent-retry property the controller relies on).
 func ApplyDelta(from SwitchBundle, d SwitchDiff) SwitchBundle {
-	set := make(map[string]RuleJSON, len(from.Rules)+len(d.Added))
+	set := make(map[match]RuleJSON, len(from.Rules)+len(d.Added))
 	for _, r := range from.Rules {
 		set[matchKey(r)] = r
 	}
@@ -209,15 +222,4 @@ func Diff(oldB, newB *Bundle) map[string]SwitchDiff {
 	return out
 }
 
-func sortRules(rs []RuleJSON) {
-	sort.Slice(rs, func(i, j int) bool {
-		a, c := rs[i], rs[j]
-		if a.Tag != c.Tag {
-			return a.Tag < c.Tag
-		}
-		if a.In != c.In {
-			return a.In < c.In
-		}
-		return a.Out < c.Out
-	})
-}
+func sortRules(rs []RuleJSON) { slices.SortFunc(rs, compareMatch) }

@@ -2,6 +2,7 @@ package deploy
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -177,5 +178,59 @@ func TestDiffSymmetry(t *testing.T) {
 		if len(d.Added) != len(rem[n].Removed) {
 			t.Fatal("diff asymmetric")
 		}
+	}
+}
+
+// TestMarshalLeavesBundleUntouched: Marshal emits canonical order but must
+// not reorder the caller's rule slices — agents and push workers may be
+// reading them.
+func TestMarshalLeavesBundleUntouched(t *testing.T) {
+	shuffled := []RuleJSON{{3, 1, 0, 3}, {1, 2, 2, 1}, {2, 0, 1, 3}, {1, 0, 1, 2}}
+	b := &Bundle{MaxTag: 3, Switches: map[string]SwitchBundle{
+		"A": {Rules: append([]RuleJSON(nil), shuffled...)},
+		"B": {Rules: []RuleJSON{{1, 0, 1, 2}, {2, 0, 1, 3}}},
+	}}
+	data, err := b.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(b.Switches["A"].Rules, shuffled) {
+		t.Fatalf("Marshal reordered the bundle in place: %v", b.Switches["A"].Rules)
+	}
+	back, err := Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []RuleJSON{{1, 0, 1, 2}, {1, 2, 2, 1}, {2, 0, 1, 3}, {3, 1, 0, 3}}
+	if !reflect.DeepEqual(back.Switches["A"].Rules, want) {
+		t.Fatalf("marshalled order = %v, want canonical %v", back.Switches["A"].Rules, want)
+	}
+	if again, _ := b.Marshal(); !bytes.Equal(again, data) {
+		t.Fatal("second Marshal of the same bundle differs")
+	}
+}
+
+// TestExportIsCanonicalPerSwitch: Export hands out every switch's table
+// already in Marshal's order, each slice capped to its own rules so an
+// append cannot run into a neighbour sharing the backing array.
+func TestExportIsCanonicalPerSwitch(t *testing.T) {
+	c, rs := testRules(t)
+	b := Export(rs)
+	total := 0
+	for name, sb := range b.Switches {
+		id := c.Graph.MustLookup(name)
+		at := rs.RulesAt(id)
+		if len(at) != len(sb.Rules) || cap(sb.Rules) != len(sb.Rules) {
+			t.Fatalf("%s: %d rules (cap %d), ruleset has %d", name, len(sb.Rules), cap(sb.Rules), len(at))
+		}
+		for i, r := range at {
+			if (RuleJSON{r.Tag, r.In, r.Out, r.NewTag}) != sb.Rules[i] {
+				t.Fatalf("%s rule %d = %+v, ruleset order has %+v", name, i, sb.Rules[i], r)
+			}
+		}
+		total += len(sb.Rules)
+	}
+	if total != rs.Len() {
+		t.Fatalf("bundle holds %d rules, ruleset %d", total, rs.Len())
 	}
 }

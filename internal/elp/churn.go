@@ -19,37 +19,35 @@ import (
 // current topology health rather than trusting the event that parked it.
 type Tracker struct {
 	g       *topology.Graph
-	idx     map[string]int // path key -> slot in list
-	list    []trackedPath
-	dead    int // tombstoned slots
+	ix      routing.PathIndex // tracked paths by slot; nil = forgotten
+	active  []bool            // per slot; false for forgotten slots
+	dead    int               // forgotten slots
 	drained map[topology.NodeID]bool
-}
-
-type trackedPath struct {
-	path   routing.Path // nil = tombstone
-	active bool
 }
 
 // NewTracker tracks the paths of s (all initially active) over g.
 func NewTracker(g *topology.Graph, s *Set) *Tracker {
-	t := &Tracker{
-		g:       g,
-		idx:     make(map[string]int, s.Len()),
-		drained: make(map[topology.NodeID]bool),
-	}
+	t := &Tracker{g: g, drained: make(map[topology.NodeID]bool)}
+	t.ix.Reserve(s.Len())
 	for _, p := range s.Paths() {
-		t.idx[p.Key()] = len(t.list)
-		t.list = append(t.list, trackedPath{path: p, active: true})
+		t.track(p, true)
 	}
 	return t
 }
 
+// track starts tracking p unless it is already tracked.
+func (t *Tracker) track(p routing.Path, active bool) {
+	if _, added := t.ix.Add(p); added {
+		t.active = append(t.active, active)
+	}
+}
+
 // Active returns the currently active paths in insertion order.
 func (t *Tracker) Active() []routing.Path {
-	out := make([]routing.Path, 0, len(t.list))
-	for _, e := range t.list {
-		if e.path != nil && e.active {
-			out = append(out, e.path)
+	out := make([]routing.Path, 0, t.ix.Len())
+	for i, p := range t.ix.Paths() {
+		if t.active[i] {
+			out = append(out, p)
 		}
 	}
 	return out
@@ -58,8 +56,8 @@ func (t *Tracker) Active() []routing.Path {
 // ActiveLen returns the number of active paths.
 func (t *Tracker) ActiveLen() int {
 	n := 0
-	for _, e := range t.list {
-		if e.path != nil && e.active {
+	for _, a := range t.active {
+		if a {
 			n++
 		}
 	}
@@ -67,15 +65,7 @@ func (t *Tracker) ActiveLen() int {
 }
 
 // AbsentLen returns the number of tracked-but-unusable paths.
-func (t *Tracker) AbsentLen() int {
-	n := 0
-	for _, e := range t.list {
-		if e.path != nil && !e.active {
-			n++
-		}
-	}
-	return n
-}
+func (t *Tracker) AbsentLen() int { return t.ix.Len() - t.ActiveLen() }
 
 // Drained reports whether sw is currently drained.
 func (t *Tracker) Drained(sw topology.NodeID) bool { return t.drained[sw] }
@@ -102,13 +92,12 @@ func (t *Tracker) Usable(p routing.Path) bool {
 // Graph.FailLink; Tracker only does path bookkeeping.
 func (t *Tracker) LinkDown(a, b topology.NodeID) []routing.Path {
 	var out []routing.Path
-	for i := range t.list {
-		e := &t.list[i]
-		if e.path == nil || !e.active || !traverses(e.path, a, b) {
+	for i, p := range t.ix.Paths() {
+		if !t.active[i] || !traverses(p, a, b) {
 			continue
 		}
-		e.active = false
-		out = append(out, e.path)
+		t.active[i] = false
+		out = append(out, p)
 	}
 	return out
 }
@@ -130,13 +119,12 @@ func (t *Tracker) Drain(sw topology.NodeID) []routing.Path {
 	}
 	t.drained[sw] = true
 	var out []routing.Path
-	for i := range t.list {
-		e := &t.list[i]
-		if e.path == nil || !e.active || !visits(e.path, sw) {
+	for i, p := range t.ix.Paths() {
+		if !t.active[i] || !visits(p, sw) {
 			continue
 		}
-		e.active = false
-		out = append(out, e.path)
+		t.active[i] = false
+		out = append(out, p)
 	}
 	return out
 }
@@ -151,18 +139,17 @@ func (t *Tracker) Undrain(sw topology.NodeID) []routing.Path {
 	return t.revalidate()
 }
 
-// AddPaths tracks any paths not yet known (deduplicated by key) — the
-// expansion entry point, fed the re-enumerated policy output. Usable
-// paths start active and are returned; unusable ones are parked absent.
+// AddPaths tracks any paths not yet known (deduplicated by node
+// sequence) — the expansion entry point, fed the re-enumerated policy
+// output. Usable paths start active and are returned; unusable ones are
+// parked absent.
 func (t *Tracker) AddPaths(paths []routing.Path) (activated []routing.Path) {
 	for _, p := range paths {
-		k := p.Key()
-		if _, ok := t.idx[k]; ok {
+		if _, known := t.ix.Find(p); known {
 			continue
 		}
 		usable := t.Usable(p)
-		t.idx[k] = len(t.list)
-		t.list = append(t.list, trackedPath{path: p, active: usable})
+		t.track(p, usable)
 		if usable {
 			activated = append(activated, p)
 		}
@@ -173,16 +160,15 @@ func (t *Tracker) AddPaths(paths []routing.Path) (activated []routing.Path) {
 // Remove forgets paths entirely (no recovery will restore them).
 func (t *Tracker) Remove(paths []routing.Path) (deactivated []routing.Path) {
 	for _, p := range paths {
-		idx, ok := t.idx[p.Key()]
+		slot, ok := t.ix.Find(p)
 		if !ok {
 			continue
 		}
-		e := &t.list[idx]
-		if e.active {
-			deactivated = append(deactivated, e.path)
+		if t.active[slot] {
+			deactivated = append(deactivated, t.ix.Paths()[slot])
+			t.active[slot] = false
 		}
-		delete(t.idx, p.Key())
-		e.path = nil
+		t.ix.Remove(p)
 		t.dead++
 	}
 	t.compact()
@@ -193,29 +179,30 @@ func (t *Tracker) Remove(paths []routing.Path) (deactivated []routing.Path) {
 // usable under current link health and drain marks.
 func (t *Tracker) revalidate() []routing.Path {
 	var out []routing.Path
-	for i := range t.list {
-		e := &t.list[i]
-		if e.path == nil || e.active || !t.Usable(e.path) {
+	for i, p := range t.ix.Paths() {
+		if p == nil || t.active[i] || !t.Usable(p) {
 			continue
 		}
-		e.active = true
-		out = append(out, e.path)
+		t.active[i] = true
+		out = append(out, p)
 	}
 	return out
 }
 
+// compact re-slots the tracked paths once forgotten slots dominate.
 func (t *Tracker) compact() {
-	if t.dead <= len(t.list)/2 || t.dead == 0 {
+	if t.dead <= len(t.active)/2 || t.dead == 0 {
 		return
 	}
-	live := make([]trackedPath, 0, len(t.list)-t.dead)
-	for _, e := range t.list {
-		if e.path != nil {
-			t.idx[e.path.Key()] = len(live)
-			live = append(live, e)
+	n := t.ix.Len()
+	old, oldActive := t.ix.Paths(), t.active
+	t.ix, t.active, t.dead = routing.PathIndex{}, make([]bool, 0, n), 0
+	t.ix.Reserve(n)
+	for i, p := range old {
+		if p != nil {
+			t.track(p, oldActive[i])
 		}
 	}
-	t.list, t.dead = live, 0
 }
 
 func traverses(p routing.Path, a, b topology.NodeID) bool {

@@ -170,7 +170,7 @@ func TestTrackerAddRemove(t *testing.T) {
 	l1, s1, l2 := g.MustLookup("L1"), g.MustLookup("S1"), g.MustLookup("L2")
 	g.FailLink(s1, l2)
 	fresh := routing.Path{l1, s1, l2}
-	if _, ok := tr.idx[fresh.Key()]; ok {
+	if _, ok := tr.ix.Find(fresh); ok {
 		t.Fatal("test path already tracked; pick another")
 	}
 	tr.Remove([]routing.Path{fresh}) // removing unknown paths is a no-op

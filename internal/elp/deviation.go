@@ -24,10 +24,9 @@ func DeviationPaths(g *topology.Graph, base *Set, endpoints []topology.NodeID, c
 		return nil
 	}
 	rng := rand.New(rand.NewSource(seed))
-	seen := make(map[string]bool)
-	var out []routing.Path
+	var out routing.PathIndex
 	var nbuf []topology.NodeID
-	for attempts := 0; len(out) < count && attempts < count*50; attempts++ {
+	for attempts := 0; out.Len() < count && attempts < count*50; attempts++ {
 		a := endpoints[rng.Intn(len(endpoints))]
 		b := endpoints[rng.Intn(len(endpoints))]
 		if a == b {
@@ -37,12 +36,10 @@ func DeviationPaths(g *topology.Graph, base *Set, endpoints []topology.NodeID, c
 		if p == nil {
 			continue
 		}
-		k := p.Key()
-		if seen[k] || (base != nil && base.Contains(p)) {
+		if base != nil && base.Contains(p) {
 			continue
 		}
-		seen[k] = true
-		out = append(out, p)
+		out.Add(p)
 	}
-	return out
+	return out.Paths()
 }

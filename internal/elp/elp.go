@@ -11,6 +11,7 @@ package elp
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/parallel"
 	"repro/internal/routing"
@@ -19,15 +20,16 @@ import (
 )
 
 // Set is a deduplicated collection of loop-free expected lossless paths.
+// The zero value is an empty set.
 type Set struct {
-	paths []routing.Path
-	keys  map[string]bool
+	ix routing.PathIndex
 }
 
 // NewSet returns an empty ELP set.
-func NewSet() *Set {
-	return &Set{keys: make(map[string]bool)}
-}
+func NewSet() *Set { return &Set{} }
+
+// Reserve sizes the set to hold n paths without growing.
+func (s *Set) Reserve(n int) { s.ix.Reserve(n) }
 
 // Add validates and inserts a path; duplicates are ignored. It returns an
 // error for paths that are empty, contain a repeated node, or traverse
@@ -42,15 +44,7 @@ func (s *Set) Add(g *topology.Graph, p routing.Path) error {
 	if !p.Valid(g) {
 		return fmt.Errorf("elp: path %s traverses non-adjacent nodes", p.String(g))
 	}
-	if s.keys == nil {
-		s.keys = make(map[string]bool)
-	}
-	k := p.Key()
-	if s.keys[k] {
-		return nil
-	}
-	s.keys[k] = true
-	s.paths = append(s.paths, p)
+	s.ix.Add(p)
 	return nil
 }
 
@@ -73,18 +67,21 @@ func (s *Set) AddAll(g *topology.Graph, paths []routing.Path) error {
 
 // Paths returns the paths in insertion order. The slice is shared; do not
 // modify it.
-func (s *Set) Paths() []routing.Path { return s.paths }
+func (s *Set) Paths() []routing.Path { return s.ix.Paths() }
 
 // Len returns the number of distinct paths.
-func (s *Set) Len() int { return len(s.paths) }
+func (s *Set) Len() int { return s.ix.Len() }
 
 // Contains reports whether the exact node sequence is in the set.
-func (s *Set) Contains(p routing.Path) bool { return s.keys[p.Key()] }
+func (s *Set) Contains(p routing.Path) bool {
+	_, ok := s.ix.Find(p)
+	return ok
+}
 
 // LongestHops returns the maximum hop count over the set (0 for empty).
 func (s *Set) LongestHops() int {
 	m := 0
-	for _, p := range s.paths {
+	for _, p := range s.Paths() {
 		if h := p.Hops(); h > m {
 			m = h
 		}
@@ -207,30 +204,26 @@ func ShortestAll(g *topology.Graph, endpoints []topology.NodeID) *Set {
 
 // ShortestAllN is ShortestAll with an explicit worker count (0 =
 // GOMAXPROCS, 1 = serial). Sources are sharded across workers — each BFS
-// is independent — and the per-source path lists are folded into the set
-// in source order, so every worker count yields the same set.
+// is independent and reads one shared adjacency — and the per-source path
+// lists are folded into the set in source order, so every worker count
+// yields the same set.
 func ShortestAllN(g *topology.Graph, endpoints []topology.NodeID, par int) *Set {
 	defer telemetry.Default.StartSpan("synth/elp").End()
-	w := parallel.Workers(par, len(endpoints))
-	if w <= 1 {
-		s := NewSet()
-		var sc bfsScratch
-		for _, a := range endpoints {
-			// One BFS per source covers all destinations.
-			for _, p := range shortestTreePaths(g, a, endpoints, &sc) {
-				s.MustAdd(g, p)
-			}
-		}
-		return s
-	}
+	adj := newAdjacency(g)
 	perSrc := make([][]routing.Path, len(endpoints))
-	parallel.ForEachShard(len(endpoints), w, func(sh parallel.Shard) {
+	parallel.ForEachShard(len(endpoints), parallel.Workers(par, len(endpoints)), func(sh parallel.Shard) {
 		var sc bfsScratch
 		for i := sh.Lo; i < sh.Hi; i++ {
-			perSrc[i] = shortestTreePaths(g, endpoints[i], endpoints, &sc)
+			// One BFS per source covers all destinations.
+			perSrc[i] = shortestTreePaths(g, adj, endpoints[i], endpoints, &sc)
 		}
 	})
+	total := 0
+	for _, paths := range perSrc {
+		total += len(paths)
+	}
 	s := NewSet()
+	s.Reserve(total)
 	for _, paths := range perSrc {
 		for _, p := range paths {
 			s.MustAdd(g, p)
@@ -257,18 +250,37 @@ func ShortestAllECMP(g *topology.Graph, endpoints []topology.NodeID, limit int) 
 	return s
 }
 
+// adjacency is the healthy-link neighbor lists of every node in CSR form,
+// each list in ascending node ID — the BFS's deterministic visit order,
+// sorted once per enumeration instead of on every visit.
+type adjacency struct {
+	off []int32 // node n's neighbors are nbr[off[n]:off[n+1]]
+	nbr []topology.NodeID
+}
+
+func newAdjacency(g *topology.Graph) adjacency {
+	n := g.NumNodes()
+	a := adjacency{off: make([]int32, n+1), nbr: make([]topology.NodeID, 0, 2*g.NumLinks())}
+	for u := 0; u < n; u++ {
+		lo := len(a.nbr)
+		a.nbr = g.Neighbors(topology.NodeID(u), a.nbr)
+		slices.Sort(a.nbr[lo:])
+		a.off[u+1] = int32(len(a.nbr))
+	}
+	return a
+}
+
 // bfsScratch holds the per-source BFS state so repeated calls (one per
 // source, across the whole endpoint set) reuse the same backing arrays.
 type bfsScratch struct {
 	dist   []int32
 	parent []topology.NodeID
 	queue  []topology.NodeID
-	nbuf   []topology.NodeID
 }
 
 // shortestTreePaths extracts one shortest path from src to each other
-// endpoint using a single BFS with deterministic parent choice.
-func shortestTreePaths(g *topology.Graph, src topology.NodeID, endpoints []topology.NodeID, sc *bfsScratch) []routing.Path {
+// endpoint using a single BFS over adj with deterministic parent choice.
+func shortestTreePaths(g *topology.Graph, adj adjacency, src topology.NodeID, endpoints []topology.NodeID, sc *bfsScratch) []routing.Path {
 	n := g.NumNodes()
 	if cap(sc.dist) < n {
 		sc.dist = make([]int32, n)
@@ -281,26 +293,12 @@ func shortestTreePaths(g *topology.Graph, src topology.NodeID, endpoints []topol
 	}
 	dist[src] = 0
 	queue := append(sc.queue[:0], src)
-	nbuf := sc.nbuf
 	for qi := 0; qi < len(queue); qi++ {
 		u := queue[qi]
 		if u != src && g.Node(u).Kind == topology.KindHost {
 			continue
 		}
-		nbuf = g.Neighbors(u, nbuf[:0])
-		// Deterministic: ascending neighbor IDs. Insertion sort — the
-		// lists are port-count sized and this avoids sort.Slice's
-		// reflection machinery in the innermost BFS loop.
-		for i := 1; i < len(nbuf); i++ {
-			v := nbuf[i]
-			j := i - 1
-			for j >= 0 && nbuf[j] > v {
-				nbuf[j+1] = nbuf[j]
-				j--
-			}
-			nbuf[j+1] = v
-		}
-		for _, v := range nbuf {
+		for _, v := range adj.nbr[adj.off[u]:adj.off[u+1]] {
 			if dist[v] == -1 {
 				dist[v] = dist[u] + 1
 				parent[v] = u
@@ -308,7 +306,7 @@ func shortestTreePaths(g *topology.Graph, src topology.NodeID, endpoints []topol
 			}
 		}
 	}
-	sc.queue, sc.nbuf = queue, nbuf
+	sc.queue = queue
 	// All paths of one source share a single backing arena: two
 	// allocations per source instead of one per destination.
 	total := 0

@@ -271,3 +271,30 @@ func TestKBounceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSetAddZeroAllocAfterReserve is the allocation gate on the ELP hot
+// loop: once reserved, adding a path — new or duplicate — and probing for
+// one build no key and grow nothing.
+func TestSetAddZeroAllocAfterReserve(t *testing.T) {
+	j, err := topology.NewJellyfish(topology.JellyfishConfig{Switches: 30, Ports: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := ShortestAll(j.Graph, j.Switches).Paths()
+	s := NewSet()
+	s.Reserve(len(paths))
+	i := 0
+	allocs := testing.AllocsPerRun(2*len(paths)-1, func() {
+		p := paths[i%len(paths)] // second lap: every Add is a duplicate
+		i++
+		if err := s.Add(j.Graph, p); err != nil || !s.Contains(p) {
+			t.Fatalf("Add(%v): err=%v", p, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Set.Add allocates %.2f times per path after Reserve, want 0", allocs)
+	}
+	if s.Len() != len(paths) {
+		t.Fatalf("set holds %d paths, want %d", s.Len(), len(paths))
+	}
+}

@@ -118,9 +118,11 @@ func (p Path) Equal(q Path) bool {
 	return true
 }
 
-// Key returns a canonical string form usable as a map key for dedup.
-// Node IDs are appended with strconv into a stack buffer, so the only
-// allocation is the returned string itself.
+// Key returns the canonical string form: decimal node IDs joined by
+// commas. Its lexicographic order is a contract — UpDownPaths returns its
+// paths in Key order — so it stays even though dedup no longer uses it
+// (see PathIndex). Node IDs are appended with strconv into a stack
+// buffer, so the only allocation is the returned string itself.
 func (p Path) Key() string {
 	var a [96]byte
 	buf := a[:0]

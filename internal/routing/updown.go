@@ -87,8 +87,7 @@ func upDownPaths(g *topology.Graph, src, dst topology.NodeID, limit int, firstUp
 			terms = append(terms, s)
 		}
 	}
-	var out []Path
-	seenPath := map[string]bool{}
+	var out PathIndex
 	var walk func(s state, suffix Path) bool
 	walk = func(s state, suffix Path) bool {
 		suffix = append(suffix, s.node)
@@ -97,11 +96,8 @@ func upDownPaths(g *topology.Graph, src, dst topology.NodeID, limit int, firstUp
 			for i, n := range suffix {
 				p[len(suffix)-1-i] = n
 			}
-			if k := p.Key(); !seenPath[k] {
-				seenPath[k] = true
-				out = append(out, p)
-			}
-			return limit > 0 && len(out) >= limit
+			out.Add(p)
+			return limit > 0 && out.Len() >= limit
 		}
 		ps := parents[s]
 		// Deterministic order.
@@ -123,8 +119,28 @@ func upDownPaths(g *topology.Graph, src, dst topology.NodeID, limit int, firstUp
 			break
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Key() < out[b].Key() })
-	return out
+	// Key order is the contract here: it fixes the order paths enter every
+	// Clos ELP, and with it tag numbering downstream.
+	paths := out.Paths()
+	keys := make([]string, len(paths))
+	for i, p := range paths {
+		keys[i] = p.Key()
+	}
+	sort.Sort(byKey{paths, keys})
+	return paths
+}
+
+// byKey sorts paths by their precomputed Key() strings.
+type byKey struct {
+	paths []Path
+	keys  []string
+}
+
+func (s byKey) Len() int           { return len(s.paths) }
+func (s byKey) Less(a, b int) bool { return s.keys[a] < s.keys[b] }
+func (s byKey) Swap(a, b int) {
+	s.paths[a], s.paths[b] = s.paths[b], s.paths[a]
+	s.keys[a], s.keys[b] = s.keys[b], s.keys[a]
 }
 
 // UpDownDistance returns the shortest valley-free hop count from src to

@@ -274,8 +274,8 @@ func (c *Cache) wait(e *entry) {
 	}
 }
 
-// fill completes a build: pre-warms the shared ruleset's lazy ID index
-// (shared readers must never trigger the lazy build concurrently),
+// fill completes a build: pre-warms the shared ruleset's sorted-key memo
+// (so the readers sharing it find it built instead of each sorting),
 // publishes the fields and wakes waiters. A build error unlinks the
 // entry so the next request retries.
 func (c *Cache) fill(e *entry, g *topology.Graph, canon *fingerprint.Canon,

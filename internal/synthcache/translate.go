@@ -52,7 +52,7 @@ func translateEntry(e *entry, g *topology.Graph, canon *fingerprint.Canon,
 	if err := runtime.Verify(); err != nil {
 		return nil, nil, fmt.Errorf("synthcache: translated runtime graph: %w", err)
 	}
-	rs.RuleByID(0) // pre-warm the lazy ID index before the result escapes
+	rs.RuleByID(0) // pre-warm the sorted-key memo before the result is shared
 	image := translateImage(e.image, e.g, rs, perm)
 	return &core.System{Graph: g, ELP: paths, Rules: rs, Runtime: runtime}, image, nil
 }

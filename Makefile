@@ -34,9 +34,10 @@ test:
 # The par=1 vs par=N equivalence proofs, under the race detector: the
 # parallel synthesis path must emit byte-identical rules and graphs, and
 # the sweep runner's verdicts and merged telemetry must be independent of
-# the worker count.
+# the worker count, and so must everything a controller push leaves behind.
 determinism:
 	$(GO) test -race -run 'TestParallelDeterminism|TestChaosSweepParDeterminism|TestDetectMatrixParDeterminism' .
+	$(GO) test -race -count=1 -run 'TestPushParIndependent' ./internal/controller/
 
 race:
 	$(GO) test -race ./...
@@ -136,15 +137,17 @@ fuzz:
 	$(GO) test -fuzz FuzzShrinkConvergence -fuzztime 30s ./internal/check/
 	$(GO) test -fuzz FuzzTraceDecode -fuzztime 30s ./internal/trace/
 	$(GO) test -fuzz FuzzPathIndex -fuzztime 30s ./internal/routing/
+	$(GO) test -fuzz FuzzBundleImport -fuzztime 30s ./internal/deploy/
 
 # Bounded differential fuzzing for the pre-merge gate: a few seconds of
-# native coverage-guided fuzzing over the check battery and over the path
-# index (against its string-keyed reference) plus a seeded taggerfuzz
-# sweep of every topology family. Failing inputs shrink to
+# native coverage-guided fuzzing over the check battery, the path index
+# (against its string-keyed reference) and the bundle decoder, plus a
+# seeded taggerfuzz sweep of every topology family. Failing inputs shrink to
 # runnable repro tests under internal/check/testdata/fuzz-corpus/.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzRunCase -fuzztime 5s ./internal/check/
 	$(GO) test -fuzz FuzzPathIndex -fuzztime 5s ./internal/routing/
+	$(GO) test -fuzz FuzzBundleImport -fuzztime 5s ./internal/deploy/
 	$(GO) run ./cmd/taggerfuzz -seeds 25 -topo all -q
 
 # The churn differential: fuzzed link-flap/drain/pod-add sequences where

@@ -234,8 +234,8 @@ func runCache(topos []string, base int64, seeds, par int, quiet bool) int {
 		}
 	}
 	st := cache.Stats()
-	fmt.Printf("taggerfuzz: cache stats: %d hits / %d misses (ratio %.2f), %d translated, %d pod-stamped, %d evictions, %d single-flight waits\n",
-		st.Hits, st.Misses, st.HitRatio(), st.Translated, st.PodStamped, st.Evictions, st.SingleFlightWait)
+	fmt.Printf("taggerfuzz: cache stats: %d hits / %d misses (ratio %.2f), %d pod-stamped, %d evictions, %d single-flight waits\n",
+		st.Hits, st.Misses, st.HitRatio(), st.PodStamped, st.Evictions, st.SingleFlightWait)
 	return failures
 }
 

@@ -2,15 +2,12 @@ package controller
 
 import (
 	"fmt"
-	"sort"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/deploy"
 	"repro/internal/elp"
 	"repro/internal/routing"
 	"repro/internal/synthcache"
-	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
 
@@ -63,51 +60,41 @@ func (s DeltaStats) String() string {
 		s.SwitchesChanged, s.SwitchesSkipped)
 }
 
+// count folds one switch's delta toward want into the stats.
+func (s *DeltaStats) count(d deploy.SwitchDiff, want deploy.SwitchBundle) {
+	if d.Empty() {
+		s.SwitchesSkipped++
+		s.RulesUnchanged += len(want.Rules)
+		return
+	}
+	a, r, m := d.Counts()
+	s.RulesAdded += a
+	s.RulesRemoved += r
+	s.RulesModified += m
+	s.RulesUnchanged += len(want.Rules) - a - m
+	s.SwitchesChanged++
+}
+
 // NewChurn builds the churn-resilient controller: generic synthesis
 // (Algorithms 1+2) under the given policy, kept up to date incrementally.
 // Use HandleChurn to feed it events and Reconcile to re-converge the
 // fabric after agent-side losses. The initial deployment is a full push.
 func NewChurn(g *topology.Graph, policy ELPPolicy, opts ...Option) (*Controller, error) {
-	ctl := &Controller{
-		g:         g,
-		policy:    policy,
-		agent:     newLoopbackAgent(),
-		deployCfg: DefaultDeployConfig(),
-		tel:       telemetry.NewRegistry(),
-		known:     make(map[string]bool),
-	}
-	ctl.synth = func(g *topology.Graph, s *elp.Set) (*core.System, error) {
-		return core.Synthesize(g, s.Paths(), core.Options{})
-	}
-	ctl.jitter = newJitter(ctl.deployCfg.JitterSeed)
-	for _, o := range opts {
-		o(ctl)
-	}
-	set := policy(g)
-	// With a synthesis cache attached, the initial build and every
-	// rebuild() fallback go through it (NewResynthFull hook); cached
-	// systems are shared read-only and rule-identical to fresh ones.
-	var fullSynth func(*topology.Graph, []routing.Path, core.Options) (*core.System, error)
-	if ctl.synthCache != nil {
-		fullSynth = synthcache.FullSynth(ctl.synthCache)
-	}
-	rs, err := core.NewResynthFull(g, set.Paths(), core.Options{}, fullSynth)
-	if err != nil {
-		return nil, fmt.Errorf("controller: synthesis failed: %w", err)
-	}
-	sys := rs.System()
-	if err := sys.Runtime.Verify(); err != nil {
-		return nil, fmt.Errorf("controller: refusing to deploy unverified rules: %w", err)
-	}
-	ctl.resynth = rs
-	ctl.tracker = elp.NewTracker(g, set)
-	newBundle := deploy.Export(sys.Rules)
-	if err := ctl.pushBundle(newBundle, false); err != nil {
-		return nil, err
-	}
-	ctl.current, ctl.bundle = sys, newBundle
-	ctl.noteSwitches(newBundle)
-	return ctl, nil
+	return newController(g, policy, func(c *Controller, set *elp.Set) (*core.System, error) {
+		// With a synthesis cache attached, the initial build and every
+		// rebuild() fallback go through it (NewResynthFull hook); cached
+		// systems are shared read-only and rule-identical to fresh ones.
+		var fullSynth func(*topology.Graph, []routing.Path, core.Options) (*core.System, error)
+		if c.synthCache != nil {
+			fullSynth = synthcache.FullSynth(c.synthCache)
+		}
+		rs, err := core.NewResynthFull(c.g, set.Paths(), core.Options{}, fullSynth)
+		if err != nil {
+			return nil, err
+		}
+		c.resynth, c.tracker = rs, elp.NewTracker(c.g, set)
+		return rs.System(), nil
+	}, opts)
 }
 
 // DeltaLog returns a copy of the per-push delta stats, in push order.
@@ -160,27 +147,45 @@ func (c *Controller) applyChurn(ev Event, added, removed []routing.Path) error {
 	if err != nil {
 		return fmt.Errorf("controller: incremental re-synthesis failed: %w", err)
 	}
-	if err := sys.Runtime.Verify(); err != nil {
-		return fmt.Errorf("controller: refusing to deploy unverified rules: %w", err)
-	}
-	newBundle := deploy.Export(sys.Rules)
-	stats, pushErr := c.pushDelta(newBundle)
-	stats.Event = ev.Kind.String()
-	c.deltaLog = append(c.deltaLog, stats)
-	c.auditDelta(stats)
-	if c.bundle != nil {
-		if d := deploy.Diff(c.bundle, newBundle); len(d) > 0 {
-			c.pushedDiffs = append(c.pushedDiffs, d)
-		}
-	}
-	c.current, c.bundle = sys, newBundle
-	c.noteSwitches(newBundle)
-	return pushErr
+	return c.commit(sys, ev.Kind)
 }
 
-// auditDelta appends the per-push stats summary entry and bumps the
-// delta counters.
-func (c *Controller) auditDelta(stats DeltaStats) {
+// pushDelta deploys newBundle by patching only the switches whose intent
+// changed (diffs, against the last bundle), two-phase like pushBundle. Deltas are computed against each
+// switch's live ACTIVE table, so a switch some earlier reconciliation
+// already fixed is skipped as a no-op; an agent without DeltaAgent gets
+// wholesale installs of the same switches. The per-switch stats are
+// summed in plan order, appended to the DeltaLog and mirrored into the
+// audit log and the deploy.delta.* counters. Called with c.mu held.
+func (c *Controller) pushDelta(newBundle *deploy.Bundle, diffs map[string]deploy.SwitchDiff, event EventKind) error {
+	span := c.tel.StartSpan("deploy/push-delta")
+	defer span.End()
+	c.tel.Counter("deploy.pushes").Inc()
+
+	stats := DeltaStats{Event: event.String()}
+	for sw, sb := range newBundle.Switches {
+		if _, ok := diffs[sw]; !ok {
+			stats.SwitchesSkipped++
+			stats.RulesUnchanged += len(sb.Rules)
+		}
+	}
+	_, hasDelta := c.agent.(DeltaAgent)
+	plan := c.plan(keys(diffs), newBundle, hasDelta)
+	if !hasDelta {
+		stats.FullPushes = len(plan)
+		for i := range plan {
+			d := diffs[plan[i].sw]
+			plan[i].diff = &d
+		}
+	}
+	err := c.push(span, plan, true, OpActivate)
+	for i := range plan {
+		if d := plan[i].diff; d != nil {
+			stats.count(*d, plan[i].want)
+		}
+	}
+
+	c.deltaLog = append(c.deltaLog, stats)
 	c.auditLog = append(c.auditLog, AuditEntry{
 		Seq: c.auditSeq, Switch: "*", Op: OpDelta, Attempt: 1, Note: stats.String(),
 	})
@@ -191,171 +196,15 @@ func (c *Controller) auditDelta(stats DeltaStats) {
 	c.tel.Counter("deploy.delta.rules_unchanged").Add(int64(stats.RulesUnchanged))
 	c.tel.Counter("deploy.delta.switches_changed").Add(int64(stats.SwitchesChanged))
 	c.tel.Counter("deploy.delta.switches_skipped").Add(int64(stats.SwitchesSkipped))
-}
-
-// pushDelta deploys newBundle by patching only the switches whose intent
-// changed, with the same two-phase discipline as pushBundle: stage every
-// delta (patch + staged readback verify), then activate with rollback on
-// failure. Deltas are computed against each switch's live ACTIVE table,
-// so a switch some earlier reconciliation already fixed is skipped as a
-// no-op. Called with c.mu held.
-func (c *Controller) pushDelta(newBundle *deploy.Bundle) (DeltaStats, error) {
-	push := c.tel.StartSpan("deploy/push-delta")
-	defer push.End()
-	c.tel.Counter("deploy.pushes").Inc()
-	var stats DeltaStats
-
-	old := c.bundle
-	if old == nil {
-		old = &deploy.Bundle{Switches: map[string]deploy.SwitchBundle{}}
-	}
-	diffs := deploy.Diff(old, newBundle)
-	names := make([]string, 0, len(diffs))
-	for sw := range diffs {
-		names = append(names, sw)
-	}
-	sort.Strings(names)
-	for sw, sb := range newBundle.Switches {
-		if _, ok := diffs[sw]; !ok {
-			stats.SwitchesSkipped++
-			stats.RulesUnchanged += len(sb.Rules)
-		}
-	}
-
-	da, hasDelta := c.agent.(DeltaAgent)
-
-	// Phase 1: stage deltas on every switch whose intent changed. Failure
-	// aborts with the active fabric untouched.
-	stage := push.Child("stage")
-	var toActivate []string
-	for _, sw := range names {
-		desired := newBundle.Switches[sw]
-		if !hasDelta {
-			a, r, m := diffs[sw].Counts()
-			stats.RulesAdded += a
-			stats.RulesRemoved += r
-			stats.RulesModified += m
-			stats.RulesUnchanged += len(desired.Rules) - a - m
-			stats.FullPushes++
-			stats.SwitchesChanged++
-			if err := c.installVerify(sw, desired); err != nil {
-				c.tel.Counter("deploy.aborted_staging").Inc()
-				stage.End()
-				return stats, err
-			}
-			toActivate = append(toActivate, sw)
-			continue
-		}
-		var active deploy.SwitchBundle
-		if err := c.attempt(sw, OpFetchActive, func() error {
-			var e error
-			active, e = da.FetchActive(sw)
-			return e
-		}); err != nil {
-			c.tel.Counter("deploy.aborted_staging").Inc()
-			stage.End()
-			return stats, err
-		}
-		delta := deploy.DeltaFor(active, desired)
-		if delta.Empty() {
-			// Live state already matches intent (e.g. a reconcile got
-			// here first): nothing to stage, nothing to activate.
-			stats.SwitchesSkipped++
-			stats.RulesUnchanged += len(desired.Rules)
-			continue
-		}
-		a, r, m := delta.Counts()
-		stats.RulesAdded += a
-		stats.RulesRemoved += r
-		stats.RulesModified += m
-		stats.RulesUnchanged += len(desired.Rules) - a - m
-		stats.SwitchesChanged++
-		if err := c.patchVerify(da, sw, delta, desired); err != nil {
-			c.tel.Counter("deploy.aborted_staging").Inc()
-			stage.End()
-			return stats, err
-		}
-		toActivate = append(toActivate, sw)
-	}
-	stage.End()
-
-	// Phase 2: flip, rolling back every switch already flipped if one
-	// cannot activate.
-	activate := push.Child("activate")
-	defer activate.End()
-	var activated []string
-	for _, sw := range toActivate {
-		if err := c.attempt(sw, OpActivate, func() error {
-			return c.agent.Activate(sw)
-		}); err != nil {
-			c.rollback(activated)
-			return stats, fmt.Errorf("controller: rolled back to previous bundle: %w", err)
-		}
-		activated = append(activated, sw)
-	}
-	return stats, nil
-}
-
-// patchVerify stages one delta and confirms the staged readback matches
-// the desired table. Patch recomputes staged from the switch's active
-// table, so each retry is a clean re-application — a partial write never
-// compounds.
-func (c *Controller) patchVerify(da DeltaAgent, sw string, delta deploy.SwitchDiff, want deploy.SwitchBundle) error {
-	x := c.rpc()
-	err := x.patchVerify(da, sw, delta, want)
-	c.absorb(x)
 	return err
 }
 
-// patchVerify is the rpcCtx body of Controller.patchVerify.
-func (x *rpcCtx) patchVerify(da DeltaAgent, sw string, delta deploy.SwitchDiff, want deploy.SwitchBundle) error {
-	maxTries := x.cfg.MaxAttempts
-	if maxTries < 1 {
-		maxTries = 1
-	}
-	var err error
-	for try := 1; try <= maxTries; try++ {
-		op := OpPatch
-		err = da.Patch(sw, delta)
-		if err == nil {
-			x.auditRecord(sw, OpPatch, try, nil, 0)
-			op = OpVerify
-			var got deploy.SwitchBundle
-			got, err = da.Fetch(sw)
-			if err == nil && !sameRules(got.Rules, want.Rules) {
-				err = fmt.Errorf("staged delta mismatch: %d/%d rules landed", len(got.Rules), len(want.Rules))
-				x.tel.Counter("deploy.partial_detected").Inc()
-			}
-			if err == nil {
-				x.auditRecord(sw, OpVerify, try, nil, 0)
-				x.tel.Gauge("deploy_last_attempts", "switch", sw, "op", OpPatch).Set(float64(try))
-				if try > 1 {
-					x.tel.Counter("deploy_retries_total", "switch", sw).Add(int64(try - 1))
-				}
-				return nil
-			}
-		}
-		var backoff time.Duration
-		if try < maxTries {
-			backoff = x.backoffFor(try)
-			x.tel.Counter("deploy.backoff_ns").Add(int64(backoff))
-			if x.cfg.Sleep != nil {
-				x.cfg.Sleep(backoff)
-			}
-		}
-		x.auditRecord(sw, op, try, err, backoff)
-	}
-	x.tel.Counter("deploy.gave_up").Inc()
-	x.tel.Gauge("deploy_last_attempts", "switch", sw, "op", OpPatch).Set(float64(maxTries))
-	x.tel.Counter("deploy_retries_total", "switch", sw).Add(int64(maxTries - 1))
-	return fmt.Errorf("controller: patch on %s failed after %d attempts: %w", sw, maxTries, err)
-}
-
 // Reconcile drives the fabric back to the deployed intent (c.bundle): it
-// re-fetches every known switch's active table, computes the delta to
-// intent, and re-issues patch+activate for any divergence — up to
-// DeployConfig.ReconcileRounds sweeps. This is the convergence path after
-// partial deploy failures, switch reboots, or any agent-side state loss.
+// re-fetches the active table of every switch that holds or ever held
+// rules, computes the delta to intent, and re-issues patch+activate for
+// any divergence — up to DeployConfig.ReconcileRounds sweeps. This is the
+// convergence path after partial deploy failures, switch reboots, or any
+// agent-side state loss.
 // Unlike a push, reconciliation activates per switch immediately: the
 // fabric is already divergent, so convergence beats atomicity.
 //
@@ -377,49 +226,25 @@ func (c *Controller) Reconcile() (fixed int, err error) {
 	if rounds < 1 {
 		rounds = 3
 	}
-	names := make([]string, 0, len(c.known))
-	for sw := range c.known {
-		names = append(names, sw)
+	names := keys(c.bundle.Switches)
+	for sw := range c.vacated {
+		if _, ok := c.bundle.Switches[sw]; !ok {
+			names = append(names, sw)
+		}
 	}
-	sort.Strings(names)
 
 	for round := 1; round <= rounds; round++ {
 		c.tel.Counter("deploy.reconcile.rounds").Inc()
+		// A switch absent from the bundle wants the empty table.
+		plan := c.plan(names, c.bundle, true)
+		roundErr := c.push(nil, plan, false, OpActivate)
 		dirty := false
-		var roundErr error
-		for _, sw := range names {
-			desired := c.bundle.Switches[sw] // zero value: switch should hold no rules
-			var active deploy.SwitchBundle
-			if e := c.attempt(sw, OpFetchActive, func() error {
-				var e error
-				active, e = da.FetchActive(sw)
-				return e
-			}); e != nil {
-				dirty = true
-				if roundErr == nil {
-					roundErr = e
-				}
-				continue
+		for i := range plan {
+			dirty = dirty || plan[i].err != nil || plan[i].staged
+			if plan[i].flipped {
+				fixed++
+				c.tel.Counter("deploy.reconcile.switches_fixed").Inc()
 			}
-			delta := deploy.DeltaFor(active, desired)
-			if delta.Empty() {
-				continue
-			}
-			dirty = true
-			if e := c.patchVerify(da, sw, delta, desired); e != nil {
-				if roundErr == nil {
-					roundErr = e
-				}
-				continue
-			}
-			if e := c.attempt(sw, OpActivate, func() error { return da.Activate(sw) }); e != nil {
-				if roundErr == nil {
-					roundErr = e
-				}
-				continue
-			}
-			fixed++
-			c.tel.Counter("deploy.reconcile.switches_fixed").Inc()
 		}
 		if !dirty {
 			return fixed, nil
@@ -439,15 +264,4 @@ func (c *Controller) Reconcile() (fixed int, err error) {
 		}
 	}
 	return fixed, nil
-}
-
-// noteSwitches records bundle membership in the reconcile roster. Called
-// with c.mu held.
-func (c *Controller) noteSwitches(b *deploy.Bundle) {
-	if c.known == nil {
-		c.known = make(map[string]bool)
-	}
-	for sw := range b.Switches {
-		c.known[sw] = true
-	}
 }

@@ -10,7 +10,7 @@
 //   - topology expansion produces an incremental bundle: only the new
 //     switches (plus spine entries for their new ports) receive updates.
 //
-// Rule pushes go through a fault-tolerant pipeline (agent.go): per-switch
+// Rule pushes go through one fault-tolerant engine (push.go): per-switch
 // install RPCs against a SwitchAgent, verify-then-activate two-phase
 // semantics, capped exponential backoff with seeded jitter, and rollback
 // to the previous verified bundle when activation cannot complete — so an
@@ -21,7 +21,6 @@ package controller
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
 
@@ -122,16 +121,16 @@ type Controller struct {
 	mu     sync.Mutex
 	g      *topology.Graph
 	policy ELPPolicy
-	// synth builds the system from the policy's ELP; the Clos deployment
-	// uses ClosSynthesize, generic fabrics use Synthesize.
-	synth func(g *topology.Graph, paths *elp.Set) (*core.System, error)
+	// synth builds the system from the policy's ELP: ClosSynthesize for
+	// the Clos deployment, Synthesize for generic fabrics, a fresh
+	// incremental engine for the churn controller.
+	synth synthFunc
 
 	current *core.System
 	bundle  *deploy.Bundle // last fully verified-and-activated bundle
 
 	agent     SwitchAgent
 	deployCfg DeployConfig
-	jitter    *rand.Rand
 
 	// pushedDiffs records every incremental update the controller
 	// emitted; failureEvents counts failure notifications handled (with
@@ -143,12 +142,14 @@ type Controller struct {
 	auditSeq int
 
 	// Churn-mode state (NewChurn): the incremental synthesis engine, the
-	// ELP bookkeeping that feeds it, per-delta-push stats, and the roster
-	// of switches ever touched (what Reconcile sweeps).
+	// ELP bookkeeping that feeds it and the per-delta-push stats.
 	resynth  *core.Resynth
 	tracker  *elp.Tracker
 	deltaLog []DeltaStats
-	known    map[string]bool
+	// vacated holds the switches that ran rules under an earlier bundle
+	// and have none in a later one; Reconcile sweeps them along with the
+	// current bundle's, so a stale table left behind gets emptied.
+	vacated map[string]bool
 	// synthCache, when set (WithSynthCache), memoizes full synthesis:
 	// fresh deploys, expansion resyncs and churn rebuild fallbacks hit
 	// the cache instead of re-running synthesis on topologies it has
@@ -175,10 +176,7 @@ func WithAgent(a SwitchAgent) Option {
 
 // WithDeployConfig overrides the retry/backoff parameters.
 func WithDeployConfig(cfg DeployConfig) Option {
-	return func(c *Controller) {
-		c.deployCfg = cfg
-		c.jitter = newJitter(cfg.JitterSeed)
-	}
+	return func(c *Controller) { c.deployCfg = cfg }
 }
 
 // WithTelemetry points the controller's metrics and spans at the given
@@ -198,11 +196,11 @@ func WithSynthCache(cache *synthcache.Cache) Option {
 	return func(c *Controller) { c.synthCache = cache }
 }
 
-// synthFunc builds a system from the policy's ELP over the current graph.
-type synthFunc = func(*topology.Graph, *elp.Set) (*core.System, error)
+// synthFunc builds a system from the policy's ELP over c's graph, through
+// c's synthesis cache when one is attached.
+type synthFunc func(c *Controller, paths *elp.Set) (*core.System, error)
 
-func newController(g *topology.Graph, policy ELPPolicy, synth synthFunc,
-	cached func(*synthcache.Cache) synthFunc, opts []Option) (*Controller, error) {
+func newController(g *topology.Graph, policy ELPPolicy, synth synthFunc, opts []Option) (*Controller, error) {
 	ctl := &Controller{
 		g:         g,
 		policy:    policy,
@@ -210,13 +208,10 @@ func newController(g *topology.Graph, policy ELPPolicy, synth synthFunc,
 		agent:     newLoopbackAgent(),
 		deployCfg: DefaultDeployConfig(),
 		tel:       telemetry.NewRegistry(),
+		vacated:   make(map[string]bool),
 	}
-	ctl.jitter = newJitter(ctl.deployCfg.JitterSeed)
 	for _, o := range opts {
 		o(ctl)
-	}
-	if ctl.synthCache != nil && cached != nil {
-		ctl.synth = cached(ctl.synthCache)
 	}
 	if err := ctl.resync(); err != nil {
 		return nil, err
@@ -229,17 +224,12 @@ func newController(g *topology.Graph, policy ELPPolicy, synth synthFunc,
 func NewClos(c *topology.Clos, k int, opts ...Option) (*Controller, error) {
 	return newController(c.Graph,
 		KBouncePolicy(func() []topology.NodeID { return c.ToRs }, k),
-		func(g *topology.Graph, s *elp.Set) (*core.System, error) {
-			return core.ClosSynthesize(g, s.Paths(), k)
-		},
-		func(cache *synthcache.Cache) synthFunc {
-			return func(g *topology.Graph, s *elp.Set) (*core.System, error) {
-				r, err := cache.SynthesizeClos(g, s.Paths(), k)
-				if err != nil {
-					return nil, err
-				}
-				return r.Sys, nil
+		func(ctl *Controller, s *elp.Set) (*core.System, error) {
+			if ctl.synthCache == nil {
+				return core.ClosSynthesize(ctl.g, s.Paths(), k)
 			}
+			r, err := ctl.synthCache.SynthesizeClos(ctl.g, s.Paths(), k)
+			return r.Sys, err
 		}, opts)
 }
 
@@ -247,17 +237,12 @@ func NewClos(c *topology.Clos, k int, opts ...Option) (*Controller, error) {
 // policy.
 func NewGeneric(g *topology.Graph, policy ELPPolicy, opts ...Option) (*Controller, error) {
 	return newController(g, policy,
-		func(g *topology.Graph, s *elp.Set) (*core.System, error) {
-			return core.Synthesize(g, s.Paths(), core.Options{})
-		},
-		func(cache *synthcache.Cache) synthFunc {
-			return func(g *topology.Graph, s *elp.Set) (*core.System, error) {
-				r, err := cache.Synthesize(g, s.Paths(), core.Options{})
-				if err != nil {
-					return nil, err
-				}
-				return r.Sys, nil
+		func(ctl *Controller, s *elp.Set) (*core.System, error) {
+			if ctl.synthCache == nil {
+				return core.Synthesize(ctl.g, s.Paths(), core.Options{})
 			}
+			r, err := ctl.synthCache.Synthesize(ctl.g, s.Paths(), core.Options{})
+			return r.Sys, err
 		}, opts)
 }
 
@@ -319,30 +304,49 @@ func (c *Controller) Counters() map[string]int64 {
 // merging into a process-wide ops registry or asserting on spans.
 func (c *Controller) Telemetry() *telemetry.Registry { return c.tel }
 
-// resync recomputes the system, pushes it through the fault-tolerant
-// pipeline, and records the diff against the previous deployment. On
-// push failure the previous deployment stays current (and stays active
-// on the fabric — pushBundle rolled it back).
+// resync recomputes the system from the policy and commits it.
 func (c *Controller) resync() error {
-	set := c.policy(c.g)
-	sys, err := c.synth(c.g, set)
+	sys, err := c.synth(c, c.policy(c.g))
 	if err != nil {
 		return fmt.Errorf("controller: synthesis failed: %w", err)
 	}
+	return c.commit(sys, EventExpansion)
+}
+
+// commit is the one way a synthesized system reaches the fabric: verify,
+// export, push, record the diff against the previous deployment, advance.
+//
+// A classic controller pushes whole bundles, and a failed push leaves the
+// previous deployment current (and active on the fabric — push rolled it
+// back). A churn controller, once deployed, pushes per-switch deltas and
+// its intent always advances, even when the push fails: the fabric stays
+// consistent on its previous bundle and Reconcile re-drives it toward
+// intent. Called with c.mu held (or before c is shared).
+func (c *Controller) commit(sys *core.System, event EventKind) error {
 	if err := sys.Runtime.Verify(); err != nil {
 		return fmt.Errorf("controller: refusing to deploy unverified rules: %w", err)
 	}
 	newBundle := deploy.Export(sys.Rules)
-	if err := c.pushBundle(newBundle, false); err != nil {
+	var diffs map[string]deploy.SwitchDiff
+	if c.bundle != nil {
+		diffs = deploy.Diff(c.bundle, newBundle)
+	}
+	var pushErr error
+	if c.resynth != nil && c.bundle != nil {
+		pushErr = c.pushDelta(newBundle, diffs, event)
+	} else if err := c.pushBundle(newBundle, false); err != nil {
 		return err
 	}
-	if c.bundle != nil {
-		if d := deploy.Diff(c.bundle, newBundle); len(d) > 0 {
-			c.pushedDiffs = append(c.pushedDiffs, d)
+	if len(diffs) > 0 {
+		c.pushedDiffs = append(c.pushedDiffs, diffs)
+	}
+	for sw := range diffs {
+		if _, ok := newBundle.Switches[sw]; !ok {
+			c.vacated[sw] = true
 		}
 	}
 	c.current, c.bundle = sys, newBundle
-	return nil
+	return pushErr
 }
 
 // Redeploy force-pushes the full current bundle to every switch — the

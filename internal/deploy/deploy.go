@@ -90,18 +90,37 @@ func Unmarshal(data []byte) (*Bundle, error) {
 	return &b, nil
 }
 
-// Import reconstructs a ruleset over the given topology. Switch names
-// must resolve; unknown names are an error (the bundle belongs to a
-// different fabric).
+// maxTagValue bounds every tag a bundle may name: core packs a rule's
+// match tag into 8 bits, and a rewrite becomes the next hop's match.
+const maxTagValue = 1<<8 - 1
+
+// Import reconstructs a ruleset over the given topology. A bundle is
+// external input: switch names must resolve (an unknown name means the
+// bundle belongs to a different fabric), tags must fit the rule table's
+// key, port numbers must exist on the named switch, and a switch may not
+// hold two rules for one match. Anything else is an error, never a panic.
 func Import(g *topology.Graph, b *Bundle) (*core.Ruleset, error) {
+	if b.MaxTag < 0 || b.MaxTag > maxTagValue {
+		return nil, fmt.Errorf("deploy: bundle maxTag %d outside 0..%d", b.MaxTag, maxTagValue)
+	}
 	rs := core.NewRuleset(g, b.MaxTag)
 	for name, sb := range b.Switches {
 		id, ok := g.Lookup(name)
 		if !ok {
 			return nil, fmt.Errorf("deploy: bundle references unknown switch %q", name)
 		}
+		ports, before := g.PortCount(id), rs.Len()
 		for _, r := range sb.Rules {
+			if r.Tag < 0 || r.Tag > maxTagValue || r.NewTag < 0 || r.NewTag > maxTagValue {
+				return nil, fmt.Errorf("deploy: switch %q rule %+v: tag outside 0..%d", name, r, maxTagValue)
+			}
+			if r.In < 0 || r.In >= ports || r.Out < 0 || r.Out >= ports {
+				return nil, fmt.Errorf("deploy: switch %q rule %+v: port outside the switch's %d", name, r, ports)
+			}
 			rs.Add(core.Rule{Switch: id, Tag: r.Tag, In: r.In, Out: r.Out, NewTag: r.NewTag})
+		}
+		if rs.Len() != before+len(sb.Rules) {
+			return nil, fmt.Errorf("deploy: switch %q holds two rules for one (tag, in, out) match", name)
 		}
 	}
 	return rs, nil

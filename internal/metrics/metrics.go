@@ -5,10 +5,7 @@ package metrics
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
-	"sync"
 )
 
 // Table accumulates rows and renders them with aligned columns.
@@ -86,77 +83,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// Counters is a named-counter set with deterministic rendering. It is
-// safe for concurrent use (all methods take an internal mutex).
-//
-// Deprecated: new code should use the telemetry registry
-// (repro/internal/telemetry), which adds labels, gauges, histograms and
-// Prometheus/JSONL export. The former owners (the controller deploy
-// pipeline, the chaos harness) have migrated; this type remains for
-// small throwaway tallies only.
-type Counters struct {
-	mu   sync.Mutex
-	vals map[string]int64
-}
-
-// NewCounters returns an empty counter set.
-func NewCounters() *Counters {
-	return &Counters{vals: make(map[string]int64)}
-}
-
-// Add increments the named counter by delta (creating it at zero).
-func (c *Counters) Add(name string, delta int64) {
-	c.mu.Lock()
-	c.vals[name] += delta
-	c.mu.Unlock()
-}
-
-// Get returns the named counter (zero if never incremented).
-func (c *Counters) Get(name string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.vals[name]
-}
-
-// Names returns every counter name in sorted order.
-func (c *Counters) Names() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.namesLocked()
-}
-
-func (c *Counters) namesLocked() []string {
-	names := make([]string, 0, len(c.vals))
-	for n := range c.vals {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Snapshot returns a copy of the counter map, decoupled from the live set.
-func (c *Counters) Snapshot() map[string]int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]int64, len(c.vals))
-	for k, v := range c.vals {
-		out[k] = v
-	}
-	return out
-}
-
-// String renders the counters as an aligned two-column table, names
-// sorted, so output is stable across runs.
-func (c *Counters) String() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t := NewTable("counter", "value")
-	for _, n := range c.namesLocked() {
-		t.AddRow(n, c.vals[n])
-	}
-	return t.String()
-}
-
 // Sparkline renders a series of non-negative values as a compact unicode
 // bar chart, used by the CLIs to show rate-vs-time like the paper's
 // figures.
@@ -187,21 +113,4 @@ func Sparkline(values []float64, max float64) string {
 		b.WriteRune(levels[idx])
 	}
 	return b.String()
-}
-
-// MeanStd returns the mean and population standard deviation.
-func MeanStd(values []float64) (mean, std float64) {
-	if len(values) == 0 {
-		return 0, 0
-	}
-	for _, v := range values {
-		mean += v
-	}
-	mean /= float64(len(values))
-	for _, v := range values {
-		d := v - mean
-		std += d * d
-	}
-	std /= float64(len(values))
-	return mean, math.Sqrt(std)
 }

@@ -1,6 +1,10 @@
 package sim
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/trace"
+)
 
 // RecoveryStats counts what a detect-and-break deadlock recovery scheme
 // had to do. The paper's §1 dismisses this class of solutions because
@@ -93,7 +97,7 @@ func (n *Network) detectCycleQueues() []pausedQueue {
 	if nodes == nil {
 		return nil
 	}
-	cycIdx := findIntCycle(adj)
+	cycIdx := trace.FindCycle(adj)
 	if cycIdx == nil {
 		return nil
 	}

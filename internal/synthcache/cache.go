@@ -4,20 +4,19 @@
 // The cache exploits the paper's §6 observation that Tagger's rules are a
 // pure function of (topology, ELP, synthesis options): two requests with
 // equal fingerprints must produce identical rule sets, so the second can
-// be served from the first's result. Three tiers of reuse:
+// be served from the first's result. Two tiers of reuse:
 //
 //   - shared hit: the request comes from the same graph instance the
 //     entry was built on (a long-lived controller resynthesizing, a sweep
 //     rerunning seeds over one topology). The cached System and TCAM
 //     image are returned directly — synthesis cost drops to hashing.
-//   - translated hit: a different graph instance with an equal
-//     fingerprint (an isomorphic rebuild). Rules and TCAM entries are
-//     translated through the canonical node order, the runtime graph is
-//     re-replayed over the caller's paths and re-verified. Algorithms 1+2
-//     and compression are skipped.
 //   - pod memoization (ClosKBounce): for uniform multi-pod fabrics the
 //     KBounce ELP is enumerated for a representative pod pair only and
 //     stamped onto the remaining pods by pod-permutation automorphisms.
+//
+// A request with an equal fingerprint from a DIFFERENT graph instance (an
+// isomorphic rebuild) is not a hit: a System is bound to its graph, so
+// the request is rebuilt, uncached, and the entry stays with its producer.
 //
 // Concurrency: the cache is safe for concurrent use and single-flight —
 // concurrent misses on one fingerprint synthesize exactly once, the rest
@@ -29,7 +28,6 @@ package synthcache
 
 import (
 	"container/list"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -43,11 +41,10 @@ import (
 
 // Stats is a point-in-time view of the cache's effectiveness counters.
 type Stats struct {
-	Hits             int64 // served from cache (shared + translated)
+	Hits             int64 // served from cache
 	Misses           int64 // built from scratch (pod-memoized builds included)
 	Evictions        int64 // entries dropped by the LRU bound
 	SingleFlightWait int64 // lookups that waited on a concurrent build
-	Translated       int64 // hits served by canonical-order translation
 	PodStamped       int64 // builds that used pod-isomorphism stamping
 }
 
@@ -64,10 +61,8 @@ type Result struct {
 	Sys *core.System
 	// Image is the compiled TCAM pipeline over Sys.Rules.
 	Image *tcam.Compiled
-	// Hit reports the result came from the cache; Translated that it was
-	// rebuilt by canonical-order translation rather than shared directly.
-	Hit        bool
-	Translated bool
+	// Hit reports the result came from the cache.
+	Hit bool
 	// PodMemoized reports the build used representative-pod stamping
 	// (ClosKBounce only).
 	PodMemoized bool
@@ -82,7 +77,6 @@ type entry struct {
 
 	err   error
 	g     *topology.Graph
-	canon *fingerprint.Canon
 	sys   *core.System
 	image *tcam.Compiled
 	pod   bool
@@ -121,7 +115,6 @@ type Cache struct {
 	misses     atomic.Int64
 	evictions  atomic.Int64
 	sfWaits    atomic.Int64
-	translated atomic.Int64
 	podStamped atomic.Int64
 }
 
@@ -171,7 +164,6 @@ func (c *Cache) Stats() Stats {
 		Misses:           c.misses.Load(),
 		Evictions:        c.evictions.Load(),
 		SingleFlightWait: c.sfWaits.Load(),
-		Translated:       c.translated.Load(),
 		PodStamped:       c.podStamped.Load(),
 	}
 }
@@ -274,20 +266,49 @@ func (c *Cache) wait(e *entry) {
 	}
 }
 
-// fill completes a build: pre-warms the shared ruleset's sorted-key memo
-// (so the readers sharing it find it built instead of each sorting),
-// publishes the fields and wakes waiters. A build error unlinks the
-// entry so the next request retries.
-func (c *Cache) fill(e *entry, g *topology.Graph, canon *fingerprint.Canon,
-	sys *core.System, image *tcam.Compiled, pod bool, err error) {
-	if err == nil && sys != nil {
+// serve is the one lookup/build flow. The first request for a key
+// builds and publishes the entry (an error unlinks it, so the next
+// request retries); later requests wait for it and share its System and
+// image when they come from the graph instance it was built on. A
+// request from another instance with the same fingerprint rebuilds for
+// itself, uncached. build reports whether it pod-stamped; the image is
+// compiled with par workers.
+func (c *Cache) serve(g *topology.Graph, key fingerprint.Fingerprint, par int,
+	build func() (*core.System, bool, error)) (Result, error) {
+
+	e, builder := c.acquire(key)
+	if !builder {
+		c.wait(e)
+		if e.err != nil {
+			// Deterministic inputs fail deterministically; surface the same
+			// error a fresh build would have produced.
+			return Result{}, e.err
+		}
+		if e.g == g {
+			c.count(&c.hits, "hits")
+			return Result{Sys: e.sys, Image: e.image, Hit: true, PodMemoized: e.pod}, nil
+		}
+	}
+	c.count(&c.misses, "misses")
+	sys, pod, err := build()
+	var image *tcam.Compiled
+	if err == nil {
+		// Pre-warm the shared ruleset's sorted-key memo, so the readers
+		// sharing it find it built instead of each sorting.
 		sys.Rules.RuleByID(0)
+		image = tcam.NewCompiled(sys.Rules, par)
 	}
-	e.g, e.canon, e.sys, e.image, e.pod, e.err = g, canon, sys, image, pod, err
+	if builder {
+		e.g, e.sys, e.image, e.pod, e.err = g, sys, image, pod, err
+		if err != nil {
+			c.drop(e)
+		}
+		close(e.ready)
+	}
 	if err != nil {
-		c.drop(e)
+		return Result{}, err
 	}
-	close(e.ready)
+	return Result{Sys: sys, Image: image, PodMemoized: pod}, nil
 }
 
 // Synthesize is a memoized core.Synthesize + tcam.NewCompiled. The cache
@@ -302,8 +323,9 @@ func (c *Cache) Synthesize(g *topology.Graph, paths []routing.Path, opts core.Op
 	}
 	key := fingerprint.Key("generic", []int{skip, opts.StartTag},
 		canon.FP, c.pathsSumOf(canon, paths))
-	return c.cachedSynthesis(g, canon, key, paths, opts.Workers, func() (*core.System, error) {
-		return core.Synthesize(g, paths, opts)
+	return c.serve(g, key, opts.Workers, func() (*core.System, bool, error) {
+		sys, err := core.Synthesize(g, paths, opts)
+		return sys, false, err
 	})
 }
 
@@ -313,59 +335,11 @@ func (c *Cache) SynthesizeClos(g *topology.Graph, paths []routing.Path, maxBounc
 	canon := c.canonOf(g)
 	key := fingerprint.Key("clos", []int{maxBounces},
 		canon.FP, c.pathsSumOf(canon, paths))
-	return c.cachedSynthesis(g, canon, key, paths, 0, func() (*core.System, error) {
-		return core.ClosSynthesize(g, paths, maxBounces)
+	return c.serve(g, key, 0, func() (*core.System, bool, error) {
+		sys, err := core.ClosSynthesize(g, paths, maxBounces)
+		return sys, false, err
 	})
 }
-
-// cachedSynthesis is the shared lookup/build/translate flow for requests
-// that carry their path list explicitly.
-func (c *Cache) cachedSynthesis(g *topology.Graph, canon *fingerprint.Canon,
-	key fingerprint.Fingerprint, paths []routing.Path, par int,
-	build func() (*core.System, error)) (Result, error) {
-
-	e, builder := c.acquire(key)
-	if builder {
-		c.count(&c.misses, "misses")
-		sys, err := build()
-		var image *tcam.Compiled
-		if err == nil {
-			image = tcam.NewCompiled(sys.Rules, par)
-		}
-		c.fill(e, g, canon, sys, image, false, err)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Sys: sys, Image: image}, nil
-	}
-
-	c.wait(e)
-	if e.err != nil {
-		// Deterministic inputs fail deterministically; surface the same
-		// error a fresh build would have produced.
-		return Result{}, e.err
-	}
-	if e.g == g {
-		c.count(&c.hits, "hits")
-		return Result{Sys: e.sys, Image: e.image, Hit: true}, nil
-	}
-	sys, image, err := translateEntry(e, g, canon, paths)
-	if err == nil {
-		c.count(&c.hits, "hits")
-		c.count(&c.translated, "translated")
-		return Result{Sys: sys, Image: image, Hit: true, Translated: true}, nil
-	}
-	// Translation declined (producer carried repairs/conflicts, or the
-	// replay disagreed): fall back to an uncached from-scratch build.
-	c.count(&c.misses, "misses")
-	sys, err = build()
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Sys: sys, Image: tcam.NewCompiled(sys.Rules, par)}, nil
-}
-
-var errUntranslatable = fmt.Errorf("synthcache: entry not translatable")
 
 // FullSynth adapts the cache to core.Resynth's full-synthesis hook
 // (core.NewResynthFull): churn controllers route their initial build and

@@ -94,8 +94,8 @@ func TestWarmHitSharesSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !warm.Hit || warm.Translated {
-		t.Fatalf("second request: hit=%v translated=%v, want shared hit", warm.Hit, warm.Translated)
+	if !warm.Hit {
+		t.Fatal("second request missed, want shared hit")
 	}
 	if warm.Sys != cold.Sys || warm.Image != cold.Image {
 		t.Fatal("shared hit did not return the cached objects")
@@ -125,7 +125,10 @@ func TestWarmHitSurvivesLinkFlap(t *testing.T) {
 	}
 }
 
-func TestTranslatedHitMatchesFromScratch(t *testing.T) {
+// TestTwinInstanceRebuildsUncached: a System is bound to its graph, so an
+// equal-fingerprint request from another instance is rebuilt for that
+// instance and the resident entry stays with its producer.
+func TestTwinInstanceRebuildsUncached(t *testing.T) {
 	a := smallClos(t)
 	b := smallClos(t) // separate instance, identical construction
 	cache := synthcache.New(8)
@@ -139,11 +142,11 @@ func TestTranslatedHitMatchesFromScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Hit || !res.Translated {
-		t.Fatalf("hit=%v translated=%v, want translated hit", res.Hit, res.Translated)
+	if res.Hit {
+		t.Fatal("another instance's request was served the producer's System")
 	}
 	if res.Sys.Graph != b.Graph {
-		t.Fatal("translated system not rebound to the caller's graph")
+		t.Fatal("rebuilt system not bound to the caller's graph")
 	}
 	want, err := core.ClosSynthesize(b.Graph, setB.Paths(), 1)
 	if err != nil {
@@ -151,7 +154,10 @@ func TestTranslatedHitMatchesFromScratch(t *testing.T) {
 	}
 	requireIdentical(t, res.Sys, want)
 	if res.Image.TotalEntries() == 0 {
-		t.Fatal("translated image is empty")
+		t.Fatal("rebuilt image is empty")
+	}
+	if again, err := cache.SynthesizeClos(a.Graph, setA.Paths(), 1); err != nil || !again.Hit {
+		t.Fatalf("producer's rehit after the twin's rebuild = %+v, %v", again, err)
 	}
 }
 

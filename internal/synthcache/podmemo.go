@@ -8,7 +8,6 @@ import (
 	"repro/internal/elp"
 	"repro/internal/fingerprint"
 	"repro/internal/routing"
-	"repro/internal/tcam"
 	"repro/internal/topology"
 )
 
@@ -61,39 +60,9 @@ func (c *Cache) ClosKBounce(g *topology.Graph, endpoints []topology.NodeID, maxB
 	}
 	key := fingerprint.Key("closkb", params, canon.FP, fingerprint.HealthSum(canon, g))
 
-	e, builder := c.acquire(key)
-	if !builder {
-		c.wait(e)
-		switch {
-		case e.err != nil:
-			return Result{}, e.err
-		case e.g == g:
-			c.count(&c.hits, "hits")
-			return Result{Sys: e.sys, Image: e.image, Hit: true, PodMemoized: e.pod}, nil
-		}
-		// Same fingerprint, different graph instance: the cached entry
-		// stays with its producer (translating millions of stamped paths
-		// buys nothing over re-stamping); rebuild for this instance
-		// uncached — still pod-memoized, so still fast.
-		c.count(&c.misses, "misses")
-		sys, pod, err := c.podStampedBuild(g, endpoints, maxBounces)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Sys: sys, Image: tcam.NewCompiled(sys.Rules, 0), PodMemoized: pod}, nil
-	}
-
-	c.count(&c.misses, "misses")
-	sys, pod, err := c.podStampedBuild(g, endpoints, maxBounces)
-	var image *tcam.Compiled
-	if err == nil {
-		image = tcam.NewCompiled(sys.Rules, 0)
-	}
-	c.fill(e, g, canon, sys, image, pod, err)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Sys: sys, Image: image, PodMemoized: pod}, nil
+	return c.serve(g, key, 0, func() (*core.System, bool, error) {
+		return c.podStampedBuild(g, endpoints, maxBounces)
+	})
 }
 
 // podStampedBuild synthesizes via representative-pod stamping when the

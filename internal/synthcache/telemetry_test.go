@@ -14,10 +14,10 @@ import (
 )
 
 // driveCounters pushes one deterministic request sequence through a
-// capacity-1 cache: a cold Clos miss, a shared rehit, a translated hit
-// from an isomorphic twin, and a pod-stamped fat-tree build that evicts
-// the Clos entry. Final tallies: 2 hits, 2 misses, 1 eviction,
-// 1 translated, 1 pod-stamped.
+// capacity-1 cache: a cold Clos miss, a shared rehit, an uncached rebuild
+// for an isomorphic twin, and a pod-stamped fat-tree build that evicts
+// the Clos entry. Final tallies: 1 hit, 3 misses, 1 eviction,
+// 1 pod-stamped.
 func driveCounters(t *testing.T, reg *telemetry.Registry) {
 	t.Helper()
 	cache := synthcache.New(1)
@@ -42,8 +42,8 @@ func driveCounters(t *testing.T, reg *telemetry.Registry) {
 	}
 	b := mkClos()
 	setB := elp.KBounce(b.Graph, b.ToRs, 1, nil)
-	if r, err := cache.SynthesizeClos(b.Graph, setB.Paths(), 1); err != nil || !r.Translated {
-		t.Fatalf("twin = %+v, %v", r, err) // translated hit
+	if r, err := cache.SynthesizeClos(b.Graph, setB.Paths(), 1); err != nil || r.Hit {
+		t.Fatalf("twin = %+v, %v", r, err) // another instance: rebuilt, a miss
 	}
 	ft, err := topology.NewFatTree(4)
 	if err != nil {
@@ -53,7 +53,7 @@ func driveCounters(t *testing.T, reg *telemetry.Registry) {
 		t.Fatalf("fattree = %+v, %v", r, err) // pod-stamped miss + eviction
 	}
 
-	want := synthcache.Stats{Hits: 2, Misses: 2, Evictions: 1, Translated: 1, PodStamped: 1}
+	want := synthcache.Stats{Hits: 1, Misses: 3, Evictions: 1, PodStamped: 1}
 	if got := cache.Stats(); got != want {
 		t.Fatalf("stats = %+v, want %+v", got, want)
 	}
@@ -72,13 +72,11 @@ func TestPrometheusGoldenCacheCounters(t *testing.T) {
 	want := `# TYPE synthcache_evictions counter
 synthcache_evictions 1
 # TYPE synthcache_hits counter
-synthcache_hits 2
+synthcache_hits 1
 # TYPE synthcache_misses counter
-synthcache_misses 2
+synthcache_misses 3
 # TYPE synthcache_pod_stamped counter
 synthcache_pod_stamped 1
-# TYPE synthcache_translated counter
-synthcache_translated 1
 `
 	if got := sb.String(); got != want {
 		t.Fatalf("cache counter exposition mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
@@ -103,10 +101,9 @@ func TestMetricsEndpointServesCacheCounters(t *testing.T) {
 		t.Fatalf("/metrics status %d", resp.StatusCode)
 	}
 	for _, line := range []string{
-		"synthcache_hits 2",
-		"synthcache_misses 2",
+		"synthcache_hits 1",
+		"synthcache_misses 3",
 		"synthcache_evictions 1",
-		"synthcache_translated 1",
 		"synthcache_pod_stamped 1",
 	} {
 		if !strings.Contains(string(body), line) {

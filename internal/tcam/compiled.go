@@ -35,20 +35,6 @@ func NewCompiled(rs *core.Ruleset, par int) *Compiled {
 	return c
 }
 
-// CompiledFromEntries returns the compiled pipeline over a precomputed
-// compressed image instead of re-running compression. The caller
-// guarantees the entries are a faithful compression of rs — the
-// synthesis cache uses this to carry a verified image through a graph
-// isomorphism — and that each switch's entries arrive in TCAM priority
-// order.
-func CompiledFromEntries(rs *core.Ruleset, entries []Entry) *Compiled {
-	c := &Compiled{rules: rs, bySwitch: make(map[topology.NodeID][]Entry)}
-	for _, e := range entries {
-		c.bySwitch[e.Switch] = append(c.bySwitch[e.Switch], e)
-	}
-	return c
-}
-
 // Entries returns one switch's compressed entries in TCAM order.
 func (c *Compiled) Entries(sw topology.NodeID) []Entry { return c.bySwitch[sw] }
 

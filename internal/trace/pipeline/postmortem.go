@@ -108,49 +108,11 @@ func waitCycle(s *trace.Snapshot) []int {
 			adj[e[0]] = append(adj[e[0]], e[1])
 		}
 	}
-	// Iterative DFS with color marking; on back-edge, unwind the stack.
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make([]int, n)
-	var stack []int
-	for start := 0; start < n; start++ {
-		if color[start] != white {
-			continue
-		}
-		type frame struct{ v, i int }
-		frames := []frame{{start, 0}}
-		color[start] = gray
-		stack = stack[:0]
-		stack = append(stack, start)
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			if f.i < len(adj[f.v]) {
-				w := adj[f.v][f.i]
-				f.i++
-				switch color[w] {
-				case gray:
-					// Found: slice the gray stack from w onward.
-					for i, v := range stack {
-						if v == w {
-							return rotateCycle(s, append([]int(nil), stack[i:]...))
-						}
-					}
-				case white:
-					color[w] = gray
-					frames = append(frames, frame{w, 0})
-					stack = append(stack, w)
-				}
-				continue
-			}
-			color[f.v] = black
-			frames = frames[:len(frames)-1]
-			stack = stack[:len(stack)-1]
-		}
+	cyc := trace.FindCycle(adj)
+	if cyc == nil {
+		return nil
 	}
-	return nil
+	return rotateCycle(s, cyc)
 }
 
 // rotateCycle rotates cyc so its lexicographically smallest queue

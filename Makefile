@@ -6,9 +6,12 @@ BENCHTIME ?= 1x
 # the 15% regression gate flappy.
 BENCHCOUNT ?= 3
 BENCH_OUT ?= BENCH_$(shell date +%F).json
-# Opt-in perf gate: make check BENCH_BASELINE=BENCH_seed.json reruns the
-# benchmarks and fails on a >15% time regression against that snapshot.
-BENCH_BASELINE ?=
+# Perf gate: `make check` reruns the benchmarks and fails on a >15% time
+# regression against this snapshot — by default the newest committed one
+# (the names sort by date). benchdiff refuses a baseline recorded on a
+# different CPU; on such a machine record a local one with `make bench`
+# or skip the gate with `make check BENCH_BASELINE=`.
+BENCH_BASELINE ?= $(lastword $(sort $(wildcard BENCH_20*.json)))
 
 .PHONY: all check build vet test determinism race detect-smoke bench bench-sim bench-e2e bench-e2e-test benchdiff benchgate telemetry-overhead trace-golden postmortem-golden fuzz fuzz-smoke churn-fuzz cache-fuzz cover examples experiments clean
 
@@ -18,8 +21,8 @@ all: check
 # contract under the race detector, the full race suite, the
 # detect-vs-prevent matrix smoke, the bounded differential fuzz smoke,
 # the trace-format and post-mortem goldens, the end-to-end benchmark's own
-# tests, the telemetry overhead gate, and (opt-in via BENCH_BASELINE) the
-# benchmark regression gate.
+# tests, the telemetry overhead gate, and the benchmark regression gate
+# (BENCH_BASELINE= skips it).
 check: build vet test determinism race detect-smoke fuzz-smoke churn-fuzz cache-fuzz trace-golden postmortem-golden bench-e2e-test telemetry-overhead benchgate
 
 build:
@@ -34,10 +37,12 @@ test:
 # The par=1 vs par=N equivalence proofs, under the race detector: the
 # parallel synthesis path must emit byte-identical rules and graphs, and
 # the sweep runner's verdicts and merged telemetry must be independent of
-# the worker count, and so must everything a controller push leaves behind.
+# the worker count, and so must everything a controller push leaves behind
+# and every path, rule and runtime edge the pod stamper emits.
 determinism:
 	$(GO) test -race -run 'TestParallelDeterminism|TestChaosSweepParDeterminism|TestDetectMatrixParDeterminism' .
 	$(GO) test -race -count=1 -run 'TestPushParIndependent' ./internal/controller/
+	$(GO) test -race -count=1 -run 'TestStampWorkerIndependent' ./internal/synthcache/
 
 race:
 	$(GO) test -race ./...
@@ -51,9 +56,11 @@ detect-smoke:
 
 # Runs every benchmark and records the results as a JSON snapshot
 # (BENCH_<date>.json) for the repo's performance trajectory. Override
-# BENCHTIME for stabler numbers: make bench BENCHTIME=5x
+# BENCHTIME for stabler numbers: make bench BENCHTIME=5x. -p 1 runs one
+# package's benchmarks at a time; by default `go test` runs as many
+# packages as there are cores side by side, and they time each other.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./... | tee /tmp/bench_run.txt
+	$(GO) test -p 1 -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./... | tee /tmp/bench_run.txt
 	$(GO) run ./cmd/benchdiff -record $(BENCH_OUT) /tmp/bench_run.txt
 
 # The event-engine microbenchmarks alone: heap schedule/dispatch,
@@ -81,9 +88,9 @@ benchdiff:
 
 benchgate:
 ifeq ($(strip $(BENCH_BASELINE)),)
-	@echo "benchgate: skipped (set BENCH_BASELINE=BENCH_seed.json to enable)"
+	@echo "benchgate: skipped (no BENCH_BASELINE)"
 else
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./... > /tmp/benchgate_run.txt
+	$(GO) test -p 1 -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./... > /tmp/benchgate_run.txt
 	$(GO) run ./cmd/benchdiff -record /tmp/benchgate_run.json /tmp/benchgate_run.txt
 	$(GO) run ./cmd/benchdiff -alloc-threshold 0.50 $(BENCH_BASELINE) /tmp/benchgate_run.json
 endif

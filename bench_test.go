@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -772,9 +773,10 @@ func TestSynthCacheWarmSpeedup(t *testing.T) {
 }
 
 // TestFatTreePodMemoizedSpeedup gates the pod-memoization claim: the
-// stamped k=8 fat-tree build must be at least 4x faster than from
-// scratch (measured ~6-12x: the representative pair still pays its own
-// enumeration and replay).
+// stamped k=8 fat-tree build must be at least 8x faster than from
+// scratch (measured 18-25x on 2 cores, 5-6 s against 0.24-0.28 s: the
+// stamped build still enumerates and replays half the representative pod
+// pair and materializes all 5.2M paths).
 func TestFatTreePodMemoizedSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing gate skipped in -short")
@@ -793,8 +795,13 @@ func TestFatTreePodMemoizedSpeedup(t *testing.T) {
 	}
 	scratch := time.Since(start)
 
+	// The from-scratch build leaves 5.2M individually allocated paths
+	// behind. Collect them first, or the stamped build is timed while the
+	// collector marks and sweeps that heap on the cores it fans out over.
+	runtime.GC()
+
 	memo := time.Duration(1<<63 - 1)
-	for round := 0; round < 2; round++ {
+	for round := 0; round < 3; round++ {
 		cache := synthcache.New(8)
 		start = time.Now()
 		r, err := cache.ClosKBounce(ft.Graph, ft.Edges, 1)
@@ -805,7 +812,9 @@ func TestFatTreePodMemoizedSpeedup(t *testing.T) {
 			memo = d
 		}
 	}
-	if ratio := float64(scratch) / float64(memo); ratio < 4 {
-		t.Errorf("pod-memoized speedup %.1fx, want >= 4x (scratch %v, memoized %v)", ratio, scratch, memo)
+	ratio := float64(scratch) / float64(memo)
+	t.Logf("pod-memoized speedup %.1fx (scratch %v, memoized %v)", ratio, scratch, memo)
+	if ratio < 8 {
+		t.Errorf("pod-memoized speedup %.1fx, want >= 8x", ratio)
 	}
 }

@@ -17,6 +17,10 @@
 // allocation at all:
 //
 //	benchdiff -alloc-threshold 0.10 old.json new.json
+//
+// Snapshots taken on different CPUs (the `cpu:` line `go test` prints)
+// are refused unless -force is given. Benchmarks the baseline has and the
+// new snapshot lacks are listed: they have left the gate.
 package main
 
 import (
@@ -37,10 +41,11 @@ func main() {
 		record    = flag.String("record", "", "parse benchmark text into this JSON snapshot instead of comparing")
 		threshold = flag.Float64("threshold", 0.15, "time regression tolerance (0.15 = +15%)")
 		allocThr  = flag.Float64("alloc-threshold", -1, "allocs/op and bytes/op regression tolerance; negative disables the allocation gate")
+		force     = flag.Bool("force", false, "compare even when the snapshots were taken on different CPUs")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: benchdiff -record out.json [bench.txt]\n       benchdiff [-threshold 0.15] [-alloc-threshold 0.10] old.json new.json\n")
+			"usage: benchdiff -record out.json [bench.txt]\n       benchdiff [-threshold 0.15] [-alloc-threshold 0.10] [-force] old.json new.json\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -64,11 +69,20 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	if err := benchfmt.SameCPU(old, cur); err != nil {
+		if !*force {
+			log.Fatalf("%v (-force compares anyway)", err)
+		}
+		log.Printf("warning: %v", err)
+	}
 	deltas := benchfmt.Compare(old, cur, *threshold, *allocThr)
 	if len(deltas) == 0 {
 		log.Fatalf("no common benchmarks between %s and %s", flag.Arg(0), flag.Arg(1))
 	}
 	fmt.Print(benchfmt.FormatDeltas(deltas))
+	for _, name := range benchfmt.OnlyInBaseline(old, cur) {
+		fmt.Printf("only in baseline, not gated: %s\n", name)
+	}
 	if benchfmt.AnyRegression(deltas) {
 		log.Fatalf("regression beyond threshold (time %.0f%%, alloc %.0f%%)", *threshold*100, *allocThr*100)
 	}

@@ -166,7 +166,7 @@ type Delta struct {
 // disables allocation gating (needed when snapshots come from runs
 // without -benchmem, or with deliberately different instrumentation).
 // Benchmarks present in only one snapshot are skipped — the gate judges
-// only common ground.
+// only common ground; OnlyInBaseline names what that leaves out.
 func Compare(old, new *File, threshold, allocThreshold float64) []Delta {
 	idx := make(map[string]Benchmark, len(old.Benchmarks))
 	for _, b := range old.Benchmarks {
@@ -196,6 +196,34 @@ func Compare(old, new *File, threshold, allocThreshold float64) []Delta {
 		out = append(out, d)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
+// SameCPU returns an error when the two snapshots name different CPUs in
+// their `cpu:` context line (a snapshot without one matches only another
+// without one). Timings from different machines differ by more than any
+// regression threshold, so comparing them gates nothing.
+func SameCPU(old, new *File) error {
+	if oc, nc := old.Context["cpu"], new.Context["cpu"]; oc != nc {
+		return fmt.Errorf("benchfmt: snapshots come from different CPUs: baseline %q, new %q", oc, nc)
+	}
+	return nil
+}
+
+// OnlyInBaseline lists the benchmarks of old that new lacks, sorted by
+// name: deleted or renamed benchmarks, which Compare cannot judge.
+func OnlyInBaseline(old, new *File) []string {
+	have := make(map[string]bool, len(new.Benchmarks))
+	for _, b := range new.Benchmarks {
+		have[b.Name] = true
+	}
+	var out []string
+	for _, b := range old.Benchmarks {
+		if !have[b.Name] {
+			out = append(out, b.Name)
+		}
+	}
+	sort.Strings(out)
 	return out
 }
 

@@ -2,6 +2,7 @@ package benchfmt
 
 import (
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -220,5 +221,57 @@ func TestDedupeSingleIterationSamples(t *testing.T) {
 	single.Dedupe()
 	if len(single.Benchmarks) != 1 || single.Benchmarks[0].NsPerOp != 42 {
 		t.Errorf("n=1 single-sample snapshot changed: %+v", single.Benchmarks)
+	}
+}
+
+func TestSameCPU(t *testing.T) {
+	snap := func(cpu string) *File {
+		f := &File{Context: map[string]string{"goos": "linux"}}
+		if cpu != "" {
+			f.Context["cpu"] = cpu
+		}
+		return f
+	}
+	if err := SameCPU(snap("AMD EPYC 7B13"), snap("AMD EPYC 7B13")); err != nil {
+		t.Errorf("equal CPUs refused: %v", err)
+	}
+	if err := SameCPU(snap(""), &File{}); err != nil {
+		t.Errorf("two snapshots without a cpu line refused: %v", err)
+	}
+	err := SameCPU(snap("Intel(R) Xeon(R) Processor @ 2.70GHz"), snap("Intel(R) Xeon(R) Processor @ 2.10GHz"))
+	if err == nil {
+		t.Fatal("different CPUs accepted")
+	}
+	for _, want := range []string{"2.70GHz", "2.10GHz"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+	if SameCPU(snap("AMD EPYC 7B13"), snap("")) == nil {
+		t.Error("snapshot without a cpu line accepted against one with")
+	}
+}
+
+func TestOnlyInBaseline(t *testing.T) {
+	old := &File{Benchmarks: []Benchmark{
+		{Name: "BenchmarkRenamed", NsPerOp: 10},
+		{Name: "BenchmarkKept", NsPerOp: 10},
+		{Name: "BenchmarkDeleted", NsPerOp: 10},
+	}}
+	cur := &File{Benchmarks: []Benchmark{
+		{Name: "BenchmarkKept", NsPerOp: 11},
+		{Name: "BenchmarkRenamedV2", NsPerOp: 10},
+	}}
+	got := OnlyInBaseline(old, cur)
+	if want := []string{"BenchmarkDeleted", "BenchmarkRenamed"}; !slices.Equal(got, want) {
+		t.Errorf("OnlyInBaseline = %v, want %v", got, want)
+	}
+	// Compare judges only common ground, so the two departures above are
+	// invisible to it — the reason OnlyInBaseline exists.
+	if deltas := Compare(old, cur, 0.15, -1); len(deltas) != 1 || deltas[0].Name != "BenchmarkKept" {
+		t.Errorf("Compare = %+v, want only BenchmarkKept", deltas)
+	}
+	if got := OnlyInBaseline(cur, cur); len(got) != 0 {
+		t.Errorf("identical snapshots: %v", got)
 	}
 }

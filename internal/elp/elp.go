@@ -118,6 +118,14 @@ func UpDownAll(g *topology.Graph, endpoints []topology.NodeID) *Set {
 // The shortest (0-bounce) paths are included, so the result is the
 // "shortest plus up-to-k-bounce" ELP the paper uses for Clos.
 func KBounce(g *topology.Graph, endpoints []topology.NodeID, k int, via []topology.NodeID) *Set {
+	return KBounceFrom(g, endpoints, endpoints, k, via)
+}
+
+// KBounceFrom is KBounce restricted to the ordered pairs srcs × dsts
+// (sources outermost, a == b skipped). Enumeration of one pair does not
+// depend on any other pair, so the result is KBounce over any roster
+// containing both lists, filtered to these pairs, in the same order.
+func KBounceFrom(g *topology.Graph, srcs, dsts []topology.NodeID, k int, via []topology.NodeID) *Set {
 	defer telemetry.Default.StartSpan("synth/elp").End()
 	if via == nil {
 		via = g.Switches()
@@ -184,8 +192,8 @@ func KBounce(g *topology.Graph, endpoints []topology.NodeID, k int, via []topolo
 		}
 	}
 
-	for _, a := range endpoints {
-		for _, b := range endpoints {
+	for _, a := range srcs {
+		for _, b := range dsts {
 			if a == b {
 				continue
 			}

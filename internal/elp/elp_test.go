@@ -1,6 +1,7 @@
 package elp
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -296,5 +297,77 @@ func TestSetAddZeroAllocAfterReserve(t *testing.T) {
 	}
 	if s.Len() != len(paths) {
 		t.Fatalf("set holds %d paths, want %d", s.Len(), len(paths))
+	}
+}
+
+// TestKBounceFromMatchesFilteredKBounce pins the two properties pod
+// stamping relies on: enumerating a sub-rectangle of ordered pairs yields
+// exactly those pairs' paths from the full enumeration, in the same
+// order; and KBounce is the full square.
+func TestKBounceFromMatchesFilteredKBounce(t *testing.T) {
+	clos, err := topology.NewClos(topology.ClosConfig{Pods: 4, ToRsPerPod: 2, LeafsPerPod: 2, Spines: 8, HostsPerToR: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft, err := topology.NewFatTree(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken, err := topology.NewClos(topology.ClosConfig{Pods: 3, ToRsPerPod: 2, LeafsPerPod: 2, Spines: 2, HostsPerToR: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken.Graph.FailLink(broken.Leaves[0], broken.Spines[0])
+	broken.Graph.FailLink(broken.ToRs[3], broken.Leaves[3])
+
+	for _, f := range []struct {
+		name string
+		g    *topology.Graph
+		eps  []topology.NodeID
+	}{
+		{"clos4x8", clos.Graph, clos.ToRs},
+		{"fattree4", ft.Graph, ft.Edges},
+		{"clos3-failed-links", broken.Graph, broken.ToRs},
+	} {
+		for k := 0; k <= 1; k++ {
+			all := KBounce(f.g, f.eps, k, nil).Paths()
+			if len(all) == 0 {
+				t.Fatalf("%s k=%d: empty enumeration", f.name, k)
+			}
+			requireSamePaths(t, f.name+" square", KBounceFrom(f.g, f.eps, f.eps, k, nil).Paths(), all)
+
+			// Sources from the front of the roster, destinations an
+			// overlapping, longer prefix — the stamper's shape — and a
+			// disjoint pair of lists.
+			half := len(f.eps) / 2
+			for _, r := range [][2][]topology.NodeID{
+				{f.eps[:2], f.eps[:half]},
+				{f.eps[half:], f.eps[:2]},
+			} {
+				srcs, dsts := r[0], r[1]
+				var want []routing.Path
+				for _, p := range all {
+					if slices.Contains(srcs, p.Src()) && slices.Contains(dsts, p.Dst()) {
+						want = append(want, p)
+					}
+				}
+				if len(want) == 0 {
+					t.Fatalf("%s k=%d: filter kept nothing", f.name, k)
+				}
+				requireSamePaths(t, f.name+" rectangle", KBounceFrom(f.g, srcs, dsts, k, nil).Paths(), want)
+			}
+		}
+	}
+}
+
+func requireSamePaths(t *testing.T, what string, got, want []routing.Path) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d paths, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if !got[i].Equal(want[i]) {
+			t.Fatalf("%s: path %d = %v, want %v", what, i, got[i], want[i])
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/elp"
 	"repro/internal/fingerprint"
+	"repro/internal/parallel"
 	"repro/internal/routing"
 	"repro/internal/topology"
 )
@@ -122,72 +123,129 @@ func endpointsPodUniform(d *fingerprint.PodDecomposition, endpoints []topology.N
 func stampClosSystem(g *topology.Graph, d *fingerprint.PodDecomposition,
 	endpoints []topology.NodeID, maxBounces int) (*core.System, error) {
 
-	nPods := len(d.Pods)
-
-	// Representative roster: the endpoints of pods 0 and 1, in original
-	// roster order. Per-pair enumeration in elp.KBounce is independent of
-	// the rest of the roster, so the representative buckets equal the
-	// corresponding buckets of the full enumeration exactly.
-	var rep []topology.NodeID
-	for _, ep := range endpoints {
-		if pi := d.PodOf(ep); pi == 0 || pi == 1 {
-			rep = append(rep, ep)
-		}
-	}
-	repSet := elp.KBounce(g, rep, maxBounces, nil)
-
-	// Bucket the representative paths by endpoint pods. (1,0) and (1,1)
-	// are automorphic images of (0,1) and (0,0); dropping them loses
-	// nothing — the stamping loop regenerates their content.
-	var b00, b01 []routing.Path
-	n00, n01 := 0, 0
-	for _, p := range repSet.Paths() {
-		sp, dp := d.PodOf(p[0]), d.PodOf(p[len(p)-1])
-		switch {
-		case sp == 0 && dp == 0:
-			b00 = append(b00, p)
-			n00 += len(p)
-		case sp == 0 && dp == 1:
-			b01 = append(b01, p)
-			n01 += len(p)
-		}
-	}
+	rep := enumerateRep(g, d, endpoints, maxBounces)
 
 	// Rules are emitted over the full graph directly — ClosRules is local
 	// and cheap — and replayed over the representative buckets only.
 	// Losslessness of every stamped image follows from the rules'
 	// invariance under the pod automorphisms (see file comment).
 	rules := core.ClosRules(g, maxBounces, 1)
-	frag, violations := core.BuildRuleGraph(rules, append(append([]routing.Path{}, b00...), b01...), 1)
+	frag, violations := core.BuildRuleGraph(rules, rep.paths(), 1)
 	if len(violations) > 0 {
 		return nil, fmt.Errorf("core: clos rules leave %d ELP paths lossy (representative pod pair); does the ELP exceed %d bounces?",
 			len(violations), maxBounces)
 	}
-	fragNodes := frag.Nodes()
-	fragEdges := frag.Edges()
 
-	// Stamp the ELP into one arena and the runtime graph by translating
-	// the fragment under every σ_{p,q}. Intra-pod content is stamped once
-	// per pod (on p's first partner) to keep the path list duplicate-free.
-	arena := make([]topology.NodeID, 0, nPods*n00+nPods*(nPods-1)*n01)
-	stamped := make([]routing.Path, 0, nPods*len(b00)+nPods*(nPods-1)*len(b01))
-	stampPaths := func(nm []topology.NodeID, src []routing.Path) error {
-		for _, p := range src {
-			start := len(arena)
-			for _, n := range p {
-				m := nm[n]
-				if m == topology.InvalidNode {
-					return fmt.Errorf("synthcache: path node %d not covered by pod translation", n)
-				}
-				arena = append(arena, m)
-			}
-			stamped = append(stamped, routing.Path(arena[start:len(arena):len(arena)]))
-		}
-		return nil
+	pairs := podPairs(d, rep)
+	stamped, err := stampELP(rep, pairs)
+	if err != nil {
+		return nil, err
 	}
+	runtime := stampRuntime(g, frag, pairs)
+	if err := runtime.Verify(); err != nil {
+		return nil, fmt.Errorf("clos runtime graph (pod-stamped): %w", err)
+	}
+	return &core.System{Graph: g, ELP: stamped, Rules: rules, Runtime: runtime}, nil
+}
 
-	runtime := core.NewTaggedGraph(g)
-	portMap := make(map[topology.PortID]topology.PortID, len(fragNodes))
+// repBuckets is the representative path set in stamping layout: bucket
+// (0,0)'s paths back to back in one node array, then bucket (0,1)'s, so
+// the image of either "both buckets" or "(0,1) only" under a node map is
+// one table pass over a suffix of nodes.
+type repBuckets struct {
+	nodes []topology.NodeID
+	ends  []int // path i is nodes[ends[i-1]:ends[i]], with ends[-1] = 0
+	n00   int   // ends[:n00] is bucket (0,0)
+	e00   int   // nodes[:e00] is bucket (0,0)
+}
+
+// enumerateRep enumerates the representative pairs — pod-0 sources toward
+// pod-0 and pod-1 destinations, both in roster order — and lays the paths
+// out by bucket, each bucket in enumeration order. Per-pair enumeration in
+// elp.KBounceFrom is independent of the rest of the roster, so these are
+// buckets (0,0) and (0,1) of the full enumeration exactly, in its order.
+// Buckets (1,0) and (1,1) are their automorphic images: the stamping pass
+// regenerates their content, so they are never enumerated.
+func enumerateRep(g *topology.Graph, d *fingerprint.PodDecomposition,
+	endpoints []topology.NodeID, maxBounces int) *repBuckets {
+
+	var srcs, dsts []topology.NodeID
+	for _, ep := range endpoints {
+		switch d.PodOf(ep) {
+		case 0:
+			srcs = append(srcs, ep)
+			dsts = append(dsts, ep)
+		case 1:
+			dsts = append(dsts, ep)
+		}
+	}
+	paths := elp.KBounceFrom(g, srcs, dsts, maxBounces, nil).Paths()
+
+	bucket := func(p routing.Path) int {
+		if d.PodOf(p.Dst()) == 0 {
+			return 0
+		}
+		return 1
+	}
+	var nPaths, nNodes [2]int
+	for _, p := range paths {
+		nPaths[bucket(p)]++
+		nNodes[bucket(p)] += len(p)
+	}
+	r := &repBuckets{
+		nodes: make([]topology.NodeID, nNodes[0]+nNodes[1]),
+		ends:  make([]int, len(paths)),
+		n00:   nPaths[0],
+		e00:   nNodes[0],
+	}
+	next := [2]int{0, r.n00} // next path slot, per bucket
+	fill := [2]int{0, r.e00} // next node slot, per bucket
+	for _, p := range paths {
+		b := bucket(p)
+		fill[b] += copy(r.nodes[fill[b]:], p)
+		r.ends[next[b]] = fill[b]
+		next[b]++
+	}
+	return r
+}
+
+// count is the number of paths one pod pair stamps: bucket (0,1), plus
+// bucket (0,0) when the pair carries its pod's intra-pod content.
+func (r *repBuckets) count(intra bool) int {
+	if intra {
+		return len(r.ends)
+	}
+	return len(r.ends) - r.n00
+}
+
+// paths returns the representative paths, (0,0) then (0,1), as views into
+// nodes.
+func (r *repBuckets) paths() []routing.Path {
+	out := make([]routing.Path, len(r.ends))
+	start := 0
+	for i, end := range r.ends {
+		out[i] = routing.Path(r.nodes[start:end:end])
+		start = end
+	}
+	return out
+}
+
+// podPair is one ordered pod pair (p, q) of the stamping pass.
+type podPair struct {
+	nm []topology.NodeID // σ_{p,q}: pod 0 -> p, pod 1 -> q, as a node map
+	// intra marks p's first partner: intra-pod content is stamped once
+	// per pod, there, to keep the path list duplicate-free.
+	intra bool
+	off   int // index of the pair's first path in the stamped ELP
+}
+
+// podPairs lists every ordered pod pair in stamping order — p ascending,
+// then q ascending, each contributing [bucket (0,0)], bucket (0,1) — with
+// its node map and its offset into the stamped ELP.
+func podPairs(d *fingerprint.PodDecomposition, rep *repBuckets) []podPair {
+	nPods := len(d.Pods)
+	pairs := make([]podPair, 0, nPods*(nPods-1))
+	off := 0
 	for p := 0; p < nPods; p++ {
 		firstPartner := 0
 		if p == 0 {
@@ -197,45 +255,108 @@ func stampClosSystem(g *topology.Graph, d *fingerprint.PodDecomposition,
 			if q == p {
 				continue
 			}
-			nm := d.Translate(fingerprint.PodPerm(nPods, p, q))
-			if q == firstPartner {
-				if err := stampPaths(nm, b00); err != nil {
-					return nil, err
-				}
-			}
-			if err := stampPaths(nm, b01); err != nil {
-				return nil, err
-			}
+			pr := podPair{nm: d.Translate(fingerprint.PodPerm(nPods, p, q)), intra: q == firstPartner, off: off}
+			off += rep.count(pr.intra)
+			pairs = append(pairs, pr)
+		}
+	}
+	return pairs
+}
 
-			// Fragment image under σ_{p,q}. A fragment node is an ingress
-			// port: the lowest-numbered port on the hop facing its
-			// predecessor (Port.Peer). Its image is the lowest-numbered
-			// port on σ(hop) facing σ(predecessor) — exactly what replay
-			// of the stamped path would intern.
-			clear(portMap)
-			tp := func(pid topology.PortID) topology.PortID {
-				if v, ok := portMap[pid]; ok {
-					return v
-				}
-				pt := g.Port(pid)
-				v := g.PortOn(nm[pt.Node], g.PortToPeer(nm[pt.Node], nm[pt.Peer]))
-				portMap[pid] = v
-				return v
-			}
-			for _, n := range fragNodes {
-				runtime.AddNode(core.TagNode{Port: tp(n.Port), Tag: n.Tag})
-			}
-			for _, ed := range fragEdges {
-				runtime.AddEdge(
-					core.TagNode{Port: tp(ed.From.Port), Tag: ed.From.Tag},
-					core.TagNode{Port: tp(ed.To.Port), Tag: ed.To.Tag},
-				)
+// stampELP materializes the full ELP: every pair's image of its
+// representative buckets, in podPairs order. Each pair owns a disjoint
+// range of the result and a private arena, so pairs are stamped
+// concurrently and the output does not depend on the worker count.
+func stampELP(rep *repBuckets, pairs []podPair) ([]routing.Path, error) {
+	// A node map must cover every node it is applied to. It is applied to
+	// the same few nodes millions of times, so check it once per distinct
+	// node — in the order the stamping pass first meets them — before
+	// anything is allocated.
+	numNodes := len(pairs[0].nm)
+	distinctAll, distinct01 := distinctNodes(rep.nodes, numNodes), distinctNodes(rep.nodes[rep.e00:], numNodes)
+	for _, pr := range pairs {
+		check := distinct01
+		if pr.intra {
+			check = distinctAll
+		}
+		for _, n := range check {
+			if pr.nm[n] == topology.InvalidNode {
+				return nil, fmt.Errorf("synthcache: path node %d not covered by pod translation", n)
 			}
 		}
 	}
 
-	if err := runtime.Verify(); err != nil {
-		return nil, fmt.Errorf("clos runtime graph (pod-stamped): %w", err)
+	last := pairs[len(pairs)-1]
+	stamped := make([]routing.Path, last.off+rep.count(last.intra))
+	parallel.ForEachShard(len(pairs), parallel.Workers(0, len(pairs)), func(sh parallel.Shard) {
+		for _, pr := range pairs[sh.Lo:sh.Hi] {
+			lo, first := rep.e00, rep.n00
+			if pr.intra {
+				lo, first = 0, 0
+			}
+			src, nm := rep.nodes[lo:], pr.nm
+			arena := make([]topology.NodeID, len(src))
+			for i, n := range src {
+				arena[i] = nm[n]
+			}
+			out := stamped[pr.off:]
+			start := 0
+			for j, end := range rep.ends[first:] {
+				end -= lo
+				out[j] = routing.Path(arena[start:end:end])
+				start = end
+			}
+		}
+	})
+	return stamped, nil
+}
+
+// distinctNodes returns the distinct values of nodes, all below numNodes,
+// in first-occurrence order.
+func distinctNodes(nodes []topology.NodeID, numNodes int) []topology.NodeID {
+	var out []topology.NodeID
+	seen := make([]bool, numNodes)
+	for _, n := range nodes {
+		if !seen[n] {
+			seen[n] = true
+			out = append(out, n)
+		}
 	}
-	return &core.System{Graph: g, ELP: stamped, Rules: rules, Runtime: runtime}, nil
+	return out
+}
+
+// stampRuntime builds the full runtime graph as the union of the
+// representative fragment's images under every pair's node map.
+func stampRuntime(g *topology.Graph, frag *core.TaggedGraph, pairs []podPair) *core.TaggedGraph {
+	fragNodes := frag.Nodes()
+	fragEdges := frag.Edges()
+	runtime := core.NewTaggedGraph(g)
+	portMap := make(map[topology.PortID]topology.PortID, len(fragNodes))
+	for _, pr := range pairs {
+		// A fragment node is an ingress port: the lowest-numbered port on
+		// the hop facing its predecessor (Port.Peer). Its image is the
+		// lowest-numbered port on σ(hop) facing σ(predecessor) — exactly
+		// what replay of the stamped path would intern.
+		nm := pr.nm
+		clear(portMap)
+		tp := func(pid topology.PortID) topology.PortID {
+			if v, ok := portMap[pid]; ok {
+				return v
+			}
+			pt := g.Port(pid)
+			v := g.PortOn(nm[pt.Node], g.PortToPeer(nm[pt.Node], nm[pt.Peer]))
+			portMap[pid] = v
+			return v
+		}
+		for _, n := range fragNodes {
+			runtime.AddNode(core.TagNode{Port: tp(n.Port), Tag: n.Tag})
+		}
+		for _, ed := range fragEdges {
+			runtime.AddEdge(
+				core.TagNode{Port: tp(ed.From.Port), Tag: ed.From.Tag},
+				core.TagNode{Port: tp(ed.To.Port), Tag: ed.To.Tag},
+			)
+		}
+	}
+	return runtime
 }

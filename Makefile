@@ -13,20 +13,26 @@ BENCH_OUT ?= BENCH_$(shell date +%F).json
 # or skip the gate with `make check BENCH_BASELINE=`.
 BENCH_BASELINE ?= $(lastword $(sort $(wildcard BENCH_20*.json)))
 
-.PHONY: all check build vet test determinism race detect-smoke bench bench-sim bench-e2e bench-e2e-test benchdiff benchgate telemetry-overhead trace-golden postmortem-golden fuzz fuzz-smoke churn-fuzz cache-fuzz cover examples experiments clean
+.PHONY: all check build fmt vet test determinism race detect-smoke bench bench-sim bench-e2e bench-e2e-test benchdiff benchgate telemetry-overhead trace-golden postmortem-golden fuzz fuzz-smoke churn-fuzz cache-fuzz cover examples experiments clean
 
 all: check
 
-# check is the pre-merge gate: build, vet, tests, the parallel-determinism
+# check is the pre-merge gate: build, gofmt, vet, tests, the parallel-determinism
 # contract under the race detector, the full race suite, the
 # detect-vs-prevent matrix smoke, the bounded differential fuzz smoke,
 # the trace-format and post-mortem goldens, the end-to-end benchmark's own
 # tests, the telemetry overhead gate, and the benchmark regression gate
 # (BENCH_BASELINE= skips it).
-check: build vet test determinism race detect-smoke fuzz-smoke churn-fuzz cache-fuzz trace-golden postmortem-golden bench-e2e-test telemetry-overhead benchgate
+check: build fmt vet test determinism race detect-smoke fuzz-smoke churn-fuzz cache-fuzz trace-golden postmortem-golden bench-e2e-test telemetry-overhead benchgate
 
 build:
 	$(GO) build ./...
+
+# Fails listing every file gofmt would change (bench/ is a module of its
+# own but one tree: it is checked too).
+fmt:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -63,8 +69,9 @@ bench:
 	$(GO) test -p 1 -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./... | tee /tmp/bench_run.txt
 	$(GO) run ./cmd/benchdiff -record $(BENCH_OUT) /tmp/bench_run.txt
 
-# The event-engine microbenchmarks alone: heap schedule/dispatch,
-# steady-state forwarding (allocs/op must read 0 — gated by
+# The event-engine microbenchmarks alone: scheduler push/pop under the
+# Figure 12 event mix (lanes, and the same mix forced onto the fallback
+# heap), steady-state forwarding (allocs/op must read 0 — gated by
 # TestSteadyStateZeroAlloc and the benchgate's -alloc-threshold), and the
 # large-Clos soak slice the sweep runner fans out over.
 bench-sim:
@@ -145,16 +152,19 @@ fuzz:
 	$(GO) test -fuzz FuzzTraceDecode -fuzztime 30s ./internal/trace/
 	$(GO) test -fuzz FuzzPathIndex -fuzztime 30s ./internal/routing/
 	$(GO) test -fuzz FuzzBundleImport -fuzztime 30s ./internal/deploy/
+	$(GO) test -fuzz FuzzSchedulerOrder -fuzztime 30s ./internal/sim/
 
 # Bounded differential fuzzing for the pre-merge gate: a few seconds of
 # native coverage-guided fuzzing over the check battery, the path index
-# (against its string-keyed reference) and the bundle decoder, plus a
+# (against its string-keyed reference), the bundle decoder and the sim's
+# event scheduler (against a sorted slice), plus a
 # seeded taggerfuzz sweep of every topology family. Failing inputs shrink to
 # runnable repro tests under internal/check/testdata/fuzz-corpus/.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzRunCase -fuzztime 5s ./internal/check/
 	$(GO) test -fuzz FuzzPathIndex -fuzztime 5s ./internal/routing/
 	$(GO) test -fuzz FuzzBundleImport -fuzztime 5s ./internal/deploy/
+	$(GO) test -fuzz FuzzSchedulerOrder -fuzztime 5s ./internal/sim/
 	$(GO) run ./cmd/taggerfuzz -seeds 25 -topo all -q
 
 # The churn differential: fuzzed link-flap/drain/pod-add sequences where

@@ -187,6 +187,11 @@ func benchFigure(b *testing.B, run func(bool) ExperimentResult, withTagger bool)
 	}
 	b.ReportMetric(dl, "deadlocked")
 	b.ReportMetric(late, "late-gbps")
+	// The engine's own account: a deadlocked or throttled run is fast
+	// because it dispatches fewer events, not because each costs less.
+	events := float64(res.Engine.Events())
+	b.ReportMetric(events, "events/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/events, "ns/event")
 }
 
 func BenchmarkFigure10Baseline(b *testing.B)   { benchFigure(b, Figure10, false) }

@@ -92,13 +92,13 @@ func goldenScenarios() map[string]func() *workload.Scenario {
 		}
 	}
 	return map[string]func() *workload.Scenario{
-		"fig10-base":    mk(workload.Figure10, false, false),
-		"fig10-tagger":  mk(workload.Figure10, true, false),
-		"fig10-dcqcn":   mk(workload.Figure10, true, true),
-		"fig11-base":    mk(workload.Figure11, false, false),
-		"fig11-tagger":  mk(workload.Figure11, true, false),
-		"fig12-base":    mk(workload.Figure12, false, false),
-		"fig12-tagger":  mk(workload.Figure12, true, false),
+		"fig10-base":   mk(workload.Figure10, false, false),
+		"fig10-tagger": mk(workload.Figure10, true, false),
+		"fig10-dcqcn":  mk(workload.Figure10, true, true),
+		"fig11-base":   mk(workload.Figure11, false, false),
+		"fig11-tagger": mk(workload.Figure11, true, false),
+		"fig12-base":   mk(workload.Figure12, false, false),
+		"fig12-tagger": mk(workload.Figure12, true, false),
 		"recovery-fig10": func() *workload.Scenario {
 			s := workload.Figure10(workload.Options{})
 			s.Net.EnableRecovery(500 * time.Microsecond)

@@ -256,6 +256,9 @@ type ExperimentResult struct {
 	Cycle      []string // the detected pause-wait cycle, if any
 	Flows      []FlowSeries
 	Drops      sim.DropStats
+	// Engine is the event engine's own account of the run: events
+	// dispatched by kind, lane vs heap scheduling, pending high-water mark.
+	Engine sim.EngineStats
 }
 
 func runScenario(s *workload.Scenario) ExperimentResult {
@@ -264,6 +267,7 @@ func runScenario(s *workload.Scenario) ExperimentResult {
 		Deadlocked: s.Net.Deadlocked(),
 		Cycle:      s.Net.DetectDeadlock(),
 		Drops:      s.Net.Drops(),
+		Engine:     s.Net.EngineStats(),
 	}
 	lateFrom := s.Duration * 3 / 4
 	for _, f := range s.Flows {

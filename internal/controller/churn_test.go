@@ -241,11 +241,11 @@ func TestChurnReconcileWithFlakyChannel(t *testing.T) {
 	c, fab, ctl := newChurnTestbed(t, 23)
 	fab.Reboot("L2")
 	fab.Inject("L2",
-		chaos.Fault{Kind: chaos.FaultRPCDrop},                       // fetch-active attempt 1 lost
-		chaos.Fault{Kind: chaos.FaultPass},                          // fetch-active attempt 2
-		chaos.Fault{Kind: chaos.FaultInstallTransient, Count: 1},    // patch attempt 1 busy
-		chaos.Fault{Kind: chaos.FaultInstallPartial, Frac: 0.5},     // patch attempt 2 lands half
-		chaos.Fault{Kind: chaos.FaultPass})                          // readback exposes it; retry clean
+		chaos.Fault{Kind: chaos.FaultRPCDrop},                    // fetch-active attempt 1 lost
+		chaos.Fault{Kind: chaos.FaultPass},                       // fetch-active attempt 2
+		chaos.Fault{Kind: chaos.FaultInstallTransient, Count: 1}, // patch attempt 1 busy
+		chaos.Fault{Kind: chaos.FaultInstallPartial, Frac: 0.5},  // patch attempt 2 lands half
+		chaos.Fault{Kind: chaos.FaultPass})                       // readback exposes it; retry clean
 	fixed, err := ctl.Reconcile()
 	if err != nil {
 		t.Fatal(err)

@@ -84,6 +84,11 @@ type Ruleset struct {
 	maxTag  int    // largest lossless tag any rule can assign or match
 	isHostP []bool // dense by PortID: port attaches a host
 
+	// gen counts the mutations (Add, SetMaxTag) since construction, for
+	// readers that memoize Classify results — the simulator's per-switch
+	// classify tables — to drop their copies.
+	gen uint64
+
 	// sorted memoizes the installed keys in ascending order — Rules()
 	// order, since a packed key compares like its (switch, tag, in, out)
 	// tuple. A key's position is the rule's dense ID (the flight
@@ -125,9 +130,14 @@ func (rs *Ruleset) MaxTag() int { return rs.maxTag }
 // SetMaxTag raises the largest lossless tag (RepairReplay may need to).
 func (rs *Ruleset) SetMaxTag(t int) {
 	if t > rs.maxTag {
+		rs.gen++
 		rs.maxTag = t
 	}
 }
+
+// Generation changes whenever a Classify result may have: after every
+// Add and every SetMaxTag that raised the bound.
+func (rs *Ruleset) Generation() uint64 { return rs.gen }
 
 // IsLossless reports whether tag is one of the lossless tags.
 func (rs *Ruleset) IsLossless(tag int) bool { return tag >= 1 && tag <= rs.maxTag }
@@ -142,6 +152,7 @@ func (rs *Ruleset) HostFacing(sw topology.NodeID, num int) bool {
 // if the key already existed with a different rewrite (the caller decides
 // the resolution; Add keeps the new value).
 func (rs *Ruleset) Add(r Rule) (old int, conflicted bool) {
+	rs.gen++
 	rs.sorted.Store(nil)
 	k := packRuleKey(r.Switch, r.Tag, r.In, r.Out)
 	if prev, ok := rs.rules[k]; ok && prev != r.NewTag {

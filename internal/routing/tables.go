@@ -37,6 +37,10 @@ type Tables struct {
 	discipline Discipline
 	next       map[tableKey][]int
 	dsts       []topology.NodeID
+	// gen counts the mutations (Recompute, Override) since construction.
+	// Readers that memoize NextHops results — the simulator's forwarding
+	// memo — compare it to drop their copies.
+	gen uint64
 }
 
 // Compute builds forwarding tables toward every destination in dsts (hosts
@@ -62,6 +66,7 @@ func ComputeToHosts(g *topology.Graph, discipline Discipline) *Tables {
 // discarding overrides. Use it to model routing reconvergence after
 // failures.
 func (t *Tables) Recompute() {
+	t.gen++
 	t.next = make(map[tableKey][]int)
 	for _, d := range t.dsts {
 		switch t.discipline {
@@ -214,11 +219,16 @@ func (t *Tables) NextHops(n, dst topology.NodeID) []int {
 	return t.next[tableKey{n, dst}]
 }
 
+// Generation changes whenever an entry may have: after every Recompute
+// and Override. A NextHops result is valid for as long as it holds.
+func (t *Tables) Generation() uint64 { return t.gen }
+
 // Override replaces the entry at node n toward dst with the given egress
 // ports. Passing no ports removes the entry (blackhole). This is the
 // scenario hook for the paper's "manually change the routing tables"
 // experiments (Fig 11, Fig 12).
 func (t *Tables) Override(n, dst topology.NodeID, ports ...int) {
+	t.gen++
 	if len(ports) == 0 {
 		delete(t.next, tableKey{n, dst})
 		return

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -10,25 +11,60 @@ import (
 	"repro/internal/topology"
 )
 
-// BenchmarkEventScheduleDispatch measures the raw heap: a standing
-// population of 1024 pending events, one pop + one push per op. This is
-// the engine's inner loop with the dispatch switch stripped away.
+// BenchmarkEventScheduleDispatch drives the scheduler alone — the engine's
+// inner loop with the dispatch switch stripped away — with the event mix
+// of a Figure 12 run: 44 busy ports, each txDone scheduling the port's
+// next txDone and the frame's arrival (about 90 pending, as the real run
+// averages), a PFC frame every 64 events and one periodic timer. "lanes"
+// is that mix as the engine schedules it. "heap" is the same workload
+// under kinds that have no lane, so every event takes the fallback heap:
+// what one heap cost, and what an out-of-order lane push still costs.
 func BenchmarkEventScheduleDispatch(b *testing.B) {
-	var h eventHeap
+	b.Run("lanes", func(b *testing.B) { benchScheduler(b, evTxDone, evArrive, evPFC) })
+	b.Run("heap", func(b *testing.B) { benchScheduler(b, evFlowKick, evCall, evCNP) })
+}
+
+func benchScheduler(b *testing.B, txDone, arrive, pfc eventKind) {
+	const (
+		ports  = 44
+		tx     = 204  // ns: one 1024-byte MTU at 40 Gb/s
+		prop   = 1000 // ns
+		period = 100_000
+	)
+	var s scheduler
 	var seq int64
-	for i := 0; i < 1024; i++ {
-		h.push(event{at: int64(i), seq: seq, kind: evTxDone})
+	push := func(kind eventKind, at int64) {
+		e := event{at: at, seq: seq, kind: kind}
 		seq++
+		s.push(&e)
+	}
+	for p := int64(0); p < ports; p++ {
+		push(txDone, p*tx/ports) // ports out of phase, as after a shuffle's start
+	}
+	push(evTimer, period)
+	var e event
+	step := func(i int) {
+		if !s.pop(math.MaxInt64, &e) {
+			b.Fatal("scheduler ran dry")
+		}
+		switch e.kind {
+		case txDone:
+			push(txDone, e.at+tx)
+			push(arrive, e.at+tx+prop)
+		case evTimer:
+			push(evTimer, e.at+period)
+		}
+		if i%64 == 0 {
+			push(pfc, e.at+prop)
+		}
+	}
+	for i := 0; i < 4096; i++ { // reach the standing population and ring sizes
+		step(i)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := h.pop()
-		// Reschedule past the rest of the population, as txDone does.
-		e.at += 1024
-		e.seq = seq
-		seq++
-		h.push(e)
+		step(i)
 	}
 }
 

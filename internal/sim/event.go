@@ -10,11 +10,13 @@
 // graph. Time is integer nanoseconds and execution is fully deterministic
 // for a given scenario.
 //
-// The event engine is built for throughput: a typed binary heap (no
-// container/heap interface boxing), a 32-byte packed event struct, a
-// pooled packet arena for frames on the wire, and dedicated event kinds
-// for periodic timers and DCQCN notifications so the steady state
-// schedules and dispatches without heap allocations (see DESIGN.md §11).
+// The event engine is built for throughput: a scheduler of monotone FIFO
+// lanes for the constant-delay event kinds over a typed binary heap for
+// the rest, a 32-byte packed event struct, a pooled packet arena for
+// frames on the wire, dense per-switch forwarding and classify memos in
+// front of the routing and rule maps, and dedicated event kinds for
+// periodic timers and DCQCN notifications, so the steady state schedules
+// and dispatches without heap allocations or hashing (see DESIGN.md §11).
 package sim
 
 // eventKind discriminates the simulator's event types.
@@ -28,6 +30,8 @@ const (
 	evCall                      // scenario callback (arg = call slot)
 	evTimer                     // periodic timer tick (arg = timer slot)
 	evCNP                       // DCQCN rate cut lands at the sender (arg = flow index)
+
+	numEventKinds = iota
 )
 
 // event is one scheduled occurrence: 32 bytes, plain data, no pointers.
@@ -47,19 +51,20 @@ type event struct {
 	on   bool
 }
 
-// eventHeap is a hand-inlined binary min-heap ordered by (at, seq). The
-// comparator is total (seq is unique), so pop order is a strict sort and
-// independent of the heap implementation — the engine-equivalence golden
-// pins this against the pre-rewrite container/heap semantics.
+// eventHeap is a hand-inlined binary min-heap ordered by (at, seq). It is
+// the scheduler's fallback: the home of every event kind without a lane
+// and of any lane-kind event that would break its lane's order.
 type eventHeap []event
 
-// less is the (at, seq) order.
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// before is the (at, seq) order. It is total (seq is unique), so the
+// engine's pop order is a strict sort and independent of how the
+// scheduler stores events — the engine-equivalence golden pins this
+// against the original container/heap semantics.
+func (e *event) before(at, seq int64) bool {
+	return e.at < at || (e.at == at && e.seq < seq)
 }
+
+func (h eventHeap) less(i, j int) bool { return h[i].before(h[j].at, h[j].seq) }
 
 // push appends and sifts up.
 func (h *eventHeap) push(e event) {
@@ -104,10 +109,135 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
+// numLanes is the number of event kinds with a lane: evArrive, evTxDone
+// and evPFC, the first three kinds, so a lane's index is its kind.
+const numLanes = 3
+
+// laneMinCap is a lane's first ring size; rings then double up to the
+// kind's in-flight high-water mark and stay there.
+const laneMinCap = 16
+
+// lane is a FIFO ring of one event kind, sorted by (at, seq) because
+// push only admits an event whose at is not below the newest queued one
+// (seq grows with every schedule call).
+type lane struct {
+	buf  []event // len is zero or a power of two
+	head int     // index of the oldest event
+	n    int     // events queued
+	last int64   // at of the newest event; meaningful while n > 0
+}
+
+func (l *lane) push(e *event) {
+	if l.n == len(l.buf) {
+		// Unwrap into a ring twice the size.
+		nb := make([]event, max(2*len(l.buf), laneMinCap))
+		k := copy(nb, l.buf[l.head:])
+		copy(nb[k:], l.buf[:l.head])
+		l.buf, l.head = nb, 0
+	}
+	l.buf[(l.head+l.n)&(len(l.buf)-1)] = *e
+	l.n++
+	l.last = e.at
+}
+
+func (l *lane) pop() event {
+	e := l.buf[l.head]
+	l.head = (l.head + 1) & (len(l.buf) - 1)
+	l.n--
+	return e
+}
+
+// scheduler is the engine's pending-event set: one monotone lane per
+// constant-delay kind plus the heap. evArrive, evTxDone and evPFC are
+// always scheduled at now + a per-run constant (MTU serialization time,
+// PropDelay, or their sum) and now never decreases, so each kind's
+// events are born already sorted and a ring holds them at O(1) per push
+// and pop; everything else, and any lane-kind event that does arrive out
+// of order, goes through the heap. pop takes the (at, seq) minimum over
+// the lane heads and the heap top — the same strict sort one heap gave.
+type scheduler struct {
+	lanes [numLanes]lane
+	heap  eventHeap
+
+	pending, maxPending    int
+	lanePushes, heapPushes int64
+}
+
+func (s *scheduler) push(e *event) {
+	if s.pending++; s.pending > s.maxPending {
+		s.maxPending = s.pending
+	}
+	if e.kind < numLanes {
+		if l := &s.lanes[e.kind]; l.n == 0 || e.at >= l.last {
+			s.lanePushes++
+			l.push(e)
+			return
+		}
+	}
+	s.heapPushes++
+	s.heap.push(*e)
+}
+
+// pop removes the earliest pending event into e if it is due by limit.
+func (s *scheduler) pop(limit int64, e *event) bool {
+	src := -1 // winning lane; numLanes is the heap
+	var at, seq int64
+	for i := range s.lanes {
+		if l := &s.lanes[i]; l.n > 0 {
+			if h := &l.buf[l.head]; src < 0 || h.before(at, seq) {
+				src, at, seq = i, h.at, h.seq
+			}
+		}
+	}
+	if len(s.heap) > 0 {
+		if h := &s.heap[0]; src < 0 || h.before(at, seq) {
+			src, at = numLanes, h.at
+		}
+	}
+	if src < 0 || at > limit {
+		return false
+	}
+	s.pending--
+	if src == numLanes {
+		*e = s.heap.pop()
+	} else {
+		*e = s.lanes[src].pop()
+	}
+	return true
+}
+
+// EngineStats are the event engine's self-counters: what it dispatched,
+// how the scheduler stored it, and how deep the pending set got.
+type EngineStats struct {
+	// Dispatched events by kind.
+	Arrive, TxDone, PFC, FlowKick, Call, Timer, CNP int64
+	// LanePushes and HeapPushes split the schedule calls by where the
+	// event was queued: an O(1) lane or the fallback heap.
+	LanePushes, HeapPushes int64
+	// MaxPending is the high-water mark of scheduled, undispatched events.
+	MaxPending int
+}
+
+// Events returns the total number of events dispatched.
+func (s EngineStats) Events() int64 {
+	return s.Arrive + s.TxDone + s.PFC + s.FlowKick + s.Call + s.Timer + s.CNP
+}
+
+// EngineStats returns the engine's self-counters since construction.
+func (n *Network) EngineStats() EngineStats {
+	d := &n.dispatched
+	return EngineStats{
+		Arrive: d[evArrive], TxDone: d[evTxDone], PFC: d[evPFC], FlowKick: d[evFlowKick],
+		Call: d[evCall], Timer: d[evTimer], CNP: d[evCNP],
+		LanePushes: n.events.lanePushes, HeapPushes: n.events.heapPushes,
+		MaxPending: n.events.maxPending,
+	}
+}
+
 func (n *Network) schedule(e event) {
 	e.seq = n.seq
 	n.seq++
-	n.events.push(e)
+	n.events.push(&e)
 }
 
 // scheduleCall registers a one-shot callback in the call table and

@@ -105,6 +105,7 @@ func (n *Network) EnableFlightRecorder(cfg FlightRecConfig) *FlightRecorder {
 	}
 	n.tracer = fr
 	n.flightrec = fr
+	n.cls.drop() // entries now need their rule IDs resolved
 	return fr
 }
 

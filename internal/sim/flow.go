@@ -33,6 +33,10 @@ type Flow struct {
 	hash uint64
 	idx  int32 // index into Network.flows, for flow-addressed events
 
+	// pinOut, for a pinned flow, is the egress port at each transit node
+	// of the pin toward the next one, indexed like spec.Pin.
+	pinOut []int16
+
 	nextGen  int64 // earliest time the next packet may be generated
 	received int64 // bytes delivered
 	sent     int64 // bytes injected
@@ -124,6 +128,12 @@ func (n *Network) AddFlow(spec FlowSpec) *Flow {
 		idx:      int32(len(n.flows)),
 		nextGen:  int64(spec.Start),
 		bucketNs: int64(n.cfg.SampleInterval),
+	}
+	if pin := spec.Pin; pin != nil {
+		f.pinOut = make([]int16, len(pin)-1)
+		for i := 1; i+1 < len(pin); i++ {
+			f.pinOut[i] = int16(n.g.PortToPeer(pin[i], pin[i+1]))
+		}
 	}
 	n.flows = append(n.flows, f)
 	if n.dcqcn != nil {

@@ -157,9 +157,14 @@ type Network struct {
 	rules        *core.Ruleset // nil: Tagger disabled (single class)
 	legacyEgress bool          // Figure 8a mode: egress queue by OLD tag
 
-	now    int64
-	seq    int64
-	events eventHeap
+	now        int64
+	seq        int64
+	events     scheduler
+	dispatched [numEventKinds]int64
+
+	// fwd and cls memoize the packet path's two table lookups (memo.go).
+	fwd fwdMemo
+	cls classMemo
 
 	// arena holds frames on the wire; calls/callFree and timers are the
 	// side tables behind evCall and evTimer events (see event.go).
@@ -215,6 +220,8 @@ func New(g *topology.Graph, tables *routing.Tables, cfg Config) *Network {
 	n := &Network{g: g, tables: tables, cfg: cfg}
 	nPrio := cfg.MaxPriority + 1
 	n.nodes = make([]nodeRT, g.NumNodes())
+	n.fwd.rows = make([][][]int, len(n.nodes))
+	n.cls.rows = make([][]classEntry, len(n.nodes))
 	for i := range n.nodes {
 		node := g.Node(topology.NodeID(i))
 		rt := &n.nodes[i]
@@ -240,7 +247,10 @@ func New(g *topology.Graph, tables *routing.Tables, cfg Config) *Network {
 // InstallTagger enables the Tagger pipeline with the given rules; nil
 // disables it (all traffic rides its NIC-stamped priority unchanged —
 // the "without Tagger" baseline).
-func (n *Network) InstallTagger(rs *core.Ruleset) { n.rules = rs }
+func (n *Network) InstallTagger(rs *core.Ruleset) {
+	n.rules = rs
+	n.cls.drop()
+}
 
 // SetLegacyEgress selects the broken §7 behavior where the egress queue
 // is chosen by the packet's OLD tag (Figure 8a). Only meaningful
@@ -282,15 +292,13 @@ func (n *Network) At(t time.Duration, fn func()) {
 // Run processes events until the given simulation time.
 func (n *Network) Run(until time.Duration) {
 	limit := int64(until)
-	for len(n.events) > 0 {
-		if n.events[0].at > limit {
-			break
-		}
-		e := n.events.pop()
+	var e event
+	for n.events.pop(limit, &e) {
 		if e.at < n.now {
 			panic(fmt.Sprintf("sim: time went backwards: %d < %d", e.at, n.now))
 		}
 		n.now = e.at
+		n.dispatched[e.kind]++
 		switch e.kind {
 		case evArrive:
 			pk := n.arena.take(e.arg)
@@ -345,9 +353,9 @@ func (n *Network) arrive(nodeIdx, port int, pk *packet) {
 			n.trace(TraceEvent{Kind: "drop", Node: n.nodeName(id), Flow: pk.flow.spec.Name, Reason: "no-route"})
 			return
 		}
-		out = n.g.PortToPeer(id, pin[pk.hop+1])
+		out = int(pk.flow.pinOut[pk.hop])
 	} else {
-		hops := n.tables.NextHops(id, pk.flow.spec.Dst)
+		hops := n.nextHops(id, pk.flow.spec.Dst)
 		if len(hops) == 0 {
 			n.drops.NoRoute++
 			n.trace(TraceEvent{Kind: "drop", Node: n.nodeName(id), Flow: pk.flow.spec.Name, Reason: "no-route"})
@@ -364,12 +372,10 @@ func (n *Network) arrive(nodeIdx, port int, pk *packet) {
 	inPrio := n.prioOf(int(pk.tag))
 	newTag := int(pk.tag)
 	if n.rules != nil {
+		var rid int
+		newTag, rid = n.classify(id, newTag, port, out)
 		if n.flightrec != nil {
-			var rid int
-			newTag, rid = n.rules.ClassifyID(id, int(pk.tag), port, out)
 			pk.rule = int32(rid + 1)
-		} else {
-			newTag = n.rules.Classify(id, int(pk.tag), port, out)
 		}
 	}
 	egPrio := n.prioOf(newTag)

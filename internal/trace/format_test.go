@@ -136,7 +136,7 @@ func TestTickRateRescaling(t *testing.T) {
 func TestReaderSkipsGarbageKinds(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write(header(TickHzNanos))
-	buf.Write(rawEntry(Entry{Tick: 1, Kind: Kind(200)}))          // unknown
+	buf.Write(rawEntry(Entry{Tick: 1, Kind: Kind(200)}))           // unknown
 	buf.Write(rawEntry(Entry{Tick: 2, Kind: KindCycleEdge, C: 9})) // orphan
 	buf.Write(rawEntry(Entry{Tick: 3, Kind: KindDemote, A: 0, B: 0}))
 

@@ -13,17 +13,17 @@ BENCH_OUT ?= BENCH_$(shell date +%F).json
 # or skip the gate with `make check BENCH_BASELINE=`.
 BENCH_BASELINE ?= $(lastword $(sort $(wildcard BENCH_20*.json)))
 
-.PHONY: all check build fmt vet test determinism race detect-smoke bench bench-sim bench-e2e bench-e2e-test benchdiff benchgate telemetry-overhead trace-golden postmortem-golden fuzz fuzz-smoke churn-fuzz cache-fuzz cover examples experiments clean
+.PHONY: all check build fmt vet test determinism race detect-smoke bench bench-sim bench-e2e bench-e2e-test benchdiff benchgate telemetry-overhead trace-golden postmortem-golden experiments-golden fuzz fuzz-smoke churn-fuzz cache-fuzz cover examples experiments clean
 
 all: check
 
 # check is the pre-merge gate: build, gofmt, vet, tests, the parallel-determinism
 # contract under the race detector, the full race suite, the
 # detect-vs-prevent matrix smoke, the bounded differential fuzz smoke,
-# the trace-format and post-mortem goldens, the end-to-end benchmark's own
+# the trace-format, post-mortem and experiment-output goldens, the end-to-end benchmark's own
 # tests, the telemetry overhead gate, and the benchmark regression gate
 # (BENCH_BASELINE= skips it).
-check: build fmt vet test determinism race detect-smoke fuzz-smoke churn-fuzz cache-fuzz trace-golden postmortem-golden bench-e2e-test telemetry-overhead benchgate
+check: build fmt vet test determinism race detect-smoke fuzz-smoke churn-fuzz cache-fuzz trace-golden postmortem-golden experiments-golden bench-e2e-test telemetry-overhead benchgate
 
 build:
 	$(GO) build ./...
@@ -142,6 +142,20 @@ else
 	$(GO) test -count=1 -run 'TestGoldenPostmortem' ./cmd/taggertrace/ -update
 endif
 	$(GO) test -count=1 -run 'ZeroAlloc' ./internal/trace/ ./internal/sim/
+
+# Verifies taggersim's stdout, byte for byte, for every entry of the
+# experiment table (tagger.Experiments()) plus the -trace and -flightrec
+# modes, against goldens first captured from the pre-registry binary;
+# also the registry-shape, docs-drift, rejected-flag and
+# failure-unwinds-through-defers tests. After an INTENTIONAL output
+# change, regenerate with `make experiments-golden UPDATE=1` and review
+# the diff.
+experiments-golden:
+ifeq ($(strip $(UPDATE)),)
+	$(GO) test -count=1 ./cmd/taggersim/
+else
+	$(GO) test -count=1 ./cmd/taggersim/ -update
+endif
 
 fuzz:
 	$(GO) test -fuzz FuzzDecodeRoCEv2 -fuzztime 30s ./internal/wire/

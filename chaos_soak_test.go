@@ -91,7 +91,7 @@ func TestChaosSoakCountsRebootLossesSeparately(t *testing.T) {
 // "soak" span — the wiring the taggersim ops endpoint serves.
 func TestChaosSoakTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	r, err := ChaosSoakWithTelemetry(1, true, reg)
+	r, err := ChaosSoakWith(1, true, RunOptions{Ops: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,12 +30,12 @@ func TestChaosSweepParDeterminism(t *testing.T) {
 	seeds := sweep.Seeds(1, 4)
 	for _, withTagger := range []bool{false, true} {
 		serialReg := telemetry.NewRegistry()
-		serial, err := ChaosSweep(seeds, withTagger, 1, serialReg)
+		serial, err := ChaosSweep(seeds, withTagger, RunOptions{Par: 1, Ops: serialReg})
 		if err != nil {
 			t.Fatalf("withTagger=%v serial: %v", withTagger, err)
 		}
 		parReg := telemetry.NewRegistry()
-		par, err := ChaosSweep(seeds, withTagger, 4, parReg)
+		par, err := ChaosSweep(seeds, withTagger, RunOptions{Par: 4, Ops: parReg})
 		if err != nil {
 			t.Fatalf("withTagger=%v par: %v", withTagger, err)
 		}
@@ -78,7 +78,7 @@ func TestChaosSweepParDeterminism(t *testing.T) {
 // element i equals an independent ChaosSoak of the same seed.
 func TestChaosSweepMatchesSoak(t *testing.T) {
 	seeds := sweep.Seeds(1, 2)
-	res, err := ChaosSweep(seeds, true, 0, nil)
+	res, err := ChaosSweep(seeds, true, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

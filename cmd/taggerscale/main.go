@@ -185,7 +185,7 @@ func run(switches, ports, random int, seed int64, par int, bcube, fattree bool) 
 	}
 
 	if switches > 0 {
-		row, err := tagger.Table5CasePar(switches, ports, random, seed, par)
+		row, err := tagger.Table5CaseWith(switches, ports, random, seed, tagger.RunOptions{Par: par})
 		if err != nil {
 			log.Fatal(err)
 		}

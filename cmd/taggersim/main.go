@@ -1,20 +1,18 @@
 // Command taggersim runs the paper's testbed experiments in the packet
-// simulator and prints the flow-rate series and deadlock diagnosis.
+// simulator and prints what each one measured. The experiments are the
+// entries of tagger.Experiments() — `taggersim -h` lists all of them —
+// and this command is only flags -> lookup -> Run -> print -> exit code.
 //
-// Usage:
-//
-//	taggersim -exp fig10            # 1-bounce deadlock (Figure 10)
-//	taggersim -exp fig11            # routing loop (Figure 11)
-//	taggersim -exp fig12            # PAUSE propagation (Figure 12)
-//	taggersim -exp table1 -days 7   # reroute measurement (Table 1)
-//	taggersim -exp overhead         # §8 performance penalty
+//	taggersim -exp fig10                   # Figure 10, without and with Tagger
+//	taggersim -exp table1 -days 7          # Table 1 reroute measurement
 //	taggersim -exp chaos -runs 32 -par 8   # seeded chaos sweep, 8 workers
-//	taggersim -exp churn -runs 4    # fabric churn soak: incremental deltas
-//	taggersim -exp detect -runs 100 -par 8 # detect-vs-prevent 4-arm matrix
+//	taggersim -exp fig10 -trace f10.trc    # + event trace for taggertrace
 //	taggersim -exp detect -flightrec       # + flight-recorder incident capture
 //
-// Each figure experiment runs twice — without and with Tagger — matching
-// the paper's paired plots.
+// A flag the chosen experiment does not consume (-trace on overhead, say)
+// is a usage error, exit 2, not a silent no-op; an experiment whose
+// invariants fail exits 1 after the profiles, the trace files and the
+// ops endpoint have been flushed and closed.
 //
 // -flightrec (figures and detect) arms the always-on flight recorder:
 // deadlock onset, a detector firing, or a lossless-invariant violation
@@ -24,453 +22,154 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
+	"sync"
 	"syscall"
-	"time"
 
 	tagger "repro"
-	"repro/internal/metrics"
-	"repro/internal/sim"
-	"repro/internal/sweep"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/profile"
 )
 
-// opsReg is the run's operational registry when -ops is set: the chaos
-// soak's simulator histograms and deployment counters merge into it, and
-// the ops endpoint serves it alongside telemetry.Default (which holds
-// the synthesis spans).
-var opsReg *telemetry.Registry
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("taggersim: ")
+	err := run(os.Args[1:], os.Stdout, tagger.Experiments())
+	var usage usageError
+	if errors.As(err, &usage) {
+		fmt.Fprintln(os.Stderr, usage)
+		os.Exit(2)
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+}
 
+// usageError is a command line the experiment table rejects: exit 2.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
+// run is the whole command. Every failure is returned, never exited on,
+// so the deferred profile stop, trace-file closes and ops shutdown run on
+// exactly the invocations where an invariant failed.
+func run(args []string, stdout io.Writer, exps []tagger.Experiment) (err error) {
+	names := make([]string, len(exps))
+	for i, e := range exps {
+		names[i] = e.Name
+	}
+	menu := strings.Join(names, ", ")
+
+	fs := flag.NewFlagSet("taggersim", flag.ExitOnError)
 	var (
-		exp       = flag.String("exp", "fig10", "experiment: "+strings.Join(experiments, ", "))
-		seeds     = flag.Int("seeds", 3, "chaos: number of fault schedules to run (seeds 1..n)")
-		runs      = flag.Int("runs", 0, "chaos: number of seeded runs in the sweep (overrides -seeds)")
-		par       = flag.Int("par", 1, "chaos: sweep worker count (0 = GOMAXPROCS); results are par-independent")
-		days      = flag.Int("days", 7, "table1: days to simulate")
-		perDay    = flag.Int64("per-day", 1_000_000, "table1: measurements per day")
-		trace     = flag.String("trace", "", "write an event trace to this file (figures: one file; chaos/churn: one file per seed)")
-		traceFmt  = flag.String("trace-format", tagger.TraceJSONL, "trace encoding: jsonl or binary")
-		flightrec = flag.Bool("flightrec", false, "figures/detect: arm the flight recorder; incidents dump to incidents/*.tgl for `taggertrace postmortem`")
-		ops       = flag.String("ops", "", "serve /metrics, /healthz and /debug/pprof on this address; the process stays up after the run until interrupted (e.g. :8080)")
+		exp       = fs.String("exp", "fig10", "experiment: "+menu)
+		seeds     = fs.Int("seeds", 3, "chaos: number of fault schedules to run (seeds 1..n)")
+		runs      = fs.Int("runs", 0, "chaos: number of seeded runs in the sweep (overrides -seeds)")
+		par       = fs.Int("par", 1, "chaos: sweep worker count (0 = GOMAXPROCS); results are par-independent")
+		days      = fs.Int("days", 7, "table1: days to simulate")
+		perDay    = fs.Int64("per-day", 1_000_000, "table1: measurements per day")
+		trace     = fs.String("trace", "", "write an event trace to this file (figures: one file; chaos/churn: one file per seed)")
+		traceFmt  = fs.String("trace-format", tagger.TraceJSONL, "trace encoding: jsonl or binary")
+		flightrec = fs.Bool("flightrec", false, "figures/detect: arm the flight recorder; incidents dump to incidents/*.tgl for `taggertrace postmortem`")
+		ops       = fs.String("ops", "", "serve /metrics, /healthz and /debug/pprof on this address; the process stays up after the run until interrupted (e.g. :8080)")
 	)
-	prof := profile.AddFlags(flag.CommandLine)
-	flag.Parse()
+	prof := profile.AddFlags(fs)
+	fs.Parse(args)
+
+	i := slices.Index(names, *exp)
+	if i < 0 {
+		return usageError(fmt.Sprintf("unknown experiment %q; valid experiments: %s", *exp, menu))
+	}
+	e := exps[i]
+
+	// A flag some experiment consumes, given to one that does not, would
+	// be dropped on the floor: a requested capture that never happened
+	// must not read as success.
+	opt := tagger.RunOptions{Par: *par, Days: *days, PerDay: *perDay, Trace: *trace, TraceFormat: *traceFmt}
+	fs.Visit(func(f *flag.Flag) {
+		var takers []string
+		for _, x := range exps {
+			if slices.Contains(x.Accepts, f.Name) {
+				takers = append(takers, x.Name)
+			}
+		}
+		if len(takers) > 0 && !slices.Contains(e.Accepts, f.Name) && err == nil {
+			err = usageError(fmt.Sprintf("-%s is not used by -exp %s; experiments that take it: %s",
+				f.Name, e.Name, strings.Join(takers, ", ")))
+		}
+		if f.Name == "seeds" {
+			opt.Seeds = *seeds
+		}
+	})
+	if err != nil {
+		return err
+	}
+	if *runs > 0 {
+		opt.Seeds = *runs
+	}
+	if *flightrec {
+		opt.FlightRec = &tagger.FlightRecConfig{}
+	}
 
 	stop, err := prof.Start()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer func() {
-		if err := stop(); err != nil {
-			log.Fatal(err)
+		if serr := stop(); err == nil {
+			err = serr
 		}
 	}()
 
+	// Trace files are created here, not by the experiment, so they are
+	// closed on every way out (a second Close is a harmless error).
+	var mu sync.Mutex
+	var sinks []io.Closer
+	defer func() {
+		for _, c := range sinks {
+			c.Close()
+		}
+	}()
+	opt.OpenTrace = func(path string) (io.WriteCloser, error) {
+		f, err := os.Create(path)
+		if err != nil {
+			return nil, err
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		sinks = append(sinks, f)
+		return f, nil
+	}
+
+	// With -ops the run's operational registry — the chaos soak's
+	// simulator histograms and deployment counters, the detect matrix's
+	// per-arm counters — is served alongside telemetry.Default (which
+	// holds the synthesis spans).
+	var srv *telemetry.OpsServer
 	if *ops != "" {
-		opsReg = telemetry.NewRegistry()
-		srv, err := telemetry.StartOps(*ops, telemetry.Default, opsReg)
-		if err != nil {
-			log.Fatal(err)
+		opt.Ops = telemetry.NewRegistry()
+		if srv, err = telemetry.StartOps(*ops, telemetry.Default, opt.Ops); err != nil {
+			return err
 		}
-		log.Printf("ops endpoint on http://%s (metrics, healthz, debug/pprof)", srv.Addr())
 		defer srv.Close()
-		defer func() {
-			log.Printf("run finished; ops endpoint still serving on http://%s — interrupt to exit", srv.Addr())
-			ch := make(chan os.Signal, 1)
-			signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-			<-ch
-		}()
+		log.Printf("ops endpoint on http://%s (metrics, healthz, debug/pprof)", srv.Addr())
 	}
 
-	switch *exp {
-	case "fig10", "fig11", "fig12":
-		run := map[string]func(bool) tagger.ExperimentResult{
-			"fig10": tagger.Figure10,
-			"fig11": tagger.Figure11,
-			"fig12": tagger.Figure12,
-		}[*exp]
-		if *flightrec {
-			if *trace != "" {
-				log.Fatal("-flightrec and -trace are mutually exclusive for figures (the recorder is the capture)")
-			}
-			runFR := func(withTagger bool, label string) {
-				res, fr, err := tagger.FigureFlightRec(*exp, withTagger, tagger.FlightRecConfig{})
-				if err != nil {
-					log.Fatal(err)
-				}
-				printExperiment(res)
-				incs := fr.Incidents()
-				for i, name := range writeIncidents(fmt.Sprintf("%s.%s", *exp, label), incs) {
-					inc := incs[i]
-					fmt.Printf("flight recorder: incident %d (%s at %s, t=%v) -> %s\n",
-						inc.Seq, inc.Trigger, inc.Node, inc.At, name)
-				}
-				fmt.Printf("flight recorder: %d incidents captured, %d triggers dropped, %d ring overwrites\n",
-					fr.Captured(), fr.DroppedTriggers(), fr.Overwrites())
-			}
-			fmt.Printf("=== %s WITHOUT Tagger (flight recorder armed) ===\n", *exp)
-			runFR(false, "without")
-			fmt.Printf("\n=== %s WITH Tagger (k=1, flight recorder armed) ===\n", *exp)
-			runFR(true, "with")
-			break
-		}
-		if *trace != "" {
-			f, err := os.Create(*trace)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer f.Close()
-			fmt.Printf("=== %s WITHOUT Tagger (traced to %s, %s) ===\n", *exp, *trace, *traceFmt)
-			res, st, err := tagger.FigureTracedStats(*exp, false, f, *traceFmt)
-			if err != nil {
-				log.Fatal(err)
-			}
-			printExperiment(res)
-			fmt.Printf("trace capture: %d events dropped by the writer ring\n", st.Dropped)
-			if st.Dropped > 0 && *traceFmt == tagger.TraceBinary {
-				log.Fatalf("binary trace %s is incomplete (%d events dropped)", *trace, st.Dropped)
-			}
-			break
-		}
-		fmt.Printf("=== %s WITHOUT Tagger ===\n", *exp)
-		printExperiment(run(false))
-		fmt.Printf("\n=== %s WITH Tagger (k=1) ===\n", *exp)
-		printExperiment(run(true))
-	case "table1":
-		res := tagger.Table1(*days, *perDay)
-		fmt.Print(res.String())
-		fmt.Printf("overall reroute probability: %.2e (paper: ~3e-5)\n", res.OverallProbability())
-	case "overhead":
-		res := tagger.Overhead()
-		fmt.Printf("baseline aggregate goodput: %.1f Gbps (worst-flow P99 latency %v)\n",
-			res.BaselineGbps, res.BaselineP99)
-		fmt.Printf("with Tagger rules:          %.1f Gbps (worst-flow P99 latency %v)\n",
-			res.TaggerGbps, res.TaggerP99)
-		fmt.Printf("penalty:                    %.2f%% (paper: negligible)\n", res.PenaltyPercent())
-	case "isolation":
-		res := tagger.IsolationCost()
-		fmt.Printf("§6 shared-tag isolation trade-off:\n")
-		fmt.Printf("  class-2 victim with class-1 on healthy route: %.1f Gbps\n", res.VictimCleanGbps)
-		fmt.Printf("  class-2 victim with class-1 bounced into its priority: %.1f Gbps\n", res.VictimMixedGbps)
-		fmt.Printf("  cost: %.0f%% while the bounce persists (paper: acceptable, bounces are rare)\n",
-			res.CostPercent())
-	case "multiclass":
-		res, err := tagger.MultiClass(2, 1)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%d classes, %d bounces: shared tags need %d queues, naive composition %d\n",
-			res.Classes, res.Bounces, res.SharedQueues, res.NaiveQueues)
-	case "recovery":
-		res := tagger.CompareRecovery()
-		fmt.Printf("detect-and-break recovery on the Figure 10 scenario:\n")
-		fmt.Printf("  deadlock reformed %d times; %d lossless packets sacrificed\n",
-			res.RecoveryDetections, res.RecoveryPacketsDropped)
-		fmt.Printf("  goodput: recovery %.1f Gbps vs Tagger %.1f Gbps\n",
-			res.RecoveryGoodputGbps, res.TaggerGoodputGbps)
-		fmt.Println("paper §1: recovery \"cannot guarantee that the deadlock would not immediately reappear\"")
-	case "dcqcn":
-		res := tagger.DCQCNExperiment()
-		fmt.Printf("incast PAUSE frames: %d without congestion control, %d with DCQCN\n",
-			res.PausesWithoutCC, res.PausesWithCC)
-		fmt.Printf("incast goodput with DCQCN: %.1f Gbps\n", res.GoodputGbps)
-		fmt.Printf("Tagger + DCQCN on the Fig 10 scenario clean: %v\n", res.TaggerCleanWith)
-	case "budget":
-		fmt.Println("lossless queue budget per ASIC generation (§3.3):")
-		for _, r := range tagger.QueueBudget() {
-			fmt.Printf("  %-14s %4.0f MB buffer, %d x %dG: %d lossless queues (%d KB/queue/port)\n",
-				r.Name, r.BufferMB, r.Ports, r.GbpsPerPort, r.MaxLossless, r.PerQueueBytes>>10)
-		}
-		fmt.Println("paper: \"even newest switching ASICs are not expected to support more than four\"")
-	case "reconverge":
-		fmt.Println("organic failure handling (no pinned paths): fail L1-T1 and L3-T4 at 5ms,")
-		fmt.Println("local fast-reroute detours + stale upstream routes, global convergence at 15ms")
-		fmt.Println()
-		fmt.Println("=== WITHOUT Tagger ===")
-		printExperiment(tagger.Reconvergence(false, 8))
-		fmt.Println()
-		fmt.Println("=== WITH Tagger (k=1) ===")
-		printExperiment(tagger.Reconvergence(true, 8))
-	case "chaos":
-		n := *seeds
-		if *runs > 0 {
-			n = *runs
-		}
-		fmt.Printf("chaos soak: %d seeded fault schedules over the testbed (link flaps,\n", n)
-		fmt.Println("switch reboots, faulty switch agents); a 500us watchdog samples for")
-		fmt.Println("pause-wait cycles; Tagger rules deploy through the unreliable agents")
-		fmt.Println()
-		sd := sweep.Seeds(1, n)
-		var with, without []tagger.ChaosSoakResult
-		if *trace != "" {
-			// Tracing runs the soaks serially, one capture per seed and
-			// arm: <file>.seed<N>.with / .without.
-			fmt.Printf("(tracing each soak to %s.seed<N>.<with|without>, %s)\n\n", *trace, *traceFmt)
-			soak := func(seed int64, withTagger bool, arm string) tagger.ChaosSoakResult {
-				tr, finish, err := openTrace(fmt.Sprintf("%s.seed%d.%s", *trace, seed, arm), *traceFmt)
-				if err != nil {
-					log.Fatal(err)
-				}
-				res, err := tagger.ChaosSoakTraced(seed, withTagger, opsReg, tr)
-				if ferr := finish(); err == nil {
-					err = ferr
-				}
-				if err != nil {
-					log.Fatal(err)
-				}
-				return res
-			}
-			for _, seed := range sd {
-				with = append(with, soak(seed, true, "with"))
-				without = append(without, soak(seed, false, "without"))
-			}
-		} else {
-			var err error
-			with, err = tagger.ChaosSweep(sd, true, *par, opsReg)
-			if err != nil {
-				log.Fatal(err)
-			}
-			without, err = tagger.ChaosSweep(sd, false, *par, opsReg)
-			if err != nil {
-				log.Fatal(err)
-			}
-		}
-		for i, seed := range sd {
-			w, wo := with[i], without[i]
-			fmt.Printf("seed %-3d %2d faults | with Tagger: clean=%v (bring-up attempts=%d, install failures=%d, partial installs caught=%d) | without: deadlocked=%v (%d/%d samples)\n",
-				seed, w.Faults, w.Clean(), w.DeployAttempts,
-				w.DeployCounters["deploy.install.fail"],
-				w.DeployCounters["deploy.partial_detected"],
-				wo.Deadlocked, wo.Watchdog.DeadlockSamples, wo.Watchdog.Samples)
-			if wo.FirstDeadlock != nil {
-				fmt.Printf("         first cycle at %v: %s\n",
-					wo.Watchdog.FirstDeadlockAt, tagger.DeadlockString(wo.FirstDeadlock))
-			}
-		}
-	case "churn":
-		n := *seeds
-		if *runs > 0 {
-			n = *runs
-		}
-		fmt.Printf("churn soak: %d seeded churn sequences over the testbed (link flaps,\n", n)
-		fmt.Println("drains, a pod expansion); each event re-synthesizes incrementally and")
-		fmt.Println("deploys per-switch rule deltas two-phase; midway a spine reboots and")
-		fmt.Println("the reconciliation sweep re-drives it to intent")
-		fmt.Println()
-		if *trace != "" {
-			fmt.Printf("(tracing a post-churn validation run per seed to %s.seed<N>, %s)\n", *trace, *traceFmt)
-		}
-		for seed := int64(1); seed <= int64(n); seed++ {
-			var res tagger.ChurnSoakResult
-			var err error
-			if *trace != "" {
-				// The churn pipeline is controller-only; -trace appends a
-				// packet-level validation run of the converged fabric and
-				// captures its event stream.
-				tr, finish, terr := openTrace(fmt.Sprintf("%s.seed%d", *trace, seed), *traceFmt)
-				if terr != nil {
-					log.Fatal(terr)
-				}
-				res, err = tagger.ChurnSoakTraced(seed, 24, tr)
-				if ferr := finish(); err == nil {
-					err = ferr
-				}
-			} else {
-				res, err = tagger.ChurnSoak(seed, 24)
-			}
-			if err != nil {
-				log.Fatal(err)
-			}
-			added, removed, modified := res.RulesMoved()
-			fmt.Printf("seed %-3d %2d events (+%d pod) | rules +%d -%d ~%d | %s rebooted, reconcile fixed %d | converged=%v (%d rules live)\n",
-				res.Seed, len(res.Events), res.PodsAdded, added, removed, modified,
-				res.Rebooted, res.ReconcileFixed, res.Converged, res.FinalRules)
-			if !res.Converged {
-				log.Fatalf("seed %d: fabric did not converge to intent", res.Seed)
-			}
-			if *trace != "" && res.ValidationDeadlocked {
-				log.Fatalf("seed %d: post-churn validation run deadlocked", res.Seed)
-			}
-		}
-	case "detect":
-		// The matrix defaults to 100 seeds (the head-to-head needs a
-		// population, not a demo); -runs/-seeds override.
-		n := 100
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "seeds" {
-				n = *seeds
-			}
-		})
-		if *runs > 0 {
-			n = *runs
-		}
-		fmt.Printf("detect-vs-prevent matrix: %d seeds x 4 arms over the Figure 3 CBD\n", n)
-		fmt.Println("scenario (jittered starts, background cross traffic, off-path T2")
-		fmt.Println("reboots). Arms: tagger (prevention; detector rides along as a")
-		fmt.Println("false-positive oracle), detect (in-switch tag detector + targeted")
-		fmt.Println("drop), scan (500us global-view detect-and-break), none (control)")
-		fmt.Println()
-		var matrix map[tagger.DetectArm][]tagger.DetectRunResult
-		var err error
-		if *flightrec {
-			matrix, err = tagger.DetectMatrixFlightRec(sweep.Seeds(1, n), *par, opsReg, tagger.FlightRecConfig{})
-		} else {
-			matrix, err = tagger.DetectMatrix(sweep.Seeds(1, n), *par, opsReg)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		sums := tagger.SummarizeDetectMatrix(matrix)
-		fmt.Print(tagger.DetectMatrixTable(sums))
-		fmt.Println()
-		if *flightrec {
-			var first string
-			for _, arm := range tagger.DetectArms() {
-				var captured int
-				var dropped, overwrites int64
-				for _, r := range matrix[arm] {
-					names := writeIncidents(fmt.Sprintf("detect.seed%d.%s", r.Seed, arm), r.Incidents)
-					if first == "" && len(names) > 0 {
-						first = names[0]
-					}
-					captured += len(r.Incidents)
-					dropped += r.FlightRecDropped
-					if r.FlightRecOverwrites > overwrites {
-						overwrites = r.FlightRecOverwrites
-					}
-				}
-				fmt.Printf("flight recorder: %-6s arm: %d incidents captured, %d triggers dropped, max ring overwrites %d\n",
-					arm, captured, dropped, overwrites)
-			}
-			if first != "" {
-				fmt.Printf("forensics: taggertrace postmortem %s\n", first)
-			}
-			fmt.Println()
-		}
-		for _, s := range sums {
-			switch s.Arm {
-			case tagger.ArmTagger:
-				if s.DeadlockSeeds != 0 {
-					log.Fatalf("tagger arm deadlocked on %d seeds — prevention failed", s.DeadlockSeeds)
-				}
-				if s.Detections != 0 {
-					log.Fatalf("detector fired %d times on the Tagger-protected topology (false positives)", s.Detections)
-				}
-			case tagger.ArmDetect:
-				if s.UnrecoveredSeeds != 0 {
-					log.Fatalf("detect arm never cleared a deadlock on %d seeds", s.UnrecoveredSeeds)
-				}
-				if s.DeadlockSeeds > 0 && s.MeanTTR > 5*time.Millisecond {
-					log.Fatalf("detect arm mean time-to-recover %v exceeds the 5ms bound", s.MeanTTR)
-				}
-			case tagger.ArmNone:
-				if s.DeadlockSeeds != s.Seeds {
-					log.Fatalf("control arm deadlocked on only %d/%d seeds — scenario drifted", s.DeadlockSeeds, s.Seeds)
-				}
-			}
-			if s.LosslessDrops != 0 {
-				log.Fatalf("%s arm violated the lossless invariant (%d drops)", s.Arm, s.LosslessDrops)
-			}
-		}
-		fmt.Println("invariants held: tagger arm deadlock- and detection-free; detect arm")
-		fmt.Println("cleared every seed's deadlocks within bounded time-to-recover (the")
-		fmt.Println("cycle re-forms under persistent CBD traffic — §1's case against")
-		fmt.Println("detect-and-react); the unprotected control deadlocked on every seed")
-	case "compression":
-		lv := tagger.CompressionAblation()
-		fmt.Printf("testbed rule set compression (§7/Figure 9):\n")
-		fmt.Printf("  exact rules:          %d\n", lv.Exact)
-		fmt.Printf("  InPort bitmaps only:  %d\n", lv.InPortOnly)
-		fmt.Printf("  joint aggregation:    %d\n", lv.Joint)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; valid experiments: %s\n",
-			*exp, strings.Join(experiments, ", "))
-		os.Exit(2)
+	rep, err := e.Run(opt)
+	fmt.Fprint(stdout, rep)
+	if err == nil && srv != nil {
+		log.Printf("run finished; ops endpoint still serving on http://%s — interrupt to exit", srv.Addr())
+		ch := make(chan os.Signal, 1)
+		signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
+		<-ch
 	}
-}
-
-// experiments lists every -exp value the switch in main accepts, in
-// help/usage order; the default case prints it so a typo answers with
-// the menu, not just a shrug.
-var experiments = []string{
-	"fig10", "fig11", "fig12", "table1", "overhead", "multiclass",
-	"recovery", "dcqcn", "budget", "compression", "isolation",
-	"reconverge", "chaos", "churn", "detect",
-}
-
-// writeIncidents dumps each captured incident under incidents/ as
-// <stem>.<seq>.tgl and prints where it went, returning the paths.
-func writeIncidents(stem string, incs []tagger.Incident) []string {
-	if len(incs) == 0 {
-		return nil
-	}
-	if err := os.MkdirAll("incidents", 0o755); err != nil {
-		log.Fatal(err)
-	}
-	var names []string
-	for _, inc := range incs {
-		name := fmt.Sprintf("incidents/%s.%d.tgl", stem, inc.Seq)
-		if err := os.WriteFile(name, inc.Data, 0o644); err != nil {
-			log.Fatal(err)
-		}
-		names = append(names, name)
-	}
-	return names
-}
-
-// openTrace creates path and wires a tracer in the requested encoding;
-// the returned finish function flushes the capture, prints the
-// writer-ring drop counter (a lossy capture must never read as a
-// complete one), surfaces any loss as an error, and closes the file.
-func openTrace(path, format string) (sim.Tracer, func() error, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	tr, finish, err := tagger.NewTracerStats(f, format)
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	return tr, func() error {
-		st, err := finish()
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		fmt.Printf("trace capture %s: %d events dropped by the writer ring\n", path, st.Dropped)
-		if err == nil && format == tagger.TraceBinary && st.Dropped > 0 {
-			err = fmt.Errorf("binary trace %s is incomplete (%d events dropped)", path, st.Dropped)
-		}
-		return err
-	}, nil
-}
-
-func printExperiment(res tagger.ExperimentResult) {
-	if res.Deadlocked {
-		fmt.Printf("DEADLOCK detected; pause-wait cycle:\n")
-		for _, e := range res.Cycle {
-			fmt.Printf("  %s\n", e)
-		}
-	} else {
-		fmt.Println("no deadlock")
-	}
-	fmt.Printf("drops: %+v\n", res.Drops)
-	fmt.Println("per-flow delivered rate over time (each char = 1 ms, full block = 40 Gbps):")
-	for _, f := range res.Flows {
-		vals := make([]float64, len(f.Points))
-		for i, p := range f.Points {
-			vals[i] = p.Gbps
-		}
-		fmt.Printf("  %-8s %s  late: %5.1f Gbps\n", f.Name, metrics.Sparkline(vals, 40), f.LateGbps)
-	}
+	return err
 }

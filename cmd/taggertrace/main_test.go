@@ -39,14 +39,7 @@ func regenerate(t *testing.T) {
 	for _, g := range []struct {
 		path, format string
 	}{{goldenJSONL, tagger.TraceJSONL}, {goldenBinary, tagger.TraceBinary}} {
-		f, err := os.Create(g.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tagger.FigureTracedFormat("fig10", false, f, g.format); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if _, err := tagger.FigureWith("fig10", false, tagger.RunOptions{Trace: g.path, TraceFormat: g.format}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -123,14 +116,14 @@ func regeneratePostmortem(t *testing.T) {
 	if err := os.MkdirAll("testdata", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	res, err := tagger.DetectRunFlightRec(1, tagger.ArmDetect, nil, tagger.FlightRecConfig{})
+	res, err := tagger.DetectRun(1, tagger.ArmDetect, tagger.RunOptions{FlightRec: &tagger.FlightRecConfig{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Incidents) == 0 {
+	if len(res.Capture.Incidents) == 0 {
 		t.Fatal("seeded detect run captured no incidents")
 	}
-	inc := res.Incidents[0]
+	inc := res.Capture.Incidents[0]
 	if err := os.WriteFile(goldenTGL, inc.Data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -187,16 +180,16 @@ func TestGoldenPostmortemFresh(t *testing.T) {
 	if err != nil {
 		t.Skipf("golden incident missing (run with -update): %v", err)
 	}
-	res, err := tagger.DetectRunFlightRec(1, tagger.ArmDetect, nil, tagger.FlightRecConfig{})
+	res, err := tagger.DetectRun(1, tagger.ArmDetect, tagger.RunOptions{FlightRec: &tagger.FlightRecConfig{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Incidents) == 0 {
+	if len(res.Capture.Incidents) == 0 {
 		t.Fatal("seeded detect run captured no incidents")
 	}
-	if !bytes.Equal(res.Incidents[0].Data, want) {
+	if !bytes.Equal(res.Capture.Incidents[0].Data, want) {
 		t.Errorf("fresh capture differs from %s (%d vs %d bytes): incident capture is not deterministic",
-			goldenTGL, len(res.Incidents[0].Data), len(want))
+			goldenTGL, len(res.Capture.Incidents[0].Data), len(want))
 	}
 }
 

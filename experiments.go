@@ -2,7 +2,6 @@ package tagger
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/chaos"
@@ -20,7 +19,6 @@ import (
 	"repro/internal/tcam"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -134,25 +132,16 @@ func (r Table5Result) String() string {
 // shortest-path ELP between all switch pairs (plus extraRandom random
 // paths), synthesized with Algorithms 1+2 and compressed to TCAM entries.
 func Table5Case(switches, ports int, extraRandom int, seed int64) (Table5Row, error) {
-	return table5Case(switches, ports, extraRandom, seed, false, 1)
+	return Table5CaseWith(switches, ports, extraRandom, seed, RunOptions{Par: 1})
 }
 
-// Table5CasePar is Table5Case with an explicit worker count for the
-// fan-out stages: ELP enumeration, Algorithm 1, rule derivation, replay
-// and TCAM compression (0 = GOMAXPROCS, 1 = serial). Every worker count
-// computes the identical row; see internal/parallel.
-func Table5CasePar(switches, ports, extraRandom int, seed int64, par int) (Table5Row, error) {
-	return table5Case(switches, ports, extraRandom, seed, false, par)
-}
-
-// Table5CaseECMP is Table5Case with the denser ELP production fabrics
-// run: ALL equal-cost shortest paths per pair (capped at 8), the multipath
-// sets ECMP actually spreads over.
-func Table5CaseECMP(switches, ports int, seed int64) (Table5Row, error) {
-	return table5Case(switches, ports, 0, seed, true, 1)
-}
-
-func table5Case(switches, ports, extraRandom int, seed int64, ecmp bool, par int) (Table5Row, error) {
+// Table5CaseWith is Table5Case under o: o.Par is the worker count for the
+// fan-out stages — ELP enumeration, Algorithm 1, rule derivation, replay
+// and TCAM compression; every count computes the identical row (see
+// internal/parallel) — and o.ECMP selects the denser ELP production
+// fabrics run: ALL equal-cost shortest paths per pair (capped at 8), the
+// multipath sets ECMP actually spreads over.
+func Table5CaseWith(switches, ports, extraRandom int, seed int64, o RunOptions) (Table5Row, error) {
 	j, err := topology.NewJellyfish(topology.JellyfishConfig{
 		Switches: switches, Ports: ports, Seed: seed,
 	})
@@ -160,25 +149,23 @@ func table5Case(switches, ports, extraRandom int, seed int64, ecmp bool, par int
 		return Table5Row{}, err
 	}
 	var set *elp.Set
-	if ecmp {
+	if o.ECMP {
 		set = elp.ShortestAllECMP(j.Graph, j.Switches, 8)
 	} else {
-		set = elp.ShortestAllN(j.Graph, j.Switches, par)
+		set = elp.ShortestAllN(j.Graph, j.Switches, o.Par)
 	}
 	if extraRandom > 0 {
 		maxHops := 2 // random paths up to 2x the diameter-ish; keep short
 		for _, p := range set.Paths() {
-			if p.Hops() > maxHops {
-				maxHops = p.Hops()
-			}
+			maxHops = max(maxHops, p.Hops())
 		}
 		elp.AddRandomPaths(set, j.Graph, j.Switches, extraRandom, maxHops+2, seed^0x7ead)
 	}
-	sys, err := core.Synthesize(j.Graph, set.Paths(), core.Options{Workers: par})
+	sys, err := core.Synthesize(j.Graph, set.Paths(), core.Options{Workers: o.Par})
 	if err != nil {
 		return Table5Row{}, err
 	}
-	entries := tcam.CompressN(sys.Rules.Rules(), par)
+	entries := tcam.CompressN(sys.Rules.Rules(), o.Par)
 	return Table5Row{
 		Switches:        switches,
 		Ports:           ports,
@@ -259,6 +246,9 @@ type ExperimentResult struct {
 	// Engine is the event engine's own account of the run: events
 	// dispatched by kind, lane vs heap scheduling, pending high-water mark.
 	Engine sim.EngineStats
+	// Capture is what the run's trace and flight recorder produced
+	// (FigureWith only; zero otherwise).
+	Capture CaptureStats
 }
 
 func runScenario(s *workload.Scenario) ExperimentResult {
@@ -280,14 +270,29 @@ func runScenario(s *workload.Scenario) ExperimentResult {
 	return res
 }
 
+// bounces is the workload option behind every with/without pair: Tagger
+// deployed with a one-bounce budget, or nothing.
+func bounces(withTagger bool) workload.Options {
+	if withTagger {
+		return workload.Options{Bounces: 1}
+	}
+	return workload.Options{}
+}
+
 // Figure10 runs the 1-bounce deadlock experiment; withTagger selects the
 // (a)/(b) halves of the figure.
 func Figure10(withTagger bool) ExperimentResult {
-	opt := workload.Options{}
-	if withTagger {
-		opt.Bounces = 1
-	}
-	return runScenario(workload.Figure10(opt))
+	return runScenario(workload.Figure10(bounces(withTagger)))
+}
+
+// Figure11 runs the routing-loop experiment.
+func Figure11(withTagger bool) ExperimentResult {
+	return runScenario(workload.Figure11(bounces(withTagger)))
+}
+
+// Figure12 runs the PAUSE-propagation shuffle experiment.
+func Figure12(withTagger bool) ExperimentResult {
+	return runScenario(workload.Figure12(bounces(withTagger)))
 }
 
 // Reconvergence runs the organic failure experiment: no pinned paths —
@@ -295,168 +300,52 @@ func Figure10(withTagger bool) ExperimentResult {
 // stale upstream routes with transient micro-loops, then global
 // convergence at 15 ms. It is the §3 story end to end.
 func Reconvergence(withTagger bool, flows int) ExperimentResult {
-	opt := workload.Options{}
-	if withTagger {
-		opt.Bounces = 1
-	}
-	return runScenario(workload.Reconvergence(opt, flows))
+	return runScenario(workload.Reconvergence(bounces(withTagger), flows))
 }
 
-// Trace encodings accepted by the traced experiment drivers.
+// Trace encodings accepted by RunOptions.TraceFormat.
 const (
 	TraceJSONL  = "jsonl"
 	TraceBinary = "binary"
 )
 
-// CaptureStats reports what one traced run's capture path shed:
-// Dropped counts events the writer lost — the binary tracer's SPSC
-// ring under backpressure, or JSONL events arriving after a write
-// error. Surfaced so a lossy capture never reads as a complete one.
+// CaptureStats reports what one run's optional capture paths produced
+// and shed, so a lossy capture never reads as a complete one. File is
+// the event trace written (empty when untraced) and Dropped counts the
+// events its writer lost — the binary tracer's SPSC ring under
+// backpressure, or JSONL events arriving after a write error. Incidents
+// are the flight recorder's captures, each a self-contained binary trace
+// for `taggertrace postmortem`, deterministic per seed (and arm);
+// DroppedTriggers and Overwrites are its loss counters.
 type CaptureStats struct {
-	Dropped int64
+	File            string
+	Dropped         int64
+	Incidents       []Incident
+	DroppedTriggers int64
+	Overwrites      int64
 }
 
-// NewTracerStats builds an event tracer writing to w in the requested
-// encoding. The returned finish function flushes the capture and hands
-// back its loss counters; a write error is returned as an error, but
-// ring drops alone are the caller's policy call (NewTracer turns them
-// into errors; taggersim surfaces them in its end-of-run summary).
-// Call finish exactly once, after the simulation completes.
-func NewTracerStats(w io.Writer, format string) (sim.Tracer, func() (CaptureStats, error), error) {
-	switch format {
-	case "", TraceJSONL:
-		tr := &sim.JSONLTracer{W: w}
-		return tr, func() (CaptureStats, error) {
-			st := CaptureStats{Dropped: tr.Dropped}
-			if tr.Err != nil {
-				return st, fmt.Errorf("tagger: trace write: %w (%d events dropped)", tr.Err, tr.Dropped)
-			}
-			return st, nil
-		}, nil
-	case TraceBinary:
-		bt, err := sim.NewBinaryTracer(w, trace.Config{})
-		if err != nil {
-			return nil, nil, err
-		}
-		return bt, func() (CaptureStats, error) {
-			if err := bt.Close(); err != nil {
-				return CaptureStats{Dropped: bt.Dropped()}, fmt.Errorf("tagger: trace write: %w", err)
-			}
-			return CaptureStats{Dropped: bt.Dropped()}, nil
-		}, nil
+// FigureWith runs one half of a figure experiment ("fig10", "fig11",
+// "fig12") under o: o.Trace writes the event stream (pauses, resumes,
+// demotions, drops, deadlock onsets) to that file, o.FlightRec arms the
+// flight recorder so deadlock onset (or an invariant violation) freezes
+// the last-window ring into an incident. The result's Capture holds what
+// either path produced and shed.
+func FigureWith(name string, withTagger bool, o RunOptions) (ExperimentResult, error) {
+	build, ok := map[string]func(workload.Options) *workload.Scenario{
+		"fig10": workload.Figure10, "fig11": workload.Figure11, "fig12": workload.Figure12,
+	}[name]
+	if !ok {
+		return ExperimentResult{}, fmt.Errorf("tagger: unknown figure %q", name)
 	}
-	return nil, nil, fmt.Errorf("tagger: unknown trace format %q (want %s or %s)", format, TraceJSONL, TraceBinary)
-}
-
-// NewTracer is NewTracerStats with the strict loss policy folded in:
-// finish reports any loss — a write error, or (binary) ring-buffer
-// drops — as an error.
-func NewTracer(w io.Writer, format string) (sim.Tracer, func() error, error) {
-	tr, finish, err := NewTracerStats(w, format)
+	s := build(bounces(withTagger))
+	finish, err := o.capture(s.Net, o.Trace)
 	if err != nil {
-		return nil, nil, err
+		return ExperimentResult{}, err
 	}
-	isBinary := format == TraceBinary
-	return tr, func() error {
-		st, err := finish()
-		if err != nil {
-			return err
-		}
-		if isBinary && st.Dropped > 0 {
-			return fmt.Errorf("tagger: binary trace dropped %d events", st.Dropped)
-		}
-		return nil
-	}, nil
-}
-
-// figureScenario builds the named figure experiment's scenario.
-func figureScenario(name string, withTagger bool) (*workload.Scenario, error) {
-	opt := workload.Options{}
-	if withTagger {
-		opt.Bounces = 1
-	}
-	switch name {
-	case "fig10":
-		return workload.Figure10(opt), nil
-	case "fig11":
-		return workload.Figure11(opt), nil
-	case "fig12":
-		return workload.Figure12(opt), nil
-	}
-	return nil, fmt.Errorf("tagger: unknown figure %q", name)
-}
-
-// FigureTracedStats runs one of the figure experiments with an event
-// trace written to w, surfacing the capture-loss counters so the
-// caller can put them in its end-of-run summary. Drops alone are not
-// an error here; a write failure is.
-func FigureTracedStats(name string, withTagger bool, w io.Writer, format string) (ExperimentResult, CaptureStats, error) {
-	s, err := figureScenario(name, withTagger)
-	if err != nil {
-		return ExperimentResult{}, CaptureStats{}, err
-	}
-	tr, finish, err := NewTracerStats(w, format)
-	if err != nil {
-		return ExperimentResult{}, CaptureStats{}, err
-	}
-	s.Net.SetTracer(tr)
 	res := runScenario(s)
-	st, err := finish()
-	return res, st, err
-}
-
-// FigureTracedFormat runs one of the figure experiments with an event
-// trace (pauses, resumes, demotions, drops, deadlock onsets) written to
-// w in the given encoding (TraceJSONL or TraceBinary); any capture
-// loss is an error.
-func FigureTracedFormat(name string, withTagger bool, w io.Writer, format string) (ExperimentResult, error) {
-	res, st, err := FigureTracedStats(name, withTagger, w, format)
-	if err != nil {
-		return res, err
-	}
-	if format == TraceBinary && st.Dropped > 0 {
-		return res, fmt.Errorf("tagger: binary trace dropped %d events", st.Dropped)
-	}
-	return res, nil
-}
-
-// FigureFlightRec runs one of the figure experiments with the flight
-// recorder armed: deadlock onset (or an invariant violation) freezes
-// the last-window ring and captures a self-contained incident. The
-// returned recorder holds the incidents and the capture-loss counters
-// (DroppedTriggers, Overwrites) for the end-of-run summary.
-func FigureFlightRec(name string, withTagger bool, cfg sim.FlightRecConfig) (ExperimentResult, *sim.FlightRecorder, error) {
-	s, err := figureScenario(name, withTagger)
-	if err != nil {
-		return ExperimentResult{}, nil, err
-	}
-	fr := s.Net.EnableFlightRecorder(cfg)
-	res := runScenario(s)
-	return res, fr, nil
-}
-
-// FigureTraced is FigureTracedFormat pinned to the legacy JSONL
-// encoding.
-func FigureTraced(name string, withTagger bool, w io.Writer) (ExperimentResult, error) {
-	return FigureTracedFormat(name, withTagger, w, TraceJSONL)
-}
-
-// Figure11 runs the routing-loop experiment.
-func Figure11(withTagger bool) ExperimentResult {
-	opt := workload.Options{}
-	if withTagger {
-		opt.Bounces = 1
-	}
-	return runScenario(workload.Figure11(opt))
-}
-
-// Figure12 runs the PAUSE-propagation shuffle experiment.
-func Figure12(withTagger bool) ExperimentResult {
-	opt := workload.Options{}
-	if withTagger {
-		opt.Bounces = 1
-	}
-	return runScenario(workload.Figure12(opt))
+	res.Capture, err = finish()
+	return res, err
 }
 
 // --- §8 overhead ---------------------------------------------------------------
@@ -485,9 +374,7 @@ func Overhead() OverheadResult {
 	worstP99 := func(s *workload.Scenario) time.Duration {
 		var worst time.Duration
 		for _, f := range s.Flows {
-			if p := f.Latency().P99; p > worst {
-				worst = p
-			}
+			worst = max(worst, f.Latency().P99)
 		}
 		return worst
 	}
@@ -606,8 +493,7 @@ type DCQCNResult struct {
 func DCQCNExperiment() DCQCNResult {
 	run := func(cc bool) (*sim.Network, float64) {
 		c := paper.Testbed()
-		tb := routingComputeUD(c)
-		n := sim.New(c.Graph, tb, sim.DefaultConfig())
+		n := sim.New(c.Graph, routing.ComputeToHosts(c.Graph, routing.UpDown), sim.DefaultConfig())
 		if cc {
 			n.EnableDCQCN(sim.DefaultDCQCN())
 		}
@@ -631,10 +517,6 @@ func DCQCNExperiment() DCQCNResult {
 	s.Run()
 	out.TaggerCleanWith = !s.Net.Deadlocked() && s.Net.Drops().Total() == 0
 	return out
-}
-
-func routingComputeUD(c *topology.Clos) *routing.Tables {
-	return routing.ComputeToHosts(c.Graph, routing.UpDown)
 }
 
 // --- §3.3 lossless queue budget --------------------------------------------------------
@@ -726,6 +608,9 @@ type ChaosSoakResult struct {
 	DeployAttempts int
 	DeployCounters map[string]int64
 	FabricVerified bool
+	// Capture is what the soak's event trace shed (ChaosSoakWith under
+	// RunOptions.Trace; zero otherwise).
+	Capture CaptureStats
 }
 
 // Clean reports the soak invariant for a Tagger deployment: no deadlock
@@ -757,53 +642,52 @@ func ChaosSoakConfig() chaos.Config {
 // simulation executes. Without Tagger the identical schedule runs bare,
 // reproducing the deadlock the deployment exists to prevent.
 func ChaosSoak(seed int64, withTagger bool) (ChaosSoakResult, error) {
-	return ChaosSoakWithTelemetry(seed, withTagger, nil)
+	return ChaosSoakWith(seed, withTagger, RunOptions{})
 }
 
-// ChaosSoakWithTelemetry is ChaosSoak with operational metrics: when reg
-// is non-nil the packet simulation reports its PFC pause histograms and
-// deadlock gauges into it, the soak itself runs under a "soak" span, and
-// the controller's deployment counters/spans are merged in after
-// bring-up. A nil reg keeps the soak telemetry-free (and bit-identical
-// to previous behavior, which the determinism test pins).
-func ChaosSoakWithTelemetry(seed int64, withTagger bool, reg *telemetry.Registry) (ChaosSoakResult, error) {
-	return chaosSoak(seed, withTagger, reg, nil)
-}
-
-// ChaosSoakTraced is ChaosSoakWithTelemetry with the packet
-// simulation's event stream captured by tr (build one with NewTracer);
-// the caller owns flushing the capture after the soak returns. Tracing
-// implies a serial, per-seed run — the sweep fan-out stays untraced.
-func ChaosSoakTraced(seed int64, withTagger bool, reg *telemetry.Registry, tr sim.Tracer) (ChaosSoakResult, error) {
-	return chaosSoak(seed, withTagger, reg, tr)
-}
-
-func chaosSoak(seed int64, withTagger bool, reg *telemetry.Registry, tr sim.Tracer) (ChaosSoakResult, error) {
+// ChaosSoakWith is ChaosSoak under o. With o.Ops set the packet
+// simulation reports its PFC pause histograms and deadlock gauges into
+// it, the soak itself runs under a "soak" span, and the controller's
+// deployment counters/spans are merged in after bring-up; a nil Ops keeps
+// the soak telemetry-free (and bit-identical to ChaosSoak, which the
+// determinism test pins). With o.Trace set the simulation's event stream
+// is captured to <Trace>.seed<N>.<with|without>, one file per soak.
+func ChaosSoakWith(seed int64, withTagger bool, o RunOptions) (res ChaosSoakResult, err error) {
+	reg := o.Ops
 	defer reg.StartSpan("soak").End()
 	sched := chaos.Generate(ChaosSoakConfig(), seed)
 	s := workload.Chaos(workload.Options{}, sched)
-	res := ChaosSoakResult{Seed: seed, Faults: len(sched.Faults)}
+	res = ChaosSoakResult{Seed: seed, Faults: len(sched.Faults)}
 	if reg != nil {
 		s.Net.SetTelemetry(reg)
 	}
-	if tr != nil {
-		s.Net.SetTracer(tr)
+	file, arm := "", "without"
+	if withTagger {
+		arm = "with"
 	}
+	if o.Trace != "" {
+		file = fmt.Sprintf("%s.seed%d.%s", o.Trace, seed, arm)
+	}
+	finish, err := o.capture(s.Net, file)
+	if err != nil {
+		return res, err
+	}
+	defer func() {
+		var ferr error
+		if res.Capture, ferr = finish(); err == nil {
+			err = ferr
+		}
+	}()
 
 	if withTagger {
 		g := s.Clos.Graph
-		var names []string
-		for _, sw := range g.Switches() {
-			names = append(names, g.Node(sw).Name)
-		}
-		fab := chaos.NewFabric(names)
+		fab := chaos.NewFabric(g.SwitchNames())
 		fab.Load(sched)
 		// Bring-up through the faulty agents: a schedule can queue more
 		// consecutive failures than one push retries through, so the
 		// operator story is "re-run until verified" — each attempt drains
 		// the persistent faults further.
 		var ctl *controller.Controller
-		var err error
 		for res.DeployAttempts = 1; res.DeployAttempts <= 6; res.DeployAttempts++ {
 			ctl, err = controller.NewClos(s.Clos, 1, controller.WithAgent(fab))
 			if err == nil {
@@ -840,16 +724,18 @@ func chaosSoak(seed int64, withTagger bool, reg *telemetry.Registry, tr sim.Trac
 	return res, nil
 }
 
-// ChaosSweep runs one independent chaos soak per seed, fanned across par
-// workers (par <= 0 means GOMAXPROCS), and returns the verdicts in seed
-// order. Each run owns its Network and — when reg is non-nil — a private
-// telemetry registry, merged into reg in seed order after every run
-// completes, so par=1 and par=N produce identical results and identical
-// aggregate telemetry (the -race determinism gate pins this).
-func ChaosSweep(seeds []int64, withTagger bool, par int, reg *telemetry.Registry) ([]ChaosSoakResult, error) {
-	return sweep.RunMerged(seeds, par, reg,
+// ChaosSweep runs one independent chaos soak per seed, fanned across
+// o.Par workers (<= 0 means GOMAXPROCS), and returns the verdicts in seed
+// order. Each run owns its Network and — when o.Ops is non-nil — a
+// private telemetry registry, merged into o.Ops in seed order after every
+// run completes, so par=1 and par=N produce identical results and
+// identical aggregate telemetry (the -race determinism gate pins this).
+func ChaosSweep(seeds []int64, withTagger bool, o RunOptions) ([]ChaosSoakResult, error) {
+	return sweep.RunMerged(seeds, o.Par, o.Ops,
 		func(seed int64, runReg *telemetry.Registry) (ChaosSoakResult, error) {
-			return ChaosSoakWithTelemetry(seed, withTagger, runReg)
+			run := o
+			run.Ops = runReg
+			return ChaosSoakWith(seed, withTagger, run)
 		})
 }
 
@@ -889,10 +775,12 @@ type ChurnSoakResult struct {
 	// controller's intent bundle after the full sequence.
 	Converged  bool
 	FinalRules int
-	// ValidationDeadlocked is set by ChurnSoakTraced: whether the
-	// post-churn validation run of the converged fabric deadlocked
-	// (it must not — the deployed rules exist to prevent exactly that).
+	// ValidationDeadlocked reports whether the traced post-churn
+	// validation run of the converged fabric deadlocked (it must not —
+	// the deployed rules exist to prevent exactly that); Capture is what
+	// that run's trace shed. Both are set only under RunOptions.Trace.
 	ValidationDeadlocked bool
+	Capture              CaptureStats
 }
 
 // RulesMoved totals the rule-level churn across every delta push.
@@ -905,79 +793,25 @@ func (r ChurnSoakResult) RulesMoved() (added, removed, modified int) {
 	return
 }
 
-// churnSwitchLinks collects switch-to-switch links as name pairs for the
-// churn generator; host attachment links never carry ELP paths.
-func churnSwitchLinks(g *topology.Graph) [][2]string {
-	var out [][2]string
-	for i := 0; i < g.NumLinks(); i++ {
-		l := g.Link(topology.LinkID(i))
-		if g.Node(l.A).Kind.IsSwitch() && g.Node(l.B).Kind.IsSwitch() {
-			out = append(out, [2]string{g.Node(l.A).Name, g.Node(l.B).Name})
-		}
-	}
-	return out
-}
-
 // ChurnSoak drives one seeded churn sequence over the paper testbed
 // through the incremental pipeline: tracker -> Resynth -> per-switch
 // two-phase delta deploys. Halfway through it reboots a spine (wiping
 // its rules behind the controller's back) and lets Reconcile repair it.
 // The sequence must end converged: fabric active state == intent bundle
 // on every switch.
-func ChurnSoak(seed int64, events int) (ChurnSoakResult, error) {
-	res, _, err := churnSoak(seed, events)
-	return res, err
-}
-
-// churnState is what a finished churn soak leaves behind for the traced
-// validation run: the (possibly expanded) topology, the fabric's agent
-// state and the controller holding the intent bundle.
-type churnState struct {
-	clos *topology.Clos
-	fab  *chaos.Fabric
-	ctl  *controller.Controller
-}
-
-// ChurnSoakTraced runs ChurnSoak and then validates the converged
-// fabric in the packet simulator under an event trace: the fabric's
-// ACTIVE bundle (not the controller's intent) is imported, routes are
-// recomputed over the post-churn topology, cross-pod flows run for a
-// few milliseconds and every pause/resume/demotion lands in tr. The
-// churn pipeline itself is controller-only; this is what makes
-// `taggersim -exp churn -trace` produce an analyzable capture.
-func ChurnSoakTraced(seed int64, events int, tr sim.Tracer) (ChurnSoakResult, error) {
-	res, st, err := churnSoak(seed, events)
-	if err != nil {
-		return res, err
-	}
-	g := st.clos.Graph
-	live := st.fab.ActiveBundle(st.ctl.Bundle().MaxTag)
-	rs, err := deploy.Import(g, live)
-	if err != nil {
-		return res, err
-	}
-	n := sim.New(g, routing.ComputeToHosts(g, routing.UpDown), sim.DefaultConfig())
-	n.InstallTagger(rs)
-	n.SetTracer(tr)
-	n.AddFlow(sim.FlowSpec{Name: "v1", Src: g.MustLookup("H5"), Dst: g.MustLookup("H1")})
-	n.AddFlow(sim.FlowSpec{Name: "v2", Src: g.MustLookup("H9"), Dst: g.MustLookup("H1")})
-	n.Run(5 * time.Millisecond)
-	res.ValidationDeadlocked = n.Deadlocked()
-	return res, nil
-}
-
-func churnSoak(seed int64, events int) (ChurnSoakResult, *churnState, error) {
+//
+// The churn pipeline itself is controller-only. With o.Trace set the
+// soak then validates the converged fabric in the packet simulator
+// under an event trace: the fabric's ACTIVE bundle (not the
+// controller's intent) is imported, routes are recomputed over the
+// post-churn topology, cross-pod flows run for a few milliseconds and
+// every pause/resume/demotion lands in <Trace>.seed<N> — which is what
+// makes `taggersim -exp churn -trace` produce an analyzable file.
+func ChurnSoak(seed int64, events int, o RunOptions) (ChurnSoakResult, error) {
 	res := ChurnSoakResult{Seed: seed}
 	c := paper.Testbed()
 	g := c.Graph
-	names := func() []string {
-		var out []string
-		for _, sw := range g.Switches() {
-			out = append(out, g.Node(sw).Name)
-		}
-		return out
-	}
-	fab := chaos.NewFabric(names())
+	fab := chaos.NewFabric(g.SwitchNames())
 	ctl, err := controller.NewChurn(g,
 		controller.KBouncePolicy(func() []topology.NodeID { return c.ToRs }, 1),
 		controller.WithAgent(fab),
@@ -988,12 +822,12 @@ func churnSoak(seed int64, events int) (ChurnSoakResult, *churnState, error) {
 			JitterSeed:  seed,
 		}))
 	if err != nil {
-		return res, nil, err
+		return res, err
 	}
 
 	seq := chaos.GenerateChurn(chaos.ChurnConfig{
-		Links:    churnSwitchLinks(g),
-		Switches: names(),
+		Links:    g.SwitchLinks(),
+		Switches: g.SwitchNames(),
 		Events:   events,
 		PodAdds:  1,
 	}, seed)
@@ -1015,16 +849,16 @@ func churnSoak(seed int64, events int) (ChurnSoakResult, *churnState, error) {
 				A: g.MustLookup(ev.Switch)}
 		case chaos.ChurnPodAdd:
 			if err := c.Expand(1); err != nil {
-				return res, nil, fmt.Errorf("tagger: churn event %d: %w", i, err)
+				return res, fmt.Errorf("tagger: churn event %d: %w", i, err)
 			}
-			fab.Add(names()...)
+			fab.Add(g.SwitchNames()...)
 			res.PodsAdded++
 			cev = controller.Event{Kind: controller.EventExpansion}
 		default:
-			return res, nil, fmt.Errorf("tagger: unknown churn kind %v", ev.Kind)
+			return res, fmt.Errorf("tagger: unknown churn kind %v", ev.Kind)
 		}
 		if err := ctl.HandleChurn(cev); err != nil {
-			return res, nil, fmt.Errorf("tagger: churn event %d (%s): %w", i, ev, err)
+			return res, fmt.Errorf("tagger: churn event %d (%s): %w", i, ev, err)
 		}
 		log := ctl.DeltaLog()
 		res.Events = append(res.Events, ChurnEventResult{
@@ -1039,7 +873,7 @@ func churnSoak(seed int64, events int) (ChurnSoakResult, *churnState, error) {
 			fab.Reboot(res.Rebooted)
 			fixed, err := ctl.Reconcile()
 			if err != nil {
-				return res, nil, fmt.Errorf("tagger: reconcile after reboot: %w", err)
+				return res, fmt.Errorf("tagger: reconcile after reboot: %w", err)
 			}
 			res.ReconcileFixed = fixed
 		}
@@ -1050,5 +884,24 @@ func churnSoak(seed int64, events int) (ChurnSoakResult, *churnState, error) {
 	for _, sb := range intent.Switches {
 		res.FinalRules += len(sb.Rules)
 	}
-	return res, &churnState{clos: c, fab: fab, ctl: ctl}, nil
+	if o.Trace == "" {
+		return res, nil
+	}
+
+	rs, err := deploy.Import(g, fab.ActiveBundle(intent.MaxTag))
+	if err != nil {
+		return res, err
+	}
+	n := sim.New(g, routing.ComputeToHosts(g, routing.UpDown), sim.DefaultConfig())
+	n.InstallTagger(rs)
+	finish, err := o.capture(n, fmt.Sprintf("%s.seed%d", o.Trace, seed))
+	if err != nil {
+		return res, err
+	}
+	n.AddFlow(sim.FlowSpec{Name: "v1", Src: g.MustLookup("H5"), Dst: g.MustLookup("H1")})
+	n.AddFlow(sim.FlowSpec{Name: "v2", Src: g.MustLookup("H9"), Dst: g.MustLookup("H1")})
+	n.Run(5 * time.Millisecond)
+	res.ValidationDeadlocked = n.Deadlocked()
+	res.Capture, err = finish()
+	return res, err
 }

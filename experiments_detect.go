@@ -66,45 +66,24 @@ type DetectRunResult struct {
 	Drops    sim.DropStats
 	Watchdog sim.WatchdogStats
 
-	// Incidents holds the flight-recorder captures for this cell
-	// (DetectRunFlightRec / DetectMatrixFlightRec only; nil otherwise).
-	// Each is a self-contained binary trace for `taggertrace
-	// postmortem`, deterministic per (seed, arm), so the sweep stays
-	// par-independent. FlightRecDropped and FlightRecOverwrites are the
-	// capture-loss counters for the run summary.
-	Incidents           []sim.Incident
-	FlightRecDropped    int64
-	FlightRecOverwrites int64
+	// Capture holds this cell's flight-recorder incidents and loss
+	// counters (RunOptions.FlightRec only; zero otherwise). Captures are
+	// deterministic per (seed, arm), so the sweep — incident bytes
+	// included — stays par-independent.
+	Capture CaptureStats
 }
-
-// Recovered reports whether the run's protection actually cleared
-// deadlock episodes (at least one onset and at least one recovery).
-func (r DetectRunResult) Recovered() bool { return r.Onsets > 0 && r.Recoveries > 0 }
 
 // DetectRun executes one cell of the matrix: the seeded DetectMatrix
 // scenario (Figure 3 CBD pair with jittered starts, background cross
 // traffic, off-path T2 reboots) under the given arm's protection. When
-// reg is non-nil the cell reports arm-qualified counters into it
+// o.Ops is non-nil the cell reports arm-qualified counters into it
 // ("detect.matrix.*" with an arm label), commutative under merge so the
-// sweep aggregate is par-independent.
-func DetectRun(seed int64, arm DetectArm, reg *telemetry.Registry) (DetectRunResult, error) {
-	return detectRun(seed, arm, reg, nil)
-}
-
-// DetectRunFlightRec is DetectRun with the flight recorder armed: any
-// deadlock onset, detector firing (or false positive) or invariant
-// violation freezes the ring and files an incident into the result's
-// Incidents.
-func DetectRunFlightRec(seed int64, arm DetectArm, reg *telemetry.Registry, cfg sim.FlightRecConfig) (DetectRunResult, error) {
-	return detectRun(seed, arm, reg, &cfg)
-}
-
-func detectRun(seed int64, arm DetectArm, reg *telemetry.Registry, frCfg *sim.FlightRecConfig) (DetectRunResult, error) {
-	opt := workload.Options{}
-	if arm == ArmTagger {
-		opt.Bounces = 1
-	}
-	s := workload.DetectMatrix(opt, seed)
+// sweep aggregate is par-independent. With o.FlightRec set, any deadlock
+// onset, detector firing (or false positive) or invariant violation
+// freezes the recorder's ring and files an incident into the result's
+// Capture.
+func DetectRun(seed int64, arm DetectArm, o RunOptions) (DetectRunResult, error) {
+	s := workload.DetectMatrix(bounces(arm == ArmTagger), seed)
 	res := DetectRunResult{Seed: seed, Arm: arm, FirstOnset: -1}
 
 	var det *sim.DetectorStats
@@ -123,9 +102,9 @@ func detectRun(seed int64, arm DetectArm, reg *telemetry.Registry, frCfg *sim.Fl
 	default:
 		return res, fmt.Errorf("detect: unknown arm %q", arm)
 	}
-	var fr *sim.FlightRecorder
-	if frCfg != nil {
-		fr = s.Net.EnableFlightRecorder(*frCfg)
+	finish, err := o.capture(s.Net, "")
+	if err != nil {
+		return res, err
 	}
 	track := s.Net.TrackDeadlocks()
 	wd := s.Net.StartWatchdog(500 * time.Microsecond)
@@ -151,16 +130,11 @@ func detectRun(seed int64, arm DetectArm, reg *telemetry.Registry, frCfg *sim.Fl
 	res.GoodputGbps = s.AggregateGoodput(2*time.Millisecond, s.Duration)
 	res.Drops = s.Net.Drops()
 	res.Watchdog = *wd
-	if fr != nil {
-		res.Incidents = fr.Incidents()
-		res.FlightRecDropped = fr.DroppedTriggers()
-		res.FlightRecOverwrites = fr.Overwrites()
-		if err := fr.SinkErr(); err != nil {
-			return res, fmt.Errorf("detect: seed %d arm %s: flight-recorder sink: %w", seed, arm, err)
-		}
+	if res.Capture, err = finish(); err != nil {
+		return res, fmt.Errorf("detect: seed %d arm %s: %w", seed, arm, err)
 	}
 
-	if reg != nil {
+	if reg := o.Ops; reg != nil {
 		a := string(arm)
 		reg.Counter("detect.matrix.seeds", "arm", a).Inc()
 		reg.Counter("detect.matrix.onsets", "arm", a).Add(int64(res.Onsets))
@@ -174,29 +148,20 @@ func detectRun(seed int64, arm DetectArm, reg *telemetry.Registry, frCfg *sim.Fl
 	return res, nil
 }
 
-// DetectMatrix fans the four-arm experiment across par workers: every
+// DetectMatrix fans the four-arm experiment across o.Par workers: every
 // arm runs every seed independently (its own Network, its own scenario
-// build), results return in (arm, seed) order, and — via
-// sweep.RunMerged — per-run telemetry merges into reg deterministically.
-func DetectMatrix(seeds []int64, par int, reg *telemetry.Registry) (map[DetectArm][]DetectRunResult, error) {
-	return detectMatrix(seeds, par, reg, nil)
-}
-
-// DetectMatrixFlightRec is DetectMatrix with the flight recorder armed
-// in every cell; each result carries its incidents. Captures are
-// deterministic per (seed, arm), so the matrix — incident bytes
-// included — is identical at par=1 and par=N.
-func DetectMatrixFlightRec(seeds []int64, par int, reg *telemetry.Registry, cfg sim.FlightRecConfig) (map[DetectArm][]DetectRunResult, error) {
-	return detectMatrix(seeds, par, reg, &cfg)
-}
-
-func detectMatrix(seeds []int64, par int, reg *telemetry.Registry, frCfg *sim.FlightRecConfig) (map[DetectArm][]DetectRunResult, error) {
+// build, its own flight recorder when o.FlightRec is set), results
+// return in (arm, seed) order, and — via sweep.RunMerged — per-run
+// telemetry merges into o.Ops deterministically, so the matrix is
+// identical at par=1 and par=N.
+func DetectMatrix(seeds []int64, o RunOptions) (map[DetectArm][]DetectRunResult, error) {
 	out := make(map[DetectArm][]DetectRunResult, 4)
 	for _, arm := range DetectArms() {
-		arm := arm
-		results, err := sweep.RunMerged(seeds, par, reg,
+		results, err := sweep.RunMerged(seeds, o.Par, o.Ops,
 			func(seed int64, runReg *telemetry.Registry) (DetectRunResult, error) {
-				return detectRun(seed, arm, runReg, frCfg)
+				cell := o
+				cell.Ops = runReg
+				return DetectRun(seed, arm, cell)
 			})
 		if err != nil {
 			return out, fmt.Errorf("detect: arm %s: %w", arm, err)
@@ -269,16 +234,12 @@ func SummarizeDetectMatrix(m map[DetectArm][]DetectRunResult) []DetectArmSummary
 			if r.Detections > 0 {
 				ttdSum += r.MeanTTD
 				ttdN++
-				if r.MaxTTD > s.MaxTTD {
-					s.MaxTTD = r.MaxTTD
-				}
+				s.MaxTTD = max(s.MaxTTD, r.MaxTTD)
 			}
 			if r.Recoveries > 0 {
 				ttrSum += r.MeanTTR
 				ttrN++
-				if r.MaxTTR > s.MaxTTR {
-					s.MaxTTR = r.MaxTTR
-				}
+				s.MaxTTR = max(s.MaxTTR, r.MaxTTR)
 			}
 			s.MeanGoodputGbps += r.GoodputGbps
 			s.SacrificedPackets += r.Drops.DetectMitigation + r.Drops.RecoveryFlush
@@ -294,6 +255,32 @@ func SummarizeDetectMatrix(m map[DetectArm][]DetectRunResult) []DetectArmSummary
 		out = append(out, s)
 	}
 	return out
+}
+
+// CheckDetectMatrix is the matrix's verdict, the four-arm invariants the
+// experiment exists to show: the Tagger arm never deadlocks and its
+// ride-along detector never fires, the detect arm clears every seed's
+// deadlocks within a 5ms mean time-to-recover, the unprotected control
+// deadlocks on every seed, and no arm violates the lossless invariant.
+// `taggersim -exp detect` returns it and `make detect-smoke` gates on it.
+func CheckDetectMatrix(sums []DetectArmSummary) error {
+	for _, s := range sums {
+		switch {
+		case s.Arm == ArmTagger && s.DeadlockSeeds != 0:
+			return fmt.Errorf("tagger arm deadlocked on %d seeds — prevention failed", s.DeadlockSeeds)
+		case s.Arm == ArmTagger && s.Detections != 0:
+			return fmt.Errorf("detector fired %d times on the Tagger-protected topology (false positives)", s.Detections)
+		case s.Arm == ArmDetect && s.UnrecoveredSeeds != 0:
+			return fmt.Errorf("detect arm never cleared a deadlock on %d seeds", s.UnrecoveredSeeds)
+		case s.Arm == ArmDetect && s.DeadlockSeeds > 0 && s.MeanTTR > 5*time.Millisecond:
+			return fmt.Errorf("detect arm mean time-to-recover %v exceeds the 5ms bound", s.MeanTTR)
+		case s.Arm == ArmNone && s.DeadlockSeeds != s.Seeds:
+			return fmt.Errorf("control arm deadlocked on only %d/%d seeds — scenario drifted", s.DeadlockSeeds, s.Seeds)
+		case s.LosslessDrops != 0:
+			return fmt.Errorf("%s arm violated the lossless invariant (%d drops)", s.Arm, s.LosslessDrops)
+		}
+	}
+	return nil
 }
 
 // DetectMatrixTable renders the arm comparison. Goodput loss is

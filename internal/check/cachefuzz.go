@@ -125,7 +125,7 @@ func (c CacheCase) failSome(g *topology.Graph) {
 	if c.FailLinks == 0 {
 		return
 	}
-	links := switchLinks(g)
+	links := g.SwitchLinks()
 	if len(links) == 0 {
 		return
 	}

@@ -138,21 +138,6 @@ func (c ChurnCase) enumerate(g *topology.Graph, cl *topology.Clos, endpoints []t
 	return elp.ShortestAllN(g, endpoints, 1)
 }
 
-// switchLinks collects the switch-to-switch links as name pairs — the
-// churn generator's link-flap candidates. Host attachment links are
-// excluded: the ELP recipes never traverse them, so flapping them is
-// pure no-op noise.
-func switchLinks(g *topology.Graph) [][2]string {
-	var out [][2]string
-	for i := 0; i < g.NumLinks(); i++ {
-		l := g.Link(topology.LinkID(i))
-		if g.Node(l.A).Kind.IsSwitch() && g.Node(l.B).Kind.IsSwitch() {
-			out = append(out, [2]string{g.Node(l.A).Name, g.Node(l.B).Name})
-		}
-	}
-	return out
-}
-
 // RunChurnCase drives one seeded churn sequence through the incremental
 // engine and, after every event, holds it to the PR's contract:
 //
@@ -180,13 +165,9 @@ func RunChurnCase(c ChurnCase) error {
 		return fmt.Errorf("check: %s: initial synthesis: %w", c, err)
 	}
 
-	var swNames []string
-	for _, id := range g.Switches() {
-		swNames = append(swNames, g.Node(id).Name)
-	}
 	events := chaos.GenerateChurn(chaos.ChurnConfig{
-		Links:    switchLinks(g),
-		Switches: swNames,
+		Links:    g.SwitchLinks(),
+		Switches: g.SwitchNames(),
 		Events:   c.Events,
 		PodAdds:  c.PodAdds,
 	}, c.Seed+3)

@@ -139,49 +139,18 @@ func (fr *FlightRecorder) Trace(ev TraceEvent) {
 	}
 }
 
-// record mirrors BinaryTracer's entry encoding into the flight ring.
-// Steady state (all strings seen before) is allocation-free, gated by
-// TestFlightRecorderZeroAlloc.
+// record encodes ev into the flight ring with the tracers' shared
+// encodeEvent; a deadlock onset is followed by its cycle edges as plain
+// ring entries. Steady state (all strings seen before) is
+// allocation-free, gated by TestFlightRecorderZeroAlloc.
 func (fr *FlightRecorder) record(ev *TraceEvent) {
-	r := fr.rec
-	switch ev.Kind {
-	case "pause", "resume":
-		kind := trace.KindResume
-		if ev.Kind == "pause" {
-			kind = trace.KindPause
-		}
-		r.Record(trace.Entry{
-			Tick: ev.T, Kind: kind, Prio: uint8(ev.Prio),
-			A: r.Intern(ev.Node), B: r.Intern(ev.Peer), Depth: ev.Depth,
-		})
-	case "drop":
-		r.Record(trace.Entry{
-			Tick: ev.T, Kind: trace.KindDrop,
-			A: r.Intern(ev.Node), B: r.Intern(ev.Flow), C: r.Intern(ev.Reason),
-		})
-	case "demote":
-		r.Record(trace.Entry{
-			Tick: ev.T, Kind: trace.KindDemote,
-			A: r.Intern(ev.Node), B: r.Intern(ev.Flow),
-		})
-	case "detect":
-		r.Record(trace.Entry{
-			Tick: ev.T, Kind: trace.KindDetect, Prio: uint8(ev.Prio),
-			A: r.Intern(ev.Node), B: r.Intern(ev.Peer), C: r.Intern(ev.Reason),
-		})
-	case "mitigate":
-		r.Record(trace.Entry{
-			Tick: ev.T, Kind: trace.KindMitigate, Prio: uint8(ev.Prio),
-			A: r.Intern(ev.Node), C: r.Intern(ev.Reason), Depth: ev.Depth,
-		})
-	case "deadlock":
-		r.Record(trace.Entry{
-			Tick: ev.T, Kind: trace.KindDeadlock,
-			A: r.Intern(ev.Node), Aux: uint16(len(ev.Cycle)),
-		})
-		for _, edge := range ev.Cycle {
-			r.Record(trace.Entry{Tick: ev.T, Kind: trace.KindCycleEdge, C: r.Intern(edge)})
-		}
+	e, ok := encodeEvent(ev, fr.rec.Intern)
+	if !ok {
+		return
+	}
+	fr.rec.Record(e)
+	for _, edge := range ev.Cycle {
+		fr.rec.Record(trace.Entry{Tick: ev.T, Kind: trace.KindCycleEdge, C: fr.rec.Intern(edge)})
 	}
 }
 

@@ -75,6 +75,38 @@ func (t *JSONLTracer) Trace(ev TraceEvent) {
 	}
 }
 
+// encodeEvent is the one TraceEvent -> TGL1 entry encoding, shared by
+// the BinaryTracer's writer ring and the FlightRecorder's overwriting
+// ring: node, peer, flow and reason strings go through intern (each
+// ring's own string table), everything else is fixed-width. A deadlock
+// event yields only its onset entry (Aux = cycle length); the sink
+// appends one KindCycleEdge entry per ev.Cycle edge in its own record
+// discipline. ok is false for a kind the wire format does not carry.
+func encodeEvent(ev *TraceEvent, intern func(string) uint32) (e trace.Entry, ok bool) {
+	e = trace.Entry{Tick: ev.T, A: intern(ev.Node)}
+	switch ev.Kind {
+	case "pause", "resume":
+		e.Kind = trace.KindResume
+		if ev.Kind == "pause" {
+			e.Kind = trace.KindPause
+		}
+		e.Prio, e.B, e.Depth = uint8(ev.Prio), intern(ev.Peer), ev.Depth
+	case "drop":
+		e.Kind, e.B, e.C = trace.KindDrop, intern(ev.Flow), intern(ev.Reason)
+	case "demote":
+		e.Kind, e.B = trace.KindDemote, intern(ev.Flow)
+	case "detect":
+		e.Kind, e.Prio, e.B, e.C = trace.KindDetect, uint8(ev.Prio), intern(ev.Peer), intern(ev.Reason)
+	case "mitigate":
+		e.Kind, e.Prio, e.C, e.Depth = trace.KindMitigate, uint8(ev.Prio), intern(ev.Reason), ev.Depth
+	case "deadlock":
+		e.Kind, e.Aux = trace.KindDeadlock, uint16(len(ev.Cycle))
+	default:
+		return e, false
+	}
+	return e, true
+}
+
 // BinaryTracer captures events in the internal/trace binary format: a
 // fixed-width entry into a single-producer ring buffer per event, with
 // a background goroutine draining to the sink. Steady-state capture is
@@ -106,43 +138,19 @@ func NewBinaryTracer(w io.Writer, cfg trace.Config) (*BinaryTracer, error) {
 // strings are interned on first sight; every later event referencing
 // them is allocation-free.
 func (t *BinaryTracer) Trace(ev TraceEvent) {
-	switch ev.Kind {
-	case "pause", "resume":
-		kind := trace.KindResume
-		if ev.Kind == "pause" {
-			kind = trace.KindPause
-		}
-		t.w.Emit(trace.Entry{
-			Tick: ev.T, Kind: kind, Prio: uint8(ev.Prio),
-			A: t.w.Intern(ev.Node), B: t.w.Intern(ev.Peer), Depth: ev.Depth,
-		})
-	case "drop":
-		t.w.Emit(trace.Entry{
-			Tick: ev.T, Kind: trace.KindDrop,
-			A: t.w.Intern(ev.Node), B: t.w.Intern(ev.Flow), C: t.w.Intern(ev.Reason),
-		})
-	case "demote":
-		t.w.Emit(trace.Entry{
-			Tick: ev.T, Kind: trace.KindDemote,
-			A: t.w.Intern(ev.Node), B: t.w.Intern(ev.Flow),
-		})
-	case "detect":
-		t.w.Emit(trace.Entry{
-			Tick: ev.T, Kind: trace.KindDetect, Prio: uint8(ev.Prio),
-			A: t.w.Intern(ev.Node), B: t.w.Intern(ev.Peer), C: t.w.Intern(ev.Reason),
-		})
-	case "mitigate":
-		t.w.Emit(trace.Entry{
-			Tick: ev.T, Kind: trace.KindMitigate, Prio: uint8(ev.Prio),
-			A: t.w.Intern(ev.Node), C: t.w.Intern(ev.Reason), Depth: ev.Depth,
-		})
-	case "deadlock":
+	e, ok := encodeEvent(&ev, t.w.Intern)
+	switch {
+	case !ok:
+	case e.Kind != trace.KindDeadlock:
+		t.w.Emit(e)
+	default:
+		// Onset plus its cycle edges are one all-or-nothing record.
 		ids := t.cycleIDs[:0]
 		for _, edge := range ev.Cycle {
 			ids = append(ids, t.w.Intern(edge))
 		}
 		t.cycleIDs = ids
-		t.w.EmitDeadlock(ev.T, t.w.Intern(ev.Node), ids)
+		t.w.EmitDeadlock(e.Tick, e.A, ids)
 	}
 }
 

@@ -367,6 +367,33 @@ func (g *Graph) Switches() []NodeID {
 	return out
 }
 
+// SwitchNames returns the names of all switch nodes in ID order — the
+// roster an agent fleet or a churn generator addresses switches by.
+func (g *Graph) SwitchNames() []string {
+	var out []string
+	for i := range g.nodes {
+		if g.nodes[i].Kind.IsSwitch() {
+			out = append(out, g.nodes[i].Name)
+		}
+	}
+	return out
+}
+
+// SwitchLinks returns the switch-to-switch links as name pairs in link
+// order — the churn generator's link-flap candidates. Host attachment
+// links are excluded: no ELP path traverses them, so flapping them is
+// pure no-op noise.
+func (g *Graph) SwitchLinks() [][2]string {
+	var out [][2]string
+	for i := range g.links {
+		a, b := &g.nodes[g.links[i].A], &g.nodes[g.links[i].B]
+		if a.Kind.IsSwitch() && b.Kind.IsSwitch() {
+			out = append(out, [2]string{a.Name, b.Name})
+		}
+	}
+	return out
+}
+
 // Hosts returns the IDs of all host nodes in ID order.
 func (g *Graph) Hosts() []NodeID {
 	var out []NodeID

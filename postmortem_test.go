@@ -17,15 +17,15 @@ import (
 // sinking into a PostmortemStore, served at /debug/postmortem.
 func TestPostmortemStoreEndToEnd(t *testing.T) {
 	store := &PostmortemStore{}
-	res, err := DetectRunFlightRec(1, ArmDetect, nil, FlightRecConfig{Sink: store.Sink()})
+	res, err := DetectRun(1, ArmDetect, RunOptions{FlightRec: &FlightRecConfig{Sink: store.Sink()}})
 	if err != nil {
-		t.Fatalf("DetectRunFlightRec: %v", err)
+		t.Fatalf("DetectRun: %v", err)
 	}
-	if len(res.Incidents) == 0 {
+	if len(res.Capture.Incidents) == 0 {
 		t.Fatal("detect arm captured no incidents; the CBD workload should deadlock")
 	}
-	if store.Len() != len(res.Incidents) {
-		t.Fatalf("store holds %d episodes, run captured %d incidents", store.Len(), len(res.Incidents))
+	if store.Len() != len(res.Capture.Incidents) {
+		t.Fatalf("store holds %d episodes, run captured %d incidents", store.Len(), len(res.Capture.Incidents))
 	}
 
 	eps := store.PostmortemEpisodes()
@@ -41,7 +41,7 @@ func TestPostmortemStoreEndToEnd(t *testing.T) {
 
 	// The library report matches what PostmortemReport renders from the
 	// raw capture bytes.
-	direct, err := PostmortemReport(res.Incidents[0].Data)
+	direct, err := PostmortemReport(res.Capture.Incidents[0].Data)
 	if err != nil {
 		t.Fatalf("PostmortemReport: %v", err)
 	}

@@ -3,7 +3,7 @@ package tagger
 import "testing"
 
 func TestTable5ECMPCase(t *testing.T) {
-	row, err := Table5CaseECMP(40, 10, 1)
+	row, err := Table5CaseWith(40, 10, 0, 1, RunOptions{Par: 1, ECMP: true})
 	if err != nil {
 		t.Fatal(err)
 	}

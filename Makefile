@@ -13,7 +13,7 @@ BENCH_OUT ?= BENCH_$(shell date +%F).json
 # or skip the gate with `make check BENCH_BASELINE=`.
 BENCH_BASELINE ?= $(lastword $(sort $(wildcard BENCH_20*.json)))
 
-.PHONY: all check build fmt vet test determinism race detect-smoke bench bench-sim bench-e2e bench-e2e-test benchdiff benchgate telemetry-overhead trace-golden postmortem-golden experiments-golden fuzz fuzz-smoke churn-fuzz cache-fuzz cover examples experiments clean
+.PHONY: all check build fmt vet test determinism race detect-smoke bench bench-sim bench-e2e bench-e2e-test bench-pairs benchdiff benchgate telemetry-overhead trace-golden postmortem-golden experiments-golden fuzz fuzz-smoke churn-fuzz cache-fuzz cover examples experiments clean
 
 all: check
 
@@ -87,6 +87,17 @@ bench-e2e:
 # ./...` does not reach into bench/, so `make check` runs them here.
 bench-e2e-test:
 	$(GO) test -C bench ./...
+
+# The before/after protocol behind every end-to-end performance claim:
+# alternating pairs of bench/e2e runs, BASE's committed files against the
+# working tree, seed SEED+i-1 for pair i, with per-metric medians, the
+# base's IQR, wins and a verdict (cmd/benchpairs). ~(2*SECONDS+5)*PAIRS s.
+# Usage: make bench-pairs BASE=HEAD~1 WORKLOAD=coldstart_fattree8
+PAIRS ?= 10
+SECONDS ?= 12
+SEED ?= 1
+bench-pairs:
+	$(GO) run ./cmd/benchpairs -base $(BASE) -workload $(WORKLOAD) -pairs $(PAIRS) -seconds $(SECONDS) -seed $(SEED)
 
 # Compares two snapshots; fails on a >15% time regression.
 # Usage: make benchdiff OLD=BENCH_seed.json NEW=BENCH_2026-08-05.json

@@ -681,6 +681,45 @@ func BenchmarkFatTreePodMemoized(b *testing.B) {
 	}
 }
 
+// fatTree8Rep is the representative pod pair the stamped k=8 build
+// enumerates: pod-0 edge switches toward pod-0 and pod-1 edge switches
+// (Edges is pod-major), 148 048 one-bounce paths.
+func fatTree8Rep(b *testing.B) (g *topology.Graph, srcs, dsts []topology.NodeID) {
+	ft, err := topology.NewFatTree(8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ft.Graph, ft.Edges[:ft.K/2], ft.Edges[:ft.K]
+}
+
+// BenchmarkKBounceFromFatTree8Rep is the serial enumeration the stamped
+// build cannot avoid: segment BFS, prefix walk, Set.Add validation.
+func BenchmarkKBounceFromFatTree8Rep(b *testing.B) {
+	g, srcs, dsts := fatTree8Rep(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n := elp.KBounceFrom(g, srcs, dsts, 1, nil).Len(); n != 148048 {
+			b.Fatalf("%d paths, want 148048", n)
+		}
+	}
+}
+
+// BenchmarkBuildRuleGraphFatTree8Rep is the replay of those paths through
+// the Clos rules into the runtime fragment the stamper copies.
+func BenchmarkBuildRuleGraphFatTree8Rep(b *testing.B) {
+	g, srcs, dsts := fatTree8Rep(b)
+	paths := elp.KBounceFrom(g, srcs, dsts, 1, nil).Paths()
+	rules := core.ClosRules(g, 1, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, lossy := core.BuildRuleGraph(rules, paths, 1); len(lossy) != 0 {
+			b.Fatalf("%d lossy paths", len(lossy))
+		}
+	}
+}
+
 // --- The start path: ELP enumeration, export, per-switch TCAM images --------------------------
 
 // BenchmarkELPShortestAllJellyfish200 is the share of a warm controller

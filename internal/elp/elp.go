@@ -11,7 +11,6 @@ package elp
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"repro/internal/parallel"
 	"repro/internal/routing"
@@ -95,12 +94,13 @@ func (s *Set) LongestHops() int {
 func UpDownAll(g *topology.Graph, endpoints []topology.NodeID) *Set {
 	defer telemetry.Default.StartSpan("synth/elp").End()
 	s := NewSet()
+	segs := routing.NewSegments(g)
 	for _, a := range endpoints {
 		for _, b := range endpoints {
 			if a == b {
 				continue
 			}
-			for _, p := range routing.UpDownPaths(g, a, b, 0) {
+			for _, p := range segs.Between(a, b, false) {
 				s.MustAdd(g, p)
 			}
 		}
@@ -127,80 +127,118 @@ func KBounce(g *topology.Graph, endpoints []topology.NodeID, k int, via []topolo
 // containing both lists, filtered to these pairs, in the same order.
 func KBounceFrom(g *topology.Graph, srcs, dsts []topology.NodeID, k int, via []topology.NodeID) *Set {
 	defer telemetry.Default.StartSpan("synth/elp").End()
+	e := NewKBounceEnumerator(g, k, via)
+	e.From(srcs, dsts)
+	return e.Set()
+}
+
+// KBounceEnumerator enumerates k-bounce paths over one snapshot of a
+// graph's healthy links into List, for callers that want the flat layout
+// or several source × destination blocks in an order of their choosing.
+type KBounceEnumerator struct {
+	// List holds every path emitted so far, in emission order. No path
+	// occurs twice: a path's junctions are exactly its valleys, so its
+	// node sequence fixes the one way it decomposes into segments.
+	List routing.PathList
+
+	g    *topology.Graph
+	k    int
+	via  []topology.NodeID
+	segs *routing.Segments
+	// prefix is the path under construction; onPath marks its nodes.
+	prefix routing.Path
+	onPath []bool
+}
+
+// NewKBounceEnumerator snapshots g; k and via are as in KBounce.
+func NewKBounceEnumerator(g *topology.Graph, k int, via []topology.NodeID) *KBounceEnumerator {
 	if via == nil {
 		via = g.Switches()
 	}
-	s := NewSet()
-	// Cache of shortest valley-free segments between switch pairs, with
-	// and without the first-hop-must-ascend constraint.
-	type segKey struct {
-		a, b    topology.NodeID
-		firstUp bool
-	}
-	segCache := map[segKey][]routing.Path{}
-	segsBetween := func(a, b topology.NodeID, firstUp bool) []routing.Path {
-		if a == b {
-			return nil
-		}
-		key := segKey{a, b, firstUp}
-		if ps, ok := segCache[key]; ok {
-			return ps
-		}
-		var ps []routing.Path
-		if firstUp {
-			ps = routing.UpDownPathsFirstUp(g, a, b, 0)
-		} else {
-			ps = routing.UpDownPaths(g, a, b, 0)
-		}
-		segCache[key] = ps
-		return ps
-	}
+	return &KBounceEnumerator{g: g, k: k, via: via, segs: routing.NewSegments(g), onPath: make([]bool, g.NumNodes())}
+}
 
-	endsDescending := func(seg routing.Path) bool {
-		return len(seg) >= 2 && g.Node(seg[len(seg)-1]).Layer < g.Node(seg[len(seg)-2]).Layer
-	}
-
-	// extend grows prefix toward dst. mustAscend is set right after a
-	// bounce junction: the packet arrived descending, so the next segment
-	// must leave ascending or the junction was not a bounce at all.
-	var extend func(prefix routing.Path, bouncesLeft int, dst topology.NodeID, mustAscend bool)
-	extend = func(prefix routing.Path, bouncesLeft int, dst topology.NodeID, mustAscend bool) {
-		cur := prefix.Dst()
-		// Finish directly.
-		for _, seg := range segsBetween(cur, dst, mustAscend) {
-			if full, ok := routing.Concat(prefix, seg); ok && full.LoopFree() {
-				s.MustAdd(g, full)
-			}
-		}
-		if bouncesLeft == 0 {
-			return
-		}
-		// Bounce at an intermediate switch x, then continue ascending.
-		for _, x := range via {
-			if x == cur || x == dst {
-				continue
-			}
-			for _, seg := range segsBetween(cur, x, mustAscend) {
-				// A genuine bounce requires arriving at x descending.
-				if !endsDescending(seg) {
-					continue
-				}
-				if full, ok := routing.Concat(prefix, seg); ok && full.LoopFree() {
-					extend(full, bouncesLeft-1, dst, true)
-				}
-			}
-		}
-	}
-
+// From appends the k-bounce paths of the ordered pairs srcs × dsts
+// (sources outermost, a == b skipped) to List.
+func (e *KBounceEnumerator) From(srcs, dsts []topology.NodeID) {
 	for _, a := range srcs {
+		e.prefix = append(e.prefix[:0], a)
+		e.onPath[a] = true
 		for _, b := range dsts {
-			if a == b {
-				continue
+			if a != b {
+				e.extend(e.k, b, false)
 			}
-			extend(routing.Path{a}, k, b, false)
 		}
+		e.onPath[a] = false
+	}
+}
+
+// Set returns List's paths as a validated set: every path goes through
+// Set.Add. The set's paths are views into List as it stands.
+func (e *KBounceEnumerator) Set() *Set {
+	s := NewSet()
+	s.Reserve(e.List.Len())
+	for i := 0; i < e.List.Len(); i++ {
+		s.MustAdd(e.g, e.List.At(i))
+	}
+	if s.Len() != e.List.Len() {
+		panic("elp: k-bounce enumeration emitted a path twice")
 	}
 	return s
+}
+
+// extend grows prefix toward dst. mustAscend is set right after a bounce
+// junction: the packet arrived descending, so the next segment must leave
+// ascending or the junction was not a bounce at all.
+func (e *KBounceEnumerator) extend(bouncesLeft int, dst topology.NodeID, mustAscend bool) {
+	n := len(e.prefix)
+	cur := e.prefix[n-1]
+	// Finish directly.
+	for _, seg := range e.segs.Between(cur, dst, mustAscend) {
+		if e.disjoint(seg) {
+			e.prefix = append(e.prefix, seg[1:]...)
+			e.List.Add(e.prefix)
+			e.prefix = e.prefix[:n]
+		}
+	}
+	if bouncesLeft == 0 {
+		return
+	}
+	// Bounce at an intermediate switch x, then continue ascending.
+	for _, x := range e.via {
+		if x == cur || x == dst {
+			continue
+		}
+		for _, seg := range e.segs.Between(cur, x, mustAscend) {
+			// A genuine bounce requires arriving at x descending.
+			if e.g.Node(x).Layer >= e.g.Node(seg[len(seg)-2]).Layer || !e.disjoint(seg) {
+				continue
+			}
+			e.prefix = append(e.prefix, seg[1:]...)
+			for _, v := range seg[1:] {
+				e.onPath[v] = true
+			}
+			e.extend(bouncesLeft-1, dst, true)
+			for _, v := range seg[1:] {
+				e.onPath[v] = false
+			}
+			e.prefix = e.prefix[:n]
+		}
+	}
+}
+
+// disjoint reports whether seg, which starts at prefix's last node, meets
+// prefix nowhere else. That is the whole loop test for prefix + seg: a
+// shortest valley-free segment repeats no node of its own, except that a
+// first-hop-ascending one may pass through its source again — and its
+// source is on prefix.
+func (e *KBounceEnumerator) disjoint(seg routing.Path) bool {
+	for _, v := range seg[1:] {
+		if e.onPath[v] {
+			return false
+		}
+	}
+	return true
 }
 
 // ShortestAll adds one shortest path for every ordered pair of the given
@@ -217,7 +255,7 @@ func ShortestAll(g *topology.Graph, endpoints []topology.NodeID) *Set {
 // yields the same set.
 func ShortestAllN(g *topology.Graph, endpoints []topology.NodeID, par int) *Set {
 	defer telemetry.Default.StartSpan("synth/elp").End()
-	adj := newAdjacency(g)
+	adj := routing.NewAdjacency(g)
 	perSrc := make([][]routing.Path, len(endpoints))
 	parallel.ForEachShard(len(endpoints), parallel.Workers(par, len(endpoints)), func(sh parallel.Shard) {
 		var sc bfsScratch
@@ -258,26 +296,6 @@ func ShortestAllECMP(g *topology.Graph, endpoints []topology.NodeID, limit int) 
 	return s
 }
 
-// adjacency is the healthy-link neighbor lists of every node in CSR form,
-// each list in ascending node ID — the BFS's deterministic visit order,
-// sorted once per enumeration instead of on every visit.
-type adjacency struct {
-	off []int32 // node n's neighbors are nbr[off[n]:off[n+1]]
-	nbr []topology.NodeID
-}
-
-func newAdjacency(g *topology.Graph) adjacency {
-	n := g.NumNodes()
-	a := adjacency{off: make([]int32, n+1), nbr: make([]topology.NodeID, 0, 2*g.NumLinks())}
-	for u := 0; u < n; u++ {
-		lo := len(a.nbr)
-		a.nbr = g.Neighbors(topology.NodeID(u), a.nbr)
-		slices.Sort(a.nbr[lo:])
-		a.off[u+1] = int32(len(a.nbr))
-	}
-	return a
-}
-
 // bfsScratch holds the per-source BFS state so repeated calls (one per
 // source, across the whole endpoint set) reuse the same backing arrays.
 type bfsScratch struct {
@@ -288,7 +306,7 @@ type bfsScratch struct {
 
 // shortestTreePaths extracts one shortest path from src to each other
 // endpoint using a single BFS over adj with deterministic parent choice.
-func shortestTreePaths(g *topology.Graph, adj adjacency, src topology.NodeID, endpoints []topology.NodeID, sc *bfsScratch) []routing.Path {
+func shortestTreePaths(g *topology.Graph, adj routing.Adjacency, src topology.NodeID, endpoints []topology.NodeID, sc *bfsScratch) []routing.Path {
 	n := g.NumNodes()
 	if cap(sc.dist) < n {
 		sc.dist = make([]int32, n)
@@ -306,7 +324,7 @@ func shortestTreePaths(g *topology.Graph, adj adjacency, src topology.NodeID, en
 		if u != src && g.Node(u).Kind == topology.KindHost {
 			continue
 		}
-		for _, v := range adj.nbr[adj.off[u]:adj.off[u+1]] {
+		for _, v := range adj.Of(u) {
 			if dist[v] == -1 {
 				dist[v] = dist[u] + 1
 				parent[v] = u

@@ -356,6 +356,28 @@ func TestKBounceFromMatchesFilteredKBounce(t *testing.T) {
 				}
 				requireSamePaths(t, f.name+" rectangle", KBounceFrom(f.g, srcs, dsts, k, nil).Paths(), want)
 			}
+
+			// One enumerator, two blocks back to back — how the pod stamper
+			// lays out its buckets: the list is block one then block two,
+			// and the validated set is views of exactly that list.
+			e := NewKBounceEnumerator(f.g, k, nil)
+			e.From(f.eps[:2], f.eps[:half])
+			n1 := e.List.Len()
+			e.From(f.eps[:2], f.eps[half:])
+			want := append(KBounceFrom(f.g, f.eps[:2], f.eps[:half], k, nil).Paths(),
+				KBounceFrom(f.g, f.eps[:2], f.eps[half:], k, nil).Paths()...)
+			if n1 == 0 || n1 == e.List.Len() {
+				t.Fatalf("%s k=%d: a block is empty (%d of %d)", f.name, k, n1, e.List.Len())
+			}
+			requireSamePaths(t, f.name+" two blocks", e.Set().Paths(), want)
+			for i, p := range want {
+				if !e.List.At(i).Equal(p) {
+					t.Fatalf("%s two blocks: List.At(%d) = %v, want %v", f.name, i, e.List.At(i), p)
+				}
+			}
+			if got := e.List.Ends[len(want)-1]; got != len(e.List.Nodes) {
+				t.Fatalf("%s two blocks: last end %d, %d nodes", f.name, got, len(e.List.Nodes))
+			}
 		}
 	}
 }

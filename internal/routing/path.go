@@ -146,22 +146,3 @@ func (p Path) String(g *topology.Graph) string {
 	}
 	return b.String()
 }
-
-// Concat joins p and q at a shared junction node (p's last == q's first)
-// and returns the combined path, or ok=false if they do not share the
-// junction.
-func Concat(p, q Path) (Path, bool) {
-	if len(p) == 0 {
-		return q, true
-	}
-	if len(q) == 0 {
-		return p, true
-	}
-	if p[len(p)-1] != q[0] {
-		return nil, false
-	}
-	out := make(Path, 0, len(p)+len(q)-1)
-	out = append(out, p...)
-	out = append(out, q[1:]...)
-	return out, true
-}

@@ -85,24 +85,6 @@ func TestPathBounces(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	p := Path{1, 2, 3}
-	q := Path{3, 4}
-	got, ok := Concat(p, q)
-	if !ok || !got.Equal(Path{1, 2, 3, 4}) {
-		t.Fatalf("Concat = %v, %v", got, ok)
-	}
-	if _, ok := Concat(p, Path{9}); ok {
-		t.Error("Concat with mismatched junction should fail")
-	}
-	if got, ok := Concat(nil, q); !ok || !got.Equal(q) {
-		t.Error("Concat with empty prefix")
-	}
-	if got, ok := Concat(p, nil); !ok || !got.Equal(p) {
-		t.Error("Concat with empty suffix")
-	}
-}
-
 func TestShortestPath(t *testing.T) {
 	c := paperClos(t)
 	g := c.Graph
@@ -233,9 +215,6 @@ func TestUpDownPaths(t *testing.T) {
 	if len(ps) != 2 {
 		t.Fatalf("up-down T1->S1 = %d paths, want 2", len(ps))
 	}
-	if got := UpDownDistance(g, n("T1"), n("T3")); got != 4 {
-		t.Errorf("UpDownDistance = %d, want 4", got)
-	}
 	if got := UpDownPaths(g, n("T1"), n("T1"), 0); len(got) != 1 {
 		t.Error("self up-down")
 	}
@@ -278,13 +257,11 @@ func TestUpDownNoValleyFreeRoute(t *testing.T) {
 	if ps := UpDownPaths(g, t1, t2, 0); ps != nil {
 		t.Errorf("expected no valley-free route, got %d", len(ps))
 	}
-	if d := UpDownDistance(g, t1, t2); d != -1 {
-		t.Errorf("UpDownDistance = %d, want -1", d)
-	}
 }
 
-// Property: every up-down path is a shortest valley-free path — its hop
-// count equals UpDownDistance and it is valley-free and loop-free.
+// Property: the up-down paths of a pair share one hop count and each is
+// valley-free and loop-free (that the count is minimal is the brute-force
+// differential's job, TestSegmentsMatchBruteForce).
 func TestUpDownPathsProperty(t *testing.T) {
 	cfg := topology.ClosConfig{Pods: 3, ToRsPerPod: 2, LeafsPerPod: 2, Spines: 3, HostsPerToR: 1}
 	c, err := topology.NewClos(cfg)
@@ -298,9 +275,9 @@ func TestUpDownPathsProperty(t *testing.T) {
 		if a == b {
 			return true
 		}
-		d := UpDownDistance(g, a, b)
-		for _, p := range UpDownPaths(g, a, b, 0) {
-			if p.Hops() != d || !p.ValleyFree(g) || !p.LoopFree() || !p.Valid(g) {
+		ps := UpDownPaths(g, a, b, 0)
+		for _, p := range ps {
+			if p.Hops() != ps[0].Hops() || !p.ValleyFree(g) || !p.LoopFree() || !p.Valid(g) {
 				return false
 			}
 		}

@@ -1,7 +1,7 @@
 package routing
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/topology"
 )
@@ -11,144 +11,270 @@ import (
 // once, and then descends; it never goes up after going down. limit <= 0
 // means unlimited. Both endpoints may be hosts or switches.
 func UpDownPaths(g *topology.Graph, src, dst topology.NodeID, limit int) []Path {
-	return upDownPaths(g, src, dst, limit, false)
+	return NewSegments(g).paths(src, dst, false, limit)
 }
 
 // UpDownPathsFirstUp is UpDownPaths restricted to paths whose first hop
 // ascends in layer. This is the continuation a bounced packet takes: it
 // arrived descending and must go back up (§4.2), so the usual shortest
 // valley-free route (which may start downward) is not available to it.
+//
+// The constraint binds the first hop only, so when dst lies below src the
+// shortest such walk may climb one switch and come back down THROUGH src.
+// Those are returned as found: src is the only node a result can repeat.
 func UpDownPathsFirstUp(g *topology.Graph, src, dst topology.NodeID, limit int) []Path {
-	return upDownPaths(g, src, dst, limit, true)
+	return NewSegments(g).paths(src, dst, true, limit)
 }
 
-func upDownPaths(g *topology.Graph, src, dst topology.NodeID, limit int, firstUp bool) []Path {
+// Segments enumerates shortest valley-free segments — what UpDownPaths
+// and UpDownPathsFirstUp return — over one snapshot of a graph's healthy
+// links, for callers that ask about many pairs: one BFS per (source,
+// first-hop mode) serves every destination, and nothing on the way is
+// keyed by a map or a string. Link health changes after NewSegments are
+// not seen. Not safe for concurrent use.
+type Segments struct {
+	adj   Adjacency
+	layer []int32
+	host  []bool // plain hosts: they originate and sink but never forward
+	// rank[n] is the position of n's decimal string among all node IDs'
+	// decimal strings. Path.Key() order is the contract of every result;
+	// paths of one pair have equal length, so comparing them element-wise
+	// by rank is comparing their keys ("10" sorts before "9", and a
+	// string sorts after its own prefixes because ',' < '0').
+	rank []int32
+
+	rows  []*segRow // by 2*src + firstUp; nil until first asked
+	arena []topology.NodeID
+	queue []int32
+	buf   []topology.NodeID
+}
+
+// segRow is the BFS of one (source, first-hop mode) and the segment lists
+// carved from it so far.
+type segRow struct {
+	dist []int32  // by state 2*node + phase; -1 = unreachable
+	segs [][]Path // by destination; nil = not carved yet
+}
+
+// Phase 0 is "still ascending (may turn down)", phase 1 "descending".
+const (
+	phaseUp   = 0
+	phaseDown = 1
+)
+
+// noSegments marks a carved destination that has no valley-free route.
+var noSegments = []Path{}
+
+// NewSegments snapshots g's healthy links.
+func NewSegments(g *topology.Graph) *Segments {
+	n := g.NumNodes()
+	s := &Segments{
+		adj:   NewAdjacency(g),
+		layer: make([]int32, n),
+		host:  make([]bool, n),
+		rank:  decimalRanks(n),
+		rows:  make([]*segRow, 2*n),
+	}
+	for u := 0; u < n; u++ {
+		node := g.Node(topology.NodeID(u))
+		s.layer[u] = int32(node.Layer)
+		s.host[u] = node.Kind == topology.KindHost
+	}
+	return s
+}
+
+// decimalRanks returns, for every ID in [0, n), its position when the IDs
+// are sorted as decimal strings: 0, 1, 10, 100, ..., 11, ..., 2, 20, ...
+func decimalRanks(n int) []int32 {
+	rank := make([]int32, n)
+	cur := 1
+	for r := 1; r < n; r++ {
+		rank[cur] = int32(r)
+		if cur*10 < n {
+			cur *= 10
+			continue
+		}
+		for cur%10 == 9 || cur+1 >= n {
+			cur /= 10
+		}
+		cur++
+	}
+	return rank
+}
+
+// Between returns every shortest valley-free segment from src to dst —
+// with the first hop forced to ascend when firstUp — in Path.Key() order,
+// nil when there is none. The list and its paths are memoized and shared:
+// do not modify them.
+func (s *Segments) Between(src, dst topology.NodeID, firstUp bool) []Path {
+	return s.paths(src, dst, firstUp, 0)
+}
+
+// paths is Between with UpDownPaths' limit: limit > 0 keeps the first
+// limit paths the backward walk finds, so it bypasses the memo.
+func (s *Segments) paths(src, dst topology.NodeID, firstUp bool, limit int) []Path {
 	if src == dst {
 		return []Path{{src}}
 	}
-	// State BFS: phase 0 = still ascending (may turn down), 1 = descending.
-	type state struct {
-		node  topology.NodeID
-		phase int
+	r := s.row(src, firstUp)
+	if limit > 0 {
+		return s.carve(r, src, dst, firstUp, limit)
 	}
-	dist := map[state]int{{src, 0}: 0}
-	parents := map[state][]state{}
-	queue := []state{{src, 0}}
-	best := -1
-	var nbuf []topology.NodeID
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		d := dist[cur]
-		if best >= 0 && d >= best {
+	segs := r.segs[dst]
+	if segs == nil {
+		if segs = s.carve(r, src, dst, firstUp, 0); segs == nil {
+			segs = noSegments
+		}
+		r.segs[dst] = segs
+	}
+	if len(segs) == 0 {
+		return nil
+	}
+	return segs
+}
+
+// row returns the BFS from (src, ascending) over (node, phase) states,
+// running it on first use.
+func (s *Segments) row(src topology.NodeID, firstUp bool) *segRow {
+	ri := 2 * int(src)
+	if firstUp {
+		ri++
+	}
+	if r := s.rows[ri]; r != nil {
+		return r
+	}
+	n := len(s.layer)
+	r := &segRow{dist: make([]int32, 2*n), segs: make([][]Path, n)}
+	for i := range r.dist {
+		r.dist[i] = -1
+	}
+	start := 2*int32(src) + phaseUp
+	r.dist[start] = 0
+	queue := append(s.queue[:0], start)
+	for qi := 0; qi < len(queue); qi++ {
+		st := queue[qi]
+		u, phase := topology.NodeID(st>>1), st&1
+		if u != src && s.host[u] {
 			continue
 		}
-		if cur.node != src && g.Node(cur.node).Kind == topology.KindHost {
-			continue // hosts do not forward
-		}
-		curLayer := g.Node(cur.node).Layer
-		nbuf = g.Neighbors(cur.node, nbuf[:0])
-		for _, v := range nbuf {
-			vLayer := g.Node(v).Layer
-			var next state
+		for _, v := range s.adj.Of(u) {
+			var next int32
 			switch {
-			case cur.phase == 0 && vLayer > curLayer:
-				next = state{v, 0}
-			case vLayer < curLayer:
-				if firstUp && cur.node == src && cur.phase == 0 {
+			case phase == phaseUp && s.layer[v] > s.layer[u]:
+				next = 2*int32(v) + phaseUp
+			case s.layer[v] < s.layer[u]:
+				if firstUp && st == start {
 					continue // first hop must ascend
 				}
-				next = state{v, 1}
+				next = 2*int32(v) + phaseDown
 			default:
 				continue // same-layer or up-after-down moves are not valley-free
 			}
-			nd, seen := dist[next]
-			switch {
-			case !seen:
-				dist[next] = d + 1
-				parents[next] = append(parents[next], cur)
+			if r.dist[next] < 0 {
+				r.dist[next] = r.dist[st] + 1
 				queue = append(queue, next)
-				if v == dst && (best < 0 || d+1 < best) {
-					best = d + 1
-				}
-			case nd == d+1:
-				parents[next] = append(parents[next], cur)
 			}
 		}
+	}
+	s.queue = queue
+	s.rows[ri] = r
+	return r
+}
+
+// carve materializes the shortest segments src → dst of a finished row by
+// walking backward from dst over predecessors one step closer to src.
+// Terminal phases are tried ascending-first and predecessors in ascending
+// (node, phase) order; with limit > 0 the walk stops after that many
+// paths, and whatever was found is then put in Key order.
+func (s *Segments) carve(r *segRow, src, dst topology.NodeID, firstUp bool, limit int) []Path {
+	up, down := r.dist[2*int32(dst)+phaseUp], r.dist[2*int32(dst)+phaseDown]
+	best := up
+	if best < 0 || (down >= 0 && down < best) {
+		best = down
 	}
 	if best < 0 {
 		return nil
 	}
-	// Collect shortest-distance terminal states for dst.
-	var terms []state
-	for _, ph := range []int{0, 1} {
-		s := state{dst, ph}
-		if d, ok := dist[s]; ok && d == best {
-			terms = append(terms, s)
+	if cap(s.buf) <= int(best) {
+		s.buf = make([]topology.NodeID, best+1)
+	}
+	w := segWalk{s: s, r: r, src: src, firstUp: firstUp, limit: limit, buf: s.buf[:best+1]}
+	for phase := int32(phaseUp); phase <= phaseDown && !w.full(); phase++ {
+		if r.dist[2*int32(dst)+phase] == best {
+			w.back(dst, phase, best)
 		}
 	}
-	var out PathIndex
-	var walk func(s state, suffix Path) bool
-	walk = func(s state, suffix Path) bool {
-		suffix = append(suffix, s.node)
-		if s.node == src && len(suffix) == best+1 {
-			p := make(Path, len(suffix))
-			for i, n := range suffix {
-				p[len(suffix)-1-i] = n
+	if len(w.out) > 1 {
+		rank := s.rank
+		slices.SortFunc(w.out, func(a, b Path) int {
+			for i := range a {
+				if a[i] != b[i] {
+					return int(rank[a[i]]) - int(rank[b[i]])
+				}
 			}
-			out.Add(p)
-			return limit > 0 && out.Len() >= limit
-		}
-		ps := parents[s]
-		// Deterministic order.
-		sort.Slice(ps, func(a, b int) bool {
-			if ps[a].node != ps[b].node {
-				return ps[a].node < ps[b].node
-			}
-			return ps[a].phase < ps[b].phase
+			return 0
 		})
-		for _, par := range ps {
-			if walk(par, suffix) {
-				return true
+	}
+	return w.out
+}
+
+// segWalk is the state of one carve.
+type segWalk struct {
+	s       *Segments
+	r       *segRow
+	src     topology.NodeID
+	firstUp bool
+	limit   int
+	buf     []topology.NodeID // the path under construction, filled from the end
+	out     []Path
+}
+
+func (w *segWalk) full() bool { return w.limit > 0 && len(w.out) >= w.limit }
+
+// back places v at position d and recurses into every state that reaches
+// (v, phase) in one valley-free move from distance d-1.
+func (w *segWalk) back(v topology.NodeID, phase, d int32) {
+	s := w.s
+	w.buf[d] = v
+	if d == 0 {
+		w.out = append(w.out, s.alloc(w.buf))
+		return
+	}
+	for _, u := range s.adj.Of(v) {
+		if u != w.src && s.host[u] {
+			continue
+		}
+		if phase == phaseUp {
+			if s.layer[u] < s.layer[v] && w.r.dist[2*int32(u)+phaseUp] == d-1 {
+				w.back(u, phaseUp, d-1)
+			}
+		} else if s.layer[u] > s.layer[v] {
+			// (src, ascending) is the start state: under firstUp it may not
+			// step down.
+			if w.r.dist[2*int32(u)+phaseUp] == d-1 && !(w.firstUp && d == 1) {
+				w.back(u, phaseUp, d-1)
+			}
+			if !w.full() && w.r.dist[2*int32(u)+phaseDown] == d-1 {
+				w.back(u, phaseDown, d-1)
 			}
 		}
-		return false
-	}
-	for _, tstate := range terms {
-		if walk(tstate, make(Path, 0, best+1)) {
-			break
+		if w.full() {
+			return
 		}
 	}
-	// Key order is the contract here: it fixes the order paths enter every
-	// Clos ELP, and with it tag numbering downstream.
-	paths := out.Paths()
-	keys := make([]string, len(paths))
-	for i, p := range paths {
-		keys[i] = p.Key()
+}
+
+// segChunk is the node count of one arena block; every carved segment is
+// a cap-limited view into a block, so a fabric's few thousand segments
+// cost a handful of allocations.
+const segChunk = 4096
+
+// alloc copies p into the arena.
+func (s *Segments) alloc(p []topology.NodeID) Path {
+	if cap(s.arena)-len(s.arena) < len(p) {
+		s.arena = make([]topology.NodeID, 0, max(segChunk, len(p)))
 	}
-	sort.Sort(byKey{paths, keys})
-	return paths
-}
-
-// byKey sorts paths by their precomputed Key() strings.
-type byKey struct {
-	paths []Path
-	keys  []string
-}
-
-func (s byKey) Len() int           { return len(s.paths) }
-func (s byKey) Less(a, b int) bool { return s.keys[a] < s.keys[b] }
-func (s byKey) Swap(a, b int) {
-	s.paths[a], s.paths[b] = s.paths[b], s.paths[a]
-	s.keys[a], s.keys[b] = s.keys[b], s.keys[a]
-}
-
-// UpDownDistance returns the shortest valley-free hop count from src to
-// dst, or -1 if no valley-free path exists.
-func UpDownDistance(g *topology.Graph, src, dst topology.NodeID) int {
-	ps := UpDownPaths(g, src, dst, 1)
-	if len(ps) == 0 {
-		return -1
-	}
-	return ps[0].Hops()
+	lo := len(s.arena)
+	s.arena = append(s.arena, p...)
+	return Path(s.arena[lo:len(s.arena):len(s.arena)])
 }

@@ -123,14 +123,14 @@ func endpointsPodUniform(d *fingerprint.PodDecomposition, endpoints []topology.N
 func stampClosSystem(g *topology.Graph, d *fingerprint.PodDecomposition,
 	endpoints []topology.NodeID, maxBounces int) (*core.System, error) {
 
-	rep := enumerateRep(g, d, endpoints, maxBounces)
+	rep, repPaths := enumerateRep(g, d, endpoints, maxBounces)
 
 	// Rules are emitted over the full graph directly — ClosRules is local
 	// and cheap — and replayed over the representative buckets only.
 	// Losslessness of every stamped image follows from the rules'
 	// invariance under the pod automorphisms (see file comment).
 	rules := core.ClosRules(g, maxBounces, 1)
-	frag, violations := core.BuildRuleGraph(rules, rep.paths(), 1)
+	frag, violations := core.BuildRuleGraph(rules, repPaths, 1)
 	if len(violations) > 0 {
 		return nil, fmt.Errorf("core: clos rules leave %d ELP paths lossy (representative pod pair); does the ELP exceed %d bounces?",
 			len(violations), maxBounces)
@@ -160,53 +160,27 @@ type repBuckets struct {
 }
 
 // enumerateRep enumerates the representative pairs — pod-0 sources toward
-// pod-0 and pod-1 destinations, both in roster order — and lays the paths
-// out by bucket, each bucket in enumeration order. Per-pair enumeration in
-// elp.KBounceFrom is independent of the rest of the roster, so these are
-// buckets (0,0) and (0,1) of the full enumeration exactly, in its order.
-// Buckets (1,0) and (1,1) are their automorphic images: the stamping pass
-// regenerates their content, so they are never enumerated.
+// pod-0 destinations, then the same sources toward pod-1 destinations,
+// all in roster order — straight into the stamping layout, and returns it
+// with the same paths as a validated list of views into it. Per-pair
+// enumeration is independent of the rest of the roster, so these are
+// buckets (0,0) and (0,1) of the full enumeration exactly, each in its
+// order. Buckets (1,0) and (1,1) are their automorphic images: the
+// stamping pass regenerates their content, so they are never enumerated.
 func enumerateRep(g *topology.Graph, d *fingerprint.PodDecomposition,
-	endpoints []topology.NodeID, maxBounces int) *repBuckets {
+	endpoints []topology.NodeID, maxBounces int) (*repBuckets, []routing.Path) {
 
-	var srcs, dsts []topology.NodeID
+	var pod [2][]topology.NodeID
 	for _, ep := range endpoints {
-		switch d.PodOf(ep) {
-		case 0:
-			srcs = append(srcs, ep)
-			dsts = append(dsts, ep)
-		case 1:
-			dsts = append(dsts, ep)
+		if p := d.PodOf(ep); p == 0 || p == 1 {
+			pod[p] = append(pod[p], ep)
 		}
 	}
-	paths := elp.KBounceFrom(g, srcs, dsts, maxBounces, nil).Paths()
-
-	bucket := func(p routing.Path) int {
-		if d.PodOf(p.Dst()) == 0 {
-			return 0
-		}
-		return 1
-	}
-	var nPaths, nNodes [2]int
-	for _, p := range paths {
-		nPaths[bucket(p)]++
-		nNodes[bucket(p)] += len(p)
-	}
-	r := &repBuckets{
-		nodes: make([]topology.NodeID, nNodes[0]+nNodes[1]),
-		ends:  make([]int, len(paths)),
-		n00:   nPaths[0],
-		e00:   nNodes[0],
-	}
-	next := [2]int{0, r.n00} // next path slot, per bucket
-	fill := [2]int{0, r.e00} // next node slot, per bucket
-	for _, p := range paths {
-		b := bucket(p)
-		fill[b] += copy(r.nodes[fill[b]:], p)
-		r.ends[next[b]] = fill[b]
-		next[b]++
-	}
-	return r
+	e := elp.NewKBounceEnumerator(g, maxBounces, nil)
+	e.From(pod[0], pod[0])
+	n00, e00 := e.List.Len(), len(e.List.Nodes)
+	e.From(pod[0], pod[1])
+	return &repBuckets{nodes: e.List.Nodes, ends: e.List.Ends, n00: n00, e00: e00}, e.Set().Paths()
 }
 
 // count is the number of paths one pod pair stamps: bucket (0,1), plus
@@ -216,18 +190,6 @@ func (r *repBuckets) count(intra bool) int {
 		return len(r.ends)
 	}
 	return len(r.ends) - r.n00
-}
-
-// paths returns the representative paths, (0,0) then (0,1), as views into
-// nodes.
-func (r *repBuckets) paths() []routing.Path {
-	out := make([]routing.Path, len(r.ends))
-	start := 0
-	for i, end := range r.ends {
-		out[i] = routing.Path(r.nodes[start:end:end])
-		start = end
-	}
-	return out
 }
 
 // podPair is one ordered pod pair (p, q) of the stamping pass.
@@ -331,21 +293,24 @@ func stampRuntime(g *topology.Graph, frag *core.TaggedGraph, pairs []podPair) *c
 	fragNodes := frag.Nodes()
 	fragEdges := frag.Edges()
 	runtime := core.NewTaggedGraph(g)
-	portMap := make(map[topology.PortID]topology.PortID, len(fragNodes))
-	for _, pr := range pairs {
+	// portMap[pid] is pid's image under the current pair's node map when
+	// stamp[pid] == the pair's number (from 1): dense over the graph's
+	// ports, never cleared.
+	portMap := make([]topology.PortID, g.NumPorts())
+	stamp := make([]int32, g.NumPorts())
+	for pi, pr := range pairs {
 		// A fragment node is an ingress port: the lowest-numbered port on
 		// the hop facing its predecessor (Port.Peer). Its image is the
 		// lowest-numbered port on σ(hop) facing σ(predecessor) — exactly
 		// what replay of the stamped path would intern.
-		nm := pr.nm
-		clear(portMap)
+		nm, cur := pr.nm, int32(pi+1)
 		tp := func(pid topology.PortID) topology.PortID {
-			if v, ok := portMap[pid]; ok {
-				return v
+			if stamp[pid] == cur {
+				return portMap[pid]
 			}
 			pt := g.Port(pid)
 			v := g.PortOn(nm[pt.Node], g.PortToPeer(nm[pt.Node], nm[pt.Peer]))
-			portMap[pid] = v
+			portMap[pid], stamp[pid] = v, cur
 			return v
 		}
 		for _, n := range fragNodes {

@@ -229,7 +229,7 @@ func TestStampWorkerIndependent(t *testing.T) {
 func TestStampRejectsUncoveredNodeBeforeAllocating(t *testing.T) {
 	f := stampFabrics(t)[1]
 	d := uniformDecomposition(t, f)
-	rep := enumerateRep(f.g, d, f.endpoints, 1)
+	rep, _ := enumerateRep(f.g, d, f.endpoints, 1)
 	pairs := podPairs(d, rep)
 	if _, err := stampELP(rep, pairs); err != nil {
 		t.Fatalf("intact node maps: %v", err)

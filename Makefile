@@ -91,8 +91,11 @@ bench-e2e-test:
 # The before/after protocol behind every end-to-end performance claim:
 # alternating pairs of bench/e2e runs, BASE's committed files against the
 # working tree, seed SEED+i-1 for pair i, with per-metric medians, the
-# base's IQR, wins and a verdict (cmd/benchpairs). ~(2*SECONDS+5)*PAIRS s.
-# Usage: make bench-pairs BASE=HEAD~1 WORKLOAD=coldstart_fattree8
+# base's IQR, wins and a verdict (cmd/benchpairs). WORKLOAD may be a
+# comma-separated list: one `git archive` and one build per side, then one
+# verdict table per workload, so a PR's claimed row and its no-regression
+# rows come from one command. ~(2*SECONDS+5)*PAIRS s per workload.
+# Usage: make bench-pairs BASE=HEAD~1 WORKLOAD=sim_fig12_tagger,sim_cbd_forensics
 PAIRS ?= 10
 SECONDS ?= 12
 SEED ?= 1

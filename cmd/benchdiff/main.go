@@ -20,7 +20,9 @@
 //
 // Snapshots taken on different CPUs (the `cpu:` line `go test` prints)
 // are refused unless -force is given. Benchmarks the baseline has and the
-// new snapshot lacks are listed: they have left the gate.
+// new snapshot lacks are listed: they have left the gate. A "note" in a
+// snapshot's context — a caveat added by hand after recording — is
+// printed with every comparison the snapshot takes part in.
 package main
 
 import (
@@ -74,6 +76,13 @@ func main() {
 			log.Fatalf("%v (-force compares anyway)", err)
 		}
 		log.Printf("warning: %v", err)
+	}
+	// A caveat written into a snapshot's context by hand (the machine was
+	// busy while it was recorded, say) goes with every comparison it is in.
+	for i, f := range []*benchfmt.File{old, cur} {
+		if note := f.Context["note"]; note != "" {
+			log.Printf("note in %s: %s", flag.Arg(i), note)
+		}
 	}
 	deltas := benchfmt.Compare(old, cur, *threshold, *allocThr)
 	if len(deltas) == 0 {

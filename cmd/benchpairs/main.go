@@ -3,20 +3,24 @@
 // protocol every performance claim in this repository rests on — and
 // prints the verdict table:
 //
-//	benchpairs -base HEAD~1 -workload coldstart_fattree8 [-pairs 10] [-seconds 12] [-seed 1]
-//	make bench-pairs BASE=HEAD~1 WORKLOAD=coldstart_fattree8 [PAIRS=10 SECONDS=12 SEED=1]
+//	benchpairs -base HEAD~1 -workload sim_fig12_tagger,sim_cbd_forensics [-pairs 10] [-seconds 12] [-seed 1]
+//	make bench-pairs BASE=HEAD~1 WORKLOAD=sim_fig12_tagger,sim_cbd_forensics [PAIRS=10 SECONDS=12 SEED=1]
 //
 // It exports the committed files of -base with `git archive` into a
 // temporary directory (nothing is written to the repository or its .git),
-// builds bench/e2e there and in the working tree, and runs pair i with
-// seed -seed+i-1 on both sides, the base first in odd pairs and the change first
-// in even ones. Per end-to-end metric of BENCHMARK.json it prints the
-// base median and interquartile range, the change median, the relative
-// difference of the medians, and in how many pairs the change was better
-// (ties count for neither side); then whether that meets the bar for a
-// claimed gain (wins in at least nine tenths of the pairs and medians
-// further apart than the base's IQR) and whether it stays inside the
-// metric's regression bound. Every run's numbers are listed first.
+// builds bench/e2e there and in the working tree — once per side, however
+// many workloads the comma-separated -workload list names, so a change's
+// claimed row and its no-regression rows come from one command and one
+// pair of binaries — and then takes the workloads in turn: pair i runs
+// with seed -seed+i-1 on both sides, the base first in odd pairs and the
+// change first in even ones. Per workload it prints one verdict table: for
+// each end-to-end metric of BENCHMARK.json the base median and
+// interquartile range, the change median, the relative difference of the
+// medians, and in how many pairs the change was better (ties count for
+// neither side); then whether that meets the bar for a claimed gain (wins
+// in at least nine tenths of the pairs and medians further apart than the
+// base's IQR) and whether it stays inside the metric's regression bound.
+// Every run's numbers are listed first.
 //
 // Run it from the repository root. It exits 1 when a run fails to start
 // or prints no result; a run the benchmark itself judges incorrect is
@@ -28,11 +32,13 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -59,7 +65,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchpairs: ")
 	base := flag.String("base", "", "revision to compare the working tree against (required)")
-	workload := flag.String("workload", "", "bench/e2e workload to run (required)")
+	workload := flag.String("workload", "", "bench/e2e workloads to run, comma-separated (required)")
 	pairs := flag.Int("pairs", 10, "number of base/change pairs")
 	seed := flag.Int("seed", 1, "seed of the first pair; pair i runs with seed+i-1 on both sides")
 	seconds := flag.Float64("seconds", 12, "length of each run's timed loop (BENCHMARK.json's run_seconds)")
@@ -73,8 +79,13 @@ func main() {
 	}
 }
 
-func run(base, workload string, pairs, seed int, seconds float64) error {
-	metrics, err := endToEndMetrics("BENCHMARK.json")
+func run(base, workloadList string, pairs, seed int, seconds float64) error {
+	metrics, declared, err := readDeclaration("BENCHMARK.json")
+	if err != nil {
+		return err
+	}
+	// A misspelt third workload should not surface after two have run.
+	workloads, err := parseWorkloads(workloadList, declared)
 	if err != nil {
 		return err
 	}
@@ -104,29 +115,53 @@ func run(base, workload string, pairs, seed int, seconds float64) error {
 		return err
 	}
 
-	names := [2]string{"base", "change"}
+	for i, workload := range workloads {
+		if i > 0 {
+			fmt.Println()
+		}
+		results, err := runPairs(bin, runDir, metrics, workload, pairs, seed, seconds)
+		if err != nil {
+			return fmt.Errorf("%s: %w", workload, err)
+		}
+		fmt.Printf("\n%s, %d pairs (seeds %d-%d), -seconds %g, base %s\n", workload, pairs, seed, seed+pairs-1, seconds, base)
+		printVerdicts(os.Stdout, metrics, results)
+	}
+	return nil
+}
+
+// sideNames label the two sides: index 0 is the base, 1 the change.
+var sideNames = [2]string{"base", "change"}
+
+// runPairs runs one workload's alternating pairs, listing every run, and
+// returns the results by side, pair i at index i-1.
+func runPairs(bin [2]string, runDir string, metrics []metricDef, workload string, pairs, seed int, seconds float64) ([2][]runResult, error) {
 	var results [2][]runResult
 	for i := 1; i <= pairs; i++ {
 		for _, side := range pairOrder(i) {
 			res, err := runOnce(bin[side], runDir, workload, seed+i-1, seconds)
 			if err != nil {
-				return fmt.Errorf("pair %d, %s: %w", i, names[side], err)
+				return results, fmt.Errorf("pair %d, %s: %w", i, sideNames[side], err)
 			}
 			results[side] = append(results[side], res)
-			fmt.Printf("pair %2d %-6s", i, names[side])
+			fmt.Printf("%s pair %2d %-6s", workload, i, sideNames[side])
 			for _, m := range metrics {
 				fmt.Printf("  %s %.4g", m.Name, res.Metrics[m.Name].Value)
 			}
 			fmt.Printf("  failed %d/%d\n", res.Failed, res.Attempted)
 		}
 	}
+	return results, nil
+}
 
-	fmt.Printf("\n%s, %d pairs (seeds %d-%d), -seconds %g, base %s\n", workload, pairs, seed, seed+pairs-1, seconds, base)
-	fmt.Println("gain = change better in >= 9/10 of the pairs and medians further apart than the base's IQR")
-	fmt.Printf("%-22s %12s %10s %12s %8s %6s  %s\n", "metric", "base median", "base IQR", "change", "delta", "wins", "verdict")
+// printVerdicts writes one workload's verdict table: a row per end-to-end
+// metric, then each side's failed share.
+func printVerdicts(w io.Writer, metrics []metricDef, results [2][]runResult) {
+	pairs := len(results[0])
+	fmt.Fprintln(w, "gain = change better in >= 9/10 of the pairs and medians further apart than the base's IQR")
+	fmt.Fprintf(w, "%-22s %12s %10s %12s %8s %6s  %s\n", "metric", "base median", "base IQR", "change", "delta", "wins", "verdict")
 	for _, m := range metrics {
 		row := summarize(m, values(results[0], m.Name), values(results[1], m.Name))
-		fmt.Printf("%-22s %12.4g %10.4g %12.4g %+7.1f%% %3d/%-2d  %s\n",
+		fmt.Fprintf(w, "%-22s %12.4g %10.4g %12.4g %+7.1f%% %3d/%-2d  %s\n",
 			m.Name+" ("+m.Unit+")", row.baseMedian, row.baseIQR, row.changeMedian, 100*row.delta, row.wins, pairs, row.verdict)
 	}
 	for side := range results {
@@ -137,27 +172,53 @@ func run(base, workload string, pairs, seed int, seconds float64) error {
 				incorrect++
 			}
 		}
-		fmt.Printf("%-6s failed share %d/%d operations, %d/%d runs judged incorrect\n", names[side], failed, attempted, incorrect, pairs)
+		fmt.Fprintf(w, "%-6s failed share %d/%d operations, %d/%d runs judged incorrect\n", sideNames[side], failed, attempted, incorrect, pairs)
 	}
-	return nil
 }
 
-// endToEndMetrics reads the end-to-end metric definitions.
-func endToEndMetrics(path string) ([]metricDef, error) {
+// readDeclaration reads BENCHMARK.json's end-to-end metric definitions
+// and the names of the workloads it declares.
+func readDeclaration(path string) ([]metricDef, []string, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("%w (run from the repository root)", err)
+		return nil, nil, fmt.Errorf("%w (run from the repository root)", err)
 	}
 	var decl struct {
-		EndToEnd []metricDef `json:"end_to_end"`
+		EndToEnd  []metricDef `json:"end_to_end"`
+		Workloads []struct {
+			Name string `json:"name"`
+		} `json:"workloads"`
 	}
 	if err := json.Unmarshal(raw, &decl); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
 	if len(decl.EndToEnd) == 0 {
-		return nil, fmt.Errorf("%s declares no end_to_end metrics", path)
+		return nil, nil, fmt.Errorf("%s declares no end_to_end metrics", path)
 	}
-	return decl.EndToEnd, nil
+	names := make([]string, len(decl.Workloads))
+	for i, w := range decl.Workloads {
+		names[i] = w.Name
+	}
+	return decl.EndToEnd, names, nil
+}
+
+// parseWorkloads splits the -workload list and checks every entry against
+// the declared workloads, in the order given.
+func parseWorkloads(list string, declared []string) ([]string, error) {
+	var out []string
+	for _, w := range strings.Split(list, ",") {
+		w = strings.TrimSpace(w)
+		switch {
+		case w == "":
+			return nil, fmt.Errorf("-workload %q has an empty entry", list)
+		case !slices.Contains(declared, w):
+			return nil, fmt.Errorf("-workload %q is not one of BENCHMARK.json's: %s", w, strings.Join(declared, ", "))
+		case slices.Contains(out, w):
+			return nil, fmt.Errorf("-workload names %q twice", w)
+		}
+		out = append(out, w)
+	}
+	return out, nil
 }
 
 // exportRevision unpacks the committed files of rev into dir.

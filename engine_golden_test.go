@@ -107,11 +107,14 @@ func goldenScenarios() map[string]func() *workload.Scenario {
 	}
 }
 
-func runGoldenScenario(build func() *workload.Scenario) scenarioGolden {
+func runGoldenScenario(t *testing.T, name string, build func() *workload.Scenario) scenarioGolden {
 	s := build()
 	w := newHashWriter()
 	s.Net.SetTracer(&sim.JSONLTracer{W: w})
 	s.Run()
+	if err := s.Net.CheckInvariants(); err != nil {
+		t.Errorf("scenario %s: %v", name, err)
+	}
 	return scenarioGolden{
 		TraceHash:    fmt.Sprintf("%016x", w.sum()),
 		TraceEvents:  w.lines,
@@ -141,7 +144,7 @@ func computeEngineGolden(t *testing.T) engineGolden {
 		Chaos:     map[string]chaosGolden{},
 	}
 	for name, build := range goldenScenarios() {
-		g.Scenarios[name] = runGoldenScenario(build)
+		g.Scenarios[name] = runGoldenScenario(t, name, build)
 	}
 	for _, c := range []struct {
 		name       string

@@ -721,6 +721,12 @@ func ChaosSoakWith(seed int64, withTagger bool, o RunOptions) (res ChaosSoakResu
 	res.Deadlocked = wd.DeadlockSamples > 0
 	res.FirstDeadlock = wd.FirstDeadlock
 	res.Drops = s.Net.Drops()
+	// Reboots, flaps and a deadlock's standing queues are where the
+	// simulator's bookkeeping is most exposed: a soak that ends with it
+	// inconsistent has no verdict.
+	if err := s.Net.CheckInvariants(); err != nil {
+		return res, fmt.Errorf("tagger: chaos soak seed %d (%s Tagger): %w", seed, arm, err)
+	}
 	return res, nil
 }
 

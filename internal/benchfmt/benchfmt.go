@@ -30,13 +30,54 @@ type Benchmark struct {
 // File is one benchmark snapshot: the JSON document `benchdiff -record`
 // writes and `benchdiff old new` compares.
 type File struct {
-	// Context captures the `goos:`/`goarch:`/`pkg:`/`cpu:` header lines.
+	// Context captures the `goos:`/`goarch:`/`pkg:`/`cpu:` header lines. A
+	// "note" key, added by hand, is a caveat benchdiff prints when it
+	// compares the snapshot.
 	Context    map[string]string `json:"context,omitempty"`
 	Benchmarks []Benchmark       `json:"benchmarks"`
 }
 
+// normalizeName strips the "-N" GOMAXPROCS suffix `go test` appends to a
+// benchmark's name whenever N is not 1, so that snapshots recorded at
+// different processor counts — or before and after the repo's build VM
+// grew a second vCPU — join on the same key. Like x/perf's benchfmt it
+// reads any trailing "-<digits>" as that suffix; normalizeNames reports
+// the one case where that guess loses information.
+func normalizeName(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i <= 0 || i == len(name)-1 {
+		return name
+	}
+	for _, c := range name[i+1:] {
+		if c < '0' || c > '9' {
+			return name
+		}
+	}
+	return name[:i]
+}
+
+// normalizeNames rewrites every row's name with normalizeName. Two rows
+// whose names differ as recorded but not once normalized — sub-benchmarks
+// "size-100" and "size-200" run at GOMAXPROCS=1, or one benchmark run at
+// two processor counts — would silently merge into one key, so that is an
+// error instead.
+func (f *File) normalizeNames() error {
+	raw := make(map[string]string, len(f.Benchmarks))
+	for i := range f.Benchmarks {
+		b := &f.Benchmarks[i]
+		name := normalizeName(b.Name)
+		if prev, ok := raw[name]; ok && prev != b.Name {
+			return fmt.Errorf("benchfmt: %q and %q both normalize to %q: a trailing -<digits> is read as the GOMAXPROCS suffix", prev, b.Name, name)
+		}
+		raw[name] = b.Name
+		b.Name = name
+	}
+	return nil
+}
+
 // Parse reads `go test -bench` text output. Non-benchmark lines (PASS,
 // ok, header lines) are skipped; header lines are kept as context.
+// Benchmark names are stored normalized (normalizeNames).
 func Parse(r io.Reader) (*File, error) {
 	f := &File{Context: map[string]string{}}
 	sc := bufio.NewScanner(r)
@@ -61,6 +102,9 @@ func Parse(r io.Reader) (*File, error) {
 		f.Benchmarks = append(f.Benchmarks, b)
 	}
 	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if err := f.normalizeNames(); err != nil {
 		return nil, err
 	}
 	sort.Slice(f.Benchmarks, func(i, j int) bool { return f.Benchmarks[i].Name < f.Benchmarks[j].Name })
@@ -130,7 +174,8 @@ func WriteFile(path string, f *File) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// ReadFile loads a snapshot written by WriteFile.
+// ReadFile loads a snapshot written by WriteFile. Names are normalized on
+// the way in (normalizeNames): the committed trajectory holds both forms.
 func ReadFile(path string) (*File, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -139,6 +184,9 @@ func ReadFile(path string) (*File, error) {
 	var f File
 	if err := json.Unmarshal(data, &f); err != nil {
 		return nil, fmt.Errorf("benchfmt: %s: %w", path, err)
+	}
+	if err := f.normalizeNames(); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return &f, nil
 }

@@ -275,3 +275,86 @@ func TestOnlyInBaseline(t *testing.T) {
 		t.Errorf("identical snapshots: %v", got)
 	}
 }
+
+func TestNormalizeName(t *testing.T) {
+	for in, want := range map[string]string{
+		"BenchmarkAlgorithm2Jellyfish200":           "BenchmarkAlgorithm2Jellyfish200",
+		"BenchmarkAlgorithm2Jellyfish200-2":         "BenchmarkAlgorithm2Jellyfish200",
+		"BenchmarkEventScheduleDispatch/lanes-16":   "BenchmarkEventScheduleDispatch/lanes",
+		"BenchmarkEventScheduleDispatch/k-bounce":   "BenchmarkEventScheduleDispatch/k-bounce",
+		"BenchmarkEventScheduleDispatch/k-bounce-2": "BenchmarkEventScheduleDispatch/k-bounce",
+		"BenchmarkTrailingDash-":                    "BenchmarkTrailingDash-",
+		"-2":                                        "-2",
+	} {
+		if got := normalizeName(in); got != want {
+			t.Errorf("normalizeName(%q) = %q, want %q", in, got, want)
+		}
+	}
+	f, err := Parse(strings.NewReader("BenchmarkFoo-2 \t 10 \t 100 ns/op\nBenchmarkFoo/sub-2 \t 10 \t 50 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Benchmarks[0].Name != "BenchmarkFoo" || f.Benchmarks[1].Name != "BenchmarkFoo/sub" {
+		t.Errorf("Parse kept the GOMAXPROCS suffix: %q, %q", f.Benchmarks[0].Name, f.Benchmarks[1].Name)
+	}
+}
+
+// TestNormalizeCollision: names that differ only in what is read as the
+// GOMAXPROCS suffix must be refused, not merged; repeats of one name (a
+// -count N run) are not a collision.
+func TestNormalizeCollision(t *testing.T) {
+	_, err := Parse(strings.NewReader("BenchmarkFoo/size-100 \t 10 \t 100 ns/op\nBenchmarkFoo/size-200 \t 10 \t 50 ns/op\n"))
+	if err == nil || !strings.Contains(err.Error(), `"BenchmarkFoo/size"`) {
+		t.Errorf("Parse merged size-100 and size-200: err = %v", err)
+	}
+	path := filepath.Join(t.TempDir(), "b.json")
+	if err := WriteFile(path, &File{Benchmarks: []Benchmark{{Name: "BenchmarkFoo"}, {Name: "BenchmarkFoo-2"}}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadFile(path); err == nil {
+		t.Error("ReadFile merged BenchmarkFoo and BenchmarkFoo-2")
+	}
+	f, err := Parse(strings.NewReader("BenchmarkFoo-2 \t 10 \t 100 ns/op\nBenchmarkFoo-2 \t 10 \t 90 ns/op\n"))
+	if err != nil || len(f.Benchmarks) != 2 {
+		t.Errorf("-count 2 output: %v, %d rows", err, len(f.Benchmarks))
+	}
+}
+
+// TestCommittedSnapshotsJoin diffs a committed snapshot recorded before
+// `go test` started suffixing names with "-2" on the build VM against one
+// recorded since. Before names were normalized the two shared no key:
+// benchdiff reported every row as only-in-baseline and compared nothing.
+func TestCommittedSnapshotsJoin(t *testing.T) {
+	old, err := ReadFile("../../BENCH_2026-08-07.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := ReadFile("../../BENCH_2026-10-01.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SameCPU(old, cur); err != nil {
+		t.Fatalf("the two snapshots were chosen for sharing a CPU: %v", err)
+	}
+	deltas := Compare(old, cur, 0.15, -1)
+	common := map[string]bool{}
+	for _, d := range deltas {
+		common[d.Name] = true
+	}
+	for _, name := range []string{
+		"BenchmarkAlgorithm2Jellyfish200", "BenchmarkFigure12WithTagger", "BenchmarkTable5Jellyfish200",
+	} {
+		if !common[name] {
+			t.Errorf("%s is in both snapshots but not in their comparison", name)
+		}
+	}
+	// Everything the old snapshot has, bar the benchmarks since deleted,
+	// must be common ground.
+	gone := OnlyInBaseline(old, cur)
+	if len(deltas)+len(gone) != len(old.Benchmarks) {
+		t.Errorf("%d compared + %d only in baseline != %d in the baseline", len(deltas), len(gone), len(old.Benchmarks))
+	}
+	if len(deltas) < len(old.Benchmarks)*3/4 {
+		t.Errorf("only %d of %d baseline rows joined; missing: %v", len(deltas), len(old.Benchmarks), gone)
+	}
+}

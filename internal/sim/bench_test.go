@@ -69,7 +69,7 @@ func benchScheduler(b *testing.B, txDone, arrive, pfc eventKind) {
 }
 
 // steadyNet builds the paper testbed with a single line-rate flow and
-// warms it past the arena/heap high-water mark. SampleInterval is pushed
+// warms it past the slab/lane high-water marks. SampleInterval is pushed
 // out so the rate-series buckets never grow during measurement.
 func steadyNet(tb testing.TB, until time.Duration) *Network {
 	c := paper.Testbed()
@@ -102,8 +102,9 @@ func BenchmarkSteadyStateForwarding(b *testing.B) {
 }
 
 // TestSteadyStateZeroAlloc is the acceptance check behind the benchmark:
-// once the arena and heap reach their high-water marks, forwarding MTU
-// packets schedules and dispatches with zero heap allocations.
+// once the packet slab and the event lanes reach their high-water marks,
+// forwarding MTU packets schedules and dispatches with zero heap
+// allocations — and leaves the warm network's invariants intact.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	n := steadyNet(t, 2*time.Millisecond)
 	at := n.Now()
@@ -115,6 +116,9 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	}
 	if got := n.Flows()[0].Received(); got == 0 {
 		t.Fatal("no traffic delivered; the zero-alloc run measured an idle network")
+	}
+	if err := n.CheckInvariants(); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -291,8 +291,8 @@ func (n *Network) detectorRefreshTick(t *timerRT, slot int32) {
 			if n.nodes[prt.peer].isHost {
 				continue
 			}
-			for prio := 1; prio < len(prt.inBytes); prio++ {
-				if !prt.pausedUpstream[prio] {
+			for prio := 1; prio < n.nQueues; prio++ {
+				if !prt.pausedUpstream.has(prio) {
 					continue
 				}
 				tg := n.det.eng.RefreshTag(ni, pi, prio)
@@ -316,7 +316,7 @@ func (n *Network) detDeliverTag(node, port, prio int, tg detect.Tag) {
 		return
 	}
 	rt := &n.nodes[node]
-	if rt.isHost || !rt.ports[port].egressPaused[prio] {
+	if rt.isHost || !rt.ports[port].paused.has(prio) {
 		return
 	}
 	if d, ok := n.det.eng.PauseReceived(node, port, prio, tg); ok {
@@ -382,16 +382,20 @@ func (n *Network) applyMitigation(d detect.Detection) {
 	var pkts, bytes int64
 	for pi := range rt.ports {
 		prt := &rt.ports[pi]
-		for q := 1; q < len(prt.egress); q++ {
+		for q := 1; q < n.nQueues; q++ {
 			f := &prt.egress[q]
 			if f.empty() {
 				continue
 			}
+			// Filter the queue in place: handles that stay are compacted
+			// toward the head; the rest are dropped or, demoted, move to
+			// the port's lossy queue.
 			w := f.head
 			for i := f.head; i < len(f.q); i++ {
-				pk := f.q[i]
+				h := f.q[i]
+				pk := &n.pkts.slots[h]
 				if int(pk.inPort) != op || int(pk.inPrio) != oq {
-					f.q[w] = pk
+					f.q[w] = h
 					w++
 					continue
 				}
@@ -405,7 +409,8 @@ func (n *Network) applyMitigation(d detect.Detection) {
 					st.BytesDropped += int64(pk.size)
 					n.trace(TraceEvent{Kind: "drop", Node: n.nodeName(rt.id),
 						Flow: pk.flow.spec.Name, Reason: "mitigate"})
-					n.releaseIngress(rt, &pk)
+					n.releaseIngress(rt, pk)
+					n.pkts.release(h)
 					continue
 				}
 				// Demote: release the lossless ingress claim (the shared
@@ -423,21 +428,18 @@ func (n *Network) applyMitigation(d detect.Detection) {
 					rt.bufferUsed -= int64(pk.size)
 					n.trace(TraceEvent{Kind: "drop", Node: n.nodeName(rt.id),
 						Flow: pk.flow.spec.Name, Reason: "mitigate"})
+					n.pkts.release(h)
 					continue
 				}
 				st.PacketsDemoted++
 				n.trace(TraceEvent{Kind: "demote", Node: n.nodeName(rt.id),
 					Flow: pk.flow.spec.Name})
-				prt.egress[0].push(pk)
+				prt.enqueue(0, h, pk.size)
 			}
 			f.q = f.q[:w]
-			if f.head >= len(f.q) {
-				f.head = 0
-				if cap(f.q) > fifoReleaseCap {
-					f.q = nil
-				} else {
-					f.q = f.q[:0]
-				}
+			if f.empty() {
+				f.reset()
+				prt.nonEmpty.clear(q)
 			}
 		}
 	}
@@ -455,8 +457,8 @@ func (n *Network) applyMitigation(d detect.Detection) {
 		// The drop path's releaseIngress already re-checks Xon per packet;
 		// the demote path released the claims manually, so check once here.
 		in := &rt.ports[op]
-		if in.pausedUpstream[oq] && in.inBytes[oq] <= n.xon(rt) {
-			in.pausedUpstream[oq] = false
+		if in.pausedUpstream.has(oq) && in.inBytes[oq] <= n.xon(rt) {
+			in.pausedUpstream.clear(oq)
 			n.sendPFC(rt, op, oq, false)
 		}
 	}

@@ -12,18 +12,20 @@
 //
 // The event engine is built for throughput: a scheduler of monotone FIFO
 // lanes for the constant-delay event kinds over a typed binary heap for
-// the rest, a 32-byte packed event struct, a pooled packet arena for
-// frames on the wire, dense per-switch forwarding and classify memos in
-// front of the routing and rule maps, and dedicated event kinds for
-// periodic timers and DCQCN notifications, so the steady state schedules
-// and dispatches without heap allocations or hashing (see DESIGN.md §11).
+// the rest, a 32-byte packed event struct assembled in its ring slot, a
+// packet slab whose 4-byte handles are what queues, transmitters and
+// arrival events carry, a bit-scan egress arbiter, dense per-switch
+// forwarding and classify memos in front of the routing and rule maps,
+// and dedicated event kinds for periodic timers and DCQCN notifications,
+// so the steady state schedules and dispatches without heap allocations
+// or hashing (see DESIGN.md §11).
 package sim
 
 // eventKind discriminates the simulator's event types.
 type eventKind uint8
 
 const (
-	evArrive   eventKind = iota // packet arrives at node ingress (arg = arena slot)
+	evArrive   eventKind = iota // packet arrives at node ingress (arg = packet handle)
 	evTxDone                    // node port finishes serializing a packet
 	evPFC                       // PFC pause/resume frame takes effect
 	evFlowKick                  // re-evaluate a host's flow scheduler
@@ -66,9 +68,12 @@ func (e *event) before(at, seq int64) bool {
 
 func (h eventHeap) less(i, j int) bool { return h[i].before(h[j].at, h[j].seq) }
 
-// push appends and sifts up.
-func (h *eventHeap) push(e event) {
-	q := append(*h, e)
+// reserve appends an event carrying only its key (at, seq, kind), sifts
+// it up, and returns where it came to rest so the caller can fill in the
+// payload — which the heap order never reads. The pointer is good until
+// the next push or pop.
+func (h *eventHeap) reserve(at, seq int64, kind eventKind) *event {
+	q := append(*h, event{at: at, seq: seq, kind: kind})
 	*h = q
 	i := len(q) - 1
 	for i > 0 {
@@ -79,6 +84,7 @@ func (h *eventHeap) push(e event) {
 		q[i], q[p] = q[p], q[i]
 		i = p
 	}
+	return &q[i]
 }
 
 // pop removes and returns the minimum. Callers check len first.
@@ -117,9 +123,9 @@ const numLanes = 3
 // kind's in-flight high-water mark and stay there.
 const laneMinCap = 16
 
-// lane is a FIFO ring of one event kind, sorted by (at, seq) because
-// push only admits an event whose at is not below the newest queued one
-// (seq grows with every schedule call).
+// lane is a FIFO ring of one event kind, sorted by (at, seq) because the
+// scheduler only admits an event whose at is not below the newest queued
+// one (seq grows with every schedule call).
 type lane struct {
 	buf  []event // len is zero or a power of two
 	head int     // index of the oldest event
@@ -127,7 +133,12 @@ type lane struct {
 	last int64   // at of the newest event; meaningful while n > 0
 }
 
-func (l *lane) push(e *event) {
+// reserve claims the ring's next slot for an event with the given key and
+// returns it for the caller to fill in the payload: the event is
+// assembled where it will wait, never built elsewhere and copied in. The
+// slot is zeroed apart from the key, so a kind sets only the fields it
+// uses. The pointer is good until the lane's next reserve.
+func (l *lane) reserve(at, seq int64, kind eventKind) *event {
 	if l.n == len(l.buf) {
 		// Unwrap into a ring twice the size.
 		nb := make([]event, max(2*len(l.buf), laneMinCap))
@@ -135,9 +146,11 @@ func (l *lane) push(e *event) {
 		copy(nb[k:], l.buf[:l.head])
 		l.buf, l.head = nb, 0
 	}
-	l.buf[(l.head+l.n)&(len(l.buf)-1)] = *e
+	e := &l.buf[(l.head+l.n)&(len(l.buf)-1)]
+	*e = event{at: at, seq: seq, kind: kind}
 	l.n++
-	l.last = e.at
+	l.last = at
+	return e
 }
 
 func (l *lane) pop() event {
@@ -159,24 +172,36 @@ type scheduler struct {
 	lanes [numLanes]lane
 	heap  eventHeap
 
-	pending, maxPending    int
-	lanePushes, heapPushes int64
+	pending, maxPending int
+	// Every reserve lands in exactly one of these: a lane, the heap
+	// because its kind has no lane, or the heap because its lane would
+	// have gone out of order.
+	lanePushes, heapPushes, laneFallbacks int64
 }
 
-func (s *scheduler) push(e *event) {
+// reserve queues an event with the given key and returns it for the
+// caller to fill in the payload fields its kind uses (the rest are zero).
+// It is the only way in: a lane kind whose time keeps its lane sorted is
+// assembled in the ring slot, everything else in the heap.
+func (s *scheduler) reserve(kind eventKind, at, seq int64) *event {
 	if s.pending++; s.pending > s.maxPending {
 		s.maxPending = s.pending
 	}
-	if e.kind < numLanes {
-		if l := &s.lanes[e.kind]; l.n == 0 || e.at >= l.last {
+	if kind < numLanes {
+		if l := &s.lanes[kind]; l.n == 0 || at >= l.last {
 			s.lanePushes++
-			l.push(e)
-			return
+			return l.reserve(at, seq, kind)
 		}
+		s.laneFallbacks++
+	} else {
+		s.heapPushes++
 	}
-	s.heapPushes++
-	s.heap.push(*e)
+	return s.heap.reserve(at, seq, kind)
 }
+
+// push queues a fully built event: the form for the kinds off the packet
+// path, where the copy does not matter.
+func (s *scheduler) push(e *event) { *s.reserve(e.kind, e.at, e.seq) = *e }
 
 // pop removes the earliest pending event into e if it is due by limit.
 func (s *scheduler) pop(limit int64, e *event) bool {
@@ -211,11 +236,16 @@ func (s *scheduler) pop(limit int64, e *event) bool {
 type EngineStats struct {
 	// Dispatched events by kind.
 	Arrive, TxDone, PFC, FlowKick, Call, Timer, CNP int64
-	// LanePushes and HeapPushes split the schedule calls by where the
-	// event was queued: an O(1) lane or the fallback heap.
-	LanePushes, HeapPushes int64
+	// LanePushes, HeapPushes and LaneFallbacks split the schedule calls by
+	// where the event was queued: an O(1) lane, the heap because its kind
+	// has no lane, or the heap because a lane kind arrived out of order
+	// for its lane. The packet path is built so the last stays zero.
+	LanePushes, HeapPushes, LaneFallbacks int64
 	// MaxPending is the high-water mark of scheduled, undispatched events.
 	MaxPending int
+	// MaxPacketsLive is the high-water mark of packets in the fabric at
+	// once (queued, serializing or on a wire): the packet slab's size.
+	MaxPacketsLive int
 }
 
 // Events returns the total number of events dispatched.
@@ -230,8 +260,17 @@ func (n *Network) EngineStats() EngineStats {
 		Arrive: d[evArrive], TxDone: d[evTxDone], PFC: d[evPFC], FlowKick: d[evFlowKick],
 		Call: d[evCall], Timer: d[evTimer], CNP: d[evCNP],
 		LanePushes: n.events.lanePushes, HeapPushes: n.events.heapPushes,
-		MaxPending: n.events.maxPending,
+		LaneFallbacks: n.events.laneFallbacks,
+		MaxPending:    n.events.maxPending, MaxPacketsLive: len(n.pkts.slots),
 	}
+}
+
+// reserve schedules an event of the given kind and returns it for the
+// caller to fill in its payload — the packet path's form of schedule.
+func (n *Network) reserve(kind eventKind, at int64) *event {
+	seq := n.seq
+	n.seq++
+	return n.events.reserve(kind, at, seq)
 }
 
 func (n *Network) schedule(e event) {
@@ -265,35 +304,42 @@ func (n *Network) runCall(slot int32) {
 	fn()
 }
 
-// --- Packet arena -----------------------------------------------------------
+// --- Packet slab ------------------------------------------------------------
 
-// packetArena holds the frames currently on the wire (between startTx and
-// arrival). Slots are recycled through a free list: after warm-up the
-// arena reaches the fabric's in-flight high-water mark and steady-state
-// transmission allocates nothing per packet.
-type packetArena struct {
+// packetSlab owns every packet in the fabric. A packet is written once,
+// into a slot, when its host injects it (tryHostTx) and the slot is
+// released once, at delivery or at a counted drop; in between, egress
+// FIFOs, a port's in-serialization frame and evArrive events carry only
+// the slot's 4-byte handle. Slots are recycled through a free list: after
+// warm-up the slab reaches the fabric's packets-in-flight high-water mark
+// and steady-state forwarding allocates nothing per packet.
+//
+// Rule: no *packet is held across a call that can inject (tryHostTx and
+// whatever reaches it), because alloc may grow the slab and move every
+// slot. Handles stay valid; take the pointer again after such a call.
+type packetSlab struct {
 	slots []packet
 	free  []int32
 }
 
-// put stores a packet and returns its slot.
-func (a *packetArena) put(pk packet) int32 {
-	if k := len(a.free); k > 0 {
-		slot := a.free[k-1]
-		a.free = a.free[:k-1]
-		a.slots[slot] = pk
-		return slot
+// alloc returns the handle of a free slot. Its contents are stale: the
+// caller writes the whole packet. The slab grows only when every slot is
+// live, so len(slots) is the high-water mark of live packets.
+func (s *packetSlab) alloc() int32 {
+	if k := len(s.free); k > 0 {
+		h := s.free[k-1]
+		s.free = s.free[:k-1]
+		return h
 	}
-	a.slots = append(a.slots, pk)
-	return int32(len(a.slots) - 1)
+	s.slots = append(s.slots, packet{})
+	return int32(len(s.slots) - 1)
 }
 
-// take removes and returns the packet in slot, recycling it.
-func (a *packetArena) take(slot int32) packet {
-	pk := a.slots[slot]
-	a.free = append(a.free, slot)
-	return pk
-}
+// release recycles a slot whose packet has left the fabric.
+func (s *packetSlab) release(h int32) { s.free = append(s.free, h) }
+
+// live returns the number of slots holding a packet still in the fabric.
+func (s *packetSlab) live() int { return len(s.slots) - len(s.free) }
 
 // --- Periodic timers --------------------------------------------------------
 

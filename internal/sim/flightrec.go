@@ -247,12 +247,12 @@ func (fr *FlightRecorder) buildSnapshot(trigger, node string) []trace.Entry {
 		rt := &n.nodes[ni]
 		for pi := range rt.ports {
 			prt := &rt.ports[pi]
-			for prio := 1; prio < len(prt.egress); prio++ {
+			for prio := 1; prio < n.nQueues; prio++ {
 				var flags uint16
-				if prt.egressPaused[prio] {
+				if prt.paused.has(prio) {
 					flags |= trace.QFlagPausedByPeer
 				}
-				if prt.pausedUpstream[prio] {
+				if prt.pausedUpstream.has(prio) {
 					flags |= trace.QFlagPausingUpstream
 				}
 				if prt.txBusy {
@@ -296,14 +296,15 @@ func (fr *FlightRecorder) buildSnapshot(trigger, node string) []trace.Entry {
 			}
 			for pi := range rt.ports {
 				prt := &rt.ports[pi]
-				for prio := 1; prio < len(prt.egress); prio++ {
-					f := &prt.egress[prio]
-					for i := f.head; i < len(f.q); i++ {
-						add(ni, pi, prio, &f.q[i])
+				for prio := 1; prio < n.nQueues; prio++ {
+					for _, h := range prt.egress[prio].queued() {
+						add(ni, pi, prio, &n.pkts.slots[h])
 					}
 				}
-				if prt.txBusy && prt.txPkt.flow != nil && prt.txPkt.inPrio > 0 {
-					add(ni, pi, n.prioOf(int(prt.txPkt.tag)), &prt.txPkt)
+				if prt.txBusy {
+					if pk := &n.pkts.slots[prt.txPkt]; pk.inPrio > 0 {
+						add(ni, pi, n.prioOf(int(pk.tag)), pk)
+					}
 				}
 			}
 		}

@@ -174,7 +174,7 @@ func (n *Network) tryHostTx(nodeIdx, port int) {
 			continue
 		}
 		prio := n.prioOf(f.spec.StartTag)
-		if prio != 0 && prt.egressPaused[prio] {
+		if prio != 0 && prt.paused.has(prio) {
 			continue // NIC honors PFC
 		}
 		if f.nextGen > n.now {
@@ -183,22 +183,25 @@ func (n *Network) tryHostTx(nodeIdx, port int) {
 			}
 			continue
 		}
-		// Generate and transmit one packet.
+		// Generate and transmit one packet: the one place a packet is
+		// written into the slab.
 		rt.nextFl = (rt.nextFl + i + 1) % len(rt.flows)
-		pk := packet{
+		size := int32(n.cfg.MTU)
+		h := n.pkts.alloc()
+		n.pkts.slots[h] = packet{
 			flow:   f,
-			size:   int32(n.cfg.MTU),
+			size:   size,
 			tag:    int16(f.spec.StartTag),
 			ttl:    int16(n.cfg.DefaultTTL),
 			inPort: -1,
 			born:   n.now,
 		}
-		f.sent += int64(pk.size)
+		f.sent += int64(size)
 		if rate := f.paceRate(n); rate > 0 {
-			gap := int64(pk.size) * 8 * 1_000_000_000 / rate
+			gap := int64(size) * 8 * 1_000_000_000 / rate
 			f.nextGen = n.now + gap
 		}
-		n.startTx(nodeIdx, port, pk)
+		n.startTx(nodeIdx, prt, port, h, size)
 		return
 	}
 	if soonest > n.now {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"repro/internal/core"
@@ -37,19 +38,17 @@ type packet struct {
 	rule int32
 }
 
-// fifo is an allocation-friendly packet queue.
+// fifo is an allocation-friendly queue of packet handles. bytes is the
+// total size of the packets behind them, kept by whoever pushes and pops
+// (portRT.enqueue, Network.dequeue): the queue itself never looks at a
+// packet.
 type fifo struct {
-	q     []packet
+	q     []int32
 	head  int
 	bytes int64
 }
 
-func (f *fifo) push(p packet) {
-	f.q = append(f.q, p)
-	f.bytes += int64(p.size)
-}
-
-// fifoReleaseCap is the backing-array size (in packets) beyond which a
+// fifoReleaseCap is the backing-array size (in handles) beyond which a
 // drained queue frees its storage instead of keeping it. Steady-state
 // queues stay far below it and recycle their array forever; only a queue
 // that ballooned during a burst (deadlock, incast) gives the memory back
@@ -57,51 +56,129 @@ func (f *fifo) push(p packet) {
 // every port.
 const fifoReleaseCap = 512
 
-func (f *fifo) pop() packet {
-	p := f.q[f.head]
+func (f *fifo) push(h int32) { f.q = append(f.q, h) }
+
+func (f *fifo) pop() int32 {
+	h := f.q[f.head]
 	f.head++
-	f.bytes -= int64(p.size)
 	if f.head >= len(f.q) {
-		f.head = 0
-		if cap(f.q) > fifoReleaseCap {
-			f.q = nil
-		} else {
-			f.q = f.q[:0]
-		}
+		f.reset()
 	} else if f.head > 64 && f.head*2 > len(f.q) {
 		n := copy(f.q, f.q[f.head:])
 		f.q = f.q[:n]
 		f.head = 0
 	}
-	return p
+	return h
+}
+
+// reset rewinds a drained queue, giving back a ballooned backing array.
+func (f *fifo) reset() {
+	f.head = 0
+	if cap(f.q) > fifoReleaseCap {
+		f.q = nil
+	} else {
+		f.q = f.q[:0]
+	}
 }
 
 func (f *fifo) empty() bool { return f.head >= len(f.q) }
 
 func (f *fifo) len() int { return len(f.q) - f.head }
 
-// portRT is the runtime state of one node port.
+// queued returns the handles waiting, oldest first.
+func (f *fifo) queued() []int32 { return f.q[f.head:] }
+
+// maxQueues is the number of egress queues a port can have: the eight
+// priorities of 802.1Qbb, queue 0 being the lossy class. It is what lets
+// per-priority flags be one-byte masks and per-priority state fixed
+// arrays inside portRT; New rejects a Config that needs more.
+const maxQueues = 8
+
+// prioMask has bit q set when a per-priority condition holds for queue q,
+// 0 <= q < maxQueues (the &7 below only tells the compiler so).
+type prioMask uint8
+
+func (m prioMask) has(q int) bool { return m>>(uint(q)&7)&1 != 0 }
+func (m *prioMask) set(q int)     { *m |= 1 << (uint(q) & 7) }
+func (m *prioMask) clear(q int)   { *m &^= 1 << (uint(q) & 7) }
+
+// portRT is the runtime state of one node port. The scalars and masks a
+// hop reads come first, then the per-priority arrays, hottest first, so
+// that with the usual handful of priorities the ingress side of a hop
+// touches the leading cache line and the egress side that line plus the
+// one holding its FIFO.
 type portRT struct {
 	peer     topology.NodeID
 	peerPort int16
 
-	// Egress: one FIFO per priority (0 = lossy), paused bitmask from
-	// downstream PFC, transmitter state, and a round-robin pointer.
-	egress       []fifo
-	egressPaused []bool
-	txBusy       bool
-	txPkt        packet // the frame being serialized, for ingress release
-	rrNext       int
+	// Egress: transmitter state, the round-robin pointer, and two masks —
+	// which FIFOs hold packets and which priorities the downstream peer
+	// has PAUSEd. nonEmpty is maintained by enqueue and dequeue, the only
+	// FIFO writers apart from applyMitigation's in-place filter.
+	txBusy   bool
+	rrNext   uint8
+	nonEmpty prioMask
+	paused   prioMask
+	// pausedUpstream: the priorities for which we have PAUSEd the upstream.
+	pausedUpstream prioMask
+	txPkt          int32 // handle of the frame being serialized, for ingress release
 
-	// Ingress accounting per priority, and whether we have PAUSEd the
-	// upstream for each priority.
-	inBytes        []int64
-	pausedUpstream []bool
-	maxInBytes     int64 // high-water mark, for headroom verification
+	maxInBytes int64 // high-water mark, for headroom verification
+	// inBytes is the ingress accounting per priority.
+	inBytes [maxQueues]int64
+	// egress is one FIFO per priority (0 = lossy).
+	egress [maxQueues]fifo
 	// pauseStart records, per priority, the sim time the current PAUSE was
 	// asserted (telemetry: pause-duration histograms). Valid only while
 	// pausedUpstream is set.
-	pauseStart []int64
+	pauseStart [maxQueues]int64
+}
+
+// enqueue appends the packet behind h, size bytes long, to egress queue q.
+func (prt *portRT) enqueue(q int, h, size int32) {
+	f := &prt.egress[q]
+	f.push(h)
+	f.bytes += int64(size)
+	prt.nonEmpty.set(q)
+}
+
+// dequeue removes the oldest packet of the port's egress queue q, which
+// must not be empty.
+func (n *Network) dequeue(prt *portRT, q int) (int32, *packet) {
+	f := &prt.egress[q]
+	h := f.pop()
+	pk := &n.pkts.slots[h]
+	f.bytes -= int64(pk.size)
+	if f.empty() {
+		prt.nonEmpty.clear(q)
+	}
+	return h, pk
+}
+
+// arbitrate picks the egress queue to serve next among nQueues, or -1 if
+// none is eligible, and returns the round-robin pointer to store. A
+// queue is eligible when it holds a packet and is not paused; the lossy
+// queue 0 is never paused. Round-robin serves the first eligible queue
+// at or after rrNext, wrapping, and moves the pointer past it; strict
+// priority serves the highest eligible queue and leaves the pointer.
+func arbitrate(nonEmpty, paused prioMask, rrNext uint8, nQueues int, strict bool) (q int, next uint8) {
+	ready := uint32(nonEmpty &^ (paused &^ 1))
+	if ready == 0 {
+		return -1, rrNext
+	}
+	if strict {
+		return bits.Len32(ready) - 1, rrNext
+	}
+	// Two copies of the mask side by side turn the wrapped scan into one
+	// shift and one count.
+	q = int(rrNext) + bits.TrailingZeros32((ready|ready<<(uint(nQueues)&15))>>(rrNext&7))
+	if q >= nQueues {
+		q -= nQueues
+	}
+	if next = uint8(q + 1); int(next) == nQueues {
+		next = 0
+	}
+	return q, next
 }
 
 // nodeRT is the runtime state of one node.
@@ -153,6 +230,8 @@ type Network struct {
 	g      *topology.Graph
 	tables *routing.Tables
 	cfg    Config
+	// nQueues is cfg.MaxPriority+1, the egress queues per port.
+	nQueues int
 
 	rules        *core.Ruleset // nil: Tagger disabled (single class)
 	legacyEgress bool          // Figure 8a mode: egress queue by OLD tag
@@ -166,9 +245,9 @@ type Network struct {
 	fwd fwdMemo
 	cls classMemo
 
-	// arena holds frames on the wire; calls/callFree and timers are the
-	// side tables behind evCall and evTimer events (see event.go).
-	arena    packetArena
+	// pkts owns every packet in the fabric; calls/callFree and timers are
+	// the side tables behind evCall and evTimer events (see event.go).
+	pkts     packetSlab
 	calls    []func()
 	callFree []int32
 	timers   []timerRT
@@ -217,8 +296,11 @@ type Network struct {
 // tables object is referenced, not copied: scenario code may override
 // entries mid-run via At callbacks.
 func New(g *topology.Graph, tables *routing.Tables, cfg Config) *Network {
-	n := &Network{g: g, tables: tables, cfg: cfg}
-	nPrio := cfg.MaxPriority + 1
+	if cfg.MaxPriority < 0 || cfg.MaxPriority >= maxQueues {
+		panic(fmt.Sprintf("sim: Config.MaxPriority = %d, want 0..%d: a port has the %d queues of 802.1Qbb, queue 0 lossy",
+			cfg.MaxPriority, maxQueues-1, maxQueues))
+	}
+	n := &Network{g: g, tables: tables, cfg: cfg, nQueues: cfg.MaxPriority + 1}
 	n.nodes = make([]nodeRT, g.NumNodes())
 	n.fwd.rows = make([][][]int, len(n.nodes))
 	n.cls.rows = make([][]classEntry, len(n.nodes))
@@ -231,13 +313,8 @@ func New(g *topology.Graph, tables *routing.Tables, cfg Config) *Network {
 		for pi, pid := range node.Ports {
 			p := g.Port(pid)
 			rt.ports[pi] = portRT{
-				peer:           p.Peer,
-				peerPort:       int16(g.PortToPeer(p.Peer, node.ID)),
-				egress:         make([]fifo, nPrio),
-				egressPaused:   make([]bool, nPrio),
-				inBytes:        make([]int64, nPrio),
-				pausedUpstream: make([]bool, nPrio),
-				pauseStart:     make([]int64, nPrio),
+				peer:     p.Peer,
+				peerPort: int16(g.PortToPeer(p.Peer, node.ID)),
 			}
 		}
 	}
@@ -301,8 +378,7 @@ func (n *Network) Run(until time.Duration) {
 		n.dispatched[e.kind]++
 		switch e.kind {
 		case evArrive:
-			pk := n.arena.take(e.arg)
-			n.arrive(int(e.node), int(e.port), &pk)
+			n.arrive(int(e.node), int(e.port), e.arg)
 		case evTxDone:
 			n.txDone(int(e.node), int(e.port))
 		case evPFC:
@@ -327,10 +403,15 @@ func (n *Network) rt(id topology.NodeID) *nodeRT { return &n.nodes[id] }
 
 // --- Packet arrival and the switch pipeline --------------------------------
 
-func (n *Network) arrive(nodeIdx, port int, pk *packet) {
+// arrive runs the switch pipeline on the packet behind handle h, which
+// either joins an egress queue or leaves the fabric here (delivered or
+// dropped, its slot released).
+func (n *Network) arrive(nodeIdx, port int, h int32) {
 	rt := &n.nodes[nodeIdx]
+	pk := &n.pkts.slots[h]
 	if rt.isHost {
 		n.deliver(topology.NodeID(nodeIdx), pk)
+		n.pkts.release(h)
 		return
 	}
 	id := rt.id
@@ -339,7 +420,7 @@ func (n *Network) arrive(nodeIdx, port int, pk *packet) {
 	pk.ttl--
 	if pk.ttl <= 0 {
 		n.drops.TTLExpired++
-		n.trace(TraceEvent{Kind: "drop", Node: n.nodeName(id), Flow: pk.flow.spec.Name, Reason: "ttl"})
+		n.dropArrival(id, h, "ttl")
 		return
 	}
 
@@ -350,7 +431,7 @@ func (n *Network) arrive(nodeIdx, port int, pk *packet) {
 	if pin := pk.flow.spec.Pin; pin != nil {
 		if int(pk.hop)+1 >= len(pin) || pin[pk.hop] != id {
 			n.drops.NoRoute++ // pin desynchronized (cannot happen for valid pins)
-			n.trace(TraceEvent{Kind: "drop", Node: n.nodeName(id), Flow: pk.flow.spec.Name, Reason: "no-route"})
+			n.dropArrival(id, h, "no-route")
 			return
 		}
 		out = int(pk.flow.pinOut[pk.hop])
@@ -358,7 +439,7 @@ func (n *Network) arrive(nodeIdx, port int, pk *packet) {
 		hops := n.nextHops(id, pk.flow.spec.Dst)
 		if len(hops) == 0 {
 			n.drops.NoRoute++
-			n.trace(TraceEvent{Kind: "drop", Node: n.nodeName(id), Flow: pk.flow.spec.Name, Reason: "no-route"})
+			n.dropArrival(id, h, "no-route")
 			return
 		}
 		out = hops[0]
@@ -379,21 +460,22 @@ func (n *Network) arrive(nodeIdx, port int, pk *packet) {
 		}
 	}
 	egPrio := n.prioOf(newTag)
+	if inPrio != 0 && egPrio == 0 {
+		n.trace(TraceEvent{Kind: "demote", Node: n.nodeName(id), Flow: pk.flow.spec.Name})
+	}
 	if n.legacyEgress && inPrio != 0 {
 		egPrio = inPrio
-	}
-	if inPrio != 0 && n.prioOf(newTag) == 0 {
-		n.trace(TraceEvent{Kind: "demote", Node: n.nodeName(id), Flow: pk.flow.spec.Name})
 	}
 	pk.tag = int16(newTag)
 
 	prt := &rt.ports[port]
+	eg := &rt.ports[out]
 
 	if inPrio == 0 {
 		// Lossy admission: bounded per egress queue.
-		if rt.ports[out].egress[0].bytes+int64(pk.size) > n.cfg.LossyCap {
+		if eg.egress[0].bytes+int64(pk.size) > n.cfg.LossyCap {
 			n.drops.LossyOverflow++
-			n.trace(TraceEvent{Kind: "drop", Node: n.nodeName(id), Flow: pk.flow.spec.Name, Reason: "lossy-overflow"})
+			n.dropArrival(id, h, "lossy-overflow")
 			return
 		}
 	} else {
@@ -401,7 +483,7 @@ func (n *Network) arrive(nodeIdx, port int, pk *packet) {
 		// configuration was wrong and the packet drops (and is counted).
 		if prt.inBytes[inPrio]+int64(pk.size) > n.cfg.PFC.XoffThreshold+n.cfg.PFC.Headroom {
 			n.drops.HeadroomViolation++
-			n.trace(TraceEvent{Kind: "drop", Node: n.nodeName(id), Flow: pk.flow.spec.Name, Reason: "headroom"})
+			n.dropArrival(id, h, "headroom")
 			return
 		}
 	}
@@ -416,23 +498,32 @@ func (n *Network) arrive(nodeIdx, port int, pk *packet) {
 		if prt.inBytes[inPrio] > prt.maxInBytes {
 			prt.maxInBytes = prt.inBytes[inPrio]
 		}
-		if !prt.pausedUpstream[inPrio] && prt.inBytes[inPrio] >= n.xoff(rt) {
-			prt.pausedUpstream[inPrio] = true
+		if !prt.pausedUpstream.has(inPrio) && prt.inBytes[inPrio] >= n.xoff(rt) {
+			prt.pausedUpstream.set(inPrio)
 			n.sendPFC(rt, port, inPrio, true)
 		}
 	}
 
-	n.maybeMarkECN(pk, rt.ports[out].egress[egPrio].bytes)
+	n.maybeMarkECN(pk, eg.egress[egPrio].bytes)
 	if n.det != nil && inPrio != 0 {
 		n.det.eng.Enqueue(nodeIdx, port, inPrio, out, egPrio)
 	}
-	rt.ports[out].egress[egPrio].push(*pk)
+	eg.enqueue(egPrio, h, pk.size)
 	if n.det != nil && inPrio != 0 {
-		// After the push, so a detection's mitigation sweep sees this
-		// packet too.
+		// After the enqueue, so a detection's mitigation sweep sees this
+		// packet too — and may release it: pk is not used past here.
 		n.detArrival(nodeIdx, port, inPrio, pk.dtag)
 	}
 	n.tryTx(nodeIdx, out)
+}
+
+// dropArrival traces the drop of an arriving packet, whose counter the
+// caller has bumped, and releases its slot.
+func (n *Network) dropArrival(id topology.NodeID, h int32, reason string) {
+	if n.tracer != nil {
+		n.trace(TraceEvent{Kind: "drop", Node: n.nodeName(id), Flow: n.pkts.slots[h].flow.spec.Name, Reason: reason})
+	}
+	n.pkts.release(h)
 }
 
 // deliver sinks a packet at a host. Misdelivery (possible only under
@@ -468,60 +559,35 @@ func (n *Network) prioOf(tag int) int {
 // tryTx starts a transmission on (node, port) if the port is idle and an
 // eligible queue has data.
 func (n *Network) tryTx(nodeIdx, port int) {
-	rt := &n.nodes[nodeIdx]
-	prt := &rt.ports[port]
+	prt := &n.nodes[nodeIdx].ports[port]
 	if prt.txBusy {
 		return
 	}
-	nPrio := len(prt.egress)
-	if n.cfg.StrictPriority {
-		// Highest lossless priority first; the lossy queue (0) only when
-		// every lossless queue is empty or paused.
-		for q := nPrio - 1; q >= 0; q-- {
-			if prt.egress[q].empty() || (q != 0 && prt.egressPaused[q]) {
-				continue
-			}
-			pk := prt.egress[q].pop()
-			if n.det != nil && pk.inPrio > 0 {
-				n.detTxDequeue(nodeIdx, port, q, &pk)
-			}
-			n.startTx(nodeIdx, port, pk)
-			return
-		}
+	q, next := arbitrate(prt.nonEmpty, prt.paused, prt.rrNext, n.nQueues, n.cfg.StrictPriority)
+	if q < 0 {
 		return
 	}
-	for i := 0; i < nPrio; i++ {
-		q := (prt.rrNext + i) % nPrio
-		if prt.egress[q].empty() {
-			continue
-		}
-		if q != 0 && prt.egressPaused[q] {
-			continue
-		}
-		prt.rrNext = (q + 1) % nPrio
-		pk := prt.egress[q].pop()
-		if n.det != nil && pk.inPrio > 0 {
-			n.detTxDequeue(nodeIdx, port, q, &pk)
-		}
-		n.startTx(nodeIdx, port, pk)
-		return
+	prt.rrNext = next
+	h, pk := n.dequeue(prt, q)
+	if n.det != nil && pk.inPrio > 0 {
+		n.detTxDequeue(nodeIdx, port, q, pk)
 	}
+	n.startTx(nodeIdx, prt, port, h, pk.size)
 }
 
-func (n *Network) startTx(nodeIdx, port int, pk packet) {
-	rt := &n.nodes[nodeIdx]
-	prt := &rt.ports[port]
+// startTx puts the frame behind h on the wire of (node, port): the port
+// serializes it until txDone, and it arrives at the peer a propagation
+// delay later. Both events are assembled in their lanes. txDone is
+// scheduled first, so even with PropDelay 0 it reads the slot's ingress
+// charge before the peer's arrive rewrites it.
+func (n *Network) startTx(nodeIdx int, prt *portRT, port int, h, size int32) {
 	prt.txBusy = true
-	prt.txPkt = pk
-	tx := n.cfg.txTimeNs(int(pk.size))
-	done := n.now + tx
-	n.schedule(event{at: done, kind: evTxDone, node: int32(nodeIdx), port: int16(port)})
-	arrival := done + int64(n.cfg.PropDelay)
-	n.schedule(event{
-		at: arrival, kind: evArrive,
-		node: int32(prt.peer), port: prt.peerPort,
-		arg: n.arena.put(pk),
-	})
+	prt.txPkt = h
+	done := n.now + n.cfg.txTimeNs(int(size))
+	e := n.reserve(evTxDone, done)
+	e.node, e.port = int32(nodeIdx), int16(port)
+	e = n.reserve(evArrive, done+int64(n.cfg.PropDelay))
+	e.node, e.port, e.arg = int32(prt.peer), prt.peerPort, h
 }
 
 func (n *Network) txDone(nodeIdx, port int) {
@@ -529,7 +595,7 @@ func (n *Network) txDone(nodeIdx, port int) {
 	prt := &rt.ports[port]
 	prt.txBusy = false
 	if !rt.isHost {
-		n.releaseIngress(rt, &prt.txPkt)
+		n.releaseIngress(rt, &n.pkts.slots[prt.txPkt])
 	}
 	n.tryTx(nodeIdx, port)
 	if rt.isHost {
@@ -576,10 +642,11 @@ func (n *Network) releaseIngress(rt *nodeRT, pk *packet) {
 		return
 	}
 	prt := &rt.ports[pk.inPort]
-	prt.inBytes[pk.inPrio] -= int64(pk.size)
-	if prt.pausedUpstream[pk.inPrio] && prt.inBytes[pk.inPrio] <= n.xon(rt) {
-		prt.pausedUpstream[pk.inPrio] = false
-		n.sendPFC(rt, int(pk.inPort), int(pk.inPrio), false)
+	prio := int(pk.inPrio)
+	prt.inBytes[prio] -= int64(pk.size)
+	if prt.pausedUpstream.has(prio) && prt.inBytes[prio] <= n.xon(rt) {
+		prt.pausedUpstream.clear(prio)
+		n.sendPFC(rt, int(pk.inPort), prio, false)
 	}
 }
 
@@ -630,13 +697,10 @@ func (n *Network) sendPFC(rt *nodeRT, port, prio int, on bool) {
 		}
 	}
 	prt := &rt.ports[port]
-	n.schedule(event{
-		at:   n.now + int64(n.cfg.PropDelay),
-		kind: evPFC,
-		node: int32(prt.peer), port: prt.peerPort,
-		prio: int8(prio), on: on,
-		arg: n.detPauseTag(rt, port, prio, on),
-	})
+	arg := n.detPauseTag(rt, port, prio, on)
+	e := n.reserve(evPFC, n.now+int64(n.cfg.PropDelay))
+	e.node, e.port = int32(prt.peer), prt.peerPort
+	e.prio, e.on, e.arg = int8(prio), on, arg
 }
 
 // telemetryPFC records the PFC-transition metrics: pause/resume frame
@@ -661,7 +725,11 @@ func (n *Network) telemetryPFC(rt *nodeRT, port, prio int, on bool) {
 func (n *Network) pfcEffect(nodeIdx, port, prio int, on bool, arg int32) {
 	rt := &n.nodes[nodeIdx]
 	prt := &rt.ports[port]
-	prt.egressPaused[prio] = on
+	if on {
+		prt.paused.set(prio)
+	} else {
+		prt.paused.clear(prio)
+	}
 	if n.det != nil || n.dlTrack != nil {
 		n.detPFCEffect(nodeIdx, rt, port, prio, on, arg)
 	}
@@ -703,19 +771,20 @@ func (n *Network) RebootSwitch(id topology.NodeID) int64 {
 	var lost int64
 	for pi := range rt.ports {
 		prt := &rt.ports[pi]
-		for q := range prt.egress {
-			for !prt.egress[q].empty() {
-				pk := prt.egress[q].pop()
+		for q := 0; q < n.nQueues; q++ {
+			for prt.nonEmpty.has(q) {
+				h, pk := n.dequeue(prt, q)
 				lost++
 				n.drops.SwitchReboot++
 				n.trace(TraceEvent{Kind: "drop", Node: n.nodeName(id),
 					Flow: pk.flow.spec.Name, Reason: "reboot"})
+				n.pkts.release(h)
 			}
 		}
-		for prio := range prt.inBytes {
+		for prio := 0; prio < n.nQueues; prio++ {
 			prt.inBytes[prio] = 0
-			if prt.pausedUpstream[prio] {
-				prt.pausedUpstream[prio] = false
+			if prt.pausedUpstream.has(prio) {
+				prt.pausedUpstream.clear(prio)
 				n.sendPFC(rt, pi, prio, false)
 			}
 		}
@@ -732,9 +801,12 @@ func (n *Network) RebootSwitch(id topology.NodeID) int64 {
 		if prt.txBusy {
 			// releaseIngress decrements bufferUsed unconditionally and then
 			// skips ports < 0: pre-charge the in-flight frame so its release
-			// nets to zero against the fresh counters.
-			prt.txPkt.inPort = -1
-			rt.bufferUsed += int64(prt.txPkt.size)
+			// nets to zero against the fresh counters. The slot is the one
+			// the peer's arrive will see, which overwrites inPort — after
+			// this port's txDone has read it.
+			pk := &n.pkts.slots[prt.txPkt]
+			pk.inPort = -1
+			rt.bufferUsed += int64(pk.size)
 		}
 	}
 	return lost

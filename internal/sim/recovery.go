@@ -47,9 +47,12 @@ func (n *Network) waitGraph() (nodes []pausedQueue, adj [][]int) {
 	for ni := range n.nodes {
 		rt := &n.nodes[ni]
 		for pi := range rt.ports {
-			prt := &rt.ports[pi]
-			for prio := 1; prio < len(prt.egress); prio++ {
-				if prt.egressPaused[prio] && !prt.egress[prio].empty() {
+			stuck := rt.ports[pi].stuck()
+			if stuck == 0 {
+				continue
+			}
+			for prio := 1; prio < n.nQueues; prio++ {
+				if stuck.has(prio) {
 					q := pausedQueue{ni, pi, prio}
 					index[q] = len(nodes)
 					nodes = append(nodes, q)
@@ -68,14 +71,17 @@ func (n *Network) waitGraph() (nodes []pausedQueue, adj [][]int) {
 		brt := &n.nodes[peer]
 		for pi := range brt.ports {
 			prt := &brt.ports[pi]
-			for prio := 1; prio < len(prt.egress); prio++ {
-				if !prt.egressPaused[prio] || prt.egress[prio].empty() {
+			stuck := prt.stuck()
+			if stuck == 0 {
+				continue
+			}
+			for prio := 1; prio < n.nQueues; prio++ {
+				if !stuck.has(prio) {
 					continue
 				}
 				holds := false
-				f := &prt.egress[prio]
-				for i := f.head; i < len(f.q); i++ {
-					if int(f.q[i].inPort) == peerPort && int(f.q[i].inPrio) == x.prio {
+				for _, h := range prt.egress[prio].queued() {
+					if pk := &n.pkts.slots[h]; int(pk.inPort) == peerPort && int(pk.inPrio) == x.prio {
 						holds = true
 						break
 					}
@@ -90,6 +96,10 @@ func (n *Network) waitGraph() (nodes []pausedQueue, adj [][]int) {
 	}
 	return nodes, adj
 }
+
+// stuck returns the port's lossless egress queues that hold packets and
+// are paused by the downstream peer: the wait-for graph's vertices.
+func (prt *portRT) stuck() prioMask { return prt.paused & prt.nonEmpty &^ 1 }
 
 // detectCycleQueues is DetectDeadlock returning the raw queue identities.
 func (n *Network) detectCycleQueues() []pausedQueue {
@@ -117,9 +127,9 @@ func (n *Network) detectCycleQueues() []pausedQueue {
 // drop.
 func (n *Network) flushQueue(q pausedQueue, stats *RecoveryStats) {
 	rt := &n.nodes[q.node]
-	f := &rt.ports[q.port].egress[q.prio]
-	for !f.empty() {
-		pk := f.pop()
+	prt := &rt.ports[q.port]
+	for prt.nonEmpty.has(q.prio) {
+		h, pk := n.dequeue(prt, q.prio)
 		stats.PacketsDropped++
 		stats.BytesDropped += int64(pk.size)
 		n.drops.RecoveryFlush++
@@ -128,7 +138,8 @@ func (n *Network) flushQueue(q pausedQueue, stats *RecoveryStats) {
 		if n.det != nil && pk.inPrio > 0 {
 			n.det.eng.Dequeue(q.node, int(pk.inPort), int(pk.inPrio), q.port, q.prio)
 		}
-		n.releaseIngress(rt, &pk)
+		n.releaseIngress(rt, pk)
+		n.pkts.release(h)
 	}
 	n.dlClearCheck()
 }

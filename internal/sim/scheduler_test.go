@@ -76,9 +76,9 @@ func (d *schedDiff) finish() {
 	if d.s.pending != 0 {
 		d.t.Fatalf("pending = %d after draining, want 0", d.s.pending)
 	}
-	if got := d.s.lanePushes + d.s.heapPushes; got != d.pushes {
-		d.t.Fatalf("lanePushes %d + heapPushes %d = %d, want %d pushes",
-			d.s.lanePushes, d.s.heapPushes, got, d.pushes)
+	if got := d.s.lanePushes + d.s.heapPushes + d.s.laneFallbacks; got != d.pushes {
+		d.t.Fatalf("lanePushes %d + heapPushes %d + laneFallbacks %d = %d, want %d pushes",
+			d.s.lanePushes, d.s.heapPushes, d.s.laneFallbacks, got, d.pushes)
 	}
 	if int64(d.s.maxPending) > d.pushes {
 		d.t.Fatalf("maxPending %d exceeds the %d pushes made", d.s.maxPending, d.pushes)
@@ -126,7 +126,7 @@ func FuzzSchedulerOrder(f *testing.F) {
 // TestSchedulerOrderRandom is the fuzz target on seeded random
 // workloads long enough to wrap and grow the rings.
 func TestSchedulerOrderRandom(t *testing.T) {
-	var lane, heap int64
+	var lane, heap, fallback int64
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		data := make([]byte, 4000)
@@ -134,27 +134,29 @@ func TestSchedulerOrderRandom(t *testing.T) {
 		d := runSchedOps(t, data)
 		lane += d.s.lanePushes
 		heap += d.s.heapPushes
+		fallback += d.s.laneFallbacks
 	}
-	if lane == 0 || heap == 0 {
-		t.Fatalf("lane pushes %d, heap pushes %d: the workloads must exercise both", lane, heap)
+	if lane == 0 || heap == 0 || fallback == 0 {
+		t.Fatalf("lane pushes %d, heap pushes %d, lane fallbacks %d: the workloads must exercise all three", lane, heap, fallback)
 	}
 }
 
 // TestSchedulerLaneFallback pins where events are stored: a lane kind
-// joins its lane while its times do not decrease and takes the heap when
-// they do; kinds without a lane always take the heap.
+// joins its lane while its times do not decrease and takes the heap —
+// counted as a fallback — when they do; kinds without a lane always take
+// the heap.
 func TestSchedulerLaneFallback(t *testing.T) {
 	d := &schedDiff{t: t}
 	d.push(evArrive, 10)
 	d.push(evArrive, 10) // equal: still monotone
 	d.push(evArrive, 12)
-	if d.s.lanePushes != 3 || d.s.heapPushes != 0 {
-		t.Fatalf("monotone arrivals: lane %d heap %d, want 3/0", d.s.lanePushes, d.s.heapPushes)
+	if d.s.lanePushes != 3 || d.s.heapPushes != 0 || d.s.laneFallbacks != 0 {
+		t.Fatalf("monotone arrivals: lane %d heap %d fallback %d, want 3/0/0", d.s.lanePushes, d.s.heapPushes, d.s.laneFallbacks)
 	}
 	d.push(evArrive, 11) // below the lane's tail
 	d.push(evTimer, 20)  // no lane
-	if d.s.lanePushes != 3 || d.s.heapPushes != 2 {
-		t.Fatalf("after a decreasing arrival and a timer: lane %d heap %d, want 3/2", d.s.lanePushes, d.s.heapPushes)
+	if d.s.lanePushes != 3 || d.s.heapPushes != 1 || d.s.laneFallbacks != 1 {
+		t.Fatalf("after a decreasing arrival and a timer: lane %d heap %d fallback %d, want 3/1/1", d.s.lanePushes, d.s.heapPushes, d.s.laneFallbacks)
 	}
 	// Ties across lanes and the heap resolve by seq.
 	d.push(evTxDone, 12)
@@ -166,8 +168,8 @@ func TestSchedulerLaneFallback(t *testing.T) {
 	d.finish()
 	// An emptied lane accepts any time again.
 	d.push(evArrive, 5)
-	if d.s.heapPushes != 3 {
-		t.Fatalf("push into an emptied lane went to the heap (heap pushes %d, want 3)", d.s.heapPushes)
+	if d.s.lanePushes != 6 || d.s.laneFallbacks != 1 {
+		t.Fatalf("push into an emptied lane went to the heap (lane pushes %d, fallbacks %d, want 6/1)", d.s.lanePushes, d.s.laneFallbacks)
 	}
 	d.finish()
 }
@@ -197,7 +199,8 @@ func TestLaneGrowsWrapped(t *testing.T) {
 // TestEngineStats checks the engine's self-counters on a PFC-heavy run,
 // and with them the premise the lanes rest on: every evArrive, evTxDone
 // and evPFC the engine schedules is in order for its lane, so the heap
-// only ever sees the kinds that have none.
+// only ever sees the kinds that have none (TestLaneFallbacksZero holds
+// the figure and detect-matrix scenarios to the same).
 func TestEngineStats(t *testing.T) {
 	c, _, n := testbedNet(t, routing.UpDown)
 	g := c.Graph
@@ -219,18 +222,22 @@ func TestEngineStats(t *testing.T) {
 	if got, want := st.Events(), n.seq-int64(n.events.pending); got != want {
 		t.Errorf("Events() = %d, want %d (scheduled minus pending)", got, want)
 	}
-	if got, want := st.LanePushes+st.HeapPushes, n.seq; got != want {
-		t.Errorf("lane %d + heap %d pushes = %d, want %d schedule calls", st.LanePushes, st.HeapPushes, got, want)
+	if got, want := st.LanePushes+st.HeapPushes+st.LaneFallbacks, n.seq; got != want {
+		t.Errorf("lane %d + heap %d + fallback %d pushes = %d, want %d schedule calls",
+			st.LanePushes, st.HeapPushes, st.LaneFallbacks, got, want)
 	}
-	laneless := st.FlowKick + st.Call + st.Timer + st.CNP
-	for _, e := range n.events.heap {
-		if e.kind < numLanes {
-			t.Errorf("lane-kind event %+v is pending in the heap", e)
-		}
-		laneless++
+	if st.LaneFallbacks != 0 {
+		t.Errorf("%d lane-kind events took the heap, want 0", st.LaneFallbacks)
 	}
+	laneless := st.FlowKick + st.Call + st.Timer + st.CNP + int64(len(n.events.heap))
 	if st.HeapPushes != laneless {
-		t.Errorf("heap pushes = %d, want %d: only kinds without a lane", st.HeapPushes, laneless)
+		t.Errorf("heap pushes = %d, want %d: the kinds without a lane, dispatched or pending", st.HeapPushes, laneless)
+	}
+	if st.MaxPacketsLive < n.pkts.live() || st.MaxPacketsLive == 0 || st.MaxPacketsLive > len(n.pkts.slots) {
+		t.Errorf("MaxPacketsLive = %d with %d live now in a slab of %d", st.MaxPacketsLive, n.pkts.live(), len(n.pkts.slots))
+	}
+	if err := n.CheckInvariants(); err != nil {
+		t.Error(err)
 	}
 	if st.MaxPending < n.events.pending || st.MaxPending == 0 {
 		t.Errorf("MaxPending = %d with %d pending now", st.MaxPending, n.events.pending)

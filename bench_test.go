@@ -6,6 +6,7 @@ package tagger
 // the reproduction harness (see EXPERIMENTS.md for paper-vs-measured).
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cbd"
 	"repro/internal/core"
 	"repro/internal/dataplane"
 	"repro/internal/deploy"
@@ -116,13 +116,32 @@ func BenchmarkTable5JellyfishRandomPaths(b *testing.B) {
 
 // --- Figure 1 / Figure 3: CBD detection ----------------------------------------
 
+// cycleLen is the length of Verify's witness CBD, 0 when tg has none.
+func cycleLen(tg *core.TaggedGraph) int {
+	var ve *core.VerifyError
+	if errors.As(tg.Verify(), &ve) {
+		return len(ve.Cycle)
+	}
+	return 0
+}
+
+// One shared lossless class, no Tagger: every vertex carries tag 1.
 func BenchmarkFigure3CBDDetect(b *testing.B) {
 	c := paper.Testbed()
+	g := c.Graph
 	paths := []routing.Path{paper.Fig3GreenPath(c), paper.Fig3BluePath(c)}
+	ingress := func(from, to topology.NodeID) core.TagNode {
+		return core.TagNode{Port: g.PortOn(to, g.PortToPeer(to, from)), Tag: 1}
+	}
 	var cyc int
 	for i := 0; i < b.N; i++ {
-		d := cbd.FromPaths(c.Graph, paths, cbd.SinglePriority(1))
-		cyc = len(d.FindCycle())
+		tg := core.NewTaggedGraph(g)
+		for _, p := range paths {
+			for h := 2; h < len(p); h++ {
+				tg.AddEdge(ingress(p[h-2], p[h-1]), ingress(p[h-1], p[h]))
+			}
+		}
+		cyc = cycleLen(tg)
 	}
 	b.ReportMetric(float64(cyc), "cycle-len")
 }
@@ -131,11 +150,10 @@ func BenchmarkFigure3CBDUnderTagger(b *testing.B) {
 	c := paper.Testbed()
 	rs := core.ClosRules(c.Graph, 1, 1)
 	paths := []routing.Path{paper.Fig3GreenPath(c), paper.Fig3BluePath(c)}
-	classify := func(p routing.Path) []int { return rs.Priorities(p, 1) }
 	var cyc int
 	for i := 0; i < b.N; i++ {
-		d := cbd.FromPaths(c.Graph, paths, classify)
-		cyc = len(d.FindCycle())
+		tg, _ := core.BuildRuleGraph(rs, paths, 1)
+		cyc = cycleLen(tg)
 	}
 	b.ReportMetric(float64(cyc), "cycle-len") // 0: Tagger breaks the CBD
 }

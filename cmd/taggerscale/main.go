@@ -22,7 +22,6 @@ import (
 	tagger "repro"
 	"repro/internal/core"
 	"repro/internal/elp"
-	"repro/internal/metrics"
 	"repro/internal/synthcache"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/profile"
@@ -146,7 +145,7 @@ func runCacheDemo(switches, ports int, seed int64, capacity int) {
 
 func run(switches, ports, random int, seed int64, par int, bcube, fattree bool) {
 	if fattree {
-		t := metrics.NewTable("k", "Switches", "Hosts", "ELP", "Queues", "TCAM max/switch")
+		t := telemetry.NewTable("k", "Switches", "Hosts", "ELP", "Queues", "TCAM max/switch")
 		for _, k := range []int{4, 6, 8} {
 			ft, err := tagger.NewFatTree(k)
 			if err != nil {
@@ -167,7 +166,7 @@ func run(switches, ports, random int, seed int64, par int, bcube, fattree bool) 
 	}
 
 	if bcube {
-		t := metrics.NewTable("BCube(n,k)", "Servers", "Levels", "Tags")
+		t := telemetry.NewTable("BCube(n,k)", "Servers", "Levels", "Tags")
 		for _, c := range []struct{ n, k int }{{4, 1}, {2, 2}, {8, 1}} {
 			tags, err := tagger.BCubeTags(c.n, c.k)
 			if err != nil {

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"flag"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -155,32 +157,81 @@ func TestRegistryShape(t *testing.T) {
 	}
 }
 
+// docSection returns the text of a repo-root file between two markers.
+func docSection(t *testing.T, path, from, to string) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("..", "..", path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(b), from)
+	if !ok {
+		t.Fatalf("%s: marker %q not found", path, from)
+	}
+	body, _, _ := strings.Cut(rest, to)
+	return body
+}
+
 // TestDocsListEveryExperiment is the drift guard: the Makefile's
 // `experiments` target and EXPERIMENTS.md's regenerate block must name
 // every registry entry, so a 16th experiment cannot be added to the
 // table and forgotten everywhere else.
 func TestDocsListEveryExperiment(t *testing.T) {
-	section := func(path, from, to string) string {
-		t.Helper()
-		b, err := os.ReadFile(filepath.Join("..", "..", path))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, rest, ok := strings.Cut(string(b), from)
-		if !ok {
-			t.Fatalf("%s: marker %q not found", path, from)
-		}
-		body, _, _ := strings.Cut(rest, to)
-		return body
-	}
-	target := section("Makefile", "\nexperiments:\n", "\n\n")
-	regen := section("EXPERIMENTS.md", "Regenerate everything with:", "```\n\n")
+	target := docSection(t, "Makefile", "\nexperiments:\n", "\n\n")
+	regen := docSection(t, "EXPERIMENTS.md", "Regenerate everything with:", "```\n\n")
 	for _, e := range tagger.Experiments() {
 		if !strings.Contains(target, "-exp "+e.Name+"\n") && !strings.Contains(target, "-exp "+e.Name+" ") {
 			t.Errorf("Makefile `experiments` target does not run -exp %s", e.Name)
 		}
 		if !strings.Contains(regen, "-exp "+e.Name+"\n") && !strings.Contains(regen, "-exp "+e.Name+" ") {
 			t.Errorf("EXPERIMENTS.md regenerate block does not list -exp %s", e.Name)
+		}
+	}
+}
+
+// TestDocsListEveryModule is the module-map drift guard: DESIGN.md §3 and
+// README's architecture tree must each name every package directory under
+// internal/ and cmd/, and every internal/, cmd/ or examples/ path either
+// of them names must be a directory that exists.
+func TestDocsListEveryModule(t *testing.T) {
+	root := filepath.Join("..", "..")
+	var pkgs []string
+	for _, top := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(filepath.Join(root, top), func(path string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			if d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			if src, _ := filepath.Glob(filepath.Join(path, "*.go")); len(src) > 0 {
+				rel, _ := filepath.Rel(root, path)
+				pkgs = append(pkgs, filepath.ToSlash(rel))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	module := regexp.MustCompile(`\b(?:internal|cmd|examples)(?:/[a-z0-9-]+)+`)
+	for _, doc := range []struct{ name, body string }{
+		{"DESIGN.md §3", docSection(t, "DESIGN.md", "## 3. System inventory", "\n## 4.")},
+		{"README.md's tree", docSection(t, "README.md", "## Architecture", "\n## ")},
+	} {
+		named := map[string]bool{}
+		for _, m := range module.FindAllString(doc.body, -1) {
+			named[m] = true
+		}
+		for _, p := range pkgs {
+			if !named[p] {
+				t.Errorf("%s does not list %s", doc.name, p)
+			}
+		}
+		for m := range named {
+			if fi, err := os.Stat(filepath.Join(root, filepath.FromSlash(m))); err != nil || !fi.IsDir() {
+				t.Errorf("%s names %s, which is not a directory of this repository", doc.name, m)
+			}
 		}
 	}
 }

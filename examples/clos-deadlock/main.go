@@ -8,7 +8,7 @@ import (
 	"fmt"
 
 	tagger "repro"
-	"repro/internal/metrics"
+	"repro/internal/telemetry"
 )
 
 func main() {
@@ -37,6 +37,6 @@ func show(res tagger.ExperimentResult) {
 		for i, p := range f.Points {
 			vals[i] = p.Gbps
 		}
-		fmt.Printf("  %-6s %s late %.1f Gbps\n", f.Name, metrics.Sparkline(vals, 40), f.LateGbps)
+		fmt.Printf("  %-6s %s late %.1f Gbps\n", f.Name, telemetry.Sparkline(vals, 40), f.LateGbps)
 	}
 }

@@ -9,8 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/deploy"
 	"repro/internal/elp"
-	"repro/internal/measure"
-	"repro/internal/metrics"
 	"repro/internal/paper"
 	"repro/internal/pfc"
 	"repro/internal/routing"
@@ -27,42 +25,6 @@ import (
 // directly onto the published artifact; EXPERIMENTS.md records the
 // paper-vs-measured comparison.
 
-// --- Table 1 ----------------------------------------------------------------
-
-// Table1Result reproduces the reroute-probability measurement.
-type Table1Result struct {
-	Rows []measure.DayResult
-}
-
-// OverallProbability returns the pooled reroute probability.
-func (r Table1Result) OverallProbability() float64 {
-	var total, rer int64
-	for _, row := range r.Rows {
-		total += row.Total
-		rer += row.Rerouted
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(rer) / float64(total)
-}
-
-// String renders the table like the paper's Table 1.
-func (r Table1Result) String() string {
-	t := metrics.NewTable("Day", "Total No.", "Rerouted No.", "Reroute probability")
-	for _, row := range r.Rows {
-		t.AddRow(row.Day, row.Total, row.Rerouted, fmt.Sprintf("%.2e", row.Probability))
-	}
-	return t.String()
-}
-
-// Table1 runs the IP-in-IP probe campaign: days of measurements over a
-// Clos with a transient link-failure process (§3.2).
-func Table1(days int, perDay int64) Table1Result {
-	c := paper.Testbed()
-	return Table1Result{Rows: measure.RunCampaign(c, measure.DefaultConfig(), days, perDay)}
-}
-
 // --- Tables 3 and 4: the Figure 5 walk-through ------------------------------
 
 // WalkThroughResult reproduces Figure 5 and Tables 3/4: the 6-node example
@@ -76,7 +38,7 @@ type WalkThroughResult struct {
 
 // RuleTable renders a rule list in the layout of Tables 3/4.
 func RuleTable(g *Graph, rules []Rule) string {
-	t := metrics.NewTable("Switch", "Tag", "InPort", "OutPort", "NewTag")
+	t := telemetry.NewTable("Switch", "Tag", "InPort", "OutPort", "NewTag")
 	for _, r := range rules {
 		t.AddRow(g.Node(r.Switch).Name, r.Tag, r.In, r.Out, r.NewTag)
 	}
@@ -120,7 +82,7 @@ type Table5Result struct{ Rows []Table5Row }
 
 // String renders it like the paper.
 func (r Table5Result) String() string {
-	t := metrics.NewTable("Switches", "Ports", "Longest", "ELP", "Priorities", "Rules", "+Random")
+	t := telemetry.NewTable("Switches", "Ports", "Longest", "ELP", "Priorities", "Rules", "+Random")
 	for _, row := range r.Rows {
 		t.AddRow(row.Switches, row.Ports, row.LongestLossless, row.ELPSize,
 			row.Priorities, row.Rules, row.ExtraRandom)
@@ -138,7 +100,7 @@ func Table5Case(switches, ports int, extraRandom int, seed int64) (Table5Row, er
 // Table5CaseWith is Table5Case under o: o.Par is the worker count for the
 // fan-out stages — ELP enumeration, Algorithm 1, rule derivation, replay
 // and TCAM compression; every count computes the identical row (see
-// internal/parallel) — and o.ECMP selects the denser ELP production
+// internal/sweep) — and o.ECMP selects the denser ELP production
 // fabrics run: ALL equal-cost shortest paths per pair (capped at 8), the
 // multipath sets ECMP actually spreads over.
 func Table5CaseWith(switches, ports, extraRandom int, seed int64, o RunOptions) (Table5Row, error) {

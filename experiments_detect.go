@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
@@ -293,7 +292,7 @@ func DetectMatrixTable(sums []DetectArmSummary) string {
 			base = s.MeanGoodputGbps
 		}
 	}
-	t := metrics.NewTable("Arm", "Seeds", "Deadlocked", "Recovered", "Never recov", "Open@end",
+	t := telemetry.NewTable("Arm", "Seeds", "Deadlocked", "Recovered", "Never recov", "Open@end",
 		"Detections", "FP", "Mean TTD", "Mean TTR", "Goodput", "Loss", "Sacrificed")
 	for _, s := range sums {
 		loss := "n/a"

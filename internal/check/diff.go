@@ -60,7 +60,7 @@ func DiffRulesets(a, b *core.Ruleset) []RuleDiff {
 // workers and demands bit-identical output at every layer: rules (rule
 // for rule), max tag, conflicts, repairs, the three tagged graphs, and
 // the compressed TCAM image. Any divergence means the deterministic-
-// parallelism contract of internal/parallel broke somewhere.
+// parallelism contract of internal/sweep broke somewhere.
 func DiffParallelism(g *topology.Graph, paths []routing.Path, par int) error {
 	serial, err := core.Synthesize(g, paths, core.Options{Workers: 1})
 	if err != nil {

@@ -64,6 +64,14 @@ func TestRepairHealsSabotagedRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Per trial, the exact repair list (see repairDigest).
+	want := [5]repairDigest{
+		{n: 20, bumps: 3, sum: 0xeeeeeca2594ca6a0},
+		{n: 33, bumps: 3, sum: 0x1a1bedb34c614012},
+		{n: 30, bumps: 4, sum: 0x22f7484488da018b},
+		{n: 24, bumps: 3, sum: 0x12a2b0b6a9e82041},
+		{n: 33, bumps: 4, sum: 0xb764a7bc02971df6},
+	}
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 5; trial++ {
 		// Rebuild a sabotaged copy: drop ~30% of rules.
@@ -83,6 +91,7 @@ func TestRepairHealsSabotagedRules(t *testing.T) {
 			t.Fatalf("trial %d: repair produced nothing despite %d violations",
 				trial, len(violations))
 		}
+		checkRepairDigest(t, j.Graph, repairs, want[trial])
 		tg, after := BuildRuleGraph(sab, set.Paths(), 1)
 		if len(after) != 0 {
 			t.Fatalf("trial %d: %d paths still lossy after repair", trial, len(after))

@@ -1,14 +1,52 @@
-package cbd
+package core
 
 import (
+	"errors"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/elp"
 	"repro/internal/paper"
 	"repro/internal/routing"
 	"repro/internal/topology"
 )
+
+// These are the paper's cyclic-buffer-dependency figures, stated on the
+// one tagged graph: a buffer dependency is an edge between (ingress port,
+// priority) vertices, a CBD is a same-tag cycle, and Verify's witness
+// (VerifyError.Cycle) is the CBD itself.
+
+// oneClass is the world without Tagger: all lossless traffic shares
+// priority 1, so every vertex the paths touch carries tag 1. Under Tagger
+// the graph is BuildRuleGraph's replay of the same paths.
+func oneClass(g *topology.Graph, paths []routing.Path) *TaggedGraph {
+	tg := NewTaggedGraph(g)
+	for _, p := range paths {
+		for i := 2; i < len(p); i++ {
+			tg.AddEdge(TagNode{ingressPortID(g, p[i-2], p[i-1]), 1},
+				TagNode{ingressPortID(g, p[i-1], p[i]), 1})
+		}
+	}
+	return tg
+}
+
+// findCBD returns Verify's witness cycle, or nil when tg has no CBD.
+func findCBD(t *testing.T, tg *TaggedGraph) []TagNode {
+	t.Helper()
+	err := tg.Verify()
+	if err == nil {
+		return nil
+	}
+	var ve *VerifyError
+	if !errors.As(err, &ve) || ve.Requirement != 1 || len(ve.Cycle) == 0 {
+		t.Fatalf("Verify = %v, want nil or a requirement-1 witness", err)
+	}
+	for i, n := range ve.Cycle {
+		if next := ve.Cycle[(i+1)%len(ve.Cycle)]; !tg.HasEdge(n, next) {
+			t.Fatalf("witness %v: %s -> %s is not an edge", err, tg.NodeString(n), tg.NodeString(next))
+		}
+	}
+	return ve.Cycle
+}
 
 // TestFigure1CBD reproduces the paper's Figure 1: three switches in a
 // triangle, three flows each crossing two switches, cyclic buffer
@@ -39,19 +77,13 @@ func TestFigure1CBD(t *testing.T) {
 		{hb, b, c, a, ha},
 		{hc, c, a, b, hb},
 	}
-	d := FromPaths(g, paths, SinglePriority(1))
-	cyc := d.FindCycle()
+	tg := oneClass(g, paths)
+	cyc := findCBD(t, tg)
 	if cyc == nil {
 		t.Fatal("Figure 1 CBD not detected")
 	}
 	if len(cyc) != 3 {
-		t.Errorf("cycle length = %d, want 3 (%s)", len(cyc), d.CycleString(cyc))
-	}
-	if d.CycleString(cyc) == "" {
-		t.Error("empty cycle string")
-	}
-	if !d.HasCBD() {
-		t.Error("HasCBD = false")
+		t.Errorf("cycle length = %d, want 3 (%v)", len(cyc), tg.Verify())
 	}
 }
 
@@ -67,13 +99,13 @@ func TestFigure3OneBounceCBD(t *testing.T) {
 			t.Fatalf("path %s is not loop-free; the point of Fig 3 is CBD without loops", p.String(g))
 		}
 	}
-	d := FromPaths(g, paths, SinglePriority(1))
-	cyc := d.FindCycle()
+	tg := oneClass(g, paths)
+	cyc := findCBD(t, tg)
 	if cyc == nil {
 		t.Fatal("Figure 3 CBD not detected")
 	}
 	if len(cyc) != 4 {
-		t.Errorf("cycle length = %d, want 4: %s", len(cyc), d.CycleString(cyc))
+		t.Errorf("cycle length = %d, want 4: %v", len(cyc), tg.Verify())
 	}
 }
 
@@ -82,12 +114,10 @@ func TestFigure3OneBounceCBD(t *testing.T) {
 // post-bounce segment into priority 2.
 func TestFigure3TaggerBreaksCBD(t *testing.T) {
 	c := paper.Testbed()
-	g := c.Graph
-	rs := core.ClosRules(g, 1, 1)
 	paths := []routing.Path{paper.Fig3GreenPath(c), paper.Fig3BluePath(c)}
-	d := FromPaths(g, paths, func(p routing.Path) []int { return rs.Priorities(p, 1) })
-	if cyc := d.FindCycle(); cyc != nil {
-		t.Fatalf("CBD under Tagger: %s", d.CycleString(cyc))
+	tg, _ := BuildRuleGraph(ClosRules(c.Graph, 1, 1), paths, 1)
+	if err := tg.Verify(); err != nil {
+		t.Fatalf("CBD under Tagger: %v", err)
 	}
 }
 
@@ -96,33 +126,29 @@ func TestFigure3TaggerBreaksCBD(t *testing.T) {
 func TestZeroBounceNoCBD(t *testing.T) {
 	c := paper.Testbed()
 	s := elp.UpDownAll(c.Graph, c.ToRs)
-	d := FromPaths(c.Graph, s.Paths(), SinglePriority(1))
-	if d.HasCBD() {
+	tg := oneClass(c.Graph, s.Paths())
+	if findCBD(t, tg) != nil {
 		t.Fatal("up-down traffic should have no CBD")
 	}
-	if d.NumEdges() == 0 {
+	if tg.NumEdges() == 0 {
 		t.Fatal("expected some dependencies")
 	}
 }
 
-// TestAllOneBouncePathsWithoutTaggerHaveCBD: the full 1-bounce ELP in one
-// priority contains CBDs; under Clos tagging it does not. This is the
-// paper's core claim quantified over the whole path set rather than one
-// example.
+// TestAllOneBouncePathsTaggerVsNot: the full 1-bounce ELP in one priority
+// contains CBDs; under Clos tagging it does not. This is the paper's core
+// claim quantified over the whole path set rather than one example.
 func TestAllOneBouncePathsTaggerVsNot(t *testing.T) {
 	c := paper.Testbed()
 	g := c.Graph
 	s := elp.KBounce(g, c.ToRs, 1, nil)
 
-	plain := FromPaths(g, s.Paths(), SinglePriority(1))
-	if !plain.HasCBD() {
+	if findCBD(t, oneClass(g, s.Paths())) == nil {
 		t.Fatal("1-bounce ELP without Tagger should contain a CBD")
 	}
-
-	rs := core.ClosRules(g, 1, 1)
-	tagged := FromPaths(g, s.Paths(), func(p routing.Path) []int { return rs.Priorities(p, 1) })
-	if cyc := tagged.FindCycle(); cyc != nil {
-		t.Fatalf("CBD under Tagger: %s", tagged.CycleString(cyc))
+	tagged, _ := BuildRuleGraph(ClosRules(g, 1, 1), s.Paths(), 1)
+	if err := tagged.Verify(); err != nil {
+		t.Fatalf("CBD under Tagger: %v", err)
 	}
 }
 
@@ -134,44 +160,44 @@ func TestRoutingLoopLossyNoDependency(t *testing.T) {
 	g := c.Graph
 	n := func(name string) topology.NodeID { return g.MustLookup(name) }
 	// A trajectory that ping-pongs T1 <-> L1 (routing loop). Not loop-free
-	// as a path, but FromPaths models trajectories, not ELP.
-	loop := routing.Path{n("T2"), n("L1"), n("T1"), n("L1"), n("T1"), n("L1"), n("T1")}
-	rs := core.ClosRules(g, 1, 1)
-	d := FromPaths(g, []routing.Path{loop}, func(p routing.Path) []int { return rs.Priorities(p, 1) })
-	if d.HasCBD() {
-		t.Fatal("lossy loop produced a CBD")
+	// as a path, but the replay models trajectories, not ELP.
+	loop := []routing.Path{{n("T2"), n("L1"), n("T1"), n("L1"), n("T1"), n("L1"), n("T1")}}
+	tg, lossy := BuildRuleGraph(ClosRules(g, 1, 1), loop, 1)
+	if len(lossy) != 1 {
+		t.Fatal("the loop's second bounce should have gone lossy")
+	}
+	if err := tg.Verify(); err != nil {
+		t.Fatalf("lossy loop produced a CBD: %v", err)
 	}
 	// Without Tagger the same trajectory in one lossless priority IS a CBD.
-	plain := FromPaths(g, []routing.Path{loop}, SinglePriority(1))
-	if !plain.HasCBD() {
+	if findCBD(t, oneClass(g, loop)) == nil {
 		t.Fatal("loop without Tagger should be a CBD")
 	}
 }
 
 func TestShortPathsContributeNothing(t *testing.T) {
 	c := paper.Testbed()
-	g := c.Graph
-	d := FromPaths(g, []routing.Path{{c.ToRs[0], c.Leaves[0]}}, SinglePriority(1))
-	if d.NumEdges() != 0 {
+	tg := oneClass(c.Graph, []routing.Path{{c.ToRs[0], c.Leaves[0]}})
+	if tg.NumEdges() != 0 {
 		t.Error("2-node path should add no dependencies")
 	}
 }
 
 func TestAddDependencyIdempotent(t *testing.T) {
 	c := paper.Testbed()
-	d := New(c.Graph)
-	q1 := Queue{Port: c.Graph.PortOn(c.Leaves[0], 0), Priority: 1}
-	q2 := Queue{Port: c.Graph.PortOn(c.Leaves[1], 0), Priority: 1}
-	d.AddDependency(q1, q2)
-	d.AddDependency(q1, q2)
-	if d.NumEdges() != 1 {
-		t.Errorf("NumEdges = %d, want 1", d.NumEdges())
+	tg := NewTaggedGraph(c.Graph)
+	q1 := TagNode{Port: c.Graph.PortOn(c.Leaves[0], 0), Tag: 1}
+	q2 := TagNode{Port: c.Graph.PortOn(c.Leaves[1], 0), Tag: 1}
+	tg.AddEdge(q1, q2)
+	tg.AddEdge(q1, q2)
+	if tg.NumEdges() != 1 {
+		t.Errorf("NumEdges = %d, want 1", tg.NumEdges())
 	}
-	if d.HasCBD() {
+	if findCBD(t, tg) != nil {
 		t.Error("no cycle expected")
 	}
-	d.AddDependency(q2, q1)
-	if !d.HasCBD() {
-		t.Error("2-cycle not detected")
+	tg.AddEdge(q2, q1)
+	if got := len(findCBD(t, tg)); got != 2 {
+		t.Errorf("2-cycle: witness length %d, want 2", got)
 	}
 }

@@ -3,8 +3,8 @@ package core
 import (
 	"slices"
 
-	"repro/internal/parallel"
 	"repro/internal/routing"
+	"repro/internal/sweep"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
@@ -19,7 +19,7 @@ import (
 // GOMAXPROCS, 1 = serial). All worker counts produce the same graph.
 func BruteForceN(g *topology.Graph, paths []routing.Path, par int) *TaggedGraph {
 	defer telemetry.Default.StartSpan("synth/alg1").End()
-	w := parallel.Workers(par, len(paths))
+	w := sweep.Workers(par, len(paths))
 	if w <= 1 {
 		tg := NewTaggedGraph(g)
 		for _, r := range paths {
@@ -27,9 +27,9 @@ func BruteForceN(g *topology.Graph, paths []routing.Path, par int) *TaggedGraph 
 		}
 		return tg
 	}
-	shards := parallel.Shards(len(paths), w)
+	shards := sweep.Shards(len(paths), w)
 	locals := make([]*TaggedGraph, len(shards))
-	parallel.ForEachShard(len(paths), w, func(s parallel.Shard) {
+	sweep.ForEachShard(len(paths), w, func(s sweep.Shard) {
 		tg := NewTaggedGraph(g)
 		for _, r := range paths[s.Lo:s.Hi] {
 			tg.addPath(r)
@@ -111,13 +111,13 @@ func (r *replayer) replay(p routing.Path) bool {
 // buildRuleGraphN is BuildRuleGraph with an explicit worker count.
 func buildRuleGraphN(rs *Ruleset, paths []routing.Path, startTag, par int) (*TaggedGraph, []routing.Path) {
 	defer telemetry.Default.StartSpan("synth/runtime").End()
-	shards := parallel.Shards(len(paths), par)
+	shards := sweep.Shards(len(paths), par)
 	if len(shards) == 0 {
 		return NewTaggedGraph(rs.g), nil
 	}
 	locals := make([]*TaggedGraph, len(shards))
 	lviol := make([][]routing.Path, len(shards))
-	parallel.ForEachShard(len(paths), par, func(s parallel.Shard) {
+	sweep.ForEachShard(len(paths), par, func(s sweep.Shard) {
 		r := replayer{rs: rs, tg: NewTaggedGraph(rs.g), startTag: startTag}
 		for _, p := range paths[s.Lo:s.Hi] {
 			if !r.replay(p) {

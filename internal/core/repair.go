@@ -3,6 +3,7 @@ package core
 import (
 	"repro/internal/routing"
 	"repro/internal/topology"
+	"repro/internal/trace"
 )
 
 // Repair records a rule synthesized by RepairReplay to restore lossless
@@ -23,33 +24,32 @@ type Repair struct {
 // synthesized rules (possibly none).
 func RepairReplay(rs *Ruleset, paths []routing.Path, startTag int) []Repair {
 	g := rs.g
-	// Seed the per-tag port adjacency from every same-tag rule: this is a
-	// superset of the same-tag edges runtime traffic can create, so the
-	// incremental acyclicity checks below are conservative.
-	adj := make(map[int]map[topology.PortID][]topology.PortID)
-	ensure := func(tag int) map[topology.PortID][]topology.PortID {
-		m := adj[tag]
-		if m == nil {
-			m = make(map[topology.PortID][]topology.PortID)
-			adj[tag] = m
+	// adj[tag] is the same-tag port graph G_tag as a dense adjacency
+	// indexed by PortID. It is seeded from every same-tag rule: a superset
+	// of the same-tag edges runtime traffic can create, so the whole-graph
+	// acyclicity tests below are conservative — a seed that is already
+	// cyclic sends every repair at that tag to the next one.
+	var adj [][][]int
+	ensure := func(tag int) [][]int {
+		for len(adj) <= tag {
+			adj = append(adj, nil)
 		}
-		return m
-	}
-	addRuleEdge := func(r Rule) {
-		if r.Tag != r.NewTag {
-			return
+		if adj[tag] == nil {
+			adj[tag] = make([][]int, g.NumPorts())
 		}
-		from := g.PortOn(r.Switch, r.In)
-		peer := g.Port(g.PortOn(r.Switch, r.Out)).Peer
-		if peer == topology.InvalidNode || g.Node(peer).Kind == topology.KindHost {
-			return
-		}
-		toNum := g.PortToPeer(peer, r.Switch)
-		to := g.PortOn(peer, toNum)
-		ensure(r.Tag)[from] = append(adj[r.Tag][from], to)
+		return adj[tag]
 	}
 	for _, r := range rs.Rules() {
-		addRuleEdge(r)
+		if r.Tag != r.NewTag {
+			continue
+		}
+		peer := g.Port(g.PortOn(r.Switch, r.Out)).Peer
+		if peer == topology.InvalidNode || g.Node(peer).Kind == topology.KindHost {
+			continue
+		}
+		from := g.PortOn(r.Switch, r.In)
+		m := ensure(r.Tag)
+		m[from] = append(m[from], int(ingressPortID(g, r.Switch, peer)))
 	}
 
 	var repairs []Repair
@@ -67,10 +67,9 @@ func RepairReplay(rs *Ruleset, paths []routing.Path, startTag int) []Repair {
 			// Fabric miss on an expected lossless path: synthesize.
 			newTag := tag
 			from := g.PortOn(sw, in)
-			to := ingressPortID(g, sw, p[i+1])
 			m := ensure(tag)
-			m[from] = append(m[from], to)
-			if !acyclicWith(m) {
+			m[from] = append(m[from], int(ingressPortID(g, sw, p[i+1])))
+			if trace.FindCycle(m) != nil {
 				// Undo and bump.
 				m[from] = m[from][:len(m[from])-1]
 				newTag = tag + 1

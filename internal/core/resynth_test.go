@@ -229,7 +229,7 @@ func TestResynthApplySetExpansion(t *testing.T) {
 
 // TestResynthWorkersConsistent: the incremental path under parallel
 // derivation matches serial from-scratch synthesis (the engine inherits
-// internal/parallel's determinism contract).
+// internal/sweep's determinism contract).
 func TestResynthWorkersConsistent(t *testing.T) {
 	cl, set := resynthClos(t)
 	g := cl.Graph

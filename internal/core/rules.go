@@ -6,8 +6,8 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"repro/internal/parallel"
 	"repro/internal/routing"
+	"repro/internal/sweep"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
@@ -347,14 +347,14 @@ func deriveRulesN(tg *TaggedGraph, par int) (*Ruleset, []Conflict) {
 
 	rs := NewRuleset(g, tg.maxTag)
 	var losers []loser
-	w := parallel.Workers(par, len(tg.nodes))
+	w := sweep.Workers(par, len(tg.nodes))
 	if w <= 1 {
 		derive(0, len(tg.nodes), rs.rules, &losers)
 	} else {
-		shards := parallel.Shards(len(tg.nodes), w)
+		shards := sweep.Shards(len(tg.nodes), w)
 		maps := make([]map[ruleKey]int, len(shards))
 		shardLosers := make([][]loser, len(shards))
-		parallel.ForEachShard(len(tg.nodes), w, func(s parallel.Shard) {
+		sweep.ForEachShard(len(tg.nodes), w, func(s sweep.Shard) {
 			maps[s.Index] = make(map[ruleKey]int)
 			derive(s.Lo, s.Hi, maps[s.Index], &shardLosers[s.Index])
 		})
@@ -453,22 +453,4 @@ func (rs *Ruleset) Replay(p routing.Path, startTag int) ReplayResult {
 		res.Tags = append(res.Tags, tag)
 	}
 	return res
-}
-
-// Priorities returns per-hop lossless priorities for a path under this
-// ruleset: entry i is the priority occupied on arrival at path node i+1,
-// with -1 for lossy hops. It adapts Replay for buffer-dependency analysis
-// (package cbd), where tags are priorities and lossy hops contribute no
-// dependencies.
-func (rs *Ruleset) Priorities(p routing.Path, startTag int) []int {
-	res := rs.Replay(p, startTag)
-	out := make([]int, len(res.Tags))
-	for i, t := range res.Tags {
-		if t == LossyTag {
-			out[i] = -1
-		} else {
-			out[i] = t
-		}
-	}
-	return out
 }

@@ -19,7 +19,7 @@ type Options struct {
 	StartTag int
 	// Workers bounds the goroutines each synthesis stage fans out to:
 	// 0 means GOMAXPROCS, 1 forces the serial path. Every worker count
-	// produces the same system (see internal/parallel).
+	// produces the same system (see internal/sweep).
 	Workers int
 }
 

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"hash/fnv"
+	"slices"
 	"testing"
 
 	"repro/internal/elp"
@@ -203,6 +206,7 @@ func TestRepairReplayFillsMissingRules(t *testing.T) {
 	if len(repairs) == 0 {
 		t.Fatal("expected synthesized rules")
 	}
+	checkRepairDigest(t, g, repairs, repairDigest{n: 56, bumps: 0, sum: 0xf547a17d457aeb95})
 	tg, violations := BuildRuleGraph(rs, s.Paths(), 1)
 	if len(violations) != 0 {
 		t.Fatalf("%d violations after repair", len(violations))
@@ -245,5 +249,77 @@ func TestDeriveRulesSkipsHostTails(t *testing.T) {
 		if res.Tags[i] != w {
 			t.Errorf("tag[%d] = %d, want %d", i, res.Tags[i], w)
 		}
+	}
+}
+
+// repairLines renders repairs one per line in emission order:
+// "switch tag/in/out->newTag path".
+func repairLines(g *topology.Graph, repairs []Repair) []string {
+	out := make([]string, len(repairs))
+	for i, r := range repairs {
+		out[i] = fmt.Sprintf("%s %d/%d/%d->%d %s", g.Node(r.Rule.Switch).Name,
+			r.Rule.Tag, r.Rule.In, r.Rule.Out, r.Rule.NewTag, r.Path.String(g))
+	}
+	return out
+}
+
+// repairDigest pins a []Repair too long to spell out: its length, how
+// many rules bumped the tag, and FNV-1a over repairLines. The values in
+// this package's tests were captured from the map-based RepairReplay
+// before the dense adjacency replaced it.
+type repairDigest struct {
+	n, bumps int
+	sum      uint64
+}
+
+func checkRepairDigest(t *testing.T, g *topology.Graph, repairs []Repair, want repairDigest) {
+	t.Helper()
+	got := repairDigest{n: len(repairs)}
+	h := fnv.New64a()
+	for i, line := range repairLines(g, repairs) {
+		if repairs[i].Rule.NewTag != repairs[i].Rule.Tag {
+			got.bumps++
+		}
+		h.Write([]byte(line + "\n"))
+	}
+	got.sum = h.Sum64()
+	if got != want {
+		t.Errorf("repairs = {n: %d, bumps: %d, sum: %#x}, want {n: %d, bumps: %d, sum: %#x}",
+			got.n, got.bumps, got.sum, want.n, want.bumps, want.sum)
+	}
+}
+
+// TestRepairReplayCyclicSeedStillBumps: RepairReplay tests the whole
+// same-tag rule graph, not just the edge it adds. Here the installed
+// tag-1 rules already close the Figure 1 ring A -> B -> C -> A (no ELP
+// path walks it), and the one missing rule adds an edge in the opposite
+// direction that lies on no cycle: the repair must still move to tag 2.
+// An incremental "does the new edge close a cycle" test would keep tag 1.
+func TestRepairReplayCyclicSeedStillBumps(t *testing.T) {
+	g := topology.New()
+	a := g.AddNode("A", topology.KindSwitch, -1)
+	b := g.AddNode("B", topology.KindSwitch, -1)
+	c := g.AddNode("C", topology.KindSwitch, -1)
+	ha := g.AddNode("Ha", topology.KindHost, 0)
+	hc := g.AddNode("Hc", topology.KindHost, 0)
+	g.Connect(a, b)
+	g.Connect(b, c)
+	g.Connect(c, a)
+	g.Connect(ha, a)
+	g.Connect(hc, c)
+
+	rs := NewRuleset(g, 1)
+	for _, hop := range [][3]topology.NodeID{{a, b, c}, {b, c, a}, {c, a, b}} {
+		sw := hop[1]
+		rs.Add(Rule{Switch: sw, Tag: 1, In: g.PortToPeer(sw, hop[0]), Out: g.PortToPeer(sw, hop[2]), NewTag: 1})
+	}
+	p := routing.Path{hc, c, b, a, ha}
+	got := repairLines(g, RepairReplay(rs, []routing.Path{p}, 1))
+	want := []string{"B 1/1/0->2 " + p.String(g)}
+	if !slices.Equal(got, want) {
+		t.Errorf("repairs = %q, want %q", got, want)
+	}
+	if rs.MaxTag() != 2 {
+		t.Errorf("MaxTag = %d, want 2", rs.MaxTag())
 	}
 }

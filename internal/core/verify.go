@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/topology"
 )
 
 // VerifyError describes a violated deadlock-freedom requirement, with a
@@ -12,6 +10,9 @@ import (
 type VerifyError struct {
 	Requirement int    // 1 = per-tag acyclicity, 2 = monotonicity
 	Detail      string // human-readable witness
+	// Cycle is requirement 1's witness in edge order (the last vertex's
+	// edge back to the first closes it): a cyclic buffer dependency.
+	Cycle []TagNode
 }
 
 // Error implements the error interface.
@@ -100,77 +101,20 @@ func (tg *TaggedGraph) verifyPerTagAcyclic() error {
 					cyc[i], cyc[j] = cyc[j], cyc[i]
 				}
 				var names []string
-				for _, id := range cyc {
-					port := tg.g.Port(tg.nodes[id].Port)
+				witness := make([]TagNode, len(cyc))
+				for i, id := range cyc {
+					witness[i] = tg.nodes[id]
+					port := tg.g.Port(witness[i].Port)
 					names = append(names, fmt.Sprintf("%s_%d", tg.g.Node(port.Node).Name, port.Num))
 				}
 				return &VerifyError{
 					Requirement: 1,
 					Detail: fmt.Sprintf("G_%d contains cycle %s",
 						tg.nodes[v].Tag, strings.Join(names, " -> ")),
+					Cycle: witness,
 				}
 			}
 		}
 	}
 	return nil
-}
-
-// findCycle returns one directed cycle (as a port sequence, first element
-// repeated implicitly) in adj, or nil if the graph is acyclic. Iterative
-// three-color DFS: large tagged graphs would overflow the stack with a
-// recursive walk.
-func findCycle(adj map[topology.PortID][]topology.PortID) []topology.PortID {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make(map[topology.PortID]int, len(adj))
-	parent := make(map[topology.PortID]topology.PortID)
-
-	type frame struct {
-		node topology.PortID
-		next int
-	}
-	for start := range adj {
-		if color[start] != white {
-			continue
-		}
-		stack := []frame{{node: start}}
-		color[start] = gray
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			if f.next < len(adj[f.node]) {
-				v := adj[f.node][f.next]
-				f.next++
-				switch color[v] {
-				case white:
-					color[v] = gray
-					parent[v] = f.node
-					stack = append(stack, frame{node: v})
-				case gray:
-					// Found a back edge f.node -> v: unwind the cycle.
-					cyc := []topology.PortID{v}
-					for cur := f.node; cur != v; cur = parent[cur] {
-						cyc = append(cyc, cur)
-					}
-					// Reverse to follow edge direction v -> ... -> f.node.
-					for i, j := 0, len(cyc)-1; i < j; i, j = i+1, j-1 {
-						cyc[i], cyc[j] = cyc[j], cyc[i]
-					}
-					return cyc
-				}
-			} else {
-				color[f.node] = black
-				stack = stack[:len(stack)-1]
-			}
-		}
-	}
-	return nil
-}
-
-// acyclicWith reports whether the directed port graph adj remains acyclic;
-// it is the incremental check Algorithm 2 runs inside its sandbox.
-func acyclicWith(adj map[topology.PortID][]topology.PortID) bool {
-	return findCycle(adj) == nil
 }

@@ -12,8 +12,8 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/parallel"
 	"repro/internal/routing"
+	"repro/internal/sweep"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
@@ -257,7 +257,7 @@ func ShortestAllN(g *topology.Graph, endpoints []topology.NodeID, par int) *Set 
 	defer telemetry.Default.StartSpan("synth/elp").End()
 	adj := routing.NewAdjacency(g)
 	perSrc := make([][]routing.Path, len(endpoints))
-	parallel.ForEachShard(len(endpoints), parallel.Workers(par, len(endpoints)), func(sh parallel.Shard) {
+	sweep.ForEachShard(len(endpoints), sweep.Workers(par, len(endpoints)), func(sh sweep.Shard) {
 		var sc bfsScratch
 		for i := sh.Lo; i < sh.Hi; i++ {
 			// One BFS per source covers all destinations.

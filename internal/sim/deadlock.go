@@ -22,10 +22,15 @@ type pausedQueue struct {
 // does not go away).
 //
 // The returned strings describe the cycle members for diagnostics; nil
-// means no deadlock at this instant. (The raw scan lives in
-// detectCycleQueues, shared with the detect-and-break recovery monitor.)
+// means no deadlock at this instant. It is the raw scan
+// (detectCycleQueues, what the periodic probes test) plus the formatter,
+// which those probes run only at the first onset they report.
 func (n *Network) DetectDeadlock() []string {
-	cyc := n.detectCycleQueues()
+	return n.cycleStrings(n.detectCycleQueues())
+}
+
+// cycleStrings names a detected cycle's queues; nil for no cycle.
+func (n *Network) cycleStrings(cyc []pausedQueue) []string {
 	if cyc == nil {
 		return nil
 	}
@@ -40,7 +45,7 @@ func (n *Network) DetectDeadlock() []string {
 }
 
 // Deadlocked reports whether a pause-wait cycle currently exists.
-func (n *Network) Deadlocked() bool { return n.DetectDeadlock() != nil }
+func (n *Network) Deadlocked() bool { return n.detectCycleQueues() != nil }
 
 // DeadlockString renders a detected cycle for logs.
 func DeadlockString(cycle []string) string { return strings.Join(cycle, " | ") }

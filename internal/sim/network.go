@@ -680,10 +680,10 @@ func (n *Network) sendPFC(rt *nodeRT, port, prio int, on bool) {
 	// Deadlock onset detection, piggybacked on pause emission to stay off
 	// the fast path when neither tracing nor telemetry is attached.
 	if on && (n.tracer != nil || n.tel != nil) {
-		if cyc := n.DetectDeadlock(); cyc != nil {
+		if cyc := n.detectCycleQueues(); cyc != nil {
 			if !n.inDeadlock {
 				n.inDeadlock = true
-				n.trace(TraceEvent{Kind: "deadlock", Node: n.nodeName(rt.id), Cycle: cyc})
+				n.trace(TraceEvent{Kind: "deadlock", Node: n.nodeName(rt.id), Cycle: n.cycleStrings(cyc)})
 				if n.tel != nil {
 					n.tel.Counter("sim_deadlock_onsets_total").Inc()
 					g := n.tel.Gauge("sim_time_to_deadlock_seconds")

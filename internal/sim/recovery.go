@@ -101,7 +101,8 @@ func (n *Network) waitGraph() (nodes []pausedQueue, adj [][]int) {
 // are paused by the downstream peer: the wait-for graph's vertices.
 func (prt *portRT) stuck() prioMask { return prt.paused & prt.nonEmpty &^ 1 }
 
-// detectCycleQueues is DetectDeadlock returning the raw queue identities.
+// detectCycleQueues is the raw deadlock scan: one cycle of the live
+// wait-for graph as queue identities, nil when there is none.
 func (n *Network) detectCycleQueues() []pausedQueue {
 	nodes, adj := n.waitGraph()
 	if nodes == nil {

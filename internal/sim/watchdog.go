@@ -54,10 +54,10 @@ func (n *Network) StartWatchdog(interval time.Duration) *WatchdogStats {
 func (n *Network) watchdogTick(t *timerRT, slot int32) {
 	stats := t.wstats
 	stats.Samples++
-	if cyc := n.DetectDeadlock(); cyc != nil {
+	if cyc := n.detectCycleQueues(); cyc != nil {
 		stats.DeadlockSamples++
 		if stats.FirstDeadlock == nil {
-			stats.FirstDeadlock = cyc
+			stats.FirstDeadlock = n.cycleStrings(cyc)
 			stats.FirstDeadlockAt = time.Duration(n.now)
 		}
 	}

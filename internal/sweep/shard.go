@@ -1,15 +1,11 @@
-// Package parallel provides the small deterministic fan-out primitives
-// the synthesis pipeline shares: contiguous sharding of an index range
-// across a bounded worker pool.
-//
-// Every user follows the same discipline: workers compute into
+package sweep
+
+// The shard fan-out the synthesis pipeline shares: contiguous sharding of
+// an index range across a bounded worker pool. Workers compute into
 // shard-indexed slots and the caller folds the slots together in shard
-// order, so the fan-out is invisible in the output — par=1 and par=N
-// produce identical results. Worker count 1 must (and does) run inline on
-// the calling goroutine with zero scheduling overhead: it is the legacy
-// serial path, kept exercised by the -par=1 flag and the determinism
-// tests.
-package parallel
+// order, so par=1 and par=N produce identical results; worker count 1
+// runs inline on the calling goroutine (the serial path, kept exercised
+// by the -par=1 flag and the determinism tests).
 
 import (
 	"runtime"

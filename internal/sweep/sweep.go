@@ -1,12 +1,13 @@
-// Package sweep fans independent seeded simulation runs across a bounded
-// worker pool. It is the multi-run counterpart of internal/parallel's
-// shard fan-out, with the same determinism discipline: every run is
-// isolated (its own Network, its own telemetry.Registry), workers write
-// only their own result slot, and post-run aggregation — result order,
-// error selection, telemetry merging — happens in seed order on the
-// caller's goroutine. par=1 and par=N are therefore observably identical,
-// and par=1 runs inline with zero scheduling overhead (the legacy serial
-// path, kept exercised by the -race determinism gate).
+// Package sweep holds the deterministic fan-out primitives: contiguous
+// shards of an index range for the synthesis pipeline (shard.go), and
+// independent seeded simulation runs (sweep.go), both across a bounded
+// worker pool and both under one discipline. Every unit of work is
+// isolated (a run gets its own Network and its own telemetry.Registry),
+// workers write only their own result slot, and aggregation — result
+// order, error selection, telemetry merging — happens in index order on
+// the caller's goroutine. par=1 and par=N are therefore observably
+// identical, and par=1 runs inline with zero scheduling overhead (the
+// serial path, kept exercised by the -race determinism gate).
 package sweep
 
 import (
@@ -14,7 +15,6 @@ import (
 	"runtime/debug"
 	"sync"
 
-	"repro/internal/parallel"
 	"repro/internal/telemetry"
 )
 
@@ -62,7 +62,7 @@ func guard[T any](i int, seed int64, fn func(i int, seed int64) (T, error)) (res
 func run[T any](seeds []int64, par int, fn func(i int, seed int64) (T, error)) ([]T, []error) {
 	results := make([]T, len(seeds))
 	errs := make([]error, len(seeds))
-	workers := parallel.Workers(par, len(seeds))
+	workers := Workers(par, len(seeds))
 	if workers <= 1 {
 		for i, seed := range seeds {
 			results[i], errs[i] = guard(i, seed, fn)

@@ -7,8 +7,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/elp"
 	"repro/internal/fingerprint"
-	"repro/internal/parallel"
 	"repro/internal/routing"
+	"repro/internal/sweep"
 	"repro/internal/topology"
 )
 
@@ -250,7 +250,7 @@ func stampELP(rep *repBuckets, pairs []podPair) ([]routing.Path, error) {
 
 	last := pairs[len(pairs)-1]
 	stamped := make([]routing.Path, last.off+rep.count(last.intra))
-	parallel.ForEachShard(len(pairs), parallel.Workers(0, len(pairs)), func(sh parallel.Shard) {
+	sweep.ForEachShard(len(pairs), sweep.Workers(0, len(pairs)), func(sh sweep.Shard) {
 		for _, pr := range pairs[sh.Lo:sh.Hi] {
 			lo, first := rep.e00, rep.n00
 			if pr.intra {

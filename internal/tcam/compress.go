@@ -4,7 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/parallel"
+	"repro/internal/sweep"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
@@ -53,13 +53,13 @@ func Compress(rules []core.Rule) []Entry {
 // for every worker count. Ungrouped input falls back to one chunk.
 func CompressN(rules []core.Rule, par int) []Entry {
 	defer telemetry.Default.StartSpan("synth/tcam").End()
-	w := parallel.Workers(par, len(rules))
+	w := sweep.Workers(par, len(rules))
 	chunks := switchChunks(rules, w)
 	if len(chunks) <= 1 {
 		return compressChunk(rules)
 	}
 	outs := make([][]Entry, len(chunks))
-	parallel.ForEachShard(len(chunks), len(chunks), func(s parallel.Shard) {
+	sweep.ForEachShard(len(chunks), len(chunks), func(s sweep.Shard) {
 		for i := s.Lo; i < s.Hi; i++ {
 			outs[i] = compressChunk(chunks[i])
 		}

@@ -1,7 +1,7 @@
-// Package metrics provides the small formatting and series helpers the
-// experiment drivers and CLIs share: aligned text tables and throughput
-// series rendering.
-package metrics
+package telemetry
+
+// The text renderer the experiment drivers, CLIs and trace reports share:
+// aligned tables and a unicode sparkline for rate-vs-time series.
 
 import (
 	"fmt"

@@ -5,8 +5,11 @@ package trace
 // search re-entered — or nil when the graph is acyclic. The search is a
 // three-colour depth-first walk from the lowest-numbered unvisited vertex,
 // following edges in list order, so the answer is deterministic. It is the
-// wait-for-graph kernel shared by the simulator's live deadlock scan and
-// the post-mortem's reconstruction from a frozen snapshot.
+// repository's one witness-returning cycle search over a plain adjacency
+// list: the simulator's live wait-for scan, the post-mortem's
+// reconstruction from a frozen snapshot and core.RepairReplay's same-tag
+// port graphs all call it (DESIGN.md §9 lists the searches that stay
+// separate, and why).
 func FindCycle(adj [][]int) []int {
 	const (
 		white = 0

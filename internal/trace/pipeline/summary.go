@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -245,7 +244,7 @@ func (s *Summary) ReportDiag(w io.Writer, top int, d Diag) {
 	}
 
 	if len(s.Episodes) > 0 {
-		et := metrics.NewTable("Episode", "Onset", "TTD", "TTR", "Resolution")
+		et := telemetry.NewTable("Episode", "Onset", "TTD", "TTR", "Resolution")
 		unresolved := 0
 		for i, ep := range s.Episodes {
 			ttd, ttr := "-", "-"
@@ -290,7 +289,7 @@ func (s *Summary) ReportDiag(w io.Writer, top int, d Diag) {
 	if len(rows) > top {
 		rows = rows[:top]
 	}
-	t := metrics.NewTable("Pauser", "Paused peer", "Pauses", "Resumes", "Still paused")
+	t := telemetry.NewTable("Pauser", "Paused peer", "Pauses", "Resumes", "Still paused")
 	for _, r := range rows {
 		t.AddRow(r.k.Node, r.k.Peer, r.p, r.r, r.pending)
 	}
@@ -298,7 +297,7 @@ func (s *Summary) ReportDiag(w io.Writer, top int, d Diag) {
 
 	if len(s.PauseDur) > 0 {
 		durs := sortedHists(s.PauseDur, top)
-		dt := metrics.NewTable("Pauser", "Paused peer", "Intervals", "p50", "p95", "p99")
+		dt := telemetry.NewTable("Pauser", "Paused peer", "Intervals", "p50", "p95", "p99")
 		for _, r := range durs {
 			dt.AddRow(r.k.Node, r.k.Peer, r.snap.Count,
 				secDuration(r.snap.Quantile(0.50)),
@@ -310,7 +309,7 @@ func (s *Summary) ReportDiag(w io.Writer, top int, d Diag) {
 
 	if len(s.QDepth) > 0 {
 		depths := sortedHists(s.QDepth, top)
-		qt := metrics.NewTable("Pauser", "Paused peer", "Samples", "p50", "p95", "p99", "max")
+		qt := telemetry.NewTable("Pauser", "Paused peer", "Samples", "p50", "p95", "p99", "max")
 		for _, r := range depths {
 			qt.AddRow(r.k.Node, r.k.Peer, r.snap.Count,
 				kbytes(r.snap.Quantile(0.50)),
@@ -322,7 +321,7 @@ func (s *Summary) ReportDiag(w io.Writer, top int, d Diag) {
 	}
 
 	if len(s.DropByReason) > 0 {
-		dt := metrics.NewTable("Drop reason", "Count")
+		dt := telemetry.NewTable("Drop reason", "Count")
 		reasons := make([]string, 0, len(s.DropByReason))
 		for r := range s.DropByReason {
 			reasons = append(reasons, r)

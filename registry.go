@@ -7,7 +7,6 @@ import (
 	"os"
 	"slices"
 
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
@@ -198,7 +197,7 @@ func (res ExperimentResult) String() string {
 		for i, p := range f.Points {
 			vals[i] = p.Gbps
 		}
-		rep.printf("  %-8s %s  late: %5.1f Gbps\n", f.Name, metrics.Sparkline(vals, 40), f.LateGbps)
+		rep.printf("  %-8s %s  late: %5.1f Gbps\n", f.Name, telemetry.Sparkline(vals, 40), f.LateGbps)
 	}
 	return rep.String()
 }

@@ -1,25 +1,61 @@
-// Package measure reproduces the paper's §3.2 up-down-violation
-// measurement (Table 1): servers send IP-in-IP probes to the highest-layer
-// switches; the switch decapsulates and routes the probe back using the
-// inner header with TTL 64; a received TTL below the shortest-path value
-// proves the probe took a reroute (bounce) path.
-//
-// The authors had production telemetry from more than 20 data centers; we
-// drive the same probe arithmetic over a simulated failure process on a
-// Clos, calibrated so per-measurement reroute probability lands in the
-// paper's observed ~1e-5 band.
-package measure
+package tagger
 
 import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/paper"
 	"repro/internal/routing"
+	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
 
-// Config parameterizes the measurement campaign.
-type Config struct {
+// Table 1 reproduces the paper's §3.2 up-down-violation measurement:
+// servers send IP-in-IP probes to the highest-layer switches; the switch
+// decapsulates and routes the probe back using the inner header with TTL
+// 64; a received TTL below the shortest-path value proves the probe took
+// a reroute (bounce) path.
+//
+// The authors had production telemetry from more than 20 data centers; we
+// drive the same probe arithmetic over a simulated failure process on a
+// Clos, calibrated so per-measurement reroute probability lands in the
+// paper's observed ~1e-5 band.
+
+// Table1Result reproduces the reroute-probability measurement.
+type Table1Result struct {
+	Rows []DayResult
+}
+
+// OverallProbability returns the pooled reroute probability.
+func (r Table1Result) OverallProbability() float64 {
+	var total, rer int64
+	for _, row := range r.Rows {
+		total += row.Total
+		rer += row.Rerouted
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(rer) / float64(total)
+}
+
+// String renders the table like the paper's Table 1.
+func (r Table1Result) String() string {
+	t := telemetry.NewTable("Day", "Total No.", "Rerouted No.", "Reroute probability")
+	for _, row := range r.Rows {
+		t.AddRow(row.Day, row.Total, row.Rerouted, fmt.Sprintf("%.2e", row.Probability))
+	}
+	return t.String()
+}
+
+// Table1 runs the IP-in-IP probe campaign: days of measurements over a
+// Clos with a transient link-failure process (§3.2).
+func Table1(days int, perDay int64) Table1Result {
+	return Table1Result{Rows: runProbeCampaign(paper.Testbed(), defaultProbeConfig(), days, perDay)}
+}
+
+// probeConfig parameterizes the measurement campaign.
+type probeConfig struct {
 	// ProbesPerMeasurement is the paper's n = 100.
 	ProbesPerMeasurement int
 	// InitialTTL of the inner header; the paper uses 64.
@@ -34,11 +70,11 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig matches the paper's methodology with an episode process
-// calibrated to land in the ~1e-5 reroute-probability band for the
-// testbed-sized Clos.
-func DefaultConfig() Config {
-	return Config{
+// defaultProbeConfig matches the paper's methodology with an episode
+// process calibrated to land in the ~1e-5 reroute-probability band for
+// the testbed-sized Clos.
+func defaultProbeConfig() probeConfig {
+	return probeConfig{
 		ProbesPerMeasurement: 100,
 		InitialTTL:           64,
 		EpisodeRate:          1e-5,
@@ -61,10 +97,10 @@ func (d DayResult) String() string {
 		d.Day, d.Total, d.Rerouted, d.Probability)
 }
 
-// Campaign runs the probe methodology over a Clos.
-type Campaign struct {
+// probeCampaign runs the probe methodology over a Clos.
+type probeCampaign struct {
 	clos *topology.Clos
-	cfg  Config
+	cfg  probeConfig
 	rng  *rand.Rand
 
 	// Active failure episodes: remaining ticks per failed link.
@@ -78,9 +114,9 @@ type Campaign struct {
 	intended map[[2]topology.NodeID]routing.Path
 }
 
-// NewCampaign prepares a campaign over the given Clos.
-func NewCampaign(c *topology.Clos, cfg Config) *Campaign {
-	mc := &Campaign{
+// newProbeCampaign prepares a campaign over the given Clos.
+func newProbeCampaign(c *topology.Clos, cfg probeConfig) *probeCampaign {
+	mc := &probeCampaign{
 		clos:     c,
 		cfg:      cfg,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
@@ -96,7 +132,7 @@ func NewCampaign(c *topology.Clos, cfg Config) *Campaign {
 }
 
 // fabricLinks returns the switch-to-switch links (candidates for failure).
-func (mc *Campaign) fabricLinks() []topology.LinkID {
+func (mc *probeCampaign) fabricLinks() []topology.LinkID {
 	g := mc.clos.Graph
 	var out []topology.LinkID
 	for i := 0; i < g.NumLinks(); i++ {
@@ -108,12 +144,12 @@ func (mc *Campaign) fabricLinks() []topology.LinkID {
 	return out
 }
 
-// RunDay executes measurements measurement ticks and returns the day row.
+// runDay executes measurements measurement ticks and returns the day row.
 // Each tick: advance the failure process, pick a random (server, spine)
 // pair, decapsulate at the spine, and route the probe back over the
 // current topology; if any of the n probes sees TTL below the healthy
 // value, the measurement counts as rerouted.
-func (mc *Campaign) RunDay(day int, measurements int64) DayResult {
+func (mc *probeCampaign) runDay(day int, measurements int64) DayResult {
 	g := mc.clos.Graph
 	links := mc.fabricLinks()
 	hosts := mc.clos.Hosts
@@ -160,7 +196,7 @@ func (mc *Campaign) RunDay(day int, measurements int64) DayResult {
 // shortest route from the failure point over the degraded topology (a
 // bounce back up when the failure is below). The received TTL is lower
 // than expected iff the detour lengthened the path.
-func (mc *Campaign) measurementSeesReroute(spine, host topology.NodeID) bool {
+func (mc *probeCampaign) measurementSeesReroute(spine, host topology.NodeID) bool {
 	if len(mc.active) == 0 {
 		return false // healthy network: TTL always as expected
 	}
@@ -184,12 +220,12 @@ func (mc *Campaign) measurementSeesReroute(spine, host topology.NodeID) bool {
 	return hops > p.Hops()
 }
 
-// RunCampaign produces the full Table 1: one row per day.
-func RunCampaign(c *topology.Clos, cfg Config, days int, perDay int64) []DayResult {
-	mc := NewCampaign(c, cfg)
+// runProbeCampaign produces the full Table 1: one row per day.
+func runProbeCampaign(c *topology.Clos, cfg probeConfig, days int, perDay int64) []DayResult {
+	mc := newProbeCampaign(c, cfg)
 	out := make([]DayResult, 0, days)
 	for d := 1; d <= days; d++ {
-		out = append(out, mc.RunDay(d, perDay))
+		out = append(out, mc.runDay(d, perDay))
 	}
 	return out
 }

@@ -1,4 +1,4 @@
-package measure
+package tagger
 
 import (
 	"strings"
@@ -9,9 +9,9 @@ import (
 
 func TestHealthyNetworkNoReroutes(t *testing.T) {
 	c := paper.Testbed()
-	cfg := DefaultConfig()
+	cfg := defaultProbeConfig()
 	cfg.EpisodeRate = 0 // no failures ever
-	res := RunCampaign(c, cfg, 1, 10_000)
+	res := runProbeCampaign(c, cfg, 1, 10_000)
 	if len(res) != 1 {
 		t.Fatal("rows")
 	}
@@ -27,7 +27,7 @@ func TestRerouteProbabilityBand(t *testing.T) {
 	// With the default failure process, the measured probability should
 	// land in the paper's 1e-5 order of magnitude.
 	c := paper.Testbed()
-	res := RunCampaign(c, DefaultConfig(), 7, 2_000_000)
+	res := runProbeCampaign(c, defaultProbeConfig(), 7, 2_000_000)
 	if len(res) != 7 {
 		t.Fatalf("rows = %d", len(res))
 	}
@@ -50,10 +50,10 @@ func TestRerouteProbabilityBand(t *testing.T) {
 
 func TestDeterministicPerSeed(t *testing.T) {
 	c := paper.Testbed()
-	cfg := DefaultConfig()
+	cfg := defaultProbeConfig()
 	cfg.EpisodeRate = 1e-3 // denser for a short run
-	a := RunCampaign(c, cfg, 2, 50_000)
-	b := RunCampaign(paper.Testbed(), cfg, 2, 50_000)
+	a := runProbeCampaign(c, cfg, 2, 50_000)
+	b := runProbeCampaign(paper.Testbed(), cfg, 2, 50_000)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("row %d differs: %+v vs %+v", i, a[i], b[i])
@@ -64,10 +64,10 @@ func TestDeterministicPerSeed(t *testing.T) {
 func TestEpisodesActuallyLowerTTL(t *testing.T) {
 	// Force a near-certain failure process and verify reroutes register.
 	c := paper.Testbed()
-	cfg := DefaultConfig()
+	cfg := defaultProbeConfig()
 	cfg.EpisodeRate = 0.05
 	cfg.EpisodeLength = 100
-	res := RunCampaign(c, cfg, 1, 20_000)
+	res := runProbeCampaign(c, cfg, 1, 20_000)
 	if res[0].Rerouted == 0 {
 		t.Fatal("dense failure process produced no rerouted measurements")
 	}
@@ -85,10 +85,10 @@ func TestDayResultString(t *testing.T) {
 
 func TestFailedLinksRestoredAfterDay(t *testing.T) {
 	c := paper.Testbed()
-	cfg := DefaultConfig()
+	cfg := defaultProbeConfig()
 	cfg.EpisodeRate = 0.01
-	mc := NewCampaign(c, cfg)
-	mc.RunDay(1, 10_000)
+	mc := newProbeCampaign(c, cfg)
+	mc.runDay(1, 10_000)
 	if got := len(c.Graph.FailedLinks()); got != 0 {
 		t.Errorf("%d links left failed after the day", got)
 	}

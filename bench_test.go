@@ -448,6 +448,30 @@ func BenchmarkResynthSingleLinkFlap(b *testing.B) {
 	}
 }
 
+// BenchmarkResynthDrainUndrain: one leaf drain + undrain cycle through the
+// incremental path — the churn controller's costliest event pair, since a
+// leaf carries far more paths than any one link.
+func BenchmarkResynthDrainUndrain(b *testing.B) {
+	cl, set := benchFlapClos(b)
+	g := cl.Graph
+	rs, err := core.NewResynth(g, set.Paths(), core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr := elp.NewTracker(g, set)
+	l1 := g.MustLookup("L1")
+	b.ReportMetric(float64(set.Len()), "paths")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rs.Apply(nil, tr.Drain(l1)); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := rs.Apply(tr.Undrain(l1), nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFullSynthSingleLinkFlap: the same flap handled the pre-churn
 // way — re-enumerate the ELP and synthesize from scratch after each
 // topology change. The Resynth benchmark above must beat this by >=10x.

@@ -145,7 +145,10 @@ func (c ChurnCase) enumerate(g *topology.Graph, cl *topology.Clos, endpoints []t
 //     (rules, max tag, conflicts, and all three tagged graphs) to
 //     from-scratch synthesis on the same path set;
 //  2. the system still passes the independent oracle (Theorem 5.1:
-//     per-tag acyclicity + monotone lossless replay of every ELP path).
+//     per-tag acyclicity + monotone lossless replay of every ELP path);
+//  3. the engine's path set, the tracker's active set and the paths ever
+//     offered to the tracker that are usable right now are one set — the
+//     first two alone would pass a path the tracker never revives.
 //
 // The reference synthesis is fed st.Paths() — the engine's own tracked
 // order — so the comparison also covers the full-rebuild fallback, which
@@ -160,6 +163,10 @@ func RunChurnCase(c ChurnCase) error {
 		return fmt.Errorf("check: empty base ELP for %s", c)
 	}
 	tracker := elp.NewTracker(g, base)
+	var offered routing.PathIndex
+	for _, p := range base.Paths() {
+		offered.Add(p)
+	}
 	st, err := core.NewResynth(g, tracker.Active(), core.Options{Workers: c.Workers})
 	if err != nil {
 		return fmt.Errorf("check: %s: initial synthesis: %w", c, err)
@@ -194,13 +201,20 @@ func RunChurnCase(c ChurnCase) error {
 			if err := cl.Expand(1); err != nil {
 				return fmt.Errorf("check: %s: event %d: %w", c, i, err)
 			}
-			added = tracker.AddPaths(c.enumerate(g, cl, endpoints).Paths())
+			fresh := c.enumerate(g, cl, endpoints).Paths()
+			for _, p := range fresh {
+				offered.Add(p)
+			}
+			added = tracker.AddPaths(fresh)
 		}
 		sys, err := st.Apply(added, removed)
 		if err != nil {
 			return fmt.Errorf("%s: event %d (%s): resynth: %w", c, i, ev, err)
 		}
 		if err := churnEquiv(g, sys, st.Paths()); err != nil {
+			return fmt.Errorf("%s: after event %d (%s): %w", c, i, ev, err)
+		}
+		if err := churnSets(st.Paths(), tracker, offered.Paths()); err != nil {
 			return fmt.Errorf("%s: after event %d (%s): %w", c, i, ev, err)
 		}
 	}
@@ -247,6 +261,35 @@ func churnEquiv(g *topology.Graph, got *core.System, paths []routing.Path) error
 	}
 	if err := VerifySystem(got); err != nil {
 		return fmt.Errorf("oracle: %w", err)
+	}
+	return nil
+}
+
+// churnSets asserts that the engine's paths, the tracker's active paths
+// and the offered paths the tracker calls usable are the same set.
+func churnSets(engine []routing.Path, tracker *elp.Tracker, offered []routing.Path) error {
+	var have routing.PathIndex
+	for _, p := range engine {
+		have.Add(p)
+	}
+	sets := []struct {
+		name  string
+		paths []routing.Path
+	}{{"tracker active", tracker.Active()}, {"usable offered", nil}}
+	for _, p := range offered {
+		if tracker.Usable(p) {
+			sets[1].paths = append(sets[1].paths, p)
+		}
+	}
+	for _, s := range sets {
+		if len(s.paths) != have.Len() {
+			return fmt.Errorf("%d %s paths, engine tracks %d", len(s.paths), s.name, have.Len())
+		}
+		for _, p := range s.paths {
+			if _, ok := have.Find(p); !ok {
+				return fmt.Errorf("%s path %v is not in the engine's set", s.name, p)
+			}
+		}
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/routing"
@@ -159,7 +160,8 @@ type rsHop struct {
 // the path left the ELP but its static metadata, key set, and index
 // entries stay resident so a re-add (the flap-recovery case) revives it
 // without recomputing graph state or touching the key index. ver
-// invalidates the slot's keyIdx entries when its key set is replaced.
+// invalidates the slot's keyIdx entries when its key set is replaced or
+// its path forgotten.
 type rsPath struct {
 	pids  []topology.PortID // ingress port per hop (len(path)-1)
 	hops  []rsHop           // classification context per interior hop (len(path)-2)
@@ -198,17 +200,61 @@ func bfChainOf(pids []topology.PortID, buf []uint32) []uint32 {
 	return buf
 }
 
-// replayInto runs e's path through rs from the NIC stamp (tag 1) using the
-// cached hop metadata, appending the packed runtime chain and the rule
-// keys consulted (whether they hit or missed — a key that later gains an
-// entry changes the outcome too) to the caller's buffers. ok=false means
-// the path went lossy.
-func (e *rsPath) replayInto(rs *Ruleset, chain []uint32, keys []uint64) ([]uint32, []uint64, bool) {
-	tag := 1
-	for i, pid := range e.pids {
-		chain = append(chain, packTagKey(pid, tag))
-		if i < len(e.hops) {
-			h := e.hops[i]
+// rsReplayer replays slots one after another through one ruleset, from
+// the NIC stamp (tag 1) with the cached hop metadata, recording the packed
+// runtime chain and the rule keys consulted (whether they hit or missed —
+// a key that later gains an entry changes the outcome too).
+//
+// Like the synthesis replayer (parallel.go) it resumes each replay where
+// the path parts from the previous one: chain entry i and the keys
+// consulted before it depend on the path's first i+2 nodes only, so for
+// the nodes two consecutive paths share, the previous replay already
+// computed them under the same rules. Only the rewrite at the last shared
+// node is redone — it matches on the egress port toward the first node
+// that differs. Resuming is capped where the previous path went lossy:
+// nothing past that hop was replayed. Walking slots in ascending order
+// makes consecutive paths share most of their hops on enumerated ELPs.
+type rsReplayer struct {
+	rs    *Ruleset
+	prev  routing.Path
+	chain []uint32 // the previous replay's chain, reused as this one's
+	keys  []uint64
+	tags  []int   // tag carried on chain[i]
+	nkeys []int32 // len(keys) when chain[i] was appended
+}
+
+// reset starts a walk under rs; nothing of an earlier walk is resumed.
+func (rp *rsReplayer) reset(rs *Ruleset) {
+	rp.rs, rp.prev = rs, nil
+	rp.chain, rp.keys = rp.chain[:0], rp.keys[:0]
+}
+
+// replay runs p, whose cached metadata is e, and returns its chain and
+// consulted keys, valid until the next call. ok=false means the path went
+// lossy; the chain then ends at the hop that did.
+func (rp *rsReplayer) replay(p routing.Path, e *rsPath) (chain []uint32, keys []uint64, ok bool) {
+	shared := 0
+	for shared < len(p) && shared < len(rp.prev) && p[shared] == rp.prev[shared] {
+		shared++
+	}
+	rp.prev = p
+	n := len(e.pids)
+	if grow := n - len(rp.tags); grow > 0 {
+		rp.tags = append(rp.tags, make([]int, grow)...)
+		rp.nkeys = append(rp.nkeys, make([]int32, grow)...)
+	}
+	tags, nkeys := rp.tags, rp.nkeys
+	from, tag := min(shared-1, len(rp.chain)), 1
+	if from > 0 {
+		chain, keys, tag = rp.chain[:from], rp.keys[:nkeys[from-1]], tags[from-1]
+	} else {
+		from, chain, keys = 0, rp.chain[:0], rp.keys[:0]
+	}
+	ok = true
+	rs := rp.rs
+	for i := from; i < n; i++ {
+		if i > 0 {
+			h := e.hops[i-1]
 			if k, kok := packRuleKeyOK(h.sw, tag, int(h.in), int(h.out)); kok {
 				keys = append(keys, uint64(k))
 				if nt, hit := rs.rules[k]; hit {
@@ -220,11 +266,15 @@ func (e *rsPath) replayInto(rs *Ruleset, chain []uint32, keys []uint64) ([]uint3
 				tag = rs.Classify(h.sw, tag, int(h.in), int(h.out))
 			}
 			if tag == LossyTag {
-				return chain, keys, false
+				ok = false
+				break
 			}
 		}
+		tags[i], nkeys[i] = tag, int32(len(keys))
+		chain = append(chain, packTagKey(e.pids[i], tag))
 	}
-	return chain, keys, true
+	rp.chain, rp.keys = chain, keys
+	return chain, keys, ok
 }
 
 // Resynth maintains a synthesized System incrementally across ELP churn.
@@ -235,37 +285,53 @@ func (e *rsPath) replayInto(rs *Ruleset, chain []uint32, keys []uint64) ([]uint3
 // max tag, conflicts) to Synthesize(g, Paths(), opts) — the churn fuzzer
 // in internal/check asserts exactly that.
 //
+// A path keeps its slot until it is forgotten. Apply's removals only
+// *park* a slot: its static metadata, last chain and key set, and its
+// key-index entries stay resident, so a re-add (the flap-recovery case)
+// revives it without recomputing graph state or touching the key index.
+// Only ApplySet forgets, the tracked paths its new set leaves out, and
+// only forgotten slots are ever compacted away. Memory is therefore one
+// slot per distinct path applied and not yet forgotten — under the churn
+// controller, which never calls ApplySet, the tracker's own universe —
+// and Paths() and System().ELP list the live paths in slot order (first
+// application order) whatever the churn history. A full rebuild (the
+// fallback) re-slots from the rebuilt system and drops parked slots.
+//
 // Resynth is not safe for concurrent use; callers serialize Apply.
 type Resynth struct {
 	g    *topology.Graph
 	opts Options
 	// ix holds every resident path (parked slots included, so check lives
-	// after Find); its slots index list and lives.
-	ix    routing.PathIndex
-	list  []rsPath
-	lives []bool // per-slot liveness, parallel to list
-	dead  int    // parked slot count
-	bf    refGraph
-	run   refGraph
-	sys   *System
+	// after Find); its slots index list and lives. A forgotten slot holds
+	// a nil path and a zero rsPath until compaction.
+	ix        routing.PathIndex
+	list      []rsPath
+	lives     []bool // per-slot liveness, parallel to list
+	parked    int    // resident slots that are not live
+	forgotten int    // slots whose path was forgotten
+	bf        refGraph
+	run       refGraph
+	sys       *System
 
 	// keyIdx maps each consulted rule key to the slots that consulted it,
 	// as packed idx<<32|ver entries. Parked slots keep their entries
 	// (dormant, skipped on read); entries go stale only when a slot's key
-	// set is replaced, and the whole index is rebuilt when stale entries
-	// dominate.
+	// set is replaced or its path forgotten, and the whole index is
+	// rebuilt when stale entries dominate.
 	keyIdx   map[uint64][]uint64
 	idxLive  int
 	idxStale int
 
-	// Reusable scratch for replays, chain staging, and affected-path
-	// collection.
-	chainBuf  []uint32
-	keyBuf    []uint64
-	seen      []bool
-	remBuf    [][]uint32
-	addBuf    []int
-	affectBuf []int
+	// The slots the next replay walk visits, in ascending slot order:
+	// marks holds markAdded or markAffected per slot (zero elsewhere) and
+	// markLo..markHi bounds the marked range.
+	marks          []uint8
+	markLo, markHi int
+
+	// Reusable scratch for replays and removed-chain staging.
+	rp     rsReplayer
+	remBuf [][]uint32
+	addBuf []int
 
 	// fullSynth, when non-nil, replaces the direct Synthesize calls the
 	// initial build and the rebuild() fallback make — the synthesis cache
@@ -275,6 +341,13 @@ type Resynth struct {
 
 	broken bool
 }
+
+// Replay-walk marks: an added slot's chain joins the runtime graph; an
+// affected one's replaces its stored chain if the replay changed it.
+const (
+	markAffected = 1 + iota
+	markAdded
+)
 
 // NewResynth synthesizes the initial system from scratch and returns the
 // incremental state tracking it. Duplicate paths (same node sequence)
@@ -333,22 +406,23 @@ func (r *Resynth) initFrom(sys *System) error {
 	r.ix.Reserve(len(sys.ELP))
 	r.list = make([]rsPath, 0, len(sys.ELP))
 	r.lives = make([]bool, 0, len(sys.ELP))
-	r.dead = 0
+	r.parked, r.forgotten = 0, 0
 	r.bf = newRefGraph()
 	r.run = newRefGraph()
 	r.keyIdx = make(map[uint64][]uint64)
 	r.idxLive, r.idxStale = 0, 0
-	r.seen = nil // may hold flags for the list being discarded
+	r.marks = nil // may hold marks for the list being discarded
+	r.rp.reset(sys.Rules)
 	var buf []uint32
 	for _, p := range sys.ELP {
 		e := pathState(r.g, p)
 		buf = bfChainOf(e.pids, buf)
 		r.bf.addChain(buf)
-		chain, keys, ok := e.replayInto(sys.Rules, nil, nil)
+		chain, keys, ok := r.rp.replay(p, &e)
 		if !ok {
 			return fmt.Errorf("core: resynth init: path %s lossy under synthesized rules", p.String(r.g))
 		}
-		e.chain, e.keys = chain, keys
+		e.chain, e.keys = slices.Clone(chain), slices.Clone(keys)
 		r.run.addChain(chain)
 		r.indexKeys(r.track(p, e))
 	}
@@ -398,7 +472,7 @@ func (r *Resynth) rebuildIndex() {
 }
 
 // commit stores a freshly replayed chain and key set on slot idx, reusing
-// the slot's backing arrays (the inputs may live in scratch buffers) and
+// the slot's backing arrays (the inputs live in replay scratch) and
 // keeping the key index consistent: when the consulted keys are unchanged
 // — every flap-recovery revival — the existing entries stay valid and the
 // index is untouched.
@@ -415,11 +489,11 @@ func (r *Resynth) commit(idx int, chain []uint32, keys []uint64) {
 // System returns the current synthesized system.
 func (r *Resynth) System() *System { return r.sys }
 
-// Paths returns the current ELP set in insertion order.
+// Paths returns the current ELP set in slot order.
 func (r *Resynth) Paths() []routing.Path { return r.activePaths() }
 
 func (r *Resynth) activePaths() []routing.Path {
-	out := make([]routing.Path, 0, len(r.list)-r.dead)
+	out := make([]routing.Path, 0, len(r.list)-r.parked-r.forgotten)
 	paths := r.ix.Paths()
 	for i, alive := range r.lives {
 		if alive {
@@ -448,9 +522,10 @@ func (r *Resynth) rebuild() (*System, error) {
 }
 
 // Apply removes then adds the given paths and returns the re-synthesized
-// system. Removals of untracked paths and re-adds of tracked paths are
-// ignored, so callers can pass raw churn deltas. An error marks the state
-// unusable (it indicates a bug in synthesis, not bad input).
+// system. Removals park their slots (see Resynth). Removals of untracked
+// or parked paths and re-adds of live paths are ignored, so callers can
+// pass raw churn deltas. An error marks the state unusable (it indicates
+// a bug in synthesis, not bad input).
 func (r *Resynth) Apply(added, removed []routing.Path) (*System, error) {
 	defer telemetry.Default.StartSpan("synth/resynth").End()
 	if r.broken {
@@ -470,8 +545,6 @@ func (r *Resynth) Apply(added, removed []routing.Path) (*System, error) {
 	var buf []uint32
 
 	// Removals first, so a remove+add of the same path nets to a replace.
-	// A removal only parks the slot: its metadata and dormant index
-	// entries wait for revival.
 	remChains := r.remBuf[:0]
 	for _, p := range removed {
 		idx, ok := r.ix.Find(p)
@@ -483,7 +556,7 @@ func (r *Resynth) Apply(added, removed []routing.Path) (*System, error) {
 		r.bf.removeChain(buf)
 		remChains = append(remChains, e.chain)
 		r.lives[idx] = false
-		r.dead++
+		r.parked++
 	}
 	r.remBuf = remChains
 	addedIdx := r.addBuf[:0]
@@ -493,7 +566,7 @@ func (r *Resynth) Apply(added, removed []routing.Path) (*System, error) {
 				// Revival: the parked metadata was validated when the
 				// path first entered, and ports never renumber.
 				r.lives[idx] = true
-				r.dead--
+				r.parked--
 				buf = bfChainOf(r.list[idx].pids, buf)
 				r.bf.addChain(buf)
 				addedIdx = append(addedIdx, idx)
@@ -520,31 +593,81 @@ func (r *Resynth) Apply(added, removed []routing.Path) (*System, error) {
 		return r.rebuild()
 	}
 
-	if !r.bf.changed {
-		return r.applySameRules(remChains, addedIdx)
+	r.run.changed = false
+	for _, c := range remChains {
+		r.run.removeChain(c)
 	}
-	return r.applyNewRules(remChains, addedIdx)
+	r.clearMarks()
+	for _, idx := range addedIdx {
+		r.mark(idx, markAdded)
+	}
+	if !r.bf.changed {
+		return r.applySameRules()
+	}
+	return r.applyNewRules()
+}
+
+// clearMarks sizes the mark array to the slot list with nothing marked.
+func (r *Resynth) clearMarks() {
+	if cap(r.marks) < len(r.list) {
+		r.marks = make([]uint8, len(r.list))
+	}
+	r.marks = r.marks[:len(r.list)]
+	r.markLo, r.markHi = len(r.list), -1
+}
+
+// mark schedules slot idx for the replay walk; markAdded wins.
+func (r *Resynth) mark(idx int, m uint8) {
+	if r.marks[idx] >= m {
+		return
+	}
+	r.marks[idx] = m
+	r.markLo, r.markHi = min(r.markLo, idx), max(r.markHi, idx)
+}
+
+// replayMarked replays the marked slots under rules in ascending slot
+// order, resuming each from the previous one's shared prefix, and folds
+// the chains into the runtime graph: an added slot's chain joins it, an
+// affected slot's replaces the stored one if it changed. It clears the
+// marks as it goes and returns false on a lossy replay — from-scratch
+// synthesis would have repaired, so the caller defers to it (rebuild).
+func (r *Resynth) replayMarked(rules *Ruleset) bool {
+	paths := r.ix.Paths()
+	r.rp.reset(rules)
+	replays := 0
+	for idx := r.markLo; idx <= r.markHi; idx++ {
+		m := r.marks[idx]
+		if m == 0 {
+			continue
+		}
+		r.marks[idx] = 0
+		e := &r.list[idx]
+		chain, keys, ok := r.rp.replay(paths[idx], e)
+		if !ok {
+			return false // the rebuild that follows drops the marks
+		}
+		replays++
+		if m == markAffected {
+			if chainsEqual(chain, e.chain) {
+				continue // the touched rules resolved to the same trajectory
+			}
+			r.run.removeChain(e.chain)
+		}
+		r.run.addChain(chain)
+		r.commit(idx, chain, keys)
+	}
+	telemetry.Default.Counter("resynth_replays_total").Add(int64(replays))
+	return true
 }
 
 // applySameRules is the fast path: the brute-force vertex/edge set did not
 // change (every removed chain is still covered by surviving paths, every
 // added chain was already present), so tags, rules, and conflicts are all
 // unchanged — only the runtime graph's refcounts move.
-func (r *Resynth) applySameRules(remChains [][]uint32, addedIdx []int) (*System, error) {
+func (r *Resynth) applySameRules() (*System, error) {
 	prev := r.sys
-	r.run.changed = false
-	for _, c := range remChains {
-		r.run.removeChain(c)
-	}
-	for _, idx := range addedIdx {
-		chain, keys, ok := r.list[idx].replayInto(prev.Rules, r.chainBuf[:0], r.keyBuf[:0])
-		r.chainBuf, r.keyBuf = chain, keys
-		if !ok {
-			// From-scratch synthesis would have repaired; defer to it.
-			return r.rebuild()
-		}
-		r.run.addChain(chain)
-		r.commit(idx, chain, keys)
+	if !r.replayMarked(prev.Rules) {
+		return r.rebuild()
 	}
 	runtime := prev.Runtime
 	if r.run.changed {
@@ -572,7 +695,7 @@ func (r *Resynth) applySameRules(remChains [][]uint32, addedIdx []int) (*System,
 // brute-force set, then replays only the added paths plus the paths the
 // key index reports as touched by the old-vs-new rule diff — everything
 // else provably replays to its stored chain.
-func (r *Resynth) applyNewRules(remChains [][]uint32, addedIdx []int) (*System, error) {
+func (r *Resynth) applyNewRules() (*System, error) {
 	prev := r.sys
 	bfTG := r.bf.materialize(r.g)
 	tagged := bfTG
@@ -590,20 +713,10 @@ func (r *Resynth) applyNewRules(remChains [][]uint32, addedIdx []int) (*System, 
 	// demands the full pipeline.
 	rules, conflicts := deriveRulesN(tagged, r.opts.Workers)
 
-	r.run.changed = false
-	for _, c := range remChains {
-		r.run.removeChain(c)
-	}
-
-	// Collect the live paths whose replay consulted a key whose table
-	// entry changed (value change, removal, or addition at a previously-
-	// missed key). Reads through the index drop stale entries as they go;
-	// dormant entries (parked slots) are kept but not collected.
-	if cap(r.seen) < len(r.list) {
-		r.seen = make([]bool, len(r.list))
-	}
-	seen := r.seen[:len(r.list)]
-	affected := r.affectBuf[:0]
+	// Mark the live paths whose replay consulted a key whose table entry
+	// changed (value change, removal, or addition at a previously-missed
+	// key). Reads through the index drop stale entries as they go;
+	// dormant entries (parked slots) are kept but not marked.
 	collect := func(k uint64) {
 		entries, ok := r.keyIdx[k]
 		if !ok {
@@ -612,15 +725,13 @@ func (r *Resynth) applyNewRules(remChains [][]uint32, addedIdx []int) (*System, 
 		kept := entries[:0]
 		for _, en := range entries {
 			idx, ver := int(en>>32), uint32(en)
-			e := &r.list[idx]
-			if e.ver != ver {
+			if r.list[idx].ver != ver {
 				r.idxStale--
 				continue
 			}
 			kept = append(kept, en)
-			if r.lives[idx] && !seen[idx] {
-				seen[idx] = true
-				affected = append(affected, idx)
+			if r.lives[idx] {
+				r.mark(idx, markAffected)
 			}
 		}
 		if len(kept) == 0 {
@@ -639,36 +750,9 @@ func (r *Resynth) applyNewRules(remChains [][]uint32, addedIdx []int) (*System, 
 			collect(uint64(k))
 		}
 	}
-	r.affectBuf = affected
-
-	replays := 0
-	for _, idx := range addedIdx {
-		chain, keys, ok := r.list[idx].replayInto(rules, r.chainBuf[:0], r.keyBuf[:0])
-		r.chainBuf, r.keyBuf = chain, keys
-		if !ok {
-			return r.rebuild()
-		}
-		r.run.addChain(chain)
-		r.commit(idx, chain, keys)
-		replays++
+	if !r.replayMarked(rules) {
+		return r.rebuild()
 	}
-	for _, idx := range affected {
-		seen[idx] = false
-		e := &r.list[idx]
-		chain, keys, ok := e.replayInto(rules, r.chainBuf[:0], r.keyBuf[:0])
-		r.chainBuf, r.keyBuf = chain, keys
-		if !ok {
-			return r.rebuild()
-		}
-		replays++
-		if chainsEqual(chain, e.chain) {
-			continue // the touched rules resolved to the same trajectory
-		}
-		r.run.removeChain(e.chain)
-		r.run.addChain(chain)
-		r.commit(idx, chain, keys)
-	}
-	telemetry.Default.Counter("resynth_replays_total").Add(int64(replays))
 
 	runtime := prev.Runtime
 	if r.run.changed {
@@ -715,9 +799,10 @@ func keysEqual(a, b []uint64) bool {
 	return true
 }
 
-// ApplySet diffs the given path set against the tracked one and applies
-// the delta — the entry point for policy re-evaluation (e.g. after a pod
-// expansion re-enumerates ELP paths).
+// ApplySet makes the given path set the ELP — the entry point for policy
+// re-evaluation (e.g. after a pod expansion re-enumerates ELP paths). It
+// applies the delta against the live set and then forgets every resident
+// path, live or parked, that the new set leaves out.
 func (r *Resynth) ApplySet(paths []routing.Path) (*System, error) {
 	var want routing.PathIndex
 	want.Reserve(len(paths))
@@ -730,35 +815,61 @@ func (r *Resynth) ApplySet(paths []routing.Path) (*System, error) {
 			added = append(added, p)
 		}
 	}
-	var removed []routing.Path
-	tracked := r.ix.Paths()
-	for i, alive := range r.lives {
-		if !alive {
+	var removed, dropped []routing.Path
+	for i, p := range r.ix.Paths() {
+		if p == nil {
 			continue
 		}
-		if _, ok := want.Find(tracked[i]); !ok {
-			removed = append(removed, tracked[i])
+		if _, ok := want.Find(p); !ok {
+			dropped = append(dropped, p)
+			if r.lives[i] {
+				removed = append(removed, p)
+			}
 		}
 	}
-	return r.Apply(added, removed)
+	sys, err := r.Apply(added, removed)
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range dropped {
+		r.forget(p)
+	}
+	r.compact()
+	return sys, nil
 }
 
-// compact drops parked slots once they dominate the path list, and sweeps
-// the key index once stale entries dominate it. Both rebuilds are O(live
-// state) and amortize against the churn that made the garbage.
+// forget drops parked path p's slot for good: its index entries go stale
+// and the slot holds nothing until compaction. A live or unknown path (a
+// rebuild re-slots) is left alone.
+func (r *Resynth) forget(p routing.Path) {
+	idx, ok := r.ix.Find(p)
+	if !ok || r.lives[idx] {
+		return
+	}
+	r.unindexKeys(idx)
+	r.list[idx] = rsPath{ver: r.list[idx].ver}
+	r.ix.Remove(p)
+	r.parked--
+	r.forgotten++
+}
+
+// compact re-slots the resident paths once forgotten slots dominate the
+// path list, and sweeps the key index once stale entries dominate it.
+// Both rebuilds are O(resident state) and amortize against the churn
+// that made the garbage.
 func (r *Resynth) compact() {
-	if r.dead > len(r.list)/2 && r.dead > 0 {
-		n := len(r.list) - r.dead
+	if r.forgotten > len(r.list)/2 {
+		n := len(r.list) - r.forgotten
 		old, oldList, oldLives := r.ix.Paths(), r.list, r.lives
 		r.ix = routing.PathIndex{}
 		r.ix.Reserve(n)
-		r.list, r.lives, r.dead = make([]rsPath, 0, n), make([]bool, 0, n), 0
-		for i, alive := range oldLives {
-			if alive {
-				r.track(old[i], oldList[i])
+		r.list, r.lives, r.forgotten = make([]rsPath, 0, n), make([]bool, 0, n), 0
+		for i, p := range old {
+			if p != nil {
+				r.lives[r.track(p, oldList[i])] = oldLives[i]
 			}
 		}
-		r.seen = nil
+		r.marks = nil
 		r.rebuildIndex() // entry idx fields shifted
 		return
 	}

@@ -1,8 +1,11 @@
 package elp
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/routing"
 	"repro/internal/topology"
 )
@@ -191,5 +194,408 @@ func TestTrackerAddRemove(t *testing.T) {
 	}
 	if tr.ActiveLen() != base {
 		t.Fatalf("active=%d after remove, want %d", tr.ActiveLen(), base)
+	}
+}
+
+// rescanTracker is the tracker as it was before obstruction counting,
+// kept verbatim apart from its name as the oracle of
+// TestTrackerMatchesRescan: every recovery re-validates the whole absent
+// pool against the graph, every knock-out scans every path.
+type rescanTracker struct {
+	g       *topology.Graph
+	ix      routing.PathIndex // tracked paths by slot; nil = forgotten
+	active  []bool            // per slot; false for forgotten slots
+	dead    int               // forgotten slots
+	drained map[topology.NodeID]bool
+}
+
+func newRescanTracker(g *topology.Graph, s *Set) *rescanTracker {
+	t := &rescanTracker{g: g, drained: make(map[topology.NodeID]bool)}
+	t.ix.Reserve(s.Len())
+	for _, p := range s.Paths() {
+		t.track(p, true)
+	}
+	return t
+}
+
+func (t *rescanTracker) track(p routing.Path, active bool) {
+	if _, added := t.ix.Add(p); added {
+		t.active = append(t.active, active)
+	}
+}
+
+func (t *rescanTracker) Active() []routing.Path {
+	out := make([]routing.Path, 0, t.ix.Len())
+	for i, p := range t.ix.Paths() {
+		if t.active[i] {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+func (t *rescanTracker) Usable(p routing.Path) bool {
+	for _, n := range p {
+		if t.drained[n] {
+			return false
+		}
+	}
+	for i := 1; i < len(p); i++ {
+		l := t.g.LinkBetween(p[i-1], p[i])
+		if l == nil || l.Failed {
+			return false
+		}
+	}
+	return true
+}
+
+func (t *rescanTracker) LinkDown(a, b topology.NodeID) []routing.Path {
+	var out []routing.Path
+	for i, p := range t.ix.Paths() {
+		if !t.active[i] || !traverses(p, a, b) {
+			continue
+		}
+		t.active[i] = false
+		out = append(out, p)
+	}
+	return out
+}
+
+func (t *rescanTracker) LinkUp(a, b topology.NodeID) []routing.Path {
+	return t.revalidate()
+}
+
+func (t *rescanTracker) Drain(sw topology.NodeID) []routing.Path {
+	if t.drained[sw] {
+		return nil
+	}
+	t.drained[sw] = true
+	var out []routing.Path
+	for i, p := range t.ix.Paths() {
+		if !t.active[i] || !visits(p, sw) {
+			continue
+		}
+		t.active[i] = false
+		out = append(out, p)
+	}
+	return out
+}
+
+func (t *rescanTracker) Undrain(sw topology.NodeID) []routing.Path {
+	if !t.drained[sw] {
+		return nil
+	}
+	delete(t.drained, sw)
+	return t.revalidate()
+}
+
+func (t *rescanTracker) AddPaths(paths []routing.Path) (activated []routing.Path) {
+	for _, p := range paths {
+		if _, known := t.ix.Find(p); known {
+			continue
+		}
+		usable := t.Usable(p)
+		t.track(p, usable)
+		if usable {
+			activated = append(activated, p)
+		}
+	}
+	return activated
+}
+
+func (t *rescanTracker) Remove(paths []routing.Path) (deactivated []routing.Path) {
+	for _, p := range paths {
+		slot, ok := t.ix.Find(p)
+		if !ok {
+			continue
+		}
+		if t.active[slot] {
+			deactivated = append(deactivated, t.ix.Paths()[slot])
+			t.active[slot] = false
+		}
+		t.ix.Remove(p)
+		t.dead++
+	}
+	t.compact()
+	return deactivated
+}
+
+func (t *rescanTracker) revalidate() []routing.Path {
+	var out []routing.Path
+	for i, p := range t.ix.Paths() {
+		if p == nil || t.active[i] || !t.Usable(p) {
+			continue
+		}
+		t.active[i] = true
+		out = append(out, p)
+	}
+	return out
+}
+
+func (t *rescanTracker) compact() {
+	if t.dead <= len(t.active)/2 || t.dead == 0 {
+		return
+	}
+	n := t.ix.Len()
+	old, oldActive := t.ix.Paths(), t.active
+	t.ix, t.active, t.dead = routing.PathIndex{}, make([]bool, 0, n), 0
+	t.ix.Reserve(n)
+	for i, p := range old {
+		if p != nil {
+			t.track(p, oldActive[i])
+		}
+	}
+}
+
+func traverses(p routing.Path, a, b topology.NodeID) bool {
+	for i := 1; i < len(p); i++ {
+		if (p[i-1] == a && p[i] == b) || (p[i-1] == b && p[i] == a) {
+			return true
+		}
+	}
+	return false
+}
+
+func visits(p routing.Path, n topology.NodeID) bool {
+	for _, x := range p {
+		if x == n {
+			return true
+		}
+	}
+	return false
+}
+
+// trackerPair drives the tracker and the rescan oracle through the same
+// calls on one graph and fails on the first delta that differs.
+type trackerPair struct {
+	t    *testing.T
+	name string
+	g    *topology.Graph
+	got  *Tracker
+	want *rescanTracker
+	step int
+}
+
+func (tp *trackerPair) same(op string, got, want []routing.Path) {
+	tp.t.Helper()
+	tp.step++
+	if len(got) != len(want) {
+		tp.t.Fatalf("%s step %d %s: %d paths moved, oracle %d", tp.name, tp.step, op, len(got), len(want))
+	}
+	for i := range want {
+		if !got[i].Equal(want[i]) {
+			tp.t.Fatalf("%s step %d %s: delta[%d] = %s, oracle %s", tp.name, tp.step, op, i, got[i].String(tp.g), want[i].String(tp.g))
+		}
+	}
+	a, b := tp.got.Active(), tp.want.Active()
+	if len(a) != len(b) {
+		tp.t.Fatalf("%s step %d %s: %d active, oracle %d", tp.name, tp.step, op, len(a), len(b))
+	}
+	for i := range b {
+		if !a[i].Equal(b[i]) {
+			tp.t.Fatalf("%s step %d %s: active[%d] = %s, oracle %s", tp.name, tp.step, op, i, a[i].String(tp.g), b[i].String(tp.g))
+		}
+	}
+}
+
+func (tp *trackerPair) linkDown(a, b topology.NodeID) {
+	tp.t.Helper()
+	tp.same("link-down", tp.got.LinkDown(a, b), tp.want.LinkDown(a, b))
+}
+
+func (tp *trackerPair) linkUp(a, b topology.NodeID) {
+	tp.t.Helper()
+	tp.same("link-up", tp.got.LinkUp(a, b), tp.want.LinkUp(a, b))
+}
+
+func (tp *trackerPair) drain(sw topology.NodeID) {
+	tp.t.Helper()
+	tp.same("drain", tp.got.Drain(sw), tp.want.Drain(sw))
+}
+
+func (tp *trackerPair) undrain(sw topology.NodeID) {
+	tp.t.Helper()
+	tp.same("undrain", tp.got.Undrain(sw), tp.want.Undrain(sw))
+}
+
+func (tp *trackerPair) addPaths(ps []routing.Path) {
+	tp.t.Helper()
+	tp.same("add-paths", tp.got.AddPaths(ps), tp.want.AddPaths(ps))
+}
+
+func (tp *trackerPair) remove(ps []routing.Path) {
+	tp.t.Helper()
+	tp.same("remove", tp.got.Remove(ps), tp.want.Remove(ps))
+}
+
+// TestTrackerMatchesRescan drives the obstruction-counting tracker and
+// the rescan oracle through seeded churn sequences — Clos with pod adds
+// and Jellyfish — with extra calls mixed in: duplicate and no-op events,
+// drains stacked on failed links, AddPaths of paths over failed links and
+// drained switches, Remove, and links flipped in the graph with no
+// tracker event until an AddPaths reads them. Every returned delta must
+// equal the oracle's, in order, and so must the active list.
+func TestTrackerMatchesRescan(t *testing.T) {
+	type fabric struct {
+		name   string
+		build  func(seed int64) (*topology.Graph, *topology.Clos)
+		policy func(g *topology.Graph, cl *topology.Clos) *Set
+		extra  func(g *topology.Graph, cl *topology.Clos) []routing.Path // paths outside the policy
+		pods   int
+	}
+	fabrics := []fabric{
+		{
+			name: "clos",
+			build: func(int64) (*topology.Graph, *topology.Clos) {
+				cl, err := topology.NewClos(topology.ClosConfig{Pods: 2, ToRsPerPod: 2, LeafsPerPod: 2, Spines: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return cl.Graph, cl
+			},
+			policy: func(g *topology.Graph, cl *topology.Clos) *Set { return KBounce(g, cl.ToRs, 1, nil) },
+			extra: func(g *topology.Graph, cl *topology.Clos) []routing.Path {
+				return KBounce(g, append(append([]topology.NodeID(nil), cl.ToRs...), cl.Leaves...), 2, nil).Paths()
+			},
+			pods: 2,
+		},
+		{
+			name: "jellyfish",
+			build: func(seed int64) (*topology.Graph, *topology.Clos) {
+				j, err := topology.NewJellyfish(topology.JellyfishConfig{Switches: 9, Ports: 5, NetPorts: 3, Seed: seed, Attempts: 64})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return j.Graph, nil
+			},
+			policy: func(g *topology.Graph, _ *topology.Clos) *Set {
+				return ShortestAllN(g, g.Switches(), 1)
+			},
+			extra: func(g *topology.Graph, _ *topology.Clos) []routing.Path {
+				return DeviationPaths(g, nil, g.Switches(), 200, 6, 1)
+			},
+		},
+	}
+	for _, f := range fabrics {
+		for seed := int64(1); seed <= 6; seed++ {
+			g, cl := f.build(seed)
+			base := f.policy(g, cl)
+			tp := &trackerPair{t: t, name: fmt.Sprintf("%s seed %d", f.name, seed), g: g, got: NewTracker(g, base), want: newRescanTracker(g, base)}
+			pool := f.extra(g, cl)
+			links := g.SwitchLinks()
+			events := chaos.GenerateChurn(chaos.ChurnConfig{
+				Links: links, Switches: g.SwitchNames(), Events: 60, PodAdds: f.pods,
+			}, seed)
+			rng := rand.New(rand.NewSource(seed))
+			pick := func() []routing.Path {
+				var ps []routing.Path
+				for range 1 + rng.Intn(6) {
+					ps = append(ps, pool[rng.Intn(len(pool))])
+				}
+				return ps
+			}
+			for i, ev := range events {
+				switch ev.Kind {
+				case chaos.ChurnLinkDown:
+					a, b := g.MustLookup(ev.A), g.MustLookup(ev.B)
+					g.FailLink(a, b)
+					tp.linkDown(a, b)
+					if rng.Intn(4) == 0 {
+						tp.linkDown(a, b) // duplicate
+					}
+				case chaos.ChurnLinkUp:
+					a, b := g.MustLookup(ev.A), g.MustLookup(ev.B)
+					g.RestoreLink(a, b)
+					tp.linkUp(a, b)
+					if rng.Intn(4) == 0 {
+						tp.linkUp(b, a) // duplicate, endpoints swapped
+					}
+				case chaos.ChurnDrain:
+					sw := g.MustLookup(ev.Switch)
+					tp.drain(sw)
+					if rng.Intn(4) == 0 {
+						tp.drain(sw)
+					}
+				case chaos.ChurnUndrain:
+					sw := g.MustLookup(ev.Switch)
+					tp.undrain(sw)
+					if rng.Intn(4) == 0 {
+						tp.undrain(sw)
+					}
+				case chaos.ChurnPodAdd:
+					if cl == nil {
+						continue
+					}
+					if err := cl.Expand(1); err != nil {
+						t.Fatal(err)
+					}
+					tp.addPaths(f.policy(g, cl).Paths())
+					pool = append(pool, f.extra(g, cl)...)
+				}
+				// A drain stacked on a failed link: drain an endpoint of a
+				// down link, down the link again, undrain.
+				if fl := g.FailedLinks(); len(fl) > 0 && rng.Intn(5) == 0 {
+					l := g.Link(fl[rng.Intn(len(fl))])
+					tp.drain(l.A)
+					tp.linkDown(l.A, l.B) // overlapping: the drain took its paths already
+					tp.undrain(l.A)
+				}
+				switch rng.Intn(10) {
+				case 0: // new paths, some over failed links or drained switches
+					tp.addPaths(pick())
+				case 1: // forget some, tracked or not
+					tp.remove(append(pick(), tp.got.Active()[:min(2, tp.got.ActiveLen())]...))
+				case 2: // a link flips in the graph with no tracker event;
+					// an AddPaths of a path across it is the first read
+					p := pool[rng.Intn(len(pool))]
+					if _, known := tp.got.ix.Find(p); known || len(p) < 2 {
+						break
+					}
+					i := 1 + rng.Intn(len(p)-1)
+					l := g.LinkBetween(p[i-1], p[i])
+					l.Failed = !l.Failed
+					tp.addPaths([]routing.Path{p})
+					if l.Failed { // report the recovery properly
+						g.RestoreLink(p[i-1], p[i])
+						tp.linkUp(p[i-1], p[i])
+					}
+				case 3: // recoveries the generator did not ask for, mostly no-ops
+					l := links[0]
+					tp.undrain(g.MustLookup(g.SwitchNames()[0]))
+					tp.linkUp(g.MustLookup(l[0]), g.MustLookup(l[1]))
+				case 4: // a link-down event the graph never saw
+					l := links[rng.Intn(len(links))]
+					tp.linkDown(g.MustLookup(l[0]), g.MustLookup(l[1]))
+				case 5: // a hop between switches with no link between them
+					sws := g.Switches()
+					a, b := sws[rng.Intn(len(sws))], sws[rng.Intn(len(sws))]
+					if a == b || g.LinkBetween(a, b) != nil {
+						break
+					}
+					tp.addPaths([]routing.Path{{a, b}})
+					tp.linkDown(a, b)
+					tp.linkUp(a, b)
+				}
+				if i == len(events)/2 {
+					// forget most of the pool at once: compaction
+					act := tp.got.Active()
+					tp.remove(append(act[:len(act)*3/4:len(act)*3/4], pool[:len(pool)/2]...))
+				}
+			}
+			// Heal everything: only paths over missing links stay absent.
+			for _, id := range g.FailedLinks() {
+				l := g.Link(id)
+				g.RestoreLink(l.A, l.B)
+				tp.linkUp(l.A, l.B)
+			}
+			for _, n := range g.Switches() {
+				tp.undrain(n)
+			}
+			for i, p := range tp.got.ix.Paths() {
+				if p != nil && !tp.got.active[i] && tp.got.Usable(p) {
+					t.Fatalf("%s seed %d: usable path %s still absent after full recovery", f.name, seed, p.String(g))
+				}
+			}
+		}
 	}
 }

@@ -144,11 +144,11 @@ func TestDiffDecisionsCatchesSingleDivergence(t *testing.T) {
 		t.Fatalf("faithful compilation diffs: %v", d[0])
 	}
 
-	pl := &tcam.Pipeline{Rules: rs}
-	cp := tcam.NewCompiled(rs, 1)
+	exact, _ := tcam.Compile(rs)
+	compiled := pipelines(tcam.NewCompiled(rs, 1).Tables(), false)
 	badSw := c.Leaves[0]
 	corrupted := func(sw topology.NodeID, tag, in, out int) tcam.QueueDecision {
-		d := cp.Process(sw, tag, in, out)
+		d := compiled(sw, tag, in, out)
 		if sw == badSw && tag == 1 && in == 0 && out == 1 {
 			// A lost compression bit turns a hit into a safeguard miss.
 			d.NewTag = core.LossyTag
@@ -157,7 +157,7 @@ func TestDiffDecisionsCatchesSingleDivergence(t *testing.T) {
 		}
 		return d
 	}
-	d := DiffDecisions(c.Graph, rs.MaxTag(), false, pl.Process, corrupted)
+	d := DiffDecisions(c.Graph, rs.MaxTag(), false, pipelines(exact, false), corrupted)
 	if len(d) != 1 {
 		t.Fatalf("corrupted decision reported %d times, want 1: %v", len(d), d)
 	}

@@ -12,14 +12,16 @@ import (
 type ReplayOpts struct {
 	StartTag        int  // NIC stamp; 0 means 1
 	RequireLossless bool // fail if any path goes lossy (ELP yes, deviations no)
-	Par             int  // worker count for the compiled image
+	Par             int  // worker count for the compressed image
 	Legacy          bool // run the §7 egress-by-old-tag ablation variant too
 }
 
-// ReplayPaths pushes every path hop by hop through three independent
-// implementations — the abstract ruleset replay (core), the uncompressed
-// §7 pipeline, and the compiled TCAM image — and demands identical
-// (NewTag, ingress queue, egress queue) decisions at every hop, plus the
+// ReplayPaths pushes every path hop by hop through three implementations
+// — the abstract ruleset replay (core's Ruleset.Replay over Classify),
+// the §7 pipeline over the tables compiled from the ruleset, and the same
+// pipeline over the tables compiled from the compressed TCAM image — and
+// demands identical (NewTag, ingress queue, egress queue) decisions from
+// the two tables and the replay's rewrite at every hop, plus the
 // structural invariants any §7-correct dataplane must keep:
 //
 //   - once lossy, always lossy (the safeguard tag cannot be escaped);
@@ -35,8 +37,8 @@ func ReplayPaths(rs *core.Ruleset, paths []routing.Path, opts ReplayOpts) error 
 		startTag = 1
 	}
 	g := rs.Graph()
-	pl := &tcam.Pipeline{Rules: rs}
-	cp := tcam.NewCompiled(rs, opts.Par)
+	exact, _ := tcam.Compile(rs)
+	compressed := tcam.NewCompiled(rs, opts.Par).Tables()
 	legacies := []bool{false}
 	if opts.Legacy {
 		legacies = append(legacies, true)
@@ -47,17 +49,16 @@ func ReplayPaths(rs *core.Ruleset, paths []routing.Path, opts ReplayOpts) error 
 			return fmt.Errorf("check: path %s goes lossy at hop %d", p.String(g), ref.DropHop)
 		}
 		for _, legacy := range legacies {
-			pl.LegacyEgressByOldTag = legacy
-			cp.LegacyEgressByOldTag = legacy
+			fromRules, fromImage := pipelines(exact, legacy), pipelines(compressed, legacy)
 			tag := startTag
 			for i := 1; i+1 < len(p); i++ {
 				sw := p[i]
 				in := g.PortToPeer(sw, p[i-1])
 				out := g.PortToPeer(sw, p[i+1])
-				a := pl.Process(sw, tag, in, out)
-				b := cp.Process(sw, tag, in, out)
+				a := fromRules(sw, tag, in, out)
+				b := fromImage(sw, tag, in, out)
 				if a != b {
-					return fmt.Errorf("check: path %s hop %d (legacy=%v): uncompressed %+v vs compiled %+v",
+					return fmt.Errorf("check: path %s hop %d (legacy=%v): ruleset table %+v vs compressed table %+v",
 						p.String(g), i, legacy, a, b)
 				}
 				// The reference replay recorded the tag on arrival at

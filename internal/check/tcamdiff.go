@@ -9,19 +9,19 @@ import (
 	"repro/internal/topology"
 )
 
-// DecisionDiff records one (switch, tag, in, out) probe where the
-// uncompressed pipeline and the compiled (compressed) pipeline disagreed.
+// DecisionDiff records one (switch, tag, in, out) probe where two
+// classification implementations disagreed: Want is the first one's
+// decision (the reference side), Got the second's.
 type DecisionDiff struct {
 	Switch       topology.NodeID
 	Tag, In, Out int
 	Legacy       bool
-	Uncompressed tcam.QueueDecision
-	Compiled     tcam.QueueDecision
+	Want, Got    tcam.QueueDecision
 }
 
 func (d DecisionDiff) String() string {
-	return fmt.Sprintf("decision (sw=%d tag=%d in=%d out=%d legacy=%v): uncompressed %+v, compiled %+v",
-		d.Switch, d.Tag, d.In, d.Out, d.Legacy, d.Uncompressed, d.Compiled)
+	return fmt.Sprintf("decision (sw=%d tag=%d in=%d out=%d legacy=%v): want %+v, got %+v",
+		d.Switch, d.Tag, d.In, d.Out, d.Legacy, d.Want, d.Got)
 }
 
 // Decide is one classification implementation under differential test.
@@ -32,19 +32,19 @@ type Decide func(sw topology.NodeID, tag, in, out int) tcam.QueueDecision
 // pairs — through two implementations and records every disagreement.
 // The legacy flag only labels the diffs; callers flip the ablation mode
 // on the implementations themselves.
-func DiffDecisions(g *topology.Graph, maxTag int, legacy bool, a, b Decide) []DecisionDiff {
+func DiffDecisions(g *topology.Graph, maxTag int, legacy bool, want, got Decide) []DecisionDiff {
 	var diffs []DecisionDiff
 	for _, sw := range g.Switches() {
 		nPorts := g.PortCount(sw)
 		for tag := 0; tag <= maxTag+1; tag++ {
 			for in := 0; in < nPorts; in++ {
 				for out := 0; out < nPorts; out++ {
-					da := a(sw, tag, in, out)
-					db := b(sw, tag, in, out)
-					if da != db {
+					dw := want(sw, tag, in, out)
+					dg := got(sw, tag, in, out)
+					if dw != dg {
 						diffs = append(diffs, DecisionDiff{
 							Switch: sw, Tag: tag, In: in, Out: out, Legacy: legacy,
-							Uncompressed: da, Compiled: db,
+							Want: dw, Got: dg,
 						})
 					}
 				}
@@ -54,20 +54,52 @@ func DiffDecisions(g *topology.Graph, maxTag int, legacy bool, a, b Decide) []De
 	return diffs
 }
 
-// DiffDecisionsExhaustive runs DiffDecisions between the uncompressed
-// Pipeline and the compiled image, under both the correct §7 egress
-// mapping and the legacy (egress-by-old-tag) ablation. Compression is
-// only legal because the Figure 9 merges are exact cross products; this
-// is the ground-truth check of that claim, decision for decision.
+// classified is the reference implementation: Ruleset.Classify for the
+// rewrite, with the §7 queue mapping written out here rather than taken
+// from tcam — lossless tag t rides queue t, anything else queue 0, and
+// the legacy ablation keeps a still-lossless packet in its old queue.
+func classified(rs *core.Ruleset, legacy bool) Decide {
+	queue := func(tag int) (int, tcam.QueueKind) {
+		if rs.IsLossless(tag) {
+			return tag, tcam.Lossless
+		}
+		return 0, tcam.Lossy
+	}
+	return func(sw topology.NodeID, tag, in, out int) tcam.QueueDecision {
+		d := tcam.QueueDecision{NewTag: rs.Classify(sw, tag, in, out)}
+		d.IngressQueue, _ = queue(tag)
+		d.EgressQueue, d.Kind = queue(d.NewTag)
+		if legacy && d.NewTag != core.LossyTag {
+			d.EgressQueue, d.Kind = queue(tag)
+		}
+		return d
+	}
+}
+
+// pipelines runs each switch's tcam.Pipeline over its table.
+func pipelines(tables []*tcam.Table, legacy bool) Decide {
+	return func(sw topology.NodeID, tag, in, out int) tcam.QueueDecision {
+		pl := tcam.Pipeline{Table: tables[sw], LegacyEgressByOldTag: legacy}
+		return pl.Process(tag, in, out)
+	}
+}
+
+// DiffDecisionsExhaustive compares three implementations of the §7
+// decision under both the correct egress mapping and the legacy
+// (egress-by-old-tag) ablation: Ruleset.Classify against the tables
+// compiled from the ruleset, and those against the tables compiled from
+// the compressed image — cell for cell. Compression is only legal because
+// the Figure 9 merges are exact cross products; this is the ground-truth
+// check of that claim, decision for decision.
 func DiffDecisionsExhaustive(rs *core.Ruleset, par int) []DecisionDiff {
 	g := rs.Graph()
-	pl := &tcam.Pipeline{Rules: rs}
-	cp := tcam.NewCompiled(rs, par)
+	exact, _ := tcam.Compile(rs)
+	compressed := tcam.NewCompiled(rs, par).Tables()
 	var diffs []DecisionDiff
 	for _, legacy := range []bool{false, true} {
-		pl.LegacyEgressByOldTag = legacy
-		cp.LegacyEgressByOldTag = legacy
-		diffs = append(diffs, DiffDecisions(g, rs.MaxTag(), legacy, pl.Process, cp.Process)...)
+		fromRules := pipelines(exact, legacy)
+		diffs = append(diffs, DiffDecisions(g, rs.MaxTag(), legacy, classified(rs, legacy), fromRules)...)
+		diffs = append(diffs, DiffDecisions(g, rs.MaxTag(), legacy, fromRules, pipelines(compressed, legacy))...)
 	}
 	return diffs
 }

@@ -84,15 +84,10 @@ type Ruleset struct {
 	maxTag  int    // largest lossless tag any rule can assign or match
 	isHostP []bool // dense by PortID: port attaches a host
 
-	// gen counts the mutations (Add, SetMaxTag) since construction, for
-	// readers that memoize Classify results — the simulator's per-switch
-	// classify tables — to drop their copies.
-	gen uint64
-
 	// sorted memoizes the installed keys in ascending order — Rules()
 	// order, since a packed key compares like its (switch, tag, in, out)
-	// tuple. A key's position is the rule's dense ID (the flight
-	// recorder's TCAM attribution), and a switch's rules are one
+	// tuple. A key's position is the rule's dense ID (the compiled
+	// tables' rule attribution), and a switch's rules are one
 	// contiguous run. Built on first use and dropped by every mutation;
 	// atomic so concurrent readers of a settled ruleset may race to build
 	// it (they store identical slices).
@@ -130,14 +125,9 @@ func (rs *Ruleset) MaxTag() int { return rs.maxTag }
 // SetMaxTag raises the largest lossless tag (RepairReplay may need to).
 func (rs *Ruleset) SetMaxTag(t int) {
 	if t > rs.maxTag {
-		rs.gen++
 		rs.maxTag = t
 	}
 }
-
-// Generation changes whenever a Classify result may have: after every
-// Add and every SetMaxTag that raised the bound.
-func (rs *Ruleset) Generation() uint64 { return rs.gen }
 
 // IsLossless reports whether tag is one of the lossless tags.
 func (rs *Ruleset) IsLossless(tag int) bool { return tag >= 1 && tag <= rs.maxTag }
@@ -152,7 +142,6 @@ func (rs *Ruleset) HostFacing(sw topology.NodeID, num int) bool {
 // if the key already existed with a different rewrite (the caller decides
 // the resolution; Add keeps the new value).
 func (rs *Ruleset) Add(r Rule) (old int, conflicted bool) {
-	rs.gen++
 	rs.sorted.Store(nil)
 	k := packRuleKey(r.Switch, r.Tag, r.In, r.Out)
 	if prev, ok := rs.rules[k]; ok && prev != r.NewTag {
@@ -230,29 +219,6 @@ func (rs *Ruleset) rulesOf(keys []ruleKey) []Rule {
 		out[i] = rs.ruleOf(k)
 	}
 	return out
-}
-
-// ClassifyID is Classify, additionally reporting which exact TCAM entry
-// decided (its dense ID — the rule's index in Rules() order); id -1
-// means a §7 default action decided instead (injection, delivery, or
-// the lossy safeguard).
-func (rs *Ruleset) ClassifyID(sw topology.NodeID, tag, in, out int) (newTag, id int) {
-	if !rs.IsLossless(tag) {
-		return LossyTag, -1
-	}
-	if k, ok := packRuleKeyOK(sw, tag, in, out); ok {
-		if nt, hit := rs.rules[k]; hit {
-			id, _ := slices.BinarySearch(rs.sortedKeys(), k)
-			return nt, id
-		}
-	}
-	if rs.HostFacing(sw, in) {
-		return tag, -1
-	}
-	if rs.HostFacing(sw, out) {
-		return tag, -1
-	}
-	return LossyTag, -1
 }
 
 // RuleByID resolves a dense rule ID back to its rule.

@@ -29,7 +29,7 @@ func freshRules(rs *Ruleset) []Rule {
 
 // assertOrderedViews holds every view served from the sorted-key memo to
 // the fresh sort: Rules(), the per-switch runs of RulesAt, and the dense
-// IDs of RuleByID and ClassifyID.
+// IDs of RuleByID.
 func assertOrderedViews(t *testing.T, rs *Ruleset) {
 	t.Helper()
 	want := freshRules(rs)
@@ -47,9 +47,6 @@ func assertOrderedViews(t *testing.T, rs *Ruleset) {
 	for i, r := range want {
 		if byID, ok := rs.RuleByID(i); !ok || byID != r {
 			t.Fatalf("RuleByID(%d) = %+v,%v, want %+v", i, byID, ok, r)
-		}
-		if nt, id := rs.ClassifyID(r.Switch, r.Tag, r.In, r.Out); nt != r.NewTag || id != i {
-			t.Fatalf("ClassifyID(%+v) = (%d,%d), want (%d,%d)", r, nt, id, r.NewTag, i)
 		}
 	}
 	if _, ok := rs.RuleByID(len(want)); ok {

@@ -1,8 +1,9 @@
 // Package dataplane is the frame-level switch pipeline of §7: the
 // three-step match-action sequence (DSCP-based ingress priority queuing,
 // ingress ACL with DSCP rewriting, ACL-based egress priority queuing)
-// executed on encoded RoCEv2 frames via compressed TCAM entries —
-// everything the paper implemented on Broadcom ASICs, in bytes.
+// executed on encoded RoCEv2 frames via compressed TCAM entries compiled
+// into tcam.Tables — everything the paper implemented on Broadcom ASICs,
+// in bytes.
 //
 // It exists to close the loop between the abstract Ruleset used by the
 // algorithms and the wire: tests assert that pushing real frames through
@@ -32,33 +33,30 @@ type Verdict struct {
 	DropReason string
 }
 
-// Switch is one forwarding element's installed state.
+// Switch is one forwarding element's installed state: its compressed
+// TCAM entries, compiled into the table the ASIC executes.
 type Switch struct {
-	node    topology.NodeID
-	entries []tcam.Entry // this switch's entries, TCAM order
-	rules   *core.Ruleset
-	maxTag  int
+	entries int
+	table   *tcam.Table
 }
 
-// NewSwitch compiles the per-switch TCAM from a synthesized ruleset.
-// The abstract ruleset is retained only for the injection/delivery
-// defaults (host-facing port knowledge); all rewrite decisions go through
-// the compressed entries, which is the point.
+// NewSwitch compresses node's rules into TCAM entries and compiles them.
+// The abstract ruleset contributes only what a switch config holds
+// outside its TCAM — the lossless tag range and which ports face hosts;
+// every rewrite decision comes from the compressed entries, which is the
+// point.
 func NewSwitch(node topology.NodeID, rs *core.Ruleset) *Switch {
-	return &Switch{
-		node:    node,
-		entries: tcam.Compress(rs.RulesAt(node)),
-		rules:   rs,
-		maxTag:  rs.MaxTag(),
-	}
+	entries := tcam.Compress(rs.RulesAt(node))
+	return &Switch{entries: len(entries), table: tcam.CompileEntries(rs, node, entries)}
 }
 
 // Entries returns the number of TCAM entries installed.
-func (s *Switch) Entries() int { return len(s.entries) }
+func (s *Switch) Entries() int { return s.entries }
 
 // Process runs one encoded frame through the §7 pipeline: parse DSCP,
-// classify ingress, TCAM lookup (with the safeguard lossy default),
-// rewrite DSCP + decrement TTL in place, classify egress by the NEW tag.
+// classify ingress, TCAM decision (first hit, then the §4 defaults and
+// the lossy safeguard), rewrite DSCP + decrement TTL in place, classify
+// egress by the NEW tag.
 func (s *Switch) Process(frame []byte, in, out int) (Verdict, error) {
 	pkt, err := wire.DecodeRoCEv2(frame)
 	if err != nil {
@@ -66,7 +64,7 @@ func (s *Switch) Process(frame []byte, in, out int) (Verdict, error) {
 	}
 	var v Verdict
 	tag := pkt.Tag()
-	v.IngressQueue = s.queueOf(tag)
+	v.IngressQueue, _ = s.table.Queue(tag)
 
 	ttl, err := wire.DecrementTTL(frame)
 	if err != nil {
@@ -78,35 +76,14 @@ func (s *Switch) Process(frame []byte, in, out int) (Verdict, error) {
 		return v, nil
 	}
 
-	// Step 2: TCAM lookup; first-hit wins; misses fall to the boundary
-	// defaults and then the lossy safeguard.
-	newTag, hit := tcam.Lookup(s.entries, s.node, tag, in, out)
-	switch {
-	case hit:
-	case !s.lossless(tag):
-		newTag = core.LossyTag
-	case s.rules.HostFacing(s.node, in), s.rules.HostFacing(s.node, out):
-		newTag = tag // injection / delivery
-	default:
-		newTag = core.LossyTag // the last TCAM entry: safeguard
-	}
-	v.NewTag = newTag
-	if newTag != tag {
-		if _, err := wire.RewriteTag(frame, newTag); err != nil {
+	v.NewTag = int(s.table.Decide(tag, in, out).NewTag)
+	if v.NewTag != tag {
+		if _, err := wire.RewriteTag(frame, v.NewTag); err != nil {
 			return Verdict{}, err
 		}
 	}
-	v.EgressQueue = s.queueOf(newTag)
+	v.EgressQueue, _ = s.table.Queue(v.NewTag)
 	return v, nil
-}
-
-func (s *Switch) lossless(tag int) bool { return tag >= 1 && tag <= s.maxTag }
-
-func (s *Switch) queueOf(tag int) int {
-	if s.lossless(tag) {
-		return tag
-	}
-	return 0
 }
 
 // Fabric is every switch's compiled dataplane.

@@ -104,6 +104,15 @@ func TestLossySafeguard(t *testing.T) {
 	if v.NewTag != core.LossyTag || v.IngressQueue != 0 {
 		t.Errorf("lossy escape: %+v", v)
 	}
+	// Not even through a TCAM entry that matches the lossy tag.
+	rs.Add(core.Rule{Switch: l1, Tag: core.LossyTag, In: inS1, Out: outS2, NewTag: 1})
+	v, err = NewSwitch(l1, rs).Process(newFrame(core.LossyTag, 64), inS1, outS2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.NewTag != core.LossyTag || v.EgressQueue != 0 {
+		t.Errorf("lossy-tag entry re-promoted the frame: %+v", v)
+	}
 }
 
 func TestTTLDropInDataplane(t *testing.T) {

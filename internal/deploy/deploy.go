@@ -96,9 +96,12 @@ const maxTagValue = 1<<8 - 1
 
 // Import reconstructs a ruleset over the given topology. A bundle is
 // external input: switch names must resolve (an unknown name means the
-// bundle belongs to a different fabric), tags must fit the rule table's
-// key, port numbers must exist on the named switch, and a switch may not
-// hold two rules for one match. Anything else is an error, never a panic.
+// bundle belongs to a different fabric), a rule must match a lossless tag
+// (1..MaxTag) and rewrite to one or to the lossy tag (0..MaxTag) — a
+// rule matching the lossy tag would re-promote lossy packets wherever a
+// switch consults its TCAM before the once-lossy-always-lossy default —
+// port numbers must exist on the named switch, and a switch may not hold
+// two rules for one match. Anything else is an error, never a panic.
 func Import(g *topology.Graph, b *Bundle) (*core.Ruleset, error) {
 	if b.MaxTag < 0 || b.MaxTag > maxTagValue {
 		return nil, fmt.Errorf("deploy: bundle maxTag %d outside 0..%d", b.MaxTag, maxTagValue)
@@ -111,8 +114,8 @@ func Import(g *topology.Graph, b *Bundle) (*core.Ruleset, error) {
 		}
 		ports, before := g.PortCount(id), rs.Len()
 		for _, r := range sb.Rules {
-			if r.Tag < 0 || r.Tag > maxTagValue || r.NewTag < 0 || r.NewTag > maxTagValue {
-				return nil, fmt.Errorf("deploy: switch %q rule %+v: tag outside 0..%d", name, r, maxTagValue)
+			if r.Tag < 1 || r.Tag > b.MaxTag || r.NewTag < 0 || r.NewTag > b.MaxTag {
+				return nil, fmt.Errorf("deploy: switch %q rule %+v: tag outside 1..%d or rewrite outside 0..%[3]d", name, r, b.MaxTag)
 			}
 			if r.In < 0 || r.In >= ports || r.Out < 0 || r.Out >= ports {
 				return nil, fmt.Errorf("deploy: switch %q rule %+v: port outside the switch's %d", name, r, ports)

@@ -14,8 +14,8 @@
 // lanes for the constant-delay event kinds over a typed binary heap for
 // the rest, a 32-byte packed event struct assembled in its ring slot, a
 // packet slab whose 4-byte handles are what queues, transmitters and
-// arrival events carry, a bit-scan egress arbiter, dense per-switch
-// forwarding and classify memos in front of the routing and rule maps,
+// arrival events carry, a bit-scan egress arbiter, a dense forwarding
+// memo in front of the routing map and compiled per-switch rule tables,
 // and dedicated event kinds for periodic timers and DCQCN notifications,
 // so the steady state schedules and dispatches without heap allocations
 // or hashing (see DESIGN.md §11).

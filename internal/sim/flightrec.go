@@ -105,7 +105,6 @@ func (n *Network) EnableFlightRecorder(cfg FlightRecConfig) *FlightRecorder {
 	}
 	n.tracer = fr
 	n.flightrec = fr
-	n.cls.drop() // entries now need their rule IDs resolved
 	return fr
 }
 
@@ -318,13 +317,10 @@ func (fr *FlightRecorder) buildSnapshot(trigger, node string) []trace.Entry {
 		}
 		sort.Slice(ruleIDs, func(i, j int) bool { return ruleIDs[i] < ruleIDs[j] })
 		for _, rid := range ruleIDs {
-			if n.rules == nil {
-				break
+			if int(rid) > len(n.ruleByID) {
+				continue // classified under a table installed since
 			}
-			rule, ok := n.rules.RuleByID(int(rid - 1))
-			if !ok {
-				continue
-			}
+			rule := n.ruleByID[rid-1]
 			desc := fmt.Sprintf("%s: tag %d in%d out%d -> %d",
 				n.nodeName(rule.Switch), rule.Tag, rule.In, rule.Out, rule.NewTag)
 			out = append(out, trace.RuleDefEntry(int(rid-1), r.Intern(desc)))

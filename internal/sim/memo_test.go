@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"slices"
 	"testing"
 
@@ -66,49 +65,31 @@ func TestForwardMemoInvalidation(t *testing.T) {
 	}
 }
 
-// classifyOutcome is what a classify call did: its results, or the panic
-// it raised (an out-of-range port reaches Graph.PortOn).
-func classifyOutcome(f func() (int, int)) (out string) {
-	defer func() {
-		if r := recover(); r != nil {
-			out = fmt.Sprint("panic: ", r)
-		}
-	}()
-	nt, id := f()
-	return fmt.Sprintf("tag %d by rule %d", nt, id)
-}
-
-// checkClassMemo compares the memo against the ruleset at every
-// (switch, tag, in, out) — including tags and ports on either side of
-// the table's range, which must come out as the ruleset has them.
-func checkClassMemo(t *testing.T, n *Network, after string) {
+// checkInstalled compares the installed tables with the ruleset at every
+// forwarding node, tag 0..maxTag+1 and port pair: the same rewrite, and
+// the deciding rule's ID exactly where an exact rule decided.
+func checkInstalled(t *testing.T, n *Network, rs *core.Ruleset, after string) {
 	t.Helper()
-	rs := n.rules
-	tags := []int{-1, 0, rs.MaxTag() + 1, 255, 256, 1 << 20}
-	for tag := 1; tag <= rs.MaxTag(); tag++ {
-		tags = append(tags, tag)
-	}
-	for pass := 0; pass < 2; pass++ {
-		for id := range n.nodes {
-			if n.nodes[id].isHost {
-				continue
-			}
-			sw := topology.NodeID(id)
-			np := len(n.nodes[id].ports)
-			for _, tag := range tags {
-				for in := -1; in <= np; in++ {
-					for out := -1; out <= np; out++ {
-						got := classifyOutcome(func() (int, int) { return n.classify(sw, tag, in, out) })
-						want := classifyOutcome(func() (int, int) {
-							if n.flightrec != nil {
-								return rs.ClassifyID(sw, tag, in, out)
-							}
-							return rs.Classify(sw, tag, in, out), -1
-						})
-						if got != want {
-							t.Fatalf("after %s (pass %d): memoized classify(%s, tag %d, in %d, out %d): %s; ruleset: %s",
-								after, pass, n.nodeName(sw), tag, in, out, got, want)
-						}
+	for id := range n.nodes {
+		if n.nodes[id].isHost {
+			continue
+		}
+		sw := topology.NodeID(id)
+		np := len(n.nodes[id].ports)
+		for tag := 0; tag <= rs.MaxTag()+1; tag++ {
+			for in := 0; in < np; in++ {
+				for out := 0; out < np; out++ {
+					c := n.cls[sw].Decide(tag, in, out)
+					want := rs.Classify(sw, tag, in, out)
+					_, hit := rs.Lookup(sw, tag, in, out)
+					hit = hit && rs.IsLossless(tag)
+					if int(c.NewTag) != want || (c.Rule >= 0) != hit {
+						t.Fatalf("after %s: table(%s, tag %d, in %d, out %d) = %+v, ruleset says %d (exact hit %v)",
+							after, n.nodeName(sw), tag, in, out, c, want, hit)
+					}
+					if hit && n.ruleByID[c.Rule] != (core.Rule{Switch: sw, Tag: tag, In: in, Out: out, NewTag: want}) {
+						t.Fatalf("after %s: rule ID %d at (%s, tag %d, in %d, out %d) names %+v",
+							after, c.Rule, n.nodeName(sw), tag, in, out, n.ruleByID[c.Rule])
 					}
 				}
 			}
@@ -116,66 +97,56 @@ func checkClassMemo(t *testing.T, n *Network, after string) {
 	}
 }
 
-// TestClassifyMemoInvalidation: every way a pipeline decision can change
-// must be visible through a memo that had the old decision cached.
-func TestClassifyMemoInvalidation(t *testing.T) {
+// TestInstalledTableMatchesClassify: InstallTagger compiles a snapshot
+// of the rules that decides as Ruleset.Classify does; installing again
+// swaps the decisions, arming the flight recorder changes none of them,
+// and a port the switch lacks still panics.
+func TestInstalledTableMatchesClassify(t *testing.T) {
 	c := paper.Testbed()
 	g := c.Graph
 	n := New(g, routing.ComputeToHosts(g, routing.UpDown), DefaultConfig())
 	rs := core.ClosRules(g, 1, 1)
 	n.InstallTagger(rs)
-	checkClassMemo(t, n, "InstallTagger")
+	checkInstalled(t, n, rs, "InstallTagger")
 
-	// Rewrite a decision the memo holds: the bounce at L1 (down from S1,
-	// back up to S2) bumps tag 1 to 2 under ClosRules.
+	// The bounce at L1 (down from S1, back up to S2) bumps tag 1 to 2.
 	l1 := g.MustLookup("L1")
 	in, out := g.PortToPeer(l1, g.MustLookup("S1")), g.PortToPeer(l1, g.MustLookup("S2"))
-	if nt, _ := n.classify(l1, 1, in, out); nt != 2 {
-		t.Fatalf("bounce at L1 classifies tag 1 -> %d, want 2", nt)
+	if got := n.cls[l1].Decide(1, in, out); got.NewTag != 2 || got.Rule < 0 {
+		t.Fatalf("bounce at L1 decides %+v, want tag 2 by a rule", got)
 	}
+
+	// A snapshot: changing the ruleset changes nothing until it is
+	// installed again, and then the new decision shows.
 	rs.Add(core.Rule{Switch: l1, Tag: 1, In: in, Out: out, NewTag: 1})
-	checkClassMemo(t, n, "Ruleset.Add over an installed rule")
-	if nt, _ := n.classify(l1, 1, in, out); nt != 1 {
-		t.Fatalf("after Add the bounce classifies tag 1 -> %d, want 1", nt)
+	if got := n.cls[l1].Decide(1, in, out); got.NewTag != 2 {
+		t.Fatalf("installed table followed a later Add: %+v", got)
+	}
+	n.InstallTagger(rs)
+	checkInstalled(t, n, rs, "second InstallTagger")
+	if got := n.cls[l1].Decide(1, in, out); got.NewTag != 1 {
+		t.Fatalf("reinstalled bounce decides %+v, want tag 1", got)
 	}
 
-	// A fresh match on a tag above the memo's range: Add raises maxTag.
-	rs.Add(core.Rule{Switch: l1, Tag: 2, In: in, Out: out, NewTag: 3})
-	checkClassMemo(t, n, "Ruleset.Add raising the largest tag")
-	if nt, _ := n.classify(l1, 2, in, out); nt != 3 {
-		t.Fatalf("after Add the second bounce classifies tag 2 -> %d, want 3", nt)
-	}
-
-	// SetMaxTag alone turns a lossy tag lossless: injection now keeps it.
-	tor := g.MustLookup("T1")
-	hostPort, upPort := g.PortToPeer(tor, g.MustLookup("H1")), g.PortToPeer(tor, g.MustLookup("L1"))
-	if nt, _ := n.classify(tor, 4, hostPort, upPort); nt != core.LossyTag {
-		t.Fatalf("tag 4 injects as %d before SetMaxTag, want lossy", nt)
-	}
-	rs.SetMaxTag(4)
-	checkClassMemo(t, n, "SetMaxTag")
-	if nt, _ := n.classify(tor, 4, hostPort, upPort); nt != 4 {
-		t.Fatalf("tag 4 injects as %d after SetMaxTag, want 4", nt)
-	}
-
-	// Arming the flight recorder makes the rule IDs part of the answer.
+	// Arming the flight recorder changes no decision.
 	n.EnableFlightRecorder(FlightRecConfig{})
-	checkClassMemo(t, n, "EnableFlightRecorder")
-	if _, id := n.classify(l1, 2, in, out); id < 0 {
-		t.Fatalf("armed recorder: bounce rule ID = %d, want the deciding rule", id)
+	checkInstalled(t, n, rs, "EnableFlightRecorder")
+
+	// A port the switch does not have panics rather than reading another
+	// switch's cell.
+	for _, p := range [][2]int{{-1, out}, {in, len(n.nodes[l1].ports)}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("ports %v at L1 decided without a panic", p)
+				}
+			}()
+			n.cls[l1].Decide(1, p[0], p[1])
+		}()
 	}
 
-	// A second InstallTagger swaps the authority under a warm memo — here
-	// for a ruleset at the same generation, so only the install itself can
-	// tell the memo.
-	a, b := core.NewRuleset(g, 2), core.NewRuleset(g, 2)
-	a.Add(core.Rule{Switch: l1, Tag: 1, In: in, Out: out, NewTag: 2})
-	b.Add(core.Rule{Switch: l1, Tag: 1, In: in, Out: out, NewTag: 1})
-	if a.Generation() != b.Generation() {
-		t.Fatalf("rulesets built alike differ in generation: %d vs %d", a.Generation(), b.Generation())
+	n.InstallTagger(nil)
+	if n.cls != nil || n.prioOf(3) != 3 {
+		t.Fatalf("InstallTagger(nil) left Tagger on: %d tables, prioOf(3) = %d", len(n.cls), n.prioOf(3))
 	}
-	n.InstallTagger(a)
-	checkClassMemo(t, n, "second InstallTagger")
-	n.InstallTagger(b)
-	checkClassMemo(t, n, "third InstallTagger, same generation")
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/routing"
+	"repro/internal/tcam"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
@@ -233,17 +234,21 @@ type Network struct {
 	// nQueues is cfg.MaxPriority+1, the egress queues per port.
 	nQueues int
 
-	rules        *core.Ruleset // nil: Tagger disabled (single class)
-	legacyEgress bool          // Figure 8a mode: egress queue by OLD tag
+	// cls is the installed Tagger pipeline's step 2, one compiled table
+	// per forwarding node (nil: Tagger disabled, single class); maxTag is
+	// its largest lossless tag and ruleByID resolves its cells' rule IDs.
+	cls          []*tcam.Table
+	maxTag       int
+	ruleByID     []core.Rule
+	legacyEgress bool // Figure 8a mode: egress queue by OLD tag
 
 	now        int64
 	seq        int64
 	events     scheduler
 	dispatched [numEventKinds]int64
 
-	// fwd and cls memoize the packet path's two table lookups (memo.go).
+	// fwd memoizes the forwarding lookup (memo.go).
 	fwd fwdMemo
-	cls classMemo
 
 	// pkts owns every packet in the fabric; calls/callFree and timers are
 	// the side tables behind evCall and evTimer events (see event.go).
@@ -303,7 +308,6 @@ func New(g *topology.Graph, tables *routing.Tables, cfg Config) *Network {
 	n := &Network{g: g, tables: tables, cfg: cfg, nQueues: cfg.MaxPriority + 1}
 	n.nodes = make([]nodeRT, g.NumNodes())
 	n.fwd.rows = make([][][]int, len(n.nodes))
-	n.cls.rows = make([][]classEntry, len(n.nodes))
 	for i := range n.nodes {
 		node := g.Node(topology.NodeID(i))
 		rt := &n.nodes[i]
@@ -323,10 +327,15 @@ func New(g *topology.Graph, tables *routing.Tables, cfg Config) *Network {
 
 // InstallTagger enables the Tagger pipeline with the given rules; nil
 // disables it (all traffic rides its NIC-stamped priority unchanged —
-// the "without Tagger" baseline).
+// the "without Tagger" baseline). The rules are compiled into per-switch
+// tables here, so the network runs a snapshot: a ruleset changed after
+// the call is seen only once it is installed again.
 func (n *Network) InstallTagger(rs *core.Ruleset) {
-	n.rules = rs
-	n.cls.drop()
+	n.cls, n.ruleByID, n.maxTag = nil, nil, 0
+	if rs != nil {
+		n.cls, n.ruleByID = tcam.Compile(rs)
+		n.maxTag = rs.MaxTag()
+	}
 }
 
 // SetLegacyEgress selects the broken §7 behavior where the egress queue
@@ -452,11 +461,11 @@ func (n *Network) arrive(nodeIdx, port int, h int32) {
 	// priority by the new tag (or the old one in legacy mode).
 	inPrio := n.prioOf(int(pk.tag))
 	newTag := int(pk.tag)
-	if n.rules != nil {
-		var rid int
-		newTag, rid = n.classify(id, newTag, port, out)
+	if n.cls != nil {
+		c := n.cls[id].Decide(newTag, port, out)
+		newTag = int(c.NewTag)
 		if n.flightrec != nil {
-			pk.rule = int32(rid + 1)
+			pk.rule = c.Rule + 1
 		}
 	}
 	egPrio := n.prioOf(newTag)
@@ -546,7 +555,7 @@ func (n *Network) deliver(at topology.NodeID, pk *packet) {
 // (bounded by MaxPriority); everything else is the lossy queue 0.
 func (n *Network) prioOf(tag int) int {
 	if tag >= 1 && tag <= n.cfg.MaxPriority {
-		if n.rules != nil && !n.rules.IsLossless(tag) {
+		if n.cls != nil && tag > n.maxTag {
 			return 0
 		}
 		return tag

@@ -1,5 +1,5 @@
-// Package synthcache memoizes rule synthesis and TCAM compilation behind
-// content-addressed fingerprints (internal/fingerprint).
+// Package synthcache memoizes rule synthesis behind content-addressed
+// fingerprints (internal/fingerprint).
 //
 // The cache exploits the paper's §6 observation that Tagger's rules are a
 // pure function of (topology, ELP, synthesis options): two requests with
@@ -8,8 +8,8 @@
 //
 //   - shared hit: the request comes from the same graph instance the
 //     entry was built on (a long-lived controller resynthesizing, a sweep
-//     rerunning seeds over one topology). The cached System and TCAM
-//     image are returned directly — synthesis cost drops to hashing.
+//     rerunning seeds over one topology). The cached System is returned
+//     directly — synthesis cost drops to hashing.
 //   - pod memoization (ClosKBounce): for uniform multi-pod fabrics the
 //     KBounce ELP is enumerated for a representative pod pair only and
 //     stamped onto the remaining pods by pod-permutation automorphisms.
@@ -21,7 +21,7 @@
 // Concurrency: the cache is safe for concurrent use and single-flight —
 // concurrent misses on one fingerprint synthesize exactly once, the rest
 // wait. Eviction only unlinks an entry from the index; in-flight waiters
-// keep their pointer, so a partially-built image is never observable.
+// keep their pointer, so a partially-built System is never observable.
 // Cached Systems are shared read-only; the ruleset's lazy rule-ID index
 // is pre-warmed at fill time so shared readers never race on it.
 package synthcache
@@ -34,7 +34,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fingerprint"
 	"repro/internal/routing"
-	"repro/internal/tcam"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
@@ -59,8 +58,6 @@ func (s Stats) HitRatio() float64 {
 // Result is a cache-served synthesis.
 type Result struct {
 	Sys *core.System
-	// Image is the compiled TCAM pipeline over Sys.Rules.
-	Image *tcam.Compiled
 	// Hit reports the result came from the cache.
 	Hit bool
 	// PodMemoized reports the build used representative-pod stamping
@@ -75,11 +72,10 @@ type entry struct {
 	key   fingerprint.Fingerprint
 	ready chan struct{}
 
-	err   error
-	g     *topology.Graph
-	sys   *core.System
-	image *tcam.Compiled
-	pod   bool
+	err error
+	g   *topology.Graph
+	sys *core.System
+	pod bool
 }
 
 type canonAt struct {
@@ -268,12 +264,11 @@ func (c *Cache) wait(e *entry) {
 
 // serve is the one lookup/build flow. The first request for a key
 // builds and publishes the entry (an error unlinks it, so the next
-// request retries); later requests wait for it and share its System and
-// image when they come from the graph instance it was built on. A
+// request retries); later requests wait for it and share its System
+// when they come from the graph instance it was built on. A
 // request from another instance with the same fingerprint rebuilds for
-// itself, uncached. build reports whether it pod-stamped; the image is
-// compiled with par workers.
-func (c *Cache) serve(g *topology.Graph, key fingerprint.Fingerprint, par int,
+// itself, uncached. build reports whether it pod-stamped.
+func (c *Cache) serve(g *topology.Graph, key fingerprint.Fingerprint,
 	build func() (*core.System, bool, error)) (Result, error) {
 
 	e, builder := c.acquire(key)
@@ -286,20 +281,18 @@ func (c *Cache) serve(g *topology.Graph, key fingerprint.Fingerprint, par int,
 		}
 		if e.g == g {
 			c.count(&c.hits, "hits")
-			return Result{Sys: e.sys, Image: e.image, Hit: true, PodMemoized: e.pod}, nil
+			return Result{Sys: e.sys, Hit: true, PodMemoized: e.pod}, nil
 		}
 	}
 	c.count(&c.misses, "misses")
 	sys, pod, err := build()
-	var image *tcam.Compiled
 	if err == nil {
 		// Pre-warm the shared ruleset's sorted-key memo, so the readers
 		// sharing it find it built instead of each sorting.
 		sys.Rules.RuleByID(0)
-		image = tcam.NewCompiled(sys.Rules, par)
 	}
 	if builder {
-		e.g, e.sys, e.image, e.pod, e.err = g, sys, image, pod, err
+		e.g, e.sys, e.pod, e.err = g, sys, pod, err
 		if err != nil {
 			c.drop(e)
 		}
@@ -308,10 +301,10 @@ func (c *Cache) serve(g *topology.Graph, key fingerprint.Fingerprint, par int,
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{Sys: sys, Image: image, PodMemoized: pod}, nil
+	return Result{Sys: sys, PodMemoized: pod}, nil
 }
 
-// Synthesize is a memoized core.Synthesize + tcam.NewCompiled. The cache
+// Synthesize is a memoized core.Synthesize. The cache
 // key covers the graph fingerprint, the path sequence and the
 // output-affecting options; opts.Workers is excluded (par=1 and par=N
 // provably emit identical systems — see internal/check).
@@ -323,19 +316,19 @@ func (c *Cache) Synthesize(g *topology.Graph, paths []routing.Path, opts core.Op
 	}
 	key := fingerprint.Key("generic", []int{skip, opts.StartTag},
 		canon.FP, c.pathsSumOf(canon, paths))
-	return c.serve(g, key, opts.Workers, func() (*core.System, bool, error) {
+	return c.serve(g, key, func() (*core.System, bool, error) {
 		sys, err := core.Synthesize(g, paths, opts)
 		return sys, false, err
 	})
 }
 
-// SynthesizeClos is a memoized core.ClosSynthesize + tcam.NewCompiled
-// for an explicit ELP path list.
+// SynthesizeClos is a memoized core.ClosSynthesize for an explicit ELP
+// path list.
 func (c *Cache) SynthesizeClos(g *topology.Graph, paths []routing.Path, maxBounces int) (Result, error) {
 	canon := c.canonOf(g)
 	key := fingerprint.Key("clos", []int{maxBounces},
 		canon.FP, c.pathsSumOf(canon, paths))
-	return c.serve(g, key, 0, func() (*core.System, bool, error) {
+	return c.serve(g, key, func() (*core.System, bool, error) {
 		sys, err := core.ClosSynthesize(g, paths, maxBounces)
 		return sys, false, err
 	})

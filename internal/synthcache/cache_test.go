@@ -97,8 +97,8 @@ func TestWarmHitSharesSystem(t *testing.T) {
 	if !warm.Hit {
 		t.Fatal("second request missed, want shared hit")
 	}
-	if warm.Sys != cold.Sys || warm.Image != cold.Image {
-		t.Fatal("shared hit did not return the cached objects")
+	if warm.Sys != cold.Sys {
+		t.Fatal("shared hit did not return the cached System")
 	}
 	if s := cache.Stats(); s.Hits != 1 || s.Misses != 1 {
 		t.Fatalf("stats = %+v, want 1 hit / 1 miss", s)
@@ -153,9 +153,6 @@ func TestTwinInstanceRebuildsUncached(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireIdentical(t, res.Sys, want)
-	if res.Image.TotalEntries() == 0 {
-		t.Fatal("rebuilt image is empty")
-	}
 	if again, err := cache.SynthesizeClos(a.Graph, setA.Paths(), 1); err != nil || !again.Hit {
 		t.Fatalf("producer's rehit after the twin's rebuild = %+v, %v", again, err)
 	}
@@ -257,7 +254,7 @@ func TestLRUEviction(t *testing.T) {
 func TestEvictionUnderConcurrency(t *testing.T) {
 	// Capacity 1 with three hot keys: every response must still be a
 	// complete, verified system — eviction must never expose a
-	// partially-built image to an in-flight waiter.
+	// partially-built System to an in-flight waiter.
 	c := smallClos(t)
 	cache := synthcache.New(1)
 	sets := []*elp.Set{
@@ -277,7 +274,7 @@ func TestEvictionUnderConcurrency(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if r.Sys == nil || r.Image == nil {
+				if r.Sys == nil {
 					t.Error("incomplete result")
 					return
 				}

@@ -46,7 +46,6 @@ import (
 //
 //	set := elp.KBounce(g, endpoints, maxBounces, nil)
 //	sys, err := core.ClosSynthesize(g, set.Paths(), maxBounces)
-//	image := tcam.NewCompiled(sys.Rules, 0)
 //
 // The cache key covers the graph fingerprint, the endpoint roster (as
 // canonical positions, order-sensitive) and the failed-link set — unlike
@@ -61,7 +60,7 @@ func (c *Cache) ClosKBounce(g *topology.Graph, endpoints []topology.NodeID, maxB
 	}
 	key := fingerprint.Key("closkb", params, canon.FP, fingerprint.HealthSum(canon, g))
 
-	return c.serve(g, key, 0, func() (*core.System, bool, error) {
+	return c.serve(g, key, func() (*core.System, bool, error) {
 		return c.podStampedBuild(g, endpoints, maxBounces)
 	})
 }

@@ -34,7 +34,7 @@ func TestCompressInPortOnlySemantics(t *testing.T) {
 	}
 	entries := CompressInPortOnly(sys.Rules.Rules())
 	for _, r := range sys.Rules.Rules() {
-		got, ok := Lookup(entries, r.Switch, r.Tag, r.In, r.Out)
+		got, ok := scan(entries, r.Switch, r.Tag, r.In, r.Out)
 		if !ok || got != r.NewTag {
 			t.Fatalf("rule %+v: lookup %d,%v", r, got, ok)
 		}
@@ -45,7 +45,7 @@ func TestCompressInPortOnlySemantics(t *testing.T) {
 		for tag := 1; tag <= sys.Rules.MaxTag(); tag++ {
 			for in := 0; in < g.PortCount(sw); in++ {
 				for out := 0; out < g.PortCount(sw); out++ {
-					_, okE := Lookup(entries, sw, tag, in, out)
+					_, okE := scan(entries, sw, tag, in, out)
 					_, okR := sys.Rules.Lookup(sw, tag, in, out)
 					if okE != okR {
 						t.Fatalf("coverage differs at %s tag=%d in=%d out=%d",

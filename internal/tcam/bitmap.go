@@ -137,8 +137,10 @@ func (b Bitmap) Key() string {
 }
 
 // Ports returns the indices of set bits in ascending order.
-func (b Bitmap) Ports() []int {
-	var out []int
+func (b Bitmap) Ports() []int { return b.appendPorts(nil) }
+
+// appendPorts appends the indices of set bits to out in ascending order.
+func (b Bitmap) appendPorts(out []int) []int {
 	for wi, w := range b.words {
 		for w != 0 {
 			i := bits.TrailingZeros64(w)

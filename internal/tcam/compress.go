@@ -102,38 +102,7 @@ func switchChunks(rules []core.Rule, want int) [][]core.Rule {
 }
 
 func compressChunk(rules []core.Rule) []Entry {
-	// Stage 1: group by (switch, tag, out, newtag), merge InPorts.
-	type outKey struct {
-		sw       topology.NodeID
-		tag, out int
-		newTag   int
-	}
-	stage1 := make(map[outKey]*Entry)
-	var order []outKey // deterministic iteration
-	for _, r := range rules {
-		k := outKey{r.Switch, r.Tag, r.Out, r.NewTag}
-		e, ok := stage1[k]
-		if !ok {
-			e = &Entry{Switch: r.Switch, Tag: r.Tag, NewTag: r.NewTag}
-			e.OutPorts.Set(r.Out)
-			stage1[k] = e
-			order = append(order, k)
-		}
-		e.InPorts.Set(r.In)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if a.sw != b.sw {
-			return a.sw < b.sw
-		}
-		if a.tag != b.tag {
-			return a.tag < b.tag
-		}
-		if a.newTag != b.newTag {
-			return a.newTag < b.newTag
-		}
-		return a.out < b.out
-	})
+	stage1 := groupInPorts(rules)
 
 	// Stage 2: merge entries with identical (switch, tag, newtag, InPorts).
 	type inKey struct {
@@ -144,8 +113,7 @@ func compressChunk(rules []core.Rule) []Entry {
 	}
 	stage2 := make(map[inKey]*Entry)
 	var out []*Entry
-	for _, k := range order {
-		e := stage1[k]
+	for _, e := range stage1 {
 		k2 := inKey{e.Switch, e.Tag, e.NewTag, e.InPorts.Key()}
 		if merged, ok := stage2[k2]; ok {
 			merged.OutPorts.Union(e.OutPorts)
@@ -154,28 +122,39 @@ func compressChunk(rules []core.Rule) []Entry {
 		stage2[k2] = e
 		out = append(out, e)
 	}
-
-	res := make([]Entry, len(out))
-	for i, e := range out {
-		res[i] = *e
-		// Canonical bitmaps: logically equal entries are struct-equal.
-		res[i].InPorts.trim()
-		res[i].OutPorts.trim()
-	}
-	return res
+	return canonical(out)
 }
 
 // CompressInPortOnly runs only stage 1 (the paper's n·m(m-1)/2 result),
 // for the compression-level ablation: rules identical except InPort merge;
 // OutPorts stay singletons.
 func CompressInPortOnly(rules []core.Rule) []Entry {
+	return canonical(groupInPorts(rules))
+}
+
+// canonical copies the entries out with trimmed bitmaps, so logically
+// equal entries are struct-equal.
+func canonical(es []*Entry) []Entry {
+	res := make([]Entry, len(es))
+	for i, e := range es {
+		res[i] = *e
+		res[i].InPorts.trim()
+		res[i].OutPorts.trim()
+	}
+	return res
+}
+
+// groupInPorts is stage 1: rules that share (switch, tag, out, newtag)
+// merge into one entry whose InPorts is their ingress ports, returned in
+// (switch, tag, newtag, out) order.
+func groupInPorts(rules []core.Rule) []*Entry {
 	type outKey struct {
 		sw       topology.NodeID
 		tag, out int
 		newTag   int
 	}
 	grouped := make(map[outKey]*Entry)
-	var order []outKey
+	var order []outKey // deterministic iteration
 	for _, r := range rules {
 		k := outKey{r.Switch, r.Tag, r.Out, r.NewTag}
 		e, ok := grouped[k]
@@ -200,12 +179,9 @@ func CompressInPortOnly(rules []core.Rule) []Entry {
 		}
 		return a.out < b.out
 	})
-	out := make([]Entry, 0, len(order))
-	for _, k := range order {
-		e := *grouped[k]
-		e.InPorts.trim()
-		e.OutPorts.trim()
-		out = append(out, e)
+	out := make([]*Entry, len(order))
+	for i, k := range order {
+		out[i] = grouped[k]
 	}
 	return out
 }
@@ -225,18 +201,6 @@ func Levels(rules []core.Rule) CompressionLevels {
 		InPortOnly: len(CompressInPortOnly(rules)),
 		Joint:      len(Compress(rules)),
 	}
-}
-
-// Lookup scans entries in order and returns the first match — TCAM
-// first-hit semantics. ok is false when no entry fires (the pipeline then
-// falls through to the lossy safeguard).
-func Lookup(entries []Entry, sw topology.NodeID, tag, in, out int) (newTag int, ok bool) {
-	for i := range entries {
-		if entries[i].Switch == sw && entries[i].Matches(tag, in, out) {
-			return entries[i].NewTag, true
-		}
-	}
-	return 0, false
 }
 
 // PerSwitchCount returns entry counts grouped by switch.

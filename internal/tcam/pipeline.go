@@ -1,9 +1,6 @@
 package tcam
 
-import (
-	"repro/internal/core"
-	"repro/internal/topology"
-)
+import "repro/internal/core"
 
 // QueueKind distinguishes lossless priority queues from the lossy queue.
 type QueueKind uint8
@@ -22,7 +19,8 @@ type QueueDecision struct {
 	Kind         QueueKind
 }
 
-// Pipeline is the three-step match-action pipeline of §7 (Figure 7):
+// Pipeline is the three-step match-action pipeline of §7 (Figure 7) at
+// one switch:
 //
 //	step 1: match tag        -> ingress priority queue
 //	step 2: match (tag,in,out) -> rewrite tag
@@ -34,40 +32,28 @@ type QueueDecision struct {
 // LegacyEgressByOldTag simulates that broken default for the ablation
 // experiment.
 type Pipeline struct {
-	Rules *core.Ruleset
+	// Table is the switch's compiled step 2 (Compile, CompileEntries).
+	Table *Table
 	// LegacyEgressByOldTag reproduces the §7 failure mode where the egress
 	// queue is selected by the ingress priority.
 	LegacyEgressByOldTag bool
 }
 
-// queueOf maps a tag to a queue index: lossless tag t occupies queue t
-// (1-based); everything else is the lossy queue 0.
-func (pl *Pipeline) queueOf(tag int) (int, QueueKind) {
-	if pl.Rules.IsLossless(tag) {
-		return tag, Lossless
-	}
-	return 0, Lossy
-}
-
-// Process classifies a packet at switch sw arriving on ingress port in
-// with the given tag, destined for egress port out.
-func (pl *Pipeline) Process(sw topology.NodeID, tag, in, out int) QueueDecision {
+// Process classifies a packet arriving on ingress port in with the given
+// tag, destined for egress port out.
+func (pl *Pipeline) Process(tag, in, out int) QueueDecision {
 	var d QueueDecision
 	var inKind QueueKind
-	d.IngressQueue, inKind = pl.queueOf(tag)
-	d.NewTag = pl.Rules.Classify(sw, tag, in, out)
-	if pl.LegacyEgressByOldTag {
-		d.EgressQueue = d.IngressQueue
-		d.Kind = inKind
-		if d.NewTag == core.LossyTag {
-			// Even the legacy path cannot keep a lossy packet lossless.
-			d.EgressQueue, d.Kind = pl.queueOf(d.NewTag)
-		}
-		return d
+	d.IngressQueue, inKind = pl.Table.Queue(tag)
+	d.NewTag = int(pl.Table.Decide(tag, in, out).NewTag)
+	d.EgressQueue, d.Kind = pl.Table.Queue(d.NewTag)
+	if pl.LegacyEgressByOldTag && d.NewTag != core.LossyTag {
+		// The old priority, unless the packet was demoted: even the
+		// legacy path cannot keep a lossy packet lossless.
+		d.EgressQueue, d.Kind = d.IngressQueue, inKind
 	}
-	d.EgressQueue, d.Kind = pl.queueOf(d.NewTag)
 	return d
 }
 
 // LosslessQueues returns how many lossless queues the pipeline needs.
-func (pl *Pipeline) LosslessQueues() int { return pl.Rules.MaxTag() }
+func (pl *Pipeline) LosslessQueues() int { return pl.Table.maxTag }

@@ -9,6 +9,18 @@ import (
 	"repro/internal/topology"
 )
 
+// scan walks entries in order and returns the first match — TCAM
+// first-hit semantics, written as a scan to check the compiled tables
+// and the compressor against. ok is false when no entry fires.
+func scan(entries []Entry, sw topology.NodeID, tag, in, out int) (newTag int, ok bool) {
+	for i := range entries {
+		if entries[i].Switch == sw && entries[i].Matches(tag, in, out) {
+			return entries[i].NewTag, true
+		}
+	}
+	return 0, false
+}
+
 func TestBitmapBasics(t *testing.T) {
 	var b Bitmap
 	if b.Get(5) || b.Count() != 0 {
@@ -122,10 +134,10 @@ func TestCompressNoFalsePositives(t *testing.T) {
 	if len(entries) != 2 {
 		t.Fatalf("entries = %d, want 2", len(entries))
 	}
-	if _, ok := Lookup(entries, sw, 1, 0, 3); ok {
+	if _, ok := scan(entries, sw, 1, 0, 3); ok {
 		t.Error("compression invented a match for (0,3)")
 	}
-	if _, ok := Lookup(entries, sw, 1, 1, 2); ok {
+	if _, ok := scan(entries, sw, 1, 1, 2); ok {
 		t.Error("compression invented a match for (1,2)")
 	}
 }
@@ -159,7 +171,7 @@ func TestCompressSemanticsProperty(t *testing.T) {
 		for tag := 1; tag <= 3; tag++ {
 			for in := 0; in < 6; in++ {
 				for out := 0; out < 6; out++ {
-					got, ok := Lookup(entries, sw, tag, in, out)
+					got, ok := scan(entries, sw, tag, in, out)
 					exp, expOK := want[key{tag, in, out}]
 					if ok != expOK || (ok && got != exp) {
 						t.Logf("mismatch at (%d,%d,%d): got %d,%v want %d,%v",
@@ -225,26 +237,27 @@ func TestPipelinePriorityTransition(t *testing.T) {
 
 	// Correct pipeline: bounce rewrites 1 -> 2 and the egress queue follows
 	// the NEW tag (Figure 8b).
-	pl := &Pipeline{Rules: rs}
-	d := pl.Process(l1, 1, inS1, outS2)
+	tables, _ := Compile(rs)
+	pl := &Pipeline{Table: tables[l1]}
+	d := pl.Process(1, inS1, outS2)
 	if d.NewTag != 2 || d.IngressQueue != 1 || d.EgressQueue != 2 || d.Kind != Lossless {
 		t.Errorf("correct pipeline: %+v", d)
 	}
 
 	// Legacy pipeline: egress queue stays at the OLD priority (Figure 8a),
 	// the mismatch that loses packets.
-	legacy := &Pipeline{Rules: rs, LegacyEgressByOldTag: true}
-	d = legacy.Process(l1, 1, inS1, outS2)
+	legacy := &Pipeline{Table: tables[l1], LegacyEgressByOldTag: true}
+	d = legacy.Process(1, inS1, outS2)
 	if d.NewTag != 2 || d.EgressQueue != 1 {
 		t.Errorf("legacy pipeline: %+v", d)
 	}
 
 	// Lossy fallback: second bounce.
-	d = pl.Process(l1, 2, inS1, outS2)
+	d = pl.Process(2, inS1, outS2)
 	if d.Kind != Lossy || d.EgressQueue != 0 {
 		t.Errorf("lossy: %+v", d)
 	}
-	d = legacy.Process(l1, 2, inS1, outS2)
+	d = legacy.Process(2, inS1, outS2)
 	if d.Kind != Lossy {
 		t.Errorf("legacy lossy: %+v", d)
 	}
@@ -254,7 +267,7 @@ func TestPipelinePriorityTransition(t *testing.T) {
 }
 
 func TestCompressSynthesizedSystem(t *testing.T) {
-	// End-to-end: synthesize Fig-5, compress, and confirm Lookup agrees
+	// End-to-end: synthesize Fig-5, compress, and confirm a scan agrees
 	// with the ruleset for every installed rule.
 	f := paper.NewFig5()
 	sys, err := core.Synthesize(f.Graph, f.ELP.Paths(), core.Options{})
@@ -263,7 +276,7 @@ func TestCompressSynthesizedSystem(t *testing.T) {
 	}
 	entries := Compress(sys.Rules.Rules())
 	for _, r := range sys.Rules.Rules() {
-		got, ok := Lookup(entries, r.Switch, r.Tag, r.In, r.Out)
+		got, ok := scan(entries, r.Switch, r.Tag, r.In, r.Out)
 		if !ok || got != r.NewTag {
 			t.Errorf("rule %+v: lookup = %d,%v", r, got, ok)
 		}

@@ -106,11 +106,13 @@ bench-e2e-test:
 # verdict table per workload, so a PR's claimed row and its no-regression
 # rows come from one command. ~(2*SECONDS+5)*PAIRS s per workload.
 # Usage: make bench-pairs BASE=HEAD~1 WORKLOAD=sim_fig12_tagger,sim_cbd_forensics
+# TRACE=1 adds a traced run per side per pair and the per-layer table
+# (exact counts must match).
 PAIRS ?= 10
 SECONDS ?= 12
 SEED ?= 1
 bench-pairs:
-	$(GO) run ./cmd/benchpairs -base $(BASE) -workload $(WORKLOAD) -pairs $(PAIRS) -seconds $(SECONDS) -seed $(SEED)
+	$(GO) run ./cmd/benchpairs -base $(BASE) -workload $(WORKLOAD) -pairs $(PAIRS) -seconds $(SECONDS) -seed $(SEED)$(if $(TRACE), -trace)
 
 # Compares two snapshots; fails on a >15% time regression.
 # Usage: make benchdiff OLD=BENCH_seed.json NEW=BENCH_2026-08-05.json

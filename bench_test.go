@@ -114,6 +114,30 @@ func BenchmarkTable5JellyfishRandomPaths(b *testing.B) {
 	benchTable5(b, 100, 16, 10000)
 }
 
+// BenchmarkTable5Jellyfish2000 is the paper's headline scalability row,
+// 2 000 switches with 24 ports, run as `taggerscale -switches 2000 -ports
+// 24` runs it: every fan-out stage at GOMAXPROCS workers. It takes
+// seconds per op and a few GB of memory, so -short and -race skip it.
+func BenchmarkTable5Jellyfish2000(b *testing.B) {
+	if testing.Short() {
+		b.Skip("Table 5's 2000-switch row skipped in -short")
+	}
+	if raceEnabled {
+		b.Skip("Table 5's 2000-switch row skipped under the race detector")
+	}
+	var row Table5Row
+	for i := 0; i < b.N; i++ {
+		var err error
+		row, err = Table5CaseWith(2000, 24, 0, 1, RunOptions{Par: 0})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(row.ELPSize), "paths")
+	b.ReportMetric(float64(row.Priorities), "priorities")
+	b.ReportMetric(float64(row.Rules), "max-rules")
+}
+
 // --- Figure 1 / Figure 3: CBD detection ----------------------------------------
 
 // cycleLen is the length of Verify's witness CBD, 0 when tg has none.

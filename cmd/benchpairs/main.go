@@ -3,8 +3,8 @@
 // protocol every performance claim in this repository rests on — and
 // prints the verdict table:
 //
-//	benchpairs -base HEAD~1 -workload sim_fig12_tagger,sim_cbd_forensics [-pairs 10] [-seconds 12] [-seed 1]
-//	make bench-pairs BASE=HEAD~1 WORKLOAD=sim_fig12_tagger,sim_cbd_forensics [PAIRS=10 SECONDS=12 SEED=1]
+//	benchpairs -base HEAD~1 -workload sim_fig12_tagger,sim_cbd_forensics [-pairs 10] [-seconds 12] [-seed 1] [-trace]
+//	make bench-pairs BASE=HEAD~1 WORKLOAD=sim_fig12_tagger,sim_cbd_forensics [PAIRS=10 SECONDS=12 SEED=1 TRACE=1]
 //
 // It exports the committed files of -base with `git archive` into a
 // temporary directory (nothing is written to the repository or its .git),
@@ -22,9 +22,19 @@
 // base's IQR) and whether it stays inside the metric's regression bound.
 // Every run's numbers are listed first.
 //
+// With -trace, each workload's timed pairs are followed by one traced
+// (`-trace 1`) run per side per pair, in the same order and with the same
+// seeds, and a second table: the base and change medians of every
+// per-layer metric BENCHMARK.json declares that either side reported,
+// with the exact counts (ELP paths, rules, tags, queues, TCAM entries,
+// bundle size, RPCs) compared pair by pair. A change that moves one of
+// those counts is not the same computation made faster, so it fails the
+// command.
+//
 // Run it from the repository root. It exits 1 when a run fails to start
-// or prints no result; a run the benchmark itself judges incorrect is
-// counted in the failed share and reported, not fatal.
+// or prints no result, or when -trace finds an exact count that differs;
+// a run the benchmark itself judges incorrect is counted in the failed
+// share and reported, not fatal.
 package main
 
 import (
@@ -69,23 +79,24 @@ func main() {
 	pairs := flag.Int("pairs", 10, "number of base/change pairs")
 	seed := flag.Int("seed", 1, "seed of the first pair; pair i runs with seed+i-1 on both sides")
 	seconds := flag.Float64("seconds", 12, "length of each run's timed loop (BENCHMARK.json's run_seconds)")
+	trace := flag.Bool("trace", false, "after the timed pairs, run one traced pair per pair and compare the per-layer metrics")
 	flag.Parse()
 	if *base == "" || *workload == "" || *pairs < 1 || *seconds <= 0 || flag.NArg() > 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*base, *workload, *pairs, *seed, *seconds); err != nil {
+	if err := run(*base, *workload, *pairs, *seed, *seconds, *trace); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(base, workloadList string, pairs, seed int, seconds float64) error {
-	metrics, declared, err := readDeclaration("BENCHMARK.json")
+func run(base, workloadList string, pairs, seed int, seconds float64, trace bool) error {
+	decl, err := readDeclaration("BENCHMARK.json")
 	if err != nil {
 		return err
 	}
 	// A misspelt third workload should not surface after two have run.
-	workloads, err := parseWorkloads(workloadList, declared)
+	workloads, err := parseWorkloads(workloadList, decl.workloads)
 	if err != nil {
 		return err
 	}
@@ -115,16 +126,32 @@ func run(base, workloadList string, pairs, seed int, seconds float64) error {
 		return err
 	}
 
+	var differ []string
 	for i, workload := range workloads {
 		if i > 0 {
 			fmt.Println()
 		}
-		results, err := runPairs(bin, runDir, metrics, workload, pairs, seed, seconds)
+		results, err := runPairs(bin, runDir, decl.endToEnd, workload, pairs, seed, seconds, false)
 		if err != nil {
 			return fmt.Errorf("%s: %w", workload, err)
 		}
 		fmt.Printf("\n%s, %d pairs (seeds %d-%d), -seconds %g, base %s\n", workload, pairs, seed, seed+pairs-1, seconds, base)
-		printVerdicts(os.Stdout, metrics, results)
+		printVerdicts(os.Stdout, decl.endToEnd, results)
+		if !trace {
+			continue
+		}
+		fmt.Println()
+		traced, err := runPairs(bin, runDir, nil, workload, pairs, seed, seconds, true)
+		if err != nil {
+			return fmt.Errorf("%s, traced: %w", workload, err)
+		}
+		fmt.Printf("\n%s per layer, %d traced pairs (seeds %d-%d), base %s\n", workload, pairs, seed, seed+pairs-1, base)
+		for _, m := range printLayers(os.Stdout, decl.perLayer, traced) {
+			differ = append(differ, workload+" "+m)
+		}
+	}
+	if len(differ) > 0 {
+		return fmt.Errorf("exact counts differ between base and change: %s", strings.Join(differ, ", "))
 	}
 	return nil
 }
@@ -132,18 +159,22 @@ func run(base, workloadList string, pairs, seed int, seconds float64) error {
 // sideNames label the two sides: index 0 is the base, 1 the change.
 var sideNames = [2]string{"base", "change"}
 
-// runPairs runs one workload's alternating pairs, listing every run, and
-// returns the results by side, pair i at index i-1.
-func runPairs(bin [2]string, runDir string, metrics []metricDef, workload string, pairs, seed int, seconds float64) ([2][]runResult, error) {
+// runPairs runs one workload's alternating pairs, traced or not, listing
+// every run with the given metrics, and returns the results by side, pair
+// i at index i-1.
+func runPairs(bin [2]string, runDir string, metrics []metricDef, workload string, pairs, seed int, seconds float64, trace bool) ([2][]runResult, error) {
 	var results [2][]runResult
 	for i := 1; i <= pairs; i++ {
 		for _, side := range pairOrder(i) {
-			res, err := runOnce(bin[side], runDir, workload, seed+i-1, seconds)
+			res, err := runOnce(bin[side], runDir, workload, seed+i-1, seconds, trace)
 			if err != nil {
 				return results, fmt.Errorf("pair %d, %s: %w", i, sideNames[side], err)
 			}
 			results[side] = append(results[side], res)
 			fmt.Printf("%s pair %2d %-6s", workload, i, sideNames[side])
+			if trace {
+				fmt.Print(" traced")
+			}
 			for _, m := range metrics {
 				fmt.Printf("  %s %.4g", m.Name, res.Metrics[m.Name].Value)
 			}
@@ -176,30 +207,37 @@ func printVerdicts(w io.Writer, metrics []metricDef, results [2][]runResult) {
 	}
 }
 
-// readDeclaration reads BENCHMARK.json's end-to-end metric definitions
-// and the names of the workloads it declares.
-func readDeclaration(path string) ([]metricDef, []string, error) {
+// declaration is what benchpairs reads from BENCHMARK.json.
+type declaration struct {
+	endToEnd, perLayer []metricDef
+	workloads          []string
+}
+
+// readDeclaration reads BENCHMARK.json's end-to-end and per-layer metric
+// definitions and the names of the workloads it declares.
+func readDeclaration(path string) (declaration, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w (run from the repository root)", err)
+		return declaration{}, fmt.Errorf("%w (run from the repository root)", err)
 	}
 	var decl struct {
 		EndToEnd  []metricDef `json:"end_to_end"`
+		PerLayer  []metricDef `json:"per_layer"`
 		Workloads []struct {
 			Name string `json:"name"`
 		} `json:"workloads"`
 	}
 	if err := json.Unmarshal(raw, &decl); err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", path, err)
+		return declaration{}, fmt.Errorf("%s: %w", path, err)
 	}
 	if len(decl.EndToEnd) == 0 {
-		return nil, nil, fmt.Errorf("%s declares no end_to_end metrics", path)
+		return declaration{}, fmt.Errorf("%s declares no end_to_end metrics", path)
 	}
 	names := make([]string, len(decl.Workloads))
 	for i, w := range decl.Workloads {
 		names[i] = w.Name
 	}
-	return decl.EndToEnd, names, nil
+	return declaration{endToEnd: decl.EndToEnd, perLayer: decl.PerLayer, workloads: names}, nil
 }
 
 // parseWorkloads splits the -workload list and checks every entry against
@@ -256,9 +294,13 @@ func pairOrder(i int) [2]int {
 	return [2]int{1, 0}
 }
 
-// runOnce performs one untraced run and decodes its result line.
-func runOnce(bin, dir, workload string, seed int, seconds float64) (runResult, error) {
-	cmd := exec.Command(bin, "-workload", workload, "-seed", fmt.Sprint(seed), "-seconds", fmt.Sprint(seconds), "-trace", "0")
+// runOnce performs one run, traced or not, and decodes its result line.
+func runOnce(bin, dir, workload string, seed int, seconds float64, trace bool) (runResult, error) {
+	traceArg := "0"
+	if trace {
+		traceArg = "1"
+	}
+	cmd := exec.Command(bin, "-workload", workload, "-seed", fmt.Sprint(seed), "-seconds", fmt.Sprint(seconds), "-trace", traceArg)
 	cmd.Dir = dir
 	var stderr strings.Builder
 	cmd.Stderr = &stderr
@@ -268,13 +310,63 @@ func runOnce(bin, dir, workload string, seed int, seconds float64) (runResult, e
 	if err != nil && !(errors.As(err, &exit) && exit.ExitCode() == 1) {
 		return runResult{}, fmt.Errorf("%w\n%s", err, stderr.String())
 	}
-	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
-	var res runResult
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &res); err != nil {
-		return runResult{}, fmt.Errorf("no result line: %w\n%s", err, stderr.String())
+	res, err := parseResult(string(out))
+	if err != nil {
+		return runResult{}, fmt.Errorf("%w\n%s", err, stderr.String())
 	}
 	return res, nil
 }
+
+// parseResult decodes the result line a run prints last.
+func parseResult(out string) (runResult, error) {
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	var res runResult
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &res); err != nil {
+		return runResult{}, fmt.Errorf("no result line: %w", err)
+	}
+	return res, nil
+}
+
+// exactCounts are the per-layer metrics that count what a run computed —
+// paths, rules, tags, queues, TCAM entries, bundle bytes, RPCs — rather
+// than how long it took. For one seed they must not move between base and
+// change unless the change means to compute something else.
+var exactCounts = []string{
+	"elp.paths", "core.rules_total", "core.alg2_tags", "core.lossless_queues",
+	"tcam.entries_total", "deploy.bundle_kb", "controller.rpcs_per_op",
+}
+
+// printLayers writes the per-layer table of one workload's traced pairs:
+// a row per declared per-layer metric that either side reported nonzero,
+// with both medians and their relative difference, the exact counts
+// compared pair by pair. It returns the exact counts that differed in
+// some pair.
+func printLayers(w io.Writer, perLayer []metricDef, traced [2][]runResult) (differ []string) {
+	fmt.Fprintf(w, "%-32s %12s %12s %8s  %s\n", "metric", "base median", "change", "delta", "exact")
+	for _, m := range perLayer {
+		base, change := values(traced[0], m.Name), values(traced[1], m.Name)
+		if !slices.ContainsFunc(base, nonzero) && !slices.ContainsFunc(change, nonzero) {
+			continue
+		}
+		bm, cm := quantile(base, 0.5), quantile(change, 0.5)
+		delta := ""
+		if bm != 0 {
+			delta = fmt.Sprintf("%+7.1f%%", 100*(cm-bm)/math.Abs(bm))
+		}
+		exact := ""
+		if slices.Contains(exactCounts, m.Name) {
+			exact = "same in every pair"
+			if !slices.Equal(base, change) {
+				exact = "DIFFERS"
+				differ = append(differ, m.Name)
+			}
+		}
+		fmt.Fprintf(w, "%-32s %12.7g %12.7g %8s  %s\n", m.Name+" ("+m.Unit+")", bm, cm, delta, exact)
+	}
+	return differ
+}
+
+func nonzero(v float64) bool { return v != 0 }
 
 func values(rs []runResult, metric string) []float64 {
 	out := make([]float64, len(rs))

@@ -1,16 +1,18 @@
 package main
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
 )
 
 func TestParseWorkloads(t *testing.T) {
-	_, declared, err := readDeclaration("../../BENCHMARK.json")
+	decl, err := readDeclaration("../../BENCHMARK.json")
 	if err != nil {
 		t.Fatal(err)
 	}
+	declared := decl.workloads
 	if !slices.Contains(declared, "sim_fig12_tagger") || !slices.Contains(declared, "coldstart_fattree8") {
 		t.Fatalf("declared workloads = %v", declared)
 	}
@@ -36,10 +38,11 @@ func TestParseWorkloads(t *testing.T) {
 // TestPrintVerdictsPerWorkload: each workload's table is computed from its
 // own results alone — a row per declared metric and both failed shares.
 func TestPrintVerdictsPerWorkload(t *testing.T) {
-	metrics, _, err := readDeclaration("../../BENCHMARK.json")
+	decl, err := readDeclaration("../../BENCHMARK.json")
 	if err != nil {
 		t.Fatal(err)
 	}
+	metrics := decl.endToEnd
 	mk := func(opMs float64, failed int) runResult {
 		var r runResult
 		r.Correct, r.Attempted, r.Failed = failed == 0, 40, failed
@@ -139,5 +142,70 @@ func TestSummarizeVerdicts(t *testing.T) {
 	change[1] = 200
 	if s := summarize(lower, base, change); s.wins != 8 || strings.HasPrefix(s.verdict, "gain") {
 		t.Errorf("8/10: wins %d verdict %q", s.wins, s.verdict)
+	}
+}
+
+// TestPrintLayersExactCounts feeds printLayers canned traced result
+// lines, as bench/e2e prints them: medians per declared per-layer
+// metric, rows nobody reported left out, and an exact count that moves
+// in one pair reported by name.
+func TestPrintLayersExactCounts(t *testing.T) {
+	decl, err := readDeclaration("../../BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := func(enumMs, bundleKB float64) string {
+		return fmt.Sprintf(`{"correct":true,"attempted":9,"failed":0,"metrics":{`+
+			`"op_ms":{"value":60,"unit":"ms"},"elp.enumerate_ms":{"value":%g,"unit":"ms"},`+
+			`"elp.paths":{"value":39800,"unit":"count"},"core.rules_total":{"value":23255,"unit":"count"},`+
+			`"deploy.bundle_kb":{"value":%g,"unit":"KB"},"sim.run_ms":{"value":0,"unit":"ms"}}}`, enumMs, bundleKB)
+	}
+	parse := func(out string) runResult {
+		t.Helper()
+		res, err := parseResult("log line\n" + out + "\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	var same, moved [2][]runResult
+	for i := 0; i < 3; i++ {
+		base, change := parse(line(10+float64(i), 2332.8)), parse(line(8+float64(i), 2332.8))
+		same[0], same[1] = append(same[0], base), append(same[1], change)
+		if i == 1 {
+			change = parse(line(9, 2333.1))
+		}
+		moved[0], moved[1] = append(moved[0], base), append(moved[1], change)
+	}
+
+	var out strings.Builder
+	if differ := printLayers(&out, decl.perLayer, same); len(differ) != 0 {
+		t.Fatalf("identical counts reported as differing: %v", differ)
+	}
+	table := out.String()
+	for _, want := range []string{
+		"elp.enumerate_ms (ms)",    // a timed layer, median 11 -> 9
+		"-18.2%",                   // its delta
+		"elp.paths (count)",        // an exact count
+		"same in every pair",       //
+		"2332.8",                   // counts print in full
+		"core.rules_total (count)", //
+		"23255        23255",       //
+	} {
+		if !strings.Contains(table, want) {
+			t.Errorf("table lacks %q:\n%s", want, table)
+		}
+	}
+	if strings.Contains(table, "sim.run_ms") || strings.Contains(table, "op_ms") {
+		t.Errorf("table lists a metric nobody reported, or an end-to-end one:\n%s", table)
+	}
+
+	out.Reset()
+	differ := printLayers(&out, decl.perLayer, moved)
+	if !slices.Equal(differ, []string{"deploy.bundle_kb"}) || !strings.Contains(out.String(), "DIFFERS") {
+		t.Fatalf("moved bundle size: differ = %v\n%s", differ, out.String())
+	}
+	if _, err := parseResult("no json here\n"); err == nil {
+		t.Error("parseResult accepted a run without a result line")
 	}
 }

@@ -7,9 +7,9 @@
 // Everything here is deliberately naive. The production verifier in
 // internal/core runs one interned-ID three-color DFS over pooled
 // adjacency lists; the oracle rebuilds the graph into plain Go maps from
-// the exported API and runs Kahn's algorithm. The production replay packs
-// rule keys into a uint64 map; the oracle keys a map by a four-field
-// struct. Sharing no representation and no traversal algorithm is the
+// the exported API and runs Kahn's algorithm. The production rule table
+// is dense per-switch [in][out] rows; the oracle keys a map by a
+// four-field struct. Sharing no representation and no traversal algorithm is the
 // point: a bug in the fast path and an identical bug here would have to
 // be two independent inventions.
 package check
@@ -82,7 +82,7 @@ func VerifyGraph(tg *core.TaggedGraph) error {
 }
 
 // naiveKey is the oracle's rule-match key: a plain comparable struct, in
-// contrast to core's packed-uint64 ruleKey.
+// contrast to core's dense rule rows.
 type naiveKey struct {
 	sw      topology.NodeID
 	tag     int
@@ -101,15 +101,21 @@ type naiveTable struct {
 // newNaiveTable rebuilds rs into plain maps. The host-facing set comes
 // straight from the topology's port list, not from Ruleset.HostFacing.
 func newNaiveTable(rs *core.Ruleset) *naiveTable {
-	t := &naiveTable{
-		rules:      make(map[naiveKey]int, rs.Len()),
-		hostFacing: make(map[[2]int32]bool),
-		maxTag:     rs.MaxTag(),
-	}
+	t := emptyNaiveTable(rs.Graph(), rs.MaxTag())
 	for _, r := range rs.Rules() {
 		t.rules[naiveKey{r.Switch, r.Tag, r.In, r.Out}] = r.NewTag
 	}
-	g := rs.Graph()
+	return t
+}
+
+// emptyNaiveTable is a table over g with no rules and the given lossless
+// tag range.
+func emptyNaiveTable(g *topology.Graph, maxTag int) *naiveTable {
+	t := &naiveTable{
+		rules:      make(map[naiveKey]int),
+		hostFacing: make(map[[2]int32]bool),
+		maxTag:     maxTag,
+	}
 	for _, sw := range g.Nodes() {
 		for num := 0; num < g.PortCount(sw); num++ {
 			peer := g.Port(g.PortOn(sw, num)).Peer

@@ -19,20 +19,26 @@ import (
 // GOMAXPROCS, 1 = serial). All worker counts produce the same graph.
 func BruteForceN(g *topology.Graph, paths []routing.Path, par int) *TaggedGraph {
 	defer telemetry.Default.StartSpan("synth/alg1").End()
-	w := sweep.Workers(par, len(paths))
+	return bruteForce(g, newHopPorts(g, paths, par), par)
+}
+
+// bruteForce builds Algorithm 1's graph from an ELP in port space.
+func bruteForce(g *topology.Graph, hp hopPorts, par int) *TaggedGraph {
+	n := len(hp.off) - 1
+	w := sweep.Workers(par, n)
 	if w <= 1 {
 		tg := NewTaggedGraph(g)
-		for _, r := range paths {
-			tg.addPath(r)
+		for i := 0; i < n; i++ {
+			tg.addPath(hp.at(i))
 		}
 		return tg
 	}
-	shards := sweep.Shards(len(paths), w)
+	shards := sweep.Shards(n, w)
 	locals := make([]*TaggedGraph, len(shards))
-	sweep.ForEachShard(len(paths), w, func(s sweep.Shard) {
+	sweep.ForEachShard(n, w, func(s sweep.Shard) {
 		tg := NewTaggedGraph(g)
-		for _, r := range paths[s.Lo:s.Hi] {
-			tg.addPath(r)
+		for i := s.Lo; i < s.Hi; i++ {
+			tg.addPath(hp.at(i))
 		}
 		locals[s.Index] = tg
 	})
@@ -76,8 +82,10 @@ type arrival struct {
 	in  int   // ingress port number on the node
 }
 
-// replay runs p and reports whether it stayed lossless end to end.
-func (r *replayer) replay(p routing.Path) bool {
+// replay runs p, whose hop ports are ports, and reports whether it stayed
+// lossless end to end. The egress port at p[i-1] is the far end of the
+// link p[i] is entered by.
+func (r *replayer) replay(p routing.Path, ports []topology.PortID) bool {
 	if grow := len(p) - len(r.at); grow > 0 {
 		r.at = slices.Grow(r.at, grow)[:len(p)]
 	}
@@ -88,16 +96,16 @@ func (r *replayer) replay(p routing.Path) bool {
 	g := r.rs.g
 	r.prev = p
 	for i := max(shared, 1); i < len(p); i++ {
+		port := ports[i-1]
 		tag := r.startTag
 		if i > 1 {
-			sw, was := p[i-1], r.at[i-1]
-			tag = r.rs.Classify(sw, was.tag, was.in, g.PortToPeer(sw, p[i]))
+			was := r.at[i-1]
+			tag = r.rs.Classify(p[i-1], was.tag, was.in, egressNum(g, port))
 			if tag == LossyTag {
 				r.n = i
 				return false
 			}
 		}
-		port := ingressPortID(g, p[i-1], p[i])
 		id := r.tg.intern(TagNode{Port: port, Tag: tag})
 		if i > 1 {
 			r.tg.addEdgeIDs(r.at[i-1].id, id)
@@ -108,8 +116,9 @@ func (r *replayer) replay(p routing.Path) bool {
 	return true
 }
 
-// buildRuleGraphN is BuildRuleGraph with an explicit worker count.
-func buildRuleGraphN(rs *Ruleset, paths []routing.Path, startTag, par int) (*TaggedGraph, []routing.Path) {
+// buildRuleGraphN is BuildRuleGraph with an explicit worker count, over
+// paths whose hop ports are hp.
+func buildRuleGraphN(rs *Ruleset, paths []routing.Path, hp hopPorts, startTag, par int) (*TaggedGraph, []routing.Path) {
 	defer telemetry.Default.StartSpan("synth/runtime").End()
 	shards := sweep.Shards(len(paths), par)
 	if len(shards) == 0 {
@@ -119,9 +128,9 @@ func buildRuleGraphN(rs *Ruleset, paths []routing.Path, startTag, par int) (*Tag
 	lviol := make([][]routing.Path, len(shards))
 	sweep.ForEachShard(len(paths), par, func(s sweep.Shard) {
 		r := replayer{rs: rs, tg: NewTaggedGraph(rs.g), startTag: startTag}
-		for _, p := range paths[s.Lo:s.Hi] {
-			if !r.replay(p) {
-				lviol[s.Index] = append(lviol[s.Index], p)
+		for i := s.Lo; i < s.Hi; i++ {
+			if !r.replay(paths[i], hp.at(i)) {
+				lviol[s.Index] = append(lviol[s.Index], paths[i])
 			}
 		}
 		locals[s.Index] = r.tg

@@ -23,6 +23,11 @@ type Repair struct {
 // For rulesets derived without conflicts this is a no-op. It returns the
 // synthesized rules (possibly none).
 func RepairReplay(rs *Ruleset, paths []routing.Path, startTag int) []Repair {
+	return repairReplay(rs, paths, newHopPorts(rs.g, paths, 0), startTag)
+}
+
+// repairReplay is RepairReplay over paths whose hop ports are hp.
+func repairReplay(rs *Ruleset, paths []routing.Path, hp hopPorts, startTag int) []Repair {
 	g := rs.g
 	// adj[tag] is the same-tag port graph G_tag as a dense adjacency
 	// indexed by PortID. It is seeded from every same-tag rule: a superset
@@ -49,16 +54,17 @@ func RepairReplay(rs *Ruleset, paths []routing.Path, startTag int) []Repair {
 		}
 		from := g.PortOn(r.Switch, r.In)
 		m := ensure(r.Tag)
-		m[from] = append(m[from], int(ingressPortID(g, r.Switch, peer)))
+		m[from] = append(m[from], int(g.FarEnd(g.PortOn(r.Switch, r.Out))))
 	}
 
 	var repairs []Repair
-	for _, p := range paths {
+	for pi, p := range paths {
+		ports := hp.at(pi)
 		tag := startTag
 		for i := 1; i+1 < len(p); i++ { // the source stamps, it never rewrites
 			sw := p[i]
-			in := g.PortToPeer(sw, p[i-1])
-			out := g.PortToPeer(sw, p[i+1])
+			from, to := ports[i-1], ports[i]
+			in, out := g.Port(from).Num, egressNum(g, to)
 			next := rs.Classify(sw, tag, in, out)
 			if next != LossyTag {
 				tag = next
@@ -66,9 +72,8 @@ func RepairReplay(rs *Ruleset, paths []routing.Path, startTag int) []Repair {
 			}
 			// Fabric miss on an expected lossless path: synthesize.
 			newTag := tag
-			from := g.PortOn(sw, in)
 			m := ensure(tag)
-			m[from] = append(m[from], int(ingressPortID(g, sw, p[i+1])))
+			m[from] = append(m[from], int(to))
 			if trace.FindCycle(m) != nil {
 				// Undo and bump.
 				m[from] = m[from][:len(m[from])-1]
@@ -95,5 +100,5 @@ func RepairReplay(rs *Ruleset, paths []routing.Path, startTag int) []Repair {
 // It also returns the paths that did not stay lossless (empty when the
 // ruleset fully covers the ELP).
 func BuildRuleGraph(rs *Ruleset, paths []routing.Path, startTag int) (*TaggedGraph, []routing.Path) {
-	return buildRuleGraphN(rs, paths, startTag, 0)
+	return buildRuleGraphN(rs, paths, newHopPorts(rs.g, paths, 0), startTag, 0)
 }

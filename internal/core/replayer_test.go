@@ -105,7 +105,7 @@ func TestReplayerResumeAdversarial(t *testing.T) {
 	for _, tc := range cases {
 		want, wantLossy := referenceRuleGraph(rs, tc.paths, 1)
 		for workers := 1; workers <= 4; workers++ {
-			got, gotLossy := buildRuleGraphN(rs, tc.paths, 1, workers)
+			got, gotLossy := buildRuleGraphN(rs, tc.paths, newHopPorts(g, tc.paths, workers), 1, workers)
 			if !reflect.DeepEqual(got.nodes, want.nodes) { // interning order, not Nodes()' sorted one
 				t.Errorf("%s, %d workers: vertices differ (%d vs %d)", tc.name, workers, got.NumNodes(), want.NumNodes())
 			}

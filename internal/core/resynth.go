@@ -144,15 +144,6 @@ func (rg *refGraph) materialize(g *topology.Graph) *TaggedGraph {
 	return tg
 }
 
-// rsHop is the static classification context of one interior hop: the
-// switch that rewrites the tag and the port numbers the match key uses.
-// Port numbering never changes once a link exists (failures only mark
-// links down), so this is computed once per path.
-type rsHop struct {
-	sw      topology.NodeID
-	in, out int32
-}
-
 // rsPath is one tracked ELP slot's cached replay state; the path itself
 // lives in the Resynth's path index and its liveness bit in the parallel
 // lives slice, which hot scans (activePaths) walk without dragging these
@@ -163,31 +154,51 @@ type rsHop struct {
 // invalidates the slot's keyIdx entries when its key set is replaced or
 // its path forgotten.
 type rsPath struct {
-	pids  []topology.PortID // ingress port per hop (len(path)-1)
-	hops  []rsHop           // classification context per interior hop (len(path)-2)
-	chain []uint32          // runtime replay chain under the current rules
-	keys  []uint64          // rule keys the replay consulted (hits and misses)
+	// pids is the path in port space: the ingress port per hop
+	// (len(path)-1), a view into the hop ports of the system the slot
+	// entered with, or its own when Apply added it. Port numbering never
+	// changes once a link exists (failures only mark links down), so it
+	// is resolved once per path; every rewrite's match ports follow from
+	// it (see rsReplayer.replay).
+	pids  []topology.PortID
+	chain []uint32 // runtime replay chain under the current rules
+	keys  []uint64 // match keys the replay consulted (hits and misses)
 	ver   uint32
 }
 
-// pathState resolves the static per-path replay metadata from the graph.
-func pathState(g *topology.Graph, p routing.Path) rsPath {
-	e := rsPath{pids: make([]topology.PortID, 0, len(p)-1)}
-	if len(p) > 2 {
-		e.hops = make([]rsHop, 0, len(p)-2)
+// matchKey packs a rule match (switch, tag, in, out) into the key the
+// Resynth indexes consulted matches by: 24 bits of switch, 8 of tag, 16
+// each of port number. ok=false means no rule can be installed there (a
+// tag above the table's range), so the match needs no index entry.
+func matchKey(sw topology.NodeID, tag, in, out int) (uint64, bool) {
+	if sw < 0 || sw >= 1<<24 || tag < 0 || tag > maxMatchTag ||
+		in < 0 || in >= 1<<16 || out < 0 || out >= 1<<16 {
+		return 0, false
 	}
-	for i := 1; i < len(p); i++ {
-		e.pids = append(e.pids, ingressPortID(g, p[i-1], p[i]))
-		if i+1 < len(p) {
-			sw := p[i]
-			e.hops = append(e.hops, rsHop{
-				sw:  sw,
-				in:  int32(g.PortToPeer(sw, p[i-1])),
-				out: int32(g.PortToPeer(sw, p[i+1])),
-			})
+	return uint64(sw)<<40 | uint64(tag)<<32 | uint64(in)<<16 | uint64(out), true
+}
+
+// changedMatches calls fn with the key of every match whose rule differs
+// between a and b over the same topology — a changed rewrite, or a rule
+// only one of them holds — scanning the two rule tables row by row.
+func changedMatches(a, b *Ruleset, fn func(k uint64)) {
+	for sw := 0; sw < max(len(a.rows), len(b.rows)); sw++ {
+		ra, rb := a.nodeRowsAt(sw), b.nodeRowsAt(sw)
+		np := max(ra.np, rb.np)
+		for tag := 0; tag < max(len(ra.tags), len(rb.tags)); tag++ {
+			if ra.tagRow(tag) == nil && rb.tagRow(tag) == nil {
+				continue
+			}
+			for in := 0; in < np; in++ {
+				for out := 0; out < np; out++ {
+					if ra.cell(tag, in, out) != rb.cell(tag, in, out) {
+						k, _ := matchKey(topology.NodeID(sw), tag, in, out)
+						fn(k)
+					}
+				}
+			}
 		}
 	}
-	return e
 }
 
 // bfChainOf writes the packed Algorithm 1 vertex chain (tag = hop index,
@@ -231,7 +242,9 @@ func (rp *rsReplayer) reset(rs *Ruleset) {
 
 // replay runs p, whose cached metadata is e, and returns its chain and
 // consulted keys, valid until the next call. ok=false means the path went
-// lossy; the chain then ends at the hop that did.
+// lossy; the chain then ends at the hop that did. The rewrite at p[i]
+// matches on the port p[i] was entered by, e.pids[i-1], and the port it
+// leaves on, the far end of the link p[i+1] is entered by, e.pids[i].
 func (rp *rsReplayer) replay(p routing.Path, e *rsPath) (chain []uint32, keys []uint64, ok bool) {
 	shared := 0
 	for shared < len(p) && shared < len(rp.prev) && p[shared] == rp.prev[shared] {
@@ -252,19 +265,15 @@ func (rp *rsReplayer) replay(p routing.Path, e *rsPath) (chain []uint32, keys []
 	}
 	ok = true
 	rs := rp.rs
+	g := rs.g
 	for i := from; i < n; i++ {
 		if i > 0 {
-			h := e.hops[i-1]
-			if k, kok := packRuleKeyOK(h.sw, tag, int(h.in), int(h.out)); kok {
-				keys = append(keys, uint64(k))
-				if nt, hit := rs.rules[k]; hit {
-					tag = nt
-				} else {
-					tag = rs.Classify(h.sw, tag, int(h.in), int(h.out))
-				}
-			} else {
-				tag = rs.Classify(h.sw, tag, int(h.in), int(h.out))
+			at := g.Port(e.pids[i-1])
+			in, out := at.Num, egressNum(g, e.pids[i])
+			if k, kok := matchKey(at.Node, tag, in, out); kok {
+				keys = append(keys, k)
 			}
+			tag = rs.Classify(at.Node, tag, in, out)
 			if tag == LossyTag {
 				ok = false
 				break
@@ -413,9 +422,10 @@ func (r *Resynth) initFrom(sys *System) error {
 	r.idxLive, r.idxStale = 0, 0
 	r.marks = nil // may hold marks for the list being discarded
 	r.rp.reset(sys.Rules)
+	hp := newHopPorts(r.g, sys.ELP, r.opts.Workers)
 	var buf []uint32
-	for _, p := range sys.ELP {
-		e := pathState(r.g, p)
+	for i, p := range sys.ELP {
+		e := rsPath{pids: hp.at(i)}
 		buf = bfChainOf(e.pids, buf)
 		r.bf.addChain(buf)
 		chain, keys, ok := r.rp.replay(p, &e)
@@ -577,7 +587,7 @@ func (r *Resynth) Apply(added, removed []routing.Path) (*System, error) {
 			r.broken = true
 			return nil, fmt.Errorf("core: resynth: invalid path %s", p.String(r.g))
 		}
-		e := pathState(r.g, p)
+		e := rsPath{pids: appendHopPorts(r.g, p, nil)}
 		buf = bfChainOf(e.pids, buf)
 		r.bf.addChain(buf)
 		addedIdx = append(addedIdx, r.track(p, e))
@@ -713,7 +723,7 @@ func (r *Resynth) applyNewRules() (*System, error) {
 	// demands the full pipeline.
 	rules, conflicts := deriveRulesN(tagged, r.opts.Workers)
 
-	// Mark the live paths whose replay consulted a key whose table entry
+	// Mark the live paths whose replay consulted a match whose rule
 	// changed (value change, removal, or addition at a previously-missed
 	// key). Reads through the index drop stale entries as they go;
 	// dormant entries (parked slots) are kept but not marked.
@@ -740,16 +750,7 @@ func (r *Resynth) applyNewRules() (*System, error) {
 			r.keyIdx[k] = kept
 		}
 	}
-	for k, v := range prev.Rules.rules {
-		if nv, ok := rules.rules[k]; !ok || nv != v {
-			collect(uint64(k))
-		}
-	}
-	for k := range rules.rules {
-		if _, ok := prev.Rules.rules[k]; !ok {
-			collect(uint64(k))
-		}
-	}
+	changedMatches(prev.Rules, rules, collect)
 	if !r.replayMarked(rules) {
 		return r.rebuild()
 	}

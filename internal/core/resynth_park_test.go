@@ -12,23 +12,19 @@ import (
 
 // replayFromScratch is the per-path replay rsReplayer must reproduce, as
 // Resynth ran it before replays resumed from a shared prefix: the path
-// from the NIC stamp, appending its chain and every consulted key.
-func replayFromScratch(e *rsPath, rs *Ruleset, chain []uint32, keys []uint64) ([]uint32, []uint64, bool) {
+// from the NIC stamp, appending its chain and every consulted key. The
+// match ports come from node-pair lookups on p, not from e's port space.
+func replayFromScratch(g *topology.Graph, p routing.Path, e *rsPath, rs *Ruleset, chain []uint32, keys []uint64) ([]uint32, []uint64, bool) {
 	tag := 1
 	for i, pid := range e.pids {
 		chain = append(chain, packTagKey(pid, tag))
-		if i < len(e.hops) {
-			h := e.hops[i]
-			if k, kok := packRuleKeyOK(h.sw, tag, int(h.in), int(h.out)); kok {
-				keys = append(keys, uint64(k))
-				if nt, hit := rs.rules[k]; hit {
-					tag = nt
-				} else {
-					tag = rs.Classify(h.sw, tag, int(h.in), int(h.out))
-				}
-			} else {
-				tag = rs.Classify(h.sw, tag, int(h.in), int(h.out))
+		if i+2 < len(p) {
+			sw := p[i+1]
+			in, out := g.PortToPeer(sw, p[i]), g.PortToPeer(sw, p[i+2])
+			if k, kok := matchKey(sw, tag, in, out); kok {
+				keys = append(keys, k)
 			}
+			tag = rs.Classify(sw, tag, in, out)
 			if tag == LossyTag {
 				return chain, keys, false
 			}
@@ -111,8 +107,8 @@ func TestRsReplayerResumeAdversarial(t *testing.T) {
 		var rp rsReplayer
 		rp.reset(rs)
 		for i, p := range tc.paths {
-			e := pathState(g, p)
-			wantChain, wantKeys, wantOK := replayFromScratch(&e, rs, nil, nil)
+			e := rsPath{pids: appendHopPorts(g, p, nil)}
+			wantChain, wantKeys, wantOK := replayFromScratch(g, p, &e, rs, nil, nil)
 			chain, keys, ok := rp.replay(p, &e)
 			if ok != wantOK || !reflect.DeepEqual(append([]uint32{}, chain...), append([]uint32{}, wantChain...)) ||
 				!reflect.DeepEqual(append([]uint64{}, keys...), append([]uint64{}, wantKeys...)) {

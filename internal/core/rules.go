@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/routing"
 	"repro/internal/sweep"
@@ -29,35 +28,6 @@ type Rule struct {
 	NewTag int
 }
 
-// ruleKey packs a rule match (switch, tag, in, out) into one uint64 —
-// 24 bits of switch, 8 of tag, 16 each of port number — so the rule
-// table hits Go's fast integer map path on the replay hot loop. The
-// field widths cover fabrics orders of magnitude beyond Table 5's;
-// packRuleKey panics rather than silently truncating.
-type ruleKey uint64
-
-func packRuleKey(sw topology.NodeID, tag, in, out int) ruleKey {
-	if uint64(uint32(sw)) >= 1<<24 || uint64(uint32(tag)) >= 1<<8 ||
-		uint64(uint32(in)) >= 1<<16 || uint64(uint32(out)) >= 1<<16 {
-		panic(fmt.Sprintf("core: rule key out of range: sw=%d tag=%d in=%d out=%d", sw, tag, in, out))
-	}
-	return ruleKey(uint64(sw)<<40 | uint64(tag)<<32 | uint64(in)<<16 | uint64(out))
-}
-
-// packRuleKeyOK is packRuleKey for lookups: out-of-range fields mean the
-// key cannot be installed, reported as ok=false instead of a panic.
-func packRuleKeyOK(sw topology.NodeID, tag, in, out int) (ruleKey, bool) {
-	if sw < 0 || sw >= 1<<24 || tag < 0 || tag >= 1<<8 ||
-		in < 0 || in >= 1<<16 || out < 0 || out >= 1<<16 {
-		return 0, false
-	}
-	return ruleKey(uint64(sw)<<40 | uint64(tag)<<32 | uint64(in)<<16 | uint64(out)), true
-}
-
-func (k ruleKey) unpack() (sw topology.NodeID, tag, in, out int) {
-	return topology.NodeID(k >> 40), int(k >> 32 & 0xff), int(k >> 16 & 0xffff), int(k & 0xffff)
-}
-
 // Conflict records two tagged-graph edges that demand different rewrites
 // for the same (switch, tag, in, out) match. Conflicts can arise when
 // Algorithm 2 merges two old tags at a port but splits their successors;
@@ -78,38 +48,54 @@ type Conflict struct {
 //   - egress to a host-facing port keeps the tag (delivery: the packet is
 //     leaving the fabric);
 //   - any other miss assigns LossyTag — the TCAM safeguard entry.
+//
+// The exact rules are stored in table layout: per node, one dense row per
+// match tag, indexed [in][out] over the node's ports, allocated by the
+// first rule at that (node, tag). A lookup is one index, and scanning the
+// rows in (node, tag, in, out) order is Rules() order, so a rule's
+// position in that scan is its dense ID (the compiled tables' rule
+// attribution) and a switch's rules are one contiguous run.
 type Ruleset struct {
 	g       *topology.Graph
-	rules   map[ruleKey]int
-	maxTag  int    // largest lossless tag any rule can assign or match
-	isHostP []bool // dense by PortID: port attaches a host
-
-	// sorted memoizes the installed keys in ascending order — Rules()
-	// order, since a packed key compares like its (switch, tag, in, out)
-	// tuple. A key's position is the rule's dense ID (the compiled
-	// tables' rule attribution), and a switch's rules are one
-	// contiguous run. Built on first use and dropped by every mutation;
-	// atomic so concurrent readers of a settled ruleset may race to build
-	// it (they store identical slices).
-	sorted atomic.Pointer[[]ruleKey]
+	rows    []nodeRows // by NodeID
+	n       int        // installed rules
+	maxTag  int        // largest lossless tag any rule can assign or match
+	isHostP []bool     // dense by PortID: port attaches a host
 }
 
+// nodeRows is one node's rules: tags[t] holds np×np cells for match tag
+// t, nil while no rule matches t there, np being the node's port count
+// when the ruleset was made. A cell is the rewrite plus one, 0 meaning no
+// rule.
+type nodeRows struct {
+	np   int
+	tags [][]uint16
+}
+
+// Limits of the table layout: match tags fit the 8-bit tag field of a
+// bundle, rewrites a cell.
+const (
+	maxMatchTag = 1<<8 - 1
+	maxNewTag   = 1<<16 - 2
+)
+
 // NewRuleset returns an empty ruleset over g with the given largest
-// lossless tag.
+// lossless tag. The ruleset is laid out for g's nodes and ports as they
+// are now; rules for nodes or ports wired in later do not fit it.
 func NewRuleset(g *topology.Graph, maxTag int) *Ruleset {
 	rs := &Ruleset{
 		g:       g,
-		rules:   make(map[ruleKey]int),
+		rows:    make([]nodeRows, g.NumNodes()),
 		maxTag:  maxTag,
 		isHostP: make([]bool, g.NumPorts()),
 	}
-	var nbuf []topology.NodeID
+	for n := range rs.rows {
+		rs.rows[n].np = g.PortCount(topology.NodeID(n))
+	}
 	for _, h := range g.Hosts() {
-		nbuf = g.Neighbors(h, nbuf[:0])
-		for _, sw := range nbuf {
-			p := g.PortToPeer(sw, h)
-			if p >= 0 {
-				rs.isHostP[g.PortOn(sw, p)] = true
+		for _, pid := range g.Node(h).Ports {
+			if far := g.FarEnd(pid); far != topology.InvalidPort {
+				rs.isHostP[far] = true
 			}
 		}
 	}
@@ -138,34 +124,86 @@ func (rs *Ruleset) HostFacing(sw topology.NodeID, num int) bool {
 	return p >= 0 && int(p) < len(rs.isHostP) && rs.isHostP[p]
 }
 
+// row returns the row r's match lands in, allocating it if needed. It
+// panics on a match the rows cannot hold: an unknown node, a port the
+// node does not have, or a tag or rewrite outside the table's range.
+func (rs *Ruleset) row(r Rule) []uint16 {
+	if uint(r.Switch) >= uint(len(rs.rows)) || r.Tag < 0 || r.Tag > maxMatchTag || r.NewTag < 0 || r.NewTag > maxNewTag ||
+		uint(r.In) >= uint(rs.rows[r.Switch].np) || uint(r.Out) >= uint(rs.rows[r.Switch].np) {
+		panic(fmt.Sprintf("core: rule outside the ruleset's topology: node %d (of %d) tag %d in %d out %d rewrite %d",
+			r.Switch, len(rs.rows), r.Tag, r.In, r.Out, r.NewTag))
+	}
+	nr := &rs.rows[r.Switch]
+	for len(nr.tags) <= r.Tag {
+		nr.tags = append(nr.tags, nil)
+	}
+	if nr.tags[r.Tag] == nil {
+		nr.tags[r.Tag] = make([]uint16, nr.np*nr.np)
+	}
+	return nr.tags[r.Tag]
+}
+
+// nodeRowsAt returns node sw's rows, empty past the table's end.
+func (rs *Ruleset) nodeRowsAt(sw int) nodeRows {
+	if sw < len(rs.rows) {
+		return rs.rows[sw]
+	}
+	return nodeRows{}
+}
+
+// tagRow returns the row of match tag, nil when no rule matches it.
+func (nr nodeRows) tagRow(tag int) []uint16 {
+	if tag < len(nr.tags) {
+		return nr.tags[tag]
+	}
+	return nil
+}
+
+// cell returns the cell of (tag, in, out), 0 (no rule) outside the rows.
+func (nr nodeRows) cell(tag, in, out int) uint16 {
+	row := nr.tagRow(tag)
+	if row == nil || in >= nr.np || out >= nr.np {
+		return 0
+	}
+	return row[in*nr.np+out]
+}
+
 // Add installs a rule, returning the previously installed NewTag and true
 // if the key already existed with a different rewrite (the caller decides
-// the resolution; Add keeps the new value).
+// the resolution; Add keeps the new value). It panics on a rule the
+// topology cannot carry: a node or port that does not exist, a match tag
+// above 255 or a rewrite outside 0..65534.
 func (rs *Ruleset) Add(r Rule) (old int, conflicted bool) {
-	rs.sorted.Store(nil)
-	k := packRuleKey(r.Switch, r.Tag, r.In, r.Out)
-	if prev, ok := rs.rules[k]; ok && prev != r.NewTag {
-		rs.rules[k] = r.NewTag
-		if r.NewTag > rs.maxTag {
-			rs.maxTag = r.NewTag
-		}
-		return prev, true
-	}
-	rs.rules[k] = r.NewTag
+	row := rs.row(r)
+	i := r.In*rs.rows[r.Switch].np + r.Out
+	prev := row[i]
+	row[i] = uint16(r.NewTag + 1)
 	if r.NewTag > rs.maxTag {
 		rs.maxTag = r.NewTag
+	}
+	switch {
+	case prev == 0:
+		rs.n++
+	case int(prev)-1 != r.NewTag:
+		return int(prev) - 1, true
 	}
 	return 0, false
 }
 
 // Lookup returns the exact-match rewrite for (sw, tag, in, out).
 func (rs *Ruleset) Lookup(sw topology.NodeID, tag, in, out int) (int, bool) {
-	k, ok := packRuleKeyOK(sw, tag, in, out)
-	if !ok {
+	if uint(sw) >= uint(len(rs.rows)) {
 		return 0, false
 	}
-	v, ok := rs.rules[k]
-	return v, ok
+	nr := &rs.rows[sw]
+	if uint(tag) >= uint(len(nr.tags)) || uint(in) >= uint(nr.np) || uint(out) >= uint(nr.np) {
+		return 0, false
+	}
+	row := nr.tags[tag]
+	if row == nil || row[in*nr.np+out] == 0 {
+		return 0, false
+	}
+	return int(row[in*nr.np+out]) - 1, true
 }
 
 // Classify runs the full §7 pipeline decision for a packet at switch sw
@@ -189,63 +227,38 @@ func (rs *Ruleset) Classify(sw topology.NodeID, tag, in, out int) int {
 }
 
 // Len returns the number of installed rules.
-func (rs *Ruleset) Len() int { return len(rs.rules) }
+func (rs *Ruleset) Len() int { return rs.n }
 
-// sortedKeys returns the installed keys in ascending order. The slice is
-// the memo itself: callers must not modify it.
-func (rs *Ruleset) sortedKeys() []ruleKey {
-	if p := rs.sorted.Load(); p != nil {
-		return *p
-	}
-	keys := make([]ruleKey, 0, len(rs.rules))
-	for k := range rs.rules {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	rs.sorted.Store(&keys)
-	return keys
-}
-
-// ruleOf materializes the rule installed at k.
-func (rs *Ruleset) ruleOf(k ruleKey) Rule {
-	sw, tag, in, out := k.unpack()
-	return Rule{Switch: sw, Tag: tag, In: in, Out: out, NewTag: rs.rules[k]}
-}
-
-// rulesOf materializes the rules of a run of sorted keys.
-func (rs *Ruleset) rulesOf(keys []ruleKey) []Rule {
-	out := make([]Rule, len(keys))
-	for i, k := range keys {
-		out[i] = rs.ruleOf(k)
+// appendRulesAt appends sw's rules to out in (tag, in, out) order.
+func (rs *Ruleset) appendRulesAt(out []Rule, sw topology.NodeID) []Rule {
+	nr := &rs.rows[sw]
+	for tag, row := range nr.tags {
+		for i, c := range row {
+			if c != 0 {
+				out = append(out, Rule{Switch: sw, Tag: tag, In: i / nr.np, Out: i % nr.np, NewTag: int(c) - 1})
+			}
+		}
 	}
 	return out
 }
 
-// RuleByID resolves a dense rule ID back to its rule.
-func (rs *Ruleset) RuleByID(id int) (Rule, bool) {
-	keys := rs.sortedKeys()
-	if id < 0 || id >= len(keys) {
-		return Rule{}, false
-	}
-	return rs.ruleOf(keys[id]), true
-}
-
 // Rules returns all rules in deterministic order: ascending (switch,
 // tag, in, out).
-func (rs *Ruleset) Rules() []Rule { return rs.rulesOf(rs.sortedKeys()) }
+func (rs *Ruleset) Rules() []Rule {
+	out := make([]Rule, 0, rs.n)
+	for sw := range rs.rows {
+		out = rs.appendRulesAt(out, topology.NodeID(sw))
+	}
+	return out
+}
 
-// RulesAt returns the rules installed at one switch, in the same order.
+// RulesAt returns the rules installed at one switch, in the same order
+// (nil when it has none).
 func (rs *Ruleset) RulesAt(sw topology.NodeID) []Rule {
-	keys := rs.sortedKeys()
-	lo, _ := slices.BinarySearch(keys, ruleKey(sw)<<40)
-	hi := lo
-	for hi < len(keys) && keys[hi]>>40 == ruleKey(sw) {
-		hi++
+	if uint(sw) >= uint(len(rs.rows)) {
+		return nil
 	}
-	if lo == hi {
-		return nil // also every sw no key can carry: the run test never matches
-	}
-	return rs.rulesOf(keys[lo:hi])
+	return rs.appendRulesAt(nil, sw)
 }
 
 // DeriveRules converts a tagged graph into the match-action rules each
@@ -266,77 +279,85 @@ func DeriveRules(tg *TaggedGraph) (*Ruleset, []Conflict) {
 	return deriveRulesN(tg, 0)
 }
 
-// deriveRulesN is DeriveRules with an explicit worker count. Workers walk
-// disjoint dense vertex ranges into shard-local rule maps; the fold keeps
-// the minimum rewrite per key, so the result is independent of both edge
-// iteration order and worker count.
+// deriveRulesN is DeriveRules with an explicit worker count. The vertices
+// are bucketed by the switch that owns their port, and workers take
+// disjoint ranges of switches, each writing only its own switches' rows;
+// a match's candidates all meet in one bucket, which keeps the minimum
+// rewrite, so the result is independent of both edge order and worker
+// count. The egress port toward an edge's head is the far end of the
+// head's ingress link: one array walk, no pair lookup.
 func deriveRulesN(tg *TaggedGraph, par int) (*Ruleset, []Conflict) {
 	defer telemetry.Default.StartSpan("synth/rules").End()
-	type loser struct {
-		k  ruleKey
-		nt int
-	}
 	g := tg.g
-	// derive fills rules (keeping the minimum rewrite per key) and losers
-	// (every rewrite observed losing to a smaller one) from the out-edges
-	// of the dense vertex range [lo, hi).
-	derive := func(lo, hi int, rules map[ruleKey]int, losers *[]loser) {
-		for id := lo; id < hi; id++ {
-			from := tg.nodes[id]
-			fromPort := g.Port(from.Port)
-			sw := fromPort.Node
-			if g.Node(sw).Kind == topology.KindHost {
-				continue // hosts stamp, they do not rewrite
-			}
-			for i := tg.succHead[id]; i != 0; i = tg.succPool[i-1].next {
-				to := tg.nodes[tg.succPool[i-1].node]
-				toPort := g.Port(to.Port)
-				out := g.PortToPeer(sw, toPort.Node)
-				if out < 0 {
-					panic(fmt.Sprintf("core: tagged edge between non-adjacent %s and %s",
-						g.Node(sw).Name, g.Node(toPort.Node).Name))
-				}
-				k := packRuleKey(sw, from.Tag, fromPort.Num, out)
-				prev, ok := rules[k]
-				switch {
-				case !ok:
-					rules[k] = to.Tag
-				case to.Tag < prev:
-					rules[k] = to.Tag
-					*losers = append(*losers, loser{k, prev})
-				case to.Tag > prev:
-					*losers = append(*losers, loser{k, to.Tag})
+	rs := NewRuleset(g, tg.maxTag)
+
+	// Bucket the vertices of forwarding nodes by owner (counting sort).
+	start := make([]int32, g.NumNodes()+1)
+	for _, n := range tg.nodes {
+		start[g.Port(n.Port).Node+1]++
+	}
+	var sws []topology.NodeID // nodes that own a vertex and rewrite
+	for sw := 0; sw < g.NumNodes(); sw++ {
+		if start[sw+1] > 0 && g.Node(topology.NodeID(sw)).Kind != topology.KindHost {
+			sws = append(sws, topology.NodeID(sw))
+		}
+		start[sw+1] += start[sw]
+	}
+	byOwner := make([]int32, len(tg.nodes))
+	fill := slices.Clone(start[:g.NumNodes()])
+	for id, n := range tg.nodes {
+		sw := g.Port(n.Port).Node
+		byOwner[fill[sw]] = int32(id)
+		fill[sw]++
+	}
+
+	// derive fills the rows of sws[lo:hi], returning how many rules it
+	// installed and every rewrite it saw lose to a smaller one.
+	derive := func(lo, hi int) (installed int, losers []Conflict) {
+		for _, sw := range sws[lo:hi] {
+			np := rs.rows[sw].np
+			for _, id := range byOwner[start[sw]:start[sw+1]] {
+				from := tg.nodes[id]
+				in := g.Port(from.Port).Num
+				for i := tg.succHead[id]; i != 0; i = tg.succPool[i-1].next {
+					to := tg.nodes[tg.succPool[i-1].node]
+					far := g.FarEnd(to.Port)
+					if far == topology.InvalidPort || g.Port(far).Node != sw {
+						panic(fmt.Sprintf("core: tagged edge between non-adjacent %s and %s",
+							g.Node(sw).Name, g.Node(g.Port(to.Port).Node).Name))
+					}
+					r := Rule{Switch: sw, Tag: from.Tag, In: in, Out: g.Port(far).Num, NewTag: to.Tag}
+					row := rs.row(r)
+					c := &row[r.In*np+r.Out]
+					switch prev := int(*c) - 1; {
+					case prev < 0:
+						*c = uint16(to.Tag + 1)
+						installed++
+					case to.Tag < prev:
+						*c = uint16(to.Tag + 1)
+						r.NewTag = prev
+						losers = append(losers, Conflict{Rule: r, LoserNewTag: prev})
+					case to.Tag > prev:
+						losers = append(losers, Conflict{Rule: r, LoserNewTag: to.Tag})
+					}
 				}
 			}
 		}
+		return installed, losers
 	}
 
-	rs := NewRuleset(g, tg.maxTag)
-	var losers []loser
-	w := sweep.Workers(par, len(tg.nodes))
-	if w <= 1 {
-		derive(0, len(tg.nodes), rs.rules, &losers)
+	var losers []Conflict
+	shards := sweep.Shards(len(sws), sweep.Workers(par, len(sws)))
+	if len(shards) <= 1 {
+		rs.n, losers = derive(0, len(sws))
 	} else {
-		shards := sweep.Shards(len(tg.nodes), w)
-		maps := make([]map[ruleKey]int, len(shards))
-		shardLosers := make([][]loser, len(shards))
-		sweep.ForEachShard(len(tg.nodes), w, func(s sweep.Shard) {
-			maps[s.Index] = make(map[ruleKey]int)
-			derive(s.Lo, s.Hi, maps[s.Index], &shardLosers[s.Index])
+		counts := make([]int, len(shards))
+		shardLosers := make([][]Conflict, len(shards))
+		sweep.ForEachShard(len(sws), len(shards), func(s sweep.Shard) {
+			counts[s.Index], shardLosers[s.Index] = derive(s.Lo, s.Hi)
 		})
-		for i, m := range maps {
-			for k, nt := range m {
-				prev, ok := rs.rules[k]
-				switch {
-				case !ok:
-					rs.rules[k] = nt
-				case nt < prev:
-					rs.rules[k] = nt
-					losers = append(losers, loser{k, prev})
-				case nt > prev:
-					losers = append(losers, loser{k, nt})
-				}
-			}
+		for i := range shards {
+			rs.n += counts[i]
 			losers = append(losers, shardLosers[i]...)
 		}
 	}
@@ -345,21 +366,18 @@ func deriveRulesN(tg *TaggedGraph, par int) (*Ruleset, []Conflict) {
 	// against the final (minimum) winner, in canonical order.
 	var conflicts []Conflict
 	if len(losers) > 0 {
-		seen := make(map[loser]bool, len(losers))
+		seen := make(map[Conflict]bool, len(losers))
 		for _, l := range losers {
+			l.Rule.NewTag, _ = rs.Lookup(l.Rule.Switch, l.Rule.Tag, l.Rule.In, l.Rule.Out)
 			if seen[l] {
 				continue
 			}
 			seen[l] = true
-			sw, tag, in, out := l.k.unpack()
-			peer := g.Port(g.PortOn(sw, out)).Peer
+			peer := g.Port(g.PortOn(l.Rule.Switch, l.Rule.Out)).Peer
 			if peer != topology.InvalidNode && g.Node(peer).Kind == topology.KindHost {
 				continue // benign: host-facing egress
 			}
-			conflicts = append(conflicts, Conflict{
-				Rule:        Rule{Switch: sw, Tag: tag, In: in, Out: out, NewTag: rs.rules[l.k]},
-				LoserNewTag: l.nt,
-			})
+			conflicts = append(conflicts, l)
 		}
 		sort.Slice(conflicts, func(i, j int) bool {
 			a, b := conflicts[i], conflicts[j]

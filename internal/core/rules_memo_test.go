@@ -10,47 +10,55 @@ import (
 	"repro/internal/topology"
 )
 
-// freshRules is Rules() as it was before the sorted keys were memoized —
-// collect the map's keys and sort them, every call — kept verbatim as the
-// golden order the memo must reproduce after any mutation.
-func freshRules(rs *Ruleset) []Rule {
-	keys := make([]ruleKey, 0, len(rs.rules))
-	for k := range rs.rules {
-		keys = append(keys, k)
+// ruleLess is the (switch, tag, in, out) order Rules() promises.
+func ruleLess(a, b Rule) bool {
+	if a.Switch != b.Switch {
+		return a.Switch < b.Switch
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([]Rule, len(keys))
-	for i, k := range keys {
-		sw, tag, in, o := k.unpack()
-		out[i] = Rule{Switch: sw, Tag: tag, In: in, Out: o, NewTag: rs.rules[k]}
+	if a.Tag != b.Tag {
+		return a.Tag < b.Tag
 	}
-	return out
+	if a.In != b.In {
+		return a.In < b.In
+	}
+	return a.Out < b.Out
 }
 
-// assertOrderedViews holds every view served from the sorted-key memo to
-// the fresh sort: Rules(), the per-switch runs of RulesAt, and the dense
-// IDs of RuleByID.
-func assertOrderedViews(t *testing.T, rs *Ruleset) {
+// assertOrderedViews holds the ordered views of the rule rows to what a
+// sort of the installed rules gives: Rules() strictly ascending, as long
+// as Len(), every rule what Lookup answers, the per-switch runs of
+// RulesAt concatenating to it, and — when want is non-nil, a rule map the
+// test kept itself — exactly want's rules.
+func assertOrderedViews(t *testing.T, rs *Ruleset, want map[[4]int]int) {
 	t.Helper()
-	want := freshRules(rs)
 	got := rs.Rules()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Rules() diverges from a fresh sort (%d vs %d rules)", len(got), len(want))
+	if len(got) != rs.Len() {
+		t.Fatalf("Rules() has %d rules, Len() = %d", len(got), rs.Len())
+	}
+	for i, r := range got {
+		if i > 0 && !ruleLess(got[i-1], r) {
+			t.Fatalf("Rules() out of order at %d: %+v after %+v", i, r, got[i-1])
+		}
+		if nt, ok := rs.Lookup(r.Switch, r.Tag, r.In, r.Out); !ok || nt != r.NewTag {
+			t.Fatalf("Rules() lists %+v, Lookup = %d,%v", r, nt, ok)
+		}
+	}
+	if want != nil {
+		ref := make([]Rule, 0, len(want))
+		for k, nt := range want {
+			ref = append(ref, Rule{Switch: topology.NodeID(k[0]), Tag: k[1], In: k[2], Out: k[3], NewTag: nt})
+		}
+		sort.Slice(ref, func(i, j int) bool { return ruleLess(ref[i], ref[j]) })
+		if !reflect.DeepEqual(got, ref) {
+			t.Fatalf("Rules() diverges from a sort of the added rules (%d vs %d rules)", len(got), len(ref))
+		}
 	}
 	var perSwitch []Rule
 	for _, n := range rs.g.Nodes() {
 		perSwitch = append(perSwitch, rs.RulesAt(n)...)
 	}
-	if len(want) > 0 && !reflect.DeepEqual(perSwitch, want) {
-		t.Fatalf("RulesAt runs do not concatenate to Rules(): %d vs %d rules", len(perSwitch), len(want))
-	}
-	for i, r := range want {
-		if byID, ok := rs.RuleByID(i); !ok || byID != r {
-			t.Fatalf("RuleByID(%d) = %+v,%v, want %+v", i, byID, ok, r)
-		}
-	}
-	if _, ok := rs.RuleByID(len(want)); ok {
-		t.Fatal("RuleByID past the end resolved")
+	if len(got) > 0 && !reflect.DeepEqual(perSwitch, got) {
+		t.Fatalf("RulesAt runs do not concatenate to Rules(): %d vs %d rules", len(perSwitch), len(got))
 	}
 }
 
@@ -61,21 +69,25 @@ func TestRulesMemoInvalidatedByAdd(t *testing.T) {
 	}
 	g := cl.Graph
 	rs := NewRuleset(g, 2)
-	assertOrderedViews(t, rs) // memoizes the empty order
+	want := map[[4]int]int{}
+	assertOrderedViews(t, rs, want)
 
 	sws := g.Switches()
-	// Descending switches and tags: every Add lands before what the memo
-	// last saw, so a stale memo shows as a missing or misplaced rule.
+	// Descending switches and tags: every Add lands before the rules
+	// already installed, so a view that does not follow the rows shows
+	// as a missing or misplaced rule.
 	for i := len(sws) - 1; i >= 0; i-- {
 		for tag := 2; tag >= 1; tag-- {
 			rs.Add(Rule{Switch: sws[i], Tag: tag, In: 0, Out: 1, NewTag: tag})
-			assertOrderedViews(t, rs)
+			want[[4]int{int(sws[i]), tag, 0, 1}] = tag
+			assertOrderedViews(t, rs, want)
 		}
 	}
 	// Re-adding a present match with another rewrite changes no key but
 	// must still show in the materialized rules.
 	rs.Add(Rule{Switch: sws[0], Tag: 1, In: 0, Out: 1, NewTag: 2})
-	assertOrderedViews(t, rs)
+	want[[4]int{int(sws[0]), 1, 0, 1}] = 2
+	assertOrderedViews(t, rs, want)
 	if at := rs.RulesAt(topology.NodeID(g.NumNodes() + 5)); at != nil {
 		t.Fatalf("RulesAt on an unknown switch = %v", at)
 	}
@@ -83,8 +95,8 @@ func TestRulesMemoInvalidatedByAdd(t *testing.T) {
 
 // TestRulesMemoThroughChurnReplay replays link flaps and drains through
 // Resynth.Apply — the fast path hands the previous Ruleset on unchanged,
-// the slow path builds a new one — and holds the ordered views to the
-// fresh sort after every event.
+// the slow path builds a new one — and holds the ordered views to a sort
+// after every event.
 func TestRulesMemoThroughChurnReplay(t *testing.T) {
 	cl, err := topology.NewClos(topology.ClosConfig{Pods: 2, ToRsPerPod: 2, LeafsPerPod: 2, Spines: 2})
 	if err != nil {
@@ -96,7 +108,7 @@ func TestRulesMemoThroughChurnReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertOrderedViews(t, r.System().Rules)
+	assertOrderedViews(t, r.System().Rules, nil)
 	tr := elp.NewTracker(g, set)
 
 	apply := func(what string, added, removed []routing.Path) {
@@ -105,7 +117,7 @@ func TestRulesMemoThroughChurnReplay(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
-		assertOrderedViews(t, sys.Rules)
+		assertOrderedViews(t, sys.Rules, nil)
 	}
 	links := [][2]string{{"T1", "L1"}, {"L1", "S1"}, {"T3", "L4"}, {"L3", "S2"}}
 	for _, l := range links {

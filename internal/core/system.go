@@ -67,7 +67,12 @@ func Synthesize(g *topology.Graph, paths []routing.Path, opts Options) (*System,
 		return nil, fmt.Errorf("core: StartTag %d: synthesis tags paths from 1; use multiclass composition for higher classes", opts.StartTag)
 	}
 	s := &System{Graph: g, ELP: paths}
-	s.BruteForce = BruteForceN(g, paths, opts.Workers)
+	// Every stage below reads the ELP in port space, resolved once here
+	// (and timed with Algorithm 1, its first reader, as BruteForceN is).
+	alg1 := telemetry.Default.StartSpan("synth/alg1")
+	hp := newHopPorts(g, paths, opts.Workers)
+	s.BruteForce = bruteForce(g, hp, opts.Workers)
+	alg1.End()
 	if err := s.BruteForce.Verify(); err != nil {
 		return nil, fmt.Errorf("brute-force graph: %w", err)
 	}
@@ -85,10 +90,10 @@ func Synthesize(g *topology.Graph, paths []routing.Path, opts Options) (*System,
 	// conflicts) does the serial repair pass run — followed by a rebuild
 	// under the repaired rules.
 	var violations []routing.Path
-	s.Runtime, violations = buildRuleGraphN(s.Rules, paths, opts.StartTag, opts.Workers)
+	s.Runtime, violations = buildRuleGraphN(s.Rules, paths, hp, opts.StartTag, opts.Workers)
 	if len(violations) > 0 {
-		s.Repairs = RepairReplay(s.Rules, paths, opts.StartTag)
-		s.Runtime, violations = buildRuleGraphN(s.Rules, paths, opts.StartTag, opts.Workers)
+		s.Repairs = repairReplay(s.Rules, paths, hp, opts.StartTag)
+		s.Runtime, violations = buildRuleGraphN(s.Rules, paths, hp, opts.StartTag, opts.Workers)
 	}
 	if len(violations) > 0 {
 		return nil, fmt.Errorf("core: %d ELP paths not lossless after repair (first: %s)",

@@ -12,6 +12,7 @@ import (
 	"sort"
 
 	"repro/internal/routing"
+	"repro/internal/sweep"
 	"repro/internal/topology"
 )
 
@@ -336,18 +337,80 @@ func ingressPortID(g *topology.Graph, from, to topology.NodeID) topology.PortID 
 	return g.PortOn(to, num)
 }
 
-// addPath walks one expected lossless path, inserting the Algorithm 1
-// vertex chain (tag = hop index) into tg.
-func (tg *TaggedGraph) addPath(r routing.Path) {
-	g := tg.g
+// appendHopPorts appends the ingress port of each hop of p to dst: entry
+// i-1 is p[i]'s port facing p[i-1]. It resolves one path; newHopPorts
+// resolves a whole ELP the same way.
+func appendHopPorts(g *topology.Graph, p routing.Path, dst []topology.PortID) []topology.PortID {
+	for i := 1; i < len(p); i++ {
+		dst = append(dst, ingressPortID(g, p[i-1], p[i]))
+	}
+	return dst
+}
+
+// egressNum returns the port number a packet leaves on toward the node
+// whose ingress port is next: the far end of next's link. For next =
+// ingressPortID(g, a, b) it is PortToPeer(a, b), since Connect indexes a
+// pair's first link on both sides.
+func egressNum(g *topology.Graph, next topology.PortID) int {
+	return g.Port(g.FarEnd(next)).Num
+}
+
+// hopPorts is an ELP in port space: the ingress ports of every hop of
+// every path, laid end to end — path i's are ports[off[i]:off[i+1]], entry
+// j-1 being p[j]'s port facing p[j-1]. Synthesis maps node pairs to ports
+// here once per call; everything downstream reads the result.
+type hopPorts struct {
+	ports []topology.PortID
+	off   []int
+}
+
+// newHopPorts resolves the ingress ports of every hop of paths, sharded
+// over par workers (0 = GOMAXPROCS). Each shard remembers, per node, the
+// hop into it that it resolved last: an ELP lists the paths of one
+// source together, and those enter a node mostly from one neighbor (all
+// of a BFS tree's paths do), so most hops repeat it and skip the pair
+// lookup.
+func newHopPorts(g *topology.Graph, paths []routing.Path, par int) hopPorts {
+	h := hopPorts{off: make([]int, len(paths)+1)}
+	for i, p := range paths {
+		h.off[i+1] = h.off[i] + max(len(p)-1, 0)
+	}
+	h.ports = make([]topology.PortID, h.off[len(paths)])
+	sweep.ForEachShard(len(paths), sweep.Workers(par, len(paths)), func(s sweep.Shard) {
+		from := make([]topology.NodeID, g.NumNodes()) // from[v] -> v last entered by port at[v]
+		at := make([]topology.PortID, g.NumNodes())
+		for v := range from {
+			from[v] = topology.InvalidNode
+		}
+		for i := s.Lo; i < s.Hi; i++ {
+			p, dst := paths[i], h.ports[h.off[i]:h.off[i+1]]
+			for j := 1; j < len(p); j++ {
+				u, v := p[j-1], p[j]
+				if from[v] != u {
+					from[v], at[v] = u, ingressPortID(g, u, v)
+				}
+				dst[j-1] = at[v]
+			}
+		}
+	})
+	return h
+}
+
+// at returns path i's hop ports; do not append to the slice.
+func (h hopPorts) at(i int) []topology.PortID {
+	return h.ports[h.off[i]:h.off[i+1]:h.off[i+1]]
+}
+
+// addPath inserts the Algorithm 1 vertex chain (tag = hop index) of one
+// expected lossless path, given by its hop ports, into tg.
+func (tg *TaggedGraph) addPath(ports []topology.PortID) {
 	var last int32
-	haveLast := false
-	for i := 1; i < len(r); i++ {
-		id := tg.intern(TagNode{Port: ingressPortID(g, r[i-1], r[i]), Tag: i})
-		if haveLast {
+	for i, port := range ports {
+		id := tg.intern(TagNode{Port: port, Tag: i + 1})
+		if i > 0 {
 			tg.addEdgeIDs(last, id)
 		}
-		last, haveLast = id, true
+		last = id
 	}
 }
 

@@ -243,25 +243,29 @@ func (e *KBounceEnumerator) disjoint(seg routing.Path) bool {
 
 // ShortestAll adds one shortest path for every ordered pair of the given
 // endpoints (deterministic tie-break). This is the ELP used for Jellyfish
-// and BCube scalability (Table 5): "LP is shortest paths".
+// and BCube scalability (Table 5): "LP is shortest paths". It runs at
+// GOMAXPROCS workers; every worker count yields the same set.
 func ShortestAll(g *topology.Graph, endpoints []topology.NodeID) *Set {
-	return ShortestAllN(g, endpoints, 1)
+	return ShortestAllN(g, endpoints, 0)
 }
 
 // ShortestAllN is ShortestAll with an explicit worker count (0 =
 // GOMAXPROCS, 1 = serial). Sources are sharded across workers — each BFS
 // is independent and reads one shared adjacency — and the per-source path
 // lists are folded into the set in source order, so every worker count
-// yields the same set.
+// yields the same set. A path is validated inside its shard, by the ports
+// the adjacency hands the BFS: each hop's port must sit on the hop's node
+// and face the node before it, one array read per hop.
 func ShortestAllN(g *topology.Graph, endpoints []topology.NodeID, par int) *Set {
 	defer telemetry.Default.StartSpan("synth/elp").End()
-	adj := routing.NewAdjacency(g)
+	leaf, skip := bfsRoles(g, endpoints)
+	adj := routing.NewAdjacency(g).Without(skip)
 	perSrc := make([][]routing.Path, len(endpoints))
 	sweep.ForEachShard(len(endpoints), sweep.Workers(par, len(endpoints)), func(sh sweep.Shard) {
 		var sc bfsScratch
 		for i := sh.Lo; i < sh.Hi; i++ {
 			// One BFS per source covers all destinations.
-			perSrc[i] = shortestTreePaths(g, adj, endpoints[i], endpoints, &sc)
+			perSrc[i], _ = shortestTreePaths(g, adj, leaf, endpoints[i], endpoints, &sc)
 		}
 	})
 	total := 0
@@ -272,7 +276,7 @@ func ShortestAllN(g *topology.Graph, endpoints []topology.NodeID, par int) *Set 
 	s.Reserve(total)
 	for _, paths := range perSrc {
 		for _, p := range paths {
-			s.MustAdd(g, p)
+			s.ix.Add(p) // validated in its shard; Add only deduplicates
 		}
 	}
 	return s
@@ -296,38 +300,62 @@ func ShortestAllECMP(g *topology.Graph, endpoints []topology.NodeID, limit int) 
 	return s
 }
 
+// bfsRoles marks the plain hosts of g for the shortest-path BFS: the
+// endpoints among them are leaves, reached but not expanded (hosts do not
+// forward), and the rest are skipped, left out of the search.
+func bfsRoles(g *topology.Graph, endpoints []topology.NodeID) (leaf, skip []bool) {
+	leaf, skip = make([]bool, g.NumNodes()), make([]bool, g.NumNodes())
+	for _, h := range g.Hosts() {
+		skip[h] = true
+	}
+	for _, e := range endpoints {
+		if skip[e] {
+			leaf[e], skip[e] = true, false
+		}
+	}
+	return leaf, skip
+}
+
 // bfsScratch holds the per-source BFS state so repeated calls (one per
 // source, across the whole endpoint set) reuse the same backing arrays.
 type bfsScratch struct {
 	dist   []int32
 	parent []topology.NodeID
+	inPort []topology.PortID // the port each reached node was entered by
 	queue  []topology.NodeID
+	ports  []topology.PortID
 }
 
 // shortestTreePaths extracts one shortest path from src to each other
 // endpoint using a single BFS over adj with deterministic parent choice.
-func shortestTreePaths(g *topology.Graph, adj routing.Adjacency, src topology.NodeID, endpoints []topology.NodeID, sc *bfsScratch) []routing.Path {
+// ports, a view into sc valid until the next call, runs parallel to the
+// paths laid end to end: entry j is the port the j-th node is entered by,
+// InvalidPort at each path's source. Every path is checked by hopsValid
+// before it is returned; a failure is a bug in the adjacency snapshot.
+func shortestTreePaths(g *topology.Graph, adj routing.Adjacency, leaf []bool, src topology.NodeID,
+	endpoints []topology.NodeID, sc *bfsScratch) (paths []routing.Path, ports []topology.PortID) {
 	n := g.NumNodes()
 	if cap(sc.dist) < n {
 		sc.dist = make([]int32, n)
 		sc.parent = make([]topology.NodeID, n)
+		sc.inPort = make([]topology.PortID, n)
 	}
-	dist, parent := sc.dist[:n], sc.parent[:n]
+	dist, parent, inPort := sc.dist[:n], sc.parent[:n], sc.inPort[:n]
 	for i := range dist {
 		dist[i] = -1
-		parent[i] = topology.InvalidNode
 	}
 	dist[src] = 0
 	queue := append(sc.queue[:0], src)
 	for qi := 0; qi < len(queue); qi++ {
 		u := queue[qi]
-		if u != src && g.Node(u).Kind == topology.KindHost {
+		if u != src && leaf[u] {
 			continue
 		}
-		for _, v := range adj.Of(u) {
+		ups := adj.PortsOf(u)
+		for k, v := range adj.Of(u) {
 			if dist[v] == -1 {
 				dist[v] = dist[u] + 1
-				parent[v] = u
+				parent[v], inPort[v] = u, ups[k]
 				queue = append(queue, v)
 			}
 		}
@@ -344,20 +372,44 @@ func shortestTreePaths(g *topology.Graph, adj routing.Adjacency, src topology.No
 		}
 	}
 	arena := make([]topology.NodeID, total)
+	if cap(sc.ports) < total {
+		sc.ports = make([]topology.PortID, total)
+	}
+	ports = sc.ports[:total]
 	out := make([]routing.Path, 0, count)
 	off := 0
 	for _, b := range endpoints {
 		if b == src || dist[b] < 0 {
 			continue
 		}
-		p := routing.Path(arena[off : off+int(dist[b])+1])
-		off += int(dist[b]) + 1
+		end := off + int(dist[b]) + 1
+		p, pp := routing.Path(arena[off:end:end]), ports[off:end]
 		for cur, i := b, int(dist[b]); i >= 0; cur, i = parent[cur], i-1 {
-			p[i] = cur
+			p[i], pp[i] = cur, inPort[cur]
+		}
+		pp[0] = topology.InvalidPort
+		if !p.LoopFree() || !hopsValid(g, p, pp) {
+			panic(fmt.Sprintf("elp: BFS tree path %s is not a path of the graph", p.String(g)))
 		}
 		out = append(out, p)
+		off = end
 	}
-	return out
+	return out, ports
+}
+
+// hopsValid reports whether ports[i] is a port of p[i] that faces p[i-1]
+// for every hop i >= 1: then each consecutive pair is adjacent, as
+// Set.Add requires, checked without a pair lookup.
+func hopsValid(g *topology.Graph, p routing.Path, ports []topology.PortID) bool {
+	for i := 1; i < len(p); i++ {
+		if ports[i] < 0 || int(ports[i]) >= g.NumPorts() {
+			return false
+		}
+		if pt := g.Port(ports[i]); pt.Node != p[i] || pt.Peer != p[i-1] {
+			return false
+		}
+	}
+	return true
 }
 
 // HostLevel expands a switch-level path set to host level: every path

@@ -22,8 +22,8 @@
 // concurrent misses on one fingerprint synthesize exactly once, the rest
 // wait. Eviction only unlinks an entry from the index; in-flight waiters
 // keep their pointer, so a partially-built System is never observable.
-// Cached Systems are shared read-only; the ruleset's lazy rule-ID index
-// is pre-warmed at fill time so shared readers never race on it.
+// Cached Systems are shared read-only; nothing in them is built lazily,
+// so shared readers never race.
 package synthcache
 
 import (
@@ -286,11 +286,6 @@ func (c *Cache) serve(g *topology.Graph, key fingerprint.Fingerprint,
 	}
 	c.count(&c.misses, "misses")
 	sys, pod, err := build()
-	if err == nil {
-		// Pre-warm the shared ruleset's sorted-key memo, so the readers
-		// sharing it find it built instead of each sorting.
-		sys.Rules.RuleByID(0)
-	}
 	if builder {
 		e.g, e.sys, e.pod, e.err = g, sys, pod, err
 		if err != nil {

@@ -133,9 +133,15 @@ type Graph struct {
 	ports  []Port
 	byName map[string]NodeID
 	// peerPort maps a (node, peer) pair to the lowest-numbered port on
-	// node that faces peer. It makes PortToPeer and LinkBetween O(1);
-	// both are on the per-hop hot path of tagged-graph synthesis.
+	// node that faces peer, which is node's end of the pair's first
+	// link. It makes PortToPeer and LinkBetween O(1), and because both
+	// sides index the same link, the far end of one side's port is the
+	// other side's (Validate checks it; FarEnd relies on it).
 	peerPort map[uint64]PortID
+	// far is, per port, the port at the other end of its link
+	// (InvalidPort while unattached): FarEnd's one read, on the per-hop
+	// path of replay and rule derivation.
+	far []PortID
 	// gen counts wiring changes (AddNode, Connect). Link health changes
 	// (FailLink, RestoreLink) deliberately do not bump it: health is not
 	// wiring, and consumers that memoize wiring-derived state (the
@@ -181,6 +187,7 @@ func (g *Graph) addPort(n NodeID) PortID {
 	pid := PortID(len(g.ports))
 	num := len(g.nodes[n].Ports)
 	g.ports = append(g.ports, Port{Node: n, Num: num, Peer: InvalidNode, Link: InvalidLink})
+	g.far = append(g.far, InvalidPort)
 	g.nodes[n].Ports = append(g.nodes[n].Ports, pid)
 	return pid
 }
@@ -204,6 +211,7 @@ func (g *Graph) Connect(a, b NodeID) LinkID {
 	g.ports[pa].Link = lid
 	g.ports[pb].Peer = a
 	g.ports[pb].Link = lid
+	g.far[pa], g.far[pb] = pb, pa
 	if g.peerPort == nil {
 		g.peerPort = make(map[uint64]PortID)
 	}
@@ -274,6 +282,12 @@ func (g *Graph) PortToPeer(n, peer NodeID) int {
 	}
 	return -1
 }
+
+// FarEnd returns the port at the other end of pid's link, failed or
+// not, or InvalidPort when pid is unattached. For the port PortToPeer(b,
+// a) names on b it is PortToPeer(a, b)'s port on a: one array read, no
+// pair lookup.
+func (g *Graph) FarEnd(pid PortID) PortID { return g.far[pid] }
 
 // LinkBetween returns the link connecting a and b, or nil if none exists.
 // If multiple parallel links exist, the lowest-numbered one is returned.
@@ -435,7 +449,10 @@ func (g *Graph) HostToR(n NodeID) NodeID {
 
 // Validate performs structural consistency checks and returns a non-nil
 // error describing the first violation found: dangling ports referencing
-// missing links, asymmetric link endpoints, or port-number gaps.
+// missing links, asymmetric link endpoints, port-number gaps, a
+// PortToPeer that is not the lowest-numbered port facing its peer, or an
+// adjacent pair whose PortToPeer ports in the two directions are not the
+// two ends of one link.
 func (g *Graph) Validate() error {
 	for i := range g.nodes {
 		n := &g.nodes[i]
@@ -448,24 +465,42 @@ func (g *Graph) Validate() error {
 				return fmt.Errorf("node %s port %d: numbered %d", n.Name, num, p.Num)
 			}
 			if p.Link == InvalidLink {
+				if g.far[pid] != InvalidPort {
+					return fmt.Errorf("node %s port %d: unattached but has a far end", n.Name, num)
+				}
 				continue
 			}
 			l := &g.links[p.Link]
+			if fp := g.far[pid]; fp < 0 || int(fp) >= len(g.ports) || fp == pid || g.ports[fp].Link != p.Link {
+				return fmt.Errorf("node %s port %d: far end %d is not the other end of link %d", n.Name, num, fp, p.Link)
+			}
 			if l.A != n.ID && l.B != n.ID {
 				return fmt.Errorf("node %s port %d: link %d does not reference node", n.Name, num, p.Link)
 			}
 			if p.Peer != l.Other(n.ID) {
 				return fmt.Errorf("node %s port %d: peer mismatch", n.Name, num)
 			}
+			// PortToPeer must name the lowest-numbered port facing the
+			// peer: no higher than this one, and facing the same node.
+			if got := g.PortToPeer(n.ID, p.Peer); got < 0 || got > num || g.ports[n.Ports[got]].Peer != p.Peer {
+				return fmt.Errorf("node %s port %d: PortToPeer toward %s is %d, not the lowest port facing it",
+					n.Name, num, g.nodes[p.Peer].Name, got)
+			}
 		}
 	}
 	for i := range g.links {
 		l := &g.links[i]
-		if got := g.PortToPeer(l.A, l.B); got < 0 {
+		ab, ba := g.PortToPeer(l.A, l.B), g.PortToPeer(l.B, l.A)
+		if ab < 0 {
 			return fmt.Errorf("link %d: no port from %d to %d", l.ID, l.A, l.B)
 		}
-		if got := g.PortToPeer(l.B, l.A); got < 0 {
+		if ba < 0 {
 			return fmt.Errorf("link %d: no port from %d to %d", l.ID, l.B, l.A)
+		}
+		pa, pb := g.nodes[l.A].Ports[ab], g.nodes[l.B].Ports[ba]
+		if g.ports[pa].Link != g.ports[pb].Link {
+			return fmt.Errorf("link %d: %s port %d and %s port %d face each other on different links",
+				l.ID, g.nodes[l.A].Name, ab, g.nodes[l.B].Name, ba)
 		}
 	}
 	return nil

@@ -255,3 +255,77 @@ func (r *splitMix) next() uint64 {
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
+
+// TestPortToPeerNamesOneLink: for every adjacent pair, PortToPeer in the
+// two directions names the two ends of one link — the pair's first — so
+// FarEnd of one side's port is the other side's. Parallel links connected
+// in either order, and a failed first link, must not move it.
+func TestPortToPeerNamesOneLink(t *testing.T) {
+	g := New()
+	a := g.AddNode("A", KindSwitch, -1)
+	b := g.AddNode("B", KindSwitch, -1)
+	c := g.AddNode("C", KindSwitch, -1)
+	h := g.AddNode("H", KindHost, 0)
+	g.Connect(a, c)
+	ab := g.Connect(a, b)
+	g.Connect(b, a) // parallel, the other way round
+	g.Connect(c, b)
+	g.Connect(a, b)
+	g.Connect(b, c)
+	g.Connect(h, a)
+	g.FailLink(a, b) // fails the first A-B link only
+	if !g.Link(ab).Failed {
+		t.Fatal("FailLink(A, B) did not fail the pair's first link")
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	for _, n := range g.Nodes() {
+		for num := 0; num < g.PortCount(n); num++ {
+			peer := g.Port(g.PortOn(n, num)).Peer
+			here, there := g.PortToPeer(n, peer), g.PortToPeer(peer, n)
+			if here > num {
+				t.Errorf("%s port %d faces %s but PortToPeer = %d", g.Node(n).Name, num, g.Node(peer).Name, here)
+			}
+			if far := g.FarEnd(g.PortOn(n, here)); far != g.PortOn(peer, there) {
+				t.Errorf("%s→%s: FarEnd(port %d) = %d, want %s's port %d (%d)",
+					g.Node(n).Name, g.Node(peer).Name, here, far, g.Node(peer).Name, there, g.PortOn(peer, there))
+			}
+		}
+	}
+	if l := g.LinkBetween(b, a); l == nil || l.ID != ab {
+		t.Errorf("LinkBetween(B, A) = %v, want the first link %d", l, ab)
+	}
+	lone := g.AddNode("L", KindSwitch, -1)
+	g.addPort(lone) // an unattached port
+	if far := g.FarEnd(g.PortOn(lone, 0)); far != InvalidPort {
+		t.Errorf("FarEnd of an unattached port = %d", far)
+	}
+}
+
+// TestValidateRejectsSkewedPeerIndex corrupts the pair index the way a
+// Connect that recorded later parallel links would: pointing one side, or
+// both, at the second A-B link. Validate must reject both.
+func TestValidateRejectsSkewedPeerIndex(t *testing.T) {
+	build := func() (*Graph, NodeID, NodeID, LinkID) {
+		g := New()
+		a := g.AddNode("A", KindSwitch, -1)
+		b := g.AddNode("B", KindSwitch, -1)
+		g.Connect(a, b)
+		second := g.Connect(b, a)
+		return g, a, b, second
+	}
+	for _, sides := range []string{"A only", "B only", "both"} {
+		g, a, b, second := build()
+		l := g.Link(second)
+		if sides != "B only" {
+			g.peerPort[peerKey(a, b)] = g.PortOn(a, l.BPort)
+		}
+		if sides != "A only" {
+			g.peerPort[peerKey(b, a)] = g.PortOn(b, l.APort)
+		}
+		if err := g.Validate(); err == nil {
+			t.Errorf("index skewed to the second link on %s: Validate passed", sides)
+		}
+	}
+}

@@ -1,11 +1,27 @@
-// Command taggerfuzz drives the differential verification battery in
-// internal/check over seeded random topologies. Each seed becomes a
-// bounded Clos, Jellyfish or BCube instance; the battery cross-checks the
-// synthesis algorithms, the serial and parallel pipelines, and the
-// compressed and uncompressed TCAM images against the independent oracle.
+// Command taggerfuzz drives the differential checks in internal/check
+// over seeded random topologies. Each seed becomes a bounded instance of
+// one topology family, and the selected differential runs on it:
 //
-// On a failure the driver greedily shrinks the case to a minimal
-// configuration that still fails and writes a runnable Go test to the
+//   - by default the battery: the synthesis algorithms, the serial and
+//     parallel pipelines, and the compressed and uncompressed TCAM images
+//     are cross-checked against the independent oracle on Clos,
+//     Jellyfish and BCube;
+//   - with -churn, each seed drives a random link-flap/drain/pod-add
+//     sequence through the incremental re-synthesis engine, which must
+//     equal from-scratch synthesis rule for rule after every event (and
+//     pass the §5.1 oracle), on Clos and Jellyfish;
+//   - with -cache, every seed's synthesis goes through ONE shared cache
+//     (internal/synthcache) — a cold build, a same-instance re-request
+//     that must hit, and a rebuilt twin instance, which a hit never
+//     serves (it needs the instance that built the entry) and which is
+//     therefore rebuilt — and each answer must equal from-scratch
+//     synthesis and pass the oracle, on Clos, fat-tree and Jellyfish.
+//     Running seeds in parallel against the shared cache also exercises
+//     the single-flight and eviction paths under contention.
+//
+// -churn and -cache are exclusive. On a failure the driver greedily
+// shrinks the case to a minimal configuration that still fails (cache
+// probes each get a fresh cache) and writes a runnable Go test to the
 // corpus directory, so the divergence survives as a regression test:
 //
 //	taggerfuzz -seeds 200 -topo all -par 8
@@ -13,32 +29,22 @@
 //	taggerfuzz -churn -seeds 250 -par 8              # churn differential
 //	taggerfuzz -cache -seeds 100 -par 8              # synthesis-cache differential
 //
-// With -churn the battery switches to the fabric-churn differential:
-// each seed drives a random link-flap/drain/pod-add sequence through the
-// incremental re-synthesis engine and demands rule-for-rule equality
-// with from-scratch synthesis after every event (plus the §5.1 oracle).
-//
-// With -cache every seed's synthesis goes through ONE shared
-// fingerprint-keyed cache (internal/synthcache) — cold builds,
-// same-instance re-requests, and isomorphic twin instances — and each
-// answer must be rule-for-rule identical to from-scratch synthesis and
-// pass the oracle. Running seeds in parallel against the shared cache
-// also exercises the single-flight and eviction paths under contention.
-//
 // The seed sweep fans across -par workers (runs are independent; verdicts
 // and repro output are reported in seed order, so -par never changes what
-// the command prints or writes). Shrinking runs serially after the sweep.
+// the command prints or writes, except the cache's hit counts). Shrinking
+// runs serially after the sweep.
 //
 // The exit status is the number of failing seeds (capped at 125), so CI
-// can gate on it directly.
+// can gate on it directly; a usage error exits 2.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/check"
 	"repro/internal/sweep"
@@ -47,196 +53,118 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes one taggerfuzz invocation and returns its exit status.
+func run(args []string, stdout, stderr io.Writer) (status int) {
+	fs := flag.NewFlagSet("taggerfuzz", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		seeds = flag.Int("seeds", 50, "seeds to run per topology family")
-		base  = flag.Int64("seed", 1, "first seed; seeds run [seed, seed+seeds)")
-		topo  = flag.String("topo", "all", "topology family: clos, jellyfish, bcube or all")
-		out   = flag.String("out", filepath.Join("internal", "check", "testdata", "fuzz-corpus"),
+		seeds = fs.Int("seeds", 50, "seeds to run per topology family")
+		base  = fs.Int64("seed", 1, "first seed; seeds run [seed, seed+seeds)")
+		topo  = fs.String("topo", "all", "topology family of the selected differential, or all")
+		out   = fs.String("out", filepath.Join("internal", "check", "testdata", "fuzz-corpus"),
 			"directory for shrunk repro tests")
-		quiet = flag.Bool("q", false, "only report failures and the final tally")
-		par   = flag.Int("par", 0, "sweep worker count (0 = GOMAXPROCS, 1 = serial)")
-		churn = flag.Bool("churn", false, "run the churn differential (incremental vs from-scratch synthesis)")
-		cfuzz = flag.Bool("cache", false, "run the synthesis-cache differential (cached/stamped vs from-scratch synthesis)")
+		quiet = fs.Bool("q", false, "only report failures and the final tally")
+		par   = fs.Int("par", 0, "sweep worker count (0 = GOMAXPROCS, 1 = serial)")
+		churn = fs.Bool("churn", false, "run the churn differential (incremental vs from-scratch synthesis)")
+		cfuzz = fs.Bool("cache", false, "run the synthesis-cache differential (cached/stamped vs from-scratch synthesis)")
 	)
-	prof := profile.AddFlags(flag.CommandLine)
-	flag.Parse()
-	log.SetFlags(0)
+	prof := profile.AddFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	mode := check.Battery
+	switch {
+	case *churn && *cfuzz:
+		fmt.Fprintln(stderr, "taggerfuzz: -churn and -cache select different differentials; pass at most one")
+		fs.Usage()
+		return 2
+	case *churn:
+		mode = check.Churn
+	case *cfuzz:
+		mode = check.Cache
+	}
+	topos := mode.Topos()
+	if *topo != "all" {
+		if !slices.Contains(topos, *topo) {
+			fmt.Fprintf(stderr, "taggerfuzz: unknown -topo %q for the %s differential (want one of %v or all)\n", *topo, mode, topos)
+			return 2
+		}
+		topos = []string{*topo}
+	}
 
 	stop, err := prof.Start()
 	if err != nil {
-		log.Fatal(err)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	defer func() {
 		if err := stop(); err != nil {
-			log.Fatal(err)
+			fmt.Fprintln(stderr, err)
+			status = max(status, 1)
 		}
 	}()
 
-	topos := check.Topos()
-	if *churn {
-		topos = check.ChurnTopos()
+	// A cache sweep shares one cache across every seed AND every sweep
+	// worker; each case's verdict is deterministic regardless (every tier
+	// must match from-scratch synthesis).
+	var cache *synthcache.Cache
+	if mode == check.Cache {
+		cache = synthcache.New(48)
 	}
-	if *cfuzz {
-		topos = check.CacheTopos()
-	}
-	if *topo != "all" {
-		found := false
-		for _, t := range topos {
-			if t == *topo {
-				topos, found = []string{t}, true
-				break
-			}
-		}
-		if !found {
-			log.Fatalf("taggerfuzz: unknown -topo %q (want one of %v or all)", *topo, topos)
-		}
-	}
-
-	failures := 0
-	switch {
-	case *churn:
-		failures = runChurn(topos, *base, *seeds, *par, *quiet, *out)
-	case *cfuzz:
-		failures = runCache(topos, *base, *seeds, *par, *quiet)
-	default:
-		failures = runBattery(topos, *base, *seeds, *par, *quiet, *out)
-	}
-
-	if failures > 0 {
-		fmt.Printf("taggerfuzz: %d failing seed(s)\n", failures)
-		if failures > 125 {
-			failures = 125
-		}
-		if err := stop(); err != nil { // os.Exit skips the deferred stop
-			log.Print(err)
-		}
-		os.Exit(failures)
-	}
-	fmt.Printf("taggerfuzz: all %d seed(s) clean across %d topolog%s\n",
-		*seeds, len(topos), map[bool]string{true: "y", false: "ies"}[len(topos) == 1])
-}
-
-// runBattery sweeps the classic differential battery. One verdict per
-// (topology, seed); the sweep itself never errors — a failing battery is
-// the verdict, carried in the result.
-func runBattery(topos []string, base int64, seeds, par int, quiet bool, out string) int {
 	type verdict struct {
 		c   check.Case
 		err error
 	}
 	failures := 0
 	for _, t := range topos {
-		t := t
-		verdicts, _ := sweep.Run(sweep.Seeds(base, seeds), par,
-			func(seed int64) (verdict, error) {
-				c := check.GenCase(t, seed)
-				return verdict{c: c, err: check.RunCase(c)}, nil
-			})
+		// The sweep itself never errors: a failing check is the verdict.
+		verdicts, _ := sweep.Run(sweep.Seeds(*base, *seeds), *par, func(seed int64) (verdict, error) {
+			c := mode.Gen(t, seed)
+			return verdict{c: c, err: check.Run(c, cache)}, nil
+		})
 		for _, v := range verdicts {
 			if v.err == nil {
-				if !quiet {
-					fmt.Printf("ok   %s\n", v.c)
+				if !*quiet {
+					fmt.Fprintf(stdout, "ok   %s\n", v.c)
 				}
 				continue
 			}
 			failures++
-			fmt.Printf("FAIL %s\n     %v\n", v.c, v.err)
-			min := check.Shrink(v.c, func(c check.Case) bool { return check.RunCase(c) != nil })
-			minErr := check.RunCase(min)
-			if minErr == nil {
+			fmt.Fprintf(stdout, "FAIL %s\n     %v\n", v.c, v.err)
+			small := check.Shrink(v.c, func(c check.Case) bool { return check.Run(c, nil) != nil })
+			smallErr := check.Run(small, nil)
+			if smallErr == nil {
 				// Shrink guarantees the returned case fails its predicate;
-				// a pass here means the failure is flaky — report the
-				// original instead of emitting a lying repro.
-				min, minErr = v.c, v.err
+				// a pass here means the failure is flaky, or needed the
+				// sweep's shared cache — report the original instead of
+				// emitting a lying repro.
+				small, smallErr = v.c, v.err
 			}
-			fmt.Printf("     shrunk to %s\n", min)
-			path := filepath.Join(out, fmt.Sprintf("repro_%s_test.go", check.ReproName(min)))
-			if werr := writeRepro(path, check.ReproSource(min, minErr)); werr != nil {
-				log.Printf("taggerfuzz: writing repro: %v", werr)
+			fmt.Fprintf(stdout, "     shrunk to %s\n", small)
+			path := filepath.Join(*out, fmt.Sprintf("repro_%s_test.go", check.ReproName(small)))
+			if err := writeRepro(path, check.ReproSource(small, smallErr)); err != nil {
+				fmt.Fprintf(stderr, "taggerfuzz: writing repro: %v\n", err)
 			} else {
-				fmt.Printf("     repro written to %s\n", path)
+				fmt.Fprintf(stdout, "     repro written to %s\n", path)
 			}
 		}
 	}
-	return failures
-}
+	if cache != nil {
+		st := cache.Stats()
+		fmt.Fprintf(stdout, "taggerfuzz: cache stats: %d hits / %d misses (ratio %.2f), %d pod-stamped, %d evictions, %d single-flight waits\n",
+			st.Hits, st.Misses, st.HitRatio(), st.PodStamped, st.Evictions, st.SingleFlightWait)
+	}
 
-// runChurn sweeps the churn differential with the same verdict/shrink/
-// repro discipline as the classic battery.
-func runChurn(topos []string, base int64, seeds, par int, quiet bool, out string) int {
-	type verdict struct {
-		c   check.ChurnCase
-		err error
+	if failures > 0 {
+		fmt.Fprintf(stdout, "taggerfuzz: %d failing seed(s)\n", failures)
+		return min(failures, 125)
 	}
-	failures := 0
-	for _, t := range topos {
-		t := t
-		verdicts, _ := sweep.Run(sweep.Seeds(base, seeds), par,
-			func(seed int64) (verdict, error) {
-				c := check.GenChurnCase(t, seed)
-				return verdict{c: c, err: check.RunChurnCase(c)}, nil
-			})
-		for _, v := range verdicts {
-			if v.err == nil {
-				if !quiet {
-					fmt.Printf("ok   %s\n", v.c)
-				}
-				continue
-			}
-			failures++
-			fmt.Printf("FAIL %s\n     %v\n", v.c, v.err)
-			min := check.ShrinkChurn(v.c, func(c check.ChurnCase) bool { return check.RunChurnCase(c) != nil })
-			minErr := check.RunChurnCase(min)
-			if minErr == nil {
-				min, minErr = v.c, v.err
-			}
-			fmt.Printf("     shrunk to %s\n", min)
-			path := filepath.Join(out, fmt.Sprintf("repro_%s_test.go", check.ChurnReproName(min)))
-			if werr := writeRepro(path, check.ChurnReproSource(min, minErr)); werr != nil {
-				log.Printf("taggerfuzz: writing repro: %v", werr)
-			} else {
-				fmt.Printf("     repro written to %s\n", path)
-			}
-		}
-	}
-	return failures
-}
-
-// runCache sweeps the synthesis-cache differential. One cache is shared
-// across every seed AND every sweep worker, so parallel runs also stress
-// the single-flight and LRU-eviction machinery; the per-case verdict is
-// deterministic regardless (every tier must match from-scratch). Cache
-// cases are cheap and fully determined by (topo, seed), so failures are
-// reported directly without the shrink/repro pipeline.
-func runCache(topos []string, base int64, seeds, par int, quiet bool) int {
-	type verdict struct {
-		c   check.CacheCase
-		err error
-	}
-	cache := synthcache.New(48)
-	failures := 0
-	for _, t := range topos {
-		t := t
-		verdicts, _ := sweep.Run(sweep.Seeds(base, seeds), par,
-			func(seed int64) (verdict, error) {
-				c := check.GenCacheCase(t, seed)
-				return verdict{c: c, err: check.RunCacheCase(c, cache)}, nil
-			})
-		for _, v := range verdicts {
-			if v.err == nil {
-				if !quiet {
-					fmt.Printf("ok   %s\n", v.c)
-				}
-				continue
-			}
-			failures++
-			fmt.Printf("FAIL %s\n     %v\n", v.c, v.err)
-		}
-	}
-	st := cache.Stats()
-	fmt.Printf("taggerfuzz: cache stats: %d hits / %d misses (ratio %.2f), %d pod-stamped, %d evictions, %d single-flight waits\n",
-		st.Hits, st.Misses, st.HitRatio(), st.PodStamped, st.Evictions, st.SingleFlightWait)
-	return failures
+	fmt.Fprintf(stdout, "taggerfuzz: all %d seed(s) clean across %d topolog%s\n",
+		*seeds, len(topos), map[bool]string{true: "y", false: "ies"}[len(topos) == 1])
+	return 0
 }
 
 func writeRepro(path, src string) error {

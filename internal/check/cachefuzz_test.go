@@ -18,9 +18,12 @@ func TestCacheSweepShared(t *testing.T) {
 		seeds = 2
 	}
 	cache := synthcache.New(32)
-	for _, topo := range CacheTopos() {
+	for _, topo := range Cache.Topos() {
 		for seed := int64(1); seed <= seeds; seed++ {
-			c := GenCacheCase(topo, seed)
+			c := Cache.Gen(topo, seed)
+			if !c.validConfig() {
+				t.Fatalf("Cache.Gen emitted an invalid config: %s", c)
+			}
 			if err := RunCacheCase(c, cache); err != nil {
 				t.Errorf("cache differential failure (replay with: taggerfuzz -cache -topo %s -seed %d -seeds 1): %v",
 					topo, seed, err)
@@ -47,13 +50,13 @@ func TestCacheSweepConcurrent(t *testing.T) {
 	}
 	cache := synthcache.New(4)
 	var wg sync.WaitGroup
-	for _, topo := range CacheTopos() {
+	for _, topo := range Cache.Topos() {
 		for seed := int64(1); seed <= seeds; seed++ {
 			topo, seed := topo, seed
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				c := GenCacheCase(topo, seed)
+				c := Cache.Gen(topo, seed)
 				if err := RunCacheCase(c, cache); err != nil {
 					t.Errorf("concurrent cache differential: %v", err)
 				}

@@ -1,8 +1,11 @@
 package check
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -266,18 +269,62 @@ func TestShrinkGreedyDescent(t *testing.T) {
 }
 
 // TestReproSourceIsValidGo: the emitted repro parses as Go and carries
-// the case verbatim.
+// the case verbatim, its mode included, for every mode.
 func TestReproSourceIsValidGo(t *testing.T) {
-	c := GenCase("clos", 42)
-	src := ReproSource(c, errFixture{})
-	if _, err := parser.ParseFile(token.NewFileSet(), "repro.go", src, 0); err != nil {
-		t.Fatalf("emitted repro does not parse: %v\n%s", err, src)
-	}
-	for _, want := range []string{"TestRepro_clos_seed42", "check.RunCase", "Topo: \"clos\"", "multi\n//\tline"} {
-		if !strings.Contains(src, want) {
-			t.Errorf("repro missing %q:\n%s", want, src)
+	for _, tc := range []struct {
+		c    Case
+		want []string
+	}{
+		{GenCase("clos", 42), []string{"TestRepro_clos_seed42", "Mode: check.Battery", "check.RunCase(c)", "Topo: \"clos\"", "ExtraPaths: "}},
+		{Churn.Gen("clos", 42), []string{"TestRepro_churn_clos_seed42", "Mode: check.Churn", "check.RunChurnCase(c)", "PodAdds: "}},
+		{Cache.Gen("fattree", 42), []string{"TestRepro_cache_fattree_seed42", "Mode: check.Cache", "check.RunCacheCase(c, nil)", "K: "}},
+	} {
+		src := ReproSource(tc.c, errFixture{})
+		file, err := parser.ParseFile(token.NewFileSet(), "repro.go", src, 0)
+		if err != nil {
+			t.Fatalf("emitted repro does not parse: %v\n%s", err, src)
+		}
+		if back := caseFromRepro(file); back != tc.c {
+			t.Errorf("repro's case literal reads back as %+v, want %+v", back, tc.c)
+		}
+		for _, want := range append(tc.want, "multi\n//\tline") {
+			if !strings.Contains(src, want) {
+				t.Errorf("repro missing %q:\n%s", want, src)
+			}
 		}
 	}
+}
+
+// caseFromRepro reads back the check.Case literal of an emitted repro.
+func caseFromRepro(file *ast.File) Case {
+	var c Case
+	ast.Inspect(file, func(n ast.Node) bool {
+		lit, ok := n.(*ast.CompositeLit)
+		if !ok {
+			return true
+		}
+		for _, e := range lit.Elts {
+			kv := e.(*ast.KeyValueExpr)
+			field := reflect.ValueOf(&c).Elem().FieldByName(kv.Key.(*ast.Ident).Name)
+			switch v := kv.Value.(type) {
+			case *ast.SelectorExpr:
+				for m := range modes {
+					if modes[m].ident == v.Sel.Name {
+						field.SetUint(uint64(m))
+					}
+				}
+			case *ast.BasicLit:
+				if s, err := strconv.Unquote(v.Value); err == nil {
+					field.SetString(s)
+				} else {
+					n, _ := strconv.ParseInt(v.Value, 10, 64)
+					field.SetInt(n)
+				}
+			}
+		}
+		return false
+	})
+	return c
 }
 
 type errFixture struct{}

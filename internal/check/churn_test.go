@@ -10,40 +10,16 @@ func TestChurnSweep(t *testing.T) {
 	if testing.Short() {
 		seeds = 2
 	}
-	for _, topo := range ChurnTopos() {
+	for _, topo := range Churn.Topos() {
 		for seed := int64(1); seed <= seeds; seed++ {
-			c := GenChurnCase(topo, seed)
-			if !c.validChurnConfig() {
-				t.Fatalf("GenChurnCase emitted an invalid config: %s", c)
+			c := Churn.Gen(topo, seed)
+			if !c.validConfig() {
+				t.Fatalf("Churn.Gen emitted an invalid config: %s", c)
 			}
 			if err := RunChurnCase(c); err != nil {
 				t.Errorf("churn differential failure (replay with: taggerfuzz -churn -topo %s -seed %d -seeds 1): %v",
 					topo, seed, err)
 			}
 		}
-	}
-}
-
-// TestShrinkChurnConvergence mirrors FuzzShrinkConvergence: for a
-// synthetic predicate the shrinker terminates, keeps the case failing,
-// and never probes an invalid configuration.
-func TestShrinkChurnConvergence(t *testing.T) {
-	c := GenChurnCase("clos", 7)
-	evFloor := 3
-	fails := func(c ChurnCase) bool {
-		if !c.validChurnConfig() {
-			t.Fatalf("invalid probe: %s", c)
-		}
-		return c.Events >= evFloor
-	}
-	got := ShrinkChurn(c, fails)
-	if !fails(got) {
-		t.Fatalf("shrunk case stopped failing: %s", got)
-	}
-	if got.Events != evFloor {
-		t.Fatalf("events not fully shrunk: got %d, want %d", got.Events, evFloor)
-	}
-	if got.Pods*got.ToRsPerPod != 2 || got.Workers != 1 || got.PodAdds != 0 {
-		t.Fatalf("knobs not at floors: %s", got)
 	}
 }

@@ -59,8 +59,9 @@ func DiffRulesets(a, b *core.Ruleset) []RuleDiff {
 // DiffParallelism synthesizes the same input serially and with par
 // workers and demands bit-identical output at every layer: rules (rule
 // for rule), max tag, conflicts, repairs, the three tagged graphs, and
-// the compressed TCAM image. Any divergence means the deterministic-
-// parallelism contract of internal/sweep broke somewhere.
+// the compressed TCAM image; the parallel system must also pass the
+// oracle. Any divergence means the deterministic-parallelism contract
+// of internal/sweep broke somewhere.
 func DiffParallelism(g *topology.Graph, paths []routing.Path, par int) error {
 	serial, err := core.Synthesize(g, paths, core.Options{Workers: 1})
 	if err != nil {
@@ -70,39 +71,12 @@ func DiffParallelism(g *topology.Graph, paths []routing.Path, par int) error {
 	if err != nil {
 		return fmt.Errorf("check: par=%d synthesis failed: %w", par, err)
 	}
-	if diffs := DiffRulesets(serial.Rules, parl.Rules); len(diffs) > 0 {
-		return fmt.Errorf("check: par=1 vs par=%d rules diverge (%d diffs; first: %s)",
-			par, len(diffs), diffs[0])
-	}
-	if a, b := serial.Rules.MaxTag(), parl.Rules.MaxTag(); a != b {
-		return fmt.Errorf("check: par=1 vs par=%d max tag: %d vs %d", par, a, b)
-	}
-	if !reflect.DeepEqual(serial.Conflicts, parl.Conflicts) {
-		return fmt.Errorf("check: par=1 vs par=%d conflicts diverge: %v vs %v",
-			par, serial.Conflicts, parl.Conflicts)
+	if err := sameSystem(parl, serial); err != nil {
+		return fmt.Errorf("check: par=1 vs par=%d: %w", par, err)
 	}
 	if len(serial.Repairs) != len(parl.Repairs) {
 		return fmt.Errorf("check: par=1 vs par=%d repair count: %d vs %d",
 			par, len(serial.Repairs), len(parl.Repairs))
-	}
-	graphs := []struct {
-		name string
-		a, b *core.TaggedGraph
-	}{
-		{"brute-force", serial.BruteForce, parl.BruteForce},
-		{"merged", serial.Merged, parl.Merged},
-		{"runtime", serial.Runtime, parl.Runtime},
-	}
-	for _, gp := range graphs {
-		if (gp.a == nil) != (gp.b == nil) {
-			return fmt.Errorf("check: par=1 vs par=%d: %s graph present on one side only", par, gp.name)
-		}
-		if gp.a == nil {
-			continue
-		}
-		if !reflect.DeepEqual(gp.a.Nodes(), gp.b.Nodes()) || !reflect.DeepEqual(gp.a.Edges(), gp.b.Edges()) {
-			return fmt.Errorf("check: par=1 vs par=%d: %s graphs diverge", par, gp.name)
-		}
 	}
 	rules := serial.Rules.Rules()
 	if !reflect.DeepEqual(tcam.CompressN(rules, 1), tcam.CompressN(rules, par)) {

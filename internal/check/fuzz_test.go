@@ -26,35 +26,56 @@ func FuzzRunCase(f *testing.F) {
 	})
 }
 
-// FuzzShrinkConvergence: for any synthetic threshold predicate the
-// shrinker must terminate, keep the case failing, and never probe an
-// invalid configuration.
+// FuzzShrinkConvergence: for synthetic threshold predicates on every
+// mode and family — the family's first knob at least famFloor steps above
+// its floor, the mode's first knob at least ownFloor above its own — the
+// shrinker must terminate, keep the case failing, never grow it, never
+// probe an invalid configuration, and stop at greedy minimality: no knob
+// can drop to its floor or by one and still fail.
 func FuzzShrinkConvergence(f *testing.F) {
 	f.Add(int64(7), 3, 4)
 	f.Add(int64(11), 1, 0)
-	f.Fuzz(func(t *testing.T, seed int64, podFloor, extraFloor int) {
-		if podFloor < 1 || podFloor > 4 || extraFloor < 0 || extraFloor > 6 {
+	f.Add(int64(7), 1, 2)
+	f.Fuzz(func(t *testing.T, seed int64, famFloor, ownFloor int) {
+		if famFloor < 1 || famFloor > 4 || ownFloor < 0 || ownFloor > 6 {
 			t.Skip()
 		}
-		c := GenCase("clos", seed)
-		if c.Pods < podFloor {
-			c.Pods = podFloor
-		}
-		if c.ExtraPaths < extraFloor {
-			c.ExtraPaths = extraFloor
-		}
-		fails := func(c Case) bool {
-			if !c.validConfig() {
-				t.Fatalf("invalid probe: %s", c)
+		for m := range modes {
+			for _, topo := range Mode(m).Topos() {
+				c := Mode(m).Gen(topo, seed)
+				ks := c.knobs()
+				fam, own := ks[0], ks[len(familyKnobs[topo])]
+				famMin, ownMin := fam.floor+famFloor-1, own.floor+ownFloor
+				*c.at(fam), *c.at(own) = max(*c.at(fam), famMin), max(*c.at(own), ownMin)
+				if !c.validConfig() {
+					continue // e.g. an odd fat-tree arity
+				}
+				fails := func(c Case) bool {
+					if !c.validConfig() {
+						t.Fatalf("invalid probe: %s", c)
+					}
+					return *c.at(fam) >= famMin && *c.at(own) >= ownMin
+				}
+				got := Shrink(c, fails)
+				if !fails(got) {
+					t.Fatalf("shrunk case stopped failing: %s", got)
+				}
+				for _, k := range ks {
+					if *got.at(k) > *c.at(k) {
+						t.Fatalf("shrinker grew %s: %s -> %s", k.label, c, got)
+					}
+					for _, v := range []int{k.floor, *got.at(k) - 1} {
+						if v < k.floor || v >= *got.at(k) {
+							continue
+						}
+						cand := got
+						*cand.at(k) = v
+						if cand.validConfig() && fails(cand) {
+							t.Fatalf("not minimal: %s still fails with %s=%d", got, k.label, v)
+						}
+					}
+				}
 			}
-			return c.Pods >= podFloor && c.ExtraPaths >= extraFloor
-		}
-		got := Shrink(c, fails)
-		if !fails(got) {
-			t.Fatalf("shrunk case stopped failing: %s", got)
-		}
-		if got.Pods > c.Pods || got.ExtraPaths > c.ExtraPaths {
-			t.Fatalf("shrinker grew the case: %s -> %s", c, got)
 		}
 	})
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"repro/internal/routing"
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
@@ -49,71 +47,82 @@ func bruteForce(g *topology.Graph, hp hopPorts, par int) *TaggedGraph {
 	return out
 }
 
-// replayer pushes paths through rs one after another, materializing the
-// (port, tag) vertices and edges their packets traverse into tg, and
-// resumes each path where it parts from the one before: the vertex at
-// p[i] and the tag carried into it depend on p[0..i] only, so for the
-// leading nodes two consecutive paths share, the earlier replay already
-// put the same vertices and edges into tg and the tags can be picked up
-// from it. Only the rewrite AT the last shared node is redone — it matches
-// on the egress port, i.e. on the first node that differs. Enumerators
-// emit paths prefix-first, so this skips about half the hops of a Clos
-// ELP; on an unordered list it costs one comparison per path.
+// replayer pushes paths through rs one after another from the NIC stamp,
+// recording for each what a packet on it meets: per hop, the ingress port
+// and the tag carried into it, and the rule match keys consulted on the
+// way (hits and misses alike — a key that later gains an entry changes
+// the outcome too). Synthesis interns the hops into the runtime graph;
+// Resynth packs them into chains and indexes the keys.
 //
-// Inlining the replay also avoids the per-path tag-slice allocation of
-// Ruleset.Replay, which stays the independent per-path reference.
+// Each replay resumes where the path parts from the one before: hop j and
+// the keys consulted before it depend on the path's first j+2 nodes only,
+// so for the nodes two consecutive paths share, the previous replay
+// already computed them under the same rules. Only the rewrite AT the
+// last shared node is redone — it matches on the egress port, i.e. on the
+// first node that differs. Resuming is capped where the previous path
+// went lossy: nothing past that hop was replayed. Enumerators emit paths
+// prefix-first, so this skips about half the hops of a Clos ELP; on an
+// unordered list it costs one comparison per path.
+//
+// Ruleset.Replay stays the independent per-path reference.
 type replayer struct {
 	rs       *Ruleset
-	tg       *TaggedGraph
 	startTag int
-
-	// The previous path and, for its positions [1, n), what its replay
-	// found there. n stops at the hop where prev went lossy: nothing past
-	// it was replayed.
-	prev routing.Path
-	n    int
-	at   []arrival
+	prev     routing.Path
+	hops     []replayHop // the last replay's, up to the hop that went lossy
+	keys     []uint64    // the match keys the last replay consulted
 }
 
-// arrival is a replayed packet's state on reaching one node of its path.
-type arrival struct {
-	id  int32 // vertex (ingress port, tag) in tg
-	tag int   // tag carried into the node
-	in  int   // ingress port number on the node
+// replayHop is a replayed packet's state on entering one node of its
+// path: hops[j] is the entry into p[j+1].
+type replayHop struct {
+	port  topology.PortID // ingress port
+	tag   int             // tag carried in
+	nkeys int32           // len(keys) once the tag was decided
+}
+
+// reset starts a walk under rs; nothing of an earlier walk is resumed.
+func (r *replayer) reset(rs *Ruleset, startTag int) {
+	r.rs, r.startTag, r.prev = rs, startTag, nil
 }
 
 // replay runs p, whose hop ports are ports, and reports whether it stayed
-// lossless end to end. The egress port at p[i-1] is the far end of the
-// link p[i] is entered by.
-func (r *replayer) replay(p routing.Path, ports []topology.PortID) bool {
-	if grow := len(p) - len(r.at); grow > 0 {
-		r.at = slices.Grow(r.at, grow)[:len(p)]
-	}
+// lossless end to end. r.hops and r.keys then describe p's replay; hops
+// before from were resumed from the previous call unchanged. The rewrite
+// at p[j] matches on the port p[j] was entered by, ports[j-1], and the
+// port it leaves on, the far end of the link p[j+1] is entered by,
+// ports[j].
+func (r *replayer) replay(p routing.Path, ports []topology.PortID) (from int, ok bool) {
 	shared := 0
-	for shared < r.n && shared < len(p) && p[shared] == r.prev[shared] {
+	for shared < len(p) && shared < len(r.prev) && p[shared] == r.prev[shared] {
 		shared++
 	}
-	g := r.rs.g
 	r.prev = p
-	for i := max(shared, 1); i < len(p); i++ {
-		port := ports[i-1]
-		tag := r.startTag
-		if i > 1 {
-			was := r.at[i-1]
-			tag = r.rs.Classify(p[i-1], was.tag, was.in, egressNum(g, port))
-			if tag == LossyTag {
-				r.n = i
-				return false
+	from = min(max(shared-1, 0), len(r.hops))
+	hops, keys, tag := r.hops[:from], r.keys[:0], r.startTag
+	if from > 0 {
+		last := hops[from-1]
+		keys, tag = r.keys[:last.nkeys], last.tag
+	}
+	rs := r.rs
+	g := rs.g
+	ok = true
+	for j := from; j < len(ports); j++ {
+		if j > 0 {
+			at := g.Port(ports[j-1])
+			in, out := at.Num, egressNum(g, ports[j])
+			if k, kok := matchKey(at.Node, tag, in, out); kok {
+				keys = append(keys, k)
+			}
+			if tag = rs.Classify(at.Node, tag, in, out); tag == LossyTag {
+				ok = false
+				break
 			}
 		}
-		id := r.tg.intern(TagNode{Port: port, Tag: tag})
-		if i > 1 {
-			r.tg.addEdgeIDs(r.at[i-1].id, id)
-		}
-		r.at[i] = arrival{id: id, tag: tag, in: g.Port(port).Num}
+		hops = append(hops, replayHop{port: ports[j], tag: tag, nkeys: int32(len(keys))})
 	}
-	r.n = len(p)
-	return true
+	r.hops, r.keys = hops, keys
+	return from, ok
 }
 
 // buildRuleGraphN is BuildRuleGraph with an explicit worker count, over
@@ -127,13 +136,26 @@ func buildRuleGraphN(rs *Ruleset, paths []routing.Path, hp hopPorts, startTag, p
 	locals := make([]*TaggedGraph, len(shards))
 	lviol := make([][]routing.Path, len(shards))
 	sweep.ForEachShard(len(paths), par, func(s sweep.Shard) {
-		r := replayer{rs: rs, tg: NewTaggedGraph(rs.g), startTag: startTag}
+		r := replayer{rs: rs, startTag: startTag}
+		tg := NewTaggedGraph(rs.g)
+		var ids []int32 // ids[j]: r.hops[j]'s vertex in tg
 		for i := s.Lo; i < s.Hi; i++ {
-			if !r.replay(paths[i], hp.at(i)) {
+			from, ok := r.replay(paths[i], hp.at(i))
+			// The resumed hops, and the edges between them, are in tg.
+			ids = ids[:from]
+			for j := from; j < len(r.hops); j++ {
+				h := r.hops[j]
+				id := tg.intern(TagNode{Port: h.port, Tag: h.tag})
+				if j > 0 {
+					tg.addEdgeIDs(ids[j-1], id)
+				}
+				ids = append(ids, id)
+			}
+			if !ok {
 				lviol[s.Index] = append(lviol[s.Index], paths[i])
 			}
 		}
-		locals[s.Index] = r.tg
+		locals[s.Index] = tg
 	})
 	out, violations := locals[0], lviol[0]
 	for i := 1; i < len(shards); i++ {

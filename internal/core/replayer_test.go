@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/elp"
@@ -36,11 +37,45 @@ func referenceRuleGraph(rs *Ruleset, paths []routing.Path, startTag int) (*Tagge
 	return tg, lossy
 }
 
-// TestReplayerResumeAdversarial feeds buildRuleGraphN path orders chosen
-// to break prefix resumption and requires, for every worker count 1-4
-// (each shard starts a replayer cold, so shard boundaries move through
-// the list), the reference's graph — same vertices and edges in the same
-// interning order — and the same violation list.
+// replayFromScratch is the per-path replay the replayer must reproduce
+// for Resynth, as it ran before replays resumed from a shared prefix: the
+// path from the NIC stamp, appending its packed chain and every consulted
+// key. The match ports come from node-pair lookups on p, not from the
+// port space the replayer reads.
+func replayFromScratch(g *topology.Graph, p routing.Path, rs *Ruleset) ([]uint32, []uint64, bool) {
+	var chain []uint32
+	var keys []uint64
+	tag := 1
+	for i := 1; i < len(p); i++ {
+		chain = append(chain, packTagKey(ingressPortOf(g, p[i-1], p[i]), tag))
+		if i+1 < len(p) {
+			sw := p[i]
+			in, out := g.PortToPeer(sw, p[i-1]), g.PortToPeer(sw, p[i+1])
+			if k, kok := matchKey(sw, tag, in, out); kok {
+				keys = append(keys, k)
+			}
+			tag = rs.Classify(sw, tag, in, out)
+			if tag == LossyTag {
+				return chain, keys, false
+			}
+		}
+	}
+	return chain, keys, true
+}
+
+// TestReplayerResumeAdversarial feeds the replayer path orders chosen to
+// break prefix resumption: the enumeration order, ascending slot order
+// after a shuffled admission (the order Resynth walks), a shuffle, a path
+// with its prefixes and repeats, and a path that goes lossy mid-way
+// beside neighbours that share its prefix through the lossy switch and
+// past it. For every order:
+//
+//   - buildRuleGraphN must equal the reference graph — same vertices and
+//     edges in the same interning order — and the same violation list,
+//     for every worker count 1-4 (each shard starts a replayer cold, so
+//     shard boundaries move through the list);
+//   - one replayer walking the list must report, for every path, the
+//     chain, keys and verdict of a from-scratch replay.
 func TestReplayerResumeAdversarial(t *testing.T) {
 	c, err := topology.NewClos(topology.ClosConfig{Pods: 3, ToRsPerPod: 2, LeafsPerPod: 2, Spines: 2, HostsPerToR: 1})
 	if err != nil {
@@ -62,16 +97,13 @@ func TestReplayerResumeAdversarial(t *testing.T) {
 			lossy, lossyAt = p, res.DropHop
 		}
 	}
-	if len(lossless) < 5 || lossy == nil {
-		t.Fatalf("fixture lacks a long lossless path (%d nodes) or a path lossy before its last switch (%v)", len(lossless), lossy)
-	}
 	// A path sharing lossy's nodes through the lossy switch and the hop
 	// after it: it goes lossy at the same hop, and the state the replayer
 	// may reuse ends there. And one sharing only up to the lossy switch,
 	// leaving it another way.
 	var sameFate, otherWay routing.Path
 	for _, p := range sorted {
-		if p.Equal(lossy) || len(p) <= lossyAt+1 || !p[:lossyAt+1].Equal(lossy[:lossyAt+1]) {
+		if lossy == nil || p.Equal(lossy) || len(p) <= lossyAt+1 || !p[:lossyAt+1].Equal(lossy[:lossyAt+1]) {
 			continue
 		}
 		if p[lossyAt+1] == lossy[lossyAt+1] && sameFate == nil {
@@ -81,23 +113,33 @@ func TestReplayerResumeAdversarial(t *testing.T) {
 			otherWay = p
 		}
 	}
-	if sameFate == nil || otherWay == nil {
-		t.Fatalf("fixture lacks neighbours of the lossy path (sameFate=%v otherWay=%v)", sameFate, otherWay)
+	if len(lossless) < 5 || sameFate == nil || otherWay == nil {
+		t.Fatalf("fixture lacks a long lossless path (%v), a mid-path lossy one (%v) or its neighbours (%v, %v)",
+			lossless, lossy, sameFate, otherWay)
 	}
 
 	shuffled := append([]routing.Path(nil), sorted...)
 	rand.New(rand.NewSource(3)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-
+	// Ascending slot order of a shuffled admission: slots follow first
+	// admission, so a walk sees the shuffled list; half of it, in order,
+	// is what a partial revival walks.
+	var half []routing.Path
+	for i, p := range shuffled {
+		if i%2 == 0 {
+			half = append(half, p)
+		}
+	}
 	cases := []struct {
 		name  string
 		paths []routing.Path
 	}{
 		{"enumeration order", sorted},
+		{"every other slot of a shuffled admission", half},
 		{"shuffled: no prefix shared", shuffled},
 		{"path, its proper prefixes, itself", []routing.Path{
 			lossless, lossless[:len(lossless)-1], lossless[:2], lossless[:1], lossless, lossless, lossless[:3], lossless}},
 		{"lossy, then paths sharing the lossy prefix", []routing.Path{
-			lossy, sameFate, lossy, otherWay, lossy[:lossyAt+1], lossy[:lossyAt+2], lossy, sameFate}},
+			lossy, sameFate, lossy, otherWay, lossy[:lossyAt+1], lossy[:lossyAt+2], lossy, sameFate, lossy[:lossyAt+3]}},
 		{"short after long after short", []routing.Path{
 			lossless[:2], lossless, lossless[:3], lossy, lossless[:2], {}, lossless}},
 		{"empty list", nil},
@@ -119,6 +161,21 @@ func TestReplayerResumeAdversarial(t *testing.T) {
 				if !gotLossy[i].Equal(wantLossy[i]) {
 					t.Errorf("%s, %d workers: violation %d = %v, want %v", tc.name, workers, i, gotLossy[i], wantLossy[i])
 				}
+			}
+		}
+
+		var r replayer
+		r.reset(rs, 1)
+		for i, p := range tc.paths {
+			wantChain, wantKeys, wantOK := replayFromScratch(g, p, rs)
+			_, ok := r.replay(p, appendHopPorts(g, p, nil))
+			var chain []uint32
+			for _, h := range r.hops {
+				chain = append(chain, packTagKey(h.port, h.tag))
+			}
+			if ok != wantOK || !slices.Equal(chain, wantChain) || !slices.Equal(r.keys, wantKeys) {
+				t.Fatalf("%s, path %d %s: resumed replay (ok=%v, %d hops, %d keys) differs from scratch (ok=%v, %d hops, %d keys)",
+					tc.name, i, p.String(g), ok, len(chain), len(r.keys), wantOK, len(wantChain), len(wantKeys))
 			}
 		}
 	}

@@ -211,81 +211,6 @@ func bfChainOf(pids []topology.PortID, buf []uint32) []uint32 {
 	return buf
 }
 
-// rsReplayer replays slots one after another through one ruleset, from
-// the NIC stamp (tag 1) with the cached hop metadata, recording the packed
-// runtime chain and the rule keys consulted (whether they hit or missed —
-// a key that later gains an entry changes the outcome too).
-//
-// Like the synthesis replayer (parallel.go) it resumes each replay where
-// the path parts from the previous one: chain entry i and the keys
-// consulted before it depend on the path's first i+2 nodes only, so for
-// the nodes two consecutive paths share, the previous replay already
-// computed them under the same rules. Only the rewrite at the last shared
-// node is redone — it matches on the egress port toward the first node
-// that differs. Resuming is capped where the previous path went lossy:
-// nothing past that hop was replayed. Walking slots in ascending order
-// makes consecutive paths share most of their hops on enumerated ELPs.
-type rsReplayer struct {
-	rs    *Ruleset
-	prev  routing.Path
-	chain []uint32 // the previous replay's chain, reused as this one's
-	keys  []uint64
-	tags  []int   // tag carried on chain[i]
-	nkeys []int32 // len(keys) when chain[i] was appended
-}
-
-// reset starts a walk under rs; nothing of an earlier walk is resumed.
-func (rp *rsReplayer) reset(rs *Ruleset) {
-	rp.rs, rp.prev = rs, nil
-	rp.chain, rp.keys = rp.chain[:0], rp.keys[:0]
-}
-
-// replay runs p, whose cached metadata is e, and returns its chain and
-// consulted keys, valid until the next call. ok=false means the path went
-// lossy; the chain then ends at the hop that did. The rewrite at p[i]
-// matches on the port p[i] was entered by, e.pids[i-1], and the port it
-// leaves on, the far end of the link p[i+1] is entered by, e.pids[i].
-func (rp *rsReplayer) replay(p routing.Path, e *rsPath) (chain []uint32, keys []uint64, ok bool) {
-	shared := 0
-	for shared < len(p) && shared < len(rp.prev) && p[shared] == rp.prev[shared] {
-		shared++
-	}
-	rp.prev = p
-	n := len(e.pids)
-	if grow := n - len(rp.tags); grow > 0 {
-		rp.tags = append(rp.tags, make([]int, grow)...)
-		rp.nkeys = append(rp.nkeys, make([]int32, grow)...)
-	}
-	tags, nkeys := rp.tags, rp.nkeys
-	from, tag := min(shared-1, len(rp.chain)), 1
-	if from > 0 {
-		chain, keys, tag = rp.chain[:from], rp.keys[:nkeys[from-1]], tags[from-1]
-	} else {
-		from, chain, keys = 0, rp.chain[:0], rp.keys[:0]
-	}
-	ok = true
-	rs := rp.rs
-	g := rs.g
-	for i := from; i < n; i++ {
-		if i > 0 {
-			at := g.Port(e.pids[i-1])
-			in, out := at.Num, egressNum(g, e.pids[i])
-			if k, kok := matchKey(at.Node, tag, in, out); kok {
-				keys = append(keys, k)
-			}
-			tag = rs.Classify(at.Node, tag, in, out)
-			if tag == LossyTag {
-				ok = false
-				break
-			}
-		}
-		tags[i], nkeys[i] = tag, int32(len(keys))
-		chain = append(chain, packTagKey(e.pids[i], tag))
-	}
-	rp.chain, rp.keys = chain, keys
-	return chain, keys, ok
-}
-
 // Resynth maintains a synthesized System incrementally across ELP churn.
 // Apply diffs the path set, updates the refcounted brute-force graph,
 // reruns only the stages whose inputs changed, and replays only the added
@@ -338,7 +263,8 @@ type Resynth struct {
 	markLo, markHi int
 
 	// Reusable scratch for replays and removed-chain staging.
-	rp     rsReplayer
+	rp     replayer
+	chain  []uint32 // rp's last replay, packed
 	remBuf [][]uint32
 	addBuf []int
 
@@ -421,14 +347,14 @@ func (r *Resynth) initFrom(sys *System) error {
 	r.keyIdx = make(map[uint64][]uint64)
 	r.idxLive, r.idxStale = 0, 0
 	r.marks = nil // may hold marks for the list being discarded
-	r.rp.reset(sys.Rules)
+	r.rp.reset(sys.Rules, 1)
 	hp := newHopPorts(r.g, sys.ELP, r.opts.Workers)
 	var buf []uint32
 	for i, p := range sys.ELP {
 		e := rsPath{pids: hp.at(i)}
 		buf = bfChainOf(e.pids, buf)
 		r.bf.addChain(buf)
-		chain, keys, ok := r.rp.replay(p, &e)
+		chain, keys, ok := r.replay(p, e.pids)
 		if !ok {
 			return fmt.Errorf("core: resynth init: path %s lossy under synthesized rules", p.String(r.g))
 		}
@@ -488,7 +414,7 @@ func (r *Resynth) rebuildIndex() {
 // index is untouched.
 func (r *Resynth) commit(idx int, chain []uint32, keys []uint64) {
 	e := &r.list[idx]
-	if !keysEqual(keys, e.keys) {
+	if !slices.Equal(keys, e.keys) {
 		r.unindexKeys(idx)
 		e.keys = append(e.keys[:0], keys...)
 		r.indexKeys(idx)
@@ -635,6 +561,21 @@ func (r *Resynth) mark(idx int, m uint8) {
 	r.markLo, r.markHi = min(r.markLo, idx), max(r.markHi, idx)
 }
 
+// replay runs path p, whose hop ports are pids, through r.rp and returns
+// its packed runtime chain and the keys it consulted, valid until the
+// next call. ok=false means the path went lossy; the chain then stops
+// before the hop that did. Only the hops the replay did not resume are
+// packed.
+func (r *Resynth) replay(p routing.Path, pids []topology.PortID) (chain []uint32, keys []uint64, ok bool) {
+	from, ok := r.rp.replay(p, pids)
+	chain = r.chain[:from]
+	for _, h := range r.rp.hops[from:] {
+		chain = append(chain, packTagKey(h.port, h.tag))
+	}
+	r.chain = chain
+	return chain, r.rp.keys, ok
+}
+
 // replayMarked replays the marked slots under rules in ascending slot
 // order, resuming each from the previous one's shared prefix, and folds
 // the chains into the runtime graph: an added slot's chain joins it, an
@@ -643,7 +584,7 @@ func (r *Resynth) mark(idx int, m uint8) {
 // synthesis would have repaired, so the caller defers to it (rebuild).
 func (r *Resynth) replayMarked(rules *Ruleset) bool {
 	paths := r.ix.Paths()
-	r.rp.reset(rules)
+	r.rp.reset(rules, 1)
 	replays := 0
 	for idx := r.markLo; idx <= r.markHi; idx++ {
 		m := r.marks[idx]
@@ -652,13 +593,13 @@ func (r *Resynth) replayMarked(rules *Ruleset) bool {
 		}
 		r.marks[idx] = 0
 		e := &r.list[idx]
-		chain, keys, ok := r.rp.replay(paths[idx], e)
+		chain, keys, ok := r.replay(paths[idx], e.pids)
 		if !ok {
 			return false // the rebuild that follows drops the marks
 		}
 		replays++
 		if m == markAffected {
-			if chainsEqual(chain, e.chain) {
+			if slices.Equal(chain, e.chain) {
 				continue // the touched rules resolved to the same trajectory
 			}
 			r.run.removeChain(e.chain)
@@ -679,26 +620,13 @@ func (r *Resynth) applySameRules() (*System, error) {
 	if !r.replayMarked(prev.Rules) {
 		return r.rebuild()
 	}
-	runtime := prev.Runtime
-	if r.run.changed {
-		runtime = r.run.materialize(r.g)
-		if err := runtime.Verify(); err != nil {
-			r.broken = true
-			return nil, fmt.Errorf("core: resynth runtime graph: %w", err)
-		}
-	}
 	telemetry.Default.Counter("resynth_rules_reused_total").Inc()
-	r.sys = &System{
-		Graph:      r.g,
-		ELP:        r.activePaths(),
+	return r.finish(&System{
 		BruteForce: prev.BruteForce,
 		Merged:     prev.Merged,
 		Rules:      prev.Rules,
-		Runtime:    runtime,
 		Conflicts:  prev.Conflicts,
-	}
-	r.compact()
-	return r.sys, nil
+	})
 }
 
 // applyNewRules re-runs Algorithm 2 and rule derivation on the updated
@@ -755,49 +683,30 @@ func (r *Resynth) applyNewRules() (*System, error) {
 		return r.rebuild()
 	}
 
-	runtime := prev.Runtime
+	return r.finish(&System{
+		BruteForce: bfTG,
+		Merged:     merged,
+		Rules:      rules,
+		Conflicts:  conflicts,
+	})
+}
+
+// finish completes sys, which carries the stages Apply reran or reused,
+// into the next system: the runtime graph is rematerialized and verified
+// only if the replays changed it, and the live paths become its ELP.
+func (r *Resynth) finish(sys *System) (*System, error) {
+	sys.Graph, sys.Runtime = r.g, r.sys.Runtime
 	if r.run.changed {
-		runtime = r.run.materialize(r.g)
-		if err := runtime.Verify(); err != nil {
+		sys.Runtime = r.run.materialize(r.g)
+		if err := sys.Runtime.Verify(); err != nil {
 			r.broken = true
 			return nil, fmt.Errorf("core: resynth runtime graph: %w", err)
 		}
 	}
-	r.sys = &System{
-		Graph:      r.g,
-		ELP:        r.activePaths(),
-		BruteForce: bfTG,
-		Merged:     merged,
-		Rules:      rules,
-		Runtime:    runtime,
-		Conflicts:  conflicts,
-	}
+	sys.ELP = r.activePaths()
+	r.sys = sys
 	r.compact()
-	return r.sys, nil
-}
-
-func chainsEqual(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func keysEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return sys, nil
 }
 
 // ApplySet makes the given path set the ELP — the entry point for policy

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -9,115 +8,6 @@ import (
 	"repro/internal/routing"
 	"repro/internal/topology"
 )
-
-// replayFromScratch is the per-path replay rsReplayer must reproduce, as
-// Resynth ran it before replays resumed from a shared prefix: the path
-// from the NIC stamp, appending its chain and every consulted key. The
-// match ports come from node-pair lookups on p, not from e's port space.
-func replayFromScratch(g *topology.Graph, p routing.Path, e *rsPath, rs *Ruleset, chain []uint32, keys []uint64) ([]uint32, []uint64, bool) {
-	tag := 1
-	for i, pid := range e.pids {
-		chain = append(chain, packTagKey(pid, tag))
-		if i+2 < len(p) {
-			sw := p[i+1]
-			in, out := g.PortToPeer(sw, p[i]), g.PortToPeer(sw, p[i+2])
-			if k, kok := matchKey(sw, tag, in, out); kok {
-				keys = append(keys, k)
-			}
-			tag = rs.Classify(sw, tag, in, out)
-			if tag == LossyTag {
-				return chain, keys, false
-			}
-		}
-	}
-	return chain, keys, true
-}
-
-// TestRsReplayerResumeAdversarial runs path orders chosen to break prefix
-// resumption through one rsReplayer and requires every replay's chain,
-// keys and verdict to equal a from-scratch replay of the same path: the
-// enumeration order, ascending slot order after a shuffle (the order
-// Resynth walks), a shuffle, a path with its prefixes and repeats, and a
-// path that goes lossy mid-way beside neighbours that share its prefix
-// through the lossy switch and past it.
-func TestRsReplayerResumeAdversarial(t *testing.T) {
-	c, err := topology.NewClos(topology.ClosConfig{Pods: 3, ToRsPerPod: 2, LeafsPerPod: 2, Spines: 2, HostsPerToR: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := c.Graph
-	// One-bounce rules over a two-bounce ELP: every two-bounce path goes
-	// lossy at its second valley, mid-path.
-	rs := ClosRules(g, 1, 1)
-	sorted := elp.KBounce(g, c.ToRs, 2, nil).Paths()
-
-	var lossless, lossy routing.Path
-	lossyAt := -1
-	for _, p := range sorted {
-		switch res := rs.Replay(p, 1); {
-		case res.Lossless && len(p) > len(lossless):
-			lossless = p
-		case !res.Lossless && res.DropHop+2 < len(p) && lossy == nil:
-			lossy, lossyAt = p, res.DropHop
-		}
-	}
-	var sameFate, otherWay routing.Path
-	for _, p := range sorted {
-		if lossy == nil || p.Equal(lossy) || len(p) <= lossyAt+1 || !p[:lossyAt+1].Equal(lossy[:lossyAt+1]) {
-			continue
-		}
-		if p[lossyAt+1] == lossy[lossyAt+1] && sameFate == nil {
-			sameFate = p
-		}
-		if p[lossyAt+1] != lossy[lossyAt+1] && otherWay == nil {
-			otherWay = p
-		}
-	}
-	if len(lossless) < 5 || sameFate == nil || otherWay == nil {
-		t.Fatalf("fixture lacks a long lossless path (%v), a mid-path lossy one (%v) or its neighbours (%v, %v)",
-			lossless, lossy, sameFate, otherWay)
-	}
-
-	shuffled := append([]routing.Path(nil), sorted...)
-	rand.New(rand.NewSource(3)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	// Ascending slot order of a shuffled admission: slots follow first
-	// admission, so a walk sees the shuffled list; half of it, in order,
-	// is what a partial revival walks.
-	var half []routing.Path
-	for i, p := range shuffled {
-		if i%2 == 0 {
-			half = append(half, p)
-		}
-	}
-	cases := []struct {
-		name  string
-		paths []routing.Path
-	}{
-		{"enumeration order", sorted},
-		{"every other slot of a shuffled admission", half},
-		{"shuffled: no prefix shared", shuffled},
-		{"path, its proper prefixes, itself", []routing.Path{
-			lossless, lossless[:len(lossless)-1], lossless[:2], lossless[:1], lossless, lossless, lossless[:3], lossless}},
-		{"lossy, then paths sharing the lossy prefix", []routing.Path{
-			lossy, sameFate, lossy, otherWay, lossy[:lossyAt+1], lossy[:lossyAt+2], lossy, sameFate, lossy[:lossyAt+3]}},
-		{"short after long after short", []routing.Path{
-			lossless[:2], lossless, lossless[:3], lossy, lossless[:2], lossless}},
-	}
-	for _, tc := range cases {
-		var rp rsReplayer
-		rp.reset(rs)
-		for i, p := range tc.paths {
-			e := rsPath{pids: appendHopPorts(g, p, nil)}
-			wantChain, wantKeys, wantOK := replayFromScratch(g, p, &e, rs, nil, nil)
-			chain, keys, ok := rp.replay(p, &e)
-			if ok != wantOK || !reflect.DeepEqual(append([]uint32{}, chain...), append([]uint32{}, wantChain...)) ||
-				!reflect.DeepEqual(append([]uint64{}, keys...), append([]uint64{}, wantKeys...)) {
-				t.Fatalf("%s, path %d %s: resumed replay (ok=%v, %d hops, %d keys) differs from scratch (ok=%v, %d hops, %d keys)",
-					tc.name, i, p.String(g), ok, len(chain), len(keys), wantOK, len(wantChain), len(wantKeys))
-			}
-		}
-	}
-}
 
 // parkClos is the fabric of the parking tests: 2 pods of 2 ToRs and 2
 // leaves under 2 spines, with the one-bounce ToR ELP.

@@ -23,3 +23,28 @@ func TestChurnSweep(t *testing.T) {
 		}
 	}
 }
+
+// TestShrinkChurnConvergence: for a synthetic predicate on a churn case
+// the shrinker terminates, keeps the case failing, never probes an
+// invalid configuration, and takes the event count to its threshold and
+// every other knob to its floor.
+func TestShrinkChurnConvergence(t *testing.T) {
+	c := Churn.Gen("clos", 7)
+	evFloor := 3
+	fails := func(c Case) bool {
+		if !c.validConfig() {
+			t.Fatalf("invalid probe: %s", c)
+		}
+		return c.Events >= evFloor
+	}
+	got := Shrink(c, fails)
+	if !fails(got) {
+		t.Fatalf("shrunk case stopped failing: %s", got)
+	}
+	if got.Events != evFloor {
+		t.Fatalf("events not fully shrunk: got %d, want %d", got.Events, evFloor)
+	}
+	if got.Pods*got.ToRsPerPod != 2 || got.Workers != 1 || got.PodAdds != 0 {
+		t.Fatalf("knobs not at floors: %s", got)
+	}
+}

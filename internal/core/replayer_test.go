@@ -63,20 +63,20 @@ func replayFromScratch(g *topology.Graph, p routing.Path, rs *Ruleset) ([]uint32
 	return chain, keys, true
 }
 
-// TestReplayerResumeAdversarial feeds the replayer path orders chosen to
-// break prefix resumption: the enumeration order, ascending slot order
-// after a shuffled admission (the order Resynth walks), a shuffle, a path
-// with its prefixes and repeats, and a path that goes lossy mid-way
-// beside neighbours that share its prefix through the lossy switch and
-// past it. For every order:
-//
-//   - buildRuleGraphN must equal the reference graph — same vertices and
-//     edges in the same interning order — and the same violation list,
-//     for every worker count 1-4 (each shard starts a replayer cold, so
-//     shard boundaries move through the list);
-//   - one replayer walking the list must report, for every path, the
-//     chain, keys and verdict of a from-scratch replay.
-func TestReplayerResumeAdversarial(t *testing.T) {
+// resumeOrder is one list of paths the replay tests walk in order.
+type resumeOrder struct {
+	name  string
+	paths []routing.Path
+}
+
+// resumeOrders returns the fixture of the resume tests: a three-pod Clos
+// under one-bounce rules and path orders chosen to break prefix
+// resumption — the enumeration order, ascending slot order after a
+// shuffled admission (the order Resynth walks), a shuffle, a path with
+// its prefixes and repeats, and a path that goes lossy mid-way beside
+// neighbours that share its prefix through the lossy switch and past it.
+func resumeOrders(t *testing.T) (*topology.Graph, *Ruleset, []resumeOrder) {
+	t.Helper()
 	c, err := topology.NewClos(topology.ClosConfig{Pods: 3, ToRsPerPod: 2, LeafsPerPod: 2, Spines: 2, HostsPerToR: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -129,10 +129,7 @@ func TestReplayerResumeAdversarial(t *testing.T) {
 			half = append(half, p)
 		}
 	}
-	cases := []struct {
-		name  string
-		paths []routing.Path
-	}{
+	return g, rs, []resumeOrder{
 		{"enumeration order", sorted},
 		{"every other slot of a shuffled admission", half},
 		{"shuffled: no prefix shared", shuffled},
@@ -144,6 +141,18 @@ func TestReplayerResumeAdversarial(t *testing.T) {
 			lossless[:2], lossless, lossless[:3], lossy, lossless[:2], {}, lossless}},
 		{"empty list", nil},
 	}
+}
+
+// TestReplayerResumeAdversarial walks every order of resumeOrders:
+//
+//   - buildRuleGraphN must equal the reference graph — same vertices and
+//     edges in the same interning order — and the same violation list,
+//     for every worker count 1-4 (each shard starts a replayer cold, so
+//     shard boundaries move through the list);
+//   - one replayer walking the list must report, for every path, the
+//     hops, keys and verdict of a from-scratch replay.
+func TestReplayerResumeAdversarial(t *testing.T) {
+	g, rs, cases := resumeOrders(t)
 	for _, tc := range cases {
 		want, wantLossy := referenceRuleGraph(rs, tc.paths, 1)
 		for workers := 1; workers <= 4; workers++ {
@@ -176,6 +185,27 @@ func TestReplayerResumeAdversarial(t *testing.T) {
 			if ok != wantOK || !slices.Equal(chain, wantChain) || !slices.Equal(r.keys, wantKeys) {
 				t.Fatalf("%s, path %d %s: resumed replay (ok=%v, %d hops, %d keys) differs from scratch (ok=%v, %d hops, %d keys)",
 					tc.name, i, p.String(g), ok, len(chain), len(r.keys), wantOK, len(wantChain), len(wantKeys))
+			}
+		}
+	}
+}
+
+// TestRsReplayerResumeAdversarial runs the orders of resumeOrders through
+// Resynth.replay, which packs only the hops the replayer did not resume
+// onto the chain it kept from the previous path, and requires every
+// replay's chain, keys and verdict to equal a from-scratch replay of the
+// same path.
+func TestRsReplayerResumeAdversarial(t *testing.T) {
+	g, rs, cases := resumeOrders(t)
+	for _, tc := range cases {
+		var r Resynth
+		r.rp.reset(rs, 1)
+		for i, p := range tc.paths {
+			wantChain, wantKeys, wantOK := replayFromScratch(g, p, rs)
+			chain, keys, ok := r.replay(p, appendHopPorts(g, p, nil))
+			if ok != wantOK || !slices.Equal(chain, wantChain) || !slices.Equal(keys, wantKeys) {
+				t.Fatalf("%s, path %d %s: resumed replay (ok=%v, %d hops, %d keys) differs from scratch (ok=%v, %d hops, %d keys)",
+					tc.name, i, p.String(g), ok, len(chain), len(keys), wantOK, len(wantChain), len(wantKeys))
 			}
 		}
 	}

@@ -196,15 +196,16 @@ fuzz:
 
 # Bounded differential fuzzing for the pre-merge gate: a few seconds of
 # native coverage-guided fuzzing over the check battery, the path index
-# (against its string-keyed reference), the bundle decoder and the sim's
-# event scheduler (against a sorted slice), plus a
-# seeded taggerfuzz sweep of every topology family. Failing inputs shrink to
-# runnable repro tests under internal/check/testdata/fuzz-corpus/.
+# (against its string-keyed reference), the bundle decoder, the sim's
+# event scheduler (against a sorted slice) and the TGL1 trace decoder, plus
+# a seeded taggerfuzz sweep of every topology family. Failing inputs shrink
+# to runnable repro tests under internal/check/testdata/fuzz-corpus/.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzRunCase -fuzztime 5s ./internal/check/
 	$(GO) test -fuzz FuzzPathIndex -fuzztime 5s ./internal/routing/
 	$(GO) test -fuzz FuzzBundleImport -fuzztime 5s ./internal/deploy/
 	$(GO) test -fuzz FuzzSchedulerOrder -fuzztime 5s ./internal/sim/
+	$(GO) test -fuzz FuzzTraceDecode -fuzztime 5s ./internal/trace/
 	$(GO) run ./cmd/taggerfuzz -seeds 25 -topo all -q
 
 # The churn differential: fuzzed link-flap/drain/pod-add sequences where

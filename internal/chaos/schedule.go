@@ -140,31 +140,18 @@ type Config struct {
 	Reboots       int
 	InstallFaults int
 	RPCFaults     int
-	// MinDown/MaxDown bound a flap's outage window; zero values default
-	// to Duration/8 and Duration/3.
-	MinDown, MaxDown time.Duration
-	// RPCTimeoutHint scales generated RPC delays (default 50ms): delays
-	// are drawn from [hint/2, 3*hint), so some exceed the timeout and
-	// some do not.
-	RPCTimeoutHint time.Duration
 }
 
-// Generate produces the deterministic fault schedule for (cfg, seed).
+// rpcTimeoutHint scales generated RPC delays: they are drawn from
+// [hint/2, 3*hint), so some exceed the timeout and some do not.
+const rpcTimeoutHint = 50 * time.Millisecond
+
+// Generate produces the deterministic fault schedule for (cfg, seed). A
+// flap's outage lasts between Duration/8 and Duration/3.
 func Generate(cfg Config, seed int64) Schedule {
 	rng := rand.New(rand.NewSource(seed))
 	if cfg.Duration <= 0 {
 		cfg.Duration = 40 * time.Millisecond
-	}
-	minDown, maxDown := cfg.MinDown, cfg.MaxDown
-	if minDown <= 0 {
-		minDown = cfg.Duration / 8
-	}
-	if maxDown <= minDown {
-		maxDown = cfg.Duration / 3
-	}
-	hint := cfg.RPCTimeoutHint
-	if hint <= 0 {
-		hint = 50 * time.Millisecond
 	}
 
 	var faults []Fault
@@ -178,7 +165,7 @@ func Generate(cfg Config, seed int64) Schedule {
 	for i := 0; i < cfg.LinkFlaps && len(cfg.Links) > 0; i++ {
 		l := cfg.Links[rng.Intn(len(cfg.Links))]
 		down := between(cfg.Duration/20, cfg.Duration*7/10)
-		dur := between(minDown, maxDown)
+		dur := between(cfg.Duration/8, cfg.Duration/3)
 		up := down + dur
 		if lim := cfg.Duration * 19 / 20; up > lim {
 			up = lim
@@ -218,7 +205,7 @@ func Generate(cfg Config, seed int64) Schedule {
 		case 0:
 			f.Kind = FaultRPCDrop
 		case 1:
-			f.Kind, f.Delay = FaultRPCDelay, between(hint/2, 3*hint)
+			f.Kind, f.Delay = FaultRPCDelay, between(rpcTimeoutHint/2, 3*rpcTimeoutHint)
 		default:
 			f.Kind = FaultRPCDuplicate
 		}

@@ -211,7 +211,7 @@ func TestReplayPathsCatchesLossyELP(t *testing.T) {
 	// One bounce needs tag 2; a 0-bounce-only ruleset must drop it.
 	rs := core.ClosRules(c.Graph, 0, 1)
 	paths := elp.KBounce(c.Graph, c.ToRs, 1, nil)
-	err := ReplayPaths(rs, paths.Paths(), ReplayOpts{RequireLossless: true, Par: 2, Legacy: true})
+	err := ReplayPaths(rs, paths.Paths(), ReplayOpts{RequireLossless: true, Par: 2})
 	if err == nil {
 		t.Error("bounce path survived a 0-bounce ruleset")
 	}

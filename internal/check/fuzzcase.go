@@ -370,15 +370,15 @@ func RunCase(c Case) error {
 		if err := DiffCompiledParallelism(rs, par); err != nil {
 			return fmt.Errorf("%s: %w", c, err)
 		}
-		if err := ReplayPaths(rs, deviations, ReplayOpts{Par: par, Legacy: true}); err != nil {
+		if err := ReplayPaths(rs, deviations, ReplayOpts{Par: par}); err != nil {
 			return fmt.Errorf("%s: deviation replay: %w", c, err)
 		}
 	}
-	if err := ReplayPaths(s.Rules, ext.Paths(), ReplayOpts{Par: par, Legacy: true, RequireLossless: true}); err != nil {
+	if err := ReplayPaths(s.Rules, ext.Paths(), ReplayOpts{Par: par, RequireLossless: true}); err != nil {
 		return fmt.Errorf("%s: ELP replay: %w", c, err)
 	}
 	if len(closBase) > 0 {
-		if err := ReplayPaths(rulesets[1], closBase, ReplayOpts{Par: par, Legacy: true, RequireLossless: true}); err != nil {
+		if err := ReplayPaths(rulesets[1], closBase, ReplayOpts{Par: par, RequireLossless: true}); err != nil {
 			return fmt.Errorf("%s: clos ELP replay: %w", c, err)
 		}
 	}

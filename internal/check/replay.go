@@ -10,19 +10,19 @@ import (
 
 // ReplayOpts configures ReplayPaths.
 type ReplayOpts struct {
-	StartTag        int  // NIC stamp; 0 means 1
 	RequireLossless bool // fail if any path goes lossy (ELP yes, deviations no)
 	Par             int  // worker count for the compressed image
-	Legacy          bool // run the §7 egress-by-old-tag ablation variant too
 }
 
-// ReplayPaths pushes every path hop by hop through three implementations
-// — the abstract ruleset replay (core's Ruleset.Replay over Classify),
-// the §7 pipeline over the tables compiled from the ruleset, and the same
-// pipeline over the tables compiled from the compressed TCAM image — and
-// demands identical (NewTag, ingress queue, egress queue) decisions from
-// the two tables and the replay's rewrite at every hop, plus the
-// structural invariants any §7-correct dataplane must keep:
+// ReplayPaths pushes every path, stamped with tag 1, hop by hop through
+// three implementations — the abstract ruleset replay (core's
+// Ruleset.Replay over Classify), the §7 pipeline over the tables compiled
+// from the ruleset, and the same pipeline over the tables compiled from
+// the compressed TCAM image, each pipeline in both its normal and its §7
+// egress-by-old-tag ablation variant — and demands identical (NewTag,
+// ingress queue, egress queue) decisions from the two tables and the
+// replay's rewrite at every hop, plus the structural invariants any
+// §7-correct dataplane must keep:
 //
 //   - once lossy, always lossy (the safeguard tag cannot be escaped);
 //   - non-legacy egress queues follow the NEW tag (the §7 priority-
@@ -32,25 +32,17 @@ type ReplayOpts struct {
 // ELP paths additionally must stay lossless end to end when
 // RequireLossless is set; deviation paths exercise the safeguard instead.
 func ReplayPaths(rs *core.Ruleset, paths []routing.Path, opts ReplayOpts) error {
-	startTag := opts.StartTag
-	if startTag == 0 {
-		startTag = 1
-	}
 	g := rs.Graph()
 	exact, _ := tcam.Compile(rs)
 	compressed := tcam.NewCompiled(rs, opts.Par).Tables()
-	legacies := []bool{false}
-	if opts.Legacy {
-		legacies = append(legacies, true)
-	}
 	for _, p := range paths {
-		ref := rs.Replay(p, startTag)
+		ref := rs.Replay(p, 1)
 		if opts.RequireLossless && !ref.Lossless {
 			return fmt.Errorf("check: path %s goes lossy at hop %d", p.String(g), ref.DropHop)
 		}
-		for _, legacy := range legacies {
+		for _, legacy := range []bool{false, true} {
 			fromRules, fromImage := pipelines(exact, legacy), pipelines(compressed, legacy)
-			tag := startTag
+			tag := 1
 			for i := 1; i+1 < len(p); i++ {
 				sw := p[i]
 				in := g.PortToPeer(sw, p[i-1])

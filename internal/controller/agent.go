@@ -93,10 +93,6 @@ type DeployConfig struct {
 	// are computed, logged and audited but not slept, which is what the
 	// deterministic tests and the simulator want.
 	Sleep func(time.Duration)
-	// ReconcileRounds bounds how many fetch-diff-patch sweeps Reconcile
-	// makes before declaring the fabric divergent (minimum 1; 0 means the
-	// default of 3).
-	ReconcileRounds int
 	// Parallel bounds how many switches each phase of a push or a
 	// reconcile round drives concurrently (0 or 1: inline, no goroutines).
 	// It changes wall-clock time only: the audit log, the counters and

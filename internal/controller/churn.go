@@ -199,10 +199,14 @@ func (c *Controller) pushDelta(newBundle *deploy.Bundle, diffs map[string]deploy
 	return err
 }
 
+// maxReconcileRounds bounds how many fetch-diff-patch sweeps Reconcile makes
+// before declaring the fabric divergent.
+const maxReconcileRounds = 3
+
 // Reconcile drives the fabric back to the deployed intent (c.bundle): it
 // re-fetches the active table of every switch that holds or ever held
 // rules, computes the delta to intent, and re-issues patch+activate for
-// any divergence — up to DeployConfig.ReconcileRounds sweeps. This is the
+// any divergence — up to maxReconcileRounds sweeps. This is the
 // convergence path after partial deploy failures, switch reboots, or any
 // agent-side state loss.
 // Unlike a push, reconciliation activates per switch immediately: the
@@ -222,10 +226,6 @@ func (c *Controller) Reconcile() (fixed int, err error) {
 		return 0, c.pushBundle(c.bundle, true)
 	}
 	defer c.tel.StartSpan("deploy/reconcile").End()
-	rounds := c.deployCfg.ReconcileRounds
-	if rounds < 1 {
-		rounds = 3
-	}
 	names := keys(c.bundle.Switches)
 	for sw := range c.vacated {
 		if _, ok := c.bundle.Switches[sw]; !ok {
@@ -233,7 +233,7 @@ func (c *Controller) Reconcile() (fixed int, err error) {
 		}
 	}
 
-	for round := 1; round <= rounds; round++ {
+	for round := 1; round <= maxReconcileRounds; round++ {
 		c.tel.Counter("deploy.reconcile.rounds").Inc()
 		// A switch absent from the bundle wants the empty table.
 		plan := c.plan(names, c.bundle, true)
@@ -249,8 +249,8 @@ func (c *Controller) Reconcile() (fixed int, err error) {
 		if !dirty {
 			return fixed, nil
 		}
-		if round == rounds && roundErr != nil {
-			return fixed, fmt.Errorf("controller: fabric did not converge after %d reconcile rounds: %w", rounds, roundErr)
+		if round == maxReconcileRounds && roundErr != nil {
+			return fixed, fmt.Errorf("controller: fabric did not converge after %d reconcile rounds: %w", maxReconcileRounds, roundErr)
 		}
 	}
 	// The round budget is spent; verify the last sweep actually converged.
@@ -260,7 +260,7 @@ func (c *Controller) Reconcile() (fixed int, err error) {
 			return fixed, fmt.Errorf("controller: reconcile verification: %w", e)
 		}
 		if d := deploy.DeltaFor(active, c.bundle.Switches[sw]); !d.Empty() {
-			return fixed, fmt.Errorf("controller: switch %s still diverges from intent after %d reconcile rounds", sw, rounds)
+			return fixed, fmt.Errorf("controller: switch %s still diverges from intent after %d reconcile rounds", sw, maxReconcileRounds)
 		}
 	}
 	return fixed, nil

@@ -159,9 +159,7 @@ type Controller struct {
 
 	// tel receives the deployment metrics (deploy.* counters, per-switch
 	// retry/rollback gauges) and the push-pipeline spans. Each controller
-	// gets its own registry by default so Counters() stays deterministic
-	// per instance; WithTelemetry points it at a shared one (e.g. the one
-	// an ops endpoint serves).
+	// has its own registry so Counters() stays deterministic per instance.
 	tel *telemetry.Registry
 }
 
@@ -177,14 +175,6 @@ func WithAgent(a SwitchAgent) Option {
 // WithDeployConfig overrides the retry/backoff parameters.
 func WithDeployConfig(cfg DeployConfig) Option {
 	return func(c *Controller) { c.deployCfg = cfg }
-}
-
-// WithTelemetry points the controller's metrics and spans at the given
-// registry instead of a private one — the wiring for serving deployment
-// metrics from a process-wide ops endpoint. Sharing a registry across
-// controllers accumulates their counts.
-func WithTelemetry(reg *telemetry.Registry) Option {
-	return func(c *Controller) { c.tel = reg }
 }
 
 // WithSynthCache routes the controller's synthesis through the given

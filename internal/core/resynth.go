@@ -151,8 +151,7 @@ func (rg *refGraph) materialize(g *topology.Graph) *TaggedGraph {
 // the path left the ELP but its static metadata, key set, and index
 // entries stay resident so a re-add (the flap-recovery case) revives it
 // without recomputing graph state or touching the key index. ver
-// invalidates the slot's keyIdx entries when its key set is replaced or
-// its path forgotten.
+// invalidates the slot's keyIdx entries when its key set is replaced.
 type rsPath struct {
 	// pids is the path in port space: the ingress port per hop
 	// (len(path)-1), a view into the hop ports of the system the slot
@@ -219,39 +218,35 @@ func bfChainOf(pids []topology.PortID, buf []uint32) []uint32 {
 // max tag, conflicts) to Synthesize(g, Paths(), opts) — the churn fuzzer
 // in internal/check asserts exactly that.
 //
-// A path keeps its slot until it is forgotten. Apply's removals only
-// *park* a slot: its static metadata, last chain and key set, and its
-// key-index entries stay resident, so a re-add (the flap-recovery case)
-// revives it without recomputing graph state or touching the key index.
-// Only ApplySet forgets, the tracked paths its new set leaves out, and
-// only forgotten slots are ever compacted away. Memory is therefore one
-// slot per distinct path applied and not yet forgotten — under the churn
-// controller, which never calls ApplySet, the tracker's own universe —
-// and Paths() and System().ELP list the live paths in slot order (first
-// application order) whatever the churn history. A full rebuild (the
-// fallback) re-slots from the rebuilt system and drops parked slots.
+// A path keeps its slot for good. Apply's removals only *park* a slot:
+// its static metadata, last chain and key set, and its key-index entries
+// stay resident, so a re-add (the flap-recovery case) revives it without
+// recomputing graph state or touching the key index. Memory is therefore
+// one slot per distinct path ever applied — under the churn controller,
+// the tracker's own universe — and Paths() and System().ELP list the live
+// paths in slot order (first application order) whatever the churn
+// history. A full rebuild (the fallback) re-slots from the rebuilt system
+// and drops parked slots.
 //
 // Resynth is not safe for concurrent use; callers serialize Apply.
 type Resynth struct {
 	g    *topology.Graph
 	opts Options
 	// ix holds every resident path (parked slots included, so check lives
-	// after Find); its slots index list and lives. A forgotten slot holds
-	// a nil path and a zero rsPath until compaction.
-	ix        routing.PathIndex
-	list      []rsPath
-	lives     []bool // per-slot liveness, parallel to list
-	parked    int    // resident slots that are not live
-	forgotten int    // slots whose path was forgotten
-	bf        refGraph
-	run       refGraph
-	sys       *System
+	// after Find); its slots index list and lives.
+	ix     routing.PathIndex
+	list   []rsPath
+	lives  []bool // per-slot liveness, parallel to list
+	parked int    // resident slots that are not live
+	bf     refGraph
+	run    refGraph
+	sys    *System
 
 	// keyIdx maps each consulted rule key to the slots that consulted it,
 	// as packed idx<<32|ver entries. Parked slots keep their entries
 	// (dormant, skipped on read); entries go stale only when a slot's key
-	// set is replaced or its path forgotten, and the whole index is
-	// rebuilt when stale entries dominate.
+	// set is replaced, and the whole index is rebuilt when stale entries
+	// dominate.
 	keyIdx   map[uint64][]uint64
 	idxLive  int
 	idxStale int
@@ -302,12 +297,6 @@ func NewResynth(g *topology.Graph, paths []routing.Path, opts Options) (*Resynth
 // constructs fresh System values.
 func NewResynthFull(g *topology.Graph, paths []routing.Path, opts Options,
 	fn func(*topology.Graph, []routing.Path, Options) (*System, error)) (*Resynth, error) {
-	if opts.StartTag == 0 {
-		opts.StartTag = 1
-	}
-	if opts.StartTag != 1 {
-		return nil, fmt.Errorf("core: resynth requires StartTag 1, got %d", opts.StartTag)
-	}
 	var deduped routing.PathIndex
 	deduped.Reserve(len(paths))
 	for _, p := range paths {
@@ -341,7 +330,7 @@ func (r *Resynth) initFrom(sys *System) error {
 	r.ix.Reserve(len(sys.ELP))
 	r.list = make([]rsPath, 0, len(sys.ELP))
 	r.lives = make([]bool, 0, len(sys.ELP))
-	r.parked, r.forgotten = 0, 0
+	r.parked = 0
 	r.bf = newRefGraph()
 	r.run = newRefGraph()
 	r.keyIdx = make(map[uint64][]uint64)
@@ -429,7 +418,7 @@ func (r *Resynth) System() *System { return r.sys }
 func (r *Resynth) Paths() []routing.Path { return r.activePaths() }
 
 func (r *Resynth) activePaths() []routing.Path {
-	out := make([]routing.Path, 0, len(r.list)-r.parked-r.forgotten)
+	out := make([]routing.Path, 0, len(r.list)-r.parked)
 	paths := r.ix.Paths()
 	for i, alive := range r.lives {
 		if alive {
@@ -705,85 +694,10 @@ func (r *Resynth) finish(sys *System) (*System, error) {
 	}
 	sys.ELP = r.activePaths()
 	r.sys = sys
-	r.compact()
-	return sys, nil
-}
-
-// ApplySet makes the given path set the ELP — the entry point for policy
-// re-evaluation (e.g. after a pod expansion re-enumerates ELP paths). It
-// applies the delta against the live set and then forgets every resident
-// path, live or parked, that the new set leaves out.
-func (r *Resynth) ApplySet(paths []routing.Path) (*System, error) {
-	var want routing.PathIndex
-	want.Reserve(len(paths))
-	var added []routing.Path
-	for _, p := range paths {
-		if _, fresh := want.Add(p); !fresh {
-			continue
-		}
-		if idx, ok := r.ix.Find(p); !ok || !r.lives[idx] {
-			added = append(added, p)
-		}
-	}
-	var removed, dropped []routing.Path
-	for i, p := range r.ix.Paths() {
-		if p == nil {
-			continue
-		}
-		if _, ok := want.Find(p); !ok {
-			dropped = append(dropped, p)
-			if r.lives[i] {
-				removed = append(removed, p)
-			}
-		}
-	}
-	sys, err := r.Apply(added, removed)
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range dropped {
-		r.forget(p)
-	}
-	r.compact()
-	return sys, nil
-}
-
-// forget drops parked path p's slot for good: its index entries go stale
-// and the slot holds nothing until compaction. A live or unknown path (a
-// rebuild re-slots) is left alone.
-func (r *Resynth) forget(p routing.Path) {
-	idx, ok := r.ix.Find(p)
-	if !ok || r.lives[idx] {
-		return
-	}
-	r.unindexKeys(idx)
-	r.list[idx] = rsPath{ver: r.list[idx].ver}
-	r.ix.Remove(p)
-	r.parked--
-	r.forgotten++
-}
-
-// compact re-slots the resident paths once forgotten slots dominate the
-// path list, and sweeps the key index once stale entries dominate it.
-// Both rebuilds are O(resident state) and amortize against the churn
-// that made the garbage.
-func (r *Resynth) compact() {
-	if r.forgotten > len(r.list)/2 {
-		n := len(r.list) - r.forgotten
-		old, oldList, oldLives := r.ix.Paths(), r.list, r.lives
-		r.ix = routing.PathIndex{}
-		r.ix.Reserve(n)
-		r.list, r.lives, r.forgotten = make([]rsPath, 0, n), make([]bool, 0, n), 0
-		for i, p := range old {
-			if p != nil {
-				r.lives[r.track(p, oldList[i])] = oldLives[i]
-			}
-		}
-		r.marks = nil
-		r.rebuildIndex() // entry idx fields shifted
-		return
-	}
+	// Sweep the key index once stale entries dominate it: O(resident
+	// state), amortized against the churn that made the garbage.
 	if r.idxStale > r.idxLive && r.idxStale > 4096 {
 		r.rebuildIndex()
 	}
+	return sys, nil
 }

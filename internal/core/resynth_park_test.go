@@ -116,54 +116,3 @@ func TestResynthParksThroughOutage(t *testing.T) {
 		}
 	}
 }
-
-// TestResynthApplySetForgets: ApplySet forgets the resident paths its new
-// set leaves out, live and parked alike, and compaction reclaims their
-// slots once they are the majority; Apply alone never forgets.
-func TestResynthApplySetForgets(t *testing.T) {
-	g, set := parkClos(t)
-	all := set.Paths()
-	r, err := NewResynth(g, all, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Park two fifths of the ELP, then keep only the first two fifths:
-	// parked and live paths alike fall outside the new set.
-	f := len(all) / 5
-	if _, err := r.Apply(nil, all[f:2*f]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Apply(nil, all[4*f:]); err != nil {
-		t.Fatal(err)
-	}
-	if len(r.list) != len(all) {
-		t.Fatalf("Apply dropped slots: %d of %d", len(r.list), len(all))
-	}
-	keep := all[:2*f]
-	if _, err := r.ApplySet(keep); err != nil {
-		t.Fatal(err)
-	}
-	sameAsScratch(t, g, r, "after ApplySet")
-	for _, p := range all[2*f:] {
-		if _, ok := r.ix.Find(p); ok {
-			t.Fatalf("path %s left out by ApplySet is still resident", p.String(g))
-		}
-	}
-	if got := len(r.Paths()); got != len(keep) {
-		t.Fatalf("%d live paths, want %d", got, len(keep))
-	}
-	if len(r.list) != len(keep) || r.forgotten != 0 {
-		t.Fatalf("forgotten majority not compacted: %d slots, %d forgotten", len(r.list), r.forgotten)
-	}
-	if !reflect.DeepEqual(r.Paths(), keep) {
-		t.Fatal("compaction did not keep slot order")
-	}
-	// Forgotten paths come back as new slots, at the end.
-	if _, err := r.ApplySet(all); err != nil {
-		t.Fatal(err)
-	}
-	sameAsScratch(t, g, r, "after re-adding")
-	if idx, ok := r.ix.Find(all[len(all)-1]); !ok || idx != len(r.list)-1 {
-		t.Fatalf("re-added path at slot %d (resident %v), want the last slot %d", idx, ok, len(r.list)-1)
-	}
-}

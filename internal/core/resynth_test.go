@@ -196,8 +196,9 @@ func TestResynthRemoveAllThenReadd(t *testing.T) {
 	}
 }
 
-// TestResynthApplySetExpansion: ApplySet diffs against the tracked set —
-// here across a pod expansion, where the graph grows under the state.
+// TestResynthApplySetExpansion: a pod expansion grows the graph under the
+// state; the tracker's AddPaths delta through Apply tracks the grown ELP,
+// and parking the new paths again shrinks it back to the original order.
 func TestResynthApplySetExpansion(t *testing.T) {
 	cl, set := resynthClos(t)
 	g := cl.Graph
@@ -205,6 +206,7 @@ func TestResynthApplySetExpansion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := elp.NewTracker(g, set)
 	if err := cl.Expand(1); err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +214,8 @@ func TestResynthApplySetExpansion(t *testing.T) {
 	if grown.Len() <= set.Len() {
 		t.Fatalf("expansion did not grow the ELP: %d -> %d", set.Len(), grown.Len())
 	}
-	if _, err := rs.ApplySet(grown.Paths()); err != nil {
+	added := tr.AddPaths(grown.Paths())
+	if _, err := rs.Apply(added, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(rs.Paths()) != grown.Len() {
@@ -220,11 +223,14 @@ func TestResynthApplySetExpansion(t *testing.T) {
 	}
 	assertScratchEqual(t, g, rs)
 
-	// And shrinking back down via the same entry point.
-	if _, err := rs.ApplySet(set.Paths()); err != nil {
+	// And shrinking back down by parking the expansion's paths.
+	if _, err := rs.Apply(nil, added); err != nil {
 		t.Fatal(err)
 	}
 	assertScratchEqual(t, g, rs)
+	if !reflect.DeepEqual(rs.Paths(), set.Paths()) {
+		t.Fatal("shrinking back did not restore the original ELP in order")
+	}
 }
 
 // TestResynthWorkersConsistent: the incremental path under parallel

@@ -13,10 +13,6 @@ type Options struct {
 	// SkipMerge keeps the brute-force tags (Algorithm 1 only). Used by the
 	// ablation benchmarks to quantify what Algorithm 2 buys.
 	SkipMerge bool
-	// StartTag is the tag NICs stamp on fresh packets. Defaults to 1; the
-	// multi-class composition of §6 passes higher values for later
-	// application classes.
-	StartTag int
 	// Workers bounds the goroutines each synthesis stage fans out to:
 	// 0 means GOMAXPROCS, 1 forces the serial path. Every worker count
 	// produces the same system (see internal/sweep).
@@ -57,15 +53,10 @@ func (s *System) NumLosslessQueues() int { return s.Runtime.NumTags() }
 // Algorithm 1, Algorithm 2, rule derivation, replay repair, and final
 // verification of the runtime graph. The returned system is guaranteed
 // deadlock-free; an error means a bug in this package, not bad input
-// (any loop-free ELP admits a valid tagging).
+// (any loop-free ELP admits a valid tagging). Paths are tagged from 1, the
+// tag NICs stamp on fresh packets; MultiClassSystem offsets later classes.
 func Synthesize(g *topology.Graph, paths []routing.Path, opts Options) (*System, error) {
 	defer telemetry.Default.StartSpan("synth").End()
-	if opts.StartTag == 0 {
-		opts.StartTag = 1
-	}
-	if opts.StartTag != 1 {
-		return nil, fmt.Errorf("core: StartTag %d: synthesis tags paths from 1; use multiclass composition for higher classes", opts.StartTag)
-	}
 	s := &System{Graph: g, ELP: paths}
 	// Every stage below reads the ELP in port space, resolved once here
 	// (and timed with Algorithm 1, its first reader, as BruteForceN is).
@@ -90,10 +81,10 @@ func Synthesize(g *topology.Graph, paths []routing.Path, opts Options) (*System,
 	// conflicts) does the serial repair pass run — followed by a rebuild
 	// under the repaired rules.
 	var violations []routing.Path
-	s.Runtime, violations = buildRuleGraphN(s.Rules, paths, hp, opts.StartTag, opts.Workers)
+	s.Runtime, violations = buildRuleGraphN(s.Rules, paths, hp, 1, opts.Workers)
 	if len(violations) > 0 {
-		s.Repairs = repairReplay(s.Rules, paths, hp, opts.StartTag)
-		s.Runtime, violations = buildRuleGraphN(s.Rules, paths, hp, opts.StartTag, opts.Workers)
+		s.Repairs = repairReplay(s.Rules, paths, hp, 1)
+		s.Runtime, violations = buildRuleGraphN(s.Rules, paths, hp, 1, opts.Workers)
 	}
 	if len(violations) > 0 {
 		return nil, fmt.Errorf("core: %d ELP paths not lossless after repair (first: %s)",

@@ -48,13 +48,6 @@ func TestSynthesizeSkipMerge(t *testing.T) {
 	}
 }
 
-func TestSynthesizeRejectsStartTag(t *testing.T) {
-	f := paper.NewFig5()
-	if _, err := Synthesize(f.Graph, f.ELP.Paths(), Options{StartTag: 2}); err == nil {
-		t.Fatal("expected error for StartTag 2")
-	}
-}
-
 func TestSynthesizeClosKBounce(t *testing.T) {
 	c := paper.Testbed()
 	for k := 0; k <= 2; k++ {

@@ -13,7 +13,8 @@ import (
 // usable, fed to synthesis) and *absent* (knocked out by some churn
 // event, kept so a recovery can restore them), and every churn method
 // returns the exact paths that moved, in ascending slot order — the delta
-// the incremental re-synthesis path (core.Resynth) consumes.
+// the incremental re-synthesis path (core.Resynth) consumes. Tracking is
+// permanent: a path keeps its slot for the tracker's lifetime.
 //
 // Every tracked path carries an obstruction count: the failed links it
 // crosses plus the drained switches it visits (a hop between nodes the
@@ -33,10 +34,9 @@ import (
 // is invisible to the tracker until then.
 type Tracker struct {
 	g      *topology.Graph
-	ix     routing.PathIndex // tracked paths by slot; nil = forgotten
-	active []bool            // per slot; false for forgotten slots
+	ix     routing.PathIndex // tracked paths by slot
+	active []bool            // per slot
 	obst   []int32           // per slot: obstructions on the path
-	dead   int               // forgotten slots
 
 	linkSlots [][]int32 // per link: the slots crossing it, once per hop
 	nodeSlots [][]int32 // per node: the slots visiting it, once per visit
@@ -70,9 +70,9 @@ func NewTracker(g *topology.Graph, s *Set) *Tracker {
 	return t
 }
 
-// index rebuilds every slot list and obstruction count from the tracked
-// paths and the tracker's marks, sizing each list exactly — the bulk form
-// of track, for NewTracker and compaction. Consecutive paths share
+// index builds every slot list and obstruction count from the tracked
+// paths and the failed bits, sizing each list exactly — the bulk form of
+// track, for NewTracker (nothing is drained yet). Consecutive paths share
 // prefixes, so a hop's link is looked up only past the previous path's.
 func (t *Tracker) index() {
 	t.growNodes(topology.NodeID(t.g.NumNodes() - 1))
@@ -126,15 +126,12 @@ func (t *Tracker) index() {
 	}
 	carve(t.nodeSlots, nodeN)
 	carve(t.linkSlots, linkN)
-	t.obst = slices.Grow(t.obst[:0], len(t.active))[:len(t.active)]
+	t.obst = make([]int32, len(t.active))
 	h := 0
 	for slot, p := range t.ix.Paths() {
 		s, n := int32(slot), int32(0)
 		for i, v := range p {
 			t.nodeSlots[v] = append(t.nodeSlots[v], s)
-			if t.drained[v] {
-				n++
-			}
 			if i == 0 {
 				continue
 			}
@@ -344,8 +341,8 @@ func (t *Tracker) Undrain(sw topology.NodeID) []routing.Path {
 }
 
 // revive activates the freed slots and the pending ones that are still
-// absent, unobstructed and tracked, and returns their paths in slot
-// order. freed must be ascending.
+// absent and unobstructed, and returns their paths in slot order. freed
+// must be ascending.
 func (t *Tracker) revive(freed []int32) []routing.Path {
 	if len(t.pending) > 0 {
 		freed = append(freed, t.pending...)
@@ -355,7 +352,7 @@ func (t *Tracker) revive(freed []int32) []routing.Path {
 	out := make([]routing.Path, 0, len(freed))
 	paths := t.ix.Paths()
 	for _, s := range freed {
-		if t.active[s] || t.obst[s] != 0 || paths[s] == nil {
+		if t.active[s] || t.obst[s] != 0 {
 			continue
 		}
 		t.active[s] = true
@@ -378,47 +375,4 @@ func (t *Tracker) AddPaths(paths []routing.Path) (activated []routing.Path) {
 		activated = append(activated, p)
 	}
 	return activated
-}
-
-// Remove forgets paths entirely (no recovery will restore them).
-func (t *Tracker) Remove(paths []routing.Path) (deactivated []routing.Path) {
-	for _, p := range paths {
-		slot, ok := t.ix.Find(p)
-		if !ok {
-			continue
-		}
-		if t.active[slot] {
-			deactivated = append(deactivated, t.ix.Paths()[slot])
-			t.active[slot] = false
-		}
-		t.ix.Remove(p)
-		t.dead++
-	}
-	t.compact()
-	return deactivated
-}
-
-// compact re-slots the tracked paths once forgotten slots dominate,
-// rebuilding the slot lists and counts from the current marks.
-func (t *Tracker) compact() {
-	if t.dead <= len(t.active)/2 || t.dead == 0 {
-		return
-	}
-	n := t.ix.Len()
-	old, oldActive := t.ix.Paths(), t.active
-	t.ix, t.active, t.dead = routing.PathIndex{}, make([]bool, 0, n), 0
-	t.ix.Reserve(n)
-	for i, p := range old {
-		if p != nil {
-			t.ix.Add(p)
-			t.active = append(t.active, oldActive[i])
-		}
-	}
-	t.index()
-	t.pending = t.pending[:0]
-	for s, a := range t.active {
-		if !a && t.obst[s] == 0 {
-			t.pending = append(t.pending, int32(s))
-		}
-	}
 }

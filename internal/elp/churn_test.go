@@ -157,6 +157,8 @@ func TestTrackerDrainLinkInteraction(t *testing.T) {
 	}
 }
 
+// TestTrackerAddRemove: AddPaths ignores tracked paths, parks a new path
+// over a failed link absent, and the link's recovery restores it.
 func TestTrackerAddRemove(t *testing.T) {
 	g, set := churnGraph(t)
 	tr := NewTracker(g, set)
@@ -176,7 +178,6 @@ func TestTrackerAddRemove(t *testing.T) {
 	if _, ok := tr.ix.Find(fresh); ok {
 		t.Fatal("test path already tracked; pick another")
 	}
-	tr.Remove([]routing.Path{fresh}) // removing unknown paths is a no-op
 	if added := tr.AddPaths([]routing.Path{fresh}); len(added) != 0 {
 		t.Fatalf("path over a failed link activated: %v", added)
 	}
@@ -187,13 +188,8 @@ func TestTrackerAddRemove(t *testing.T) {
 	if restored := tr.LinkUp(s1, l2); len(restored) != 1 || restored[0].Key() != fresh.Key() {
 		t.Fatalf("parked path not restored: %v", restored)
 	}
-
-	deactivated := tr.Remove([]routing.Path{fresh})
-	if len(deactivated) != 1 {
-		t.Fatalf("Remove returned %d active paths, want 1", len(deactivated))
-	}
-	if tr.ActiveLen() != base {
-		t.Fatalf("active=%d after remove, want %d", tr.ActiveLen(), base)
+	if tr.ActiveLen() != base+1 || tr.AbsentLen() != 0 {
+		t.Fatalf("active=%d absent=%d after restore, want %d/0", tr.ActiveLen(), tr.AbsentLen(), base+1)
 	}
 }
 
@@ -203,9 +199,8 @@ func TestTrackerAddRemove(t *testing.T) {
 // pool against the graph, every knock-out scans every path.
 type rescanTracker struct {
 	g       *topology.Graph
-	ix      routing.PathIndex // tracked paths by slot; nil = forgotten
-	active  []bool            // per slot; false for forgotten slots
-	dead    int               // forgotten slots
+	ix      routing.PathIndex // tracked paths by slot
+	active  []bool            // per slot
 	drained map[topology.NodeID]bool
 }
 
@@ -303,48 +298,16 @@ func (t *rescanTracker) AddPaths(paths []routing.Path) (activated []routing.Path
 	return activated
 }
 
-func (t *rescanTracker) Remove(paths []routing.Path) (deactivated []routing.Path) {
-	for _, p := range paths {
-		slot, ok := t.ix.Find(p)
-		if !ok {
-			continue
-		}
-		if t.active[slot] {
-			deactivated = append(deactivated, t.ix.Paths()[slot])
-			t.active[slot] = false
-		}
-		t.ix.Remove(p)
-		t.dead++
-	}
-	t.compact()
-	return deactivated
-}
-
 func (t *rescanTracker) revalidate() []routing.Path {
 	var out []routing.Path
 	for i, p := range t.ix.Paths() {
-		if p == nil || t.active[i] || !t.Usable(p) {
+		if t.active[i] || !t.Usable(p) {
 			continue
 		}
 		t.active[i] = true
 		out = append(out, p)
 	}
 	return out
-}
-
-func (t *rescanTracker) compact() {
-	if t.dead <= len(t.active)/2 || t.dead == 0 {
-		return
-	}
-	n := t.ix.Len()
-	old, oldActive := t.ix.Paths(), t.active
-	t.ix, t.active, t.dead = routing.PathIndex{}, make([]bool, 0, n), 0
-	t.ix.Reserve(n)
-	for i, p := range old {
-		if p != nil {
-			t.track(p, oldActive[i])
-		}
-	}
 }
 
 func traverses(p routing.Path, a, b topology.NodeID) bool {
@@ -423,16 +386,11 @@ func (tp *trackerPair) addPaths(ps []routing.Path) {
 	tp.same("add-paths", tp.got.AddPaths(ps), tp.want.AddPaths(ps))
 }
 
-func (tp *trackerPair) remove(ps []routing.Path) {
-	tp.t.Helper()
-	tp.same("remove", tp.got.Remove(ps), tp.want.Remove(ps))
-}
-
 // TestTrackerMatchesRescan drives the obstruction-counting tracker and
 // the rescan oracle through seeded churn sequences — Clos with pod adds
 // and Jellyfish — with extra calls mixed in: duplicate and no-op events,
 // drains stacked on failed links, AddPaths of paths over failed links and
-// drained switches, Remove, and links flipped in the graph with no
+// drained switches, and links flipped in the graph with no
 // tracker event until an AddPaths reads them. Every returned delta must
 // equal the oracle's, in order, and so must the active list.
 func TestTrackerMatchesRescan(t *testing.T) {
@@ -494,7 +452,7 @@ func TestTrackerMatchesRescan(t *testing.T) {
 				}
 				return ps
 			}
-			for i, ev := range events {
+			for _, ev := range events {
 				switch ev.Kind {
 				case chaos.ChurnLinkDown:
 					a, b := g.MustLookup(ev.A), g.MustLookup(ev.B)
@@ -543,8 +501,8 @@ func TestTrackerMatchesRescan(t *testing.T) {
 				switch rng.Intn(10) {
 				case 0: // new paths, some over failed links or drained switches
 					tp.addPaths(pick())
-				case 1: // forget some, tracked or not
-					tp.remove(append(pick(), tp.got.Active()[:min(2, tp.got.ActiveLen())]...))
+				case 1: // an unused draw: it keeps each seed's later draws in place
+					pick()
 				case 2: // a link flips in the graph with no tracker event;
 					// an AddPaths of a path across it is the first read
 					p := pool[rng.Intn(len(pool))]
@@ -576,11 +534,6 @@ func TestTrackerMatchesRescan(t *testing.T) {
 					tp.linkDown(a, b)
 					tp.linkUp(a, b)
 				}
-				if i == len(events)/2 {
-					// forget most of the pool at once: compaction
-					act := tp.got.Active()
-					tp.remove(append(act[:len(act)*3/4:len(act)*3/4], pool[:len(pool)/2]...))
-				}
 			}
 			// Heal everything: only paths over missing links stay absent.
 			for _, id := range g.FailedLinks() {
@@ -592,7 +545,7 @@ func TestTrackerMatchesRescan(t *testing.T) {
 				tp.undrain(n)
 			}
 			for i, p := range tp.got.ix.Paths() {
-				if p != nil && !tp.got.active[i] && tp.got.Usable(p) {
+				if !tp.got.active[i] && tp.got.Usable(p) {
 					t.Fatalf("%s seed %d: usable path %s still absent after full recovery", f.name, seed, p.String(g))
 				}
 			}

@@ -1,10 +1,12 @@
 package routing
 
-// PathIndex is an insertion-ordered set of paths keyed by exact node
-// sequence: the one dedup mechanism behind every ELP container (elp.Set,
-// elp.Tracker, core.Resynth, the enumerators' seen-sets). Each distinct
-// path gets a dense slot — its position in Paths() — that callers use to
-// key parallel per-path state.
+// PathIndex is an append-only, insertion-ordered set of paths keyed by
+// exact node sequence: the one dedup mechanism behind every ELP container
+// (elp.Set, elp.Tracker, core.Resynth, the enumerators' seen-sets). Each
+// distinct path gets a dense slot — its position in Paths() — that
+// callers use to key parallel per-path state. A slot is a path's
+// permanent identity: paths are never removed, so slots are never
+// vacated or reused.
 //
 // The table is open-addressed with linear probing over one flat []uint64:
 // no per-path allocation, and the paths themselves are never copied, so
@@ -17,19 +19,14 @@ package routing
 // The zero value is an empty index ready for use. Not safe for concurrent
 // mutation.
 type PathIndex struct {
-	paths []Path   // slot -> path, insertion order; nil = removed
-	table []uint64 // hash>>32<<32 | slot+1; low half 0 = empty, cellDead = tombstone
-	live  int      // paths present
-	used  int      // non-empty cells: live + tombstones
+	paths []Path   // slot -> path, insertion order
+	table []uint64 // hash>>32<<32 | slot+1; low half 0 = empty
 
 	// hash overrides hashPath; tests force collisions through it.
 	hash func(Path) uint64
 }
 
-const (
-	cellSlotMask = 1<<32 - 1
-	cellDead     = cellSlotMask // low half of a tombstoned cell
-)
+const cellSlotMask = 1<<32 - 1
 
 // hashPath is FNV-1a over the node IDs with a murmur finalizer, so both
 // the low bits (probe start) and the high bits (cell tag) are mixed.
@@ -72,15 +69,15 @@ func tableSize(n int) int {
 }
 
 // Len returns the number of paths present.
-func (ix *PathIndex) Len() int { return ix.live }
+func (ix *PathIndex) Len() int { return len(ix.paths) }
 
-// Paths returns the paths by slot, in insertion order; a removed path's
-// slot holds nil. The slice is shared; do not modify it.
+// Paths returns the paths by slot, in insertion order. The slice is
+// shared; do not modify it.
 func (ix *PathIndex) Paths() []Path { return ix.paths }
 
 // Find returns the slot of the path with p's exact node sequence.
 func (ix *PathIndex) Find(p Path) (slot int, ok bool) {
-	if ix.live == 0 {
+	if len(ix.paths) == 0 {
 		return 0, false
 	}
 	if slot, _ = ix.probe(p, ix.hashOf(p)); slot < 0 {
@@ -93,81 +90,47 @@ func (ix *PathIndex) Find(p Path) (slot int, ok bool) {
 // and returns its slot either way. New paths take the next slot; p is
 // stored, not copied.
 func (ix *PathIndex) Add(p Path) (slot int, added bool) {
-	if (ix.used+1)*4 > len(ix.table)*3 {
-		ix.rehash(tableSize(2 * (ix.live + 1)))
+	if (len(ix.paths)+1)*4 > len(ix.table)*3 {
+		ix.rehash(tableSize(2 * (len(ix.paths) + 1)))
 	}
 	h := ix.hashOf(p)
 	slot, cell := ix.probe(p, h)
 	if slot >= 0 {
 		return slot, false
 	}
-	if len(ix.paths) >= cellDead-1 {
+	if len(ix.paths) >= cellSlotMask {
 		panic("routing: path index full")
-	}
-	if p == nil {
-		p = Path{} // nil marks a removed slot
 	}
 	slot = len(ix.paths)
 	ix.paths = append(ix.paths, p)
-	if ix.table[cell]&cellSlotMask == 0 {
-		ix.used++
-	}
 	ix.table[cell] = h&^cellSlotMask | uint64(slot+1)
-	ix.live++
-	return slot, true
-}
-
-// Remove deletes the path with p's node sequence and returns the slot it
-// held. The slot is not reused: Paths() keeps a nil there.
-func (ix *PathIndex) Remove(p Path) (slot int, ok bool) {
-	if ix.live == 0 {
-		return 0, false
-	}
-	slot, cell := ix.probe(p, ix.hashOf(p))
-	if slot < 0 {
-		return 0, false
-	}
-	ix.table[cell] = cellDead
-	ix.paths[slot] = nil
-	ix.live--
 	return slot, true
 }
 
 // probe walks p's probe sequence. It returns p's slot and cell when
-// present; otherwise slot -1 and the cell an insert should take (the
-// first tombstone passed, else the empty cell that ended the walk). The
-// table always keeps an empty cell, so the walk terminates.
+// present; otherwise slot -1 and the empty cell that ended the walk,
+// which an insert takes. The table always keeps an empty cell, so the
+// walk terminates.
 func (ix *PathIndex) probe(p Path, h uint64) (slot, cell int) {
 	mask := len(ix.table) - 1
 	tag := h &^ cellSlotMask
-	free := -1
 	for i := int(h) & mask; ; i = (i + 1) & mask {
 		c := ix.table[i]
-		switch low := c & cellSlotMask; {
-		case low == 0:
-			if free < 0 {
-				free = i
-			}
-			return -1, free
-		case low == cellDead:
-			if free < 0 {
-				free = i
-			}
-		case c&^cellSlotMask == tag && ix.paths[low-1].Equal(p):
+		low := c & cellSlotMask
+		if low == 0 {
+			return -1, i
+		}
+		if c&^cellSlotMask == tag && ix.paths[low-1].Equal(p) {
 			return int(low - 1), i
 		}
 	}
 }
 
-// rehash rebuilds the table at the given size from the present paths,
-// dropping tombstones.
+// rehash rebuilds the table at the given size from the stored paths.
 func (ix *PathIndex) rehash(size int) {
 	ix.table = make([]uint64, size)
 	mask := size - 1
 	for slot, p := range ix.paths {
-		if p == nil {
-			continue
-		}
 		h := ix.hashOf(p)
 		i := int(h) & mask
 		for ix.table[i] != 0 {
@@ -175,5 +138,4 @@ func (ix *PathIndex) rehash(size int) {
 		}
 		ix.table[i] = h&^cellSlotMask | uint64(slot+1)
 	}
-	ix.used = ix.live
 }

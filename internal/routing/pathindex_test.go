@@ -9,7 +9,7 @@ import (
 
 // refIndex is the reference the path index is checked against: the
 // string-keyed map it replaced, with the same slot discipline (new paths
-// append, removed slots go nil and are never reused).
+// append).
 type refIndex struct {
 	slots map[string]int
 	paths []Path
@@ -31,15 +31,6 @@ func (r *refIndex) find(p Path) (int, bool) {
 	return s, ok
 }
 
-func (r *refIndex) remove(p Path) (int, bool) {
-	s, ok := r.slots[p.Key()]
-	if ok {
-		delete(r.slots, p.Key())
-		r.paths[s] = nil
-	}
-	return s, ok
-}
-
 // checkAgainst compares the whole observable state of ix with ref.
 func checkAgainst(t testing.TB, ix *PathIndex, ref *refIndex) {
 	t.Helper()
@@ -51,15 +42,16 @@ func checkAgainst(t testing.TB, ix *PathIndex, ref *refIndex) {
 		t.Fatalf("Paths has %d slots, reference %d", len(got), len(ref.paths))
 	}
 	for i, p := range ref.paths {
-		if (p == nil) != (got[i] == nil) || !p.Equal(got[i]) {
+		if !p.Equal(got[i]) {
 			t.Fatalf("slot %d = %v, reference %v", i, got[i], p)
 		}
 	}
 }
 
 // driveOps replays an op stream — (op, path) pairs drawn from a small
-// path universe so that duplicates, removals of present paths and re-adds
-// are all common — through ix and the reference, comparing every result.
+// path universe so that duplicate adds and finds of present paths are
+// both common — through ix and the reference, comparing every result.
+// Ops 0 and 1 add, 2 and 3 find.
 func driveOps(t testing.TB, ix *PathIndex, next func() (op int, p Path), steps int) {
 	t.Helper()
 	ref := newRefIndex()
@@ -71,12 +63,9 @@ func driveOps(t testing.TB, ix *PathIndex, next func() (op int, p Path), steps i
 		case 0, 1:
 			gs, gok = ix.Add(p)
 			ws, wok = ref.add(p)
-		case 2:
+		case 2, 3:
 			gs, gok = ix.Find(p)
 			ws, wok = ref.find(p)
-		case 3:
-			gs, gok = ix.Remove(p)
-			ws, wok = ref.remove(p)
 		}
 		if gok != wok || (gok && gs != ws) || (op%4 <= 1 && gs != ws) {
 			t.Fatalf("step %d op %d on %v: got (%d,%v), reference (%d,%v)", i, op%4, p, gs, gok, ws, wok)
@@ -97,53 +86,13 @@ func TestPathIndexDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		// Few nodes and short paths: the universe is small enough that the
-		// stream keeps hitting paths it has already added or removed.
+		// stream keeps hitting paths it has already added.
 		nodes, maxLen := 2+rng.Intn(6), 1+rng.Intn(4)
 		var ix PathIndex
 		if seed%2 == 0 {
 			ix.Reserve(rng.Intn(64))
 		}
 		driveOps(t, &ix, func() (int, Path) { return rng.Intn(4), randomPath(rng, nodes, maxLen) }, 4000)
-	}
-}
-
-// TestPathIndexTrackerPattern is the elp.Tracker life cycle: track a set,
-// forget most of it (tombstones pile up), then re-add the forgotten
-// paths, which must land in new slots at the end.
-func TestPathIndexTrackerPattern(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var ix PathIndex
-	ref := newRefIndex()
-	var all []Path
-	for len(all) < 500 {
-		p := randomPath(rng, 40, 6)
-		if _, fresh := ref.add(p); fresh {
-			all = append(all, p)
-		}
-		ix.Add(p)
-	}
-	checkAgainst(t, &ix, ref)
-	for _, p := range all[:400] {
-		gs, gok := ix.Remove(p)
-		ws, wok := ref.remove(p)
-		if gs != ws || gok != wok {
-			t.Fatalf("Remove(%v) = (%d,%v), reference (%d,%v)", p, gs, gok, ws, wok)
-		}
-	}
-	checkAgainst(t, &ix, ref)
-	for _, p := range all[:400] {
-		if _, ok := ix.Find(p); ok {
-			t.Fatalf("removed path %v still found", p)
-		}
-	}
-	for i, p := range all[:400] {
-		slot, added := ix.Add(p)
-		if !added || slot != 500+i {
-			t.Fatalf("re-add %d = (%d,%v), want (%d,true)", i, slot, added, 500+i)
-		}
-	}
-	if ix.Len() != 500 {
-		t.Fatalf("Len = %d after re-adds, want 500", ix.Len())
 	}
 }
 
@@ -176,11 +125,8 @@ func TestPathIndexEmptyPathAndZeroValue(t *testing.T) {
 	if _, ok := ix.Find(Path{1}); ok {
 		t.Fatal("zero index finds a path")
 	}
-	if _, ok := ix.Remove(Path{1}); ok {
-		t.Fatal("zero index removes a path")
-	}
-	if s, added := ix.Add(nil); !added || s != 0 || ix.Paths()[0] == nil {
-		t.Fatalf("Add(nil) = (%d,%v), stored %v: an empty path must not read as a removed slot", s, added, ix.Paths()[0])
+	if s, added := ix.Add(nil); !added || s != 0 || len(ix.Paths()[0]) != 0 {
+		t.Fatalf("Add(nil) = (%d,%v), stored %v", s, added, ix.Paths()[0])
 	}
 	if _, added := ix.Add(Path{}); added {
 		t.Fatal("the empty path was added twice")

@@ -33,12 +33,13 @@ const (
 type DetectorConfig struct {
 	// Mitigation is the reaction hook; MitigateNone observes only.
 	Mitigation Mitigation
-	// RefreshInterval is the PFC pause-refresh cadence carrying detection
-	// tags backward along still-asserted pauses (802.1Qbb pauses expire
-	// and are re-sent; the simulator's pauses are otherwise eternal, so
-	// the detector models the refresh itself). 0 means 100µs.
-	RefreshInterval time.Duration
 }
+
+// detRefreshInterval is the PFC pause-refresh cadence carrying detection
+// tags backward along still-asserted pauses (802.1Qbb pauses expire and
+// are re-sent; the simulator's pauses are otherwise eternal, so the
+// detector models the refresh itself).
+const detRefreshInterval = 100 * time.Microsecond
 
 // DetectorStats is the in-switch detector's tally, updated in place as
 // the run progresses.
@@ -90,16 +91,13 @@ type detState struct {
 // updated in place. Pair with TrackDeadlocks for time-to-detect and
 // time-to-recover accounting.
 func (n *Network) EnableDetector(cfg DetectorConfig) *DetectorStats {
-	if cfg.RefreshInterval <= 0 {
-		cfg.RefreshInterval = 100 * time.Microsecond
-	}
 	ports := make([]int, len(n.nodes))
 	for i := range n.nodes {
 		ports[i] = len(n.nodes[i].ports)
 	}
 	stats := &DetectorStats{FirstDetectAt: -1}
 	n.det = &detState{eng: detect.NewEngine(ports, n.cfg.MaxPriority+1), cfg: cfg, stats: stats}
-	p := int64(cfg.RefreshInterval)
+	p := int64(detRefreshInterval)
 	n.addTimer(timerRT{kind: timerDetectRefresh, period: p}, n.now+p)
 	return stats
 }

@@ -28,15 +28,10 @@ const (
 )
 
 // FlightRecConfig tunes the incident flight recorder. The zero value is
-// the always-on default: a 16384-slot ring (512 KiB), the whole ring as
-// the dump window, a 1ms capture cooldown, at most 4 incidents.
+// the always-on default: a 1ms capture cooldown, at most 4 incidents.
+// The ring always holds 16384 32-byte entries (512 KiB), and a dump
+// includes everything still in it.
 type FlightRecConfig struct {
-	// Slots is the ring capacity in 32-byte entries (rounded up to a
-	// power of two; 0 selects 16384).
-	Slots int
-	// Window bounds how much event history a dump includes (sim time
-	// before the trigger; 0: everything still in the ring).
-	Window time.Duration
 	// Cooldown is the minimum sim time between captures — a persistent
 	// deadlock re-fires its detector every refresh, and one incident
 	// per refresh would be noise. 0 selects 1ms.
@@ -98,7 +93,7 @@ func (n *Network) EnableFlightRecorder(cfg FlightRecConfig) *FlightRecorder {
 	}
 	fr := &FlightRecorder{
 		n:      n,
-		rec:    trace.NewRecorder(cfg.Slots),
+		rec:    trace.NewRecorder(1 << 14),
 		cfg:    cfg,
 		inner:  n.tracer,
 		lastAt: -1 << 62,
@@ -185,12 +180,8 @@ func (fr *FlightRecorder) capture(trigger, node string) {
 		return
 	}
 	snap := fr.buildSnapshot(trigger, node)
-	from := int64(-1 << 62)
-	if fr.cfg.Window > 0 {
-		from = n.now - int64(fr.cfg.Window)
-	}
 	var buf bytes.Buffer
-	if err := fr.rec.Dump(&buf, from, snap); err != nil {
+	if err := fr.rec.Dump(&buf, -1<<62, snap); err != nil {
 		// bytes.Buffer writes cannot fail; belt and braces.
 		if fr.sinkErr == nil {
 			fr.sinkErr = err

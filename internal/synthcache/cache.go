@@ -309,7 +309,7 @@ func (c *Cache) Synthesize(g *topology.Graph, paths []routing.Path, opts core.Op
 	if opts.SkipMerge {
 		skip = 1
 	}
-	key := fingerprint.Key("generic", []int{skip, opts.StartTag},
+	key := fingerprint.Key("generic", []int{skip},
 		canon.FP, c.pathsSumOf(canon, paths))
 	return c.serve(g, key, func() (*core.System, bool, error) {
 		sys, err := core.Synthesize(g, paths, opts)

@@ -163,11 +163,11 @@ func TestGenericSynthesizeWarm(t *testing.T) {
 	cache := synthcache.New(8)
 	set := elp.ShortestAllN(j.Graph, j.Switches, 1)
 
-	cold, err := cache.Synthesize(j.Graph, set.Paths(), core.Options{StartTag: 1})
+	cold, err := cache.Synthesize(j.Graph, set.Paths(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := cache.Synthesize(j.Graph, set.Paths(), core.Options{StartTag: 1})
+	warm, err := cache.Synthesize(j.Graph, set.Paths(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestGenericSynthesizeWarm(t *testing.T) {
 		t.Fatal("generic warm request missed")
 	}
 	// A different option set is a different key.
-	other, err := cache.Synthesize(j.Graph, set.Paths(), core.Options{StartTag: 1, SkipMerge: true})
+	other, err := cache.Synthesize(j.Graph, set.Paths(), core.Options{SkipMerge: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,6 +23,8 @@ func FuzzTraceDecode(f *testing.F) {
 	w.Emit(Entry{Tick: 10, Kind: KindPause, A: a, B: b, Prio: 1, Depth: 9216})
 	w.Emit(Entry{Tick: 20, Kind: KindResume, A: a, B: b, Prio: 1})
 	w.EmitDeadlock(30, a, []uint32{w.Intern("T1->L1 prio 1"), w.Intern("L1->T1 prio 1")})
+	w.Emit(Entry{Tick: 40, Kind: KindDetect, A: b, B: a, C: w.Intern("pause"), Prio: 1})
+	w.Emit(Entry{Tick: 50, Kind: KindMitigate, A: b, C: w.Intern("drop"), Prio: 1, Depth: 4096})
 	if err := w.Close(); err != nil {
 		f.Fatal(err)
 	}
@@ -56,9 +58,7 @@ func FuzzTraceDecode(f *testing.F) {
 			if err != nil {
 				t.Fatalf("decode error: %v", err)
 			}
-			switch ev.Kind {
-			case "pause", "resume", "drop", "demote", "deadlock":
-			default:
+			if KindOf(ev.Kind) == KindInvalid {
 				t.Fatalf("fabricated kind %q", ev.Kind)
 			}
 		}

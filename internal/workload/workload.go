@@ -36,8 +36,6 @@ type Options struct {
 	// Tagger enables the Clos bounce-counting rules with the given bounce
 	// budget; Bounces <= 0 disables Tagger entirely (the baseline).
 	Bounces int
-	// LegacyEgress reproduces the Figure 8a misconfiguration.
-	LegacyEgress bool
 	// Config overrides the simulator defaults when non-nil.
 	Config *sim.Config
 }
@@ -59,7 +57,6 @@ func newScenarioWith(opt Options, duration time.Duration, d routing.Discipline) 
 	n := sim.New(c.Graph, tb, cfg)
 	if opt.Bounces > 0 {
 		n.InstallTagger(core.ClosRules(c.Graph, opt.Bounces, 1))
-		n.SetLegacyEgress(opt.LegacyEgress)
 	}
 	return &Scenario{
 		Clos: c, Tables: tb, Net: n,

@@ -140,13 +140,14 @@ telemetry-overhead:
 	$(GO) run ./cmd/benchdiff -record /tmp/telemetry_on.json /tmp/telemetry_on.txt
 	$(GO) run ./cmd/benchdiff -threshold 0.05 /tmp/telemetry_off.json /tmp/telemetry_on.json
 
-# Verifies the taggertrace golden fixtures: the checked-in fig10 trace
-# captures (JSONL + binary) must render byte-identical reports, and the
-# `-o jsonl` downgrade of the binary capture must be byte-identical to
-# the JSONL capture. After an INTENTIONAL trace-format or report change,
-# regenerate with `make trace-golden UPDATE=1` and review the diff (the
-# binary header/entry layout is versioned — bump trace.Version when the
-# wire layout itself changes).
+# Verifies the taggertrace golden fixtures: a fresh fig10 `-trace`
+# capture must be byte-identical to the checked-in fig10.bin, its
+# `-o jsonl` export to fig10.jsonl, and both must render the pinned
+# report. After an INTENTIONAL trace-format or report change, regenerate
+# with `make trace-golden UPDATE=1` (it captures fig10.bin with -trace
+# and derives fig10.jsonl by export) and review the diff (the binary
+# header/entry layout is versioned — bump trace.Version when the wire
+# layout itself changes).
 trace-golden:
 ifeq ($(strip $(UPDATE)),)
 	$(GO) test -count=1 -run 'TestGolden' ./cmd/taggertrace/

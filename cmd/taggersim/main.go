@@ -76,8 +76,7 @@ func run(args []string, stdout io.Writer, exps []tagger.Experiment) (err error) 
 		par       = fs.Int("par", 1, "chaos: sweep worker count (0 = GOMAXPROCS); results are par-independent")
 		days      = fs.Int("days", 7, "table1: days to simulate")
 		perDay    = fs.Int64("per-day", 1_000_000, "table1: measurements per day")
-		trace     = fs.String("trace", "", "write an event trace to this file (figures: one file; chaos/churn: one file per seed)")
-		traceFmt  = fs.String("trace-format", tagger.TraceJSONL, "trace encoding: jsonl or binary")
+		trace     = fs.String("trace", "", "write a TGL1 binary event trace to this file (figures: one file; chaos/churn: one file per seed)")
 		flightrec = fs.Bool("flightrec", false, "figures/detect: arm the flight recorder; incidents dump to incidents/*.tgl for `taggertrace postmortem`")
 		ops       = fs.String("ops", "", "serve /metrics, /healthz and /debug/pprof on this address; the process stays up after the run until interrupted (e.g. :8080)")
 	)
@@ -93,7 +92,7 @@ func run(args []string, stdout io.Writer, exps []tagger.Experiment) (err error) 
 	// A flag some experiment consumes, given to one that does not, would
 	// be dropped on the floor: a requested capture that never happened
 	// must not read as success.
-	opt := tagger.RunOptions{Par: *par, Days: *days, PerDay: *perDay, Trace: *trace, TraceFormat: *traceFmt}
+	opt := tagger.RunOptions{Par: *par, Days: *days, PerDay: *perDay, Trace: *trace}
 	fs.Visit(func(f *flag.Flag) {
 		var takers []string
 		for _, x := range exps {

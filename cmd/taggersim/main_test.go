@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	tagger "repro"
+	"repro/internal/trace/pipeline"
 )
 
 // -update rewrites the goldens under testdata/ from the current code.
@@ -75,10 +76,11 @@ func checkGolden(t *testing.T, name, got string) {
 }
 
 // TestGoldenExperiments pins every -exp name's stdout, byte for byte,
-// plus the capture modes: fig10 traced in both encodings (the files
-// must equal taggertrace's checked-in captures of the same run), fig10
-// and the detect matrix under the flight recorder (incident bytes
-// included), and a traced chaos and churn soak.
+// plus the capture modes: fig10 traced twice (one capture must equal
+// taggertrace's checked-in binary capture of the same run, the other's
+// `taggertrace -o jsonl` export its checked-in JSONL), fig10 and the
+// detect matrix under the flight recorder (incident bytes included),
+// and a traced chaos and churn soak.
 func TestGoldenExperiments(t *testing.T) {
 	type gcase struct {
 		golden string
@@ -90,11 +92,11 @@ func TestGoldenExperiments(t *testing.T) {
 	}
 	cases = append(cases,
 		gcase{"fig10-trace-jsonl", []string{"-exp", "fig10", "-trace", "fig10.trc"}},
-		gcase{"fig10-trace-binary", []string{"-exp", "fig10", "-trace", "fig10.trc.bin", "-trace-format", "binary"}},
+		gcase{"fig10-trace-binary", []string{"-exp", "fig10", "-trace", "fig10.trc.bin"}},
 		gcase{"fig10-flightrec", []string{"-exp", "fig10", "-flightrec"}},
 		gcase{"detect-flightrec", []string{"-exp", "detect", "-runs", "2", "-flightrec"}},
 		gcase{"chaos-trace", []string{"-exp", "chaos", "-seeds", "1", "-trace", "chaos.trc"}},
-		gcase{"churn-trace", []string{"-exp", "churn", "-seeds", "1", "-trace", "churn.trc", "-trace-format", "binary"}},
+		gcase{"churn-trace", []string{"-exp", "churn", "-seeds", "1", "-trace", "churn.trc"}},
 	)
 	dir := t.TempDir()
 	for _, c := range cases {
@@ -106,7 +108,8 @@ func TestGoldenExperiments(t *testing.T) {
 			checkGolden(t, c.golden, got)
 		})
 	}
-	// Same bytes on disk as before the refactor.
+	// Same bytes on disk as before the refactor; a .jsonl want is
+	// compared with the capture's JSONL export.
 	for got, want := range map[string]string{
 		"fig10.trc":                     "../taggertrace/testdata/fig10.jsonl",
 		"fig10.trc.bin":                 "../taggertrace/testdata/fig10.bin",
@@ -115,6 +118,9 @@ func TestGoldenExperiments(t *testing.T) {
 		g, err := os.ReadFile(filepath.Join(dir, got))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if strings.HasSuffix(want, ".jsonl") {
+			g = exportJSONL(t, g)
 		}
 		if *update && strings.HasPrefix(want, "testdata/") {
 			if err := os.WriteFile(want, g, 0o644); err != nil {
@@ -135,6 +141,21 @@ func TestGoldenExperiments(t *testing.T) {
 			t.Errorf("capture %s missing or empty (%v)", f, err)
 		}
 	}
+}
+
+// exportJSONL renders a binary capture as JSON lines, the way
+// `taggertrace -o jsonl` does.
+func exportJSONL(t *testing.T, capture []byte) []byte {
+	t.Helper()
+	src, err := pipeline.Open(bytes.NewReader(capture), pipeline.FormatBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := pipeline.Run(src, []pipeline.Stage{&pipeline.Normalize{}}, pipeline.NewJSONLSink(&out)); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
 }
 
 // TestRegistryShape: names unique, every entry describes what it
@@ -247,7 +268,6 @@ func TestUsageErrors(t *testing.T) {
 	}{
 		{[]string{"-exp", "fig13"}, "valid experiments: fig10, fig11"},
 		{[]string{"-exp", "overhead", "-trace", "x.trc"}, "-trace is not used by -exp overhead; experiments that take it: fig10, fig11, fig12, chaos, churn"},
-		{[]string{"-exp", "table1", "-trace-format", "binary"}, "-trace-format is not used by -exp table1"},
 		{[]string{"-exp", "chaos", "-flightrec"}, "-flightrec is not used by -exp chaos; experiments that take it: fig10, fig11, fig12, detect"},
 		{[]string{"-exp", "fig10", "-days", "2"}, "-days is not used by -exp fig10; experiments that take it: table1"},
 		{[]string{"-exp", "budget", "-per-day", "5"}, "-per-day is not used by -exp budget"},
@@ -315,7 +335,7 @@ func TestFailureUnwindsThroughDefers(t *testing.T) {
 // are the same bytes as the serial sweep (run under -race by `make race`).
 func TestTracedSweepParIndependent(t *testing.T) {
 	serial, par := t.TempDir(), t.TempDir()
-	args := []string{"-exp", "chaos", "-seeds", "2", "-trace", "c.trc", "-trace-format", "binary"}
+	args := []string{"-exp", "chaos", "-seeds", "2", "-trace", "c.trc"}
 	want, err := runIn(t, serial, tagger.Experiments(), append(args, "-par", "1")...)
 	if err != nil {
 		t.Fatal(err)

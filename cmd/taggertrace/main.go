@@ -1,14 +1,14 @@
-// Command taggertrace analyzes an event trace produced by `taggersim
-// -trace <file>` — the legacy JSONL format or the binary format
-// (`-trace-format binary`) — through a staged streaming pipeline:
-// ingest → normalize → metric computation → report. Batches are
-// bounded, so arbitrarily large captures analyze in constant memory.
+// Command taggertrace analyzes an event trace — the TGL1 binary capture
+// `taggersim -trace <file>` writes, or JSON lines — through a staged
+// streaming pipeline: ingest → normalize → metric computation → report.
+// Batches are bounded, so arbitrarily large captures analyze in
+// constant memory.
 //
 // Usage:
 //
-//	taggersim -exp fig10 -trace /tmp/fig10.trc -trace-format binary
+//	taggersim -exp fig10 -trace /tmp/fig10.trc
 //	taggertrace /tmp/fig10.trc                # format auto-sniffed
-//	taggertrace -o jsonl /tmp/fig10.trc       # downgrade to JSONL
+//	taggertrace -o jsonl /tmp/fig10.trc       # export as JSONL
 //	taggertrace postmortem incident.tgl       # flight-recorder forensics
 //
 // The postmortem subcommand (equivalently `-o postmortem`) runs the

@@ -16,7 +16,7 @@ import (
 )
 
 // -update regenerates the golden fixtures under testdata/: the fig10
-// trace captured in both encodings plus the pinned report. Run it (via
+// binary capture, its JSONL export and the pinned report. Run it (via
 // `make trace-golden UPDATE=1`) only after an intentional trace-format
 // or report-layout change, and review the diff.
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
@@ -29,33 +29,24 @@ const (
 	goldenForensy = "testdata/postmortem.golden"
 )
 
-// regenerate captures the deterministic fig10 (no Tagger) run in both
-// encodings and pins the report rendered from the JSONL capture.
+// regenerate captures the deterministic fig10 (no Tagger) run with
+// -trace, derives the JSONL fixture by `-o jsonl` export, and pins the
+// report rendered from the capture.
 func regenerate(t *testing.T) {
 	t.Helper()
 	if err := os.MkdirAll("testdata", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range []struct {
-		path, format string
-	}{{goldenJSONL, tagger.TraceJSONL}, {goldenBinary, tagger.TraceBinary}} {
-		if _, err := tagger.FigureWith("fig10", false, tagger.RunOptions{Trace: g.path, TraceFormat: g.format}); err != nil {
+	if _, err := tagger.FigureWith("fig10", false, tagger.RunOptions{Trace: goldenBinary}); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []struct{ path, output string }{{goldenJSONL, "jsonl"}, {goldenReport, "report"}} {
+		out, _ := runFile(t, goldenBinary, "auto", g.output)
+		if err := os.WriteFile(g.path, []byte(out), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	in, err := os.Open(goldenJSONL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer in.Close()
-	var report bytes.Buffer
-	if _, err := run(in, &report, "auto", "report", 10); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(goldenReport, report.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("regenerated %s, %s, %s", goldenJSONL, goldenBinary, goldenReport)
+	t.Logf("regenerated %s, %s, %s", goldenBinary, goldenJSONL, goldenReport)
 }
 
 func runFile(t *testing.T, path, format, output string) (string, int64) {
@@ -73,11 +64,11 @@ func runFile(t *testing.T, path, format, output string) (string, int64) {
 	return out.String(), diag.Skipped
 }
 
-// TestGoldenReport pins the report output: the checked-in fig10
-// captures — one JSONL, one binary, same deterministic run — must both
-// render byte-identically to testdata/report.golden, whether the format
-// is sniffed or named. A diff here means the report layout or the trace
-// encoding changed; regenerate deliberately with -update.
+// TestGoldenReport pins the report output: the checked-in fig10 binary
+// capture and its JSONL export must both render byte-identically to
+// testdata/report.golden, whether the format is sniffed or named. A
+// diff here means the report layout or the trace encoding changed;
+// regenerate deliberately with -update.
 func TestGoldenReport(t *testing.T) {
 	if *update {
 		regenerate(t)
@@ -193,9 +184,29 @@ func TestGoldenPostmortemFresh(t *testing.T) {
 	}
 }
 
-// TestGoldenJSONLExport pins the compatibility downgrade: `-o jsonl`
-// over the binary capture must re-emit the legacy format byte-for-byte
-// — exactly the file sim.JSONLTracer wrote for the same run.
+// TestGoldenTraceFresh re-captures the fig10 run with -trace and checks
+// it is byte-identical to the checked-in binary capture: a capture is a
+// pure function of the event stream, never of scheduling.
+func TestGoldenTraceFresh(t *testing.T) {
+	want, err := os.ReadFile(goldenBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := filepath.Join(t.TempDir(), "fig10.bin")
+	if _, err := tagger.FigureWith("fig10", false, tagger.RunOptions{Trace: p}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("fresh capture (%d bytes) differs from %s (%d bytes)", len(got), goldenBinary, len(want))
+	}
+}
+
+// TestGoldenJSONLExport pins the JSONL export: `-o jsonl` over the
+// binary capture must re-emit the checked-in JSON lines byte-for-byte.
 func TestGoldenJSONLExport(t *testing.T) {
 	if *update {
 		regenerate(t)
@@ -321,9 +332,7 @@ func TestMillionEventStreamBoundedMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// RingSize covering the whole run keeps generation loss-free without
-	// pacing the emit loop against the writer's flush ticker.
-	w, err := trace.NewWriter(f, trace.Config{RingSize: 1 << 21})
+	w, err := trace.NewWriter(f, trace.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

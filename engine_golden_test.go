@@ -1,6 +1,7 @@
 package tagger
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -11,6 +12,8 @@ import (
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
+	"repro/internal/trace/pipeline"
 	"repro/internal/workload"
 )
 
@@ -27,8 +30,9 @@ const engineGoldenPath = "testdata/engine_golden.json"
 
 // scenarioGolden pins one scenario run. TraceHash is FNV-64a over the
 // JSONL event trace (pauses, resumes, drops, demotions, deadlock onsets,
-// in dispatch order with sim timestamps), so any reordering or
-// miscounting shows up as a hash mismatch.
+// in dispatch order with sim timestamps) — the binary capture exported
+// by pipeline.JSONLSink — so any reordering or miscounting shows up as
+// a hash mismatch.
 type scenarioGolden struct {
 	TraceHash    string        `json:"trace_hash"`
 	TraceEvents  int64         `json:"trace_events"`
@@ -109,11 +113,26 @@ func goldenScenarios() map[string]func() *workload.Scenario {
 
 func runGoldenScenario(t *testing.T, name string, build func() *workload.Scenario) scenarioGolden {
 	s := build()
-	w := newHashWriter()
-	s.Net.SetTracer(&sim.JSONLTracer{W: w})
+	var bin bytes.Buffer
+	bt, err := sim.NewBinaryTracer(&bin, trace.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Net.SetTracer(bt)
 	s.Run()
 	if err := s.Net.CheckInvariants(); err != nil {
 		t.Errorf("scenario %s: %v", name, err)
+	}
+	if err := bt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w := newHashWriter()
+	src, err := pipeline.Open(&bin, pipeline.FormatAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pipeline.Run(src, nil, pipeline.NewJSONLSink(w)); err != nil {
+		t.Fatal(err)
 	}
 	return scenarioGolden{
 		TraceHash:    fmt.Sprintf("%016x", w.sum()),

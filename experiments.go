@@ -265,17 +265,10 @@ func Reconvergence(withTagger bool, flows int) ExperimentResult {
 	return runScenario(workload.Reconvergence(bounces(withTagger), flows))
 }
 
-// Trace encodings accepted by RunOptions.TraceFormat.
-const (
-	TraceJSONL  = "jsonl"
-	TraceBinary = "binary"
-)
-
 // CaptureStats reports what one run's optional capture paths produced
 // and shed, so a lossy capture never reads as a complete one. File is
 // the event trace written (empty when untraced) and Dropped counts the
-// events its writer lost — the binary tracer's SPSC ring under
-// backpressure, or JSONL events arriving after a write error. Incidents
+// records its writer lost after a sink write error. Incidents
 // are the flight recorder's captures, each a self-contained binary trace
 // for `taggertrace postmortem`, deterministic per seed (and arm);
 // DroppedTriggers and Overwrites are its loss counters.

@@ -181,7 +181,7 @@ func (fr *FlightRecorder) capture(trigger, node string) {
 	}
 	snap := fr.buildSnapshot(trigger, node)
 	var buf bytes.Buffer
-	if err := fr.rec.Dump(&buf, -1<<62, snap); err != nil {
+	if err := fr.rec.Dump(&buf, snap); err != nil {
 		// bytes.Buffer writes cannot fail; belt and braces.
 		if fr.sinkErr == nil {
 			fr.sinkErr = err

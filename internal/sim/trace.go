@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -45,43 +44,13 @@ type Tracer interface {
 	Trace(ev TraceEvent)
 }
 
-// JSONLTracer writes one JSON object per line, the legacy interchange
-// format for offline analysis. It costs an encode and a write per event
-// — fine for figure-sized runs; long soaks should use BinaryTracer.
-type JSONLTracer struct {
-	W io.Writer
-	// Err records the first write error. Tracing keeps accepting events
-	// after it, counting them into Dropped instead of writing.
-	Err error
-	// Dropped counts events lost after Err: the event that hit the
-	// error and everything since. Consumers surface it so a trace that
-	// ran out of disk reads as "lossy", never as "quiet".
-	Dropped int64
-	enc     *json.Encoder
-}
-
-// Trace implements Tracer.
-func (t *JSONLTracer) Trace(ev TraceEvent) {
-	if t.Err != nil {
-		t.Dropped++
-		return
-	}
-	if t.enc == nil {
-		t.enc = json.NewEncoder(t.W)
-	}
-	if err := t.enc.Encode(ev); err != nil {
-		t.Err = err
-		t.Dropped++
-	}
-}
-
 // encodeEvent is the one TraceEvent -> TGL1 entry encoding, shared by
-// the BinaryTracer's writer ring and the FlightRecorder's overwriting
-// ring: node, peer, flow and reason strings go through intern (each
-// ring's own string table), everything else is fixed-width. A deadlock
-// event yields only its onset entry (Aux = cycle length); the sink
-// appends one KindCycleEdge entry per ev.Cycle edge in its own record
-// discipline. ok is false for a kind the wire format does not carry.
+// the BinaryTracer's writer and the FlightRecorder's overwriting ring:
+// node, peer, flow and reason strings go through intern (each one's own
+// string table), everything else is fixed-width. A deadlock event
+// yields only its onset entry (Aux = cycle length); the caller appends
+// one KindCycleEdge entry per ev.Cycle edge. ok is false for a kind the
+// wire format does not carry.
 func encodeEvent(ev *TraceEvent, intern func(string) uint32) (e trace.Entry, ok bool) {
 	e = trace.Entry{Tick: ev.T, A: intern(ev.Node)}
 	switch ev.Kind {
@@ -107,26 +76,23 @@ func encodeEvent(ev *TraceEvent, intern func(string) uint32) (e trace.Entry, ok 
 	return e, true
 }
 
-// BinaryTracer captures events in the internal/trace binary format: a
-// fixed-width entry into a single-producer ring buffer per event, with
-// a background goroutine draining to the sink. Steady-state capture is
-// a few stores plus two atomics — nanoseconds and zero heap
-// allocations per event (TestBinaryTracerZeroAlloc gates this) — so it
-// is the tracer for long soaks where JSONLTracer's per-event encode
-// would dominate the run.
+// BinaryTracer captures events in the internal/trace binary format:
+// each event is encoded in the simulator's goroutine into a buffered
+// trace.Writer. Steady-state capture is a few stores and a buffer copy
+// — nanoseconds and zero heap allocations per event
+// (TestBinaryTracerZeroAlloc gates this) — so it serves long soaks as
+// well as figure runs; `taggertrace -o jsonl` exports a capture as
+// JSON lines.
 //
-// Callers must Close to flush the tail of the ring; Dropped reports
-// events lost to capture backpressure or sink errors.
+// Callers must Close to flush the buffer; Dropped reports records lost
+// after a sink write error.
 type BinaryTracer struct {
-	w        *trace.Writer
-	cycleIDs []uint32
+	w *trace.Writer
 }
 
-// NewBinaryTracer starts a binary capture writing to w. cfg tunes the
-// ring and flush cadence; the zero Config is right for simulator use
-// (its tick rate is fixed at nanoseconds).
+// NewBinaryTracer starts a binary capture writing to w. cfg is ignored
+// (see trace.Config); ticks are nanoseconds.
 func NewBinaryTracer(w io.Writer, cfg trace.Config) (*BinaryTracer, error) {
-	cfg.TickHz = trace.TickHzNanos
 	tw, err := trace.NewWriter(w, cfg)
 	if err != nil {
 		return nil, err
@@ -139,26 +105,25 @@ func NewBinaryTracer(w io.Writer, cfg trace.Config) (*BinaryTracer, error) {
 // them is allocation-free.
 func (t *BinaryTracer) Trace(ev TraceEvent) {
 	e, ok := encodeEvent(&ev, t.w.Intern)
-	switch {
-	case !ok:
-	case e.Kind != trace.KindDeadlock:
-		t.w.Emit(e)
-	default:
-		// Onset plus its cycle edges are one all-or-nothing record.
-		ids := t.cycleIDs[:0]
-		for _, edge := range ev.Cycle {
-			ids = append(ids, t.w.Intern(edge))
-		}
-		t.cycleIDs = ids
-		t.w.EmitDeadlock(e.Tick, e.A, ids)
+	if !ok {
+		return
+	}
+	// Cycle edges are defined before the onset, so the onset and its
+	// edges stay adjacent in the stream.
+	for _, edge := range ev.Cycle {
+		t.w.Intern(edge)
+	}
+	t.w.Emit(e)
+	for _, edge := range ev.Cycle {
+		t.w.Emit(trace.Entry{Tick: ev.T, Kind: trace.KindCycleEdge, C: t.w.Intern(edge)})
 	}
 }
 
-// Dropped reports events lost to ring backpressure or sink errors.
+// Dropped reports records lost after a sink write error.
 func (t *BinaryTracer) Dropped() int64 { return t.w.Dropped() }
 
-// Close drains and flushes the capture; it must be called before the
-// trace file is read.
+// Close flushes the capture and returns the first sink error; it must
+// be called before the trace file is read.
 func (t *BinaryTracer) Close() error { return t.w.Close() }
 
 // CountingTracer tallies events by kind — the cheap always-on option.

@@ -3,8 +3,9 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/routing"
 	"repro/internal/topology"
 	"repro/internal/trace"
+	"repro/internal/trace/pipeline"
 )
 
 func TestCountingTracerSeesPFC(t *testing.T) {
@@ -36,22 +38,53 @@ func TestCountingTracerSeesPFC(t *testing.T) {
 	}
 }
 
-func TestJSONLTracerDeadlockOnset(t *testing.T) {
-	c, tb, n := testbedNet(t, routing.UpDown)
-	g := c.Graph
-	forceFig3Routes(c, tb)
-	var buf bytes.Buffer
-	n.SetTracer(&JSONLTracer{W: &buf})
-	n.AddFlow(FlowSpec{Name: "green", Src: g.MustLookup("H9"), Dst: g.MustLookup("H1")})
-	n.AddFlow(FlowSpec{Name: "blue", Src: g.MustLookup("H2"), Dst: g.MustLookup("H13"),
-		Start: time.Millisecond})
+// fig3Capture traces the Figure 3 deadlock through a BinaryTracer and
+// returns the loss-free capture and every event the tracer was handed.
+func fig3Capture(t *testing.T) ([]byte, []TraceEvent) {
+	t.Helper()
+	var bin bytes.Buffer
+	bt, err := NewBinaryTracer(&bin, trace.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &recordingTracer{inner: bt}
+	n := fig3Deadlock(t, false)
+	n.SetTracer(rec)
 	n.Run(10 * time.Millisecond)
+	if err := bt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if bt.Dropped() != 0 {
+		t.Fatalf("binary capture dropped %d records", bt.Dropped())
+	}
+	return bin.Bytes(), rec.events
+}
 
+// recordingTracer keeps every event it sees and passes it on.
+type recordingTracer struct {
+	inner  Tracer
+	events []TraceEvent
+}
+
+func (r *recordingTracer) Trace(ev TraceEvent) {
+	r.inner.Trace(ev)
+	ev.Cycle = slices.Clone(ev.Cycle)
+	r.events = append(r.events, ev)
+}
+
+func TestBinaryTracerDeadlockOnset(t *testing.T) {
+	bin, _ := fig3Capture(t)
+	r, err := trace.NewReader(bytes.NewReader(bin))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var sawDeadlock bool
-	dec := json.NewDecoder(&buf)
-	for dec.More() {
-		var ev TraceEvent
-		if err := dec.Decode(&ev); err != nil {
+	for {
+		ev, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		if ev.Kind == "deadlock" {
@@ -95,120 +128,83 @@ func TestTracerDemoteAndDrops(t *testing.T) {
 	}
 }
 
-// TestJSONLTracerWriteError pins the silent-loss fix: after a write
-// error every subsequent event (and the one that hit the error) must be
-// counted into Dropped, not vanish.
-func TestJSONLTracerWriteError(t *testing.T) {
-	tr := &JSONLTracer{W: failingWriter{}}
-	tr.Trace(TraceEvent{Kind: "pause"})
-	if tr.Err == nil {
-		t.Fatal("write error not captured")
+// TestBinaryTracerWriteError pins the failing-sink contract: no event
+// is lost before the sink fails, Dropped counts the record that hit the
+// error and every one after it, and Close reports the error.
+func TestBinaryTracerWriteError(t *testing.T) {
+	bt, err := NewBinaryTracer(failingWriter{}, trace.Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if tr.Dropped != 1 {
-		t.Fatalf("Dropped = %d after the failing event, want 1", tr.Dropped)
+	ev := TraceEvent{Kind: "pause", Node: "A", Peer: "B", Prio: 1}
+	traced := 0
+	for ; bt.Dropped() == 0; traced++ {
+		if traced == 1<<20 {
+			t.Fatal("a failing sink never surfaced")
+		}
+		bt.Trace(ev)
 	}
-	tr.Trace(TraceEvent{Kind: "pause"})
-	tr.Trace(TraceEvent{Kind: "drop"})
-	if tr.Dropped != 3 {
-		t.Fatalf("Dropped = %d after two more events, want 3", tr.Dropped)
+	if bt.Dropped() != 1 {
+		t.Fatalf("Dropped = %d after the failing event, want 1", bt.Dropped())
+	}
+	bt.Trace(ev)
+	bt.Trace(TraceEvent{Kind: "drop", Node: "A", Flow: "f", Reason: "ttl"})
+	if bt.Dropped() != 5 {
+		t.Fatalf("Dropped = %d after a pause and a drop with two new strings, want 5", bt.Dropped())
+	}
+	if err := bt.Close(); !errors.Is(err, errWrite) {
+		t.Fatalf("Close err = %v, want the sink error", err)
 	}
 }
 
-// TestJSONLTracerCountsNothingOnSuccess: a healthy sink reports zero
+// TestBinaryTracerCountsNothingOnSuccess: a healthy sink reports zero
 // loss.
-func TestJSONLTracerCountsNothingOnSuccess(t *testing.T) {
-	var buf bytes.Buffer
-	tr := &JSONLTracer{W: &buf}
-	tr.Trace(TraceEvent{Kind: "pause", Node: "A", Peer: "B"})
-	if tr.Err != nil || tr.Dropped != 0 {
-		t.Fatalf("err=%v dropped=%d", tr.Err, tr.Dropped)
+func TestBinaryTracerCountsNothingOnSuccess(t *testing.T) {
+	bt, err := NewBinaryTracer(io.Discard, trace.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10_000; i++ {
+		bt.Trace(TraceEvent{T: int64(i), Kind: "pause", Node: "A", Peer: "B"})
+	}
+	if err := bt.Close(); err != nil || bt.Dropped() != 0 {
+		t.Fatalf("err=%v dropped=%d", err, bt.Dropped())
 	}
 }
 
-// TestBinaryTracerMatchesJSONL: the same deterministic run captured by
-// both tracers must decode to the same event sequence — the format is
-// an encoding, not a different observer.
+// TestBinaryTracerMatchesJSONL: a binary capture exported to JSONL is
+// byte-identical to the emitted events encoded as JSON lines — the
+// format is an encoding, not a different observer, and the export
+// stands in for a JSONL tracer.
 func TestBinaryTracerMatchesJSONL(t *testing.T) {
-	runTraced := func(tr Tracer) {
-		c, tb, n := testbedNet(t, routing.UpDown)
-		g := c.Graph
-		forceFig3Routes(c, tb)
-		n.SetTracer(tr)
-		n.AddFlow(FlowSpec{Name: "green", Src: g.MustLookup("H9"), Dst: g.MustLookup("H1")})
-		n.AddFlow(FlowSpec{Name: "blue", Src: g.MustLookup("H2"), Dst: g.MustLookup("H13"),
-			Start: time.Millisecond})
-		n.Run(10 * time.Millisecond)
-	}
+	bin, events := fig3Capture(t)
 
-	var jsonl bytes.Buffer
-	runTraced(&JSONLTracer{W: &jsonl})
-
-	var bin bytes.Buffer
-	bt, err := NewBinaryTracer(&bin, trace.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runTraced(bt)
-	if err := bt.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if bt.Dropped() != 0 {
-		t.Fatalf("binary capture dropped %d events", bt.Dropped())
-	}
-
-	var fromJSONL []TraceEvent
-	dec := json.NewDecoder(&jsonl)
-	for dec.More() {
-		var ev TraceEvent
-		if err := dec.Decode(&ev); err != nil {
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	sawDeadlock := false
+	for i := range events {
+		sawDeadlock = sawDeadlock || events[i].Kind == "deadlock"
+		if err := enc.Encode(&events[i]); err != nil {
 			t.Fatal(err)
-		}
-		fromJSONL = append(fromJSONL, ev)
-	}
-
-	r, err := trace.NewReader(&bin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fromBin []TraceEvent
-	for {
-		ev, err := r.Next()
-		if err != nil {
-			break
-		}
-		fromBin = append(fromBin, TraceEvent{
-			T: ev.T, Kind: ev.Kind, Node: ev.Node, Peer: ev.Peer,
-			Prio: ev.Prio, Depth: ev.Depth, Flow: ev.Flow,
-			Reason: ev.Reason, Cycle: ev.Cycle,
-		})
-	}
-	if r.Skipped() != 0 || r.Truncated() {
-		t.Fatalf("binary decode skipped=%d truncated=%v", r.Skipped(), r.Truncated())
-	}
-	if len(fromBin) != len(fromJSONL) {
-		t.Fatalf("binary decoded %d events, jsonl %d", len(fromBin), len(fromJSONL))
-	}
-	var sawDeadlock bool
-	for i := range fromJSONL {
-		want, got := fromJSONL[i], fromBin[i]
-		if want.Kind == "deadlock" {
-			sawDeadlock = true
-			if len(got.Cycle) != len(want.Cycle) {
-				t.Fatalf("event %d cycle %v != %v", i, got.Cycle, want.Cycle)
-			}
-			for j := range want.Cycle {
-				if got.Cycle[j] != want.Cycle[j] {
-					t.Fatalf("event %d cycle edge %d: %q != %q", i, j, got.Cycle[j], want.Cycle[j])
-				}
-			}
-			want.Cycle, got.Cycle = nil, nil
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("event %d:\n  binary %+v\n  jsonl  %+v", i, got, want)
 		}
 	}
 	if !sawDeadlock {
 		t.Fatal("scenario produced no deadlock onset; the comparison is vacuous")
+	}
+
+	src, err := pipeline.Open(bytes.NewReader(bin), pipeline.FormatAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := pipeline.Run(src, nil, pipeline.NewJSONLSink(&got)); err != nil {
+		t.Fatal(err)
+	}
+	if src.Skipped() != 0 {
+		t.Fatalf("binary decode skipped %d records", src.Skipped())
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("JSONL export of the capture (%d bytes) differs from the emitted events (%d bytes)", got.Len(), want.Len())
 	}
 }
 

@@ -1,26 +1,22 @@
 package trace
 
-import (
-	"bufio"
-	"io"
-)
+import "io"
 
 // Recorder is the flight recorder's in-memory ring: a fixed number of
 // 32-byte entry slots that the producer overwrites oldest-first, so the
 // last K microseconds of events are always on hand for an incident dump
 // while steady-state cost stays at one slice store per record — no
-// atomics, no goroutine, no allocation.
+// goroutine, no allocation.
 //
-// This is deliberately NOT the SPSC ring behind Writer: that one feeds
-// a live consumer and drops the newest records under backpressure
-// (recent history is what the analyst loses); the flight ring has no
-// consumer until a trigger fires and keeps the newest records, shedding
-// the oldest (exactly what a post-mortem wants). Overwrites counts the
-// shed entries.
+// Unlike a Writer, which streams every record to its sink, the flight
+// ring has no consumer until a trigger fires and keeps only the newest
+// records, shedding the oldest (exactly what a post-mortem wants).
+// Overwrites counts the shed entries.
 //
-// Interned strings live outside the ring: string definitions are never
-// overwritten, so every surviving entry still resolves after the ring
-// has lapped many times. Dump emits the whole table up front.
+// Interned strings live outside the ring, in the same string table a
+// Writer keeps: definitions are never overwritten, so every surviving
+// entry still resolves after the ring has lapped many times. Dump emits
+// the whole table up front through the Writer's encoder.
 //
 // A Recorder is single-goroutine, like the simulator it instruments.
 type Recorder struct {
@@ -28,17 +24,12 @@ type Recorder struct {
 	mask  uint64
 	head  uint64 // total records ever written
 
-	strs map[string]uint32
-	defs []string // defs[i] is the string behind ID i+1
+	strs strTable
 }
 
 // NewRecorder sizes a ring of at least the given slot count (rounded up
-// to a power of two, minimum 64; <= 0 selects the 16384-slot default:
-// 512 KiB of history, several milliseconds of a busy fabric's events).
+// to a power of two, minimum 64).
 func NewRecorder(slots int) *Recorder {
-	if slots <= 0 {
-		slots = 1 << 14
-	}
 	n := 64
 	for n < slots {
 		n <<= 1
@@ -46,7 +37,7 @@ func NewRecorder(slots int) *Recorder {
 	return &Recorder{
 		slots: make([]Entry, n),
 		mask:  uint64(n - 1),
-		strs:  make(map[string]uint32),
+		strs:  newStrTable(),
 	}
 }
 
@@ -54,18 +45,7 @@ func NewRecorder(slots int) *Recorder {
 // assigning one on first sight. Later calls for a known string are
 // allocation-free.
 func (r *Recorder) Intern(s string) uint32 {
-	if s == "" {
-		return 0
-	}
-	if id, ok := r.strs[s]; ok {
-		return id
-	}
-	if len(s) > maxStrLen {
-		s = s[:maxStrLen]
-	}
-	id := uint32(len(r.defs) + 1)
-	r.strs[s] = id
-	r.defs = append(r.defs, s)
+	id, _ := r.strs.intern(s)
 	return id
 }
 
@@ -93,53 +73,21 @@ func (r *Recorder) Overwrites() int64 {
 }
 
 // Dump writes a self-contained trace: header, the full string table,
-// every surviving ring entry with Tick >= fromTick (oldest first), then
-// the snapshot entries. The ring is not consumed — recording can
-// continue and Dump can run again. A multi-slot deadlock record whose
-// onset was overwritten leaves orphaned cycle edges at the window head;
-// the reader skip-and-counts those by contract.
-func (r *Recorder) Dump(w io.Writer, fromTick int64, snapshot []Entry) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	var hb [HeaderSize]byte
-	marshalHeader(&hb, TickHzNanos)
-	if _, err := bw.Write(hb[:]); err != nil {
-		return err
+// every surviving ring entry (oldest first), then the snapshot entries.
+// The ring is not consumed — recording can continue and Dump can run
+// again. A multi-slot deadlock record whose onset was overwritten
+// leaves orphaned cycle edges at the window head; the reader
+// skip-and-counts those by contract.
+func (r *Recorder) Dump(w io.Writer, snapshot []Entry) error {
+	c := newEncoder(w)
+	for i, s := range r.strs.defs {
+		c.strdef(uint32(i+1), s)
 	}
-	var eb [EntrySize]byte
-	writeEntry := func(e Entry) error {
-		e.marshal(&eb)
-		_, err := bw.Write(eb[:])
-		return err
-	}
-	var pad [EntrySize]byte
-	for i, s := range r.defs {
-		if err := writeEntry(Entry{Kind: KindStrDef, A: uint32(i + 1), Aux: uint16(len(s))}); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(s); err != nil {
-			return err
-		}
-		if _, err := bw.Write(pad[:strDefSlots(len(s))*EntrySize-len(s)]); err != nil {
-			return err
-		}
-	}
-	start := uint64(0)
-	if r.head > uint64(len(r.slots)) {
-		start = r.head - uint64(len(r.slots))
-	}
-	for i := start; i < r.head; i++ {
-		e := r.slots[i&r.mask]
-		if e.Tick < fromTick {
-			continue
-		}
-		if err := writeEntry(e); err != nil {
-			return err
-		}
+	for i := r.head - uint64(r.Len()); i < r.head; i++ {
+		c.entry(r.slots[i&r.mask])
 	}
 	for _, e := range snapshot {
-		if err := writeEntry(e); err != nil {
-			return err
-		}
+		c.entry(e)
 	}
-	return bw.Flush()
+	return c.bw.Flush() // the buffer's error is sticky
 }

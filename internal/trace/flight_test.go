@@ -48,7 +48,7 @@ func TestRecorderRoundTrip(t *testing.T) {
 	snap = append(snap, SnapEndEntry(25, rec.Overwrites(), len(snap)+1))
 
 	var buf bytes.Buffer
-	if err := rec.Dump(&buf, 0, snap); err != nil {
+	if err := rec.Dump(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
 	r, err := NewReader(&buf)
@@ -110,7 +110,7 @@ func TestRecorderOverwrite(t *testing.T) {
 		t.Fatalf("overwrites = %d, want %d", rec.Overwrites(), 200-64)
 	}
 	var buf bytes.Buffer
-	if err := rec.Dump(&buf, 0, nil); err != nil {
+	if err := rec.Dump(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	r, err := NewReader(&buf)
@@ -123,27 +123,6 @@ func TestRecorderOverwrite(t *testing.T) {
 	}
 	if evs[0].Node != "sw-early" {
 		t.Fatalf("node = %q: string table lost to the lap", evs[0].Node)
-	}
-}
-
-// TestRecorderWindowTrim: Dump's fromTick drops history older than the
-// incident window.
-func TestRecorderWindowTrim(t *testing.T) {
-	rec := NewRecorder(64)
-	for i := 0; i < 10; i++ {
-		rec.Record(Entry{Tick: int64(i * 100), Kind: KindResume, Prio: 1})
-	}
-	var buf bytes.Buffer
-	if err := rec.Dump(&buf, 500, nil); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evs := dumpAll(t, r)
-	if len(evs) != 5 || evs[0].T != 500 {
-		t.Fatalf("window = %+v", evs)
 	}
 }
 

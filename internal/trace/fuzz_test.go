@@ -22,7 +22,10 @@ func FuzzTraceDecode(f *testing.F) {
 	a, b := w.Intern("T1"), w.Intern("L1")
 	w.Emit(Entry{Tick: 10, Kind: KindPause, A: a, B: b, Prio: 1, Depth: 9216})
 	w.Emit(Entry{Tick: 20, Kind: KindResume, A: a, B: b, Prio: 1})
-	w.EmitDeadlock(30, a, []uint32{w.Intern("T1->L1 prio 1"), w.Intern("L1->T1 prio 1")})
+	e1, e2 := w.Intern("T1->L1 prio 1"), w.Intern("L1->T1 prio 1")
+	w.Emit(Entry{Tick: 30, Kind: KindDeadlock, A: a, Aux: 2})
+	w.Emit(Entry{Tick: 30, Kind: KindCycleEdge, C: e1})
+	w.Emit(Entry{Tick: 30, Kind: KindCycleEdge, C: e2})
 	w.Emit(Entry{Tick: 40, Kind: KindDetect, A: b, B: a, C: w.Intern("pause"), Prio: 1})
 	w.Emit(Entry{Tick: 50, Kind: KindMitigate, A: b, C: w.Intern("drop"), Prio: 1, Depth: 4096})
 	if err := w.Close(); err != nil {

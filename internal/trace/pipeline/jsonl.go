@@ -8,11 +8,11 @@ import (
 	"repro/internal/trace"
 )
 
-// JSONLSink is the compatibility export stage: it re-emits the event
-// stream in the legacy line-oriented format, byte-identical to what
-// sim.JSONLTracer would have written for the same events (trace.Event
-// mirrors its field order and tags). `taggertrace -o jsonl` uses it to
-// downgrade binary captures for tools that still speak JSONL.
+// JSONLSink is the export stage: it re-emits the event stream as JSON
+// lines, byte-identical to json-encoding the simulator's TraceEvents
+// (trace.Event mirrors their field order and tags). `taggertrace -o
+// jsonl` uses it to export binary captures for tools that speak JSONL,
+// and the engine goldens hash its output.
 type JSONLSink struct {
 	bw  *bufio.Writer
 	enc *json.Encoder

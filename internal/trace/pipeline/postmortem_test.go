@@ -46,7 +46,7 @@ func syntheticIncident(t *testing.T) []byte {
 		trace.SnapEndEntry(5000, 0, 15),
 	}
 	var buf bytes.Buffer
-	if err := rec.Dump(&buf, 0, snap); err != nil {
+	if err := rec.Dump(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -120,7 +120,7 @@ func TestPostmortemCanonicalRotation(t *testing.T) {
 		trace.SnapEndEntry(100, 0, 8),
 	}
 	var buf bytes.Buffer
-	if err := rec.Dump(&buf, 0, snap); err != nil {
+	if err := rec.Dump(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
 	src, err := NewBinarySource(bytes.NewReader(buf.Bytes()))
@@ -169,7 +169,7 @@ func TestPostmortemAcyclicSnapshot(t *testing.T) {
 		trace.SnapEndEntry(100, 0, 3),
 	}
 	var buf bytes.Buffer
-	if err := rec.Dump(&buf, 0, snap); err != nil {
+	if err := rec.Dump(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
 	src, err := NewBinarySource(bytes.NewReader(buf.Bytes()))

@@ -88,8 +88,8 @@ func (r *Reader) pushback(e Entry) {
 	r.pending, r.hasPend = e, true
 }
 
-// str resolves an interned ID; a definition lost to capture
-// backpressure (or corruption) renders as "?".
+// str resolves an interned ID; a definition lost to a failed sink (or
+// corruption) renders as "?".
 func (r *Reader) str(id uint32) string {
 	if id == 0 {
 		return ""

@@ -1,14 +1,14 @@
 // Package trace is the simulator's binary event-trace format and its
-// capture machinery: fixed-width little-endian entries behind a
-// single-producer ring buffer, drained to disk by a background writer
-// goroutine (writer.go), and decoded back into normalized events by a
-// streaming reader (reader.go).
+// capture machinery: fixed-width little-endian entries encoded in the
+// producer's goroutine through one buffered Writer (writer.go) or kept
+// in the flight recorder's overwriting ring (flight.go), and decoded
+// back into normalized events by a streaming reader (reader.go).
 //
 // The format exists because per-event encoding/json costs microseconds
 // and megabytes of allocation, which caps how long a soak can record.
-// Binary capture is a handful of stores plus two atomic operations per
-// event — nanoseconds and zero heap allocations in steady state — so
-// tracing a multi-second soak of a large fabric is routine.
+// Binary capture is a handful of stores and a buffer copy per event —
+// nanoseconds and zero heap allocations in steady state — so tracing a
+// multi-second soak of a large fabric is routine.
 //
 // # File layout
 //
@@ -29,18 +29,23 @@
 // edges) are interned: the first occurrence emits a KindStrDef entry
 // whose payload — the string bytes, padded to whole 32-byte slots —
 // follows inline, and every reference carries the assigned uint32 ID.
-// ID 0 is reserved for the empty string. A deadlock onset is a
+// ID 0 is reserved for the empty string, and a definition carries at
+// most 65 535 bytes (what aux can describe): a longer string is defined
+// by that prefix. A deadlock onset is a
 // KindDeadlock entry with aux = cycle length, followed by that many
 // KindCycleEdge entries (field c = interned edge description).
 //
 // # Loss model
 //
-// The ring never blocks the producer: when the consumer falls behind,
-// whole records are dropped and counted (Writer.Dropped, optionally a
-// telemetry counter). The reader therefore treats a reference to an
+// A Writer loses nothing while its sink accepts writes, so a capture
+// is a deterministic function of the event stream. From the first
+// failed sink write on, every record is discarded and counted
+// (Writer.Dropped), and Close returns the error. The reader still treats a reference to an
 // undefined string ID as "?" rather than an error, and tolerates a
-// cycle cut short — an analysis pipeline must survive a lossy trace the
-// same way it survives a truncated one.
+// cycle cut short: a flight-recorder dump can shed a cycle's onset to
+// overwrite, and a failed or crashed capture can end anywhere — an
+// analysis pipeline must survive a damaged trace the same way it
+// survives a truncated one.
 package trace
 
 import (

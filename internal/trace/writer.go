@@ -2,232 +2,123 @@ package trace
 
 import (
 	"bufio"
-	"fmt"
 	"io"
-	"sync"
 	"time"
-
-	"repro/internal/telemetry"
 )
 
-// Config tunes a Writer. The zero value picks sensible defaults.
+// Config is a Writer's configuration. Both fields are ignored: a Writer
+// encodes in the caller's goroutine into one fixed 64 KiB buffer, so
+// there is no ring to size and no drain to pace. They remain only so
+// existing callers compile; pass the zero Config.
 type Config struct {
-	// RingSize is the ring capacity in 32-byte slots (rounded up to a
-	// power of two; default 65536 ≈ 2 MB). The ring must absorb one
-	// FlushInterval of peak event rate or records are dropped.
-	RingSize int
-	// FlushInterval is how often the writer goroutine drains the ring
-	// (default 1ms). The final drain on Close is always complete.
+	RingSize      int
 	FlushInterval time.Duration
-	// TickHz is the tick rate stamped into the header (default
-	// TickHzNanos: ticks are nanoseconds).
-	TickHz uint64
-	// Dropped, when non-nil, mirrors the dropped-record count into a
-	// telemetry counter so live soaks expose capture loss on /metrics.
-	Dropped *telemetry.Counter
 }
 
-// Writer captures fixed-width entries from a single producer goroutine
-// and streams them to an io.Writer from a background goroutine. Emit
-// and Intern are wait-free and allocation-free in steady state (a
-// first-seen string allocates once for its table entry); neither ever
-// blocks on the sink. Close stops the drainer, flushes, and reports the
-// first sink error.
-type Writer struct {
-	ring *ring
-	out  *bufio.Writer
-
-	// strs interns strings; producer-only.
-	strs   map[string]internedString
-	nextID uint32
-
-	ctr *telemetry.Counter
-
-	stop    chan struct{}
-	done    chan struct{}
-	stopped sync.Once
-
-	mu  sync.Mutex
-	err error
-}
-
-// internedString tracks one interned string. defined=false means its
-// KindStrDef record was dropped by a full ring; the next Intern of the
-// same string retries so a long trace heals its table.
-type internedString struct {
-	id      uint32
-	defined bool
-}
-
-// maxStrLen caps interned string bytes at what Aux can carry.
+// maxStrLen caps a string definition at what Aux can carry.
 const maxStrLen = 1<<16 - 1
 
-// NewWriter writes the file header synchronously (so a bad sink fails
-// fast) and starts the drain goroutine. Callers must Close.
-func NewWriter(w io.Writer, cfg Config) (*Writer, error) {
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = 1 << 16
+// strTable is a TGL1 producer's string table: IDs are dense from 1 (0
+// is the empty string), keyed by the whole string, and each definition
+// carries the string's first maxStrLen bytes.
+type strTable struct {
+	ids  map[string]uint32
+	defs []string // defs[i] is the definition behind ID i+1
+}
+
+func newStrTable() strTable { return strTable{ids: make(map[string]uint32)} }
+
+// intern returns s's ID; fresh reports first sight, whose definition
+// is then the last of defs.
+func (t *strTable) intern(s string) (id uint32, fresh bool) {
+	if s == "" {
+		return 0, false
 	}
-	if cfg.FlushInterval <= 0 {
-		cfg.FlushInterval = time.Millisecond
+	if id, ok := t.ids[s]; ok {
+		return id, false
 	}
-	if cfg.TickHz == 0 {
-		cfg.TickHz = TickHzNanos
-	}
-	bw := bufio.NewWriterSize(w, 1<<16)
-	var hdr [HeaderSize]byte
-	marshalHeader(&hdr, cfg.TickHz)
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: write header: %w", err)
-	}
-	tw := &Writer{
-		ring: newRing(cfg.RingSize),
-		out:  bw,
-		strs: make(map[string]internedString),
-		ctr:  cfg.Dropped,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	go tw.run(cfg.FlushInterval)
-	return tw, nil
+	id = uint32(len(t.defs) + 1)
+	t.ids[s] = id
+	t.defs = append(t.defs, s[:min(len(s), maxStrLen)])
+	return id, true
+}
+
+// encoder serializes TGL1 through a 64 KiB buffer in front of a sink:
+// the header, string definitions and entries. The buffer's first write
+// error is sticky, so once the sink fails every later write reports it.
+type encoder struct {
+	bw *bufio.Writer
+	eb [EntrySize]byte
+}
+
+var zeroSlot [EntrySize]byte
+
+// newEncoder buffers the file header for w.
+func newEncoder(w io.Writer) *encoder {
+	c := &encoder{bw: bufio.NewWriterSize(w, 1<<16)}
+	var hb [HeaderSize]byte
+	marshalHeader(&hb, TickHzNanos)
+	c.bw.Write(hb[:]) // lands in the empty buffer: cannot fail
+	return c
+}
+
+// entry writes one 32-byte entry.
+func (c *encoder) entry(e Entry) error {
+	e.marshal(&c.eb)
+	_, err := c.bw.Write(c.eb[:])
+	return err
+}
+
+// strdef writes a KindStrDef entry and its payload: s padded to whole
+// slots. The last write reports any failure, the error being sticky.
+func (c *encoder) strdef(id uint32, s string) error {
+	c.entry(Entry{Kind: KindStrDef, A: id, Aux: uint16(len(s))})
+	c.bw.WriteString(s)
+	_, err := c.bw.Write(zeroSlot[:strDefSlots(len(s))*EntrySize-len(s)])
+	return err
+}
+
+// Writer streams fixed-width entries to an io.Writer. Emit and Intern
+// encode in the caller's goroutine into a 64 KiB buffer that is written
+// to the sink when it fills and at Close; they are allocation-free in
+// steady state (a first-seen string allocates once for its table
+// entry). A record is lost only once the sink has failed: from the
+// failing write on, every record is discarded and counted, and Close
+// reports the error. A Writer serves a single goroutine.
+type Writer struct {
+	enc     *encoder
+	strs    strTable
+	dropped int64
+}
+
+// NewWriter buffers the file header for w; the Config is ignored.
+// Callers must Close.
+func NewWriter(w io.Writer, _ Config) (*Writer, error) {
+	return &Writer{enc: newEncoder(w), strs: newStrTable()}, nil
 }
 
 // Intern returns the stable ID for s, assigning one and emitting its
 // definition record on first sight. The empty string is ID 0 and never
-// emitted. Single producer only.
+// emitted.
 func (w *Writer) Intern(s string) uint32 {
-	if s == "" {
-		return 0
+	id, fresh := w.strs.intern(s)
+	if fresh && w.enc.strdef(id, w.strs.defs[id-1]) != nil {
+		w.dropped++
 	}
-	if e, ok := w.strs[s]; ok && e.defined {
-		return e.id
-	}
-	e, ok := w.strs[s]
-	if !ok {
-		w.nextID++
-		e = internedString{id: w.nextID}
-	}
-	if len(s) > maxStrLen {
-		s = s[:maxStrLen]
-	}
-	k := 1 + strDefSlots(len(s))
-	start, fit := w.ring.reserve(k)
-	if !fit {
-		// Definition lost; remember the ID and retry on next sight.
-		w.strs[s] = e
-		w.countDrop()
-		return e.id
-	}
-	def := Entry{Kind: KindStrDef, A: e.id, Aux: uint16(len(s))}
-	def.marshal(w.ring.slot(start))
-	for i, off := 1, 0; off < len(s); i, off = i+1, off+EntrySize {
-		slot := w.ring.slot(start + uint64(i))
-		*slot = [EntrySize]byte{}
-		copy(slot[:], s[off:])
-	}
-	w.ring.publish(k)
-	e.defined = true
-	w.strs[s] = e
-	return e.id
+	return id
 }
 
-// Emit captures one entry, dropping (and counting) it when the ring is
-// full. Single producer only.
+// Emit captures one entry.
 func (w *Writer) Emit(e Entry) {
-	start, fit := w.ring.reserve(1)
-	if !fit {
-		w.countDrop()
-		return
-	}
-	e.marshal(w.ring.slot(start))
-	w.ring.publish(1)
-}
-
-// EmitDeadlock captures a deadlock onset: the onset entry plus one
-// cycle-edge entry per interned edge ID, as one all-or-nothing record.
-func (w *Writer) EmitDeadlock(tick int64, node uint32, edges []uint32) {
-	k := 1 + len(edges)
-	start, fit := w.ring.reserve(k)
-	if !fit {
-		w.countDrop()
-		return
-	}
-	on := Entry{Tick: tick, Kind: KindDeadlock, A: node, Aux: uint16(len(edges))}
-	on.marshal(w.ring.slot(start))
-	for i, id := range edges {
-		ce := Entry{Tick: tick, Kind: KindCycleEdge, C: id}
-		ce.marshal(w.ring.slot(start + 1 + uint64(i)))
-	}
-	w.ring.publish(k)
-}
-
-// Dropped returns how many records were lost — to ring backpressure or
-// discarded after a sink write error.
-func (w *Writer) Dropped() int64 { return w.ring.dropped.Load() }
-
-func (w *Writer) countDrop() {
-	w.ring.drop()
-	w.ctr.Inc()
-}
-
-// run drains the ring on a ticker until stopped, then drains the rest.
-func (w *Writer) run(flush time.Duration) {
-	defer close(w.done)
-	tick := time.NewTicker(flush)
-	defer tick.Stop()
-	buf := make([]byte, 0, 4096*EntrySize)
-	for {
-		select {
-		case <-w.stop:
-			w.drainAll(buf)
-			return
-		case <-tick.C:
-			buf = w.drainOnce(buf)
-		}
+	if w.enc.entry(e) != nil {
+		w.dropped++
 	}
 }
 
-// drainOnce moves every currently-pending slot to the sink.
-func (w *Writer) drainOnce(buf []byte) []byte {
-	for {
-		buf = w.ring.drain(buf[:0], cap(buf)/EntrySize)
-		if len(buf) == 0 {
-			return buf
-		}
-		w.sink(buf)
-	}
-}
+// Dropped returns how many records were discarded after a sink write
+// error.
+func (w *Writer) Dropped() int64 { return w.dropped }
 
-func (w *Writer) drainAll(buf []byte) { w.drainOnce(buf) }
-
-// sink writes one drained batch, recording the first error; after an
-// error, batches are discarded and counted so the producer never stalls
-// and the loss is visible.
-func (w *Writer) sink(buf []byte) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		w.ring.dropped.Add(int64(len(buf) / EntrySize))
-		w.ctr.Add(int64(len(buf) / EntrySize))
-		return
-	}
-	if _, err := w.out.Write(buf); err != nil {
-		w.err = err
-		w.ring.dropped.Add(int64(len(buf) / EntrySize))
-		w.ctr.Add(int64(len(buf) / EntrySize))
-	}
-}
-
-// Close drains outstanding entries, flushes the sink, and returns the
-// first write error (if any). The Writer must not be used afterwards.
-func (w *Writer) Close() error {
-	w.stopped.Do(func() { close(w.stop) })
-	<-w.done
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return w.err
-	}
-	w.err = w.out.Flush()
-	return w.err
-}
+// Close flushes the buffer and returns the first sink error, if any.
+// The Writer must not be used afterwards.
+func (w *Writer) Close() error { return w.enc.bw.Flush() }

@@ -4,10 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/telemetry"
 )
 
 // collect drains every event from a binary stream.
@@ -46,7 +45,9 @@ func TestWriterRoundTrip(t *testing.T) {
 	w.Emit(Entry{Tick: 20, Kind: KindResume, A: t1, B: l1, Prio: 1, Depth: 1024})
 	w.Emit(Entry{Tick: 25, Kind: KindDemote, A: l1, B: f1})
 	e1, e2 := w.Intern("L1->T1 prio 1"), w.Intern("T1->L1 prio 1")
-	w.EmitDeadlock(30, l1, []uint32{e1, e2})
+	w.Emit(Entry{Tick: 30, Kind: KindDeadlock, A: l1, Aux: 2})
+	w.Emit(Entry{Tick: 30, Kind: KindCycleEdge, C: e1})
+	w.Emit(Entry{Tick: 30, Kind: KindCycleEdge, C: e2})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -123,39 +124,29 @@ func TestLongStringInterning(t *testing.T) {
 	}
 }
 
-// TestRingOverflowAccounting: a stalled consumer drops whole records,
-// counts every one, and the survivors still decode — with dropped
-// string definitions rendering as "?" references, and the count
-// mirrored into the telemetry counter.
-func TestRingOverflowAccounting(t *testing.T) {
-	ctr := &telemetry.Counter{}
+// TestWriterNeverLossyWithoutSinkError: a Writer loses nothing while
+// its sink accepts writes, whatever the (ignored) ring settings say — a
+// 64-slot "ring" with an hourly "drain" captures all 100 000 records.
+func TestWriterNeverLossyWithoutSinkError(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, Config{
-		RingSize:      64,
-		FlushInterval: time.Hour, // consumer effectively stalled
-		Dropped:       ctr,
-	})
+	w, err := NewWriter(&buf, Config{RingSize: 64, FlushInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
-	node := w.Intern("N") // 2 slots
-	const emitted = 200
+	const emitted = 100_000
+	node := w.Intern("N")
 	for i := 0; i < emitted; i++ {
 		w.Emit(Entry{Tick: int64(i), Kind: KindPause, A: node, B: node})
-	}
-	// 62 slots remain after the strdef: 62 events fit, 138 drop.
-	if got := w.Dropped(); got != emitted-62 {
-		t.Fatalf("dropped = %d, want %d", got, emitted-62)
-	}
-	if ctr.Value() != w.Dropped() {
-		t.Fatalf("telemetry counter %d != dropped %d", ctr.Value(), w.Dropped())
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	events, _ := collect(t, buf.Bytes())
-	if len(events) != 62 {
-		t.Fatalf("decoded %d events, want 62", len(events))
+	if w.Dropped() != 0 {
+		t.Fatalf("dropped = %d, want 0", w.Dropped())
+	}
+	events, r := collect(t, buf.Bytes())
+	if len(events) != emitted || r.Skipped() != 0 || r.Truncated() {
+		t.Fatalf("decoded %d of %d events (skipped %d, truncated %v)", len(events), emitted, r.Skipped(), r.Truncated())
 	}
 	for i, ev := range events {
 		if ev.T != int64(i) || ev.Node != "N" {
@@ -164,43 +155,43 @@ func TestRingOverflowAccounting(t *testing.T) {
 	}
 }
 
-// TestDroppedStrDefHealsOnRetry: when a definition record is lost to a
-// full ring, the next interning of the same string re-emits it, so late
-// events decode with real names again.
-func TestDroppedStrDefHealsOnRetry(t *testing.T) {
+// TestOverlongStringInternedOnce: a string longer than a definition can
+// carry keeps one ID — the table is keyed by the whole string — and is
+// defined once, by its first 65 535 bytes — by a Writer and a Recorder.
+func TestOverlongStringInternedOnce(t *testing.T) {
+	long := strings.Repeat("x", 70_000)
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, Config{RingSize: 64, FlushInterval: time.Hour})
+	w, err := NewWriter(&buf, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	filler := w.Intern("x")
-	for i := 0; i < 62; i++ { // fill the ring to the brim
-		w.Emit(Entry{Tick: int64(i), Kind: KindPause, A: filler, B: filler})
+	if a, b := w.Intern(long), w.Intern(long); a != 1 || b != 1 {
+		t.Fatalf("writer IDs = %d, %d, want 1, 1", a, b)
 	}
-	late := w.Intern("late-node") // no room: definition dropped
-	w.Emit(Entry{Tick: 100, Kind: KindPause, A: late, B: late})
-	if w.Dropped() != 2 {
-		t.Fatalf("dropped = %d, want 2 (strdef + event)", w.Dropped())
-	}
-	// Stop-start the drain by closing; then verify a fresh writer would
-	// re-emit. Healing within one writer: drain happens at Close, so
-	// re-intern before Close must reuse the ID but cannot re-emit into
-	// the full ring; this test pins the retry bookkeeping instead.
-	if got := w.Intern("late-node"); got != late {
-		t.Fatalf("retry changed ID: %d != %d", got, late)
-	}
+	w.Emit(Entry{Tick: 1, Kind: KindDemote, A: 1, B: 1})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if want := HeaderSize + (2+strDefSlots(maxStrLen))*EntrySize; buf.Len() != want {
+		t.Fatalf("stream length = %d, want %d (one definition, one event)", buf.Len(), want)
+	}
+	events, _ := collect(t, buf.Bytes())
+	if len(events) != 1 || events[0].Node != long[:maxStrLen] {
+		t.Fatalf("overlong string not defined by its prefix: %d events", len(events))
+	}
+
+	rec := NewRecorder(64)
+	if a, b := rec.Intern(long), rec.Intern(long); a != 1 || b != 1 {
+		t.Fatalf("recorder IDs = %d, %d, want 1, 1", a, b)
 	}
 }
 
 // TestWriterSinkError: a failing sink surfaces through Close and the
-// discarded records are counted, never stalling the producer — the
-// binary analogue of the JSONLTracer failingWriter contract. (The
-// header lives in the bufio layer, so the error lands on the first
-// drained batch big enough to force a flush.)
+// discarded records are counted, never stalling the producer. (The
+// header lives in the 64 KiB buffer, so the error lands on the first
+// record that forces a flush.)
 func TestWriterSinkError(t *testing.T) {
-	w, err := NewWriter(failingSink{}, Config{FlushInterval: time.Microsecond})
+	w, err := NewWriter(failingSink{}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

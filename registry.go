@@ -52,13 +52,12 @@ type RunOptions struct {
 	// per pair (capped at 8) instead of one.
 	ECMP bool
 	// Trace, when non-empty, captures the packet simulation's event
-	// stream in TraceFormat (-trace, -trace-format): the capture file of
-	// a figure run, the stem of a soak's per-seed files. OpenTrace creates
+	// stream as a TGL1 binary trace (-trace): the capture file of a
+	// figure run, the stem of a soak's per-seed files. OpenTrace creates
 	// each file (nil = os.Create) so the caller can own their lifetime; it
 	// must be safe for concurrent use when Par != 1.
-	Trace       string
-	TraceFormat string
-	OpenTrace   func(path string) (io.WriteCloser, error)
+	Trace     string
+	OpenTrace func(path string) (io.WriteCloser, error)
 	// FlightRec, when non-nil, arms the flight recorder with this
 	// configuration (-flightrec arms the zero FlightRecConfig).
 	FlightRec *FlightRecConfig
@@ -74,29 +73,12 @@ func (o RunOptions) seeds(def int) []int64 {
 	return sweep.Seeds(1, def)
 }
 
-// newTracer builds an event tracer writing to w in the given encoding;
-// done flushes it and reports how many events the writer lost.
-func newTracer(w io.Writer, format string) (tr sim.Tracer, done func() (dropped int64, err error), err error) {
-	switch format {
-	case "", TraceJSONL:
-		jt := &sim.JSONLTracer{W: w}
-		return jt, func() (int64, error) { return jt.Dropped, jt.Err }, nil
-	case TraceBinary:
-		bt, err := sim.NewBinaryTracer(w, trace.Config{})
-		if err != nil {
-			return nil, nil, err
-		}
-		return bt, func() (int64, error) { err := bt.Close(); return bt.Dropped(), err }, nil
-	}
-	return nil, nil, fmt.Errorf("tagger: unknown trace format %q (want %s or %s)", format, TraceJSONL, TraceBinary)
-}
-
-// capture wires o's capture paths onto n ahead of its run: a tracer in
-// o.TraceFormat writing to file (none when empty), then the flight
-// recorder, which chains it. The returned finish, called once after the
-// run, flushes and closes the trace and reports what both paths produced
-// and shed. A write or sink failure is an error, and so is a lossy binary
-// capture — it would otherwise read back as a complete one.
+// capture wires o's capture paths onto n ahead of its run: a binary
+// tracer writing to file (none when empty), then the flight recorder,
+// which chains it. The returned finish, called once after the run,
+// flushes and closes the trace and reports what both paths produced and
+// shed. A write or sink failure is an error — the only way a capture
+// loses events, and it would otherwise read back as a complete one.
 func (o RunOptions) capture(n *sim.Network, file string) (finish func() (CaptureStats, error), err error) {
 	flush := func() (CaptureStats, error) { return CaptureStats{}, nil }
 	if file != "" {
@@ -108,23 +90,21 @@ func (o RunOptions) capture(n *sim.Network, file string) (finish func() (Capture
 		if err != nil {
 			return nil, err
 		}
-		tr, done, err := newTracer(w, o.TraceFormat)
+		bt, err := sim.NewBinaryTracer(w, trace.Config{})
 		if err != nil {
 			w.Close()
 			return nil, err
 		}
-		n.SetTracer(tr)
+		n.SetTracer(bt)
 		flush = func() (CaptureStats, error) {
-			dropped, err := done()
+			err := bt.Close()
 			if cerr := w.Close(); err == nil {
 				err = cerr
 			}
 			if err != nil {
-				err = fmt.Errorf("tagger: trace write %s: %w (%d events dropped)", file, err, dropped)
-			} else if o.TraceFormat == TraceBinary && dropped > 0 {
-				err = fmt.Errorf("binary trace %s is incomplete (%d events dropped)", file, dropped)
+				err = fmt.Errorf("tagger: trace write %s: %w (%d events dropped)", file, err, bt.Dropped())
 			}
-			return CaptureStats{File: file, Dropped: dropped}, err
+			return CaptureStats{File: file, Dropped: bt.Dropped()}, err
 		}
 	}
 	if o.FlightRec == nil {
@@ -154,7 +134,7 @@ func (r Report) String() string { return string(r.text) }
 func Experiments() []Experiment { return slices.Clone(experiments) }
 
 var (
-	figureFlags = []string{"trace", "trace-format", "flightrec"}
+	figureFlags = []string{"trace", "flightrec"}
 	experiments = []Experiment{
 		{"fig10", "Figure 10: deadlock due to 1-bounce paths", figureFlags, figureExperiment("fig10")},
 		{"fig11", "Figure 11: deadlock due to a routing loop", figureFlags, figureExperiment("fig11")},
@@ -169,9 +149,9 @@ var (
 		{"isolation", "§6: shared-tag isolation trade-off", nil, runIsolation},
 		{"reconverge", "§3: organic failures and reconvergence", nil, runReconverge},
 		{"chaos", "§7 extension: deployment through faulty agents under chaos",
-			[]string{"seeds", "runs", "par", "trace", "trace-format"}, runChaos},
+			[]string{"seeds", "runs", "par", "trace"}, runChaos},
 		{"churn", "§6 extension: topology churn as incremental deltas",
-			[]string{"seeds", "runs", "trace", "trace-format"}, runChurn},
+			[]string{"seeds", "runs", "trace"}, runChurn},
 		{"detect", "§1 extension: detect-vs-prevent matrix (DCFIT, PAPERS.md)",
 			[]string{"seeds", "runs", "par", "flightrec"}, runDetect},
 	}
@@ -232,7 +212,7 @@ func figureExperiment(name string) func(RunOptions) (Report, error) {
 		case o.Trace != "" && o.FlightRec != nil:
 			return rep, errors.New("-flightrec and -trace are mutually exclusive for figures (the recorder is the capture)")
 		case o.Trace != "":
-			without = fmt.Sprintf(" (traced to %s, %s)", o.Trace, o.TraceFormat)
+			without = fmt.Sprintf(" (traced to %s)", o.Trace)
 		case o.FlightRec != nil:
 			without, with = " (flight recorder armed)", " (k=1, flight recorder armed)"
 		}
@@ -244,7 +224,7 @@ func figureExperiment(name string) func(RunOptions) (Report, error) {
 			rep.printf("%s", res)
 			c := res.Capture
 			if c.File != "" {
-				rep.printf("trace capture: %d events dropped by the writer ring\n", c.Dropped)
+				rep.printf("trace capture: %d events dropped by the writer\n", c.Dropped)
 			}
 			if o.FlightRec == nil {
 				return nil
@@ -352,7 +332,7 @@ local fast-reroute detours + stale upstream routes, global convergence at 15ms
 
 // traceLine is the per-capture summary every traced soak prints.
 func (r *Report) traceLine(c CaptureStats) {
-	r.printf("trace capture %s: %d events dropped by the writer ring\n", c.File, c.Dropped)
+	r.printf("trace capture %s: %d events dropped by the writer\n", c.File, c.Dropped)
 }
 
 // runChaos soaks every seed's fault schedule with and without Tagger,
@@ -365,7 +345,7 @@ pause-wait cycles; Tagger rules deploy through the unreliable agents
 
 `, len(sd))
 	if o.Trace != "" {
-		rep.printf("(tracing each soak to %s.seed<N>.<with|without>, %s)\n\n", o.Trace, o.TraceFormat)
+		rep.printf("(tracing each soak to %s.seed<N>.<with|without>)\n\n", o.Trace)
 	}
 	with, err := ChaosSweep(sd, true, o)
 	if err != nil {
@@ -404,7 +384,7 @@ the reconciliation sweep re-drives it to intent
 
 `, len(sd))
 	if o.Trace != "" {
-		rep.printf("(tracing a post-churn validation run per seed to %s.seed<N>, %s)\n", o.Trace, o.TraceFormat)
+		rep.printf("(tracing a post-churn validation run per seed to %s.seed<N>)\n", o.Trace)
 	}
 	for _, seed := range sd {
 		res, err := ChurnSoak(seed, 24, o)

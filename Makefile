@@ -217,11 +217,12 @@ churn-fuzz:
 	$(GO) run ./cmd/taggerfuzz -churn -seeds 25 -q
 
 # The synthesis-cache differential: every seed's synthesis served through
-# one shared fingerprint-keyed cache (cold build, same-instance rehit,
-# isomorphic twin instance) must be rule-for-rule identical to
-# from-scratch synthesis and re-pass the oracle. Runs under the race
-# detector: parallel seeds against the shared cache exercise the
-# single-flight and LRU-eviction machinery concurrently.
+# one shared instance-keyed cache (cold build and rehit, then a twin
+# instance's build and rehit; a rehit may miss only after an eviction)
+# must be rule-for-rule identical to from-scratch synthesis and re-pass
+# the oracle. Runs under the race detector: parallel seeds against the
+# shared cache exercise the single-flight and LRU-eviction machinery
+# concurrently.
 cache-fuzz:
 	$(GO) run -race ./cmd/taggerfuzz -cache -seeds 25 -q
 	$(GO) test -race -count=1 -run 'TestCacheSweepShared' ./internal/check/

@@ -11,10 +11,10 @@
 //     equal from-scratch synthesis rule for rule after every event (and
 //     pass the §5.1 oracle), on Clos and Jellyfish;
 //   - with -cache, every seed's synthesis goes through ONE shared cache
-//     (internal/synthcache) — a cold build, a same-instance re-request
-//     that must hit, and a rebuilt twin instance, which a hit never
-//     serves (it needs the instance that built the entry) and which is
-//     therefore rebuilt — and each answer must equal from-scratch
+//     (internal/synthcache) — a cold build and a same-instance re-request
+//     that must hit, then the same pair on a rebuilt twin instance, whose
+//     first request is built for the twin (an entry only serves the
+//     instance that built it) — and each answer must equal from-scratch
 //     synthesis and pass the oracle, on Clos, fat-tree and Jellyfish.
 //     Running seeds in parallel against the shared cache also exercises
 //     the single-flight and eviction paths under contention.

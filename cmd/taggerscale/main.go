@@ -73,10 +73,10 @@ func main() {
 }
 
 // runCacheDemo measures the synthesis cache on the two workloads the
-// repo's benchgate tracks: a warm-cache rehit on a Jellyfish fabric
-// (fingerprint lookup vs full Algorithm 1+2 + TCAM compilation) and
-// representative-pod stamping on a fat-tree (one pod pair enumerated,
-// the rest stamped by pod-permutation automorphisms).
+// repo's benchgate tracks: a warm-cache rehit on a Jellyfish fabric (a
+// lookup keyed on the same graph and path list vs full Algorithm 1+2)
+// and representative-pod stamping on a fat-tree (one pod pair
+// enumerated, the rest stamped by pod-permutation automorphisms).
 func runCacheDemo(switches, ports int, seed int64, capacity int) {
 	if switches <= 0 {
 		switches = 200

@@ -266,15 +266,13 @@ func Reconvergence(withTagger bool, flows int) ExperimentResult {
 }
 
 // CaptureStats reports what one run's optional capture paths produced
-// and shed, so a lossy capture never reads as a complete one. File is
-// the event trace written (empty when untraced) and Dropped counts the
-// records its writer lost after a sink write error. Incidents
-// are the flight recorder's captures, each a self-contained binary trace
-// for `taggertrace postmortem`, deterministic per seed (and arm);
-// DroppedTriggers and Overwrites are its loss counters.
+// and shed. File is the event trace written (empty when untraced); a
+// lossy trace fails the run instead, its error carrying the drop count.
+// Incidents are the flight recorder's captures, each a self-contained
+// binary trace for `taggertrace postmortem`, deterministic per seed (and
+// arm); DroppedTriggers and Overwrites are its loss counters.
 type CaptureStats struct {
 	File            string
-	Dropped         int64
 	Incidents       []Incident
 	DroppedTriggers int64
 	Overwrites      int64

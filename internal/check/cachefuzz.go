@@ -51,12 +51,14 @@ func (c Case) reference(f *fabric) (*core.System, error) {
 //     shared hit returning the identical System;
 //  3. twin: the same request against a rebuilt instance (distinct
 //     pointers) must not be served the first instance's entry — a hit
-//     needs the graph instance that built it — so it is rebuilt for the
-//     twin and must match the twin's own from-scratch reference.
+//     needs the graph instance that built it — so it is built for the
+//     twin and must match the twin's own from-scratch reference;
+//  4. twin re-request: a shared hit on the twin's own System.
 //
-// A sweep shares one cache across every case, so cross-case eviction and
-// key-collision behavior is exercised for free; a nil cache gives the
-// case a fresh one (what the shrinker probes with).
+// A sweep shares one cache across every case, so cross-case eviction is
+// exercised for free: a re-request may miss only if the cache evicted
+// something since the build it re-requests. A nil cache gives the case a
+// fresh one (what the shrinker probes with).
 func RunCacheCase(c Case, cache *synthcache.Cache) error {
 	if cache == nil {
 		cache = synthcache.New(4)
@@ -66,40 +68,9 @@ func RunCacheCase(c Case, cache *synthcache.Cache) error {
 		return fmt.Errorf("check: building %s: %w", c, err)
 	}
 	c.failSome(f)
-
-	ref, err := c.reference(f)
+	cold, err := cacheBuildAndRehit(c, cache, f, "cold")
 	if err != nil {
-		return fmt.Errorf("check: %s: reference synthesis: %w", c, err)
-	}
-	cold, err := c.cacheSynth(cache, f)
-	if err != nil {
-		return fmt.Errorf("%s: cold cached synthesis: %w", c, err)
-	}
-	if cold.Sys.Graph != f.g {
-		return fmt.Errorf("%s: cold System bound to the wrong graph", c)
-	}
-	if err := sameSystem(cold.Sys, ref); err != nil {
-		return fmt.Errorf("%s: cold: %w", c, err)
-	}
-
-	warm, err := c.cacheSynth(cache, f)
-	if err != nil {
-		return fmt.Errorf("%s: warm cached synthesis: %w", c, err)
-	}
-	// The cache is shared across a sweep's seeds, and distinct seeds can
-	// generate identical fabrics: the resident entry for this key may be
-	// bound to ANOTHER seed's graph instance, in which case the warm
-	// request legitimately misses instead of hitting the shared tier.
-	// Either way the result must be bound to our graph and match the
-	// reference.
-	if warm.Sys.Graph != f.g {
-		return fmt.Errorf("%s: warm System bound to the wrong graph", c)
-	}
-	if warm.Hit && warm.Sys != cold.Sys && !cold.Hit {
-		return fmt.Errorf("%s: shared hit returned a different System than the cold build", c)
-	}
-	if err := sameSystem(warm.Sys, ref); err != nil {
-		return fmt.Errorf("%s: warm: %w", c, err)
+		return err
 	}
 
 	f2, err := c.build()
@@ -107,22 +78,57 @@ func RunCacheCase(c Case, cache *synthcache.Cache) error {
 		return fmt.Errorf("check: rebuilding %s: %w", c, err)
 	}
 	c.failSome(f2)
-	ref2, err := c.reference(f2)
+	twin, err := cacheBuildAndRehit(c, cache, f2, "twin")
 	if err != nil {
-		return fmt.Errorf("check: %s: twin reference synthesis: %w", c, err)
+		return err
 	}
-	twin, err := c.cacheSynth(cache, f2)
-	if err != nil {
-		return fmt.Errorf("%s: twin cached synthesis: %w", c, err)
-	}
-	if twin.Sys == cold.Sys {
+	if twin == cold {
 		return fmt.Errorf("%s: twin instance was handed the first instance's System", c)
 	}
-	if twin.Sys.Graph != f2.g {
-		return fmt.Errorf("%s: twin System bound to the wrong graph", c)
-	}
-	if err := sameSystem(twin.Sys, ref2); err != nil {
-		return fmt.Errorf("%s: twin: %w", c, err)
-	}
 	return nil
+}
+
+// cacheBuildAndRehit issues c's cached request on f twice. The first
+// answer must be a build bound to f's graph and equal from-scratch
+// synthesis; the second must hit it unless the cache evicted in between.
+// It returns the first answer's System.
+func cacheBuildAndRehit(c Case, cache *synthcache.Cache, f *fabric, arm string) (*core.System, error) {
+	ref, err := c.reference(f)
+	if err != nil {
+		return nil, fmt.Errorf("check: %s: %s reference synthesis: %w", c, arm, err)
+	}
+	evictions := cache.Stats().Evictions
+	first, err := c.cacheSynth(cache, f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %s cached synthesis: %w", c, arm, err)
+	}
+	if first.Hit {
+		return nil, fmt.Errorf("%s: %s request on a fresh instance hit", c, arm)
+	}
+	if first.Sys.Graph != f.g {
+		return nil, fmt.Errorf("%s: %s System bound to the wrong graph", c, arm)
+	}
+	if err := sameSystem(first.Sys, ref); err != nil {
+		return nil, fmt.Errorf("%s: %s: %w", c, arm, err)
+	}
+
+	again, err := c.cacheSynth(cache, f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %s re-request: %w", c, arm, err)
+	}
+	switch {
+	case again.Hit:
+		if again.Sys != first.Sys {
+			return nil, fmt.Errorf("%s: %s re-request hit a different System than its build", c, arm)
+		}
+	case cache.Stats().Evictions == evictions:
+		return nil, fmt.Errorf("%s: %s re-request missed with nothing evicted", c, arm)
+	case again.Sys.Graph != f.g:
+		return nil, fmt.Errorf("%s: %s re-request System bound to the wrong graph", c, arm)
+	default:
+		if err := sameSystem(again.Sys, ref); err != nil {
+			return nil, fmt.Errorf("%s: %s re-request: %w", c, arm, err)
+		}
+	}
+	return first.Sys, nil
 }

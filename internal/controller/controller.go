@@ -178,10 +178,10 @@ func WithDeployConfig(cfg DeployConfig) Option {
 }
 
 // WithSynthCache routes the controller's synthesis through the given
-// cache. Sharing one cache across controllers (or across rebuilds of the
-// same fabric) turns repeated synthesis of an already-seen topology into
-// a lookup; correctness is unchanged because cached systems are
-// rule-identical to from-scratch synthesis (see internal/synthcache).
+// cache. Sharing one cache across controllers on one graph turns
+// repeated synthesis of an already-seen topology into a lookup;
+// correctness is unchanged because cached systems are rule-identical to
+// from-scratch synthesis (see internal/synthcache).
 func WithSynthCache(cache *synthcache.Cache) Option {
 	return func(c *Controller) { c.synthCache = cache }
 }

@@ -1,30 +1,16 @@
-// Package fingerprint computes canonical content hashes of topologies,
-// ELP path sets and synthesis options — the keys of the synthesis cache
-// (internal/synthcache).
+// Package fingerprint holds the pod decomposition behind the synthesis
+// cache's pod memoization (pods.go, internal/synthcache) and two content
+// hashes the cache does not use: Canonicalize and PathsSum stay only
+// because bench/e2e's staged spans (fingerprint.canonicalize) call them.
+// The cache keys on the graph instance and hashes raw node IDs.
 //
-// The central object is the Canon: a canonical ordering of a graph's
-// nodes plus a SHA-256 fingerprint of the graph relabeled into that
-// order. Node IDs never enter the fingerprint, so two graphs that differ
-// only by a permutation of their node IDs (same wiring, same kinds and
-// layers, same port numbering) hash equal whenever canonicalization
-// assigns them the same order. The ordering is computed by
-// Weisfeiler-Leman color refinement with node-name tie-breaks, which
-// makes it exact for graphs built by the deterministic topology builders
-// and best-effort for hand-built isomorphic copies.
-//
-// Soundness does not depend on the ordering being perfect: the
-// fingerprint covers the complete relabeled structure, so (modulo a
-// SHA-256 collision) equal fingerprints imply the position-wise node map
-// between the two graphs is an isomorphism that preserves kinds, layers
-// and port numbers. An imperfect canonical order can only cause a cache
-// MISS for isomorphic graphs, never a false hit.
-//
-// Link health (Failed flags) is deliberately excluded from the graph
-// fingerprint: rule synthesis is a pure function of the wiring and the
-// ELP — failures enter only through the path set, which is hashed
-// separately (PathsSum) — so a cached system stays valid across link
-// flaps. Callers whose inputs DO depend on health (e.g. a cached path
-// enumeration) mix in HealthSum explicitly.
+// A Canon is a canonical ordering of a graph's nodes plus a SHA-256
+// fingerprint of the graph relabeled into that order. Node IDs never
+// enter the fingerprint, so two graphs that differ only by a permutation
+// of their node IDs (same wiring, same kinds and layers, same port
+// numbering) hash equal whenever canonicalization assigns them the same
+// order. The ordering is computed by Weisfeiler-Leman color refinement
+// with node-name tie-breaks. Link health (Failed flags) is excluded.
 package fingerprint
 
 import (
@@ -53,10 +39,6 @@ type Canon struct {
 	Order []topology.NodeID
 	// Pos maps node ID -> canonical position (the inverse of Order).
 	Pos []int32
-	// NameSum hashes the node names in canonical order. Two graphs with
-	// equal FP and equal NameSum agree on naming as well as structure,
-	// which deployment bundles (keyed by switch name) care about.
-	NameSum Fingerprint
 }
 
 // mix64 is a splitmix64 finalizer: cheap, deterministic across runs.
@@ -129,7 +111,6 @@ func Canonicalize(g *topology.Graph) *Canon {
 	buf = binary.AppendUvarint(buf, uint64(n))
 	buf = binary.AppendUvarint(buf, uint64(g.NumLinks()))
 	buf = binary.AppendUvarint(buf, uint64(g.NumPorts()))
-	nameBuf := make([]byte, 0, n*8)
 	for _, id := range c.Order {
 		nd := g.Node(id)
 		buf = binary.AppendUvarint(buf, uint64(nd.Kind))
@@ -150,37 +131,13 @@ func Canonicalize(g *topology.Graph) *Canon {
 			buf = binary.AppendUvarint(buf, uint64(c.Pos[p.Peer])+1)
 			buf = binary.AppendUvarint(buf, uint64(peerPort)+1)
 		}
-		nameBuf = append(nameBuf, nd.Name...)
-		nameBuf = append(nameBuf, 0)
 	}
 	c.FP = sha256.Sum256(buf)
-	c.NameSum = sha256.Sum256(nameBuf)
 	return c
 }
 
-// SameLabeling reports whether two canons assign the same node IDs and
-// names to every canonical position — i.e. the graphs are identical as
-// labeled structures, so cached state can be shared without translation.
-func SameLabeling(a, b *Canon) bool {
-	if a == b {
-		return true
-	}
-	if a.NameSum != b.NameSum || len(a.Order) != len(b.Order) {
-		return false
-	}
-	for i := range a.Order {
-		if a.Order[i] != b.Order[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// PathsSum hashes a path sequence as node canonical positions. The
-// SEQUENCE is hashed, not the set: synthesis output is proven
-// order-independent only for the parallel decomposition, and hashing the
-// order keeps the key conservative (a reordered input is a different
-// key, never a wrong hit).
+// PathsSum hashes a path sequence (in order, not as a set) as node
+// canonical positions.
 func PathsSum(c *Canon, paths []routing.Path) Fingerprint {
 	size := 8
 	for _, p := range paths {
@@ -193,50 +150,6 @@ func PathsSum(c *Canon, paths []routing.Path) Fingerprint {
 		for _, n := range p {
 			buf = binary.AppendUvarint(buf, uint64(c.Pos[n]))
 		}
-	}
-	return sha256.Sum256(buf)
-}
-
-// HealthSum hashes the failed-link set as canonical position pairs.
-// Canonically sorted, so the flap history does not matter — only which
-// links are down right now.
-func HealthSum(c *Canon, g *topology.Graph) Fingerprint {
-	failed := g.FailedLinks()
-	pairs := make([][2]int32, 0, len(failed))
-	for _, lid := range failed {
-		l := g.Link(lid)
-		a, b := c.Pos[l.A], c.Pos[l.B]
-		if a > b {
-			a, b = b, a
-		}
-		pairs = append(pairs, [2]int32{a, b})
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i][0] != pairs[j][0] {
-			return pairs[i][0] < pairs[j][0]
-		}
-		return pairs[i][1] < pairs[j][1]
-	})
-	buf := make([]byte, 0, 8+len(pairs)*6)
-	buf = binary.AppendUvarint(buf, uint64(len(pairs)))
-	for _, p := range pairs {
-		buf = binary.AppendUvarint(buf, uint64(p[0]))
-		buf = binary.AppendUvarint(buf, uint64(p[1]))
-	}
-	return sha256.Sum256(buf)
-}
-
-// Key combines a scheme label, integer parameters and component
-// fingerprints into one cache key.
-func Key(scheme string, params []int, parts ...Fingerprint) Fingerprint {
-	buf := make([]byte, 0, len(scheme)+1+len(params)*4+len(parts)*sha256.Size)
-	buf = append(buf, scheme...)
-	buf = append(buf, 0)
-	for _, v := range params {
-		buf = binary.AppendVarint(buf, int64(v))
-	}
-	for _, p := range parts {
-		buf = append(buf, p[:]...)
 	}
 	return sha256.Sum256(buf)
 }

@@ -46,12 +46,6 @@ func TestCanonicalizePermutationInvariant(t *testing.T) {
 	if a.FP != b.FP {
 		t.Fatalf("isomorphic graphs fingerprint differently: %s vs %s", a.FP, b.FP)
 	}
-	if a.NameSum == b.NameSum {
-		t.Fatal("differently-named graphs share a NameSum")
-	}
-	if SameLabeling(a, b) {
-		t.Fatal("SameLabeling true across distinct labelings")
-	}
 	// The positional map must be an isomorphism: every canonical position
 	// holds nodes of the same kind/layer in both graphs.
 	ga, gb := twoLayer(true, "a"), twoLayer(false, "b")
@@ -86,9 +80,6 @@ func TestFingerprintIgnoresHealthGenIgnoresFlaps(t *testing.T) {
 	if before.FP != after.FP {
 		t.Fatal("link health leaked into the graph fingerprint")
 	}
-	if HealthSum(before, g) == (Fingerprint{}) {
-		t.Fatal("HealthSum is zero-valued")
-	}
 	healthyAgain := g.Gen()
 	g.RestoreLink(g.MustLookup("at1"), g.MustLookup("as1"))
 	if g.Gen() != healthyAgain {
@@ -98,23 +89,6 @@ func TestFingerprintIgnoresHealthGenIgnoresFlaps(t *testing.T) {
 	g.Connect(g.MustLookup("at1"), g.MustLookup("at2"))
 	if g.Gen() == genBefore {
 		t.Fatal("Connect did not bump the wiring generation")
-	}
-}
-
-func TestHealthSumFlapOrderIndependent(t *testing.T) {
-	g := twoLayer(true, "a")
-	c := Canonicalize(g)
-	t1, s1 := g.MustLookup("at1"), g.MustLookup("as1")
-	t2, s2 := g.MustLookup("at2"), g.MustLookup("as2")
-	g.FailLink(t1, s1)
-	g.FailLink(t2, s2)
-	h1 := HealthSum(c, g)
-	g.RestoreLink(t1, s1)
-	g.RestoreLink(t2, s2)
-	g.FailLink(t2, s2)
-	g.FailLink(t1, s1)
-	if h2 := HealthSum(c, g); h1 != h2 {
-		t.Fatal("HealthSum depends on flap order")
 	}
 }
 

@@ -1,9 +1,7 @@
 package sim
 
 import (
-	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -154,13 +152,3 @@ func (n *Network) trace(ev TraceEvent) {
 }
 
 func (n *Network) nodeName(id topology.NodeID) string { return n.g.Node(id).Name }
-
-// WriteTraceSummary renders a CountingTracer's tallies.
-func WriteTraceSummary(w io.Writer, t *CountingTracer, d time.Duration) {
-	fmt.Fprintf(w, "trace over %v:\n", d)
-	for _, k := range []string{"pause", "resume", "demote", "drop", "deadlock", "detect", "mitigate"} {
-		if c := t.Counts[k]; c > 0 {
-			fmt.Fprintf(w, "  %-8s %d\n", k, c)
-		}
-	}
-}

@@ -1,38 +1,42 @@
-// Package synthcache memoizes rule synthesis behind content-addressed
-// fingerprints (internal/fingerprint).
+// Package synthcache memoizes rule synthesis per graph instance.
 //
 // The cache exploits the paper's §6 observation that Tagger's rules are a
-// pure function of (topology, ELP, synthesis options): two requests with
-// equal fingerprints must produce identical rule sets, so the second can
-// be served from the first's result. Two tiers of reuse:
+// pure function of (topology, ELP, synthesis options). A System is bound
+// to the graph it was built on, so an entry can only serve that graph:
+// the key is the graph instance and its wiring generation (Gen), the
+// request kind and its parameter, and a SHA-256 over raw node IDs of the
+// rest of the request — the path list for Synthesize and SynthesizeClos,
+// the endpoint roster and failed-link set for ClosKBounce. Two tiers of
+// reuse:
 //
-//   - shared hit: the request comes from the same graph instance the
-//     entry was built on (a long-lived controller resynthesizing, a sweep
-//     rerunning seeds over one topology). The cached System is returned
-//     directly — synthesis cost drops to hashing.
+//   - shared hit: a repeated request on the same graph instance (a
+//     long-lived controller resynthesizing, a sweep rerunning seeds over
+//     one topology). The cached System is returned directly — synthesis
+//     cost drops to hashing, or to a map lookup when the path list is the
+//     same slice as before.
 //   - pod memoization (ClosKBounce): for uniform multi-pod fabrics the
 //     KBounce ELP is enumerated for a representative pod pair only and
 //     stamped onto the remaining pods by pod-permutation automorphisms.
 //
-// A request with an equal fingerprint from a DIFFERENT graph instance (an
-// isomorphic rebuild) is not a hit: a System is bound to its graph, so
-// the request is rebuilt, uncached, and the entry stays with its producer.
+// There is no invalidation protocol: rewiring bumps Gen, so stale entries
+// become unreachable and age out of the LRU.
 //
 // Concurrency: the cache is safe for concurrent use and single-flight —
-// concurrent misses on one fingerprint synthesize exactly once, the rest
-// wait. Eviction only unlinks an entry from the index; in-flight waiters
-// keep their pointer, so a partially-built System is never observable.
+// concurrent misses on one key synthesize exactly once, the rest wait.
+// Eviction only unlinks an entry from the index; in-flight waiters keep
+// their pointer, so a partially-built System is never observable.
 // Cached Systems are shared read-only; nothing in them is built lazily,
 // so shared readers never race.
 package synthcache
 
 import (
 	"container/list"
+	"crypto/sha256"
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/fingerprint"
 	"repro/internal/routing"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
@@ -65,34 +69,45 @@ type Result struct {
 	PodMemoized bool
 }
 
+// Request kinds, the scheme part of a key.
+const (
+	schemeGeneric = iota // Synthesize; param is Options.SkipMerge
+	schemeClos           // SynthesizeClos; param is maxBounces
+	schemeClosKB         // ClosKBounce; param is maxBounces
+)
+
+// key identifies one entry: the graph instance and wiring generation it
+// serves, the request kind and its parameter, and a digest of the rest of
+// the request over raw node (and link) IDs. Raw IDs are only meaningful
+// within one instance, which is the only instance a System can serve.
+type key struct {
+	g      *topology.Graph
+	gen    uint64
+	scheme int
+	param  int
+	sum    [sha256.Size]byte
+}
+
 // entry is one cache slot. The builder goroutine fills every field below
 // ready and then closes it; waiters read them only after <-ready. An
 // evicted entry stays valid for the waiters that already hold it.
 type entry struct {
-	key   fingerprint.Fingerprint
+	key   key
 	ready chan struct{}
 
 	err error
-	g   *topology.Graph
 	sys *core.System
 	pod bool
 }
 
-type canonAt struct {
-	gen uint64
-	c   *fingerprint.Canon
-}
-
-// pathsAt identifies a path list by slice identity under a specific
-// canonical labeling. Holding the element pointer in the memo keeps the
-// backing array alive, so an address can never be reused by a different
-// list while its entry exists; the remaining assumption — path lists are
-// never mutated in place — is the same immutability contract elp.Set
-// already provides.
+// pathsAt identifies a path list by slice identity. Holding the element
+// pointer in the memo keeps the backing array alive, so an address can
+// never be reused by a different list while its entry exists; the
+// remaining assumption — path lists are never mutated in place — is the
+// same immutability contract elp.Set already provides.
 type pathsAt struct {
-	canon *fingerprint.Canon
-	head  *routing.Path
-	n     int
+	head *routing.Path
+	n    int
 }
 
 // Cache is a concurrency-safe, single-flight, LRU-bounded synthesis
@@ -100,10 +115,9 @@ type pathsAt struct {
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
-	entries  map[fingerprint.Fingerprint]*list.Element
+	entries  map[key]*list.Element
 	lru      *list.List // of *entry; front = most recently used
-	canons   map[*topology.Graph]canonAt
-	pathSums map[pathsAt]fingerprint.Fingerprint
+	pathSums map[pathsAt][sha256.Size]byte
 
 	tel *telemetry.Registry
 
@@ -126,10 +140,9 @@ func New(capacity int) *Cache {
 	}
 	return &Cache{
 		capacity: capacity,
-		entries:  make(map[fingerprint.Fingerprint]*list.Element),
+		entries:  make(map[key]*list.Element),
 		lru:      list.New(),
-		canons:   make(map[*topology.Graph]canonAt),
-		pathSums: make(map[pathsAt]fingerprint.Fingerprint),
+		pathSums: make(map[pathsAt][sha256.Size]byte),
 		tel:      telemetry.Default,
 	}
 }
@@ -171,65 +184,61 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
-// canonOf returns the canonical form of g, memoized per (graph, wiring
-// generation) so repeated requests against a live graph pay hashing cost
-// only once per topology change.
-func (c *Cache) canonOf(g *topology.Graph) *fingerprint.Canon {
-	gen := g.Gen()
-	c.mu.Lock()
-	if m, ok := c.canons[g]; ok && m.gen == gen {
-		c.mu.Unlock()
-		return m.c
-	}
-	c.mu.Unlock()
-	cn := fingerprint.Canonicalize(g)
-	c.mu.Lock()
-	if len(c.canons) > 4*c.capacity+16 {
-		c.canons = make(map[*topology.Graph]canonAt)
-	}
-	c.canons[g] = canonAt{gen: gen, c: cn}
-	c.mu.Unlock()
-	return cn
-}
-
-// pathsSumOf returns fingerprint.PathsSum memoized by slice identity:
-// a warm hit on a long-lived path list (a sweep rerunning one topology,
-// a controller resynthesizing the same ELP) costs a map lookup instead
-// of re-hashing tens of thousands of paths.
-func (c *Cache) pathsSumOf(canon *fingerprint.Canon, paths []routing.Path) fingerprint.Fingerprint {
+// pathsSumOf digests a path sequence, memoized by slice identity: a
+// warm hit on a long-lived path list (a sweep rerunning one topology, a
+// controller resynthesizing the same ELP) costs a map lookup instead of
+// re-hashing tens of thousands of paths. The SEQUENCE is hashed, not the
+// set: a reordered input is a different key, never a wrong hit.
+func (c *Cache) pathsSumOf(paths []routing.Path) [sha256.Size]byte {
 	if len(paths) == 0 {
-		return fingerprint.PathsSum(canon, paths)
+		return pathsSum(paths)
 	}
-	k := pathsAt{canon: canon, head: &paths[0], n: len(paths)}
+	k := pathsAt{head: &paths[0], n: len(paths)}
 	c.mu.Lock()
 	if sum, ok := c.pathSums[k]; ok {
 		c.mu.Unlock()
 		return sum
 	}
 	c.mu.Unlock()
-	sum := fingerprint.PathsSum(canon, paths)
+	sum := pathsSum(paths)
 	c.mu.Lock()
 	if len(c.pathSums) > 4*c.capacity+16 {
-		c.pathSums = make(map[pathsAt]fingerprint.Fingerprint)
+		c.pathSums = make(map[pathsAt][sha256.Size]byte)
 	}
 	c.pathSums[k] = sum
 	c.mu.Unlock()
 	return sum
 }
 
+func pathsSum(paths []routing.Path) [sha256.Size]byte {
+	size := 8
+	for _, p := range paths {
+		size += 2 + len(p)*3
+	}
+	buf := make([]byte, 0, size)
+	buf = binary.AppendUvarint(buf, uint64(len(paths)))
+	for _, p := range paths {
+		buf = binary.AppendUvarint(buf, uint64(len(p)))
+		for _, n := range p {
+			buf = binary.AppendUvarint(buf, uint64(n))
+		}
+	}
+	return sha256.Sum256(buf)
+}
+
 // acquire returns the entry for key, creating (and becoming the builder
 // of) a fresh one on a miss. The LRU bound is enforced here; eviction
 // removes entries from the index only, never invalidating pointers that
 // in-flight waiters hold.
-func (c *Cache) acquire(key fingerprint.Fingerprint) (*entry, bool) {
+func (c *Cache) acquire(k key) (*entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
+	if el, ok := c.entries[k]; ok {
 		c.lru.MoveToFront(el)
 		return el.Value.(*entry), false
 	}
-	e := &entry{key: key, ready: make(chan struct{})}
-	c.entries[key] = c.lru.PushFront(e)
+	e := &entry{key: k, ready: make(chan struct{})}
+	c.entries[k] = c.lru.PushFront(e)
 	for len(c.entries) > c.capacity {
 		back := c.lru.Back()
 		be := back.Value.(*entry)
@@ -264,14 +273,10 @@ func (c *Cache) wait(e *entry) {
 
 // serve is the one lookup/build flow. The first request for a key
 // builds and publishes the entry (an error unlinks it, so the next
-// request retries); later requests wait for it and share its System
-// when they come from the graph instance it was built on. A
-// request from another instance with the same fingerprint rebuilds for
-// itself, uncached. build reports whether it pod-stamped.
-func (c *Cache) serve(g *topology.Graph, key fingerprint.Fingerprint,
-	build func() (*core.System, bool, error)) (Result, error) {
-
-	e, builder := c.acquire(key)
+// request retries); later requests wait for it and share its System.
+// build reports whether it pod-stamped.
+func (c *Cache) serve(k key, build func() (*core.System, bool, error)) (Result, error) {
+	e, builder := c.acquire(k)
 	if !builder {
 		c.wait(e)
 		if e.err != nil {
@@ -279,39 +284,33 @@ func (c *Cache) serve(g *topology.Graph, key fingerprint.Fingerprint,
 			// error a fresh build would have produced.
 			return Result{}, e.err
 		}
-		if e.g == g {
-			c.count(&c.hits, "hits")
-			return Result{Sys: e.sys, Hit: true, PodMemoized: e.pod}, nil
-		}
+		c.count(&c.hits, "hits")
+		return Result{Sys: e.sys, Hit: true, PodMemoized: e.pod}, nil
 	}
 	c.count(&c.misses, "misses")
 	sys, pod, err := build()
-	if builder {
-		e.g, e.sys, e.pod, e.err = g, sys, pod, err
-		if err != nil {
-			c.drop(e)
-		}
-		close(e.ready)
+	e.sys, e.pod, e.err = sys, pod, err
+	if err != nil {
+		c.drop(e)
 	}
+	close(e.ready)
 	if err != nil {
 		return Result{}, err
 	}
 	return Result{Sys: sys, PodMemoized: pod}, nil
 }
 
-// Synthesize is a memoized core.Synthesize. The cache
-// key covers the graph fingerprint, the path sequence and the
-// output-affecting options; opts.Workers is excluded (par=1 and par=N
-// provably emit identical systems — see internal/check).
+// Synthesize is a memoized core.Synthesize. The cache key covers the
+// graph instance, the path sequence and the output-affecting options;
+// opts.Workers is excluded (par=1 and par=N provably emit identical
+// systems — see internal/check).
 func (c *Cache) Synthesize(g *topology.Graph, paths []routing.Path, opts core.Options) (Result, error) {
-	canon := c.canonOf(g)
 	skip := 0
 	if opts.SkipMerge {
 		skip = 1
 	}
-	key := fingerprint.Key("generic", []int{skip},
-		canon.FP, c.pathsSumOf(canon, paths))
-	return c.serve(g, key, func() (*core.System, bool, error) {
+	k := key{g: g, gen: g.Gen(), scheme: schemeGeneric, param: skip, sum: c.pathsSumOf(paths)}
+	return c.serve(k, func() (*core.System, bool, error) {
 		sys, err := core.Synthesize(g, paths, opts)
 		return sys, false, err
 	})
@@ -320,10 +319,8 @@ func (c *Cache) Synthesize(g *topology.Graph, paths []routing.Path, opts core.Op
 // SynthesizeClos is a memoized core.ClosSynthesize for an explicit ELP
 // path list.
 func (c *Cache) SynthesizeClos(g *topology.Graph, paths []routing.Path, maxBounces int) (Result, error) {
-	canon := c.canonOf(g)
-	key := fingerprint.Key("clos", []int{maxBounces},
-		canon.FP, c.pathsSumOf(canon, paths))
-	return c.serve(g, key, func() (*core.System, bool, error) {
+	k := key{g: g, gen: g.Gen(), scheme: schemeClos, param: maxBounces, sum: c.pathsSumOf(paths)}
+	return c.serve(k, func() (*core.System, bool, error) {
 		sys, err := core.ClosSynthesize(g, paths, maxBounces)
 		return sys, false, err
 	})

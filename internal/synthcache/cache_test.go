@@ -126,8 +126,8 @@ func TestWarmHitSurvivesLinkFlap(t *testing.T) {
 }
 
 // TestTwinInstanceRebuildsUncached: a System is bound to its graph, so an
-// equal-fingerprint request from another instance is rebuilt for that
-// instance and the resident entry stays with its producer.
+// identical request from another instance is built for that instance,
+// and from then on each instance hits its own entry.
 func TestTwinInstanceRebuildsUncached(t *testing.T) {
 	a := smallClos(t)
 	b := smallClos(t) // separate instance, identical construction
@@ -153,6 +153,9 @@ func TestTwinInstanceRebuildsUncached(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireIdentical(t, res.Sys, want)
+	if again, err := cache.SynthesizeClos(b.Graph, setB.Paths(), 1); err != nil || !again.Hit || again.Sys != res.Sys {
+		t.Fatalf("twin's re-request = %+v, %v; want a hit on the twin's own System", again, err)
+	}
 	if again, err := cache.SynthesizeClos(a.Graph, setA.Paths(), 1); err != nil || !again.Hit {
 		t.Fatalf("producer's rehit after the twin's rebuild = %+v, %v", again, err)
 	}
@@ -401,4 +404,55 @@ func TestPodStampingFallsBackOnFailedLink(t *testing.T) {
 	if !again.Hit || again.Sys != healthy.Sys {
 		t.Fatal("restored fabric did not rehit the healthy entry")
 	}
+}
+
+// TestHealthSumFlapOrderIndependent: the ClosKBounce key covers which
+// links are down, not the order they failed in — and a different failed
+// set is a different key whose build matches from-scratch synthesis.
+func TestHealthSumFlapOrderIndependent(t *testing.T) {
+	ft, err := topology.NewFatTree(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := ft.Graph
+	cache := synthcache.New(8)
+	e0, a0 := ft.Edges[0], ft.Aggs[0]
+	e1, a1 := ft.Edges[1], ft.Aggs[1]
+	g.FailLink(e0, a0)
+	g.FailLink(e1, a1)
+	if n := len(g.FailedLinks()); n != 2 {
+		t.Fatalf("%d links failed, want 2", n)
+	}
+	first, err := cache.ClosKBounce(g, ft.Edges, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.RestoreLink(e0, a0)
+	g.RestoreLink(e1, a1)
+	g.FailLink(e1, a1)
+	g.FailLink(e0, a0)
+	again, err := cache.ClosKBounce(g, ft.Edges, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Hit || again.Sys != first.Sys {
+		t.Fatal("the same failed set, failed in the other order, missed")
+	}
+
+	g.RestoreLink(e0, a0)
+	if !g.FailLink(e0, a1) {
+		t.Fatal("fixture edge and aggregation switch are not adjacent")
+	}
+	other, err := cache.ClosKBounce(g, ft.Edges, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.Hit {
+		t.Fatal("a different failed set hit")
+	}
+	want, err := core.ClosSynthesize(g, elp.KBounce(g, ft.Edges, 1, nil).Paths(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdentical(t, other.Sys, want)
 }

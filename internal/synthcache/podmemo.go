@@ -1,6 +1,8 @@
 package synthcache
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -47,20 +49,23 @@ import (
 //	set := elp.KBounce(g, endpoints, maxBounces, nil)
 //	sys, err := core.ClosSynthesize(g, set.Paths(), maxBounces)
 //
-// The cache key covers the graph fingerprint, the endpoint roster (as
-// canonical positions, order-sensitive) and the failed-link set — unlike
-// rule synthesis, path ENUMERATION routes around failed links, so health
-// is part of this key.
+// The cache key covers the graph instance, the endpoint roster
+// (order-sensitive) and the failed-link set — unlike rule synthesis, path
+// ENUMERATION routes around failed links, so health is part of this key.
+// FailedLinks is ascending by link ID, so the key depends on which links
+// are down, not on the order they failed in.
 func (c *Cache) ClosKBounce(g *topology.Graph, endpoints []topology.NodeID, maxBounces int) (Result, error) {
-	canon := c.canonOf(g)
-	params := make([]int, 1, len(endpoints)+1)
-	params[0] = maxBounces
+	failed := g.FailedLinks()
+	buf := binary.AppendUvarint(nil, uint64(len(endpoints)))
 	for _, ep := range endpoints {
-		params = append(params, int(canon.Pos[ep]))
+		buf = binary.AppendUvarint(buf, uint64(ep))
 	}
-	key := fingerprint.Key("closkb", params, canon.FP, fingerprint.HealthSum(canon, g))
-
-	return c.serve(g, key, func() (*core.System, bool, error) {
+	buf = binary.AppendUvarint(buf, uint64(len(failed)))
+	for _, l := range failed {
+		buf = binary.AppendUvarint(buf, uint64(l))
+	}
+	k := key{g: g, gen: g.Gen(), scheme: schemeClosKB, param: maxBounces, sum: sha256.Sum256(buf)}
+	return c.serve(k, func() (*core.System, bool, error) {
 		return c.podStampedBuild(g, endpoints, maxBounces)
 	})
 }

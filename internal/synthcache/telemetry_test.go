@@ -14,10 +14,10 @@ import (
 )
 
 // driveCounters pushes one deterministic request sequence through a
-// capacity-1 cache: a cold Clos miss, a shared rehit, an uncached rebuild
-// for an isomorphic twin, and a pod-stamped fat-tree build that evicts
-// the Clos entry. Final tallies: 1 hit, 3 misses, 1 eviction,
-// 1 pod-stamped.
+// capacity-1 cache: a cold Clos miss, a shared rehit, a build for an
+// identical twin instance that evicts the first Clos entry, and a
+// pod-stamped fat-tree build that evicts the twin's. Final tallies:
+// 1 hit, 3 misses, 2 evictions, 1 pod-stamped.
 func driveCounters(t *testing.T, reg *telemetry.Registry) {
 	t.Helper()
 	cache := synthcache.New(1)
@@ -43,7 +43,7 @@ func driveCounters(t *testing.T, reg *telemetry.Registry) {
 	b := mkClos()
 	setB := elp.KBounce(b.Graph, b.ToRs, 1, nil)
 	if r, err := cache.SynthesizeClos(b.Graph, setB.Paths(), 1); err != nil || r.Hit {
-		t.Fatalf("twin = %+v, %v", r, err) // another instance: rebuilt, a miss
+		t.Fatalf("twin = %+v, %v", r, err) // another instance: a miss + eviction
 	}
 	ft, err := topology.NewFatTree(4)
 	if err != nil {
@@ -53,7 +53,7 @@ func driveCounters(t *testing.T, reg *telemetry.Registry) {
 		t.Fatalf("fattree = %+v, %v", r, err) // pod-stamped miss + eviction
 	}
 
-	want := synthcache.Stats{Hits: 1, Misses: 3, Evictions: 1, PodStamped: 1}
+	want := synthcache.Stats{Hits: 1, Misses: 3, Evictions: 2, PodStamped: 1}
 	if got := cache.Stats(); got != want {
 		t.Fatalf("stats = %+v, want %+v", got, want)
 	}
@@ -70,7 +70,7 @@ func TestPrometheusGoldenCacheCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := `# TYPE synthcache_evictions counter
-synthcache_evictions 1
+synthcache_evictions 2
 # TYPE synthcache_hits counter
 synthcache_hits 1
 # TYPE synthcache_misses counter
@@ -103,7 +103,7 @@ func TestMetricsEndpointServesCacheCounters(t *testing.T) {
 	for _, line := range []string{
 		"synthcache_hits 1",
 		"synthcache_misses 3",
-		"synthcache_evictions 1",
+		"synthcache_evictions 2",
 		"synthcache_pod_stamped 1",
 	} {
 		if !strings.Contains(string(body), line) {

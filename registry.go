@@ -104,7 +104,7 @@ func (o RunOptions) capture(n *sim.Network, file string) (finish func() (Capture
 			if err != nil {
 				err = fmt.Errorf("tagger: trace write %s: %w (%d events dropped)", file, err, bt.Dropped())
 			}
-			return CaptureStats{File: file, Dropped: bt.Dropped()}, err
+			return CaptureStats{File: file}, err
 		}
 	}
 	if o.FlightRec == nil {
@@ -223,9 +223,6 @@ func figureExperiment(name string) func(RunOptions) (Report, error) {
 			}
 			rep.printf("%s", res)
 			c := res.Capture
-			if c.File != "" {
-				rep.printf("trace capture: %d events dropped by the writer\n", c.Dropped)
-			}
 			if o.FlightRec == nil {
 				return nil
 			}
@@ -330,9 +327,9 @@ local fast-reroute detours + stale upstream routes, global convergence at 15ms
 	return rep, nil
 }
 
-// traceLine is the per-capture summary every traced soak prints.
+// traceLine names the capture file of one traced soak.
 func (r *Report) traceLine(c CaptureStats) {
-	r.printf("trace capture %s: %d events dropped by the writer\n", c.File, c.Dropped)
+	r.printf("trace capture %s\n", c.File)
 }
 
 // runChaos soaks every seed's fault schedule with and without Tagger,

@@ -140,10 +140,6 @@ func AddRandomELP(s *ELP, g *Graph, endpoints []NodeID, count, maxHops int, seed
 	elp.AddRandomPaths(s, g, endpoints, count, maxHops, seed)
 }
 
-// HostLevelELP expands a switch-level ELP to host level (NIC-stamped
-// deployments); limit bounds hosts per endpoint (0 = all).
-func HostLevelELP(g *Graph, s *ELP, limit int) *ELP { return elp.HostLevel(g, s, limit) }
-
 // Re-exported core types: the paper's contribution.
 type (
 	// System is a synthesized Tagger deployment: rules plus the verified
@@ -269,13 +265,6 @@ const (
 	EventExpansion = controller.EventExpansion
 )
 
-// ParseControllerEventKind maps a wire name ("link-down", "link-up",
-// "expansion") to its typed kind, erroring on unknown names — the
-// runtime path for decoded inputs.
-func ParseControllerEventKind(s string) (ControllerEventKind, error) {
-	return controller.ParseEventKind(s)
-}
-
 // WithSwitchAgent points a controller's install RPCs at the given agent.
 func WithSwitchAgent(a SwitchAgent) ControllerOption { return controller.WithAgent(a) }
 
@@ -310,9 +299,6 @@ const (
 	ChaosFaultInstallPartial    = chaos.FaultInstallPartial
 	ChaosFaultPass              = chaos.FaultPass
 )
-
-// GenerateChaos produces the deterministic fault schedule for (cfg, seed).
-func GenerateChaos(cfg ChaosConfig, seed int64) ChaosSchedule { return chaos.Generate(cfg, seed) }
 
 // NewChaosFabric builds an unreliable agent fleet over the named switches.
 func NewChaosFabric(switches []string) *ChaosFabric { return chaos.NewFabric(switches) }

@@ -191,6 +191,7 @@ fuzz:
 	$(GO) test -fuzz FuzzRunCase -fuzztime 60s ./internal/check/
 	$(GO) test -fuzz FuzzShrinkConvergence -fuzztime 30s ./internal/check/
 	$(GO) test -fuzz FuzzTraceDecode -fuzztime 30s ./internal/trace/
+	$(GO) test -fuzz FuzzOpen -fuzztime 30s -fuzzminimizetime 2s ./internal/trace/pipeline/
 	$(GO) test -fuzz FuzzPathIndex -fuzztime 30s ./internal/routing/
 	$(GO) test -fuzz FuzzBundleImport -fuzztime 30s ./internal/deploy/
 	$(GO) test -fuzz FuzzSchedulerOrder -fuzztime 30s ./internal/sim/
@@ -198,15 +199,20 @@ fuzz:
 # Bounded differential fuzzing for the pre-merge gate: a few seconds of
 # native coverage-guided fuzzing over the check battery, the path index
 # (against its string-keyed reference), the bundle decoder, the sim's
-# event scheduler (against a sorted slice) and the TGL1 trace decoder, plus
-# a seeded taggerfuzz sweep of every topology family. Failing inputs shrink
-# to runnable repro tests under internal/check/testdata/fuzz-corpus/.
+# event scheduler (against a sorted slice), the TGL1 trace decoder and
+# taggertrace's ingest of untrusted files (Open, Normalize, Summary: no
+# panic, and every non-blank JSONL line decoded or counted as skipped),
+# plus a seeded taggerfuzz sweep of every topology family. FuzzOpen's
+# inputs are whole captures, so its minimization is capped to leave the
+# budget for fuzzing. Failing inputs shrink to runnable repro tests under
+# internal/check/testdata/fuzz-corpus/.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzRunCase -fuzztime 5s ./internal/check/
 	$(GO) test -fuzz FuzzPathIndex -fuzztime 5s ./internal/routing/
 	$(GO) test -fuzz FuzzBundleImport -fuzztime 5s ./internal/deploy/
 	$(GO) test -fuzz FuzzSchedulerOrder -fuzztime 5s ./internal/sim/
 	$(GO) test -fuzz FuzzTraceDecode -fuzztime 5s ./internal/trace/
+	$(GO) test -fuzz FuzzOpen -fuzztime 5s -fuzzminimizetime 2s ./internal/trace/pipeline/
 	$(GO) run ./cmd/taggerfuzz -seeds 25 -topo all -q
 
 # The churn differential: fuzzed link-flap/drain/pod-add sequences where

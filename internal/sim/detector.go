@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/detect"
 	"repro/internal/telemetry"
 )
 
@@ -66,9 +65,15 @@ type DetectorStats struct {
 	PacketsDropped int64
 	BytesDropped   int64
 	PacketsDemoted int64
-	// Engine carries the tag-machine tallies (origins, inheritance,
-	// adoption, refreshes), copied out at the end of the run.
-	Engine detect.Stats
+	// The tag machine's activity: Origins counts fresh tags minted (a
+	// pause or refresh with no wait-for edge to inherit from), Inherited
+	// the pauses and refreshes that took a downstream tag, Adopted the
+	// foreign tags picked up from arriving packets, and Refreshes the
+	// pause-refresh re-evaluations.
+	Origins   int64
+	Inherited int64
+	Adopted   int64
+	Refreshes int64
 }
 
 // MeanTTD returns the mean time-to-detect over sampled episodes.
@@ -79,37 +84,221 @@ func (s *DetectorStats) MeanTTD() time.Duration {
 	return s.SumTTD / time.Duration(s.TTDSamples)
 }
 
-// detState bundles the engine with its simulator-side config.
-type detState struct {
-	eng   *detect.Engine
-	cfg   DetectorConfig
-	stats *DetectorStats
-}
-
 // EnableDetector arms the DCFIT-style in-switch detector on every
 // switch. Must be called before Run. Returns the stats structure,
 // updated in place. Pair with TrackDeadlocks for time-to-detect and
 // time-to-recover accounting.
 func (n *Network) EnableDetector(cfg DetectorConfig) *DetectorStats {
-	ports := make([]int, len(n.nodes))
-	for i := range n.nodes {
-		ports[i] = len(n.nodes[i].ports)
-	}
-	stats := &DetectorStats{FirstDetectAt: -1}
-	n.det = &detState{eng: detect.NewEngine(ports, n.cfg.MaxPriority+1), cfg: cfg, stats: stats}
+	n.det = newDetector(n.nodes, n.nQueues, cfg)
 	p := int64(detRefreshInterval)
 	n.addTimer(timerRT{kind: timerDetectRefresh, period: p}, n.now+p)
-	return stats
+	return n.det.stats
 }
 
-// DetectorStats returns the live stats (nil when no detector is armed),
-// with the engine tallies refreshed.
-func (n *Network) DetectorStats() *DetectorStats {
-	if n.det == nil {
-		return nil
+// --- The tag machine --------------------------------------------------------
+//
+// The detector follows DCFIT (PAPERS.md, Wu & Ng): the switch that
+// first triggers a PFC PAUSE stamps a detection tag, the tag travels
+// with the congestion — on the pause frames that chain backward
+// through the wait-for graph and in the metadata of packets leaving
+// paused ingresses — and a deadlock is declared the moment a switch
+// sees a tag it minted come back while the pause episode that minted it
+// is still open. Detection is local to each switch: its tag state plus
+// what the switch itself holds (its queues and pause masks).
+//
+//   - Pause frames. An ingress asserting PAUSE inherits the tag of a
+//     paused egress queue holding packets charged to it (the wait-for
+//     edge the pause just extended) or, when there is none, mints a
+//     fresh tag: this switch is the initial trigger of the chain. Real
+//     PFC re-sends PAUSE before its quanta expire; the simulator models
+//     that refresh for the detector, so a chain whose edges asserted
+//     out of causal order still converges on one tag.
+//   - Packets. A packet leaving through a paused ingress carries a tag
+//     downstream; a hop whose charged ingress is not paused clears it
+//     (the congestion chain is broken there).
+//
+// A tag names (creator node, ingress port, priority, epoch). The epoch
+// advances whenever the ingress resumes and at each detection, so a tag
+// fires only within the pause episode that minted it, and one cycle is
+// reported once per round trip, not once per packet.
+
+// detTag is a detection tag; 0 means "no tag". Layout: bit 63 marks
+// validity (so node 0, port 0 still yields a nonzero tag), bits 32..55
+// the epoch, 16..31 the node, 4..15 the port, 0..3 the priority.
+type detTag uint64
+
+const (
+	detTagValid detTag = 1 << 63
+	// detEpochMask is the epoch's 24-bit field. The per-ingress counter
+	// wraps inside it, so the stored epoch always equals the one its
+	// tags carry.
+	detEpochMask = 1<<24 - 1
+)
+
+// makeDetTag packs a tag. Arguments must fit their fields (node < 2^16,
+// port < 2^12, prio < 2^4); the simulator's fabrics are far below that.
+func makeDetTag(node, port, prio int, epoch uint32) detTag {
+	return detTagValid |
+		detTag(epoch&detEpochMask)<<32 |
+		detTag(node&0xffff)<<16 |
+		detTag(port&0xfff)<<4 |
+		detTag(prio&0xf)
+}
+
+func (t detTag) node() int     { return int(t >> 16 & 0xffff) }
+func (t detTag) port() int     { return int(t >> 4 & 0xfff) }
+func (t detTag) prio() int     { return int(t & 0xf) }
+func (t detTag) epoch() uint32 { return uint32(t >> 32 & detEpochMask) }
+
+// Transport media a returning tag can arrive by: the detect trace
+// event's reason.
+const (
+	viaPacket = "packet"
+	viaPause  = "pause"
+)
+
+// detIngress is one ingress (port, priority)'s tag state: the tag its
+// asserted pause carries, whether it minted that tag, a foreign tag
+// adopted from passing packets, and the pause-episode epoch. Whether
+// the ingress is paused is its port's pausedUpstream bit; an unpaused
+// ingress holds only its epoch.
+type detIngress struct {
+	origin bool
+	tag    detTag
+	carry  detTag
+	epoch  uint32
+}
+
+// close ends the pause episode: every outstanding copy of its tags goes
+// stale.
+func (st *detIngress) close() {
+	*st = detIngress{epoch: (st.epoch + 1) & detEpochMask}
+}
+
+// detector is the fabric-wide tag state, indexed [node][port*nQ+prio].
+// Its methods take the switch they run on, whose pausedUpstream masks
+// say which ingresses are paused; the caller hands in what needs a
+// queue scan (Network.inheritable).
+type detector struct {
+	cfg   DetectorConfig
+	stats *DetectorStats
+	nQ    int
+	in    [][]detIngress
+	// eg records, per egress queue, the tag carried by the downstream
+	// pause currently asserted against it (0 = none).
+	eg [][]detTag
+	// confirmed is the global wait-for scan's verdict on the detection
+	// being handled; the flight recorder reads it to classify the
+	// detect event.
+	confirmed bool
+}
+
+func newDetector(nodes []nodeRT, nQ int, cfg DetectorConfig) *detector {
+	d := &detector{cfg: cfg, stats: &DetectorStats{FirstDetectAt: -1}, nQ: nQ,
+		in: make([][]detIngress, len(nodes)), eg: make([][]detTag, len(nodes))}
+	for i := range nodes {
+		d.in[i] = make([]detIngress, len(nodes[i].ports)*nQ)
+		d.eg[i] = make([]detTag, len(nodes[i].ports)*nQ)
 	}
-	n.det.stats.Engine = n.det.eng.Stats()
-	return n.det.stats
+	return d
+}
+
+func (d *detector) ingress(rt *nodeRT, port, prio int) *detIngress {
+	return &d.in[rt.id][port*d.nQ+prio]
+}
+
+// retag chooses the tag a paused ingress's pause (or its refresh)
+// carries and returns it. cand is the tag inheritable from a downstream
+// wait-for edge (0 = none). A foreign candidate replaces the current
+// tag — what lets two chains that asserted concurrently, both minting,
+// converge on one tag that can complete the round trip; with none, an
+// ingress that inherited becomes a chain head again and mints. An
+// ingress asserting PAUSE holds no tag yet, so the same choice makes it
+// inherit or mint.
+func (d *detector) retag(rt *nodeRT, port, prio int, cand detTag) detTag {
+	st := d.ingress(rt, port, prio)
+	node := int(rt.id)
+	if cand != 0 && cand.node() != node {
+		if st.tag != cand {
+			st.tag, st.origin = cand, false
+			d.stats.Inherited++
+		}
+	} else if !st.origin {
+		st.tag, st.origin = makeDetTag(node, port, prio, st.epoch), true
+		d.stats.Origins++
+	}
+	return st.tag
+}
+
+// pauseReceived records a pause (or its refresh) carrying tg taking
+// effect at rt's egress (port, prio), and applies the detection rule.
+func (d *detector) pauseReceived(rt *nodeRT, port, prio int, tg detTag) bool {
+	d.eg[rt.id][port*d.nQ+prio] = tg
+	return d.fires(rt, tg)
+}
+
+// fires is the detection rule: tg fires iff rt minted it and the
+// ingress it names is still paused in the minting epoch. A detection
+// retires the epoch — still paused, so the ingress re-arms as an
+// origin and the same cycle cannot fire again until a fresh tag makes
+// the round trip.
+func (d *detector) fires(rt *nodeRT, tg detTag) bool {
+	if tg == 0 || tg.node() != int(rt.id) || !rt.ports[tg.port()].pausedUpstream.has(tg.prio()) {
+		return false
+	}
+	st := d.ingress(rt, tg.port(), tg.prio())
+	if st.epoch != tg.epoch() {
+		return false
+	}
+	st.epoch = (st.epoch + 1) & detEpochMask
+	st.tag, st.origin, st.carry = makeDetTag(int(rt.id), tg.port(), tg.prio(), st.epoch), true, 0
+	return true
+}
+
+// departure returns the tag a packet charged to ingress (inPort, inPrio)
+// carries onward from rt, given the one it arrived with. An unpaused
+// ingress breaks the chain and clears it; a paused one propagates, in
+// preference order, a foreign carried tag, its adopted tag, then its
+// own pause tag.
+func (d *detector) departure(rt *nodeRT, inPort, inPrio int, carried detTag) detTag {
+	if !rt.ports[inPort].pausedUpstream.has(inPrio) {
+		return 0
+	}
+	if carried != 0 && carried.node() != int(rt.id) {
+		return carried
+	}
+	st := d.ingress(rt, inPort, inPrio)
+	if st.carry != 0 {
+		return st.carry
+	}
+	return st.tag
+}
+
+// arrival handles a nonzero tag arriving at rt on a packet charged to
+// ingress (inPort, inPrio): its own live tag is a detection; a paused
+// ingress adopts the first foreign tag into its carry slot
+// (deterministic, and the oldest chain keeps walking).
+func (d *detector) arrival(rt *nodeRT, inPort, inPrio int, carried detTag) bool {
+	if d.fires(rt, carried) {
+		return true
+	}
+	if carried.node() != int(rt.id) && rt.ports[inPort].pausedUpstream.has(inPrio) {
+		if st := d.ingress(rt, inPort, inPrio); st.carry == 0 {
+			st.carry = carried
+			d.stats.Adopted++
+		}
+	}
+	return false
+}
+
+// reset forgets every pause rt asserted, as a reboot does, and retires
+// every ingress's epoch, so no tag minted before the reboot can fire
+// after it. The egress pause records survive: those claims live at the
+// downstream peers, which resume on their own.
+func (d *detector) reset(rt *nodeRT) {
+	for i := range d.in[rt.id] {
+		d.in[rt.id][i].close()
+	}
 }
 
 // --- Deadlock episode tracking ---------------------------------------------
@@ -196,7 +385,7 @@ func (n *Network) dlClearCheck() {
 // putDTag parks a pause-frame tag in the side table and returns the
 // evPFC arg encoding its slot (slot+1; arg 0 means "no tag", keeping
 // detector-off event streams byte-identical to the goldens).
-func (n *Network) putDTag(v uint64) int32 {
+func (n *Network) putDTag(v detTag) int32 {
 	var slot int32
 	if k := len(n.dtagFree); k > 0 {
 		slot = n.dtagFree[k-1]
@@ -210,68 +399,69 @@ func (n *Network) putDTag(v uint64) int32 {
 }
 
 // takeDTag recycles and returns the tag behind an evPFC arg.
-func (n *Network) takeDTag(arg int32) uint64 {
+func (n *Network) takeDTag(arg int32) detTag {
 	slot := arg - 1
 	v := n.dtags[slot]
 	n.dtagFree = append(n.dtagFree, slot)
 	return v
 }
 
-// detPauseTag runs the engine's pause-sent bookkeeping when (rt, port,
-// prio) asserts or releases PAUSE and returns the evPFC arg carrying
-// the tag (0 when none travels: detector off, resumes, host peers).
+// inheritable returns the tag ingress (port, prio) of rt inherits: that
+// of the first egress queue, in ascending (port, prio) order, that is
+// paused with a recorded pause tag and holds a packet charged to the
+// ingress — the wait-for edge the ingress's pause extends. 0 when there
+// is none.
+func (n *Network) inheritable(rt *nodeRT, port, prio int) detTag {
+	eg := n.det.eg[rt.id]
+	for out := range rt.ports {
+		prt := &rt.ports[out]
+		stuck := prt.stuck()
+		for q := 1; q < n.nQueues; q++ {
+			if tg := eg[out*n.nQueues+q]; tg != 0 && stuck.has(q) && n.holds(prt, q, port, prio) {
+				return tg
+			}
+		}
+	}
+	return 0
+}
+
+// detPauseTag runs the detector's side of (rt, port, prio) asserting or
+// releasing PAUSE and returns the evPFC arg carrying the tag (0 when
+// none travels: detector off, resumes, host peers).
 func (n *Network) detPauseTag(rt *nodeRT, port, prio int, on bool) int32 {
 	if n.det == nil || rt.isHost {
 		return 0
 	}
 	if !on {
-		n.det.eng.ResumeSent(int(rt.id), port, prio)
+		n.det.ingress(rt, port, prio).close()
 		return 0
 	}
-	tg := n.det.eng.PauseSent(int(rt.id), port, prio)
+	tg := n.det.retag(rt, port, prio, n.inheritable(rt, port, prio))
 	if n.nodes[rt.ports[port].peer].isHost {
 		return 0 // hosts run no detector; nothing to deliver
 	}
-	return n.putDTag(uint64(tg))
+	return n.putDTag(tg)
 }
 
 // detPFCEffect handles the detector and episode-tracking side of a PFC
 // frame taking effect. Ordering matters: the onset check precedes tag
 // processing (a detection at the cycle-completing pause samples TTD
 // from that same instant), and the clear check follows the resume.
-func (n *Network) detPFCEffect(nodeIdx int, rt *nodeRT, port, prio int, on bool, arg int32) {
+func (n *Network) detPFCEffect(rt *nodeRT, port, prio int, on bool, arg int32) {
 	if on {
 		n.dlOnsetCheck()
+		// A tag travels only between detector-armed switches.
 		if arg != 0 {
-			tg := detect.Tag(n.takeDTag(arg))
-			if n.det != nil && !rt.isHost {
-				if d, ok := n.det.eng.PauseReceived(nodeIdx, port, prio, tg); ok {
-					n.detHandle(d)
-				}
+			if tg := n.takeDTag(arg); n.det.pauseReceived(rt, port, prio, tg) {
+				n.detHandle(rt, tg, viaPause)
 			}
 		}
 		return
 	}
-	if n.det != nil && !rt.isHost {
-		n.det.eng.ResumeReceived(nodeIdx, port, prio)
+	if n.det != nil {
+		n.det.eg[rt.id][port*n.nQueues+prio] = 0
 	}
 	n.dlClearCheck()
-}
-
-// detTxDequeue unwinds hold accounting for a packet popped for
-// transmission and stamps the tag it carries onward.
-func (n *Network) detTxDequeue(nodeIdx, port, q int, pk *packet) {
-	n.det.eng.Dequeue(nodeIdx, int(pk.inPort), int(pk.inPrio), port, q)
-	pk.dtag = uint64(n.det.eng.PacketDeparture(nodeIdx, int(pk.inPort), int(pk.inPrio), detect.Tag(pk.dtag)))
-}
-
-// detArrival feeds a charged lossless arrival to the engine and handles
-// a resulting detection. Called after the packet is enqueued, so a
-// mitigation sweep sees it too.
-func (n *Network) detArrival(nodeIdx, port, prio int, dtag uint64) {
-	if d, ok := n.det.eng.PacketArrival(nodeIdx, port, prio, detect.Tag(dtag)); ok {
-		n.detHandle(d)
-	}
 }
 
 // detectorRefreshTick re-sends every still-asserted pause's tag to its
@@ -293,13 +483,11 @@ func (n *Network) detectorRefreshTick(t *timerRT, slot int32) {
 				if !prt.pausedUpstream.has(prio) {
 					continue
 				}
-				tg := n.det.eng.RefreshTag(ni, pi, prio)
-				if tg == 0 {
-					continue
-				}
-				peer, peerPort, p := int(prt.peer), int(prt.peerPort), prio
+				n.det.stats.Refreshes++
+				tg := n.det.retag(rt, pi, prio, n.inheritable(rt, pi, prio))
+				peer, peerPort, p := prt.peer, int(prt.peerPort), prio
 				n.scheduleCall(n.now+int64(n.cfg.PropDelay), func() {
-					n.detDeliverTag(peer, peerPort, p, tg)
+					n.detDeliverTag(&n.nodes[peer], peerPort, p, tg)
 				})
 			}
 		}
@@ -309,26 +497,19 @@ func (n *Network) detectorRefreshTick(t *timerRT, slot int32) {
 
 // detDeliverTag lands a refreshed pause tag at the upstream egress. A
 // pause released while the refresh was in flight makes it a no-op.
-func (n *Network) detDeliverTag(node, port, prio int, tg detect.Tag) {
-	if n.det == nil {
-		return
-	}
-	rt := &n.nodes[node]
-	if rt.isHost || !rt.ports[port].paused.has(prio) {
-		return
-	}
-	if d, ok := n.det.eng.PauseReceived(node, port, prio, tg); ok {
-		n.detHandle(d)
+func (n *Network) detDeliverTag(rt *nodeRT, port, prio int, tg detTag) {
+	if rt.ports[port].paused.has(prio) && n.det.pauseReceived(rt, port, prio, tg) {
+		n.detHandle(rt, tg, viaPause)
 	}
 }
 
 // detHandle is the single detection sink: stats, telemetry, trace, TTD
 // sampling against the open episode, the false-positive oracle, and the
-// configured mitigation.
-func (n *Network) detHandle(d detect.Detection) {
+// configured mitigation. tg is rt's own returned tag; via its medium.
+func (n *Network) detHandle(rt *nodeRT, tg detTag, via string) {
 	st := n.det.stats
 	st.Detections++
-	if d.Via == detect.ViaPacket {
+	if via == viaPacket {
 		st.ViaPacket++
 	} else {
 		st.ViaPause++
@@ -337,6 +518,7 @@ func (n *Network) detHandle(d detect.Detection) {
 		st.FirstDetectAt = time.Duration(n.now)
 	}
 	real := n.detectCycleQueues() != nil
+	n.det.confirmed = real
 	if !real {
 		st.FalsePositives++
 	}
@@ -359,11 +541,10 @@ func (n *Network) detHandle(d detect.Detection) {
 			n.tel.Counter("sim_detect_false_positive_total").Inc()
 		}
 	}
-	rt := &n.nodes[d.Node]
 	n.trace(TraceEvent{Kind: "detect", Node: n.nodeName(rt.id),
-		Peer: n.nodeName(rt.ports[d.Port].peer), Prio: d.Prio, Reason: d.Via})
+		Peer: n.nodeName(rt.ports[tg.port()].peer), Prio: tg.prio(), Reason: via})
 	if n.det.cfg.Mitigation != MitigateNone {
-		n.applyMitigation(d)
+		n.applyMitigation(rt, tg.port(), tg.prio())
 	}
 }
 
@@ -372,9 +553,7 @@ func (n *Network) detHandle(d detect.Detection) {
 // deadlock-initiating traffic — and drops or demotes exactly those.
 // Packets charged elsewhere, and the frame already on the wire, are
 // untouched.
-func (n *Network) applyMitigation(d detect.Detection) {
-	rt := &n.nodes[d.Node]
-	op, oq := d.Port, d.Prio
+func (n *Network) applyMitigation(rt *nodeRT, op, oq int) {
 	drop := n.det.cfg.Mitigation == MitigateDrop
 	st := n.det.stats
 	var pkts, bytes int64
@@ -398,7 +577,6 @@ func (n *Network) applyMitigation(d detect.Detection) {
 					continue
 				}
 				f.bytes -= int64(pk.size)
-				n.det.eng.Dequeue(d.Node, op, oq, pi, q)
 				pkts++
 				bytes += int64(pk.size)
 				if drop {
@@ -461,7 +639,7 @@ func (n *Network) applyMitigation(d detect.Detection) {
 		}
 	}
 	for pi := range rt.ports {
-		n.tryTx(d.Node, pi)
+		n.tryTx(int(rt.id), pi)
 	}
 	n.dlClearCheck()
 }

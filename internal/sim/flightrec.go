@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/detect"
 	"repro/internal/trace"
 )
 
@@ -154,9 +153,8 @@ func (fr *FlightRecorder) trigger(ev *TraceEvent) string {
 	case "deadlock":
 		return TriggerDeadlockOnset
 	case "detect":
-		// detHandle's oracle recomputed here keeps the recorder
-		// independent of whether stats collection ran first.
-		if fr.n.detectCycleQueues() == nil {
+		// detHandle ran the global wait-for scan just before tracing.
+		if !fr.n.det.confirmed {
 			return TriggerFPOracle
 		}
 		return TriggerDetectorFire
@@ -329,22 +327,29 @@ func (fr *FlightRecorder) buildSnapshot(trigger, node string) []trace.Entry {
 		}
 	}
 
-	// Live detector tag table.
+	// Live detector tag table: every ingress holding a tag, which only a
+	// paused one does, in (node, port, prio) order.
 	if n.det != nil {
-		n.det.eng.VisitLive(func(lt detect.LiveTag) {
-			rt := &n.nodes[lt.Node]
-			var flags uint16
-			if lt.Origin {
-				flags |= trace.DetFlagOrigin
+		for ni, in := range n.det.in {
+			rt := &n.nodes[ni]
+			for i, st := range in {
+				if st.tag == 0 {
+					continue
+				}
+				var flags uint16
+				if st.origin {
+					flags |= trace.DetFlagOrigin
+				}
+				if st.carry != 0 {
+					flags |= trace.DetFlagCarry
+				}
+				port, prio := i/n.nQueues, i%n.nQueues
+				out = append(out, trace.DetTagEntry(
+					r.Intern(n.nodeName(rt.id)), r.Intern(n.nodeName(rt.ports[port].peer)),
+					port, prio, uint64(st.tag), flags,
+				))
 			}
-			if lt.Carry != 0 {
-				flags |= trace.DetFlagCarry
-			}
-			out = append(out, trace.DetTagEntry(
-				r.Intern(n.nodeName(rt.id)), r.Intern(n.nodeName(rt.ports[lt.Port].peer)),
-				lt.Port, lt.Prio, uint64(lt.Tag), flags,
-			))
-		})
+		}
 	}
 
 	out = append(out, trace.SnapEndEntry(n.now, fr.rec.Overwrites(), len(out)+1))

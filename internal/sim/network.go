@@ -29,9 +29,9 @@ type packet struct {
 	inPrio int16
 
 	// dtag is the DCFIT-style detection tag riding in the packet
-	// metadata (0 = none; see internal/detect). Stamped at dequeue-for-
+	// metadata (0 = none; see detector.go). Stamped at dequeue-for-
 	// transmit when the charged ingress is paused.
-	dtag uint64
+	dtag detTag
 
 	// rule is 1 + the dense TCAM rule ID that last classified the
 	// packet (0: a §7 default action decided, or no flight recorder is
@@ -288,8 +288,8 @@ type Network struct {
 	// det, when non-nil, is the armed in-switch deadlock detector
 	// (EnableDetector, see detector.go); dtags/dtagFree is the side
 	// table parking detection tags behind evPFC args.
-	det      *detState
-	dtags    []uint64
+	det      *detector
+	dtags    []detTag
 	dtagFree []int32
 
 	// dlTrack, when non-nil, measures exact deadlock episodes
@@ -514,14 +514,13 @@ func (n *Network) arrive(nodeIdx, port int, h int32) {
 	}
 
 	n.maybeMarkECN(pk, eg.egress[egPrio].bytes)
-	if n.det != nil && inPrio != 0 {
-		n.det.eng.Enqueue(nodeIdx, port, inPrio, out, egPrio)
-	}
 	eg.enqueue(egPrio, h, pk.size)
-	if n.det != nil && inPrio != 0 {
+	if tg := pk.dtag; n.det != nil && inPrio != 0 && tg != 0 {
 		// After the enqueue, so a detection's mitigation sweep sees this
 		// packet too — and may release it: pk is not used past here.
-		n.detArrival(nodeIdx, port, inPrio, pk.dtag)
+		if n.det.arrival(rt, port, inPrio, tg) {
+			n.detHandle(rt, tg, viaPacket)
+		}
 	}
 	n.tryTx(nodeIdx, out)
 }
@@ -579,7 +578,7 @@ func (n *Network) tryTx(nodeIdx, port int) {
 	prt.rrNext = next
 	h, pk := n.dequeue(prt, q)
 	if n.det != nil && pk.inPrio > 0 {
-		n.detTxDequeue(nodeIdx, port, q, pk)
+		pk.dtag = n.det.departure(&n.nodes[nodeIdx], int(pk.inPort), int(pk.inPrio), pk.dtag)
 	}
 	n.startTx(nodeIdx, prt, port, h, pk.size)
 }
@@ -740,7 +739,7 @@ func (n *Network) pfcEffect(nodeIdx, port, prio int, on bool, arg int32) {
 		prt.paused.clear(prio)
 	}
 	if n.det != nil || n.dlTrack != nil {
-		n.detPFCEffect(nodeIdx, rt, port, prio, on, arg)
+		n.detPFCEffect(rt, port, prio, on, arg)
 	}
 	if !on {
 		n.tryTx(nodeIdx, port)
@@ -799,10 +798,7 @@ func (n *Network) RebootSwitch(id topology.NodeID) int64 {
 		}
 	}
 	if n.det != nil {
-		// Queues emptied without per-packet dequeue hooks; the pauses this
-		// switch asserted were released through sendPFC above. Zero the
-		// hold matrix and retire the tag epochs in one sweep.
-		n.det.eng.ResetNode(int(id))
+		n.det.reset(rt)
 	}
 	rt.bufferUsed = 0
 	for pi := range rt.ports {

@@ -79,14 +79,7 @@ func (n *Network) waitGraph() (nodes []pausedQueue, adj [][]int) {
 				if !stuck.has(prio) {
 					continue
 				}
-				holds := false
-				for _, h := range prt.egress[prio].queued() {
-					if pk := &n.pkts.slots[h]; int(pk.inPort) == peerPort && int(pk.inPrio) == x.prio {
-						holds = true
-						break
-					}
-				}
-				if holds {
+				if n.holds(prt, prio, peerPort, x.prio) {
 					if yi, ok := index[pausedQueue{int(peer), pi, prio}]; ok {
 						adj[xi] = append(adj[xi], yi)
 					}
@@ -95,6 +88,18 @@ func (n *Network) waitGraph() (nodes []pausedQueue, adj [][]int) {
 		}
 	}
 	return nodes, adj
+}
+
+// holds reports whether egress queue q of prt holds a packet charged to
+// ingress (inPort, inPrio) of the same switch: a wait-for edge from that
+// ingress to the queue.
+func (n *Network) holds(prt *portRT, q, inPort, inPrio int) bool {
+	for _, h := range prt.egress[q].queued() {
+		if pk := &n.pkts.slots[h]; int(pk.inPort) == inPort && int(pk.inPrio) == inPrio {
+			return true
+		}
+	}
+	return false
 }
 
 // stuck returns the port's lossless egress queues that hold packets and
@@ -136,9 +141,6 @@ func (n *Network) flushQueue(q pausedQueue, stats *RecoveryStats) {
 		n.drops.RecoveryFlush++
 		n.trace(TraceEvent{Kind: "drop", Node: n.nodeName(rt.id),
 			Flow: pk.flow.spec.Name, Reason: "recovery-flush"})
-		if n.det != nil && pk.inPrio > 0 {
-			n.det.eng.Dequeue(q.node, int(pk.inPort), int(pk.inPrio), q.port, q.prio)
-		}
 		n.releaseIngress(rt, pk)
 		n.pkts.release(h)
 	}

@@ -22,7 +22,8 @@ package trace
 //	                Depth=bytes queued
 //	KindDetTag:     A=node, B=upstream peer (string IDs), C=ingress
 //	                port, Prio, Aux=DetFlag bits, Depth=the 64-bit
-//	                detect.Tag
+//	                detection tag (valid bit 63, epoch 32..55, node
+//	                16..31, port 4..15, prio 0..3)
 //	KindSnapEnd:    Depth=ring overwrites at freeze, C=snapshot record
 //	                count (KindSnapStart through KindSnapEnd inclusive)
 
@@ -99,7 +100,7 @@ type SnapDetTag struct {
 	Peer   string
 	Port   int
 	Prio   int
-	Tag    uint64 // detect.Tag bits
+	Tag    uint64 // detection tag bits (layout above)
 	Origin bool   // minted here (chain head) vs inherited
 	Carry  bool   // an adopted foreign tag is also held
 }

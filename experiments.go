@@ -10,7 +10,6 @@ import (
 	"repro/internal/deploy"
 	"repro/internal/elp"
 	"repro/internal/paper"
-	"repro/internal/pfc"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/sweep"
@@ -474,6 +473,102 @@ func DCQCNExperiment() DCQCNResult {
 
 // --- §3.3 lossless queue budget --------------------------------------------------------
 
+// pfcPriorities is the number of PFC classes IEEE 802.1Qbb defines.
+const pfcPriorities = 8
+
+// ChipSpec describes a switching ASIC's buffering and port configuration
+// for the §3.3 analysis: how many lossless priorities can a chip really
+// support? "The switch buffers are made of extremely fast and hence
+// extremely expensive memory... Some of this buffer must also be set
+// aside to serve lossy traffic... even newest switching ASICs are not
+// expected to support more than four lossless queues."
+type ChipSpec struct {
+	// TotalBuffer is the shared packet buffer in bytes.
+	TotalBuffer int64
+	// Ports and LinkBitsPerSec describe the front panel.
+	Ports          int
+	LinkBitsPerSec int64
+	// CableDelay is the one-way propagation delay to the peer (cable +
+	// peer reaction time).
+	CableDelay time.Duration
+	// MTU in bytes.
+	MTU int64
+	// LossyFraction is the share of buffer reserved for lossy (TCP)
+	// traffic, which still dominates data center mixes.
+	LossyFraction float64
+	// XoffPerQueue is the operating threshold each lossless ingress queue
+	// needs below its headroom to absorb normal bursts.
+	XoffPerQueue int64
+}
+
+// Validate reports the first bad field.
+func (s ChipSpec) Validate() error {
+	switch {
+	case s.TotalBuffer <= 0:
+		return fmt.Errorf("tagger: ChipSpec.TotalBuffer must be positive")
+	case s.Ports <= 0:
+		return fmt.Errorf("tagger: ChipSpec.Ports must be positive")
+	case s.LinkBitsPerSec <= 0:
+		return fmt.Errorf("tagger: ChipSpec.LinkBitsPerSec must be positive")
+	case s.LossyFraction < 0 || s.LossyFraction >= 1:
+		return fmt.Errorf("tagger: ChipSpec.LossyFraction %v out of [0,1)", s.LossyFraction)
+	case s.XoffPerQueue < 0:
+		return fmt.Errorf("tagger: negative ChipSpec.XoffPerQueue")
+	}
+	return nil
+}
+
+// PerQueueReservation returns the bytes one lossless queue on one port
+// must have exclusively available: its headroom (which guarantees
+// losslessness) plus its operating threshold.
+func (s ChipSpec) PerQueueReservation() int64 {
+	return sim.ComputeHeadroom(s.LinkBitsPerSec, s.CableDelay, s.MTU) + s.XoffPerQueue
+}
+
+// MaxLosslessQueues returns how many lossless priorities the chip can
+// guarantee across all ports simultaneously: the buffer left after the
+// lossy reservation, divided by the per-port, per-queue worst case.
+func (s ChipSpec) MaxLosslessQueues() int {
+	if err := s.Validate(); err != nil {
+		return 0
+	}
+	usable := int64(float64(s.TotalBuffer) * (1 - s.LossyFraction))
+	per := s.PerQueueReservation() * int64(s.Ports)
+	if per <= 0 {
+		return 0
+	}
+	return min(int(usable/per), pfcPriorities)
+}
+
+// Tomahawk40G approximates the paper's testbed generation: 16 MB shared
+// buffer, 32x40G, short intra-rack cables.
+func Tomahawk40G() ChipSpec {
+	return ChipSpec{
+		TotalBuffer:    16 << 20,
+		Ports:          32,
+		LinkBitsPerSec: 40_000_000_000,
+		CableDelay:     2 * time.Microsecond,
+		MTU:            1024,
+		LossyFraction:  0.5,
+		XoffPerQueue:   64 << 10,
+	}
+}
+
+// Tomahawk100G approximates the next generation: same buffer-per-
+// bandwidth pressure the paper warns about — buffer grows slower than
+// speed, so the queue budget shrinks.
+func Tomahawk100G() ChipSpec {
+	return ChipSpec{
+		TotalBuffer:    32 << 20,
+		Ports:          32,
+		LinkBitsPerSec: 100_000_000_000,
+		CableDelay:     4 * time.Microsecond, // longer reach, deeper pipelines
+		MTU:            4096,
+		LossyFraction:  0.5,
+		XoffPerQueue:   128 << 10,
+	}
+}
+
 // QueueBudgetRow is one chip generation's analysis.
 type QueueBudgetRow struct {
 	Name          string
@@ -489,10 +584,10 @@ type QueueBudgetRow struct {
 func QueueBudget() []QueueBudgetRow {
 	specs := []struct {
 		name string
-		s    pfc.ChipSpec
+		s    ChipSpec
 	}{
-		{"Tomahawk-40G", pfc.Tomahawk40G()},
-		{"Tomahawk-100G", pfc.Tomahawk100G()},
+		{"Tomahawk-40G", Tomahawk40G()},
+		{"Tomahawk-100G", Tomahawk100G()},
 	}
 	out := make([]QueueBudgetRow, 0, len(specs))
 	for _, sp := range specs {

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"time"
-
-	"repro/internal/pfc"
-)
+import "time"
 
 // Config holds the fabric-wide physical and PFC parameters. The defaults
 // mirror the paper's testbed: 40 GbE links, shallow shared buffers, and
@@ -20,7 +16,7 @@ type Config struct {
 	// under sustained transfer).
 	MTU int
 	// PFC thresholds per lossless ingress queue.
-	PFC pfc.Config
+	PFC PFCConfig
 	// LossyCap bounds each lossy egress queue in bytes; beyond it lossy
 	// packets drop (that is the point of the lossy class).
 	LossyCap int64
@@ -56,6 +52,37 @@ type Config struct {
 	StrictPriority bool
 }
 
+// PFCConfig holds the IEEE 802.1Qbb thresholds of one lossless ingress
+// queue, in bytes of ingress occupancy. A priority's ingress counter
+// crossing XoffThreshold emits PAUSE upstream; falling to XonThreshold
+// emits RESUME. Headroom is the buffer reserved above Xoff to absorb
+// in-flight data while the PAUSE takes effect — sized by
+// ComputeHeadroom, it is what guarantees zero loss.
+type PFCConfig struct {
+	XoffThreshold int64
+	XonThreshold  int64
+	Headroom      int64
+}
+
+// ComputeHeadroom returns the ingress headroom (bytes) a lossless
+// priority needs on a link of the given rate and one-way propagation
+// delay, following the standard worst-case accounting (§2 of the paper:
+// "sufficient headroom to buffer packets that are in flight during the
+// time it takes for the PAUSE to take effect"):
+//
+//   - a maximum-size frame may have just started transmission upstream
+//     when the threshold was crossed (one MTU),
+//   - the PAUSE frame itself waits behind a frame in the worst case and
+//     crosses the wire (one MTU + propagation),
+//   - data already in flight keeps arriving for one round trip
+//     (2 x delay x rate),
+//   - the pause quantum granularity adds one more frame.
+func ComputeHeadroom(linkBitsPerSec int64, oneWayDelay time.Duration, mtuBytes int64) int64 {
+	bytesPerSec := linkBitsPerSec / 8
+	inFlight := int64(float64(bytesPerSec) * (2 * oneWayDelay.Seconds()))
+	return inFlight + 3*mtuBytes
+}
+
 // DefaultConfig returns the testbed-like parameters used by the
 // experiment drivers.
 func DefaultConfig() Config {
@@ -63,12 +90,12 @@ func DefaultConfig() Config {
 		LinkBitsPerSec: 40_000_000_000,
 		PropDelay:      1 * time.Microsecond,
 		MTU:            1024,
-		PFC: pfc.Config{
+		PFC: PFCConfig{
 			XoffThreshold: 64 << 10, // 64 KiB
 			XonThreshold:  0,        // resume-on-empty: emulates the collapsed
 			// dynamic-threshold regime of shared-buffer ASICs under load,
 			// where deadlocks actually form (see DESIGN.md)
-			Headroom: pfc.ComputeHeadroom(40_000_000_000, time.Microsecond, 1024),
+			Headroom: ComputeHeadroom(40_000_000_000, time.Microsecond, 1024),
 		},
 		LossyCap:       256 << 10,
 		MaxPriority:    3,

@@ -53,8 +53,9 @@ type DetectorStats struct {
 	// FirstDetectAt is the sim time of the first detection (-1 if none).
 	FirstDetectAt time.Duration
 	// TTDSamples/SumTTD/MaxTTD aggregate time-to-detect: detection time
-	// minus the onset time of the open deadlock episode (requires
-	// TrackDeadlocks; only the first detection per episode samples).
+	// minus the onset time of the open deadlock episode (requires the
+	// episode tracker, see TrackDeadlocks; only the first detection per
+	// episode samples).
 	TTDSamples int
 	SumTTD     time.Duration
 	MaxTTD     time.Duration
@@ -306,9 +307,12 @@ func (d *detector) reset(rt *nodeRT) {
 // DeadlockTrack measures deadlock episodes exactly: onset when a
 // wait-for cycle first appears (checked at every PFC pause effect) and
 // recovery when it disappears (checked at resume effects and directly
-// after every cycle-breaking intervention). It powers the matrix's
-// time-to-recover and "unrecovered" verdicts; arms Onsets even with no
-// detector or recovery monitor installed.
+// after every cycle-breaking intervention). It is the simulator's one
+// onset: the trace's "deadlock" event, sim_deadlock_onsets_total and
+// sim_time_to_deadlock_seconds are all emitted where it opens an
+// episode. It powers the matrix's time-to-detect, time-to-recover and
+// "unrecovered" verdicts, and runs whenever a tracer, flight recorder,
+// telemetry or TrackDeadlocks arms it; a bare engine scans nothing.
 type DeadlockTrack struct {
 	// Onsets counts distinct deadlock episodes.
 	Onsets int
@@ -337,26 +341,48 @@ func (d *DeadlockTrack) MeanTTR() time.Duration {
 	return d.SumTTR / time.Duration(d.Recoveries)
 }
 
-// TrackDeadlocks arms exact deadlock episode tracking. Must be called
-// before Run. Returns the track, updated in place.
+// TrackDeadlocks arms exact deadlock episode tracking and returns the
+// network's one track, updated in place. Must be called before Run;
+// calling it again (or after SetTracer, EnableFlightRecorder or
+// SetTelemetry, which arm it too) returns the same track.
 func (n *Network) TrackDeadlocks() *DeadlockTrack {
-	n.dlTrack = &DeadlockTrack{FirstOnsetAt: -1}
+	if n.dlTrack == nil {
+		n.dlTrack = &DeadlockTrack{FirstOnsetAt: -1}
+	}
 	return n.dlTrack
 }
 
 // dlOnsetCheck opens an episode if a wait-for cycle now exists. Called
-// at pause effects — the only transitions that can create a cycle.
-func (n *Network) dlOnsetCheck() {
+// at pause effects — the only transitions that can create a cycle —
+// with (rt, port) the port the PAUSE just stopped; its peer sent the
+// PAUSE that closed the cycle. The onset telemetry and the trace's
+// "deadlock" event (which the flight recorder's onset trigger rides)
+// are emitted here and nowhere else.
+func (n *Network) dlOnsetCheck(rt *nodeRT, port int) {
 	d := n.dlTrack
-	if d == nil || d.open || n.detectCycleQueues() == nil {
+	if d == nil || d.open {
+		return
+	}
+	cyc := n.detectCycleQueues()
+	if cyc == nil {
 		return
 	}
 	d.open = true
 	d.detected = false
 	d.onsetAt = n.now
 	d.Onsets++
-	if d.FirstOnsetAt < 0 {
+	first := d.FirstOnsetAt < 0
+	if first {
 		d.FirstOnsetAt = time.Duration(n.now)
+	}
+	if n.tel != nil {
+		n.tel.Counter("sim_deadlock_onsets_total").Inc()
+		if first {
+			n.tel.Gauge("sim_time_to_deadlock_seconds").Set(d.FirstOnsetAt.Seconds())
+		}
+	}
+	if n.tracer != nil {
+		n.trace(TraceEvent{Kind: "deadlock", Node: n.nodeName(rt.ports[port].peer), Cycle: n.cycleStrings(cyc)})
 	}
 }
 
@@ -449,7 +475,7 @@ func (n *Network) detPauseTag(rt *nodeRT, port, prio int, on bool) int32 {
 // from that same instant), and the clear check follows the resume.
 func (n *Network) detPFCEffect(rt *nodeRT, port, prio int, on bool, arg int32) {
 	if on {
-		n.dlOnsetCheck()
+		n.dlOnsetCheck(rt, port)
 		// A tag travels only between detector-armed switches.
 		if arg != 0 {
 			if tg := n.takeDTag(arg); n.det.pauseReceived(rt, port, prio, tg) {

@@ -11,8 +11,8 @@ import (
 
 // Flight-recorder trigger names, written into each incident's snapshot.
 const (
-	// TriggerDeadlockOnset: the lazy global watchdog (pause-emission
-	// piggyback) saw a wait-for cycle appear.
+	// TriggerDeadlockOnset: the deadlock-episode tracker saw a wait-for
+	// cycle appear, at the pause effect that closed it.
 	TriggerDeadlockOnset = "deadlock-onset"
 	// TriggerDetectorFire: the in-switch detector fired and the global
 	// view confirms a live cycle.
@@ -80,9 +80,9 @@ type FlightRecorder struct {
 }
 
 // EnableFlightRecorder arms incident capture, wrapping any tracer
-// already installed (install tracers first). Arming it also arms
-// deadlock-onset detection on pause emission, exactly as attaching any
-// tracer does.
+// already installed (install tracers first). Like any tracer it arms
+// the deadlock-episode tracker, whose onsets are its deadlock-onset
+// trigger (see TrackDeadlocks).
 func (n *Network) EnableFlightRecorder(cfg FlightRecConfig) *FlightRecorder {
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = time.Millisecond
@@ -97,7 +97,7 @@ func (n *Network) EnableFlightRecorder(cfg FlightRecConfig) *FlightRecorder {
 		inner:  n.tracer,
 		lastAt: -1 << 62,
 	}
-	n.tracer = fr
+	n.SetTracer(fr)
 	n.flightrec = fr
 	return fr
 }

@@ -264,16 +264,12 @@ type Network struct {
 	PauseFrames  int64
 	ResumeFrames int64
 
-	// debugPFC, when set, observes every PAUSE/RESUME emission (tests).
-	debugPFC func(from topology.NodeID, port, prio int, on bool)
-
 	// dcqcn, when non-nil, enables congestion control (see dcqcn.go).
 	dcqcn *dcqcnState
 
 	// tracer, when non-nil, observes pauses, drops, demotions and
 	// deadlock onsets (see trace.go).
-	tracer     Tracer
-	inDeadlock bool
+	tracer Tracer
 
 	// flightrec, when non-nil, is the armed incident flight recorder
 	// (EnableFlightRecorder, see flightrec.go); it also rides the tracer
@@ -292,8 +288,9 @@ type Network struct {
 	dtags    []detTag
 	dtagFree []int32
 
-	// dlTrack, when non-nil, measures exact deadlock episodes
-	// (TrackDeadlocks): onset/clear at PFC effects and interventions.
+	// dlTrack, when non-nil, measures exact deadlock episodes: onset/clear
+	// at PFC effects and interventions. Arming a tracer, telemetry or
+	// TrackDeadlocks creates it (see detector.go).
 	dlTrack *DeadlockTrack
 }
 
@@ -353,9 +350,14 @@ func (n *Network) SetLegacyEgress(v bool) { n.legacyEgress = v }
 //	sim_deadlock_onsets_total                         counter
 //	sim_time_to_deadlock_seconds                      gauge, first onset this run
 //
-// Enabling telemetry also arms deadlock-onset detection on pause
-// emission (normally armed only when a tracer is attached).
-func (n *Network) SetTelemetry(reg *telemetry.Registry) { n.tel = reg }
+// The onset metrics come from the deadlock-episode tracker, which
+// enabling telemetry arms (see TrackDeadlocks).
+func (n *Network) SetTelemetry(reg *telemetry.Registry) {
+	n.tel = reg
+	if reg != nil {
+		n.TrackDeadlocks()
+	}
+}
 
 // Graph returns the topology.
 func (n *Network) Graph() *topology.Graph { return n.g }
@@ -665,9 +667,6 @@ func (n *Network) releaseIngress(rt *nodeRT, pk *packet) {
 // are not serialized behind data (switches emit them with highest
 // precedence from a dedicated reserve).
 func (n *Network) sendPFC(rt *nodeRT, port, prio int, on bool) {
-	if n.debugPFC != nil {
-		n.debugPFC(rt.id, port, prio, on)
-	}
 	if on {
 		n.PauseFrames++
 	} else {
@@ -684,25 +683,6 @@ func (n *Network) sendPFC(rt *nodeRT, port, prio int, on bool) {
 		n.trace(TraceEvent{Kind: kind, Node: n.nodeName(rt.id),
 			Peer: n.nodeName(rt.ports[port].peer), Prio: prio,
 			Depth: rt.ports[port].inBytes[prio]})
-	}
-	// Deadlock onset detection, piggybacked on pause emission to stay off
-	// the fast path when neither tracing nor telemetry is attached.
-	if on && (n.tracer != nil || n.tel != nil) {
-		if cyc := n.detectCycleQueues(); cyc != nil {
-			if !n.inDeadlock {
-				n.inDeadlock = true
-				n.trace(TraceEvent{Kind: "deadlock", Node: n.nodeName(rt.id), Cycle: n.cycleStrings(cyc)})
-				if n.tel != nil {
-					n.tel.Counter("sim_deadlock_onsets_total").Inc()
-					g := n.tel.Gauge("sim_time_to_deadlock_seconds")
-					if g.Value() == 0 {
-						g.Set(time.Duration(n.now).Seconds())
-					}
-				}
-			}
-		} else {
-			n.inDeadlock = false
-		}
 	}
 	prt := &rt.ports[port]
 	arg := n.detPauseTag(rt, port, prio, on)

@@ -85,3 +85,19 @@ func TestBufferAccountingBalances(t *testing.T) {
 		}
 	}
 }
+
+func TestComputeHeadroom(t *testing.T) {
+	// 40 Gbps, 1.5 us one-way, 1KB MTU: in-flight = 5e9 B/s * 3e-6 s = 15000 B.
+	got := ComputeHeadroom(40_000_000_000, 1500*time.Nanosecond, 1024)
+	want := int64(15000 + 3*1024)
+	if got != want {
+		t.Errorf("headroom = %d, want %d", got, want)
+	}
+	// Headroom grows with delay and rate.
+	if ComputeHeadroom(40_000_000_000, 3*time.Microsecond, 1024) <= got {
+		t.Error("headroom should grow with delay")
+	}
+	if ComputeHeadroom(100_000_000_000, 1500*time.Nanosecond, 1024) <= got {
+		t.Error("headroom should grow with rate")
+	}
+}

@@ -139,9 +139,15 @@ func (t *CountingTracer) Trace(ev TraceEvent) {
 
 // SetTracer installs an event tracer (nil disables). The tracer sees
 // PFC pause/resume emissions, every packet drop with its cause, lossless
-// to lossy demotions, and deadlock onsets (the first detection after any
-// deadlock-free period, checked lazily at pause emissions to stay cheap).
-func (n *Network) SetTracer(tr Tracer) { n.tracer = tr }
+// to lossy demotions, and deadlock onsets: one event per episode, at the
+// pause effect that closes the wait-for cycle, from the episode tracker
+// a non-nil tracer arms (see TrackDeadlocks).
+func (n *Network) SetTracer(tr Tracer) {
+	n.tracer = tr
+	if tr != nil {
+		n.TrackDeadlocks()
+	}
+}
 
 func (n *Network) trace(ev TraceEvent) {
 	if n.tracer == nil {

@@ -24,8 +24,10 @@ import (
 	"repro/internal/trace"
 )
 
-// DefaultBatch is the number of events pumped per driver iteration.
-const DefaultBatch = 4096
+// DefaultBatch is the number of events pumped per driver iteration. Run
+// allocates one buffer of this size per call (32 KiB of trace.Event),
+// so a short capture pays little for it.
+const DefaultBatch = 256
 
 // Source yields successive bounded batches of events.
 type Source interface {

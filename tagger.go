@@ -45,7 +45,6 @@ import (
 	"repro/internal/deploy"
 	"repro/internal/elp"
 	"repro/internal/paper"
-	"repro/internal/pfc"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/tcam"
@@ -327,10 +326,3 @@ type Dataplane = dataplane.Fabric
 
 // CompileDataplane compiles every switch's TCAM from a ruleset.
 func CompileDataplane(g *Graph, rs *Ruleset) *Dataplane { return dataplane.Compile(g, rs) }
-
-// ChipSpec describes an ASIC for the §3.3 lossless-queue budget analysis.
-type ChipSpec = pfc.ChipSpec
-
-// Tomahawk40G and Tomahawk100G approximate two switch generations.
-func Tomahawk40G() ChipSpec  { return pfc.Tomahawk40G() }
-func Tomahawk100G() ChipSpec { return pfc.Tomahawk100G() }

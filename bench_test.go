@@ -564,7 +564,7 @@ func BenchmarkSimulatorPacketRate(b *testing.B) {
 	c := paper.Testbed()
 	for i := 0; i < b.N; i++ {
 		tb := routing.ComputeToHosts(c.Graph, routing.UpDown)
-		n := NewSimulation(c.Graph, tb, DefaultSimConfig())
+		n := sim.New(c.Graph, tb, sim.DefaultConfig())
 		n.AddFlow(FlowSpec{Name: "x", Src: c.Hosts[0], Dst: c.Hosts[8]})
 		n.Run(5_000_000) // 5 ms of simulated 40G traffic
 	}

@@ -2,10 +2,45 @@ package tagger
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/telemetry"
 )
+
+// soakKey names one seeded soak: its seed and whether Tagger runs.
+type soakKey struct {
+	seed       int64
+	withTagger bool
+}
+
+// soakRun is one shared soak, run by whichever test asks first.
+type soakRun struct {
+	once sync.Once
+	res  ChaosSoakResult
+	err  error
+}
+
+// sharedSoaks holds the soaks the chaos tests read, so each (seed, arm)
+// is simulated once per test binary: the tests run in parallel, and
+// seed 2 with Tagger alone serves four of them. A soak is a pure
+// function of its seed and arm (TestChaosSoakDeterministic compares a
+// shared run with a fresh one), so a shared verdict is the one a
+// private run would give.
+var sharedSoaks sync.Map // soakKey -> *soakRun
+
+// sharedSoak returns ChaosSoak(seed, withTagger), simulating it only on
+// the first call.
+func sharedSoak(t *testing.T, seed int64, withTagger bool) ChaosSoakResult {
+	t.Helper()
+	v, _ := sharedSoaks.LoadOrStore(soakKey{seed, withTagger}, new(soakRun))
+	r := v.(*soakRun)
+	r.once.Do(func() { r.res, r.err = ChaosSoak(seed, withTagger) })
+	if r.err != nil {
+		t.Fatalf("seed %d withTagger=%v: %v", seed, withTagger, r.err)
+	}
+	return r.res
+}
 
 // TestChaosSoak is the headline robustness claim: across seeded fault
 // schedules (link flaps, switch reboots, faulty switch agents), a
@@ -13,13 +48,11 @@ import (
 // fabric deadlock-free with zero lossless drops, while the identical
 // schedules without Tagger deadlock.
 func TestChaosSoak(t *testing.T) {
+	t.Parallel()
 	seeds := []int64{1, 2, 3}
 	baselineDeadlocks := 0
 	for _, seed := range seeds {
-		with, err := ChaosSoak(seed, true)
-		if err != nil {
-			t.Fatalf("seed %d with Tagger: %v", seed, err)
-		}
+		with := sharedSoak(t, seed, true)
 		if !with.FabricVerified {
 			t.Errorf("seed %d: fabric ran an unverified bundle", seed)
 		}
@@ -34,11 +67,7 @@ func TestChaosSoak(t *testing.T) {
 			t.Errorf("seed %d: watchdog never sampled", seed)
 		}
 
-		without, err := ChaosSoak(seed, false)
-		if err != nil {
-			t.Fatalf("seed %d without Tagger: %v", seed, err)
-		}
-		if without.Deadlocked {
+		if without := sharedSoak(t, seed, false); without.Deadlocked {
 			baselineDeadlocks++
 		}
 	}
@@ -48,13 +77,12 @@ func TestChaosSoak(t *testing.T) {
 }
 
 // TestChaosSoakDeterministic: same seed, same verdict — bit-identical
-// result structures across runs, both with and without Tagger.
+// result structures across runs, both with and without Tagger. The
+// first run is the shared one the other soak tests read.
 func TestChaosSoakDeterministic(t *testing.T) {
+	t.Parallel()
 	for _, withTagger := range []bool{false, true} {
-		a, err := ChaosSoak(2, withTagger)
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := sharedSoak(t, 2, withTagger)
 		b, err := ChaosSoak(2, withTagger)
 		if err != nil {
 			t.Fatal(err)
@@ -69,11 +97,9 @@ func TestChaosSoakDeterministic(t *testing.T) {
 // TestChaosSoakCountsRebootLossesSeparately: reboot-induced losses land
 // in their own counter and never in the lossless-drop invariant.
 func TestChaosSoakCountsRebootLossesSeparately(t *testing.T) {
+	t.Parallel()
 	// Seed 2's schedule includes reboots that catch queued traffic.
-	r, err := ChaosSoak(2, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := sharedSoak(t, 2, true)
 	if r.Drops.SwitchReboot == 0 {
 		t.Skip("schedule produced no reboot losses on this testbed")
 	}
@@ -90,6 +116,7 @@ func TestChaosSoakCountsRebootLossesSeparately(t *testing.T) {
 // the simulator's PFC histograms, the merged deployment counters, and a
 // "soak" span — the wiring the taggersim ops endpoint serves.
 func TestChaosSoakTelemetry(t *testing.T) {
+	t.Parallel()
 	reg := telemetry.NewRegistry()
 	r, err := ChaosSoakWith(1, true, RunOptions{Ops: reg})
 	if err != nil {

@@ -27,6 +27,7 @@ func dropSpanCounters(cs []telemetry.CounterSnap) []telemetry.CounterSnap {
 // workers changes wall-clock only — per-seed verdicts and the merged
 // telemetry aggregate are byte-identical to the serial sweep.
 func TestChaosSweepParDeterminism(t *testing.T) {
+	t.Parallel()
 	seeds := sweep.Seeds(1, 4)
 	for _, withTagger := range []bool{false, true} {
 		serialReg := telemetry.NewRegistry()
@@ -77,17 +78,14 @@ func TestChaosSweepParDeterminism(t *testing.T) {
 // TestChaosSweepMatchesSoak: the sweep is a pure fan-out of ChaosSoak —
 // element i equals an independent ChaosSoak of the same seed.
 func TestChaosSweepMatchesSoak(t *testing.T) {
+	t.Parallel()
 	seeds := sweep.Seeds(1, 2)
 	res, err := ChaosSweep(seeds, true, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, seed := range seeds {
-		solo, err := ChaosSoak(seed, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(res[i], solo) {
+		if solo := sharedSoak(t, seed, true); !reflect.DeepEqual(res[i], solo) {
 			t.Errorf("sweep seed %d diverges from a standalone soak", seed)
 		}
 	}

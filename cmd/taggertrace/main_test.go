@@ -159,6 +159,43 @@ func TestGoldenPostmortem(t *testing.T) {
 	}
 }
 
+// TestPostmortemHopBytesMatchRows: in the checked-in incident capture
+// (which TestGoldenPostmortemFresh holds to a fresh one), every wait-for
+// queue's flow and rule rows add up to the bytes its header says are
+// queued, so no hop attributes more than it holds.
+func TestPostmortemHopBytesMatchRows(t *testing.T) {
+	data, err := os.ReadFile(goldenTGL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := trace.NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, err := r.Next(); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := r.Snapshot()
+	if snap == nil || len(snap.WaitQueues) == 0 {
+		t.Fatalf("%s holds no wait-for queues", goldenTGL)
+	}
+	for _, q := range snap.WaitQueues {
+		var rows int64
+		for _, rm := range snap.RuleMatches {
+			if rm.Node == q.Node && rm.Peer == q.Peer && rm.Prio == q.Prio {
+				rows += rm.Bytes
+			}
+		}
+		if rows != q.Bytes {
+			t.Errorf("%s -> %s prio %d: rows attribute %d bytes, the queue holds %d", q.Node, q.Peer, q.Prio, rows, q.Bytes)
+		}
+	}
+}
+
 // TestGoldenPostmortemFresh re-captures the same seeded incident live
 // and checks it is byte-identical to the checked-in capture: the
 // recorder's output is a pure function of (seed, arm), never of wall

@@ -21,6 +21,7 @@ import (
 // `taggersim -exp detect` returns — so the two gates cannot drift; what
 // is asserted here on top are the smoke's stricter extras.
 func TestDetectMatrixSmoke(t *testing.T) {
+	t.Parallel()
 	seeds := sweep.Seeds(1, 6)
 	matrix, err := DetectMatrix(seeds, RunOptions{})
 	if err != nil {
@@ -93,6 +94,7 @@ func TestDetectMatrixSmoke(t *testing.T) {
 // runs across workers changes wall-clock only — per-cell results and
 // the merged telemetry are identical to the serial sweep.
 func TestDetectMatrixParDeterminism(t *testing.T) {
+	t.Parallel()
 	seeds := sweep.Seeds(1, 3)
 	serialReg := telemetry.NewRegistry()
 	serial, err := DetectMatrix(seeds, RunOptions{Par: 1, Ops: serialReg})

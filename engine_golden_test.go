@@ -143,17 +143,15 @@ func runGoldenScenario(t *testing.T, name string, build func() *workload.Scenari
 	}
 }
 
-func runGoldenChaos(seed int64, withTagger bool) (chaosGolden, error) {
-	r, err := ChaosSoak(seed, withTagger)
-	if err != nil {
-		return chaosGolden{}, err
-	}
+// runGoldenChaos reads the soak the chaos tests share (sharedSoak).
+func runGoldenChaos(t *testing.T, seed int64, withTagger bool) chaosGolden {
+	r := sharedSoak(t, seed, withTagger)
 	return chaosGolden{
 		Samples:         r.Watchdog.Samples,
 		DeadlockSamples: r.Watchdog.DeadlockSamples,
 		FirstDeadlockNs: int64(r.Watchdog.FirstDeadlockAt),
 		Drops:           r.Drops,
-	}, nil
+	}
 }
 
 func computeEngineGolden(t *testing.T) engineGolden {
@@ -173,11 +171,7 @@ func computeEngineGolden(t *testing.T) engineGolden {
 		{"seed1-base", 1, false},
 		{"seed1-tagger", 1, true},
 	} {
-		cg, err := runGoldenChaos(c.seed, c.withTagger)
-		if err != nil {
-			t.Fatalf("chaos golden %s: %v", c.name, err)
-		}
-		g.Chaos[c.name] = cg
+		g.Chaos[c.name] = runGoldenChaos(t, c.seed, c.withTagger)
 	}
 	return g
 }
@@ -185,6 +179,7 @@ func computeEngineGolden(t *testing.T) engineGolden {
 // TestEngineGolden replays every pinned scenario on the current engine
 // and compares against the pre-rewrite capture.
 func TestEngineGolden(t *testing.T) {
+	t.Parallel()
 	got := computeEngineGolden(t)
 	if *updateEngineGolden {
 		data, err := json.MarshalIndent(got, "", "  ")

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/deploy"
 	"repro/internal/sim"
 )
 
@@ -68,7 +69,7 @@ func TestBundleFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := ExportBundle(sys.Rules)
-	rs, err := ImportBundle(clos.Graph, b)
+	rs, err := deploy.Import(clos.Graph, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,19 +94,6 @@ func TestControllerFacade(t *testing.T) {
 	}
 	if len(ctl.Diffs()) != 0 {
 		t.Error("failure caused rule churn")
-	}
-}
-
-func TestDataplaneFacade(t *testing.T) {
-	clos := PaperTestbed()
-	set := KBounceELP(clos, 1)
-	sys, err := SynthesizeClos(clos, set, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dp := CompileDataplane(clos.Graph, sys.Rules)
-	if dp.TotalEntries() == 0 {
-		t.Fatal("empty dataplane")
 	}
 }
 

@@ -3,6 +3,11 @@ package tagger
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/elp"
+	"repro/internal/routing"
+	"repro/internal/sim"
 )
 
 func TestFigure11Experiment(t *testing.T) {
@@ -61,8 +66,8 @@ func TestTable5ResultString(t *testing.T) {
 
 func TestSynthesizeBruteForceFacade(t *testing.T) {
 	clos := PaperTestbed()
-	set := UpDownELP(clos)
-	sys, err := SynthesizeBruteForce(clos.Graph, set)
+	set := elp.UpDownAll(clos.Graph, clos.ToRs)
+	sys, err := core.Synthesize(clos.Graph, set.Paths(), core.Options{SkipMerge: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +106,7 @@ func TestJellyfishFacadeWithRandomELP(t *testing.T) {
 	}
 	set := ShortestELP(j.Graph, j.Switches)
 	before := set.Len()
-	AddRandomELP(set, j.Graph, j.Switches, 30, 6, 5)
+	elp.AddRandomPaths(set, j.Graph, j.Switches, 30, 6, 5)
 	if set.Len() != before+30 {
 		t.Errorf("random ELP: %d -> %d", before, set.Len())
 	}
@@ -131,8 +136,7 @@ func TestDCQCNFacadeDefaults(t *testing.T) {
 		t.Errorf("defaults: %+v", cfg)
 	}
 	clos := PaperTestbed()
-	tb := ComputeRoutes(clos.Graph, UpDown)
-	n := NewSimulation(clos.Graph, tb, DefaultSimConfig())
+	n := sim.New(clos.Graph, routing.ComputeToHosts(clos.Graph, routing.UpDown), sim.DefaultConfig())
 	n.EnableDCQCN(cfg)
 	f := n.AddFlow(FlowSpec{Name: "x", Src: clos.Hosts[0], Dst: clos.Hosts[8]})
 	n.Run(2_000_000)
@@ -143,8 +147,7 @@ func TestDCQCNFacadeDefaults(t *testing.T) {
 
 func TestRecoveryFacade(t *testing.T) {
 	clos := PaperTestbed()
-	tb := ComputeRoutes(clos.Graph, UpDown)
-	n := NewSimulation(clos.Graph, tb, DefaultSimConfig())
+	n := sim.New(clos.Graph, routing.ComputeToHosts(clos.Graph, routing.UpDown), sim.DefaultConfig())
 	var stats *RecoveryStats = n.EnableRecovery(1_000_000)
 	n.AddFlow(FlowSpec{Name: "x", Src: clos.Hosts[0], Dst: clos.Hosts[8]})
 	n.Run(3_000_000)

@@ -3,6 +3,10 @@ package tagger
 import (
 	"testing"
 
+	"repro/internal/dataplane"
+	"repro/internal/deploy"
+	"repro/internal/routing"
+	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
@@ -29,17 +33,17 @@ func TestFullDeploymentChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bundle, err := UnmarshalBundle(data)
+	bundle, err := deploy.Unmarshal(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := ImportBundle(clos.Graph, bundle)
+	restored, err := deploy.Import(clos.Graph, bundle)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// 3. Compile the frame-level dataplane from the RESTORED rules.
-	dp := CompileDataplane(clos.Graph, restored)
+	dp := dataplane.Compile(clos.Graph, restored)
 	if dp.TotalEntries() == 0 {
 		t.Fatal("empty dataplane")
 	}
@@ -66,8 +70,7 @@ func TestFullDeploymentChain(t *testing.T) {
 
 	// 5. The restored rules drive a simulation identically: the Figure 10
 	// scenario stays deadlock-free.
-	tb := ComputeRoutes(clos.Graph, UpDown)
-	n := NewSimulation(clos.Graph, tb, DefaultSimConfig())
+	n := sim.New(clos.Graph, routing.ComputeToHosts(clos.Graph, routing.UpDown), sim.DefaultConfig())
 	n.InstallTagger(restored)
 	g := clos.Graph
 	n.AddFlow(FlowSpec{

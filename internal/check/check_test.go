@@ -148,7 +148,7 @@ func TestDiffDecisionsCatchesSingleDivergence(t *testing.T) {
 	}
 
 	exact, _ := tcam.Compile(rs)
-	compiled := pipelines(tcam.NewCompiled(rs, 1).Tables(), false)
+	compiled := pipelines(tcam.NewCompiled(rs, 1).Tables(), rs.MaxTag(), false)
 	badSw := c.Leaves[0]
 	corrupted := func(sw topology.NodeID, tag, in, out int) tcam.QueueDecision {
 		d := compiled(sw, tag, in, out)
@@ -156,11 +156,10 @@ func TestDiffDecisionsCatchesSingleDivergence(t *testing.T) {
 			// A lost compression bit turns a hit into a safeguard miss.
 			d.NewTag = core.LossyTag
 			d.EgressQueue = 0
-			d.Kind = tcam.Lossy
 		}
 		return d
 	}
-	d := DiffDecisions(c.Graph, rs.MaxTag(), false, pipelines(exact, false), corrupted)
+	d := DiffDecisions(c.Graph, rs.MaxTag(), false, pipelines(exact, rs.MaxTag(), false), corrupted)
 	if len(d) != 1 {
 		t.Fatalf("corrupted decision reported %d times, want 1: %v", len(d), d)
 	}

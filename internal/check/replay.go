@@ -41,7 +41,7 @@ func ReplayPaths(rs *core.Ruleset, paths []routing.Path, opts ReplayOpts) error 
 			return fmt.Errorf("check: path %s goes lossy at hop %d", p.String(g), ref.DropHop)
 		}
 		for _, legacy := range []bool{false, true} {
-			fromRules, fromImage := pipelines(exact, legacy), pipelines(compressed, legacy)
+			fromRules, fromImage := pipelines(exact, rs.MaxTag(), legacy), pipelines(compressed, rs.MaxTag(), legacy)
 			tag := 1
 			for i := 1; i+1 < len(p); i++ {
 				sw := p[i]
@@ -72,13 +72,13 @@ func ReplayPaths(rs *core.Ruleset, paths []routing.Path, opts ReplayOpts) error 
 					wantEgress = tag
 				}
 				if rs.IsLossless(wantEgress) {
-					if a.EgressQueue != wantEgress || a.Kind != tcam.Lossless {
-						return fmt.Errorf("check: path %s hop %d (legacy=%v): egress queue %d kind %v, want lossless queue %d",
-							p.String(g), i, legacy, a.EgressQueue, a.Kind, wantEgress)
+					if a.EgressQueue != wantEgress {
+						return fmt.Errorf("check: path %s hop %d (legacy=%v): egress queue %d, want lossless queue %d",
+							p.String(g), i, legacy, a.EgressQueue, wantEgress)
 					}
-				} else if a.EgressQueue != 0 || a.Kind != tcam.Lossy {
-					return fmt.Errorf("check: path %s hop %d (legacy=%v): egress queue %d kind %v, want the lossy queue",
-						p.String(g), i, legacy, a.EgressQueue, a.Kind)
+				} else if a.EgressQueue != 0 {
+					return fmt.Errorf("check: path %s hop %d (legacy=%v): egress queue %d, want the lossy queue 0",
+						p.String(g), i, legacy, a.EgressQueue)
 				}
 				tag = a.NewTag
 			}

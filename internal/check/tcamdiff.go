@@ -59,28 +59,34 @@ func DiffDecisions(g *topology.Graph, maxTag int, legacy bool, want, got Decide)
 // from tcam — lossless tag t rides queue t, anything else queue 0, and
 // the legacy ablation keeps a still-lossless packet in its old queue.
 func classified(rs *core.Ruleset, legacy bool) Decide {
-	queue := func(tag int) (int, tcam.QueueKind) {
+	queue := func(tag int) int {
 		if rs.IsLossless(tag) {
-			return tag, tcam.Lossless
+			return tag
 		}
-		return 0, tcam.Lossy
+		return 0
 	}
 	return func(sw topology.NodeID, tag, in, out int) tcam.QueueDecision {
 		d := tcam.QueueDecision{NewTag: rs.Classify(sw, tag, in, out)}
-		d.IngressQueue, _ = queue(tag)
-		d.EgressQueue, d.Kind = queue(d.NewTag)
+		d.IngressQueue = queue(tag)
+		d.EgressQueue = queue(d.NewTag)
 		if legacy && d.NewTag != core.LossyTag {
-			d.EgressQueue, d.Kind = queue(tag)
+			d.EgressQueue = queue(tag)
 		}
 		return d
 	}
 }
 
-// pipelines runs each switch's tcam.Pipeline over its table.
-func pipelines(tables []*tcam.Table, legacy bool) Decide {
+// pipelines runs each switch's tcam.Pipeline over its table. The
+// decision's rule ID is dropped: it indexes the list the table was
+// compiled from (rules or compressed entries), which the reference and
+// the other table do not share.
+func pipelines(tables []*tcam.Table, maxTag int, legacy bool) Decide {
 	return func(sw topology.NodeID, tag, in, out int) tcam.QueueDecision {
-		pl := tcam.Pipeline{Table: tables[sw], LegacyEgressByOldTag: legacy}
-		return pl.Process(tag, in, out)
+		pl := tcam.NewPipeline(tables[sw], maxTag)
+		pl.LegacyEgressByOldTag = legacy
+		d := pl.Process(tag, in, out)
+		d.Rule = 0
+		return d
 	}
 }
 
@@ -97,9 +103,9 @@ func DiffDecisionsExhaustive(rs *core.Ruleset, par int) []DecisionDiff {
 	compressed := tcam.NewCompiled(rs, par).Tables()
 	var diffs []DecisionDiff
 	for _, legacy := range []bool{false, true} {
-		fromRules := pipelines(exact, legacy)
+		fromRules := pipelines(exact, rs.MaxTag(), legacy)
 		diffs = append(diffs, DiffDecisions(g, rs.MaxTag(), legacy, classified(rs, legacy), fromRules)...)
-		diffs = append(diffs, DiffDecisions(g, rs.MaxTag(), legacy, fromRules, pipelines(compressed, legacy))...)
+		diffs = append(diffs, DiffDecisions(g, rs.MaxTag(), legacy, fromRules, pipelines(compressed, rs.MaxTag(), legacy))...)
 	}
 	return diffs
 }

@@ -20,13 +20,10 @@ import (
 	"repro/internal/wire"
 )
 
-// Verdict is the pipeline's decision for one frame.
+// Verdict is the pipeline's decision for one frame: the §7 queues and
+// tag (queue 0 is lossy; NewTag is LossyTag when demoted), or a drop.
 type Verdict struct {
-	// IngressQueue and EgressQueue index priority queues; 0 is lossy.
-	IngressQueue int
-	EgressQueue  int
-	// NewTag is the rewritten DSCP (LossyTag when demoted).
-	NewTag int
+	tcam.QueueDecision
 	// Drop is set when the frame must be discarded (TTL exhausted).
 	Drop bool
 	// DropReason explains a drop.
@@ -34,10 +31,10 @@ type Verdict struct {
 }
 
 // Switch is one forwarding element's installed state: its compressed
-// TCAM entries, compiled into the table the ASIC executes.
+// TCAM entries, compiled into the table the ASIC's pipeline executes.
 type Switch struct {
 	entries int
-	table   *tcam.Table
+	pl      tcam.Pipeline
 }
 
 // NewSwitch compresses node's rules into TCAM entries and compiles them.
@@ -47,24 +44,24 @@ type Switch struct {
 // point.
 func NewSwitch(node topology.NodeID, rs *core.Ruleset) *Switch {
 	entries := tcam.Compress(rs.RulesAt(node))
-	return &Switch{entries: len(entries), table: tcam.CompileEntries(rs, node, entries)}
+	t := tcam.CompileEntries(rs, node, entries)
+	return &Switch{entries: len(entries), pl: tcam.NewPipeline(t, rs.MaxTag())}
 }
 
 // Entries returns the number of TCAM entries installed.
 func (s *Switch) Entries() int { return s.entries }
 
 // Process runs one encoded frame through the §7 pipeline: parse DSCP,
-// classify ingress, TCAM decision (first hit, then the §4 defaults and
-// the lossy safeguard), rewrite DSCP + decrement TTL in place, classify
-// egress by the NEW tag.
+// run the switch's tcam.Pipeline (ingress queue, TCAM decision with the
+// §4 defaults and the lossy safeguard, egress queue by the NEW tag),
+// then decrement TTL and rewrite DSCP in place.
 func (s *Switch) Process(frame []byte, in, out int) (Verdict, error) {
 	pkt, err := wire.DecodeRoCEv2(frame)
 	if err != nil {
 		return Verdict{}, fmt.Errorf("dataplane: %w", err)
 	}
-	var v Verdict
 	tag := pkt.Tag()
-	v.IngressQueue, _ = s.table.Queue(tag)
+	v := Verdict{QueueDecision: s.pl.Process(tag, in, out)}
 
 	ttl, err := wire.DecrementTTL(frame)
 	if err != nil {
@@ -75,14 +72,11 @@ func (s *Switch) Process(frame []byte, in, out int) (Verdict, error) {
 		v.DropReason = "ttl expired"
 		return v, nil
 	}
-
-	v.NewTag = int(s.table.Decide(tag, in, out).NewTag)
 	if v.NewTag != tag {
 		if _, err := wire.RewriteTag(frame, v.NewTag); err != nil {
 			return Verdict{}, err
 		}
 	}
-	v.EgressQueue, _ = s.table.Queue(v.NewTag)
 	return v, nil
 }
 

@@ -257,11 +257,13 @@ func (fr *FlightRecorder) buildSnapshot(trigger, node string) []trace.Entry {
 		}
 	}
 
-	// Flow and TCAM attribution: aggregate the queued lossless packets
-	// (and the frame mid-serialization) by (node, egress port, priority,
-	// flow, rule), in encounter order. Flows are attributed even with no
-	// rule table installed — an unprotected arm's deadlock still names
-	// its culprits, just via the default action.
+	// Flow and TCAM attribution: aggregate the queued lossless packets by
+	// (node, egress port, priority, flow, rule), in encounter order, so a
+	// queue's rows add up to its queued bytes. The frame mid-serialization
+	// is left out: a paused queue does not wait on a frame already on the
+	// wire. Flows are attributed even with no rule table installed — an
+	// unprotected arm's deadlock still names its culprits, just via the
+	// default action.
 	{
 		type rmKey struct {
 			node, port, prio int
@@ -287,11 +289,6 @@ func (fr *FlightRecorder) buildSnapshot(trigger, node string) []trace.Entry {
 				for prio := 1; prio < n.nQueues; prio++ {
 					for _, h := range prt.egress[prio].queued() {
 						add(ni, pi, prio, &n.pkts.slots[h])
-					}
-				}
-				if prt.txBusy {
-					if pk := &n.pkts.slots[prt.txPkt]; pk.inPrio > 0 {
-						add(ni, pi, n.prioOf(int(pk.tag)), pk)
 					}
 				}
 			}

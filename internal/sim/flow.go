@@ -173,7 +173,9 @@ func (n *Network) tryHostTx(nodeIdx, port int) {
 		if f.spec.Stop != 0 && n.now >= int64(f.spec.Stop) {
 			continue
 		}
-		prio := n.prioOf(f.spec.StartTag)
+		// The NIC queues by tag through the host's pipeline, which
+		// rewrites nothing.
+		prio := n.pl[nodeIdx].Process(f.spec.StartTag, port, port).EgressQueue
 		if prio != 0 && prt.paused.has(prio) {
 			continue // NIC honors PFC
 		}

@@ -234,13 +234,10 @@ type Network struct {
 	// nQueues is cfg.MaxPriority+1, the egress queues per port.
 	nQueues int
 
-	// cls is the installed Tagger pipeline's step 2, one compiled table
-	// per forwarding node (nil: Tagger disabled, single class); maxTag is
-	// its largest lossless tag and ruleByID resolves its cells' rule IDs.
-	cls          []*tcam.Table
-	maxTag       int
-	ruleByID     []core.Rule
-	legacyEgress bool // Figure 8a mode: egress queue by OLD tag
+	// pl is every node's §7 pipeline, indexed by NodeID (InstallTagger);
+	// ruleByID resolves the rule IDs of the installed ruleset's tables.
+	pl       []tcam.Pipeline
+	ruleByID []core.Rule
 
 	now        int64
 	seq        int64
@@ -319,26 +316,33 @@ func New(g *topology.Graph, tables *routing.Tables, cfg Config) *Network {
 			}
 		}
 	}
+	n.InstallTagger(nil)
 	return n
 }
 
 // InstallTagger enables the Tagger pipeline with the given rules; nil
-// disables it (all traffic rides its NIC-stamped priority unchanged —
-// the "without Tagger" baseline). The rules are compiled into per-switch
-// tables here, so the network runs a snapshot: a ruleset changed after
-// the call is seen only once it is installed again.
+// disables it (all traffic rides its NIC-stamped priority unchanged, up
+// to MaxPriority — the "without Tagger" baseline, and the default). The
+// rules are compiled into one tcam.Pipeline per node here, so the
+// network runs a snapshot: a ruleset changed after the call is seen only
+// once it is installed again. A ruleset whose tags need more lossless
+// queues than Config.MaxPriority panics.
 func (n *Network) InstallTagger(rs *core.Ruleset) {
-	n.cls, n.ruleByID, n.maxTag = nil, nil, 0
+	tables, lossless := make([]*tcam.Table, len(n.nodes)), n.cfg.MaxPriority
+	n.ruleByID = nil
 	if rs != nil {
-		n.cls, n.ruleByID = tcam.Compile(rs)
-		n.maxTag = rs.MaxTag()
+		if rs.MaxTag() > n.cfg.MaxPriority {
+			panic(fmt.Sprintf("sim: ruleset MaxTag = %d exceeds Config.MaxPriority = %d: its tags above %d would have no lossless queue",
+				rs.MaxTag(), n.cfg.MaxPriority, n.cfg.MaxPriority))
+		}
+		tables, n.ruleByID = tcam.Compile(rs)
+		lossless = rs.MaxTag()
+	}
+	n.pl = make([]tcam.Pipeline, len(n.nodes))
+	for id := range n.pl {
+		n.pl[id] = tcam.NewPipeline(tables[id], lossless)
 	}
 }
-
-// SetLegacyEgress selects the broken §7 behavior where the egress queue
-// is chosen by the packet's OLD tag (Figure 8a). Only meaningful
-// with a ruleset installed.
-func (n *Network) SetLegacyEgress(v bool) { n.legacyEgress = v }
 
 // SetTelemetry points the simulator's operational metrics at the given
 // registry (nil disables them, the default). The simulator records:
@@ -459,25 +463,17 @@ func (n *Network) arrive(nodeIdx, port int, h int32) {
 		}
 	}
 
-	// Tagger pipeline: ingress priority by current tag, rewrite, egress
-	// priority by the new tag (or the old one in legacy mode).
-	inPrio := n.prioOf(int(pk.tag))
-	newTag := int(pk.tag)
-	if n.cls != nil {
-		c := n.cls[id].Decide(newTag, port, out)
-		newTag = int(c.NewTag)
-		if n.flightrec != nil {
-			pk.rule = c.Rule + 1
-		}
+	// Tagger pipeline (§7): ingress priority by the current tag, rewrite,
+	// egress priority by the new tag.
+	d := n.pl[id].Process(int(pk.tag), port, out)
+	inPrio, egPrio := d.IngressQueue, d.EgressQueue
+	if n.flightrec != nil {
+		pk.rule = d.Rule + 1
 	}
-	egPrio := n.prioOf(newTag)
 	if inPrio != 0 && egPrio == 0 {
 		n.trace(TraceEvent{Kind: "demote", Node: n.nodeName(id), Flow: pk.flow.spec.Name})
 	}
-	if n.legacyEgress && inPrio != 0 {
-		egPrio = inPrio
-	}
-	pk.tag = int16(newTag)
+	pk.tag = int16(d.NewTag)
 
 	prt := &rt.ports[port]
 	eg := &rt.ports[out]
@@ -550,18 +546,6 @@ func (n *Network) deliver(at topology.NodeID, pk *packet) {
 	if pk.ecn {
 		n.handleECNDelivery(f)
 	}
-}
-
-// prioOf maps a tag to a queue priority: lossless tags map to themselves
-// (bounded by MaxPriority); everything else is the lossy queue 0.
-func (n *Network) prioOf(tag int) int {
-	if tag >= 1 && tag <= n.cfg.MaxPriority {
-		if n.cls != nil && tag > n.maxTag {
-			return 0
-		}
-		return tag
-	}
-	return 0
 }
 
 // --- Transmission -----------------------------------------------------------
@@ -747,7 +731,8 @@ func ecmpPick(flowHash, salt uint64, m int) int {
 // state imposed BY downstream peers is kept: that claim lives at the
 // peer, which will RESUME on its own once it drains. A frame already
 // being serialized stays on the wire; its ingress accounting is
-// neutralized so its eventual release is a no-op. Returns the number of
+// neutralized so its eventual release is a no-op. A deadlock episode
+// the emptied queues break closes at the reboot. Returns the number of
 // packets lost. The reboot itself is instantaneous: rule state is
 // handled above the simulator (the controller re-pushes the static
 // bundle, see internal/controller.Redeploy).
@@ -794,6 +779,7 @@ func (n *Network) RebootSwitch(id topology.NodeID) int64 {
 			rt.bufferUsed += int64(pk.size)
 		}
 	}
+	n.dlClearCheck() // the emptied queues may have broken a cycle
 	return lost
 }
 

@@ -245,7 +245,9 @@ func fig8Setup(t *testing.T, legacy bool) *Network {
 		tb.OverrideNextNode(hop[0], h1, hop[1])
 	}
 	n.InstallTagger(core.ClosRules(g, 1, 1))
-	n.SetLegacyEgress(legacy)
+	for id := range n.pl {
+		n.pl[id].LegacyEgressByOldTag = legacy
+	}
 	n.AddFlow(FlowSpec{Name: "green", Src: nn("H9"), Dst: h1})
 	n.AddFlow(FlowSpec{Name: "comp", Src: nn("H5"), Dst: h1, Start: time.Millisecond})
 	return n

@@ -7,34 +7,10 @@ import (
 	"repro/internal/trace"
 )
 
-// TraceEvent is one line of the simulator's structured event log.
-type TraceEvent struct {
-	// T is the simulation time in nanoseconds.
-	T int64 `json:"t"`
-	// Kind is "pause", "resume", "drop", "deadlock", "demote", "detect"
-	// (the in-switch detector saw its own tag return) or "mitigate" (its
-	// mitigation hook swept the initiating packets).
-	Kind string `json:"kind"`
-	// Node names the switch where the event happened.
-	Node string `json:"node"`
-	// Peer names the other end for pause/resume.
-	Peer string `json:"peer,omitempty"`
-	// Prio is the PFC priority involved.
-	Prio int `json:"prio,omitempty"`
-	// Depth is the lossless ingress occupancy (bytes) at a PFC
-	// transition — the queue depth that crossed XOFF (pause) or drained
-	// below XON (resume).
-	Depth int64 `json:"depth,omitempty"`
-	// Flow names the flow for drop/demote events.
-	Flow string `json:"flow,omitempty"`
-	// Reason qualifies drops ("ttl", "lossy-overflow", "no-route",
-	// "headroom", "reboot", "recovery-flush", "mitigate"), the transport
-	// medium for detect events ("packet", "pause"), and the action for
-	// mitigate events ("drop", "demote").
-	Reason string `json:"reason,omitempty"`
-	// Cycle carries the pause-wait cycle for deadlock events.
-	Cycle []string `json:"cycle,omitempty"`
-}
+// TraceEvent is one event of the simulator's structured log: the trace
+// package's Event, the one struct every capture, export and analysis
+// stage shares.
+type TraceEvent = trace.Event
 
 // Tracer receives simulator events as they happen. Implementations must
 // be fast; they run inline with the event loop.

@@ -45,6 +45,33 @@ func TestRebootSwitchAccounting(t *testing.T) {
 	}
 }
 
+// TestRebootClosesDeadlockEpisode: rebooting a member of the Figure 3
+// cycle empties its queues and breaks the deadlock at that instant, so
+// the episode tracker must close it then — not one PropDelay later, when
+// the reboot's RESUMEs land — and charge a TTR that ends at the reboot.
+func TestRebootClosesDeadlockEpisode(t *testing.T) {
+	n := fig3Deadlock(t, false)
+	track := n.TrackDeadlocks()
+	l3 := n.g.MustLookup("L3")
+	const at = 20 * time.Millisecond
+	n.At(at, func() {
+		if !n.Deadlocked() || !track.Open() || track.Onsets != 1 {
+			t.Fatalf("no live Figure 3 deadlock to break: deadlocked %v, open %v, %d onsets", n.Deadlocked(), track.Open(), track.Onsets)
+		}
+		n.RebootSwitch(l3)
+		if n.Deadlocked() {
+			t.Fatal("rebooting L3 left the cycle standing")
+		}
+		if track.Open() != n.Deadlocked() {
+			t.Errorf("after the reboot: track open %v, Deadlocked %v", track.Open(), n.Deadlocked())
+		}
+		if want := at - track.FirstOnsetAt; track.Recoveries != 1 || track.SumTTR != want {
+			t.Errorf("after the reboot: %d recoveries, TTR %v, want 1 ending at the reboot (%v)", track.Recoveries, track.SumTTR, want)
+		}
+	})
+	n.Run(at + time.Millisecond)
+}
+
 func TestRebootHostPanics(t *testing.T) {
 	c, _, n := testbedNet(t, routing.UpDown)
 	defer func() {

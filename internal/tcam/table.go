@@ -131,12 +131,3 @@ func (t *Table) Decide(tag, in, out int) Cell {
 	}
 	return t.cells[(tag-1)*t.ports*t.ports+in*t.ports+out]
 }
-
-// Queue is steps 1 and 3: lossless tag t rides priority queue t, and
-// every other tag the lossy queue 0.
-func (t *Table) Queue(tag int) (int, QueueKind) {
-	if tag >= 1 && tag <= t.maxTag {
-		return tag, Lossless
-	}
-	return 0, Lossy
-}

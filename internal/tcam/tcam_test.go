@@ -238,15 +238,16 @@ func TestPipelinePriorityTransition(t *testing.T) {
 	// Correct pipeline: bounce rewrites 1 -> 2 and the egress queue follows
 	// the NEW tag (Figure 8b).
 	tables, _ := Compile(rs)
-	pl := &Pipeline{Table: tables[l1]}
+	pl := NewPipeline(tables[l1], rs.MaxTag())
 	d := pl.Process(1, inS1, outS2)
-	if d.NewTag != 2 || d.IngressQueue != 1 || d.EgressQueue != 2 || d.Kind != Lossless {
+	if d.NewTag != 2 || d.IngressQueue != 1 || d.EgressQueue != 2 || d.Rule < 0 {
 		t.Errorf("correct pipeline: %+v", d)
 	}
 
 	// Legacy pipeline: egress queue stays at the OLD priority (Figure 8a),
 	// the mismatch that loses packets.
-	legacy := &Pipeline{Table: tables[l1], LegacyEgressByOldTag: true}
+	legacy := NewPipeline(tables[l1], rs.MaxTag())
+	legacy.LegacyEgressByOldTag = true
 	d = legacy.Process(1, inS1, outS2)
 	if d.NewTag != 2 || d.EgressQueue != 1 {
 		t.Errorf("legacy pipeline: %+v", d)
@@ -254,16 +255,32 @@ func TestPipelinePriorityTransition(t *testing.T) {
 
 	// Lossy fallback: second bounce.
 	d = pl.Process(2, inS1, outS2)
-	if d.Kind != Lossy || d.EgressQueue != 0 {
+	if d.EgressQueue != 0 {
 		t.Errorf("lossy: %+v", d)
 	}
 	d = legacy.Process(2, inS1, outS2)
-	if d.Kind != Lossy {
+	if d.EgressQueue != 0 {
 		t.Errorf("legacy lossy: %+v", d)
 	}
-	if pl.LosslessQueues() != 2 {
-		t.Errorf("LosslessQueues = %d", pl.LosslessQueues())
+
+	// Without a table (no Tagger, or a host) a tag rides its own queue
+	// up to the bound and is never rewritten; beyond it, the lossy queue.
+	base := NewPipeline(nil, 3)
+	if d := base.Process(3, inS1, outS2); d != (QueueDecision{IngressQueue: 3, EgressQueue: 3, NewTag: 3, Rule: -1}) {
+		t.Errorf("no table, tag 3: %+v", d)
 	}
+	if d := base.Process(4, inS1, outS2); d != (QueueDecision{NewTag: 4, Rule: -1}) {
+		t.Errorf("no table, tag 4: %+v", d)
+	}
+
+	// A table decides only its ruleset's tags: a bound that disagrees
+	// with them is refused.
+	defer func() {
+		if recover() == nil {
+			t.Error("a pipeline with 3 lossless queues over a 2-tag table did not panic")
+		}
+	}()
+	NewPipeline(tables[l1], 3)
 }
 
 func TestCompressSynthesizedSystem(t *testing.T) {

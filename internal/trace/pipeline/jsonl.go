@@ -9,10 +9,9 @@ import (
 )
 
 // JSONLSink is the export stage: it re-emits the event stream as JSON
-// lines, byte-identical to json-encoding the simulator's TraceEvents
-// (trace.Event mirrors their field order and tags). `taggertrace -o
-// jsonl` uses it to export binary captures for tools that speak JSONL,
-// and the engine goldens hash its output.
+// lines, one json-encoded trace.Event (the simulator's TraceEvent) each.
+// `taggertrace -o jsonl` uses it to export binary captures for tools
+// that speak JSONL, and the engine goldens hash its output.
 type JSONLSink struct {
 	bw  *bufio.Writer
 	enc *json.Encoder

@@ -153,16 +153,15 @@ func KindOf(name string) Kind {
 	return KindInvalid
 }
 
-// Event is one normalized trace event, the common currency of the
-// analysis pipeline. The struct shape (field order and JSON tags)
-// matches sim.TraceEvent exactly, so JSONL produced from either is
-// byte-identical for the same event sequence.
+// Event is one trace event, the common currency of the simulator
+// (sim.TraceEvent is this type) and of the analysis pipeline.
 type Event struct {
 	// T is the event time in nanoseconds (ticks are rescaled on read if
 	// the producer's tick rate differs).
 	T int64 `json:"t"`
 	// Kind is "pause", "resume", "drop", "deadlock", "demote", "detect"
-	// or "mitigate".
+	// (the in-switch detector saw its own tag return) or "mitigate" (its
+	// mitigation hook swept the initiating packets).
 	Kind string `json:"kind"`
 	// Node names the switch where the event happened.
 	Node string `json:"node"`
@@ -171,12 +170,15 @@ type Event struct {
 	// Prio is the PFC priority involved.
 	Prio int `json:"prio,omitempty"`
 	// Depth is the lossless ingress occupancy (bytes) at a PFC
-	// transition.
+	// transition — the queue depth that crossed XOFF (pause) or drained
+	// below XON (resume).
 	Depth int64 `json:"depth,omitempty"`
 	// Flow names the flow for drop/demote events.
 	Flow string `json:"flow,omitempty"`
 	// Reason qualifies drops ("ttl", "lossy-overflow", "no-route",
-	// "headroom").
+	// "headroom", "reboot", "recovery-flush", "mitigate"), the transport
+	// medium for detect events ("packet", "pause"), and the action for
+	// mitigate events ("drop", "demote").
 	Reason string `json:"reason,omitempty"`
 	// Cycle carries the pause-wait cycle for deadlock events.
 	Cycle []string `json:"cycle,omitempty"`

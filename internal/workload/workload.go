@@ -36,8 +36,6 @@ type Options struct {
 	// Tagger enables the Clos bounce-counting rules with the given bounce
 	// budget; Bounces <= 0 disables Tagger entirely (the baseline).
 	Bounces int
-	// Config overrides the simulator defaults when non-nil.
-	Config *sim.Config
 }
 
 func newScenario(opt Options, duration time.Duration) *Scenario {
@@ -50,11 +48,7 @@ func newScenario(opt Options, duration time.Duration) *Scenario {
 func newScenarioWith(opt Options, duration time.Duration, d routing.Discipline) *Scenario {
 	c := paper.Testbed()
 	tb := routing.ComputeToHosts(c.Graph, d)
-	cfg := sim.DefaultConfig()
-	if opt.Config != nil {
-		cfg = *opt.Config
-	}
-	n := sim.New(c.Graph, tb, cfg)
+	n := sim.New(c.Graph, tb, sim.DefaultConfig())
 	if opt.Bounces > 0 {
 		n.InstallTagger(core.ClosRules(c.Graph, opt.Bounces, 1))
 	}

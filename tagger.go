@@ -11,16 +11,14 @@
 //
 // The package exposes:
 //
-//   - topology builders (Clos, fat-tree, BCube, Jellyfish) and routing
-//     (shortest-path and valley-free up-down, with failures and ECMP);
-//   - ELP enumerators (up-down, k-bounce, per-pair shortest, random,
-//     BCube default routing);
+//   - topology builders (Clos, fat-tree, BCube, Jellyfish);
+//   - ELP enumerators (k-bounce, per-pair shortest, BCube default
+//     routing);
 //   - the tagging algorithms: Algorithm 1 (brute force), Algorithm 2
 //     (greedy tag minimization), the provably optimal Clos scheme, rule
 //     synthesis with conflict repair, and the deadlock-freedom verifier
 //     for the two requirements of the paper's Theorem 5.1;
-//   - the TCAM model: three-step pipeline, priority transition, and the
-//     bitmap rule compression of §7;
+//   - the TCAM model: the bitmap rule compression of §7;
 //   - a deterministic packet-level fabric simulator with PFC
 //     PAUSE/RESUME, used to reproduce the paper's testbed experiments
 //     (Figures 10-12) and measure overhead;
@@ -41,7 +39,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/controller"
 	"repro/internal/core"
-	"repro/internal/dataplane"
 	"repro/internal/deploy"
 	"repro/internal/elp"
 	"repro/internal/paper"
@@ -95,25 +92,8 @@ type (
 	Tables = routing.Tables
 )
 
-// Routing disciplines for ComputeRoutes.
-const (
-	// Shortest computes plain shortest-path forwarding (valleys allowed
-	// after failures).
-	Shortest = routing.Shortest
-	// UpDown computes valley-free forwarding for layered fabrics.
-	UpDown = routing.UpDown
-)
-
-// ComputeRoutes builds forwarding tables toward every host.
-func ComputeRoutes(g *Graph, d routing.Discipline) *Tables {
-	return routing.ComputeToHosts(g, d)
-}
-
 // ELP is an expected-lossless-path set.
 type ELP = elp.Set
-
-// UpDownELP returns all shortest up-down paths between the Clos's ToRs.
-func UpDownELP(c *Clos) *ELP { return elp.UpDownAll(c.Graph, c.ToRs) }
 
 // KBounceELP returns all up-to-k-bounce paths between the Clos's ToRs
 // (including the shortest up-down paths).
@@ -133,11 +113,6 @@ func ShortestELP(g *Graph, endpoints []NodeID) *ELP { return elp.ShortestAll(g, 
 // BCubeELP returns BCube's default-routing path diversity between all
 // servers.
 func BCubeELP(b *BCube) *ELP { return elp.BCubeELP(b, nil) }
-
-// AddRandomELP adds count random loop-free paths (Table 5's last row).
-func AddRandomELP(s *ELP, g *Graph, endpoints []NodeID, count, maxHops int, seed int64) {
-	elp.AddRandomPaths(s, g, endpoints, count, maxHops, seed)
-}
 
 // Re-exported core types: the paper's contribution.
 type (
@@ -160,12 +135,6 @@ func Synthesize(g *Graph, paths *ELP) (*System, error) {
 	return core.Synthesize(g, paths.Paths(), core.Options{})
 }
 
-// SynthesizeBruteForce runs Algorithm 1 only (the ablation baseline: one
-// lossless priority per hop of the longest lossless route).
-func SynthesizeBruteForce(g *Graph, paths *ELP) (*System, error) {
-	return core.Synthesize(g, paths.Paths(), core.Options{SkipMerge: true})
-}
-
 // SynthesizeClos runs the topology-specific optimal scheme for layered
 // Clos/fat-trees: tags count bounces, k+1 lossless priorities.
 func SynthesizeClos(c *Clos, paths *ELP, maxBounces int) (*System, error) {
@@ -181,13 +150,8 @@ func SynthesizeFatTree(ft *FatTree, paths *ELP, maxBounces int) (*System, error)
 // at least k+1 lossless priorities.
 func MinLosslessQueues(k int) int { return core.MinLosslessQueues(k) }
 
-// Re-exported TCAM model.
-type (
-	// TCAMEntry is one compressed pattern/mask entry (Figure 9).
-	TCAMEntry = tcam.Entry
-	// Pipeline is the three-step classification pipeline of §7.
-	Pipeline = tcam.Pipeline
-)
+// TCAMEntry is one compressed pattern/mask entry (Figure 9).
+type TCAMEntry = tcam.Entry
 
 // CompressRules converts exact rules to compressed TCAM entries.
 func CompressRules(rules []Rule) []TCAMEntry { return tcam.Compress(rules) }
@@ -210,14 +174,6 @@ type (
 	// ScenarioOptions selects the Tagger deployment for a scenario.
 	ScenarioOptions = workload.Options
 )
-
-// NewSimulation builds a simulator over a topology and forwarding tables.
-func NewSimulation(g *Graph, tables *Tables, cfg SimConfig) *Network {
-	return sim.New(g, tables, cfg)
-}
-
-// DefaultSimConfig returns testbed-like simulator parameters.
-func DefaultSimConfig() SimConfig { return sim.DefaultConfig() }
 
 // DCQCNConfig parameterizes the simulator's congestion control.
 type DCQCNConfig = sim.DCQCNConfig
@@ -305,12 +261,6 @@ func NewChaosFabric(switches []string) *ChaosFabric { return chaos.NewFabric(swi
 // ExportBundle serializes a ruleset for deployment.
 func ExportBundle(rs *Ruleset) *Bundle { return deploy.Export(rs) }
 
-// ImportBundle reconstructs a ruleset from a bundle over a topology.
-func ImportBundle(g *Graph, b *Bundle) (*Ruleset, error) { return deploy.Import(g, b) }
-
-// UnmarshalBundle parses a serialized deployment bundle.
-func UnmarshalBundle(data []byte) (*Bundle, error) { return deploy.Unmarshal(data) }
-
 // DiffBundles computes the per-switch rule changes between deployments.
 func DiffBundles(oldB, newB *Bundle) map[string]deploy.SwitchDiff { return deploy.Diff(oldB, newB) }
 
@@ -320,9 +270,3 @@ func DiffBundles(oldB, newB *Bundle) map[string]deploy.SwitchDiff { return deplo
 func NewClosController(c *Clos, k int, opts ...ControllerOption) (*FabricController, error) {
 	return controller.NewClos(c, k, opts...)
 }
-
-// Dataplane is the frame-level (§7 Broadcom-style) compiled TCAM fabric.
-type Dataplane = dataplane.Fabric
-
-// CompileDataplane compiles every switch's TCAM from a ruleset.
-func CompileDataplane(g *Graph, rs *Ruleset) *Dataplane { return dataplane.Compile(g, rs) }

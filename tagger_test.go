@@ -140,17 +140,3 @@ func TestMinLosslessQueues(t *testing.T) {
 		t.Error("lower bound")
 	}
 }
-
-func TestComputeRoutesFacade(t *testing.T) {
-	clos := PaperTestbed()
-	tb := ComputeRoutes(clos.Graph, UpDown)
-	if tb.Entries() == 0 {
-		t.Fatal("no routes")
-	}
-	n := NewSimulation(clos.Graph, tb, DefaultSimConfig())
-	f := n.AddFlow(FlowSpec{Name: "x", Src: clos.Hosts[0], Dst: clos.Hosts[8]})
-	n.Run(2_000_000) // 2 ms
-	if f.Received() == 0 {
-		t.Fatal("simulation facade broken")
-	}
-}

@@ -21,12 +21,13 @@ all: check
 # build, gofmt, vet, tests, the parallel-determinism contract under the
 # race detector, the full race suite, the detect-vs-prevent matrix smoke,
 # the bounded differential fuzz smokes, the trace-format, post-mortem and
-# experiment-output goldens, and the end-to-end benchmark's own tests.
+# experiment-output goldens, the runnable examples, and the end-to-end
+# benchmark's own tests.
 # The two timing gates live in check-perf: on the shared 2-vCPU build VM
 # two identical runs differ by 1.2–2.6× on most rows, so a gate that
 # compares wall clock against a threshold cannot be green there, and a
 # gate that is always red protects nothing.
-check: build fmt vet test determinism race detect-smoke fuzz-smoke churn-fuzz cache-fuzz trace-golden postmortem-golden experiments-golden bench-e2e-test
+check: build fmt vet test determinism race detect-smoke fuzz-smoke churn-fuzz cache-fuzz trace-golden postmortem-golden experiments-golden examples bench-e2e-test
 
 # check-perf is the timing half: the telemetry overhead gate and the
 # benchmark regression gate (BENCH_BASELINE= skips the latter). Run it on

@@ -806,8 +806,8 @@ func CompressionAblation() tcam.CompressionLevels {
 // --- §6 churn survival -------------------------------------------------------
 
 // ChurnEventResult records one churn event's end-to-end outcome: the
-// rule delta the controller pushed and whether the fabric tracked intent
-// through it.
+// rule delta the controller pushed for it. Link flaps push nothing, and
+// their Stats stay the zero value (Stats.Event is set on every push).
 type ChurnEventResult struct {
 	Event string // e.g. "link-down T1-L1"
 	Stats controller.DeltaStats
@@ -837,6 +837,16 @@ type ChurnSoakResult struct {
 	Capture              CaptureStats
 }
 
+// Pushes counts the events that pushed a delta.
+func (r ChurnSoakResult) Pushes() (n int) {
+	for _, ev := range r.Events {
+		if ev.Stats.Event != "" {
+			n++
+		}
+	}
+	return n
+}
+
 // RulesMoved totals the rule-level churn across every delta push.
 func (r ChurnSoakResult) RulesMoved() (added, removed, modified int) {
 	for _, ev := range r.Events {
@@ -848,9 +858,11 @@ func (r ChurnSoakResult) RulesMoved() (added, removed, modified int) {
 }
 
 // ChurnSoak drives one seeded churn sequence over the paper testbed
-// through the incremental pipeline: tracker -> Resynth -> per-switch
-// two-phase delta deploys. Halfway through it reboots a spine (wiping
-// its rules behind the controller's back) and lets Reconcile repair it.
+// through the churn controller. Link flaps mark the graph and push
+// nothing; drains, undrains and the pod expansion go through the
+// incremental pipeline: tracker -> Resynth -> per-switch two-phase delta
+// deploys. Halfway through it reboots a spine (wiping its rules behind
+// the controller's back) and lets Reconcile repair it.
 // The sequence must end converged: fabric active state == intent bundle
 // on every switch.
 //
@@ -911,14 +923,15 @@ func ChurnSoak(seed int64, events int, o RunOptions) (ChurnSoakResult, error) {
 		default:
 			return res, fmt.Errorf("tagger: unknown churn kind %v", ev.Kind)
 		}
-		if err := ctl.HandleChurn(cev); err != nil {
+		pushes := len(ctl.DeltaLog())
+		if err := ctl.Handle(cev); err != nil {
 			return res, fmt.Errorf("tagger: churn event %d (%s): %w", i, ev, err)
 		}
-		log := ctl.DeltaLog()
-		res.Events = append(res.Events, ChurnEventResult{
-			Event: ev.String(),
-			Stats: log[len(log)-1],
-		})
+		er := ChurnEventResult{Event: ev.String()}
+		if log := ctl.DeltaLog(); len(log) > pushes {
+			er.Stats = log[len(log)-1]
+		}
+		res.Events = append(res.Events, er)
 
 		// Midway, a switch loses its rules to a reboot; the periodic
 		// reconciliation sweep must notice and re-drive it to intent.

@@ -12,13 +12,14 @@ import (
 )
 
 // This file is the churn-resilient control loop: a controller mode where
-// topology churn (link flaps, switch drains, pod adds) re-synthesizes
-// incrementally (core.Resynth + elp.Tracker) and deploys per-switch rule
-// *deltas* computed against each switch's live active table, instead of
-// re-running the full pipeline and re-pushing whole bundles. A
-// reconciliation pass re-fetches live state and re-issues deltas until
-// the fabric matches intent, so a switch that reboots mid-churn converges
-// instead of wedging.
+// intent changes (switch drains, pod adds) re-synthesize incrementally
+// (core.Resynth + elp.Tracker) and deploy per-switch rule *deltas*
+// computed against each switch's live active table, instead of re-running
+// the full pipeline and re-pushing whole bundles. Link flaps are not
+// intent changes and push nothing here either (Handle). A reconciliation
+// pass re-fetches live state and re-issues deltas until the fabric
+// matches intent, so a switch that reboots mid-churn converges instead of
+// wedging.
 
 // DeltaAgent extends SwitchAgent with the two RPCs delta deploys need:
 // reading a switch's ACTIVE table (the ground truth deltas are computed
@@ -77,8 +78,8 @@ func (s *DeltaStats) count(d deploy.SwitchDiff, want deploy.SwitchBundle) {
 
 // NewChurn builds the churn-resilient controller: generic synthesis
 // (Algorithms 1+2) under the given policy, kept up to date incrementally.
-// Use HandleChurn to feed it events and Reconcile to re-converge the
-// fabric after agent-side losses. The initial deployment is a full push.
+// Use Handle to feed it events and Reconcile to re-converge the fabric
+// after agent-side losses. The initial deployment is a full push.
 func NewChurn(g *topology.Graph, policy ELPPolicy, opts ...Option) (*Controller, error) {
 	return newController(g, policy, func(c *Controller, set *elp.Set) (*core.System, error) {
 		// With a synthesis cache attached, the initial build and every
@@ -104,40 +105,10 @@ func (c *Controller) DeltaLog() []DeltaStats {
 	return append([]DeltaStats(nil), c.deltaLog...)
 }
 
-// HandleChurn processes one churn event end to end: update the topology
-// and the ELP bookkeeping, re-synthesize incrementally, and push the rule
-// deltas. Unlike Handle — which encodes the paper's "failures need no
-// rule changes" claim — HandleChurn treats every event as an intent
-// change: paths knocked out by a down link or a drain leave the ELP (and
-// their rules leave the switches), recovered capacity re-adds them.
+// HandleChurn is Handle.
 //
-// Intent always advances, even when the delta push fails: the fabric
-// stays consistent on its previous bundle (two-phase rollback), the error
-// is returned, and Reconcile() re-drives the fabric toward intent.
-func (c *Controller) HandleChurn(ev Event) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.resynth == nil {
-		return fmt.Errorf("controller: HandleChurn requires a churn controller (NewChurn)")
-	}
-	switch ev.Kind {
-	case EventLinkDown:
-		c.g.FailLink(ev.A, ev.B)
-		return c.applyChurn(ev, nil, c.tracker.LinkDown(ev.A, ev.B))
-	case EventLinkUp:
-		c.g.RestoreLink(ev.A, ev.B)
-		return c.applyChurn(ev, c.tracker.LinkUp(ev.A, ev.B), nil)
-	case EventSwitchDrain:
-		return c.applyChurn(ev, nil, c.tracker.Drain(ev.A))
-	case EventSwitchUndrain:
-		return c.applyChurn(ev, c.tracker.Undrain(ev.A), nil)
-	case EventExpansion:
-		set := c.policy(c.g)
-		return c.applyChurn(ev, c.tracker.AddPaths(set.Paths()), nil)
-	default:
-		return fmt.Errorf("controller: unknown churn event kind %q", ev.Kind)
-	}
-}
+// Deprecated: use Handle, the one event entry of every controller.
+func (c *Controller) HandleChurn(ev Event) error { return c.Handle(ev) }
 
 // applyChurn re-synthesizes for the ELP delta and pushes the resulting
 // rule deltas. Called with c.mu held.

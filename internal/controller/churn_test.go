@@ -32,59 +32,59 @@ func newChurnTestbed(t *testing.T, seed int64) (*topology.Clos, *chaos.Fabric, *
 	return c, fab, ctl
 }
 
-// TestChurnLinkFlapDeltas: a link-down removes the rules its paths
-// needed, the recovery restores them, the fabric tracks intent through
-// both, and the delta log records real per-event rule churn.
-func TestChurnLinkFlapDeltas(t *testing.T) {
+// TestChurnDrainDeltas: a leaf drain removes the rules its paths needed,
+// the undrain restores them, the fabric tracks intent through both, and
+// the delta log records real per-event rule churn.
+func TestChurnDrainDeltas(t *testing.T) {
 	c, fab, ctl := newChurnTestbed(t, 7)
 	g := c.Graph
 	initial := ctl.Bundle()
 
-	a, b := g.MustLookup("T1"), g.MustLookup("L1")
-	if err := ctl.HandleChurn(Event{Kind: EventLinkDown, A: a, B: b}); err != nil {
+	l1 := g.MustLookup("L1")
+	if err := ctl.Handle(Event{Kind: EventSwitchDrain, A: l1}); err != nil {
 		t.Fatal(err)
 	}
 	if !fabricMatches(t, fab, ctl.Bundle(), switchNames(g)) {
-		t.Fatal("fabric diverged after link-down")
+		t.Fatal("fabric diverged after drain")
 	}
-	if err := ctl.HandleChurn(Event{Kind: EventLinkUp, A: a, B: b}); err != nil {
+	if err := ctl.Handle(Event{Kind: EventSwitchUndrain, A: l1}); err != nil {
 		t.Fatal(err)
 	}
 	if !fabricMatches(t, fab, ctl.Bundle(), switchNames(g)) {
-		t.Fatal("fabric diverged after link-up")
+		t.Fatal("fabric diverged after undrain")
 	}
-	// Recovery restores the exact pre-churn deployment.
+	// The undrain restores the exact pre-churn deployment.
 	if d := deploy.Diff(initial, ctl.Bundle()); len(d) != 0 {
-		t.Fatalf("down+up did not restore the original bundle: %v", d)
+		t.Fatalf("drain+undrain did not restore the original bundle: %v", d)
 	}
 
 	log := ctl.DeltaLog()
 	if len(log) != 2 {
 		t.Fatalf("delta log has %d entries, want 2: %v", len(log), log)
 	}
-	down, up := log[0], log[1]
-	if down.Event != "link-down" || up.Event != "link-up" {
-		t.Fatalf("delta log events = %q, %q", down.Event, up.Event)
+	drain, undrain := log[0], log[1]
+	if drain.Event != "switch-drain" || undrain.Event != "switch-undrain" {
+		t.Fatalf("delta log events = %q, %q", drain.Event, undrain.Event)
 	}
-	if down.RulesRemoved == 0 || up.RulesAdded == 0 {
-		t.Errorf("expected rule churn, got down=%+v up=%+v", down, up)
+	if drain.RulesRemoved == 0 || undrain.RulesAdded == 0 {
+		t.Errorf("expected rule churn, got drain=%+v undrain=%+v", drain, undrain)
 	}
-	if down.FullPushes != 0 || up.FullPushes != 0 {
-		t.Errorf("delta agent in use, yet full pushes recorded: down=%+v up=%+v", down, up)
+	if drain.FullPushes != 0 || undrain.FullPushes != 0 {
+		t.Errorf("delta agent in use, yet full pushes recorded: drain=%+v undrain=%+v", drain, undrain)
 	}
-	if down.SwitchesSkipped == 0 {
-		t.Errorf("no switch skipped as no-op on a single-link event: %+v", down)
+	if drain.SwitchesSkipped == 0 {
+		t.Errorf("no switch skipped as no-op on a single-leaf drain: %+v", drain)
 	}
 
 	// The per-push summary also lands in the audit log and the counters.
 	var sawDelta bool
 	for _, e := range ctl.Audit() {
-		if e.Op == OpDelta && strings.Contains(e.Note, "link-down") {
+		if e.Op == OpDelta && strings.Contains(e.Note, "switch-drain") {
 			sawDelta = true
 		}
 	}
 	if !sawDelta {
-		t.Error("audit log has no OpDelta entry for the link-down push")
+		t.Error("audit log has no OpDelta entry for the drain push")
 	}
 	cnt := ctl.Counters()
 	if cnt["deploy.delta.rules_removed"] == 0 || cnt["deploy.delta.switches_skipped"] == 0 {
@@ -100,7 +100,7 @@ func TestChurnDrainUndrainRoundTrip(t *testing.T) {
 	initial := ctl.Bundle()
 	s1 := g.MustLookup("S1")
 
-	if err := ctl.HandleChurn(Event{Kind: EventSwitchDrain, A: s1}); err != nil {
+	if err := ctl.Handle(Event{Kind: EventSwitchDrain, A: s1}); err != nil {
 		t.Fatal(err)
 	}
 	if !fabricMatches(t, fab, ctl.Bundle(), switchNames(g)) {
@@ -110,7 +110,7 @@ func TestChurnDrainUndrainRoundTrip(t *testing.T) {
 	if got := len(fab.Active("S1").Rules); got != 0 {
 		t.Fatalf("drained spine still runs %d rules", got)
 	}
-	if err := ctl.HandleChurn(Event{Kind: EventSwitchUndrain, A: s1}); err != nil {
+	if err := ctl.Handle(Event{Kind: EventSwitchUndrain, A: s1}); err != nil {
 		t.Fatal(err)
 	}
 	if d := deploy.Diff(initial, ctl.Bundle()); len(d) != 0 {
@@ -130,7 +130,7 @@ func TestChurnExpansionDeltas(t *testing.T) {
 		t.Fatal(err)
 	}
 	fab.Add(switchNames(c.Graph)...)
-	if err := ctl.HandleChurn(Event{Kind: EventExpansion}); err != nil {
+	if err := ctl.Handle(Event{Kind: EventExpansion}); err != nil {
 		t.Fatal(err)
 	}
 	if !fabricMatches(t, fab, ctl.Bundle(), switchNames(c.Graph)) {
@@ -168,7 +168,7 @@ func TestChurnRebootMidActivateReconverges(t *testing.T) {
 		chaos.Fault{Kind: chaos.FaultPass}, // staged readback
 		chaos.Fault{Kind: chaos.FaultSwitchReboot})
 
-	err := ctl.HandleChurn(Event{Kind: EventSwitchDrain, A: g.MustLookup("S1")})
+	err := ctl.Handle(Event{Kind: EventSwitchDrain, A: g.MustLookup("S1")})
 	if err == nil {
 		t.Fatal("activation failure did not surface")
 	}
@@ -261,17 +261,26 @@ func TestChurnReconcileWithFlakyChannel(t *testing.T) {
 	}
 }
 
-// TestHandleChurnRequiresChurnController: the classic controllers reject
-// churn events instead of silently mishandling them.
-func TestHandleChurnRequiresChurnController(t *testing.T) {
-	c := paper.Testbed()
-	ctl, err := NewClos(c, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := c.Graph
-	err = ctl.HandleChurn(Event{Kind: EventLinkDown, A: g.MustLookup("T1"), B: g.MustLookup("L1")})
-	if err == nil || !strings.Contains(err.Error(), "NewChurn") {
-		t.Fatalf("err = %v, want the NewChurn guidance", err)
+// TestClassicControllerRejectsDrain: a drain is an intent change only the
+// churn controller can express; the classic controllers refuse it and
+// name the constructor that can.
+func TestClassicControllerRejectsDrain(t *testing.T) {
+	for _, row := range constructors[:2] {
+		t.Run(row.name, func(t *testing.T) {
+			c := paper.Testbed()
+			ctl, err := row.build(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, kind := range []EventKind{EventSwitchDrain, EventSwitchUndrain} {
+				err := ctl.Handle(Event{Kind: kind, A: c.Graph.MustLookup("S1")})
+				if err == nil || !strings.Contains(err.Error(), "NewChurn") || strings.Contains(err.Error(), "unknown") {
+					t.Errorf("%s: err = %v, want the NewChurn guidance", kind, err)
+				}
+			}
+			if len(ctl.Diffs()) != 0 {
+				t.Error("a refused drain pushed")
+			}
+		})
 	}
 }

@@ -5,10 +5,17 @@
 // Its behavior encodes the paper's two operational claims:
 //
 //   - link failures and reroutes need NO rule updates — the tagging rules
-//     are static and defined only over local information, so the
-//     controller's failure handler is a no-op on the rule plane;
+//     are static and defined only over local information, so on every
+//     controller a link down or up marks the graph and pushes nothing;
 //   - topology expansion produces an incremental bundle: only the new
 //     switches (plus spine entries for their new ports) receive updates.
+//
+// Both rest on one rule: the ELP is a function of the topology, not of
+// link health. Every ELP the controller derives (the policy, and the
+// churn controller's path tracker) reads the intact fabric, failed links
+// counted as up, so the failure paths the policy anticipates stay in the
+// ELP whatever is down when the fabric grows. Drains and growth are
+// intent changes; link health is not.
 //
 // Rule pushes go through one fault-tolerant engine (push.go): per-switch
 // install RPCs against a SwitchAgent, verify-then-activate two-phase
@@ -27,6 +34,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/deploy"
 	"repro/internal/elp"
+	"repro/internal/routing"
 	"repro/internal/synthcache"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
@@ -34,7 +42,7 @@ import (
 
 // ELPPolicy computes the expected lossless path set for the current
 // topology. The controller re-evaluates it on topology *changes* (not on
-// failures, which by design change nothing).
+// failures, which by design change nothing), always on the intact fabric.
 type ELPPolicy func(g *topology.Graph) *elp.Set
 
 // KBouncePolicy is the standard Clos policy: shortest up-down plus up to
@@ -62,8 +70,9 @@ const (
 	// re-evaluates the policy and pushes the incremental bundle.
 	EventExpansion
 	// EventSwitchDrain asks that switch A carry no expected lossless
-	// paths (maintenance). Only the churn controller (HandleChurn) acts
-	// on it — the classic Handle path has no drain notion.
+	// paths (maintenance): an intent change, whose paths and rules leave
+	// the fabric. Only a churn controller (NewChurn) keeps drain state;
+	// the classic controllers refuse it.
 	EventSwitchDrain
 	// EventSwitchUndrain returns switch A to service.
 	EventSwitchUndrain
@@ -296,7 +305,9 @@ func (c *Controller) Telemetry() *telemetry.Registry { return c.tel }
 
 // resync recomputes the system from the policy and commits it.
 func (c *Controller) resync() error {
-	sys, err := c.synth(c, c.policy(c.g))
+	var sys *core.System
+	var err error
+	c.intact(func() { sys, err = c.synth(c, c.policy(c.g)) })
 	if err != nil {
 		return fmt.Errorf("controller: synthesis failed: %w", err)
 	}
@@ -352,12 +363,21 @@ func (c *Controller) Redeploy() error {
 	return c.pushBundle(c.bundle, true)
 }
 
-// Handle processes one topology event.
+// Handle processes one topology event; it is the one event entry of
+// every controller.
 //
-// Failures are acknowledged but deliberately do not resynthesize: the
-// whole point of Tagger is that the installed rules already cover every
-// reroute the ELP anticipates, and wayward packets demote to lossy. An
-// expansion event re-runs the policy and pushes the incremental bundle.
+// Link health is not intent: a link down or up marks the graph, is
+// counted in FailureCount, and deliberately pushes nothing. The installed
+// rules already cover every reroute the ELP anticipates, and wayward
+// packets demote to lossy. Drains and growth are intent changes. An
+// expansion re-evaluates the policy and pushes the incremental bundle; a
+// churn controller re-synthesizes incrementally and pushes per-switch
+// deltas, and it alone acts on drains.
+//
+// On a churn controller intent always advances, even when the delta push
+// fails: the fabric stays consistent on its previous bundle (two-phase
+// rollback), the error is returned, and Reconcile re-drives the fabric
+// toward intent.
 func (c *Controller) Handle(ev Event) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -371,8 +391,40 @@ func (c *Controller) Handle(ev Event) error {
 		c.g.RestoreLink(ev.A, ev.B)
 		return nil
 	case EventExpansion:
-		return c.resync()
+		if c.resynth == nil {
+			return c.resync()
+		}
+		var added []routing.Path
+		c.intact(func() { added = c.tracker.AddPaths(c.policy(c.g).Paths()) })
+		return c.applyChurn(ev, added, nil)
+	case EventSwitchDrain, EventSwitchUndrain:
+		if c.resynth == nil {
+			return fmt.Errorf("controller: %s needs drain state, which only a churn controller (NewChurn) keeps", ev.Kind)
+		}
+		if ev.Kind == EventSwitchDrain {
+			return c.applyChurn(ev, nil, c.tracker.Drain(ev.A))
+		}
+		return c.applyChurn(ev, c.tracker.Undrain(ev.A), nil)
 	default:
 		return fmt.Errorf("controller: unknown event kind %q", ev.Kind)
 	}
+}
+
+// intact runs f with every failed link of c's graph counted as up, then
+// fails them again: the ELP is a function of the topology, not of link
+// health, and everything that derives it from the graph (the policy,
+// elp.NewTracker, Tracker.AddPaths) reads link health. Links are restored
+// by ID, so a failed link parallel to a healthy one stays exact. Called
+// with c.mu held (or before c is shared).
+func (c *Controller) intact(f func()) {
+	failed := c.g.FailedLinks()
+	for _, id := range failed {
+		c.g.Link(id).Failed = false
+	}
+	defer func() {
+		for _, id := range failed {
+			c.g.Link(id).Failed = true
+		}
+	}()
+	f()
 }

@@ -117,9 +117,10 @@ func churnTestbed(t *testing.T, cfg DeployConfig) (*topology.Clos, *chaos.Fabric
 }
 
 // churnPushes: a generated churn sequence through the delta path, with
-// every fault kind injected on the leaves (which nearly every event
+// every fault kind injected on the leaves (which nearly every push
 // patches), then a reconcile to deliver the intent the failed pushes
-// left behind.
+// left behind. Faults are keyed by push, not by event: link events push
+// nothing, so a fault armed before one waits for the next push.
 func churnPushes(t *testing.T, cfg DeployConfig) pushOutcome {
 	c, fab, ctl := churnTestbed(t, cfg)
 	g := c.Graph
@@ -136,9 +137,13 @@ func churnPushes(t *testing.T, cfg DeployConfig) pushOutcome {
 		7: giveUpOnFlip(3),
 	}
 	var errs []string
-	for i, ev := range chaos.GenerateChurn(chaos.ChurnConfig{Links: links, Switches: switchNames(g), Events: 12}, 5) {
-		for _, leaf := range []string{"L1", "L2", "L3", "L4"} {
-			fab.Inject(leaf, faults[i]...)
+	armed := -1
+	for _, ev := range chaos.GenerateChurn(chaos.ChurnConfig{Links: links, Switches: switchNames(g), Events: 16}, 5) {
+		if push := len(ctl.DeltaLog()); push != armed {
+			armed = push
+			for _, leaf := range []string{"L1", "L2", "L3", "L4"} {
+				fab.Inject(leaf, faults[push]...)
+			}
 		}
 		var cev Event
 		switch ev.Kind {
@@ -151,7 +156,7 @@ func churnPushes(t *testing.T, cfg DeployConfig) pushOutcome {
 		case chaos.ChurnUndrain:
 			cev = Event{Kind: EventSwitchUndrain, A: g.MustLookup(ev.Switch)}
 		}
-		errs = append(errs, fmt.Sprint(ctl.HandleChurn(cev)))
+		errs = append(errs, fmt.Sprint(ctl.Handle(cev)))
 	}
 	if _, err := ctl.Reconcile(); err != nil {
 		t.Fatal(err)

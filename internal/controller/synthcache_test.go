@@ -4,8 +4,10 @@ import (
 	"testing"
 
 	"repro/internal/check"
+	"repro/internal/elp"
 	"repro/internal/paper"
 	"repro/internal/synthcache"
+	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
 
@@ -38,34 +40,62 @@ func TestControllerSharesSynthCache(t *testing.T) {
 }
 
 // TestChurnControllerFullRebuildHitsCache: the churn engine's
-// full-rebuild fallback routes through the cache via the
-// NewResynthFull hook, so a rebuild on previously-seen state is a hit.
+// full-rebuild fallback routes through the cache via the NewResynthFull
+// hook, so a rebuild on previously-seen state is a hit. The ELP is
+// random walks on a small Jellyfish, whose synthesis needs replay
+// repairs; while the system has repairs, every drain and undrain falls
+// back to a full rebuild. Two churn controllers share one cache: the
+// first builds each state, and every rebuild of the second must be
+// served from the cache.
 func TestChurnControllerFullRebuildHitsCache(t *testing.T) {
-	c := paper.Testbed()
-	cache := synthcache.New(8)
-	ctl, err := NewChurn(c.Graph, KBouncePolicy(func() []topology.NodeID { return c.ToRs }, 1), WithSynthCache(cache))
+	j, err := topology.NewJellyfish(topology.JellyfishConfig{Switches: 8, Ports: 6, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := cache.Stats(); st.Misses == 0 {
-		t.Fatal("churn controller's initial build bypassed the cache")
+	policy := func(g *topology.Graph) *elp.Set { return elp.RandomPaths(g, j.Switches, 100, 8, 1^0x5ee) }
+	cache := synthcache.New(8)
+	first, err := NewChurn(j.Graph, policy, WithSynthCache(cache))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Drive a flap cycle; whether the engine patches incrementally or
-	// falls back to full rebuild, the system must stay oracle-clean and
-	// the cache must never serve a wrong-shaped system.
-	a, b := c.Graph.MustLookup("L1"), c.Graph.MustLookup("T1")
-	for i := 0; i < 3; i++ {
-		if err := ctl.Handle(Event{Kind: EventLinkDown, A: a, B: b}); err != nil {
-			t.Fatal(err)
-		}
-		if err := ctl.Handle(Event{Kind: EventLinkUp, A: a, B: b}); err != nil {
-			t.Fatal(err)
+	second, err := NewChurn(j.Graph, policy, WithSynthCache(cache))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.Misses != 1 || st.Hits != 1 {
+		t.Fatalf("initial builds did not share the cache: %+v", st)
+	}
+	if len(first.System().Repairs) == 0 {
+		t.Fatal("the fixture synthesizes without repairs: no event would rebuild")
+	}
+
+	rebuilds := telemetry.Default.Counter("resynth_full_rebuilds_total")
+	for _, sw := range []string{"J3", "J1", "J5"} {
+		for _, kind := range []EventKind{EventSwitchDrain, EventSwitchUndrain} {
+			ev := Event{Kind: kind, A: j.Graph.MustLookup(sw)}
+			if err := first.Handle(ev); err != nil {
+				t.Fatal(err)
+			}
+			before, st := rebuilds.Value(), cache.Stats()
+			if err := second.Handle(ev); err != nil {
+				t.Fatal(err)
+			}
+			after := cache.Stats()
+			if rebuilds.Value() != before+1 {
+				t.Fatalf("%s %s: the second controller did not fall back to a full rebuild", kind, sw)
+			}
+			if after.Hits != st.Hits+1 || after.Misses != st.Misses {
+				t.Fatalf("%s %s: the rebuild bypassed the cache: %+v -> %+v", kind, sw, st, after)
+			}
+			if second.System() != first.System() {
+				t.Fatalf("%s %s: the rebuild was not served the first controller's system", kind, sw)
+			}
 		}
 	}
-	if err := check.VerifySystem(ctl.System()); err != nil {
+	if err := check.VerifySystem(second.System()); err != nil {
 		t.Fatalf("post-churn system fails the oracle: %v", err)
 	}
-	if ctl.System().Graph != c.Graph {
+	if second.System().Graph != j.Graph {
 		t.Fatal("controller system bound to the wrong graph")
 	}
 }

@@ -375,9 +375,10 @@ pause-wait cycles; Tagger rules deploy through the unreliable agents
 func runChurn(o RunOptions) (rep Report, err error) {
 	sd := o.seeds(3)
 	rep.printf(`churn soak: %d seeded churn sequences over the testbed (link flaps,
-drains, a pod expansion); each event re-synthesizes incrementally and
-deploys per-switch rule deltas two-phase; midway a spine reboots and
-the reconciliation sweep re-drives it to intent
+drains, a pod expansion); link flaps push nothing, drains and the
+expansion re-synthesize incrementally and push per-switch rule deltas
+two-phase; midway a spine reboots and the reconciliation sweep
+re-drives it to intent
 
 `, len(sd))
 	if o.Trace != "" {
@@ -392,8 +393,8 @@ the reconciliation sweep re-drives it to intent
 			rep.traceLine(res.Capture)
 		}
 		added, removed, modified := res.RulesMoved()
-		rep.printf("seed %-3d %2d events (+%d pod) | rules +%d -%d ~%d | %s rebooted, reconcile fixed %d | converged=%v (%d rules live)\n",
-			res.Seed, len(res.Events), res.PodsAdded, added, removed, modified,
+		rep.printf("seed %-3d %2d events (+%d pod), %2d pushes | rules +%d -%d ~%d | %s rebooted, reconcile fixed %d | converged=%v (%d rules live)\n",
+			res.Seed, len(res.Events), res.PodsAdded, res.Pushes(), added, removed, modified,
 			res.Rebooted, res.ReconcileFixed, res.Converged, res.FinalRules)
 		if !res.Converged {
 			return rep, fmt.Errorf("seed %d: fabric did not converge to intent", res.Seed)

@@ -237,12 +237,20 @@ cache-fuzz:
 cover:
 	$(GO) test -cover ./...
 
+# Runs every example and compares its stdout, byte for byte, with the
+# checked-in examples/testdata/<name>.golden. After an INTENTIONAL output
+# change, regenerate with `make examples UPDATE=1` and review the diff.
+EXAMPLES := quickstart clos-deadlock jellyfish-scale bcube controller-ops
 examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/clos-deadlock
-	$(GO) run ./examples/jellyfish-scale
-	$(GO) run ./examples/bcube
-	$(GO) run ./examples/controller-ops
+	@out=$$(mktemp -d); trap 'rm -rf "$$out"' EXIT; \
+	for ex in $(EXAMPLES); do \
+		$(GO) run ./examples/$$ex > "$$out/$$ex" || exit 1; \
+		if [ -n "$(strip $(UPDATE))" ]; then \
+			cp "$$out/$$ex" examples/testdata/$$ex.golden; \
+		elif ! diff -u examples/testdata/$$ex.golden "$$out/$$ex"; then \
+			echo "examples: $$ex stdout differs from examples/testdata/$$ex.golden"; exit 1; \
+		fi; \
+	done
 
 experiments:
 	$(GO) run ./cmd/taggergen -topo fig5 -rules

@@ -13,6 +13,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 
 	tagger "repro"
 )
@@ -51,7 +52,13 @@ func main() {
 	diffs := ctl.Diffs()
 	diff := diffs[len(diffs)-1]
 	fmt.Printf("after adding a pod: incremental update touches %d switches:\n", len(diff))
-	for name, d := range diff {
+	touched := make([]string, 0, len(diff))
+	for name := range diff {
+		touched = append(touched, name)
+	}
+	sort.Strings(touched)
+	for _, name := range touched {
+		d := diff[name]
 		fmt.Printf("  %-4s +%d rules -%d rules\n", name, len(d.Added), len(d.Removed))
 	}
 	fmt.Printf("still %d lossless queues; deployment re-verified deadlock-free\n",

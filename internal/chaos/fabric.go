@@ -9,9 +9,9 @@ import (
 )
 
 // Fabric is an in-memory fleet of unreliable switch rule agents. It
-// implements the controller's SwitchAgent interface (Install / Fetch /
-// Activate) and misbehaves according to per-switch fault queues loaded
-// from a Schedule or injected directly.
+// implements the controller's SwitchAgent interface (Install, Fetch,
+// Activate, FetchActive, Patch) and misbehaves according to per-switch
+// fault queues loaded from a Schedule or injected directly.
 //
 // Each switch holds two bundle slots, STAGED and ACTIVE, mirroring the
 // two-phase deployment protocol. Faults are consumed one per RPC in
@@ -211,7 +211,7 @@ func (f *Fabric) Activate(sw string) error {
 	return ferr
 }
 
-// FetchActive implements the controller's DeltaAgent read side: the
+// FetchActive implements SwitchAgent's delta read side: the
 // currently ACTIVE bundle, subject to the same control-channel faults as
 // Fetch.
 func (f *Fabric) FetchActive(sw string) (deploy.SwitchBundle, error) {
@@ -229,7 +229,7 @@ func (f *Fabric) FetchActive(sw string) (deploy.SwitchBundle, error) {
 	return deploy.SwitchBundle{Rules: append([]deploy.RuleJSON(nil), st.active.Rules...)}, ferr
 }
 
-// Patch implements the controller's DeltaAgent write side: stage the
+// Patch implements SwitchAgent's delta write side: stage the
 // result of applying d to the ACTIVE bundle. Like Install it is subject
 // to install-class faults — a partial patch silently stages only a prefix
 // of the patched table, which readback verification must catch.

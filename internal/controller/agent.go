@@ -15,8 +15,12 @@ import (
 // The protocol is staged two-phase: Install writes a full SwitchBundle
 // into the switch's STAGED slot (never touching live forwarding), Fetch
 // reads the staged slot back for verification, and Activate atomically
-// promotes STAGED to ACTIVE. All three calls are idempotent, so the
-// controller can blindly re-issue one after a lost reply.
+// promotes STAGED to ACTIVE. Delta deploys (the churn controller's pushes
+// and every Reconcile) read the ACTIVE table with FetchActive, the ground
+// truth deltas are computed against, and stage with Patch, which applies
+// a delta to a copy of the active table. All five calls are idempotent —
+// Patch recomputes from ACTIVE on every call — so the controller can
+// blindly re-issue one after a lost reply or a partial write.
 //
 // Every call may fail: agents are unreliable by assumption (timeouts,
 // reboots, partial writes). Errors carry no retryability contract — the
@@ -30,6 +34,10 @@ type SwitchAgent interface {
 	Fetch(sw string) (deploy.SwitchBundle, error)
 	// Activate promotes the staged bundle to active atomically.
 	Activate(sw string) error
+	// FetchActive returns the currently active bundle on the switch.
+	FetchActive(sw string) (deploy.SwitchBundle, error)
+	// Patch stages ApplyDelta(active, d) on the switch.
+	Patch(sw string, d deploy.SwitchDiff) error
 }
 
 // loopbackAgent is the default perfectly-reliable in-process agent; it

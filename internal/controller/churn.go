@@ -21,20 +21,6 @@ import (
 // matches intent, so a switch that reboots mid-churn converges instead of
 // wedging.
 
-// DeltaAgent extends SwitchAgent with the two RPCs delta deploys need:
-// reading a switch's ACTIVE table (the ground truth deltas are computed
-// against) and Patch, which applies a delta to a copy of the active table
-// and writes the result into the STAGED slot. Patch recomputes from
-// ACTIVE on every call, so re-issuing a delta after a lost reply or a
-// partial write is idempotent.
-type DeltaAgent interface {
-	SwitchAgent
-	// FetchActive returns the currently active bundle on the switch.
-	FetchActive(sw string) (deploy.SwitchBundle, error)
-	// Patch stages ApplyDelta(active, d) on the switch.
-	Patch(sw string, d deploy.SwitchDiff) error
-}
-
 // DeltaStats summarizes one delta push: what the churn event cost the
 // fabric in rule updates. It is appended to the controller's DeltaLog,
 // mirrored into the audit log as an OpDelta entry, and exported as
@@ -49,9 +35,6 @@ type DeltaStats struct {
 	// SwitchesChanged is the number of switches patched; SwitchesSkipped
 	// the number whose active table already matched intent (no-op).
 	SwitchesChanged, SwitchesSkipped int
-	// FullPushes counts switches that got a wholesale bundle install
-	// because the agent does not implement DeltaAgent.
-	FullPushes int
 }
 
 // String renders the stats in audit-log form.
@@ -122,12 +105,12 @@ func (c *Controller) applyChurn(ev Event, added, removed []routing.Path) error {
 }
 
 // pushDelta deploys newBundle by patching only the switches whose intent
-// changed (diffs, against the last bundle), two-phase like pushBundle. Deltas are computed against each
-// switch's live ACTIVE table, so a switch some earlier reconciliation
-// already fixed is skipped as a no-op; an agent without DeltaAgent gets
-// wholesale installs of the same switches. The per-switch stats are
-// summed in plan order, appended to the DeltaLog and mirrored into the
-// audit log and the deploy.delta.* counters. Called with c.mu held.
+// changed (diffs, against the last bundle), two-phase like pushBundle.
+// Deltas are computed against each switch's live ACTIVE table, so a
+// switch some earlier reconciliation already fixed is skipped as a no-op.
+// The per-switch stats are summed in plan order, appended to the DeltaLog
+// and mirrored into the audit log and the deploy.delta.* counters. Called
+// with c.mu held.
 func (c *Controller) pushDelta(newBundle *deploy.Bundle, diffs map[string]deploy.SwitchDiff, event EventKind) error {
 	span := c.tel.StartSpan("deploy/push-delta")
 	defer span.End()
@@ -140,15 +123,7 @@ func (c *Controller) pushDelta(newBundle *deploy.Bundle, diffs map[string]deploy
 			stats.RulesUnchanged += len(sb.Rules)
 		}
 	}
-	_, hasDelta := c.agent.(DeltaAgent)
-	plan := c.plan(keys(diffs), newBundle, hasDelta)
-	if !hasDelta {
-		stats.FullPushes = len(plan)
-		for i := range plan {
-			d := diffs[plan[i].sw]
-			plan[i].diff = &d
-		}
-	}
+	plan := c.plan(keys(diffs), newBundle, true)
 	err := c.push(span, plan, true, OpActivate)
 	for i := range plan {
 		if d := plan[i].diff; d != nil {
@@ -184,17 +159,12 @@ const maxReconcileRounds = 3
 // fabric is already divergent, so convergence beats atomicity.
 //
 // It returns how many switches were repaired. A fabric still divergent
-// after the round budget is an error. Agents without DeltaAgent support
-// fall back to a full forced re-push (Redeploy semantics).
+// after the round budget is an error.
 func (c *Controller) Reconcile() (fixed int, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.bundle == nil {
 		return 0, fmt.Errorf("controller: nothing deployed yet")
-	}
-	da, hasDelta := c.agent.(DeltaAgent)
-	if !hasDelta {
-		return 0, c.pushBundle(c.bundle, true)
 	}
 	defer c.tel.StartSpan("deploy/reconcile").End()
 	names := keys(c.bundle.Switches)
@@ -226,7 +196,7 @@ func (c *Controller) Reconcile() (fixed int, err error) {
 	}
 	// The round budget is spent; verify the last sweep actually converged.
 	for _, sw := range names {
-		active, e := da.FetchActive(sw)
+		active, e := c.agent.FetchActive(sw)
 		if e != nil {
 			return fixed, fmt.Errorf("controller: reconcile verification: %w", e)
 		}

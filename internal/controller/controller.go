@@ -11,11 +11,11 @@
 //     switches (plus spine entries for their new ports) receive updates.
 //
 // Both rest on one rule: the ELP is a function of the topology, not of
-// link health. Every ELP the controller derives (the policy, and the
-// churn controller's path tracker) reads the intact fabric, failed links
-// counted as up, so the failure paths the policy anticipates stay in the
-// ELP whatever is down when the fabric grows. Drains and growth are
-// intent changes; link health is not.
+// link health. The policy is evaluated on the intact fabric, failed links
+// counted as up, so the failure paths it anticipates stay in the ELP
+// whatever is down when the fabric grows; the churn controller's path
+// tracker and synthesis read no link health at all. Drains and growth
+// are intent changes; link health is not.
 //
 // Rule pushes go through one fault-tolerant engine (push.go): per-switch
 // install RPCs against a SwitchAgent, verify-then-activate two-phase
@@ -34,7 +34,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/deploy"
 	"repro/internal/elp"
-	"repro/internal/routing"
 	"repro/internal/synthcache"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
@@ -305,9 +304,7 @@ func (c *Controller) Telemetry() *telemetry.Registry { return c.tel }
 
 // resync recomputes the system from the policy and commits it.
 func (c *Controller) resync() error {
-	var sys *core.System
-	var err error
-	c.intact(func() { sys, err = c.synth(c, c.policy(c.g)) })
+	sys, err := c.synth(c, c.intact())
 	if err != nil {
 		return fmt.Errorf("controller: synthesis failed: %w", err)
 	}
@@ -394,9 +391,7 @@ func (c *Controller) Handle(ev Event) error {
 		if c.resynth == nil {
 			return c.resync()
 		}
-		var added []routing.Path
-		c.intact(func() { added = c.tracker.AddPaths(c.policy(c.g).Paths()) })
-		return c.applyChurn(ev, added, nil)
+		return c.applyChurn(ev, c.tracker.AddPaths(c.intact().Paths()), nil)
 	case EventSwitchDrain, EventSwitchUndrain:
 		if c.resynth == nil {
 			return fmt.Errorf("controller: %s needs drain state, which only a churn controller (NewChurn) keeps", ev.Kind)
@@ -410,13 +405,13 @@ func (c *Controller) Handle(ev Event) error {
 	}
 }
 
-// intact runs f with every failed link of c's graph counted as up, then
-// fails them again: the ELP is a function of the topology, not of link
-// health, and everything that derives it from the graph (the policy,
-// elp.NewTracker, Tracker.AddPaths) reads link health. Links are restored
-// by ID, so a failed link parallel to a healthy one stays exact. Called
-// with c.mu held (or before c is shared).
-func (c *Controller) intact(f func()) {
+// intact evaluates the policy with every failed link of c's graph
+// counted as up, then fails them again: the ELP is a function of the
+// topology, not of link health, and the policy is the one thing in the
+// controller that reads link health (the path tracker and synthesis read
+// none). Links are restored by ID, so a failed link parallel to a healthy
+// one stays exact. Called with c.mu held (or before c is shared).
+func (c *Controller) intact() *elp.Set {
 	failed := c.g.FailedLinks()
 	for _, id := range failed {
 		c.g.Link(id).Failed = false
@@ -426,5 +421,5 @@ func (c *Controller) intact(f func()) {
 			c.g.Link(id).Failed = true
 		}
 	}()
-	f()
+	return c.policy(c.g)
 }

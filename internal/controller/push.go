@@ -22,7 +22,7 @@ type step struct {
 	sw   string
 	want deploy.SwitchBundle
 	// delta stages by fetch-active + DeltaFor + patch instead of a
-	// wholesale install (the agent is then known to be a DeltaAgent).
+	// wholesale install.
 	delta bool
 
 	staged  bool               // a verified table waits in the staged slot
@@ -184,11 +184,10 @@ func keys[V any](m map[string]V) []string {
 func (s *step) stage() {
 	op, write := OpInstall, func() error { return s.c.agent.Install(s.sw, s.want) }
 	if s.delta {
-		da := s.c.agent.(DeltaAgent)
 		var active deploy.SwitchBundle
 		if s.err = s.attempt(OpFetchActive, func(int) (string, error) {
 			var err error
-			active, err = da.FetchActive(s.sw)
+			active, err = s.c.agent.FetchActive(s.sw)
 			return OpFetchActive, err
 		}); s.err != nil {
 			return
@@ -200,7 +199,7 @@ func (s *step) stage() {
 		}
 		// Patch recomputes staged from the switch's active table, so each
 		// retry is a clean re-application — a partial write never compounds.
-		op, write = OpPatch, func() error { return da.Patch(s.sw, delta) }
+		op, write = OpPatch, func() error { return s.c.agent.Patch(s.sw, delta) }
 	}
 	s.err = s.stageVerify(op, write)
 	s.staged = s.err == nil

@@ -46,7 +46,11 @@ func TestControllerSharesSynthCache(t *testing.T) {
 // repairs; while the system has repairs, every drain and undrain falls
 // back to a full rebuild. Two churn controllers share one cache: the
 // first builds each state, and every rebuild of the second must be
-// served from the cache.
+// served from the cache. Then one controller alone on a fresh cache
+// drains and undrains J3, J1 and J3 again: a rebuild keeps every path's
+// slot, so a path set that recurs reaches the cache in the same order
+// and hits — 3 misses (the initial build and the first drain of each
+// switch) and 4 hits.
 func TestChurnControllerFullRebuildHitsCache(t *testing.T) {
 	j, err := topology.NewJellyfish(topology.JellyfishConfig{Switches: 8, Ports: 6, Seed: 1})
 	if err != nil {
@@ -97,5 +101,24 @@ func TestChurnControllerFullRebuildHitsCache(t *testing.T) {
 	}
 	if second.System().Graph != j.Graph {
 		t.Fatal("controller system bound to the wrong graph")
+	}
+
+	cache = synthcache.New(64)
+	alone, err := NewChurn(j.Graph, policy, WithSynthCache(cache))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sw := range []string{"J3", "J1", "J3"} {
+		for _, kind := range []EventKind{EventSwitchDrain, EventSwitchUndrain} {
+			if err := alone.Handle(Event{Kind: kind, A: j.Graph.MustLookup(sw)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if st := cache.Stats(); st.Misses != 3 || st.Hits != 4 {
+		t.Fatalf("recurring drains: %d misses, %d hits; want 3 and 4", st.Misses, st.Hits)
+	}
+	if err := check.VerifySystem(alone.System()); err != nil {
+		t.Fatalf("post-churn system fails the oracle: %v", err)
 	}
 }

@@ -149,13 +149,14 @@ func (rg *refGraph) materialize(g *topology.Graph) *TaggedGraph {
 // lives slice, which hot scans (activePaths) walk without dragging these
 // wider structs through the cache. A slot with lives[idx]=false is *parked*:
 // the path left the ELP but its static metadata, key set, and index
-// entries stay resident so a re-add (the flap-recovery case) revives it
-// without recomputing graph state or touching the key index. ver
-// invalidates the slot's keyIdx entries when its key set is replaced.
+// entries stay resident so a re-add (the recovery case) revives it
+// without recomputing graph state or touching the key index (a rebuild
+// drops a parked slot's chain and keys; see derive). ver invalidates the
+// slot's keyIdx entries when its key set is replaced.
 type rsPath struct {
 	// pids is the path in port space: the ingress port per hop
-	// (len(path)-1), a view into the hop ports of the system the slot
-	// entered with, or its own when Apply added it. Port numbering never
+	// (len(path)-1), a view into the hop ports NewResynthFull resolved,
+	// or its own when Apply added it. Port numbering never
 	// changes once a link exists (failures only mark links down), so it
 	// is resolved once per path; every rewrite's match ports follow from
 	// it (see rsReplayer.replay).
@@ -220,13 +221,14 @@ func bfChainOf(pids []topology.PortID, buf []uint32) []uint32 {
 //
 // A path keeps its slot for good. Apply's removals only *park* a slot:
 // its static metadata, last chain and key set, and its key-index entries
-// stay resident, so a re-add (the flap-recovery case) revives it without
+// stay resident, so a re-add (the recovery case) revives it without
 // recomputing graph state or touching the key index. Memory is therefore
 // one slot per distinct path ever applied — under the churn controller,
-// the tracker's own universe — and Paths() and System().ELP list the live
-// paths in slot order (first application order) whatever the churn
-// history. A full rebuild (the fallback) re-slots from the rebuilt system
-// and drops parked slots.
+// the tracker's own universe, in the tracker's own slot order — and
+// Paths() and System().ELP list the live paths in slot order (first
+// application order) whatever the churn history, full rebuilds (the
+// fallback) included: a rebuild keeps every slot and re-derives only
+// what the new rules determine.
 //
 // Resynth is not safe for concurrent use; callers serialize Apply.
 type Resynth struct {
@@ -297,17 +299,23 @@ func NewResynth(g *topology.Graph, paths []routing.Path, opts Options) (*Resynth
 // constructs fresh System values.
 func NewResynthFull(g *topology.Graph, paths []routing.Path, opts Options,
 	fn func(*topology.Graph, []routing.Path, Options) (*System, error)) (*Resynth, error) {
-	var deduped routing.PathIndex
-	deduped.Reserve(len(paths))
-	for _, p := range paths {
-		deduped.Add(p)
-	}
 	r := &Resynth{g: g, opts: opts, fullSynth: fn}
-	sys, err := r.synthesize(deduped.Paths())
+	r.ix.Reserve(len(paths))
+	for _, p := range paths {
+		r.ix.Add(p)
+	}
+	hp := newHopPorts(g, r.ix.Paths(), opts.Workers)
+	r.list = make([]rsPath, r.ix.Len())
+	r.lives = make([]bool, r.ix.Len())
+	for i := range r.list {
+		r.list[i].pids = hp.at(i)
+		r.lives[i] = true
+	}
+	sys, err := r.synthesize(r.activePaths())
 	if err != nil {
 		return nil, err
 	}
-	if err := r.initFrom(sys); err != nil {
+	if err := r.derive(sys); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -322,34 +330,36 @@ func (r *Resynth) synthesize(paths []routing.Path) (*System, error) {
 	return Synthesize(r.g, paths, r.opts)
 }
 
-// initFrom rebuilds the entire incremental state (path index, refcounted
-// graphs, cached chains, key index) from a freshly synthesized system.
-func (r *Resynth) initFrom(sys *System) error {
+// derive rebuilds the state a full synthesis of the live slots leaves
+// stale — the refcounted graphs, each live slot's chain and key set, the
+// key index — from sys, keeping every slot where it is. A parked slot
+// keeps its path and hop ports but drops its chain and keys: the rules
+// they were replayed under are gone, and its revival replays and
+// re-indexes it.
+func (r *Resynth) derive(sys *System) error {
 	r.sys = sys
-	r.ix = routing.PathIndex{}
-	r.ix.Reserve(len(sys.ELP))
-	r.list = make([]rsPath, 0, len(sys.ELP))
-	r.lives = make([]bool, 0, len(sys.ELP))
-	r.parked = 0
-	r.bf = newRefGraph()
-	r.run = newRefGraph()
+	r.bf, r.run = newRefGraph(), newRefGraph()
 	r.keyIdx = make(map[uint64][]uint64)
 	r.idxLive, r.idxStale = 0, 0
-	r.marks = nil // may hold marks for the list being discarded
+	clear(r.marks) // a lossy replay leaves marks behind
 	r.rp.reset(sys.Rules, 1)
-	hp := newHopPorts(r.g, sys.ELP, r.opts.Workers)
+	paths := r.ix.Paths()
 	var buf []uint32
-	for i, p := range sys.ELP {
-		e := rsPath{pids: hp.at(i)}
+	for idx := range r.list {
+		e := &r.list[idx]
+		if !r.lives[idx] {
+			e.chain, e.keys = e.chain[:0], e.keys[:0]
+			continue
+		}
 		buf = bfChainOf(e.pids, buf)
 		r.bf.addChain(buf)
-		chain, keys, ok := r.replay(p, e.pids)
+		chain, keys, ok := r.replay(paths[idx], e.pids)
 		if !ok {
-			return fmt.Errorf("core: resynth init: path %s lossy under synthesized rules", p.String(r.g))
+			return fmt.Errorf("core: resynth: path %s lossy under synthesized rules", paths[idx].String(r.g))
 		}
-		e.chain, e.keys = slices.Clone(chain), slices.Clone(keys)
+		e.chain, e.keys = append(e.chain[:0], chain...), append(e.keys[:0], keys...)
 		r.run.addChain(chain)
-		r.indexKeys(r.track(p, e))
+		r.indexKeys(idx)
 	}
 	return nil
 }
@@ -430,16 +440,17 @@ func (r *Resynth) activePaths() []routing.Path {
 
 // rebuild is the full-synthesis fallback: anything the incremental
 // argument does not cover (prior repairs, a lossy replay) re-runs
-// Synthesize on the current path set and rebuilds the state. Correct by
-// construction, O(fabric).
+// Synthesize on the live paths in slot order and re-derives the state
+// from it. Correct by construction, O(fabric). Slots stay put, so a path
+// set that recurs is handed to the full-synthesis hook in the same order
+// and the synthesis cache serves it.
 func (r *Resynth) rebuild() (*System, error) {
 	telemetry.Default.Counter("resynth_full_rebuilds_total").Inc()
 	sys, err := r.synthesize(r.activePaths())
-	if err != nil {
-		r.broken = true
-		return nil, err
+	if err == nil {
+		err = r.derive(sys)
 	}
-	if err := r.initFrom(sys); err != nil {
+	if err != nil {
 		r.broken = true
 		return nil, err
 	}

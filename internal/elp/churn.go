@@ -1,14 +1,12 @@
 package elp
 
 import (
-	"slices"
-
 	"repro/internal/routing"
 	"repro/internal/topology"
 )
 
-// Tracker maintains an ELP set through fabric churn: link failures and
-// recoveries, switch drains for maintenance, and expansion-driven path
+// Tracker maintains an ELP set through intent churn: switch drains for
+// maintenance, links taken out of the ELP, and expansion-driven path
 // additions. It partitions the tracked paths into *active* (currently
 // usable, fed to synthesis) and *absent* (knocked out by some churn
 // event, kept so a recovery can restore them), and every churn method
@@ -16,22 +14,21 @@ import (
 // the incremental re-synthesis path (core.Resynth) consumes. Tracking is
 // permanent: a path keeps its slot for the tracker's lifetime.
 //
-// Every tracked path carries an obstruction count: the failed links it
+// The tracker tracks intent only and reads no link health: a link is
+// down exactly between its LinkDown and LinkUp, as a switch is drained
+// between Drain and Undrain. Links are node pairs, as Graph.LinkBetween
+// defines them; the graph supplies which links exist, never whether they
+// are failed.
+//
+// Every tracked path carries an obstruction count: the down links it
 // crosses plus the drained switches it visits (a hop between nodes the
 // graph does not connect counts too, for good). Per-link and per-node
 // slot lists name the paths each element obstructs, so an event costs
-// the paths through the element, not the pool: LinkDown and Drain
-// deactivate every active path through the element, and LinkUp and
-// Undrain revive exactly the absent paths whose count falls to zero. A
-// path knocked out by link A that also crosses failed link B or drained
-// switch S keeps a nonzero count until the last of them clears.
-//
-// Links are node pairs, as Graph.FailLink and Graph.LinkBetween define
-// them. The tracker keeps its own failed bit per link and reconciles it
-// with Link.Failed whenever it reads the link: NewTracker reads every
-// link, LinkDown and LinkUp read theirs, and AddPaths reads the links of
-// the paths it starts tracking. A link whose health changes in the graph
-// is invisible to the tracker until then.
+// the paths through the element, not the pool: marking an element down
+// deactivates every active path through it, and clearing it revives
+// exactly the absent paths whose count falls to zero. A path knocked out
+// by link A that also crosses down link B or drained switch S keeps a
+// nonzero count until the last of them clears.
 type Tracker struct {
 	g      *topology.Graph
 	ix     routing.PathIndex // tracked paths by slot
@@ -40,18 +37,11 @@ type Tracker struct {
 
 	linkSlots [][]int32 // per link: the slots crossing it, once per hop
 	nodeSlots [][]int32 // per node: the slots visiting it, once per visit
-	failed    []bool    // per link: Link.Failed as last read
+	down      []bool    // per link
 	drained   []bool    // per node
-
-	// pending holds absent slots whose count fell to zero outside a
-	// recovery: paths a LinkDown took off a link the graph still calls
-	// healthy, or paths across a link AddPaths found silently restored.
-	// The next LinkUp or Undrain revives them with its own.
-	pending []int32
 }
 
-// NewTracker tracks the paths of s (all initially active) over g, reading
-// every link of g.
+// NewTracker tracks the paths of s over g, all initially active.
 func NewTracker(g *topology.Graph, s *Set) *Tracker {
 	t := &Tracker{g: g}
 	paths := s.Paths()
@@ -62,17 +52,13 @@ func NewTracker(g *topology.Graph, s *Set) *Tracker {
 			t.active = append(t.active, true)
 		}
 	}
-	t.growLinks(g.NumLinks() - 1)
-	for i := range t.failed {
-		t.failed[i] = g.Link(topology.LinkID(i)).Failed
-	}
 	t.index()
 	return t
 }
 
 // index builds every slot list and obstruction count from the tracked
-// paths and the failed bits, sizing each list exactly — the bulk form of
-// track, for NewTracker (nothing is drained yet). Consecutive paths share
+// paths, sizing each list exactly — the bulk form of track, for
+// NewTracker (nothing is down or drained yet). Consecutive paths share
 // prefixes, so a hop's link is looked up only past the previous path's.
 func (t *Tracker) index() {
 	t.growNodes(topology.NodeID(t.g.NumNodes() - 1))
@@ -139,9 +125,6 @@ func (t *Tracker) index() {
 				n++
 			} else {
 				t.linkSlots[id] = append(t.linkSlots[id], s)
-				if t.failed[id] {
-					n++
-				}
 			}
 			h++
 		}
@@ -149,9 +132,9 @@ func (t *Tracker) index() {
 	}
 }
 
-// track starts tracking p unless it is already tracked, reading every
-// link it crosses, and returns its slot and whether it is new.
-func (t *Tracker) track(p routing.Path, active bool) (int, bool) {
+// track starts tracking p unless it is already tracked, active exactly
+// when nothing obstructs it, and returns its slot and whether it is new.
+func (t *Tracker) track(p routing.Path) (int, bool) {
 	slot, added := t.ix.Add(p)
 	if !added {
 		return slot, false
@@ -171,13 +154,13 @@ func (t *Tracker) track(p routing.Path, active bool) (int, bool) {
 			n++
 			continue
 		}
-		t.readLink(l, &t.pending)
+		t.growLinks(int(l.ID))
 		t.linkSlots[l.ID] = append(t.linkSlots[l.ID], s)
-		if t.failed[l.ID] {
+		if t.down[l.ID] {
 			n++
 		}
 	}
-	t.active = append(t.active, active)
+	t.active = append(t.active, n == 0)
 	t.obst = append(t.obst, n)
 	return slot, true
 }
@@ -190,31 +173,9 @@ func (t *Tracker) growNodes(v topology.NodeID) {
 }
 
 func (t *Tracker) growLinks(id int) {
-	for id >= len(t.failed) {
-		t.failed = append(t.failed, false)
+	for id >= len(t.down) {
+		t.down = append(t.down, false)
 		t.linkSlots = append(t.linkSlots, nil)
-	}
-}
-
-// readLink reconciles the tracker's bit for l with l.Failed and moves the
-// count of every path across l to match; absent slots whose count falls
-// to zero are appended to freed.
-func (t *Tracker) readLink(l *topology.Link, freed *[]int32) {
-	id := int(l.ID)
-	t.growLinks(id)
-	if t.failed[id] == l.Failed {
-		return
-	}
-	t.failed[id] = l.Failed
-	d := int32(-1)
-	if l.Failed {
-		d = 1
-	}
-	for _, s := range t.linkSlots[id] {
-		t.obst[s] += d
-		if t.obst[s] == 0 && !t.active[s] {
-			*freed = append(*freed, s)
-		}
 	}
 }
 
@@ -248,10 +209,20 @@ func (t *Tracker) Drained(sw topology.NodeID) bool {
 	return int(sw) < len(t.drained) && t.drained[sw]
 }
 
-// Usable reports whether p could be active right now: every hop crosses a
-// healthy link and no node on it is drained. For a tracked path it holds
-// exactly when the path's obstruction count is zero, as long as the
-// tracker has read every link whose health the graph changed.
+// linkDown returns the a-b link and whether it is marked down (nil,
+// false when the nodes are not adjacent).
+func (t *Tracker) linkDown(a, b topology.NodeID) (*topology.Link, bool) {
+	l := t.g.LinkBetween(a, b)
+	if l == nil {
+		return nil, false
+	}
+	return l, int(l.ID) < len(t.down) && t.down[l.ID]
+}
+
+// Usable reports whether p could be active right now: every hop crosses
+// a link that is not marked down and no node on it is drained. For a
+// tracked path it holds exactly when the path's obstruction count is
+// zero.
 func (t *Tracker) Usable(p routing.Path) bool {
 	for _, n := range p {
 		if t.Drained(n) {
@@ -259,47 +230,35 @@ func (t *Tracker) Usable(p routing.Path) bool {
 		}
 	}
 	for i := 1; i < len(p); i++ {
-		l := t.g.LinkBetween(p[i-1], p[i])
-		if l == nil || l.Failed {
+		if l, down := t.linkDown(p[i-1], p[i]); l == nil || down {
 			return false
 		}
 	}
 	return true
 }
 
-// LinkDown deactivates every active path traversing the a-b link and
-// returns them. The caller is responsible for the topology-side
-// Graph.FailLink; Tracker only does path bookkeeping.
+// LinkDown marks the a-b link down and deactivates every active path
+// traversing it, returning them. The graph is untouched: Tracker only
+// does path bookkeeping.
 func (t *Tracker) LinkDown(a, b topology.NodeID) []routing.Path {
-	l := t.g.LinkBetween(a, b)
-	if l == nil {
+	l, down := t.linkDown(a, b)
+	if l == nil || down {
 		return nil
 	}
-	t.readLink(l, &t.pending)
-	out := make([]routing.Path, 0, len(t.linkSlots[l.ID]))
-	paths := t.ix.Paths()
-	for _, s := range t.linkSlots[l.ID] {
-		if !t.active[s] {
-			continue
-		}
-		t.active[s] = false
-		if t.obst[s] == 0 {
-			t.pending = append(t.pending, s)
-		}
-		out = append(out, paths[s])
-	}
-	return out
+	t.growLinks(int(l.ID))
+	t.down[l.ID] = true
+	return t.mark(t.linkSlots[l.ID])
 }
 
-// LinkUp reads the a-b link and returns the absent paths that became
-// active: those it was the last obstruction of, plus any pending ones.
-// The caller restores the link in the Graph first.
+// LinkUp clears the a-b link's down mark and returns the absent paths
+// that became active: those it was the last obstruction of.
 func (t *Tracker) LinkUp(a, b topology.NodeID) []routing.Path {
-	var freed []int32
-	if l := t.g.LinkBetween(a, b); l != nil {
-		t.readLink(l, &freed)
+	l, down := t.linkDown(a, b)
+	if !down {
+		return nil
 	}
-	return t.revive(freed)
+	t.down[l.ID] = false
+	return t.clear(t.linkSlots[l.ID])
 }
 
 // Drain marks sw as drained and deactivates every active path visiting
@@ -311,16 +270,7 @@ func (t *Tracker) Drain(sw topology.NodeID) []routing.Path {
 	}
 	t.growNodes(sw)
 	t.drained[sw] = true
-	out := make([]routing.Path, 0, len(t.nodeSlots[sw]))
-	paths := t.ix.Paths()
-	for _, s := range t.nodeSlots[sw] {
-		t.obst[s]++
-		if t.active[s] {
-			t.active[s] = false
-			out = append(out, paths[s])
-		}
-	}
-	return out
+	return t.mark(t.nodeSlots[sw])
 }
 
 // Undrain clears the drain mark and returns the absent paths that became
@@ -330,33 +280,35 @@ func (t *Tracker) Undrain(sw topology.NodeID) []routing.Path {
 		return nil
 	}
 	t.drained[sw] = false
-	freed := make([]int32, 0, len(t.nodeSlots[sw]))
-	for _, s := range t.nodeSlots[sw] {
-		t.obst[s]--
-		if t.obst[s] == 0 && !t.active[s] {
-			freed = append(freed, s)
-		}
-	}
-	return t.revive(freed)
+	return t.clear(t.nodeSlots[sw])
 }
 
-// revive activates the freed slots and the pending ones that are still
-// absent and unobstructed, and returns their paths in slot order. freed
-// must be ascending.
-func (t *Tracker) revive(freed []int32) []routing.Path {
-	if len(t.pending) > 0 {
-		freed = append(freed, t.pending...)
-		t.pending = t.pending[:0]
-		slices.Sort(freed)
-	}
-	out := make([]routing.Path, 0, len(freed))
+// mark adds one obstruction to every slot of an element's list and
+// returns the paths of those that were active, now absent. The lists are
+// ascending, so the paths come out in slot order.
+func (t *Tracker) mark(slots []int32) []routing.Path {
+	out := make([]routing.Path, 0, len(slots))
 	paths := t.ix.Paths()
-	for _, s := range freed {
-		if t.active[s] || t.obst[s] != 0 {
-			continue
+	for _, s := range slots {
+		t.obst[s]++
+		if t.active[s] {
+			t.active[s] = false
+			out = append(out, paths[s])
 		}
-		t.active[s] = true
-		out = append(out, paths[s])
+	}
+	return out
+}
+
+// clear takes one obstruction off every slot of an element's list and
+// returns the paths of those left with none, now active, in slot order.
+func (t *Tracker) clear(slots []int32) []routing.Path {
+	out := make([]routing.Path, 0, len(slots))
+	paths := t.ix.Paths()
+	for _, s := range slots {
+		if t.obst[s]--; t.obst[s] == 0 {
+			t.active[s] = true
+			out = append(out, paths[s])
+		}
 	}
 	return out
 }
@@ -367,12 +319,9 @@ func (t *Tracker) revive(freed []int32) []routing.Path {
 // parked absent.
 func (t *Tracker) AddPaths(paths []routing.Path) (activated []routing.Path) {
 	for _, p := range paths {
-		slot, added := t.track(p, false)
-		if !added || t.obst[slot] != 0 {
-			continue
+		if slot, added := t.track(p); added && t.active[slot] {
+			activated = append(activated, p)
 		}
-		t.active[slot] = true
-		activated = append(activated, p)
 	}
 	return activated
 }

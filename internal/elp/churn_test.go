@@ -158,7 +158,7 @@ func TestTrackerDrainLinkInteraction(t *testing.T) {
 }
 
 // TestTrackerAddRemove: AddPaths ignores tracked paths, parks a new path
-// over a failed link absent, and the link's recovery restores it.
+// over a down link absent, and the link's recovery restores it.
 func TestTrackerAddRemove(t *testing.T) {
 	g, set := churnGraph(t)
 	tr := NewTracker(g, set)
@@ -169,24 +169,24 @@ func TestTrackerAddRemove(t *testing.T) {
 		t.Fatalf("re-adding tracked paths activated %d", len(added))
 	}
 
-	// A new path over a failed link parks absent immediately. Leaf-to-leaf
+	// A new path over a down link parks absent immediately. Leaf-to-leaf
 	// paths are valid in the graph but outside the ToR-endpoint ELP, so
 	// L1 > S1 > L2 is guaranteed untracked.
 	l1, s1, l2 := g.MustLookup("L1"), g.MustLookup("S1"), g.MustLookup("L2")
-	g.FailLink(s1, l2)
+	knocked := tr.LinkDown(s1, l2)
 	fresh := routing.Path{l1, s1, l2}
 	if _, ok := tr.ix.Find(fresh); ok {
 		t.Fatal("test path already tracked; pick another")
 	}
 	if added := tr.AddPaths([]routing.Path{fresh}); len(added) != 0 {
-		t.Fatalf("path over a failed link activated: %v", added)
+		t.Fatalf("path over a down link activated: %v", added)
 	}
-	if tr.AbsentLen() == 0 {
-		t.Fatal("unusable new path not parked")
+	if tr.AbsentLen() != len(knocked)+1 {
+		t.Fatalf("%d absent, want the %d knocked-out paths and the new one", tr.AbsentLen(), len(knocked))
 	}
-	g.RestoreLink(s1, l2)
-	if restored := tr.LinkUp(s1, l2); len(restored) != 1 || restored[0].Key() != fresh.Key() {
-		t.Fatalf("parked path not restored: %v", restored)
+	restored := tr.LinkUp(s1, l2)
+	if len(restored) != len(knocked)+1 || restored[len(restored)-1].Key() != fresh.Key() {
+		t.Fatalf("parked path not restored (last slot): %v", restored)
 	}
 	if tr.ActiveLen() != base+1 || tr.AbsentLen() != 0 {
 		t.Fatalf("active=%d absent=%d after restore, want %d/0", tr.ActiveLen(), tr.AbsentLen(), base+1)
@@ -194,18 +194,20 @@ func TestTrackerAddRemove(t *testing.T) {
 }
 
 // rescanTracker is the tracker as it was before obstruction counting,
-// kept verbatim apart from its name as the oracle of
-// TestTrackerMatchesRescan: every recovery re-validates the whole absent
-// pool against the graph, every knock-out scans every path.
+// kept as the oracle of TestTrackerMatchesRescan: every recovery
+// re-validates the whole absent pool, every knock-out scans every path.
+// Like the tracker, it keeps its own link marks and never reads the
+// graph's link health.
 type rescanTracker struct {
 	g       *topology.Graph
 	ix      routing.PathIndex // tracked paths by slot
 	active  []bool            // per slot
+	down    map[topology.LinkID]bool
 	drained map[topology.NodeID]bool
 }
 
 func newRescanTracker(g *topology.Graph, s *Set) *rescanTracker {
-	t := &rescanTracker{g: g, drained: make(map[topology.NodeID]bool)}
+	t := &rescanTracker{g: g, down: make(map[topology.LinkID]bool), drained: make(map[topology.NodeID]bool)}
 	t.ix.Reserve(s.Len())
 	for _, p := range s.Paths() {
 		t.track(p, true)
@@ -237,7 +239,7 @@ func (t *rescanTracker) Usable(p routing.Path) bool {
 	}
 	for i := 1; i < len(p); i++ {
 		l := t.g.LinkBetween(p[i-1], p[i])
-		if l == nil || l.Failed {
+		if l == nil || t.down[l.ID] {
 			return false
 		}
 	}
@@ -245,6 +247,9 @@ func (t *rescanTracker) Usable(p routing.Path) bool {
 }
 
 func (t *rescanTracker) LinkDown(a, b topology.NodeID) []routing.Path {
+	if l := t.g.LinkBetween(a, b); l != nil {
+		t.down[l.ID] = true
+	}
 	var out []routing.Path
 	for i, p := range t.ix.Paths() {
 		if !t.active[i] || !traverses(p, a, b) {
@@ -257,6 +262,9 @@ func (t *rescanTracker) LinkDown(a, b topology.NodeID) []routing.Path {
 }
 
 func (t *rescanTracker) LinkUp(a, b topology.NodeID) []routing.Path {
+	if l := t.g.LinkBetween(a, b); l != nil {
+		delete(t.down, l.ID)
+	}
 	return t.revalidate()
 }
 
@@ -389,10 +397,11 @@ func (tp *trackerPair) addPaths(ps []routing.Path) {
 // TestTrackerMatchesRescan drives the obstruction-counting tracker and
 // the rescan oracle through seeded churn sequences — Clos with pod adds
 // and Jellyfish — with extra calls mixed in: duplicate and no-op events,
-// drains stacked on failed links, AddPaths of paths over failed links and
-// drained switches, and links flipped in the graph with no
-// tracker event until an AddPaths reads them. Every returned delta must
-// equal the oracle's, in order, and so must the active list.
+// drains stacked on down links, AddPaths of paths over down links and
+// drained switches, link health flipped in the graph (invisible to the
+// tracker, whose marks alone decide) and link-down events the graph never
+// saw. Every returned delta must equal the oracle's, in order, and so
+// must the active list.
 func TestTrackerMatchesRescan(t *testing.T) {
 	type fabric struct {
 		name   string
@@ -490,7 +499,7 @@ func TestTrackerMatchesRescan(t *testing.T) {
 					tp.addPaths(f.policy(g, cl).Paths())
 					pool = append(pool, f.extra(g, cl)...)
 				}
-				// A drain stacked on a failed link: drain an endpoint of a
+				// A drain stacked on a down link: drain an endpoint of a
 				// down link, down the link again, undrain.
 				if fl := g.FailedLinks(); len(fl) > 0 && rng.Intn(5) == 0 {
 					l := g.Link(fl[rng.Intn(len(fl))])
@@ -503,8 +512,9 @@ func TestTrackerMatchesRescan(t *testing.T) {
 					tp.addPaths(pick())
 				case 1: // an unused draw: it keeps each seed's later draws in place
 					pick()
-				case 2: // a link flips in the graph with no tracker event;
-					// an AddPaths of a path across it is the first read
+				case 2: // a link flips in the graph with no tracker event: the
+					// graph is invisible to the tracker, so an AddPaths
+					// across it sees only the tracker's own marks
 					p := pool[rng.Intn(len(pool))]
 					if _, known := tp.got.ix.Find(p); known || len(p) < 2 {
 						break
@@ -513,15 +523,13 @@ func TestTrackerMatchesRescan(t *testing.T) {
 					l := g.LinkBetween(p[i-1], p[i])
 					l.Failed = !l.Failed
 					tp.addPaths([]routing.Path{p})
-					if l.Failed { // report the recovery properly
-						g.RestoreLink(p[i-1], p[i])
-						tp.linkUp(p[i-1], p[i])
-					}
+					l.Failed = !l.Failed
 				case 3: // recoveries the generator did not ask for, mostly no-ops
 					l := links[0]
 					tp.undrain(g.MustLookup(g.SwitchNames()[0]))
 					tp.linkUp(g.MustLookup(l[0]), g.MustLookup(l[1]))
-				case 4: // a link-down event the graph never saw
+				case 4: // a link-down event the graph never saw: the mark
+					// alone takes the link's paths out
 					l := links[rng.Intn(len(links))]
 					tp.linkDown(g.MustLookup(l[0]), g.MustLookup(l[1]))
 				case 5: // a hop between switches with no link between them
@@ -536,8 +544,8 @@ func TestTrackerMatchesRescan(t *testing.T) {
 				}
 			}
 			// Heal everything: only paths over missing links stay absent.
-			for _, id := range g.FailedLinks() {
-				l := g.Link(id)
+			for id := range g.NumLinks() {
+				l := g.Link(topology.LinkID(id))
 				g.RestoreLink(l.A, l.B)
 				tp.linkUp(l.A, l.B)
 			}

@@ -13,7 +13,7 @@ BENCH_OUT ?= BENCH_$(shell date +%F).json
 # or skip the gate with `make check-perf BENCH_BASELINE=`.
 BENCH_BASELINE ?= $(lastword $(sort $(wildcard BENCH_20*.json)))
 
-.PHONY: all check check-perf build fmt vet test determinism race detect-smoke bench bench-sim bench-e2e bench-e2e-test bench-pairs benchdiff benchgate telemetry-overhead trace-golden postmortem-golden experiments-golden fuzz fuzz-smoke churn-fuzz cache-fuzz cover examples experiments clean
+.PHONY: all check check-perf build fmt vet test determinism race detect-smoke bench bench-sim bench-e2e bench-e2e-test bench-e2e-smoke bench-pairs benchdiff benchgate telemetry-overhead trace-golden postmortem-golden experiments-golden fuzz fuzz-smoke churn-fuzz cache-fuzz cover examples experiments clean
 
 all: check
 
@@ -22,12 +22,12 @@ all: check
 # race detector, the full race suite, the detect-vs-prevent matrix smoke,
 # the bounded differential fuzz smokes, the trace-format, post-mortem and
 # experiment-output goldens, the runnable examples, and the end-to-end
-# benchmark's own tests.
+# benchmark's own tests and its full-size smoke run.
 # The two timing gates live in check-perf: on the shared 2-vCPU build VM
 # two identical runs differ by 1.2–2.6× on most rows, so a gate that
 # compares wall clock against a threshold cannot be green there, and a
 # gate that is always red protects nothing.
-check: build fmt vet test determinism race detect-smoke fuzz-smoke churn-fuzz cache-fuzz trace-golden postmortem-golden experiments-golden examples bench-e2e-test
+check: build fmt vet test determinism race detect-smoke fuzz-smoke churn-fuzz cache-fuzz trace-golden postmortem-golden experiments-golden examples bench-e2e-test bench-e2e-smoke
 
 # check-perf is the timing half: the telemetry overhead gate and the
 # benchmark regression gate (BENCH_BASELINE= skips the latter). Run it on
@@ -98,6 +98,25 @@ bench-e2e:
 # ./...` does not reach into bench/, so `make check` runs them here.
 bench-e2e-test:
 	$(GO) test -C bench ./...
+
+# Every workload BENCHMARK.json declares, run once at full size for one
+# second, failing on any non-zero exit: 1 is a result with correct:false
+# (the gate's oracle, the fleet-vs-bundle diff, the dataplane frames, a
+# timed warm start that missed the cache) or bench/ not compiling against
+# the internal packages, 2 a set-up error. Neither `go test ./...` nor
+# bench-e2e-test's small fabrics reach those sizes. ~20 s.
+BENCH_WORKLOADS = $(shell awk '/"workloads": *\[/ {on=1; next} on && /^  \]/ {exit} \
+	on && /"name"/ {sub(/.*"name": *"/, ""); sub(/".*/, ""); print}' BENCHMARK.json)
+bench-e2e-smoke:
+	@test -n "$(strip $(BENCH_WORKLOADS))" || { echo "bench-e2e-smoke: no workloads read from BENCHMARK.json"; exit 1; }
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -C bench -o "$$dir/e2e" ./e2e || exit 1; \
+	cd "$$dir" || exit 1; \
+	for w in $(BENCH_WORKLOADS); do \
+		./e2e -workload $$w -seconds 1 > "$$dir/out" 2>&1; rc=$$?; \
+		if [ $$rc -ne 0 ]; then cat "$$dir/out"; echo "bench-e2e-smoke: $$w exited $$rc"; exit 1; fi; \
+		echo "bench-e2e-smoke: $$w ok"; \
+	done
 
 # The before/after protocol behind every end-to-end performance claim:
 # alternating pairs of bench/e2e runs, BASE's committed files against the

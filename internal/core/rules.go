@@ -229,26 +229,31 @@ func (rs *Ruleset) Classify(sw topology.NodeID, tag, in, out int) int {
 // Len returns the number of installed rules.
 func (rs *Ruleset) Len() int { return rs.n }
 
-// appendRulesAt appends sw's rules to out in (tag, in, out) order.
-func (rs *Ruleset) appendRulesAt(out []Rule, sw topology.NodeID) []Rule {
+// eachAt calls f on sw's rules in (tag, in, out) order.
+func (rs *Ruleset) eachAt(sw topology.NodeID, f func(Rule)) {
 	nr := &rs.rows[sw]
 	for tag, row := range nr.tags {
 		for i, c := range row {
 			if c != 0 {
-				out = append(out, Rule{Switch: sw, Tag: tag, In: i / nr.np, Out: i % nr.np, NewTag: int(c) - 1})
+				f(Rule{Switch: sw, Tag: tag, In: i / nr.np, Out: i % nr.np, NewTag: int(c) - 1})
 			}
 		}
 	}
-	return out
+}
+
+// Each calls f on every rule in Rules() order, straight off the rows,
+// for a reader that would otherwise copy Rules() only to walk it once.
+func (rs *Ruleset) Each(f func(Rule)) {
+	for sw := range rs.rows {
+		rs.eachAt(topology.NodeID(sw), f)
+	}
 }
 
 // Rules returns all rules in deterministic order: ascending (switch,
 // tag, in, out).
 func (rs *Ruleset) Rules() []Rule {
 	out := make([]Rule, 0, rs.n)
-	for sw := range rs.rows {
-		out = rs.appendRulesAt(out, topology.NodeID(sw))
-	}
+	rs.Each(func(r Rule) { out = append(out, r) })
 	return out
 }
 
@@ -258,7 +263,9 @@ func (rs *Ruleset) RulesAt(sw topology.NodeID) []Rule {
 	if uint(sw) >= uint(len(rs.rows)) {
 		return nil
 	}
-	return rs.appendRulesAt(nil, sw)
+	var out []Rule
+	rs.eachAt(sw, func(r Rule) { out = append(out, r) })
+	return out
 }
 
 // DeriveRules converts a tagged graph into the match-action rules each

@@ -42,21 +42,26 @@ type Bundle struct {
 func Export(rs *core.Ruleset) *Bundle {
 	g := rs.Graph()
 	b := &Bundle{MaxTag: rs.MaxTag(), Switches: make(map[string]SwitchBundle)}
-	// Rules() is switch-major with (tag, in, out) ascending inside a
-	// switch, so each switch's table is one run, already in canonical
-	// order: carve them all out of a single backing array.
-	rules := rs.Rules()
-	all := make([]RuleJSON, len(rules))
-	for lo := 0; lo < len(rules); {
-		sw := rules[lo].Switch
-		hi := lo
-		for ; hi < len(rules) && rules[hi].Switch == sw; hi++ {
-			r := rules[hi]
-			all[hi] = RuleJSON{Tag: r.Tag, In: r.In, Out: r.Out, NewTag: r.NewTag}
+	// Rules() order is switch-major with (tag, in, out) ascending inside
+	// a switch, so each switch's table is one run, already in canonical
+	// order: walk the rows once and carve the runs out of a single
+	// backing array.
+	all := make([]RuleJSON, 0, rs.Len())
+	lo, sw := 0, topology.InvalidNode
+	cut := func() {
+		if len(all) > lo {
+			b.Switches[g.Node(sw).Name] = SwitchBundle{Rules: all[lo:len(all):len(all)]}
 		}
-		b.Switches[g.Node(sw).Name] = SwitchBundle{Rules: all[lo:hi:hi]}
-		lo = hi
+		lo = len(all)
 	}
+	rs.Each(func(r core.Rule) {
+		if r.Switch != sw {
+			cut()
+			sw = r.Switch
+		}
+		all = append(all, RuleJSON{Tag: r.Tag, In: r.In, Out: r.Out, NewTag: r.NewTag})
+	})
+	cut()
 	return b
 }
 

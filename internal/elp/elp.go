@@ -11,6 +11,8 @@ package elp
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 
 	"repro/internal/routing"
 	"repro/internal/sweep"
@@ -20,8 +22,20 @@ import (
 
 // Set is a deduplicated collection of loop-free expected lossless paths.
 // The zero value is an empty set.
+//
+// A set that ShortestAllN filled holds its paths unindexed (they are
+// distinct by construction); the lookup table is built by the first Add
+// or Contains, under once, so concurrent readers of a shared set never
+// race to build it. Paths and Len never need it.
 type Set struct {
-	ix routing.PathIndex
+	ix   routing.PathIndex
+	once sync.Once
+}
+
+// index returns ix with its table built.
+func (s *Set) index() *routing.PathIndex {
+	s.once.Do(s.ix.Index)
+	return &s.ix
 }
 
 // NewSet returns an empty ELP set.
@@ -43,7 +57,7 @@ func (s *Set) Add(g *topology.Graph, p routing.Path) error {
 	if !p.Valid(g) {
 		return fmt.Errorf("elp: path %s traverses non-adjacent nodes", p.String(g))
 	}
-	s.ix.Add(p)
+	s.index().Add(p)
 	return nil
 }
 
@@ -73,7 +87,7 @@ func (s *Set) Len() int { return s.ix.Len() }
 
 // Contains reports whether the exact node sequence is in the set.
 func (s *Set) Contains(p routing.Path) bool {
-	_, ok := s.ix.Find(p)
+	_, ok := s.index().Find(p)
 	return ok
 }
 
@@ -255,9 +269,12 @@ func ShortestAll(g *topology.Graph, endpoints []topology.NodeID) *Set {
 // lists are folded into the set in source order, so every worker count
 // yields the same set. A path is validated inside its shard, by the ports
 // the adjacency hands the BFS: each hop's port must sit on the hop's node
-// and face the node before it, one array read per hop.
+// and face the node before it, one array read per hop. A repeated
+// endpoint is dropped first, so every path is one ordered pair's — the
+// set's paths are distinct by construction and go in unindexed.
 func ShortestAllN(g *topology.Graph, endpoints []topology.NodeID, par int) *Set {
 	defer telemetry.Default.StartSpan("synth/elp").End()
+	endpoints = distinct(g, endpoints)
 	leaf, skip := bfsRoles(g, endpoints)
 	adj := routing.NewAdjacency(g).Without(skip)
 	perSrc := make([][]routing.Path, len(endpoints))
@@ -276,10 +293,30 @@ func ShortestAllN(g *topology.Graph, endpoints []topology.NodeID, par int) *Set 
 	s.Reserve(total)
 	for _, paths := range perSrc {
 		for _, p := range paths {
-			s.ix.Add(p) // validated in its shard; Add only deduplicates
+			s.ix.Append(p) // validated in its shard
 		}
 	}
 	return s
+}
+
+// distinct returns nodes without repeats, first occurrences in order:
+// nodes itself when nothing repeats.
+func distinct(g *topology.Graph, nodes []topology.NodeID) []topology.NodeID {
+	seen := make([]bool, g.NumNodes())
+	for i, n := range nodes {
+		if seen[n] {
+			out := slices.Clone(nodes[:i])
+			for _, n := range nodes[i+1:] {
+				if !seen[n] {
+					seen[n] = true
+					out = append(out, n)
+				}
+			}
+			return out
+		}
+		seen[n] = true
+	}
+	return nodes
 }
 
 // ShortestAllECMP adds every shortest path for each ordered pair, capped

@@ -2,6 +2,7 @@ package elp_test
 
 import (
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/check"
@@ -254,5 +255,115 @@ func TestShortestAllHopCheckRejectsForgedHop(t *testing.T) {
 	}
 	if err := elp.NewSet().Add(g, forged); err == nil {
 		t.Fatalf("Set.Add accepted the forged path %s", forged.String(g))
+	}
+}
+
+// TestShortestAllDeferredIndex: a ShortestAllN set holds its paths
+// without a lookup table until one is needed, and behaves exactly like
+// the same paths added one by one through Set.Add — Len and Paths before
+// any lookup, Contains on members and near misses, an Add of a present
+// path (nothing added, every slot kept) and of a new one (next slot) —
+// on GenCase fabrics and on a Jellyfish with failed links, host
+// endpoints and repeated endpoints.
+func TestShortestAllDeferredIndex(t *testing.T) {
+	odd := oddJellyfish(t)
+	repeated := odd
+	repeated.name += " repeated endpoints"
+	repeated.endpoints = append(slices.Clone(odd.endpoints), odd.endpoints[3], odd.endpoints[0], odd.endpoints[3])
+	for _, f := range append(genCaseFabrics(t, 8), odd, repeated) {
+		g := f.g
+		want := refShortestAll(g, f.endpoints)
+		eager := elp.NewSet()
+		for _, p := range want {
+			eager.MustAdd(g, p)
+		}
+		s := elp.ShortestAllN(g, f.endpoints, 2)
+		// Len and Paths first: neither builds the table.
+		if s.Len() != eager.Len() {
+			t.Fatalf("%s: Len = %d, added one by one %d", f.name, s.Len(), eager.Len())
+		}
+		before := slices.Clone(s.Paths())
+		for i, p := range before {
+			if !p.Equal(want[i]) {
+				t.Fatalf("%s: path %d = %s, reference %s", f.name, i, p.String(g), want[i].String(g))
+			}
+		}
+		for _, p := range before {
+			probes := []routing.Path{p, p[:1], p[:len(p)-1], slices.Clone(p)}
+			rev := slices.Clone(p)
+			slices.Reverse(rev)
+			probes = append(probes, rev)
+			for _, q := range probes {
+				if got, ref := s.Contains(q), eager.Contains(q); got != ref {
+					t.Fatalf("%s: Contains(%s) = %v, added one by one %v", f.name, q.String(g), got, ref)
+				}
+			}
+		}
+		if len(before) == 0 {
+			continue
+		}
+		// Re-adding a present path (a copy: equal nodes, other backing)
+		// adds nothing and keeps every slot's own path.
+		mid := before[len(before)/2]
+		if err := s.Add(g, slices.Clone(mid)); err != nil {
+			t.Fatal(err)
+		}
+		if s.Len() != len(before) {
+			t.Fatalf("%s: re-adding a present path grew the set to %d", f.name, s.Len())
+		}
+		for i, p := range s.Paths() {
+			if &p[0] != &before[i][0] {
+				t.Fatalf("%s: slot %d changed on a duplicate Add", f.name, i)
+			}
+		}
+		// A path the set lacks goes to the next slot and is then found.
+		var fresh routing.Path
+		for _, p := range before {
+			if q := p[:len(p)-1]; len(q) > 1 && !eager.Contains(q) {
+				fresh = q
+				break
+			}
+		}
+		if fresh == nil {
+			continue
+		}
+		if err := s.Add(g, fresh); err != nil {
+			t.Fatal(err)
+		}
+		if s.Len() != len(before)+1 || !s.Paths()[len(before)].Equal(fresh) || !s.Contains(fresh) {
+			t.Fatalf("%s: new path %s not appended and found", f.name, fresh.String(g))
+		}
+	}
+}
+
+// TestShortestAllConcurrentContains: readers sharing a fresh ShortestAll
+// set race to its first lookup, which builds the table; under -race this
+// is the proof the build is synchronized.
+func TestShortestAllConcurrentContains(t *testing.T) {
+	j, err := topology.NewJellyfish(topology.JellyfishConfig{Switches: 40, Ports: 8, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := elp.ShortestAll(j.Graph, j.Switches)
+	paths := s.Paths()
+	var wg sync.WaitGroup
+	missing := make([]int, 4)
+	for w := range missing {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range paths {
+				p := paths[(i+w*len(paths)/len(missing))%len(paths)]
+				if !s.Contains(p) || s.Contains(p[:1]) {
+					missing[w]++
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for w, n := range missing {
+		if n != 0 {
+			t.Fatalf("reader %d: %d wrong answers", w, n)
+		}
 	}
 }

@@ -16,11 +16,19 @@ package routing
 // Path.Equal against the stored path on every tag match, so colliding
 // paths coexist and a hash change can never alter what the set contains.
 //
+// The table is built on demand. Append stores a path the caller knows to
+// be new without touching it, and leaves it unbuilt; the next Add, Find
+// or Index builds it over every stored path. An enumerator whose output
+// is distinct by construction thus pays for the table only if someone
+// looks a path up.
+//
 // The zero value is an empty index ready for use. Not safe for concurrent
-// mutation.
+// mutation, and a Find that builds the table mutates: readers sharing an
+// index that Append filled call Index once first (elp.Set does, under a
+// sync.Once).
 type PathIndex struct {
 	paths []Path   // slot -> path, insertion order
-	table []uint64 // hash>>32<<32 | slot+1; low half 0 = empty
+	table []uint64 // hash>>32<<32 | slot+1; low half 0 = empty; nil = unbuilt
 
 	// hash overrides hashPath; tests force collisions through it.
 	hash func(Path) uint64
@@ -48,13 +56,12 @@ func (ix *PathIndex) hashOf(p Path) uint64 {
 	return hashPath(p)
 }
 
-// Reserve sizes the index to hold n paths in total without growing.
+// Reserve sizes the index to hold n paths in total without growing: the
+// slots now, the table when it is next (re)built, which sizes itself by
+// the slots' capacity.
 func (ix *PathIndex) Reserve(n int) {
 	if n > cap(ix.paths) {
 		ix.paths = append(make([]Path, 0, n), ix.paths...)
-	}
-	if want := tableSize(n); want > len(ix.table) {
-		ix.rehash(want)
 	}
 }
 
@@ -75,10 +82,14 @@ func (ix *PathIndex) Len() int { return len(ix.paths) }
 // shared; do not modify it.
 func (ix *PathIndex) Paths() []Path { return ix.paths }
 
-// Find returns the slot of the path with p's exact node sequence.
+// Find returns the slot of the path with p's exact node sequence,
+// building the table first if it is unbuilt.
 func (ix *PathIndex) Find(p Path) (slot int, ok bool) {
 	if len(ix.paths) == 0 {
 		return 0, false
+	}
+	if ix.table == nil {
+		ix.Index()
 	}
 	if slot, _ = ix.probe(p, ix.hashOf(p)); slot < 0 {
 		return 0, false
@@ -88,23 +99,46 @@ func (ix *PathIndex) Find(p Path) (slot int, ok bool) {
 
 // Add inserts p unless a path with the same node sequence is present,
 // and returns its slot either way. New paths take the next slot; p is
-// stored, not copied.
+// stored, not copied. An unbuilt table is built (and a full one grown)
+// first.
 func (ix *PathIndex) Add(p Path) (slot int, added bool) {
 	if (len(ix.paths)+1)*4 > len(ix.table)*3 {
-		ix.rehash(tableSize(2 * (len(ix.paths) + 1)))
+		ix.rehash(tableSize(max(2*(len(ix.paths)+1), cap(ix.paths))))
 	}
 	h := ix.hashOf(p)
 	slot, cell := ix.probe(p, h)
 	if slot >= 0 {
 		return slot, false
 	}
+	slot = ix.appendSlot(p)
+	ix.table[cell] = h&^cellSlotMask | uint64(slot+1)
+	return slot, true
+}
+
+// Append stores p at the next slot without indexing it and returns the
+// slot. The caller guarantees that no stored path has p's node sequence
+// — an enumerator that emits each path once can — so slots and Paths()
+// are what Add would have produced. The table is dropped; the next Add,
+// Find or Index rebuilds it over every stored path.
+func (ix *PathIndex) Append(p Path) (slot int) {
+	ix.table = nil
+	return ix.appendSlot(p)
+}
+
+// Index builds the table if Append left it unbuilt, and is a no-op
+// otherwise. Once it has run, Find only reads until the next Append.
+func (ix *PathIndex) Index() {
+	if ix.table == nil && len(ix.paths) > 0 {
+		ix.rehash(tableSize(cap(ix.paths)))
+	}
+}
+
+func (ix *PathIndex) appendSlot(p Path) int {
 	if len(ix.paths) >= cellSlotMask {
 		panic("routing: path index full")
 	}
-	slot = len(ix.paths)
 	ix.paths = append(ix.paths, p)
-	ix.table[cell] = h&^cellSlotMask | uint64(slot+1)
-	return slot, true
+	return len(ix.paths) - 1
 }
 
 // probe walks p's probe sequence. It returns p's slot and cell when

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/topology"
@@ -51,7 +52,9 @@ func checkAgainst(t testing.TB, ix *PathIndex, ref *refIndex) {
 // driveOps replays an op stream — (op, path) pairs drawn from a small
 // path universe so that duplicate adds and finds of present paths are
 // both common — through ix and the reference, comparing every result.
-// Ops 0 and 1 add, 2 and 3 find.
+// Ops 0 and 1 add, 2 and 3 find; op 1 on a path the reference lacks
+// appends it unindexed instead, so the table is dropped and rebuilt
+// between lookups.
 func driveOps(t testing.TB, ix *PathIndex, next func() (op int, p Path), steps int) {
 	t.Helper()
 	ref := newRefIndex()
@@ -60,7 +63,14 @@ func driveOps(t testing.TB, ix *PathIndex, next func() (op int, p Path), steps i
 		var gs, ws int
 		var gok, wok bool
 		switch op % 4 {
-		case 0, 1:
+		case 1:
+			if _, ok := ref.find(p); !ok {
+				gs, gok = ix.Append(p), true
+				ws, wok = ref.add(p)
+				break
+			}
+			fallthrough
+		case 0:
 			gs, gok = ix.Add(p)
 			ws, wok = ref.add(p)
 		case 2, 3:
@@ -161,4 +171,34 @@ func FuzzPathIndex(f *testing.F) {
 			return int(b >> 6), p
 		}, len(ops))
 	})
+}
+
+// TestPathIndexAppendDefersTable: appended paths take the slots Add
+// would give them and build no table; the first lookup builds it over
+// every stored path, and an Add of a present path then finds its slot.
+func TestPathIndexAppendDefersTable(t *testing.T) {
+	paths := []Path{{1, 2}, {2, 1}, {1, 3, 2}, {4}}
+	var ix PathIndex
+	ix.Reserve(len(paths))
+	for i, p := range paths {
+		if slot := ix.Append(p); slot != i {
+			t.Fatalf("Append(%v) = slot %d, want %d", p, slot, i)
+		}
+	}
+	if ix.table != nil || ix.Len() != len(paths) || !slices.EqualFunc(ix.Paths(), paths, Path.Equal) {
+		t.Fatalf("after Append: table built = %v, Len %d, Paths %v", ix.table != nil, ix.Len(), ix.Paths())
+	}
+	if s, ok := ix.Find(Path{1, 3, 2}); !ok || s != 2 || ix.table == nil {
+		t.Fatalf("Find = (%d,%v), table built = %v; want (2,true), built", s, ok, ix.table != nil)
+	}
+	if s, added := ix.Add(Path{2, 1}); added || s != 1 {
+		t.Fatalf("Add of a present path = (%d,%v), want (1,false)", s, added)
+	}
+	ix.Append(Path{5, 6})
+	if ix.table != nil {
+		t.Fatal("Append kept a table that lacks the new path")
+	}
+	if s, added := ix.Add(Path{5, 6}); added || s != 4 {
+		t.Fatalf("Add after Append = (%d,%v), want (4,false)", s, added)
+	}
 }

@@ -13,7 +13,7 @@
 //     long-lived controller resynthesizing, a sweep rerunning seeds over
 //     one topology). The cached System is returned directly — synthesis
 //     cost drops to hashing, or to a map lookup when the path list is the
-//     same slice as before.
+//     slice the entry was built from.
 //   - pod memoization (ClosKBounce): for uniform multi-pod fabrics the
 //     KBounce ELP is enumerated for a representative pod pair only and
 //     stamped onto the remaining pods by pod-permutation automorphisms.
@@ -92,7 +92,11 @@ type key struct {
 // ready and then closes it; waiters read them only after <-ready. An
 // evicted entry stays valid for the waiters that already hold it.
 type entry struct {
-	key   key
+	key key
+	// memo is the path list the entry was built from, whose digest the
+	// cache memoizes while the entry is resident (zero: none). Guarded
+	// by Cache.mu.
+	memo  pathsAt
 	ready chan struct{}
 
 	err error
@@ -104,7 +108,9 @@ type entry struct {
 // pointer in the memo keeps the backing array alive, so an address can
 // never be reused by a different list while its entry exists; the
 // remaining assumption — path lists are never mutated in place — is the
-// same immutability contract elp.Set already provides.
+// same immutability contract elp.Set already provides. The memo holds
+// only the lists resident entries were built from, which their Systems
+// keep alive anyway, so it retains nothing the cache does not.
 type pathsAt struct {
 	head *routing.Path
 	n    int
@@ -116,8 +122,8 @@ type Cache struct {
 	mu       sync.Mutex
 	capacity int
 	entries  map[key]*list.Element
-	lru      *list.List // of *entry; front = most recently used
-	pathSums map[pathsAt][sha256.Size]byte
+	lru      *list.List                    // of *entry; front = most recently used
+	pathSums map[pathsAt][sha256.Size]byte // by entry.memo
 
 	tel *telemetry.Registry
 
@@ -185,45 +191,52 @@ func (c *Cache) Len() int {
 }
 
 // pathsSumOf digests a path sequence, memoized by slice identity: a
-// warm hit on a long-lived path list (a sweep rerunning one topology, a
-// controller resynthesizing the same ELP) costs a map lookup instead of
-// re-hashing tens of thousands of paths. The SEQUENCE is hashed, not the
-// set: a reordered input is a different key, never a wrong hit.
-func (c *Cache) pathsSumOf(paths []routing.Path) [sha256.Size]byte {
+// repeated request with the list a resident entry was built from (a sweep
+// rerunning one topology, a controller resynthesizing the same ELP) costs
+// a map lookup instead of re-hashing tens of thousands of paths. Any other
+// list is hashed afresh and not kept: a warm start's newly enumerated ELP
+// is never asked for again. It also returns the list's identity, which
+// serve memoizes if the list builds an entry. The SEQUENCE is hashed, not
+// the set: a reordered input is a different key, never a wrong hit.
+func (c *Cache) pathsSumOf(paths []routing.Path) ([sha256.Size]byte, pathsAt) {
 	if len(paths) == 0 {
-		return pathsSum(paths)
+		return pathsSum(paths), pathsAt{}
 	}
-	k := pathsAt{head: &paths[0], n: len(paths)}
+	at := pathsAt{head: &paths[0], n: len(paths)}
 	c.mu.Lock()
-	if sum, ok := c.pathSums[k]; ok {
-		c.mu.Unlock()
-		return sum
-	}
+	sum, ok := c.pathSums[at]
 	c.mu.Unlock()
-	sum := pathsSum(paths)
-	c.mu.Lock()
-	if len(c.pathSums) > 4*c.capacity+16 {
-		c.pathSums = make(map[pathsAt][sha256.Size]byte)
+	if !ok {
+		sum = pathsSum(paths)
 	}
-	c.pathSums[k] = sum
-	c.mu.Unlock()
-	return sum
+	return sum, at
 }
 
+// pathsSum is SHA-256 over the uvarint encoding of the path count, then
+// of each path's length and node IDs. The encoding is streamed into the
+// hash through a fixed buffer rather than laid out whole first.
 func pathsSum(paths []routing.Path) [sha256.Size]byte {
-	size := 8
+	h := sha256.New()
+	var buf [4096]byte
+	b := binary.AppendUvarint(buf[:0], uint64(len(paths)))
 	for _, p := range paths {
-		size += 2 + len(p)*3
-	}
-	buf := make([]byte, 0, size)
-	buf = binary.AppendUvarint(buf, uint64(len(paths)))
-	for _, p := range paths {
-		buf = binary.AppendUvarint(buf, uint64(len(p)))
+		if len(b) > len(buf)-binary.MaxVarintLen64 {
+			h.Write(b)
+			b = b[:0]
+		}
+		b = binary.AppendUvarint(b, uint64(len(p)))
 		for _, n := range p {
-			buf = binary.AppendUvarint(buf, uint64(n))
+			if len(b) > len(buf)-binary.MaxVarintLen64 {
+				h.Write(b)
+				b = b[:0]
+			}
+			b = binary.AppendUvarint(b, uint64(n))
 		}
 	}
-	return sha256.Sum256(buf)
+	h.Write(b)
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
 }
 
 // acquire returns the entry for key, creating (and becoming the builder
@@ -244,6 +257,7 @@ func (c *Cache) acquire(k key) (*entry, bool) {
 		be := back.Value.(*entry)
 		c.lru.Remove(back)
 		delete(c.entries, be.key)
+		delete(c.pathSums, be.memo)
 		c.evictions.Add(1)
 		c.tel.Counter("synthcache.evictions").Inc()
 	}
@@ -257,6 +271,18 @@ func (c *Cache) drop(e *entry) {
 	if el, ok := c.entries[e.key]; ok && el.Value.(*entry) == e {
 		c.lru.Remove(el)
 		delete(c.entries, e.key)
+	}
+}
+
+// remember memoizes e's path digest for memo, the list e was built from,
+// while e is resident; evicting e forgets it (a list two entries were
+// built from is forgotten with the first to go, costing a rehash only).
+func (c *Cache) remember(e *entry, memo pathsAt) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[e.key]; ok && el.Value.(*entry) == e {
+		e.memo = memo
+		c.pathSums[memo] = e.key.sum
 	}
 }
 
@@ -274,8 +300,10 @@ func (c *Cache) wait(e *entry) {
 // serve is the one lookup/build flow. The first request for a key
 // builds and publishes the entry (an error unlinks it, so the next
 // request retries); later requests wait for it and share its System.
-// build reports whether it pod-stamped.
-func (c *Cache) serve(k key, build func() (*core.System, bool, error)) (Result, error) {
+// build reports whether it pod-stamped. The digest of memo, the path
+// list the request's key was hashed from (zero: none), is memoized if
+// the build succeeds and its entry is still resident.
+func (c *Cache) serve(k key, memo pathsAt, build func() (*core.System, bool, error)) (Result, error) {
 	e, builder := c.acquire(k)
 	if !builder {
 		c.wait(e)
@@ -292,6 +320,8 @@ func (c *Cache) serve(k key, build func() (*core.System, bool, error)) (Result, 
 	e.sys, e.pod, e.err = sys, pod, err
 	if err != nil {
 		c.drop(e)
+	} else if memo.n > 0 {
+		c.remember(e, memo)
 	}
 	close(e.ready)
 	if err != nil {
@@ -309,8 +339,9 @@ func (c *Cache) Synthesize(g *topology.Graph, paths []routing.Path, opts core.Op
 	if opts.SkipMerge {
 		skip = 1
 	}
-	k := key{g: g, gen: g.Gen(), scheme: schemeGeneric, param: skip, sum: c.pathsSumOf(paths)}
-	return c.serve(k, func() (*core.System, bool, error) {
+	sum, at := c.pathsSumOf(paths)
+	k := key{g: g, gen: g.Gen(), scheme: schemeGeneric, param: skip, sum: sum}
+	return c.serve(k, at, func() (*core.System, bool, error) {
 		sys, err := core.Synthesize(g, paths, opts)
 		return sys, false, err
 	})
@@ -319,8 +350,9 @@ func (c *Cache) Synthesize(g *topology.Graph, paths []routing.Path, opts core.Op
 // SynthesizeClos is a memoized core.ClosSynthesize for an explicit ELP
 // path list.
 func (c *Cache) SynthesizeClos(g *topology.Graph, paths []routing.Path, maxBounces int) (Result, error) {
-	k := key{g: g, gen: g.Gen(), scheme: schemeClos, param: maxBounces, sum: c.pathsSumOf(paths)}
-	return c.serve(k, func() (*core.System, bool, error) {
+	sum, at := c.pathsSumOf(paths)
+	k := key{g: g, gen: g.Gen(), scheme: schemeClos, param: maxBounces, sum: sum}
+	return c.serve(k, at, func() (*core.System, bool, error) {
 		sys, err := core.ClosSynthesize(g, paths, maxBounces)
 		return sys, false, err
 	})

@@ -65,7 +65,7 @@ func (c *Cache) ClosKBounce(g *topology.Graph, endpoints []topology.NodeID, maxB
 		buf = binary.AppendUvarint(buf, uint64(l))
 	}
 	k := key{g: g, gen: g.Gen(), scheme: schemeClosKB, param: maxBounces, sum: sha256.Sum256(buf)}
-	return c.serve(k, func() (*core.System, bool, error) {
+	return c.serve(k, pathsAt{}, func() (*core.System, bool, error) {
 		return c.podStampedBuild(g, endpoints, maxBounces)
 	})
 }

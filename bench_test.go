@@ -233,7 +233,6 @@ func benchFigure(b *testing.B, run func(bool) ExperimentResult, withTagger bool)
 	events := float64(res.Engine.Events())
 	b.ReportMetric(events, "events/op")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/events, "ns/event")
-	b.ReportMetric(float64(res.Engine.LaneFallbacks), "lane-fallbacks/op")
 	b.ReportMetric(float64(res.Engine.MaxPacketsLive), "max-pkts-live")
 }
 

@@ -21,26 +21,23 @@ const (
 	UpDown
 )
 
-// tableKey identifies one forwarding entry.
-type tableKey struct {
-	node topology.NodeID
-	dst  topology.NodeID
-}
-
 // Tables is per-node, per-destination forwarding state: a set of ECMP
 // egress ports. Packets are forwarded hop by hop; nodes hash flows across
 // the port set. Tables are destination-based and memoryless, exactly like
 // commodity L3 switches — a bounced packet is forwarded by the same
 // entries as a fresh one.
+//
+// Entries are stored densely, one row per node and one column per
+// destination, so the lookup the simulator makes on every hop is two
+// slice indexes.
 type Tables struct {
 	g          *topology.Graph
 	discipline Discipline
-	next       map[tableKey][]int
 	dsts       []topology.NodeID
-	// gen counts the mutations (Recompute, Override) since construction.
-	// Readers that memoize NextHops results — the simulator's forwarding
-	// memo — compare it to drop their copies.
-	gen uint64
+	// col is each node's destination column, -1 for a node outside dsts.
+	col []int32
+	// next[n*len(dsts)+col[dst]] is n's port set toward dst; nil: none.
+	next [][]int
 }
 
 // Compute builds forwarding tables toward every destination in dsts (hosts
@@ -50,8 +47,15 @@ func Compute(g *topology.Graph, discipline Discipline, dsts []topology.NodeID) *
 	t := &Tables{
 		g:          g,
 		discipline: discipline,
-		next:       make(map[tableKey][]int),
 		dsts:       append([]topology.NodeID(nil), dsts...),
+		col:        make([]int32, g.NumNodes()),
+		next:       make([][]int, g.NumNodes()*len(dsts)),
+	}
+	for i := range t.col {
+		t.col[i] = -1
+	}
+	for c, d := range t.dsts {
+		t.col[d] = int32(c)
 	}
 	t.Recompute()
 	return t
@@ -66,8 +70,7 @@ func ComputeToHosts(g *topology.Graph, discipline Discipline) *Tables {
 // discarding overrides. Use it to model routing reconvergence after
 // failures.
 func (t *Tables) Recompute() {
-	t.gen++
-	t.next = make(map[tableKey][]int)
+	clear(t.next)
 	for _, d := range t.dsts {
 		switch t.discipline {
 		case Shortest:
@@ -123,7 +126,7 @@ func (t *Tables) computeShortestTo(d topology.NodeID) {
 		}
 		sort.Ints(ports)
 		if len(ports) > 0 {
-			t.next[tableKey{u, d}] = ports
+			t.next[t.slot(u, d)] = ports
 		}
 	}
 }
@@ -207,33 +210,56 @@ func (t *Tables) computeUpDownTo(d topology.NodeID) {
 		}
 		sort.Ints(ports)
 		if len(ports) > 0 {
-			t.next[tableKey{u, d}] = ports
+			t.next[t.slot(u, d)] = ports
 		}
 	}
 }
 
-// NextHops returns the ECMP egress port set at node n toward dst, or nil
-// if there is no entry (destination unreachable under the discipline).
-// The returned slice must not be modified.
-func (t *Tables) NextHops(n, dst topology.NodeID) []int {
-	return t.next[tableKey{n, dst}]
+// slot is the index of n's entry toward dst, a destination in the set.
+func (t *Tables) slot(n, dst topology.NodeID) int {
+	return int(n)*len(t.dsts) + int(t.col[dst])
 }
 
-// Generation changes whenever an entry may have: after every Recompute
-// and Override. A NextHops result is valid for as long as it holds.
-func (t *Tables) Generation() uint64 { return t.gen }
+// NextHops returns the ECMP egress port set at node n toward dst, or nil
+// if there is no entry (destination unreachable under the discipline, or
+// outside the destination set). The returned slice must not be modified.
+func (t *Tables) NextHops(n, dst topology.NodeID) []int {
+	if t.col[dst] < 0 {
+		return nil
+	}
+	return t.next[t.slot(n, dst)]
+}
+
+// NextHop returns the egress port at node n toward dst for a flow with
+// the given hash, or -1 if there is no entry. The ECMP choice is salted
+// with the node, so a flow spreads across a fan-out hop by hop yet always
+// takes the same port at one switch (per-switch hash seeds, as real
+// switches use with the 5-tuple).
+func (t *Tables) NextHop(n, dst topology.NodeID, flowHash uint64) int {
+	ports := t.NextHops(n, dst)
+	switch len(ports) {
+	case 0:
+		return -1
+	case 1:
+		return ports[0]
+	}
+	x := flowHash ^ (uint64(n) * 0x9e3779b97f4a7c15)
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	return ports[x%uint64(len(ports))]
+}
 
 // Override replaces the entry at node n toward dst with the given egress
 // ports. Passing no ports removes the entry (blackhole). This is the
 // scenario hook for the paper's "manually change the routing tables"
-// experiments (Fig 11, Fig 12).
+// experiments (Fig 11, Fig 12). It panics if dst is outside the
+// destination set, because a scenario asking for that is malformed.
 func (t *Tables) Override(n, dst topology.NodeID, ports ...int) {
-	t.gen++
-	if len(ports) == 0 {
-		delete(t.next, tableKey{n, dst})
-		return
+	if t.col[dst] < 0 {
+		panic(fmt.Sprintf("routing: %s is not a destination of these tables", t.g.Node(dst).Name))
 	}
-	t.next[tableKey{n, dst}] = append([]int(nil), ports...)
+	t.next[t.slot(n, dst)] = append([]int(nil), ports...)
 }
 
 // OverrideNextNode points n's entry for dst at the single neighbor next.
@@ -271,12 +297,11 @@ func (t *Tables) Route(src, dst topology.NodeID, flowHash uint64, maxHops int) R
 			res.Reached = true
 			return res
 		}
-		ports := t.NextHops(cur, dst)
-		if len(ports) == 0 {
+		port := t.NextHop(cur, dst, flowHash)
+		if port < 0 {
 			res.Dropped = true
 			return res
 		}
-		port := ports[ecmpIndex(flowHash, uint64(hop), len(ports))]
 		next := t.g.Port(t.g.PortOn(cur, port)).Peer
 		res.Path = append(res.Path, next)
 		seen[next]++
@@ -294,20 +319,16 @@ func (t *Tables) Route(src, dst topology.NodeID, flowHash uint64, maxHops int) R
 	return res
 }
 
-// ecmpIndex deterministically selects an ECMP member from a flow hash.
-// The hop count is mixed in so that a flow does not always pick index 0
-// at every switch of an equal-cost fan-out (per-hop field hashing, as
-// real switches do with the 5-tuple plus inbound context).
-func ecmpIndex(flowHash, hop uint64, n int) int {
-	x := flowHash ^ (hop * 0x9e3779b97f4a7c15)
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	return int(x % uint64(n))
-}
-
 // Entries returns the number of installed forwarding entries.
-func (t *Tables) Entries() int { return len(t.next) }
+func (t *Tables) Entries() int {
+	k := 0
+	for _, ports := range t.next {
+		if ports != nil {
+			k++
+		}
+	}
+	return k
+}
 
 // Graph returns the topology the tables were computed over.
 func (t *Tables) Graph() *topology.Graph { return t.g }

@@ -1,6 +1,9 @@
 package routing
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/topology"
@@ -188,6 +191,98 @@ func TestTablesOnFatTree(t *testing.T) {
 			res := tb.Route(hosts[i], hosts[j], uint64(i*31+j), 0)
 			if !res.Reached || !res.Path.ValleyFree(g) {
 				t.Fatalf("fat-tree route %d->%d: %+v (%s)", i, j, res, res.Path.String(g))
+			}
+		}
+	}
+}
+
+// snapshot copies every (node, destination) answer of tb.
+func snapshot(tb *Tables) map[[2]topology.NodeID][]int {
+	g := tb.Graph()
+	out := map[[2]topology.NodeID][]int{}
+	for n := 0; n < g.NumNodes(); n++ {
+		for d := 0; d < g.NumNodes(); d++ {
+			if ports := tb.NextHops(topology.NodeID(n), topology.NodeID(d)); ports != nil {
+				out[[2]topology.NodeID{topology.NodeID(n), topology.NodeID(d)}] = slices.Clone(ports)
+			}
+		}
+	}
+	return out
+}
+
+// TestTablesMutations: every way an entry can change shows through
+// NextHops at once and touches no other entry; Recompute restores what a
+// fresh Compute answers; NextHop reads the same entry; and an Override
+// toward a node outside the destination set panics.
+func TestTablesMutations(t *testing.T) {
+	c := paperClos(t)
+	g := c.Graph
+	n := func(name string) topology.NodeID { return g.MustLookup(name) }
+	tb := ComputeToHosts(g, UpDown)
+	fresh := snapshot(tb)
+	if len(fresh) != tb.Entries() {
+		t.Fatalf("%d non-empty answers, Entries() = %d", len(fresh), tb.Entries())
+	}
+	if tb.NextHops(n("T1"), n("S1")) != nil {
+		t.Fatal("an entry toward a switch outside the destination set")
+	}
+	t3, h1 := n("T3"), n("H1")
+	if len(tb.NextHops(t3, h1)) < 2 {
+		t.Fatalf("T3->H1 = %v, want an ECMP set", tb.NextHops(t3, h1))
+	}
+
+	key := [2]topology.NodeID{t3, h1}
+	expect := func(after string, want []int) {
+		t.Helper()
+		got := snapshot(tb)
+		for k, ports := range fresh {
+			if k != key && !slices.Equal(got[k], ports) {
+				t.Fatalf("after %s: entry %v = %v, was %v", after, k, got[k], ports)
+			}
+		}
+		if !slices.Equal(got[key], want) || len(got) != tb.Entries() {
+			t.Fatalf("after %s: T3->H1 = %v, want %v (%d answers, Entries() %d)", after, got[key], want, len(got), tb.Entries())
+		}
+		if nh := tb.NextHop(t3, h1, 7); (len(want) == 0) != (nh < 0) || (nh >= 0 && !slices.Contains(want, nh)) {
+			t.Fatalf("after %s: NextHop = %d outside %v", after, nh, want)
+		}
+	}
+	l4 := g.PortToPeer(t3, n("L4"))
+	tb.Override(t3, h1, l4)
+	expect("Override", []int{l4})
+	tb.Override(t3, h1) // blackhole
+	expect("Override to no ports", nil)
+	tb.OverrideNextNode(t3, h1, n("L3"))
+	expect("OverrideNextNode", []int{g.PortToPeer(t3, n("L3"))})
+	tb.Recompute()
+	expect("Recompute", fresh[key])
+
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "not a destination") {
+			t.Fatalf("Override toward a switch recovered %v, want a panic", r)
+		}
+	}()
+	tb.Override(t3, n("S1"), l4)
+}
+
+// TestRouteFollowsNextHop: Route's walk is NextHop applied node by node,
+// so a flow takes the same port at a switch however it got there — the
+// choice the simulator's forwarding makes.
+func TestRouteFollowsNextHop(t *testing.T) {
+	c := paperClos(t)
+	g := c.Graph
+	tb := ComputeToHosts(g, UpDown)
+	for hash := uint64(0); hash < 16; hash++ {
+		src, dst := c.Hosts[0], c.Hosts[len(c.Hosts)-1]
+		res := tb.Route(src, dst, hash, 0)
+		if !res.Reached {
+			t.Fatalf("hash %d: %+v", hash, res)
+		}
+		for i := 0; i+1 < len(res.Path); i++ {
+			out := tb.NextHop(res.Path[i], dst, hash)
+			if peer := g.Port(g.PortOn(res.Path[i], out)).Peer; peer != res.Path[i+1] {
+				t.Fatalf("hash %d: Route went %s->%s, NextHop leads to %s", hash,
+					g.Node(res.Path[i]).Name, g.Node(res.Path[i+1]).Name, g.Node(peer).Name)
 			}
 		}
 	}

@@ -14,12 +14,14 @@
 // lanes for the constant-delay event kinds over a typed binary heap for
 // the rest, a 32-byte packed event struct assembled in its ring slot, a
 // packet slab whose 4-byte handles are what queues, transmitters and
-// arrival events carry, a bit-scan egress arbiter, a dense forwarding
-// memo in front of the routing map and compiled per-switch rule tables,
-// and dedicated event kinds for periodic timers and DCQCN notifications,
+// arrival events carry, a bit-scan egress arbiter, dense forwarding
+// tables (routing.Tables) and compiled per-switch rule tables, and
+// dedicated event kinds for periodic timers and DCQCN notifications,
 // so the steady state schedules and dispatches without heap allocations
 // or hashing (see DESIGN.md §11).
 package sim
+
+import "fmt"
 
 // eventKind discriminates the simulator's event types.
 type eventKind uint8
@@ -53,9 +55,9 @@ type event struct {
 	on   bool
 }
 
-// eventHeap is a hand-inlined binary min-heap ordered by (at, seq). It is
-// the scheduler's fallback: the home of every event kind without a lane
-// and of any lane-kind event that would break its lane's order.
+// eventHeap is a hand-inlined binary min-heap ordered by (at, seq): the
+// home of the event kinds without a lane (evFlowKick, evCall, evTimer,
+// evCNP), whose times are scenario- or rate-driven.
 type eventHeap []event
 
 // before is the (at, seq) order. It is total (seq is unique), so the
@@ -119,13 +121,16 @@ func (h *eventHeap) pop() event {
 // and evPFC, the first three kinds, so a lane's index is its kind.
 const numLanes = 3
 
+// laneNames names the lane kinds for the scheduler's order panic.
+var laneNames = [numLanes]string{"evArrive", "evTxDone", "evPFC"}
+
 // laneMinCap is a lane's first ring size; rings then double up to the
 // kind's in-flight high-water mark and stay there.
 const laneMinCap = 16
 
 // lane is a FIFO ring of one event kind, sorted by (at, seq) because the
-// scheduler only admits an event whose at is not below the newest queued
-// one (seq grows with every schedule call).
+// scheduler refuses an event whose at is below the newest queued one
+// (seq grows with every schedule call).
 type lane struct {
 	buf  []event // len is zero or a power of two
 	head int     // index of the oldest event
@@ -163,40 +168,41 @@ func (l *lane) pop() event {
 // scheduler is the engine's pending-event set: one monotone lane per
 // constant-delay kind plus the heap. evArrive, evTxDone and evPFC are
 // always scheduled at now + a per-run constant (MTU serialization time,
-// PropDelay, or their sum) and now never decreases, so each kind's
-// events are born already sorted and a ring holds them at O(1) per push
-// and pop; everything else, and any lane-kind event that does arrive out
-// of order, goes through the heap. pop takes the (at, seq) minimum over
+// PropDelay, or their sum: packet size and link delay are fabric-wide,
+// DESIGN.md §7) and now never decreases, so each kind's events are born
+// already sorted and a ring holds them at O(1) per push and pop; the
+// other kinds go through the heap. pop takes the (at, seq) minimum over
 // the lane heads and the heap top — the same strict sort one heap gave.
 type scheduler struct {
 	lanes [numLanes]lane
 	heap  eventHeap
 
 	pending, maxPending int
-	// Every reserve lands in exactly one of these: a lane, the heap
-	// because its kind has no lane, or the heap because its lane would
-	// have gone out of order.
-	lanePushes, heapPushes, laneFallbacks int64
+	// Every reserve lands in exactly one of these.
+	lanePushes, heapPushes int64
 }
 
 // reserve queues an event with the given key and returns it for the
 // caller to fill in the payload fields its kind uses (the rest are zero).
-// It is the only way in: a lane kind whose time keeps its lane sorted is
-// assembled in the ring slot, everything else in the heap.
+// It is the only way in: a lane kind is assembled in its ring slot, the
+// other kinds in the heap. A lane-kind time below its lane's tail would
+// unsort the lane, so it panics: the engine only ever schedules those
+// kinds a constant delay after a clock that never goes back.
 func (s *scheduler) reserve(kind eventKind, at, seq int64) *event {
 	if s.pending++; s.pending > s.maxPending {
 		s.maxPending = s.pending
 	}
-	if kind < numLanes {
-		if l := &s.lanes[kind]; l.n == 0 || at >= l.last {
-			s.lanePushes++
-			return l.reserve(at, seq, kind)
-		}
-		s.laneFallbacks++
-	} else {
+	if kind >= numLanes {
 		s.heapPushes++
+		return s.heap.reserve(at, seq, kind)
 	}
-	return s.heap.reserve(at, seq, kind)
+	l := &s.lanes[kind]
+	if l.n > 0 && at < l.last {
+		panic(fmt.Sprintf("sim: %s at %d ns is behind its lane's tail at %d ns: "+
+			"a lane kind must be scheduled in time order", laneNames[kind], at, l.last))
+	}
+	s.lanePushes++
+	return l.reserve(at, seq, kind)
 }
 
 // push queues a fully built event: the form for the kinds off the packet
@@ -236,11 +242,10 @@ func (s *scheduler) pop(limit int64, e *event) bool {
 type EngineStats struct {
 	// Dispatched events by kind.
 	Arrive, TxDone, PFC, FlowKick, Call, Timer, CNP int64
-	// LanePushes, HeapPushes and LaneFallbacks split the schedule calls by
-	// where the event was queued: an O(1) lane, the heap because its kind
-	// has no lane, or the heap because a lane kind arrived out of order
-	// for its lane. The packet path is built so the last stays zero.
-	LanePushes, HeapPushes, LaneFallbacks int64
+	// LanePushes and HeapPushes split the schedule calls by where the
+	// event was queued: an O(1) lane (evArrive, evTxDone, evPFC) or the
+	// heap (the other kinds).
+	LanePushes, HeapPushes int64
 	// MaxPending is the high-water mark of scheduled, undispatched events.
 	MaxPending int
 	// MaxPacketsLive is the high-water mark of packets in the fabric at
@@ -260,8 +265,7 @@ func (n *Network) EngineStats() EngineStats {
 		Arrive: d[evArrive], TxDone: d[evTxDone], PFC: d[evPFC], FlowKick: d[evFlowKick],
 		Call: d[evCall], Timer: d[evTimer], CNP: d[evCNP],
 		LanePushes: n.events.lanePushes, HeapPushes: n.events.heapPushes,
-		LaneFallbacks: n.events.laneFallbacks,
-		MaxPending:    n.events.maxPending, MaxPacketsLive: len(n.pkts.slots),
+		MaxPending: n.events.maxPending, MaxPacketsLive: len(n.pkts.slots),
 	}
 }
 

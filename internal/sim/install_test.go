@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"testing"
 
@@ -12,61 +11,6 @@ import (
 	"repro/internal/tcam"
 	"repro/internal/topology"
 )
-
-// checkForwardMemo compares the memo against the authority at every
-// (node, dst). Running it twice back to back checks both the fill and
-// the hit path.
-func checkForwardMemo(t *testing.T, n *Network, after string) {
-	t.Helper()
-	for pass := 0; pass < 2; pass++ {
-		for id := range n.nodes {
-			for dst := range n.nodes {
-				got := n.nextHops(topology.NodeID(id), topology.NodeID(dst))
-				want := n.tables.NextHops(topology.NodeID(id), topology.NodeID(dst))
-				if !slices.Equal(got, want) {
-					t.Fatalf("after %s (pass %d): memoized next hops %s->%s = %v, tables say %v",
-						after, pass, n.nodeName(topology.NodeID(id)), n.nodeName(topology.NodeID(dst)), got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestForwardMemoInvalidation: every way a Tables entry can change must
-// be visible through a memo that had the old answer cached.
-func TestForwardMemoInvalidation(t *testing.T) {
-	c := paper.Testbed()
-	g := c.Graph
-	tb := routing.ComputeToHosts(g, routing.UpDown)
-	n := New(g, tb, DefaultConfig())
-	t3, l3, l4, h1 := g.MustLookup("T3"), g.MustLookup("L3"), g.MustLookup("L4"), g.MustLookup("H1")
-
-	checkForwardMemo(t, n, "construction")
-	if len(n.nextHops(t3, h1)) < 2 {
-		t.Fatalf("T3->H1 should be an ECMP set, got %v", n.nextHops(t3, h1))
-	}
-
-	tb.Override(t3, h1, g.PortToPeer(t3, l4))
-	checkForwardMemo(t, n, "Override")
-	if got := n.nextHops(t3, h1); len(got) != 1 {
-		t.Fatalf("T3->H1 after Override = %v, want the single overriding port", got)
-	}
-
-	tb.Override(t3, h1) // blackhole
-	checkForwardMemo(t, n, "Override to no ports")
-	if got := n.nextHops(t3, h1); len(got) != 0 {
-		t.Fatalf("T3->H1 after blackhole = %v, want none", got)
-	}
-
-	tb.OverrideNextNode(t3, h1, l3)
-	checkForwardMemo(t, n, "OverrideNextNode")
-
-	tb.Recompute()
-	checkForwardMemo(t, n, "Recompute")
-	if len(n.nextHops(t3, h1)) < 2 {
-		t.Fatalf("T3->H1 after Recompute = %v, want the ECMP set back", n.nextHops(t3, h1))
-	}
-}
 
 // checkInstalled compares the installed pipelines' full decision with
 // the ruleset at every node, tag 0..maxTag+1 and port pair, with the

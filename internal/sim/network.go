@@ -244,9 +244,6 @@ type Network struct {
 	events     scheduler
 	dispatched [numEventKinds]int64
 
-	// fwd memoizes the forwarding lookup (memo.go).
-	fwd fwdMemo
-
 	// pkts owns every packet in the fabric; calls/callFree and timers are
 	// the side tables behind evCall and evTimer events (see event.go).
 	pkts     packetSlab
@@ -301,7 +298,6 @@ func New(g *topology.Graph, tables *routing.Tables, cfg Config) *Network {
 	}
 	n := &Network{g: g, tables: tables, cfg: cfg, nQueues: cfg.MaxPriority + 1}
 	n.nodes = make([]nodeRT, g.NumNodes())
-	n.fwd.rows = make([][][]int, len(n.nodes))
 	for i := range n.nodes {
 		node := g.Node(topology.NodeID(i))
 		rt := &n.nodes[i]
@@ -451,15 +447,10 @@ func (n *Network) arrive(nodeIdx, port int, h int32) {
 		}
 		out = int(pk.flow.pinOut[pk.hop])
 	} else {
-		hops := n.nextHops(id, pk.flow.spec.Dst)
-		if len(hops) == 0 {
+		if out = n.tables.NextHop(id, pk.flow.spec.Dst, pk.flow.hash); out < 0 {
 			n.drops.NoRoute++
 			n.dropArrival(id, h, "no-route")
 			return
-		}
-		out = hops[0]
-		if len(hops) > 1 {
-			out = hops[ecmpPick(pk.flow.hash, uint64(id), len(hops))]
 		}
 	}
 
@@ -711,15 +702,6 @@ func (n *Network) pfcEffect(nodeIdx, port, prio int, on bool, arg int32) {
 			n.tryHostTx(nodeIdx, port)
 		}
 	}
-}
-
-// ecmpPick deterministically selects an ECMP member.
-func ecmpPick(flowHash, salt uint64, m int) int {
-	x := flowHash ^ (salt * 0x9e3779b97f4a7c15)
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	return int(x % uint64(m))
 }
 
 // RebootSwitch models a power-cycle of one switch: every queued packet

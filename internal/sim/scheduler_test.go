@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -76,9 +78,9 @@ func (d *schedDiff) finish() {
 	if d.s.pending != 0 {
 		d.t.Fatalf("pending = %d after draining, want 0", d.s.pending)
 	}
-	if got := d.s.lanePushes + d.s.heapPushes + d.s.laneFallbacks; got != d.pushes {
-		d.t.Fatalf("lanePushes %d + heapPushes %d + laneFallbacks %d = %d, want %d pushes",
-			d.s.lanePushes, d.s.heapPushes, d.s.laneFallbacks, got, d.pushes)
+	if got := d.s.lanePushes + d.s.heapPushes; got != d.pushes {
+		d.t.Fatalf("lanePushes %d + heapPushes %d = %d, want %d pushes",
+			d.s.lanePushes, d.s.heapPushes, got, d.pushes)
 	}
 	if int64(d.s.maxPending) > d.pushes {
 		d.t.Fatalf("maxPending %d exceeds the %d pushes made", d.s.maxPending, d.pushes)
@@ -88,9 +90,10 @@ func (d *schedDiff) finish() {
 // runSchedOps interprets data as a scheduler workload, two bytes per
 // operation. The first byte picks pop (low three bits all set) or the
 // kind to push; its top bit picks the push's clock: a cursor that only
-// moves forward (what the engine does — lane kinds stay in their lanes)
-// or an absolute time in a 64-tick window (decreasing times on lane
-// kinds, which must fall back to the heap, and ties across every lane).
+// moves forward or an absolute time in a 64-tick window (decreasing
+// times, and ties across every lane and the heap). A lane-kind time is
+// then raised to its lane's tail, as the engine's clock guarantees, so
+// every sequence is one the engine can produce.
 func runSchedOps(t testing.TB, data []byte) *schedDiff {
 	d := &schedDiff{t: t}
 	var cursor int64
@@ -109,7 +112,11 @@ func runSchedOps(t testing.TB, data []byte) *schedDiff {
 			cursor += b & 3
 			at = cursor
 		}
-		d.push(eventKind(a&7), at)
+		kind := eventKind(a & 7)
+		if kind < numLanes && d.s.lanes[kind].n > 0 {
+			at = max(at, d.s.lanes[kind].last)
+		}
+		d.push(kind, at)
 	}
 	d.finish()
 	return d
@@ -117,7 +124,7 @@ func runSchedOps(t testing.TB, data []byte) *schedDiff {
 
 func FuzzSchedulerOrder(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 1, 2, 0, 7, 0, 7, 0})                 // in-order lane pushes, ties
-	f.Add([]byte{0x80, 50, 0x80, 10, 0x81, 10, 15, 5, 7, 0})    // decreasing at on a lane kind
+	f.Add([]byte{0x80, 50, 0x80, 10, 0x81, 10, 15, 5, 7, 0})    // decreasing at on a lane kind, raised to its tail
 	f.Add([]byte{0x80, 9, 0x81, 9, 0x82, 9, 0x85, 9, 0x83, 9})  // one instant across lanes and heap
 	f.Add([]byte{5, 3, 0, 0, 7, 0, 0x80, 0, 6, 1, 15, 2, 4, 0}) // timers, calls, limited pops
 	f.Fuzz(func(t *testing.T, data []byte) { runSchedOps(t, data) })
@@ -126,7 +133,7 @@ func FuzzSchedulerOrder(f *testing.F) {
 // TestSchedulerOrderRandom is the fuzz target on seeded random
 // workloads long enough to wrap and grow the rings.
 func TestSchedulerOrderRandom(t *testing.T) {
-	var lane, heap, fallback int64
+	var lane, heap int64
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		data := make([]byte, 4000)
@@ -134,43 +141,43 @@ func TestSchedulerOrderRandom(t *testing.T) {
 		d := runSchedOps(t, data)
 		lane += d.s.lanePushes
 		heap += d.s.heapPushes
-		fallback += d.s.laneFallbacks
 	}
-	if lane == 0 || heap == 0 || fallback == 0 {
-		t.Fatalf("lane pushes %d, heap pushes %d, lane fallbacks %d: the workloads must exercise all three", lane, heap, fallback)
+	if lane == 0 || heap == 0 {
+		t.Fatalf("lane pushes %d, heap pushes %d: the workloads must exercise both", lane, heap)
 	}
 }
 
-// TestSchedulerLaneFallback pins where events are stored: a lane kind
-// joins its lane while its times do not decrease and takes the heap —
-// counted as a fallback — when they do; kinds without a lane always take
-// the heap.
-func TestSchedulerLaneFallback(t *testing.T) {
+// TestSchedulerLaneOrder pins the lanes' invariant: a lane kind whose
+// time falls behind its lane's tail panics, naming the invariant, and
+// leaves the other lanes and the heap alone; ties across the lanes and
+// the heap pop by seq; and an emptied lane accepts any time again.
+func TestSchedulerLaneOrder(t *testing.T) {
+	for kind := eventKind(0); kind < numLanes; kind++ {
+		var s scheduler
+		s.reserve(kind, 10, 0)
+		s.reserve(kind, 10, 1) // equal: still in order
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "time order") {
+					t.Errorf("%s behind its lane's tail recovered %v, want a panic naming the order", laneNames[kind], r)
+				}
+			}()
+			s.reserve(kind, 9, 2)
+		}()
+		s.reserve((kind+1)%numLanes, 9, 3) // another lane
+		s.reserve(evTimer, 1, 4)           // the heap
+	}
+
 	d := &schedDiff{t: t}
-	d.push(evArrive, 10)
-	d.push(evArrive, 10) // equal: still monotone
-	d.push(evArrive, 12)
-	if d.s.lanePushes != 3 || d.s.heapPushes != 0 || d.s.laneFallbacks != 0 {
-		t.Fatalf("monotone arrivals: lane %d heap %d fallback %d, want 3/0/0", d.s.lanePushes, d.s.heapPushes, d.s.laneFallbacks)
+	for _, kind := range []eventKind{evArrive, evTimer, evTxDone, evPFC, evCall, evArrive, evCNP, evFlowKick} {
+		d.push(kind, 12)
 	}
-	d.push(evArrive, 11) // below the lane's tail
-	d.push(evTimer, 20)  // no lane
-	if d.s.lanePushes != 3 || d.s.heapPushes != 1 || d.s.laneFallbacks != 1 {
-		t.Fatalf("after a decreasing arrival and a timer: lane %d heap %d fallback %d, want 3/1/1", d.s.lanePushes, d.s.heapPushes, d.s.laneFallbacks)
+	if d.s.lanePushes != 4 || d.s.heapPushes != 4 || d.s.maxPending != 8 {
+		t.Fatalf("lane %d heap %d maxPending %d, want 4/4/8", d.s.lanePushes, d.s.heapPushes, d.s.maxPending)
 	}
-	// Ties across lanes and the heap resolve by seq.
-	d.push(evTxDone, 12)
-	d.push(evPFC, 12)
-	d.push(evCall, 12)
-	if d.s.maxPending != 8 {
-		t.Fatalf("maxPending = %d, want 8", d.s.maxPending)
-	}
-	d.finish()
-	// An emptied lane accepts any time again.
+	d.finish() // pops against the oracle: seq order within the instant
 	d.push(evArrive, 5)
-	if d.s.lanePushes != 6 || d.s.laneFallbacks != 1 {
-		t.Fatalf("push into an emptied lane went to the heap (lane pushes %d, fallbacks %d, want 6/1)", d.s.lanePushes, d.s.laneFallbacks)
-	}
+	d.push(evArrive, 6)
 	d.finish()
 }
 
@@ -196,11 +203,9 @@ func TestLaneGrowsWrapped(t *testing.T) {
 	d.finish()
 }
 
-// TestEngineStats checks the engine's self-counters on a PFC-heavy run,
-// and with them the premise the lanes rest on: every evArrive, evTxDone
-// and evPFC the engine schedules is in order for its lane, so the heap
-// only ever sees the kinds that have none (TestLaneFallbacksZero holds
-// the figure and detect-matrix scenarios to the same).
+// TestEngineStats checks the engine's self-counters on a PFC-heavy run:
+// every kind dispatched, every schedule call counted once, and the heap
+// holding only the kinds without a lane.
 func TestEngineStats(t *testing.T) {
 	c, _, n := testbedNet(t, routing.UpDown)
 	g := c.Graph
@@ -222,12 +227,9 @@ func TestEngineStats(t *testing.T) {
 	if got, want := st.Events(), n.seq-int64(n.events.pending); got != want {
 		t.Errorf("Events() = %d, want %d (scheduled minus pending)", got, want)
 	}
-	if got, want := st.LanePushes+st.HeapPushes+st.LaneFallbacks, n.seq; got != want {
-		t.Errorf("lane %d + heap %d + fallback %d pushes = %d, want %d schedule calls",
-			st.LanePushes, st.HeapPushes, st.LaneFallbacks, got, want)
-	}
-	if st.LaneFallbacks != 0 {
-		t.Errorf("%d lane-kind events took the heap, want 0", st.LaneFallbacks)
+	if got, want := st.LanePushes+st.HeapPushes, n.seq; got != want {
+		t.Errorf("lane %d + heap %d pushes = %d, want %d schedule calls",
+			st.LanePushes, st.HeapPushes, got, want)
 	}
 	laneless := st.FlowKick + st.Call + st.Timer + st.CNP + int64(len(n.events.heap))
 	if st.HeapPushes != laneless {

@@ -23,8 +23,10 @@
 //
 // Concurrency: the cache is safe for concurrent use and single-flight —
 // concurrent misses on one key synthesize exactly once, the rest wait.
-// Eviction only unlinks an entry from the index; in-flight waiters keep
-// their pointer, so a partially-built System is never observable.
+// A build in flight waits in its own map and joins the LRU index only
+// once it succeeds, so a failed build evicts nothing. Eviction only
+// unlinks an entry from the index; waiters keep their pointer, so a
+// partially-built System is never observable.
 // Cached Systems are shared read-only; nothing in them is built lazily,
 // so shared readers never race.
 package synthcache
@@ -121,8 +123,9 @@ type pathsAt struct {
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
-	entries  map[key]*list.Element
+	entries  map[key]*list.Element         // built entries, at most capacity
 	lru      *list.List                    // of *entry; front = most recently used
+	building map[key]*entry                // builds in flight, for waiters
 	pathSums map[pathsAt][sha256.Size]byte // by entry.memo
 
 	tel *telemetry.Registry
@@ -148,6 +151,7 @@ func New(capacity int) *Cache {
 		capacity: capacity,
 		entries:  make(map[key]*list.Element),
 		lru:      list.New(),
+		building: make(map[key]*entry),
 		pathSums: make(map[pathsAt][sha256.Size]byte),
 		tel:      telemetry.Default,
 	}
@@ -183,7 +187,7 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// Len returns the number of resident entries.
+// Len returns the number of resident (built) entries.
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -239,10 +243,8 @@ func pathsSum(paths []routing.Path) [sha256.Size]byte {
 	return sum
 }
 
-// acquire returns the entry for key, creating (and becoming the builder
-// of) a fresh one on a miss. The LRU bound is enforced here; eviction
-// removes entries from the index only, never invalidating pointers that
-// in-flight waiters hold.
+// acquire returns the entry for key, resident or in flight, or creates
+// a fresh in-flight one on a miss and makes the caller its builder.
 func (c *Cache) acquire(k key) (*entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -250,9 +252,29 @@ func (c *Cache) acquire(k key) (*entry, bool) {
 		c.lru.MoveToFront(el)
 		return el.Value.(*entry), false
 	}
+	if e, ok := c.building[k]; ok {
+		return e, false
+	}
 	e := &entry{key: k, ready: make(chan struct{})}
-	c.entries[k] = c.lru.PushFront(e)
-	for len(c.entries) > c.capacity {
+	c.building[k] = e
+	return e, true
+}
+
+// settle ends e's build. A failed build just leaves the in-flight map,
+// so the next request retries and no resident entry pays for it. A
+// successful one joins the LRU, evicting down to the bound first, and
+// memoizes the digest of memo, the list it was built from, while it is
+// resident (a list two entries were built from is forgotten with the
+// first to go, costing a rehash only). Eviction removes entries from
+// the index only, never invalidating pointers that waiters hold.
+func (c *Cache) settle(e *entry, memo pathsAt) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.building, e.key)
+	if e.err != nil {
+		return
+	}
+	for len(c.entries) >= c.capacity {
 		back := c.lru.Back()
 		be := back.Value.(*entry)
 		c.lru.Remove(back)
@@ -261,26 +283,8 @@ func (c *Cache) acquire(k key) (*entry, bool) {
 		c.evictions.Add(1)
 		c.tel.Counter("synthcache.evictions").Inc()
 	}
-	return e, true
-}
-
-// drop unlinks e (a failed or superseded build) from the index.
-func (c *Cache) drop(e *entry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[e.key]; ok && el.Value.(*entry) == e {
-		c.lru.Remove(el)
-		delete(c.entries, e.key)
-	}
-}
-
-// remember memoizes e's path digest for memo, the list e was built from,
-// while e is resident; evicting e forgets it (a list two entries were
-// built from is forgotten with the first to go, costing a rehash only).
-func (c *Cache) remember(e *entry, memo pathsAt) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[e.key]; ok && el.Value.(*entry) == e {
+	c.entries[e.key] = c.lru.PushFront(e)
+	if memo.n > 0 {
 		e.memo = memo
 		c.pathSums[memo] = e.key.sum
 	}
@@ -298,11 +302,11 @@ func (c *Cache) wait(e *entry) {
 }
 
 // serve is the one lookup/build flow. The first request for a key
-// builds and publishes the entry (an error unlinks it, so the next
+// builds and publishes the entry (an error is not kept, so the next
 // request retries); later requests wait for it and share its System.
 // build reports whether it pod-stamped. The digest of memo, the path
 // list the request's key was hashed from (zero: none), is memoized if
-// the build succeeds and its entry is still resident.
+// the build succeeds.
 func (c *Cache) serve(k key, memo pathsAt, build func() (*core.System, bool, error)) (Result, error) {
 	e, builder := c.acquire(k)
 	if !builder {
@@ -318,11 +322,7 @@ func (c *Cache) serve(k key, memo pathsAt, build func() (*core.System, bool, err
 	c.count(&c.misses, "misses")
 	sys, pod, err := build()
 	e.sys, e.pod, e.err = sys, pod, err
-	if err != nil {
-		c.drop(e)
-	} else if memo.n > 0 {
-		c.remember(e, memo)
-	}
+	c.settle(e, memo)
 	close(e.ready)
 	if err != nil {
 		return Result{}, err

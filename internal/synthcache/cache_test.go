@@ -313,6 +313,33 @@ func TestErroredBuildNotCached(t *testing.T) {
 	}
 }
 
+// TestFailedBuildKeepsResidentEntry: a build that fails evicts nothing.
+// At capacity 1, a 2-bounce ELP against a 1-bounce budget fails while
+// the 1-bounce entry is resident; that entry must still serve a hit.
+func TestFailedBuildKeepsResidentEntry(t *testing.T) {
+	c := smallClos(t)
+	cache := synthcache.New(1)
+	one := elp.KBounce(c.Graph, c.ToRs, 1, nil).Paths()
+	two := elp.KBounce(c.Graph, c.ToRs, 2, nil).Paths()
+	first, err := cache.SynthesizeClos(c.Graph, one, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cache.SynthesizeClos(c.Graph, two, 1); err == nil {
+		t.Fatal("expected a synthesis error")
+	}
+	r, err := cache.SynthesizeClos(c.Graph, one, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Hit || r.Sys != first.Sys {
+		t.Fatalf("resident entry after a failed build: hit=%v, same system=%v", r.Hit, r.Sys == first.Sys)
+	}
+	if s := cache.Stats(); s.Evictions != 0 || s.Misses != 2 || cache.Len() != 1 {
+		t.Fatalf("stats %+v, len %d: want 0 evictions, 2 misses, 1 resident", s, cache.Len())
+	}
+}
+
 func TestPodStampedMatchesFromScratchFatTree(t *testing.T) {
 	ft, err := topology.NewFatTree(4)
 	if err != nil {

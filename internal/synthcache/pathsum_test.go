@@ -66,7 +66,7 @@ func TestPathsSumMatchesOneBufferDigest(t *testing.T) {
 // TestPathsMemoHoldsResidentBuildersOnly: the digest memo keeps a path
 // list only while an entry built from it is resident. A twin list that
 // hits the entry, a request that fails to build, and an evicted entry's
-// list are not (or no longer) memoized.
+// list are not (or no longer) memoized; a failed build evicts nothing.
 func TestPathsMemoHoldsResidentBuildersOnly(t *testing.T) {
 	cl, err := topology.NewClos(topology.ClosConfig{Pods: 4, ToRsPerPod: 2, LeafsPerPod: 2, Spines: 4, HostsPerToR: 1})
 	if err != nil {
@@ -101,15 +101,15 @@ func TestPathsMemoHoldsResidentBuildersOnly(t *testing.T) {
 	if m := memoized(c); len(m) != 1 || m[0] != at(a) {
 		t.Fatalf("after a twin's hit: memo holds %d lists, want a only", len(m))
 	}
-	// A 2-bounce ELP against a 1-bounce budget fails to build. Its entry
-	// took the one slot before it failed, so a's entry is evicted and a's
-	// list forgotten; the failing list is not memoized either.
+	// A 2-bounce ELP against a 1-bounce budget fails to build. A build
+	// joins the LRU only once it succeeds, so a's entry stays resident
+	// and a's list memoized; the failing list is not memoized.
 	two := elp.KBounce(g, cl.ToRs, 2, nil).Paths()
 	if _, err := c.SynthesizeClos(g, two, 1); err == nil {
 		t.Fatal("expected a synthesis error")
 	}
-	if m := memoized(c); len(m) != 0 {
-		t.Fatalf("after a failed build: memo holds %d lists, want none", len(m))
+	if m := memoized(c); len(m) != 1 || m[0] != at(a) {
+		t.Fatalf("after a failed build: memo holds %d lists, want a only", len(m))
 	}
 	if _, err := c.SynthesizeClos(g, two, 2); err != nil {
 		t.Fatal(err)

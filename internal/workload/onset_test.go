@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -110,23 +111,53 @@ func TestOnsetAgreesAcrossConsumers(t *testing.T) {
 // on: pause effects are the only transitions that create a wait-for
 // cycle, and resume effects and flushes the only ones that break it. If
 // so, an episode is open exactly when a fresh scan finds a cycle, at
-// every instant and not only at the checks.
+// every instant and not only at the checks. Besides the detect matrix,
+// the scenarios include forwarding that changes mid-run: Figure 11's
+// overrides, Reconvergence's Recompute, and chaos soaks' detours and
+// reboots.
 func TestOnsetTrackIsExact(t *testing.T) {
 	const step = 200 * time.Nanosecond
+	scenarios := map[string]func() *Scenario{
+		"fig11-base":  func() *Scenario { return Figure11(Options{}) },
+		"reconverge8": func() *Scenario { return Reconvergence(Options{}, 8) },
+	}
 	for seed := int64(1); seed <= 2; seed++ {
 		for _, arm := range []string{"none", "detect", "scan"} {
-			s := armDetectMatrix(arm, seed)
+			scenarios[fmt.Sprintf("detect-seed%d-%s", seed, arm)] = func() *Scenario {
+				return armDetectMatrix(arm, seed)
+			}
+		}
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		scenarios[fmt.Sprintf("chaos-seed%d", seed)] = func() *Scenario {
+			return Chaos(Options{}, chaos.Generate(chaosSoakConfig, seed))
+		}
+	}
+	for name, build := range scenarios {
+		t.Run(name, func(t *testing.T) {
+			s := build()
 			track := s.Net.TrackDeadlocks()
 			for at := step; at <= s.Duration; at += step {
 				s.Net.Run(at)
 				if open, live := track.Open(), s.Net.Deadlocked(); open != live {
-					t.Fatalf("seed %d arm %s: at %v DeadlockTrack.Open() = %v, wait-for scan finds a cycle = %v",
-						seed, arm, at, open, live)
+					t.Fatalf("at %v DeadlockTrack.Open() = %v, wait-for scan finds a cycle = %v", at, open, live)
 				}
 			}
 			if track.Onsets == 0 {
-				t.Errorf("seed %d arm %s: no deadlock formed; the samples prove nothing", seed, arm)
+				t.Error("no deadlock formed; the samples prove nothing")
 			}
-		}
+		})
 	}
+}
+
+// chaosSoakConfig is the chaos soak's schedule configuration (the root
+// package's ChaosSoakConfig, which this package cannot import).
+var chaosSoakConfig = chaos.Config{
+	Duration:      40 * time.Millisecond,
+	Links:         ChaosLinks(),
+	Switches:      ChaosSwitches(),
+	LinkFlaps:     3,
+	Reboots:       2,
+	InstallFaults: 2,
+	RPCFaults:     2,
 }

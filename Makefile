@@ -210,6 +210,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodePFC -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz FuzzRunCase -fuzztime 60s ./internal/check/
 	$(GO) test -fuzz FuzzShrinkConvergence -fuzztime 30s ./internal/check/
+	$(GO) test -fuzz FuzzKBounceOracle -fuzztime 30s ./internal/check/
 	$(GO) test -fuzz FuzzTraceDecode -fuzztime 30s ./internal/trace/
 	$(GO) test -fuzz FuzzOpen -fuzztime 30s -fuzzminimizetime 2s ./internal/trace/pipeline/
 	$(GO) test -fuzz FuzzPathIndex -fuzztime 30s ./internal/routing/
@@ -217,7 +218,8 @@ fuzz:
 	$(GO) test -fuzz FuzzSchedulerOrder -fuzztime 30s ./internal/sim/
 
 # Bounded differential fuzzing for the pre-merge gate: a few seconds of
-# native coverage-guided fuzzing over the check battery, the path index
+# native coverage-guided fuzzing over the check battery, the k-bounce
+# enumerator (every path valid and emitted once), the path index
 # (against its string-keyed reference), the bundle decoder, the sim's
 # event scheduler (against a sorted slice), the TGL1 trace decoder and
 # taggertrace's ingest of untrusted files (Open, Normalize, Summary: no
@@ -228,6 +230,7 @@ fuzz:
 # internal/check/testdata/fuzz-corpus/.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzRunCase -fuzztime 5s ./internal/check/
+	$(GO) test -fuzz FuzzKBounceOracle -fuzztime 5s ./internal/check/
 	$(GO) test -fuzz FuzzPathIndex -fuzztime 5s ./internal/routing/
 	$(GO) test -fuzz FuzzBundleImport -fuzztime 5s ./internal/deploy/
 	$(GO) test -fuzz FuzzSchedulerOrder -fuzztime 5s ./internal/sim/

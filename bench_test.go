@@ -668,7 +668,9 @@ func fatTree8Rep(b *testing.B) (g *topology.Graph, srcs, dsts []topology.NodeID)
 }
 
 // BenchmarkKBounceFromFatTree8Rep is the serial enumeration the stamped
-// build cannot avoid: segment BFS, prefix walk, Set.Add validation.
+// build cannot avoid (segment BFS, prefix walk), plus what a KBounceFrom
+// caller adds on top: Set's per-path validity check. The stamped build
+// reads the enumerator's list and skips the check.
 func BenchmarkKBounceFromFatTree8Rep(b *testing.B) {
 	g, srcs, dsts := fatTree8Rep(b)
 	b.ReportAllocs()

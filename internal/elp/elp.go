@@ -23,10 +23,11 @@ import (
 // Set is a deduplicated collection of loop-free expected lossless paths.
 // The zero value is an empty set.
 //
-// A set that ShortestAllN filled holds its paths unindexed (they are
-// distinct by construction); the lookup table is built by the first Add
-// or Contains, under once, so concurrent readers of a shared set never
-// race to build it. Paths and Len never need it.
+// A set that ShortestAllN or KBounceEnumerator.Set filled holds its
+// paths unindexed (they are distinct by construction); the lookup table
+// is built by the first Add or Contains, under once, so concurrent
+// readers of a shared set never race to build it. Paths and Len never
+// need it.
 type Set struct {
 	ix   routing.PathIndex
 	once sync.Once
@@ -139,6 +140,8 @@ func KBounce(g *topology.Graph, endpoints []topology.NodeID, k int, via []topolo
 // (sources outermost, a == b skipped). Enumeration of one pair does not
 // depend on any other pair, so the result is KBounce over any roster
 // containing both lists, filtered to these pairs, in the same order.
+// A node repeated in srcs, dsts or via counts at its first occurrence
+// only.
 func KBounceFrom(g *topology.Graph, srcs, dsts []topology.NodeID, k int, via []topology.NodeID) *Set {
 	defer telemetry.Default.StartSpan("synth/elp").End()
 	e := NewKBounceEnumerator(g, k, via)
@@ -149,10 +152,19 @@ func KBounceFrom(g *topology.Graph, srcs, dsts []topology.NodeID, k int, via []t
 // KBounceEnumerator enumerates k-bounce paths over one snapshot of a
 // graph's healthy links into List, for callers that want the flat layout
 // or several source × destination blocks in an order of their choosing.
+//
+// Every emitted path is a path of the graph by construction: it is
+// loop-free because disjoint admits a segment only if it meets the prefix
+// at its first node alone, and each hop is adjacent because every segment
+// is carved from the snapshot's adjacency. So List is never re-checked;
+// Set checks validity once more for the callers that ask for a set.
 type KBounceEnumerator struct {
 	// List holds every path emitted so far, in emission order. No path
-	// occurs twice: a path's junctions are exactly its valleys, so its
-	// node sequence fixes the one way it decomposes into segments.
+	// occurs twice as long as no two From calls share an ordered pair: a
+	// path's junctions are exactly its valleys, so its node sequence
+	// fixes the one way it decomposes into segments, and From and
+	// NewKBounceEnumerator drop repeated nodes, so each decomposition is
+	// walked once.
 	List routing.PathList
 
 	g    *topology.Graph
@@ -164,17 +176,21 @@ type KBounceEnumerator struct {
 	onPath []bool
 }
 
-// NewKBounceEnumerator snapshots g; k and via are as in KBounce.
+// NewKBounceEnumerator snapshots g; k and via are as in KBounce. A
+// repeated via node counts at its first occurrence only.
 func NewKBounceEnumerator(g *topology.Graph, k int, via []topology.NodeID) *KBounceEnumerator {
 	if via == nil {
 		via = g.Switches()
 	}
+	via = distinct(g, via)
 	return &KBounceEnumerator{g: g, k: k, via: via, segs: routing.NewSegments(g), onPath: make([]bool, g.NumNodes())}
 }
 
 // From appends the k-bounce paths of the ordered pairs srcs × dsts
-// (sources outermost, a == b skipped) to List.
+// (sources outermost, a == b skipped) to List. A node repeated in srcs
+// or in dsts counts at its first occurrence only.
 func (e *KBounceEnumerator) From(srcs, dsts []topology.NodeID) {
+	srcs, dsts = distinct(e.g, srcs), distinct(e.g, dsts)
 	for _, a := range srcs {
 		e.prefix = append(e.prefix[:0], a)
 		e.onPath[a] = true
@@ -187,16 +203,19 @@ func (e *KBounceEnumerator) From(srcs, dsts []topology.NodeID) {
 	}
 }
 
-// Set returns List's paths as a validated set: every path goes through
-// Set.Add. The set's paths are views into List as it stands.
+// Set returns List's paths as a set, as views into List as it stands.
+// Each path is checked to be loop-free and adjacent hop by hop, as
+// Set.Add checks it; Set panics if one is not. The paths are distinct by
+// construction, so they go in unindexed.
 func (e *KBounceEnumerator) Set() *Set {
 	s := NewSet()
 	s.Reserve(e.List.Len())
-	for i := 0; i < e.List.Len(); i++ {
-		s.MustAdd(e.g, e.List.At(i))
-	}
-	if s.Len() != e.List.Len() {
-		panic("elp: k-bounce enumeration emitted a path twice")
+	for i := range e.List.Len() {
+		p := e.List.At(i)
+		if !p.LoopFree() || !p.Valid(e.g) {
+			panic(fmt.Sprintf("elp: k-bounce path %s is not a path of the graph", p.String(e.g)))
+		}
+		s.ix.Append(p)
 	}
 	return s
 }

@@ -1,6 +1,7 @@
 package elp
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -359,7 +360,7 @@ func TestKBounceFromMatchesFilteredKBounce(t *testing.T) {
 
 			// One enumerator, two blocks back to back — how the pod stamper
 			// lays out its buckets: the list is block one then block two,
-			// and the validated set is views of exactly that list.
+			// and the set is views of exactly that list.
 			e := NewKBounceEnumerator(f.g, k, nil)
 			e.From(f.eps[:2], f.eps[:half])
 			n1 := e.List.Len()
@@ -377,6 +378,58 @@ func TestKBounceFromMatchesFilteredKBounce(t *testing.T) {
 			}
 			if got := e.List.Ends[len(want)-1]; got != len(e.List.Nodes) {
 				t.Fatalf("%s two blocks: last end %d, %d nodes", f.name, got, len(e.List.Nodes))
+			}
+		}
+	}
+}
+
+// TestKBounceRepeatedInputs: a node repeated in the roster, the source
+// or destination list, or via counts once, at its first occurrence, so
+// the result is exactly that of the de-duplicated inputs, in the same
+// order — each path once, where the repeats used to enumerate it twice.
+func TestKBounceRepeatedInputs(t *testing.T) {
+	clos, err := topology.NewClos(topology.ClosConfig{Pods: 3, ToRsPerPod: 2, LeafsPerPod: 2, Spines: 2, HostsPerToR: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, tors := clos.Graph, clos.ToRs
+	// A via subset in reverse ID order: every switch but the last ToR.
+	var via []topology.NodeID
+	for _, sw := range g.Switches() {
+		if sw != tors[len(tors)-1] {
+			via = append([]topology.NodeID{sw}, via...)
+		}
+	}
+	last := via[len(via)-1]
+	viaRep := append(append([]topology.NodeID{via[0], last}, via...), via[2])
+	viaWant := append([]topology.NodeID{via[0], last}, via[1:len(via)-1]...)
+	roster := []topology.NodeID{tors[2], tors[0], tors[2], tors[4], tors[0], tors[1], tors[4]}
+	rosterWant := []topology.NodeID{tors[2], tors[0], tors[4], tors[1]}
+	srcs, srcsWant := []topology.NodeID{tors[1], tors[1], tors[3]}, []topology.NodeID{tors[1], tors[3]}
+	dsts, dstsWant := []topology.NodeID{tors[5], tors[3], tors[0], tors[5], tors[3]}, []topology.NodeID{tors[5], tors[3], tors[0]}
+
+	for k := 0; k <= 2; k++ {
+		for _, v := range []struct {
+			name     string
+			via, dup []topology.NodeID
+		}{
+			{"all switches", nil, append(g.Switches(), g.Switches()[3:]...)},
+			{"via subset", viaWant, viaRep},
+		} {
+			want := KBounce(g, rosterWant, k, v.via)
+			got := KBounce(g, roster, k, v.dup)
+			if want.Len() == 0 {
+				t.Fatalf("k=%d %s: empty enumeration", k, v.name)
+			}
+			requireSamePaths(t, fmt.Sprintf("KBounce k=%d %s", k, v.name), got.Paths(), want.Paths())
+
+			want = KBounceFrom(g, srcsWant, dstsWant, k, v.via)
+			got = KBounceFrom(g, srcs, dsts, k, v.dup)
+			requireSamePaths(t, fmt.Sprintf("KBounceFrom k=%d %s", k, v.name), got.Paths(), want.Paths())
+			for _, p := range got.Paths() {
+				if !got.Contains(p) {
+					t.Fatalf("KBounceFrom k=%d %s: Contains(%v) = false", k, v.name, p)
+				}
 			}
 		}
 	}

@@ -40,3 +40,13 @@ func (l *PathList) At(i int) Path {
 	end := l.Ends[i]
 	return Path(l.Nodes[start:end:end])
 }
+
+// Views returns every path as a view into Nodes, in order, each valid
+// until the next Add.
+func (l *PathList) Views() []Path {
+	out := make([]Path, l.Len())
+	for i := range out {
+		out[i] = l.At(i)
+	}
+	return out
+}

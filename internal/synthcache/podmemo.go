@@ -166,7 +166,9 @@ type repBuckets struct {
 // enumerateRep enumerates the representative pairs — pod-0 sources toward
 // pod-0 destinations, then the same sources toward pod-1 destinations,
 // all in roster order — straight into the stamping layout, and returns it
-// with the same paths as a validated list of views into it. Per-pair
+// with the same paths as views into it. The enumerator emits valid,
+// distinct paths by construction, so no set is built to re-check them
+// (the k-bounce oracle in internal/check holds it to that). Per-pair
 // enumeration is independent of the rest of the roster, so these are
 // buckets (0,0) and (0,1) of the full enumeration exactly, each in its
 // order. Buckets (1,0) and (1,1) are their automorphic images: the
@@ -184,7 +186,7 @@ func enumerateRep(g *topology.Graph, d *fingerprint.PodDecomposition,
 	e.From(pod[0], pod[0])
 	n00, e00 := e.List.Len(), len(e.List.Nodes)
 	e.From(pod[0], pod[1])
-	return &repBuckets{nodes: e.List.Nodes, ends: e.List.Ends, n00: n00, e00: e00}, e.Set().Paths()
+	return &repBuckets{nodes: e.List.Nodes, ends: e.List.Ends, n00: n00, e00: e00}, e.List.Views()
 }
 
 // count is the number of paths one pod pair stamps: bucket (0,1), plus

@@ -207,7 +207,6 @@ endif
 fuzz:
 	$(GO) test -fuzz FuzzDecodeRoCEv2 -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz FuzzDecodeIPv4 -fuzztime 30s ./internal/wire/
-	$(GO) test -fuzz FuzzDecodePFC -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz FuzzRunCase -fuzztime 60s ./internal/check/
 	$(GO) test -fuzz FuzzShrinkConvergence -fuzztime 30s ./internal/check/
 	$(GO) test -fuzz FuzzKBounceOracle -fuzztime 30s ./internal/check/

@@ -72,7 +72,7 @@ func BenchmarkFigure5Algorithm1(b *testing.B) {
 	f := paper.NewFig5()
 	var tags int
 	for i := 0; i < b.N; i++ {
-		bf := core.BruteForce(f.Graph, f.ELP.Paths())
+		bf := core.BruteForceN(f.Graph, f.ELP.Paths(), 1)
 		tags = bf.NumSwitchTags()
 	}
 	b.ReportMetric(float64(tags), "tags")
@@ -80,7 +80,7 @@ func BenchmarkFigure5Algorithm1(b *testing.B) {
 
 func BenchmarkFigure5Algorithm2(b *testing.B) {
 	f := paper.NewFig5()
-	bf := core.BruteForce(f.Graph, f.ELP.Paths())
+	bf := core.BruteForceN(f.Graph, f.ELP.Paths(), 1)
 	var tags int
 	for i := 0; i < b.N; i++ {
 		merged := core.GreedyMinimize(bf)
@@ -198,10 +198,10 @@ func BenchmarkFigure4ClosSynthesis(b *testing.B) {
 }
 
 func BenchmarkFigure6GreedyVsOptimal(b *testing.B) {
-	var res Figure6Result
+	var res figure6Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = Figure6()
+		res, err = figure6()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -238,10 +238,10 @@ func benchFigure(b *testing.B, run func(bool) ExperimentResult, withTagger bool)
 
 func BenchmarkFigure10Baseline(b *testing.B)   { benchFigure(b, Figure10, false) }
 func BenchmarkFigure10WithTagger(b *testing.B) { benchFigure(b, Figure10, true) }
-func BenchmarkFigure11Baseline(b *testing.B)   { benchFigure(b, Figure11, false) }
-func BenchmarkFigure11WithTagger(b *testing.B) { benchFigure(b, Figure11, true) }
-func BenchmarkFigure12Baseline(b *testing.B)   { benchFigure(b, Figure12, false) }
-func BenchmarkFigure12WithTagger(b *testing.B) { benchFigure(b, Figure12, true) }
+func BenchmarkFigure11Baseline(b *testing.B)   { benchFigure(b, figure11, false) }
+func BenchmarkFigure11WithTagger(b *testing.B) { benchFigure(b, figure11, true) }
+func BenchmarkFigure12Baseline(b *testing.B)   { benchFigure(b, figure12, false) }
+func BenchmarkFigure12WithTagger(b *testing.B) { benchFigure(b, figure12, true) }
 
 // --- §8 overhead -------------------------------------------------------------------
 
@@ -263,7 +263,7 @@ func benchAlg2(b *testing.B, switches, ports int) {
 		b.Fatal(err)
 	}
 	set := elp.ShortestAll(j.Graph, j.Switches)
-	bf := core.BruteForce(j.Graph, set.Paths())
+	bf := core.BruteForceN(j.Graph, set.Paths(), 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		core.GreedyMinimize(bf)
@@ -564,7 +564,7 @@ func BenchmarkSimulatorPacketRate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tb := routing.ComputeToHosts(c.Graph, routing.UpDown)
 		n := sim.New(c.Graph, tb, sim.DefaultConfig())
-		n.AddFlow(FlowSpec{Name: "x", Src: c.Hosts[0], Dst: c.Hosts[8]})
+		n.AddFlow(sim.FlowSpec{Name: "x", Src: c.Hosts[0], Dst: c.Hosts[8]})
 		n.Run(5_000_000) // 5 ms of simulated 40G traffic
 	}
 }

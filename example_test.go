@@ -59,13 +59,13 @@ func ExampleMinLosslessQueues() {
 	// k=2 bounces -> >= 3 lossless queues
 }
 
-// Exporting the deployment bundle an operator pushes to switches.
-func ExampleExportBundle() {
+// The deployment bundle the controller pushes to the switches.
+func ExampleFabricController_Bundle() {
 	clos, _ := tagger.NewClos(tagger.ClosConfig{
 		Pods: 2, ToRsPerPod: 2, LeafsPerPod: 2, Spines: 2, HostsPerToR: 1,
 	})
-	sys, _ := tagger.SynthesizeClos(clos, tagger.KBounceELP(clos, 1), 1)
-	b := tagger.ExportBundle(sys.Rules)
+	ctl, _ := tagger.NewClosController(clos, 1)
+	b := ctl.Bundle()
 	fmt.Println("switches with rules:", len(b.Switches), "max lossless tag:", b.MaxTag)
 	// Output:
 	// switches with rules: 10 max lossless tag: 2

@@ -160,33 +160,6 @@ func Table5() (Table5Result, error) {
 	return out, nil
 }
 
-// --- Figure 6: greedy vs optimal on Clos -------------------------------------
-
-// Figure6Result compares Algorithm 2 against the Clos-specific optimum on
-// the shortest + 1-bounce ELP.
-type Figure6Result struct {
-	GreedyQueues  int // paper: 3
-	OptimalQueues int // paper: 2
-}
-
-// Figure6 runs the comparison on the testbed Clos.
-func Figure6() (Figure6Result, error) {
-	c := paper.Testbed()
-	set := elp.KBounce(c.Graph, c.ToRs, 1, nil)
-	greedy, err := core.Synthesize(c.Graph, set.Paths(), core.Options{})
-	if err != nil {
-		return Figure6Result{}, err
-	}
-	opt, err := core.ClosSynthesize(c.Graph, set.Paths(), 1)
-	if err != nil {
-		return Figure6Result{}, err
-	}
-	return Figure6Result{
-		GreedyQueues:  greedy.Runtime.NumSwitchTags(),
-		OptimalQueues: opt.Runtime.NumSwitchTags(),
-	}, nil
-}
-
 // --- Figures 10-12: testbed experiments ---------------------------------------
 
 // FlowSeries is one flow's delivered-rate time series.
@@ -244,16 +217,6 @@ func bounces(withTagger bool) workload.Options {
 // (a)/(b) halves of the figure.
 func Figure10(withTagger bool) ExperimentResult {
 	return runScenario(workload.Figure10(bounces(withTagger)))
-}
-
-// Figure11 runs the routing-loop experiment.
-func Figure11(withTagger bool) ExperimentResult {
-	return runScenario(workload.Figure11(bounces(withTagger)))
-}
-
-// Figure12 runs the PAUSE-propagation shuffle experiment.
-func Figure12(withTagger bool) ExperimentResult {
-	return runScenario(workload.Figure12(bounces(withTagger)))
 }
 
 // Reconvergence runs the organic failure experiment: no pinned paths —

@@ -68,7 +68,7 @@ func TestBundleFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := ExportBundle(sys.Rules)
+	b := deploy.Export(sys.Rules)
 	rs, err := deploy.Import(clos.Graph, b)
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +76,7 @@ func TestBundleFacade(t *testing.T) {
 	if rs.Len() != sys.Rules.Len() {
 		t.Errorf("roundtrip lost rules: %d vs %d", rs.Len(), sys.Rules.Len())
 	}
-	if diffs := DiffBundles(b, ExportBundle(rs)); len(diffs) != 0 {
+	if diffs := DiffBundles(b, deploy.Export(rs)); len(diffs) != 0 {
 		t.Errorf("roundtrip diff: %v", diffs)
 	}
 }

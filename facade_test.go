@@ -8,14 +8,25 @@ import (
 	"repro/internal/elp"
 	"repro/internal/routing"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
+// figure11 runs the routing-loop experiment.
+func figure11(withTagger bool) ExperimentResult {
+	return runScenario(workload.Figure11(bounces(withTagger)))
+}
+
+// figure12 runs the PAUSE-propagation shuffle experiment.
+func figure12(withTagger bool) ExperimentResult {
+	return runScenario(workload.Figure12(bounces(withTagger)))
+}
+
 func TestFigure11Experiment(t *testing.T) {
-	without := Figure11(false)
+	without := figure11(false)
 	if !without.Deadlocked {
 		t.Error("fig11 baseline should deadlock")
 	}
-	with := Figure11(true)
+	with := figure11(true)
 	if with.Deadlocked {
 		t.Error("fig11 with Tagger deadlocked")
 	}
@@ -33,7 +44,7 @@ func TestFigure11Experiment(t *testing.T) {
 }
 
 func TestFigure12Experiment(t *testing.T) {
-	without := Figure12(false)
+	without := figure12(false)
 	if !without.Deadlocked {
 		t.Error("fig12 baseline should deadlock")
 	}
@@ -46,7 +57,7 @@ func TestFigure12Experiment(t *testing.T) {
 	if stuck != len(without.Flows) {
 		t.Errorf("PAUSE propagation froze %d/%d flows", stuck, len(without.Flows))
 	}
-	with := Figure12(true)
+	with := figure12(true)
 	if with.Deadlocked {
 		t.Error("fig12 with Tagger deadlocked")
 	}
@@ -131,14 +142,14 @@ func TestBCubeFacade(t *testing.T) {
 }
 
 func TestDCQCNFacadeDefaults(t *testing.T) {
-	cfg := DefaultDCQCN()
+	cfg := sim.DefaultDCQCN()
 	if cfg.KMin <= 0 || cfg.KMax <= cfg.KMin || cfg.PMax <= 0 {
 		t.Errorf("defaults: %+v", cfg)
 	}
 	clos := PaperTestbed()
 	n := sim.New(clos.Graph, routing.ComputeToHosts(clos.Graph, routing.UpDown), sim.DefaultConfig())
 	n.EnableDCQCN(cfg)
-	f := n.AddFlow(FlowSpec{Name: "x", Src: clos.Hosts[0], Dst: clos.Hosts[8]})
+	f := n.AddFlow(sim.FlowSpec{Name: "x", Src: clos.Hosts[0], Dst: clos.Hosts[8]})
 	n.Run(2_000_000)
 	if f.Received() == 0 {
 		t.Fatal("flow dead under DCQCN facade")
@@ -148,8 +159,8 @@ func TestDCQCNFacadeDefaults(t *testing.T) {
 func TestRecoveryFacade(t *testing.T) {
 	clos := PaperTestbed()
 	n := sim.New(clos.Graph, routing.ComputeToHosts(clos.Graph, routing.UpDown), sim.DefaultConfig())
-	var stats *RecoveryStats = n.EnableRecovery(1_000_000)
-	n.AddFlow(FlowSpec{Name: "x", Src: clos.Hosts[0], Dst: clos.Hosts[8]})
+	stats := n.EnableRecovery(1_000_000)
+	n.AddFlow(sim.FlowSpec{Name: "x", Src: clos.Hosts[0], Dst: clos.Hosts[8]})
 	n.Run(3_000_000)
 	if stats.Detections != 0 {
 		t.Error("healthy network triggered recovery")

@@ -29,7 +29,7 @@ func TestFullDeploymentChain(t *testing.T) {
 	}
 
 	// 2. Export -> bytes -> import (a fresh controller restoring state).
-	data, err := ExportBundle(sys.Rules).Marshal()
+	data, err := deploy.Export(sys.Rules).Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,13 +73,13 @@ func TestFullDeploymentChain(t *testing.T) {
 	n := sim.New(clos.Graph, routing.ComputeToHosts(clos.Graph, routing.UpDown), sim.DefaultConfig())
 	n.InstallTagger(restored)
 	g := clos.Graph
-	n.AddFlow(FlowSpec{
+	n.AddFlow(sim.FlowSpec{
 		Name: "green", Src: g.MustLookup("H9"), Dst: g.MustLookup("H1"),
 		Pin: Path{g.MustLookup("H9"), g.MustLookup("T3"), g.MustLookup("L3"),
 			g.MustLookup("S2"), g.MustLookup("L1"), g.MustLookup("S1"),
 			g.MustLookup("L2"), g.MustLookup("T1"), g.MustLookup("H1")},
 	})
-	n.AddFlow(FlowSpec{
+	n.AddFlow(sim.FlowSpec{
 		Name: "blue", Src: g.MustLookup("H2"), Dst: g.MustLookup("H13"),
 		Start: 1_000_000,
 		Pin: Path{g.MustLookup("H2"), g.MustLookup("T1"), g.MustLookup("L1"),

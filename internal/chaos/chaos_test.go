@@ -34,7 +34,13 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestGenerateShape(t *testing.T) {
 	s := Generate(testConfig(), 3)
-	if got, want := len(s.LinkFaults()), 8; got != want {
+	var links []Fault
+	for _, f := range s.Faults {
+		if f.Kind == FaultLinkDown || f.Kind == FaultLinkUp {
+			links = append(links, f)
+		}
+	}
+	if got, want := len(links), 8; got != want {
 		t.Errorf("link faults = %d, want %d (4 flaps, paired)", got, want)
 	}
 	if got := len(s.Reboots()); got != 2 {
@@ -46,7 +52,7 @@ func TestGenerateShape(t *testing.T) {
 		}
 	}
 	downs := map[string]time.Duration{}
-	for _, f := range s.LinkFaults() {
+	for _, f := range links {
 		key := f.A + "-" + f.B
 		switch f.Kind {
 		case FaultLinkDown:
@@ -155,11 +161,11 @@ func TestFabricRebootWipesAndActivateRefuses(t *testing.T) {
 	if err := f.Activate("A"); err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Active("A").Rules) != 3 {
+	if len(f.sw["A"].active.Rules) != 3 {
 		t.Fatal("activation lost rules")
 	}
 	f.Reboot("A")
-	if len(f.Active("A").Rules) != 0 {
+	if len(f.sw["A"].active.Rules) != 0 {
 		t.Fatal("reboot kept active rules")
 	}
 	if err := f.Activate("A"); err == nil {
@@ -201,7 +207,11 @@ func TestLoadRoutesAgentFaults(t *testing.T) {
 	s := Generate(testConfig(), 5)
 	f := NewFabric(testConfig().Switches)
 	f.Load(s)
-	if want := len(s.AgentFaults()); f.PendingFaults() != want {
-		t.Errorf("loaded %d faults, want %d", f.PendingFaults(), want)
+	pending := 0
+	for _, st := range f.sw {
+		pending += len(st.queue)
+	}
+	if want := len(s.AgentFaults()); pending != want {
+		t.Errorf("loaded %d faults, want %d", pending, want)
 	}
 }

@@ -272,17 +272,6 @@ func (f *Fabric) Reboot(sw string) {
 	}
 }
 
-// Active returns a copy of sw's live bundle.
-func (f *Fabric) Active(sw string) deploy.SwitchBundle {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	st, ok := f.sw[sw]
-	if !ok {
-		return deploy.SwitchBundle{}
-	}
-	return deploy.SwitchBundle{Rules: append([]deploy.RuleJSON(nil), st.active.Rules...)}
-}
-
 // ActiveBundle assembles the fabric-wide live deployment: what the
 // switches are actually running, as opposed to what the controller
 // believes it pushed. Switches with no active rules are omitted.
@@ -304,15 +293,4 @@ func (f *Fabric) Calls() int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.calls
-}
-
-// PendingFaults returns how many faults remain queued across the fabric.
-func (f *Fabric) PendingFaults() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n := 0
-	for _, st := range f.sw {
-		n += len(st.queue)
-	}
-	return n
 }

@@ -216,17 +216,6 @@ func Generate(cfg Config, seed int64) Schedule {
 	return Schedule{Seed: seed, Duration: cfg.Duration, Faults: faults}
 }
 
-// LinkFaults returns only the link-down/link-up events, in time order.
-func (s Schedule) LinkFaults() []Fault {
-	var out []Fault
-	for _, f := range s.Faults {
-		if f.Kind == FaultLinkDown || f.Kind == FaultLinkUp {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // Reboots returns only the switch-reboot events, in time order.
 func (s Schedule) Reboots() []Fault {
 	var out []Fault

@@ -100,7 +100,7 @@ func TestChurnDrainUndrainRoundTrip(t *testing.T) {
 		t.Fatal("fabric diverged after drain")
 	}
 	// The drained spine must hold no rules at all.
-	if got := len(fab.Active("S1").Rules); got != 0 {
+	if got := len(fab.ActiveBundle(0).Switches["S1"].Rules); got != 0 {
 		t.Fatalf("drained spine still runs %d rules", got)
 	}
 	if err := ctl.Handle(Event{Kind: EventSwitchUndrain, A: s1}); err != nil {
@@ -178,7 +178,7 @@ func TestChurnRebootMidActivateReconverges(t *testing.T) {
 	if fabricMatches(t, fab, intent, switchNames(g)) {
 		t.Fatal("fabric already matches intent; reboot fault did not bite")
 	}
-	if got := len(fab.Active("S1").Rules); got != 0 {
+	if got := len(fab.ActiveBundle(0).Switches["S1"].Rules); got != 0 {
 		t.Fatalf("rebooted switch still runs %d rules", got)
 	}
 
@@ -213,7 +213,7 @@ func TestChurnRebootMidActivateReconverges(t *testing.T) {
 func TestChurnRebootThenReconcile(t *testing.T) {
 	c, fab, ctl := newChurnTestbed(t, 19)
 	fab.Reboot("T1")
-	if len(fab.Active("T1").Rules) != 0 {
+	if len(fab.ActiveBundle(0).Switches["T1"].Rules) != 0 {
 		t.Fatal("reboot did not wipe agent state")
 	}
 	fixed, err := ctl.Reconcile()

@@ -59,10 +59,8 @@ func KBouncePolicy(endpoints func() []topology.NodeID, k int) ELPPolicy {
 type EventKind int
 
 const (
-	// EventInvalid is the zero value; Handle rejects it.
-	EventInvalid EventKind = iota
 	// EventLinkDown reports a failed link (rule plane: no-op).
-	EventLinkDown
+	EventLinkDown EventKind = iota + 1
 	// EventLinkUp reports a recovered link (rule plane: no-op).
 	EventLinkUp
 	// EventExpansion reports that the topology grew; the controller
@@ -93,26 +91,6 @@ func (k EventKind) String() string {
 		return "switch-undrain"
 	default:
 		return fmt.Sprintf("EventKind(%d)", int(k))
-	}
-}
-
-// ParseEventKind maps a wire name to its kind. Decoded inputs (JSON
-// feeds, CLIs) come through here, keeping the unknown-kind runtime error
-// path that typed in-process events no longer need.
-func ParseEventKind(s string) (EventKind, error) {
-	switch s {
-	case "link-down":
-		return EventLinkDown, nil
-	case "link-up":
-		return EventLinkUp, nil
-	case "expansion":
-		return EventExpansion, nil
-	case "switch-drain":
-		return EventSwitchDrain, nil
-	case "switch-undrain":
-		return EventSwitchUndrain, nil
-	default:
-		return EventInvalid, fmt.Errorf("controller: unknown event kind %q", s)
 	}
 }
 
@@ -332,7 +310,7 @@ func (c *Controller) commit(sys *core.System, event EventKind) error {
 	var pushErr error
 	if c.resynth != nil && c.bundle != nil {
 		pushErr = c.pushDelta(newBundle, diffs, event)
-	} else if err := c.pushBundle(newBundle, false); err != nil {
+	} else if err := c.pushBundle(newBundle); err != nil {
 		return err
 	}
 	if len(diffs) > 0 {
@@ -345,19 +323,6 @@ func (c *Controller) commit(sys *core.System, event EventKind) error {
 	}
 	c.current, c.bundle = sys, newBundle
 	return pushErr
-}
-
-// Redeploy force-pushes the full current bundle to every switch — the
-// recovery action after a switch reboot wiped its agent state. Installs
-// are idempotent, so re-pushing switches that kept their rules is
-// harmless.
-func (c *Controller) Redeploy() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.bundle == nil {
-		return fmt.Errorf("controller: nothing deployed yet")
-	}
-	return c.pushBundle(c.bundle, true)
 }
 
 // Handle processes one topology event; it is the one event entry of

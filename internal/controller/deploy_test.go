@@ -213,6 +213,8 @@ func TestAuditDeterministic(t *testing.T) {
 	}
 }
 
+// TestRedeployAfterAgentReboot: a rebooted switch comes back with no
+// rules, and Reconcile re-drives exactly that switch from readback.
 func TestRedeployAfterAgentReboot(t *testing.T) {
 	c := paper.Testbed()
 	fab := chaos.NewFabric(switchNames(c.Graph))
@@ -221,14 +223,18 @@ func TestRedeployAfterAgentReboot(t *testing.T) {
 		t.Fatal(err)
 	}
 	fab.Reboot("T3")
-	if len(fab.Active("T3").Rules) != 0 {
+	if len(fab.ActiveBundle(0).Switches["T3"].Rules) != 0 {
 		t.Fatal("reboot did not wipe agent state")
 	}
-	if err := ctl.Redeploy(); err != nil {
+	fixed, err := ctl.Reconcile()
+	if err != nil {
 		t.Fatal(err)
 	}
+	if fixed != 1 {
+		t.Errorf("Reconcile fixed %d switches, want 1 (T3)", fixed)
+	}
 	if !fabricMatches(t, fab, ctl.Bundle(), switchNames(c.Graph)) {
-		t.Fatal("redeploy did not restore the fabric")
+		t.Fatal("reconcile did not restore the fabric")
 	}
 }
 

@@ -349,11 +349,13 @@ func TestMarshalDuringParallelPush(t *testing.T) {
 	agent := &startSignal{SwitchAgent: fab, started: make(chan struct{})}
 	ctl.agent = agent
 
+	// As on a first push, every switch of b is pushed.
+	ctl.bundle = nil
 	done := make(chan error, 1)
 	go func() {
 		ctl.mu.Lock()
 		defer ctl.mu.Unlock()
-		done <- ctl.pushBundle(b, true)
+		done <- ctl.pushBundle(b)
 	}()
 	<-agent.started
 	for pushing := true; pushing; {

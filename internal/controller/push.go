@@ -154,14 +154,14 @@ func (c *Controller) push(span *telemetry.Span, plan []step, twoPhase bool, flip
 
 // pushBundle deploys newBundle wholesale, two-phase, to every switch
 // whose table differs from the deployed one — expansion stays
-// incremental — or to every switch on the first push and when forceAll
-// (Redeploy after a switch reboot). Called with c.mu held.
-func (c *Controller) pushBundle(newBundle *deploy.Bundle, forceAll bool) error {
+// incremental — or to every switch on the first push. Called with c.mu
+// held.
+func (c *Controller) pushBundle(newBundle *deploy.Bundle) error {
 	span := c.tel.StartSpan("deploy/push")
 	defer span.End()
 	c.tel.Counter("deploy.pushes").Inc()
 	var names []string
-	if c.bundle == nil || forceAll {
+	if c.bundle == nil {
 		names = keys(newBundle.Switches)
 	} else {
 		names = keys(deploy.Diff(c.bundle, newBundle))

@@ -56,7 +56,11 @@ func TestChurnControllerFullRebuildHitsCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	policy := func(g *topology.Graph) *elp.Set { return elp.RandomPaths(g, j.Switches, 100, 8, 1^0x5ee) }
+	policy := func(g *topology.Graph) *elp.Set {
+		s := elp.NewSet()
+		elp.AddRandomPaths(s, g, j.Switches, 100, 8, 1^0x5ee)
+		return s
+	}
 	cache := synthcache.New(8)
 	first, err := NewChurn(j.Graph, policy, WithSynthCache(cache))
 	if err != nil {

@@ -14,7 +14,7 @@ func BenchmarkBruteForceTestbed(b *testing.B) {
 	paths := set.Paths()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BruteForce(c.Graph, paths)
+		BruteForceN(c.Graph, paths, 1)
 	}
 }
 

@@ -8,6 +8,21 @@ import (
 	"repro/internal/topology"
 )
 
+// greedyTagUpperBound is the §5.3 output bound for Algorithm 2: with T
+// the largest brute-force tag (the longest lossless route length) and l a
+// lower bound on the smallest cycle among the lossless routes' buffer
+// dependencies, the merged tag count is at most ceil(T/l). With no cycle
+// information (l <= 1) it degrades to the brute-force worst case T.
+func greedyTagUpperBound(longestRoute, smallestCycle int) int {
+	if longestRoute <= 0 {
+		return 0
+	}
+	if smallestCycle <= 1 {
+		return longestRoute
+	}
+	return (longestRoute + smallestCycle - 1) / smallestCycle
+}
+
 func TestGreedyTagUpperBoundArithmetic(t *testing.T) {
 	cases := []struct{ T, l, want int }{
 		{0, 4, 0},
@@ -19,7 +34,7 @@ func TestGreedyTagUpperBoundArithmetic(t *testing.T) {
 		{4, 10, 1},
 	}
 	for _, c := range cases {
-		if got := GreedyTagUpperBound(c.T, c.l); got != c.want {
+		if got := greedyTagUpperBound(c.T, c.l); got != c.want {
 			t.Errorf("bound(%d,%d) = %d, want %d", c.T, c.l, got, c.want)
 		}
 	}
@@ -40,12 +55,12 @@ func TestGreedyRespectsBoundEmpirically(t *testing.T) {
 			t.Fatal(err)
 		}
 		set := elp.ShortestAll(j.Graph, j.Switches)
-		bf := BruteForce(j.Graph, set.Paths())
+		bf := BruteForceN(j.Graph, set.Paths(), 1)
 		merged := GreedyMinimize(bf)
-		T := bf.MaxTag()
-		if got := merged.NumTags(); got > GreedyTagUpperBound(T, 2) {
+		T := bf.maxTag
+		if got := merged.NumTags(); got > greedyTagUpperBound(T, 2) {
 			t.Errorf("case %d: merged %d tags > bound %d (T=%d, l=2)",
-				i, got, GreedyTagUpperBound(T, 2), T)
+				i, got, greedyTagUpperBound(T, 2), T)
 		}
 	}
 }
@@ -86,7 +101,7 @@ func TestRepairHealsSabotagedRules(t *testing.T) {
 		if len(violations) == 0 {
 			continue // sabotage missed every path; try again
 		}
-		repairs := RepairReplay(sab, set.Paths(), 1)
+		repairs := repairReplay(sab, set.Paths(), newHopPorts(sab.g, set.Paths(), 0), 1)
 		if len(repairs) == 0 {
 			t.Fatalf("trial %d: repair produced nothing despite %d violations",
 				trial, len(violations))

@@ -89,18 +89,3 @@ func ClosSynthesize(g *topology.Graph, paths []routing.Path, maxBounces int) (*S
 // priorities needed to keep all paths with up to k bounces lossless and
 // deadlock-free (§4.4's pigeonhole argument): k+1.
 func MinLosslessQueues(k int) int { return k + 1 }
-
-// GreedyTagUpperBound is the §5.3 output bound for Algorithm 2: with T
-// the largest brute-force tag (the longest lossless route length) and l a
-// lower bound on the smallest cycle among the lossless routes' buffer
-// dependencies, the merged tag count is at most ceil(T/l). With no cycle
-// information (l <= 1) it degrades to the brute-force worst case T.
-func GreedyTagUpperBound(longestRoute, smallestCycle int) int {
-	if longestRoute <= 0 {
-		return 0
-	}
-	if smallestCycle <= 1 {
-		return longestRoute
-	}
-	return (longestRoute + smallestCycle - 1) / smallestCycle
-}

@@ -24,20 +24,14 @@ func (m *MultiClassSystem) NumLosslessQueues() int {
 	return m.MaxBounces + m.NumClasses
 }
 
-// BouncesTolerated returns how many bounces class c can absorb before its
-// packets fall to the lossy queue. Later classes start higher in the
-// shared tag space and therefore tolerate fewer bounces — the isolation
-// trade-off §6 describes.
-func (m *MultiClassSystem) BouncesTolerated(c int) int {
-	return m.NumLosslessQueues() - m.StartTag(c)
-}
-
 // MultiClassClos builds the shared-tag multi-class system on a Clos:
 // numClasses application classes, each tolerating up to maxBounces
-// bounces (the later classes tolerate progressively fewer within the
-// shared range; see BouncesTolerated). Every class's ELP replay is
-// verified lossless within its tolerated bounce budget, and the combined
-// runtime graph is verified deadlock-free.
+// bounces. Later classes start higher in the shared tag space and so
+// tolerate fewer: class c absorbs NumLosslessQueues() - StartTag(c)
+// bounces before its packets fall to the lossy queue, the isolation
+// trade-off §6 describes. Every class's ELP replay is verified lossless
+// within its tolerated bounce budget, and the combined runtime graph is
+// verified deadlock-free.
 //
 // elpByClass[c] is the path set class c must keep lossless. Classes whose
 // path sets exceed their tolerated bounces return an error.

@@ -36,8 +36,8 @@ func TestMultiClassClosSharesTags(t *testing.T) {
 	if mc.StartTag(0) != 1 || mc.StartTag(1) != 2 {
 		t.Errorf("start tags = %d,%d", mc.StartTag(0), mc.StartTag(1))
 	}
-	if mc.BouncesTolerated(0) != M+N-1 || mc.BouncesTolerated(1) != M+N-2 {
-		t.Errorf("bounce budgets = %d,%d", mc.BouncesTolerated(0), mc.BouncesTolerated(1))
+	if mc.NumLosslessQueues()-mc.StartTag(0) != M+N-1 || mc.NumLosslessQueues()-mc.StartTag(1) != M+N-2 {
+		t.Errorf("bounce budgets = %d,%d", mc.NumLosslessQueues()-mc.StartTag(0), mc.NumLosslessQueues()-mc.StartTag(1))
 	}
 	if err := mc.System.Runtime.Verify(); err != nil {
 		t.Fatal(err)

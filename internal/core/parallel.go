@@ -13,8 +13,19 @@ import (
 // folded in shard order — so any worker count yields the same output as
 // the serial walk, and par=1 runs inline with no goroutines at all.
 
-// BruteForceN is BruteForce with an explicit worker count (0 =
-// GOMAXPROCS, 1 = serial). All worker counts produce the same graph.
+// BruteForceN implements the paper's Algorithm 1: walk every expected
+// lossless path and increase the tag by one at every hop. The resulting
+// tagged graph trivially satisfies both deadlock-freedom requirements:
+// each G_k has no edges at all (every edge goes k -> k+1), and every tag
+// change is monotonic.
+//
+// Tags start at 1 on the first hop: for a path n0 > n1 > ... > nm the
+// vertex at n1's ingress carries tag 1 and the vertex at nm's ingress
+// carries tag m, matching the walk-through in the paper's Figure 5 /
+// Table 3 where tag T+1 appears only at destination endpoints.
+//
+// par is the worker count (0 = GOMAXPROCS, 1 = serial). All worker counts
+// produce the same graph.
 func BruteForceN(g *topology.Graph, paths []routing.Path, par int) *TaggedGraph {
 	defer telemetry.Default.StartSpan("synth/alg1").End()
 	return bruteForce(g, newHopPorts(g, paths, par), par)

@@ -10,6 +10,13 @@ import (
 	"repro/internal/topology"
 )
 
+// randomPaths is a fresh set of count random loop-free paths.
+func randomPaths(g *topology.Graph, endpoints []topology.NodeID, count, maxHops int, seed int64) *elp.Set {
+	s := elp.NewSet()
+	elp.AddRandomPaths(s, g, endpoints, count, maxHops, seed)
+	return s
+}
+
 // Property: Synthesize on arbitrary random-path ELPs over Jellyfish
 // topologies always produces a verified deadlock-free system with zero
 // lossless violations — the paper's headline guarantee ("Once LP is given,
@@ -26,7 +33,7 @@ func TestSynthesizeAlwaysDeadlockFreeOnRandomELP(t *testing.T) {
 			t.Logf("jellyfish: %v", err)
 			return false
 		}
-		paths := elp.RandomPaths(j.Graph, j.Switches, int(nPaths%40)+5, 6, seed^0x5ee)
+		paths := randomPaths(j.Graph, j.Switches, int(nPaths%40)+5, 6, seed^0x5ee)
 		sys, err := Synthesize(j.Graph, paths.Paths(), Options{})
 		if err != nil {
 			t.Logf("synthesize: %v", err)
@@ -52,8 +59,8 @@ func TestGreedyPreservesInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		paths := elp.RandomPaths(j.Graph, j.Switches, int(nPaths%30)+5, 5, seed^0xabc)
-		bf := BruteForce(j.Graph, paths.Paths())
+		paths := randomPaths(j.Graph, j.Switches, int(nPaths%30)+5, 5, seed^0xabc)
+		bf := BruteForceN(j.Graph, paths.Paths(), 1)
 		if bf.Verify() != nil {
 			return false
 		}
@@ -154,7 +161,7 @@ func TestRepairReplayPinnedSeeds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		paths := elp.RandomPaths(j.Graph, j.Switches, c.nPaths, 8, c.seed^0x5ee)
+		paths := randomPaths(j.Graph, j.Switches, c.nPaths, 8, c.seed^0x5ee)
 		sys, err := Synthesize(j.Graph, paths.Paths(), Options{})
 		if err != nil {
 			t.Fatal(err)

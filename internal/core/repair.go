@@ -6,7 +6,7 @@ import (
 	"repro/internal/trace"
 )
 
-// Repair records a rule synthesized by RepairReplay to restore lossless
+// Repair records a rule synthesized by repairReplay to restore lossless
 // coverage of an ELP path after rule-conflict resolution discarded a
 // rewrite.
 type Repair struct {
@@ -14,19 +14,15 @@ type Repair struct {
 	Path routing.Path // the path that needed it
 }
 
-// RepairReplay replays every ELP path through the ruleset and synthesizes
-// the missing rules so that no expected lossless path ever falls into the
-// lossy queue. A missing rule (tag x, in, out) is filled with NewTag x
-// when the same-tag port graph G_x stays acyclic, and x+1 otherwise —
-// the same greedy spirit as Algorithm 2, applied at rule granularity.
+// repairReplay replays every ELP path (whose hop ports are hp) through
+// the ruleset and synthesizes the missing rules so that no expected
+// lossless path ever falls into the lossy queue. A missing rule (tag x,
+// in, out) is filled with NewTag x when the same-tag port graph G_x stays
+// acyclic, and x+1 otherwise — the same greedy spirit as Algorithm 2,
+// applied at rule granularity.
 //
 // For rulesets derived without conflicts this is a no-op. It returns the
 // synthesized rules (possibly none).
-func RepairReplay(rs *Ruleset, paths []routing.Path, startTag int) []Repair {
-	return repairReplay(rs, paths, newHopPorts(rs.g, paths, 0), startTag)
-}
-
-// repairReplay is RepairReplay over paths whose hop ports are hp.
 func repairReplay(rs *Ruleset, paths []routing.Path, hp hopPorts, startTag int) []Repair {
 	g := rs.g
 	// adj[tag] is the same-tag port graph G_tag as a dense adjacency

@@ -33,8 +33,8 @@ type Rule struct {
 // Algorithm 2 merges two old tags at a port but splits their successors;
 // DeriveRules resolves them by keeping the smaller NewTag (monotonicity is
 // preserved, the packet continues on vertices that exist in the graph, and
-// the low rewrite leaves RepairReplay headroom to patch the losing family)
-// and reports them so RepairReplay can restore full ELP coverage.
+// the low rewrite leaves repairReplay headroom to patch the losing family)
+// and reports them so repairReplay can restore full ELP coverage.
 type Conflict struct {
 	Rule        Rule // the rule that was kept
 	LoserNewTag int  // the rewrite that was discarded
@@ -108,7 +108,7 @@ func (rs *Ruleset) Graph() *topology.Graph { return rs.g }
 // MaxTag returns the largest lossless tag.
 func (rs *Ruleset) MaxTag() int { return rs.maxTag }
 
-// SetMaxTag raises the largest lossless tag (RepairReplay may need to).
+// SetMaxTag raises the largest lossless tag (repairReplay may need to).
 func (rs *Ruleset) SetMaxTag(t int) {
 	if t > rs.maxTag {
 		rs.maxTag = t
@@ -277,7 +277,7 @@ func (rs *Ruleset) RulesAt(sw topology.NodeID) []Rule {
 // When two edges demand different rewrites for the same match (see
 // Conflict), the smaller NewTag wins: both candidates are >= the match
 // tag (monotonic either way) and both target vertices exist in the graph,
-// but the smaller one leaves more headroom for RepairReplay to patch the
+// but the smaller one leaves more headroom for repairReplay to patch the
 // losing family's continuation without minting a new tag. Conflicts on
 // host-facing egress are benign — the tag is leaving the fabric and
 // pauses nothing downstream — so only fabric conflicts are reported,

@@ -81,7 +81,7 @@ func TestReplayTagsMatchRuntimeGraph(t *testing.T) {
 		// Every (ingress, tag) the replay produces must be a runtime vertex.
 		for i := 1; i < len(p); i++ {
 			n := TagNode{Port: ingressPortOf(f.Graph, p[i-1], p[i]), Tag: res.Tags[i-1]}
-			if !sys.Runtime.HasNode(n) {
+			if sys.Runtime.lookup(n) < 0 {
 				t.Errorf("replay vertex %s missing from runtime graph", sys.Runtime.NodeString(n))
 			}
 		}
@@ -195,7 +195,7 @@ func TestRepairReplayFillsMissingRules(t *testing.T) {
 	// everything for a small ELP: it must end lossless and verified.
 	s := elp.UpDownAll(g, c.ToRs)
 	rs := NewRuleset(g, 1)
-	repairs := RepairReplay(rs, s.Paths(), 1)
+	repairs := repairReplay(rs, s.Paths(), newHopPorts(rs.g, s.Paths(), 0), 1)
 	if len(repairs) == 0 {
 		t.Fatal("expected synthesized rules")
 	}
@@ -222,7 +222,7 @@ func TestDeriveRulesSkipsHostTails(t *testing.T) {
 		g.MustLookup("H1"), g.MustLookup("T1"), g.MustLookup("L1"),
 		g.MustLookup("S1"), g.MustLookup("L3"), g.MustLookup("T3"), g.MustLookup("H9"),
 	}
-	bf := BruteForce(g, []routing.Path{p})
+	bf := BruteForceN(g, []routing.Path{p}, 1)
 	rs, conflicts := DeriveRules(bf)
 	if len(conflicts) != 0 {
 		t.Fatal("unexpected conflicts")
@@ -307,7 +307,7 @@ func TestRepairReplayCyclicSeedStillBumps(t *testing.T) {
 		rs.Add(Rule{Switch: sw, Tag: 1, In: g.PortToPeer(sw, hop[0]), Out: g.PortToPeer(sw, hop[2]), NewTag: 1})
 	}
 	p := routing.Path{hc, c, b, a, ha}
-	got := repairLines(g, RepairReplay(rs, []routing.Path{p}, 1))
+	got := repairLines(g, repairReplay(rs, []routing.Path{p}, newHopPorts(rs.g, []routing.Path{p}, 0), 1))
 	want := []string{"B 1/1/0->2 " + p.String(g)}
 	if !slices.Equal(got, want) {
 		t.Errorf("repairs = %q, want %q", got, want)

@@ -76,9 +76,6 @@ func NewTaggedGraph(g *topology.Graph) *TaggedGraph {
 	}
 }
 
-// Graph returns the underlying topology.
-func (tg *TaggedGraph) Graph() *topology.Graph { return tg.g }
-
 // growTag rebuilds the intern table so tags up to at least t fit.
 func (tg *TaggedGraph) growTag(t int) {
 	newCap := tg.capTag * 2
@@ -112,14 +109,6 @@ func (tg *TaggedGraph) intern(n TagNode) int32 {
 	return id
 }
 
-// lookup returns the dense ID for n, or -1 when the vertex is absent.
-func (tg *TaggedGraph) lookup(n TagNode) int32 {
-	if n.Tag < 0 || n.Tag > tg.capTag {
-		return -1
-	}
-	return tg.tab[int(n.Port)*(tg.capTag+1)+n.Tag] - 1
-}
-
 // AddNode inserts a (port, tag) vertex.
 func (tg *TaggedGraph) AddNode(n TagNode) { tg.intern(n) }
 
@@ -144,32 +133,11 @@ func (tg *TaggedGraph) AddEdge(from, to TagNode) {
 	tg.addEdgeIDs(tg.intern(from), tg.intern(to))
 }
 
-// HasNode reports whether the vertex exists.
-func (tg *TaggedGraph) HasNode(n TagNode) bool { return tg.lookup(n) >= 0 }
-
-// HasEdge reports whether the directed edge exists.
-func (tg *TaggedGraph) HasEdge(from, to TagNode) bool {
-	f := tg.lookup(from)
-	t := tg.lookup(to)
-	if f < 0 || t < 0 {
-		return false
-	}
-	for i := tg.succHead[f]; i != 0; i = tg.succPool[i-1].next {
-		if tg.succPool[i-1].node == t {
-			return true
-		}
-	}
-	return false
-}
-
 // NumNodes returns |V|.
 func (tg *TaggedGraph) NumNodes() int { return len(tg.nodes) }
 
 // NumEdges returns |E|.
 func (tg *TaggedGraph) NumEdges() int { return tg.numEdges }
-
-// MaxTag returns the paper's T: the largest tag of any vertex.
-func (tg *TaggedGraph) MaxTag() int { return tg.maxTag }
 
 // Tags returns the sorted set of distinct tags in use. Its length is the
 // number of lossless priorities the tagging system needs.
@@ -250,32 +218,6 @@ func (tg *TaggedGraph) Edges() []TagEdge {
 		}
 		return a.To.Port < b.To.Port
 	})
-	return out
-}
-
-// Succ returns the successors of n (freshly allocated; order unspecified).
-func (tg *TaggedGraph) Succ(n TagNode) []TagNode {
-	id := tg.lookup(n)
-	if id < 0 {
-		return nil
-	}
-	var out []TagNode
-	for i := tg.succHead[id]; i != 0; i = tg.succPool[i-1].next {
-		out = append(out, tg.nodes[tg.succPool[i-1].node])
-	}
-	return out
-}
-
-// Pred returns the predecessors of n (freshly allocated; order unspecified).
-func (tg *TaggedGraph) Pred(n TagNode) []TagNode {
-	id := tg.lookup(n)
-	if id < 0 {
-		return nil
-	}
-	var out []TagNode
-	for i := tg.predHead[id]; i != 0; i = tg.predPool[i-1].next {
-		out = append(out, tg.nodes[tg.predPool[i-1].node])
-	}
 	return out
 }
 
@@ -412,18 +354,4 @@ func (tg *TaggedGraph) addPath(ports []topology.PortID) {
 		}
 		last = id
 	}
-}
-
-// BruteForce implements the paper's Algorithm 1: walk every expected
-// lossless path and increase the tag by one at every hop. The resulting
-// tagged graph trivially satisfies both deadlock-freedom requirements:
-// each G_k has no edges at all (every edge goes k -> k+1), and every tag
-// change is monotonic.
-//
-// Tags start at 1 on the first hop: for a path n0 > n1 > ... > nm the
-// vertex at n1's ingress carries tag 1 and the vertex at nm's ingress
-// carries tag m, matching the walk-through in the paper's Figure 5 /
-// Table 3 where tag T+1 appears only at destination endpoints.
-func BruteForce(g *topology.Graph, paths []routing.Path) *TaggedGraph {
-	return BruteForceN(g, paths, 1)
 }

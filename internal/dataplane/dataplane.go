@@ -95,9 +95,6 @@ func Compile(g *topology.Graph, rs *core.Ruleset) *Fabric {
 	return f
 }
 
-// Switch returns one node's dataplane.
-func (f *Fabric) Switch(n topology.NodeID) *Switch { return f.switches[n] }
-
 // TotalEntries sums TCAM entries fabric-wide.
 func (f *Fabric) TotalEntries() int {
 	t := 0

@@ -75,7 +75,7 @@ func TestLossySafeguard(t *testing.T) {
 	rs := core.ClosRules(g, 1, 1)
 	fab := Compile(g, rs)
 	l1 := g.MustLookup("L1")
-	sw := fab.Switch(l1)
+	sw := fab.switches[l1]
 	inS1 := g.PortToPeer(l1, g.MustLookup("S1"))
 	outS2 := g.PortToPeer(l1, g.MustLookup("S2"))
 
@@ -146,12 +146,12 @@ func TestFabricAccounting(t *testing.T) {
 	if fab.TotalEntries() == 0 {
 		t.Fatal("no entries compiled")
 	}
-	if fab.Switch(c.Spines[0]) == nil {
+	if fab.switches[c.Spines[0]] == nil {
 		t.Fatal("spine missing")
 	}
 	// Spines never rewrite upward, so their entries are keep-rules only;
 	// compression should make them very few.
-	if got := fab.Switch(c.Spines[0]).Entries(); got > fab.Switch(c.Leaves[0]).Entries() {
-		t.Errorf("spine entries %d > leaf %d", got, fab.Switch(c.Leaves[0]).Entries())
+	if got := fab.switches[c.Spines[0]].Entries(); got > fab.switches[c.Leaves[0]].Entries() {
+		t.Errorf("spine entries %d > leaf %d", got, fab.switches[c.Leaves[0]].Entries())
 	}
 }

@@ -190,20 +190,6 @@ func (t *Tracker) Active() []routing.Path {
 	return out
 }
 
-// ActiveLen returns the number of active paths.
-func (t *Tracker) ActiveLen() int {
-	n := 0
-	for _, a := range t.active {
-		if a {
-			n++
-		}
-	}
-	return n
-}
-
-// AbsentLen returns the number of tracked-but-unusable paths.
-func (t *Tracker) AbsentLen() int { return t.ix.Len() - t.ActiveLen() }
-
 // Drained reports whether sw is currently drained.
 func (t *Tracker) Drained(sw topology.NodeID) bool {
 	return int(sw) < len(t.drained) && t.drained[sw]

@@ -506,18 +506,11 @@ func HostLevel(g *topology.Graph, s *Set, limit int) *Set {
 	return out
 }
 
-// RandomPaths adds count random loop-free walks between random endpoint
-// pairs (Table 5's "+10,000 random paths" row). Each walk is a random
-// simple path of at most maxHops hops found by randomized DFS; pairs with
-// no such path are retried with new endpoints. Generation is
-// deterministic per seed.
-func RandomPaths(g *topology.Graph, endpoints []topology.NodeID, count, maxHops int, seed int64) *Set {
-	s := NewSet()
-	AddRandomPaths(s, g, endpoints, count, maxHops, seed)
-	return s
-}
-
-// AddRandomPaths inserts count random loop-free paths into an existing set.
+// AddRandomPaths inserts count random loop-free walks between random
+// endpoint pairs into an existing set (Table 5's "+10,000 random paths"
+// row). Each walk is a random simple path of at most maxHops hops found
+// by randomized DFS; pairs with no such path are retried with new
+// endpoints. Generation is deterministic per seed.
 func AddRandomPaths(s *Set, g *topology.Graph, endpoints []topology.NodeID, count, maxHops int, seed int64) {
 	if len(endpoints) < 2 {
 		return

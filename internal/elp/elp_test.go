@@ -81,7 +81,7 @@ func TestUpDownAllCounts(t *testing.T) {
 		t.Fatalf("UpDownAll paths = %d, want %d", s.Len(), want)
 	}
 	for _, p := range s.Paths() {
-		if !p.ValleyFree(g) {
+		if p.Bounces(g) != 0 {
 			t.Errorf("path %s not valley-free", p.String(g))
 		}
 	}
@@ -173,7 +173,7 @@ func TestShortestAll(t *testing.T) {
 		if !p.LoopFree() || !p.Valid(g) {
 			t.Errorf("bad path %s", p.String(g))
 		}
-		if d := routing.Distance(g, p.Src(), p.Dst()); p.Hops() != d {
+		if d := routing.ShortestPath(g, p.Src(), p.Dst()).Hops(); p.Hops() != d {
 			t.Errorf("path %s is not shortest (%d vs %d)", p.String(g), p.Hops(), d)
 		}
 	}
@@ -200,9 +200,14 @@ func TestRandomPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := j.Graph
-	s := RandomPaths(g, j.Switches, 100, 6, 11)
+	random := func(seed int64) *Set {
+		s := NewSet()
+		AddRandomPaths(s, g, j.Switches, 100, 6, seed)
+		return s
+	}
+	s := random(11)
 	if s.Len() != 100 {
-		t.Fatalf("RandomPaths = %d, want 100", s.Len())
+		t.Fatalf("AddRandomPaths added %d, want 100", s.Len())
 	}
 	for _, p := range s.Paths() {
 		if !p.LoopFree() || !p.Valid(g) {
@@ -213,14 +218,14 @@ func TestRandomPaths(t *testing.T) {
 		}
 	}
 	// Deterministic per seed.
-	s2 := RandomPaths(g, j.Switches, 100, 6, 11)
+	s2 := random(11)
 	for i, p := range s.Paths() {
 		if !p.Equal(s2.Paths()[i]) {
-			t.Fatal("RandomPaths not deterministic")
+			t.Fatal("AddRandomPaths not deterministic")
 		}
 	}
 	// Different seeds differ.
-	s3 := RandomPaths(g, j.Switches, 100, 6, 12)
+	s3 := random(12)
 	same := true
 	for i, p := range s.Paths() {
 		if !p.Equal(s3.Paths()[i]) {

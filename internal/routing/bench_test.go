@@ -35,7 +35,7 @@ func BenchmarkUpDownPaths(b *testing.B) {
 	src, dst := c.ToRs[0], c.ToRs[len(c.ToRs)-1]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(UpDownPaths(g, src, dst, 0)) == 0 {
+		if len(NewSegments(g).Between(src, dst, false)) == 0 {
 			b.Fatal("no paths")
 		}
 	}
@@ -54,7 +54,7 @@ func BenchmarkRouteWalk(b *testing.B) {
 	src, dst := c.Hosts[0], c.Hosts[len(c.Hosts)-1]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := tb.Route(src, dst, uint64(i), 0)
+		res := route(tb, src, dst, uint64(i))
 		if !res.Reached {
 			b.Fatal("unreached")
 		}

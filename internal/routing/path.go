@@ -101,10 +101,6 @@ func (p Path) Bounces(g *topology.Graph) int {
 	return bounces
 }
 
-// ValleyFree reports whether the path never goes up again after going
-// down, i.e. has zero bounces.
-func (p Path) ValleyFree(g *topology.Graph) bool { return p.Bounces(g) == 0 }
-
 // Equal reports whether two paths visit the same node sequence.
 func (p Path) Equal(q Path) bool {
 	if len(p) != len(q) {
@@ -119,10 +115,10 @@ func (p Path) Equal(q Path) bool {
 }
 
 // Key returns the canonical string form: decimal node IDs joined by
-// commas. Its lexicographic order is a contract — UpDownPaths returns its
-// paths in Key order — so it stays even though dedup no longer uses it
-// (see PathIndex). Node IDs are appended with strconv into a stack
-// buffer, so the only allocation is the returned string itself.
+// commas. Its lexicographic order is a contract — Segments.Between
+// returns its paths in Key order — so it stays even though dedup no
+// longer uses it (see PathIndex). Node IDs are appended with strconv into
+// a stack buffer, so the only allocation is the returned string itself.
 func (p Path) Key() string {
 	var a [96]byte
 	buf := a[:0]

@@ -79,9 +79,6 @@ func TestPathBounces(t *testing.T) {
 		if got := cse.path.Bounces(g); got != cse.want {
 			t.Errorf("case %d (%s): Bounces = %d, want %d", i, cse.path.String(g), got, cse.want)
 		}
-		if cse.path.ValleyFree(g) != (cse.want == 0) {
-			t.Errorf("case %d: ValleyFree inconsistent", i)
-		}
 	}
 }
 
@@ -105,12 +102,6 @@ func TestShortestPath(t *testing.T) {
 	if p.Hops() != 6 {
 		t.Errorf("H1->H9 hops = %d, want 6 (%s)", p.Hops(), p.String(g))
 	}
-	if got := Distance(g, n("H1"), n("H9")); got != 6 {
-		t.Errorf("Distance = %d, want 6", got)
-	}
-	if got := Distance(g, n("T1"), n("T1")); got != 0 {
-		t.Errorf("Distance self = %d", got)
-	}
 	// Hosts are not transit: H1 and H2 share T1, distance 2 not via each other.
 	p = ShortestPath(g, n("H1"), n("H2"))
 	if p.Hops() != 2 || p[1] != n("T1") {
@@ -127,9 +118,6 @@ func TestShortestPathUnreachable(t *testing.T) {
 	b := g.AddNode("B", topology.KindSwitch, -1)
 	if p := ShortestPath(g, a, b); p != nil {
 		t.Errorf("expected nil path, got %v", p)
-	}
-	if d := Distance(g, a, b); d != -1 {
-		t.Errorf("Distance = %d, want -1", d)
 	}
 }
 
@@ -165,30 +153,17 @@ func TestAllShortestPaths(t *testing.T) {
 	}
 }
 
-func TestEccentricity(t *testing.T) {
-	c := paperClos(t)
-	g := c.Graph
-	// From a spine, the farthest switch is a ToR: 2 hops.
-	if got := Eccentricity(g, g.MustLookup("S1")); got != 2 {
-		t.Errorf("spine eccentricity = %d, want 2", got)
-	}
-	// From a ToR, farthest is another pod's ToR: 4 hops.
-	if got := Eccentricity(g, g.MustLookup("T1")); got != 4 {
-		t.Errorf("tor eccentricity = %d, want 4", got)
-	}
-}
-
 func TestUpDownPaths(t *testing.T) {
 	c := paperClos(t)
 	g := c.Graph
 	n := func(name string) topology.NodeID { return g.MustLookup(name) }
 
-	ps := UpDownPaths(g, n("T1"), n("T3"), 0)
+	ps := NewSegments(g).Between(n("T1"), n("T3"), false)
 	if len(ps) != 8 {
 		t.Fatalf("up-down T1->T3 = %d paths, want 8", len(ps))
 	}
 	for _, p := range ps {
-		if !p.ValleyFree(g) {
+		if p.Bounces(g) != 0 {
 			t.Errorf("path %s not valley-free", p.String(g))
 		}
 		if p.Hops() != 4 {
@@ -196,12 +171,12 @@ func TestUpDownPaths(t *testing.T) {
 		}
 	}
 	// Same pod.
-	ps = UpDownPaths(g, n("T1"), n("T2"), 0)
+	ps = NewSegments(g).Between(n("T1"), n("T2"), false)
 	if len(ps) != 2 {
 		t.Fatalf("up-down T1->T2 = %d paths, want 2", len(ps))
 	}
 	// Downward only: S1 -> T1 via L1 or L2.
-	ps = UpDownPaths(g, n("S1"), n("T1"), 0)
+	ps = NewSegments(g).Between(n("S1"), n("T1"), false)
 	if len(ps) != 2 {
 		t.Fatalf("up-down S1->T1 = %d paths, want 2", len(ps))
 	}
@@ -211,16 +186,12 @@ func TestUpDownPaths(t *testing.T) {
 		}
 	}
 	// Upward only: T1 -> S1.
-	ps = UpDownPaths(g, n("T1"), n("S1"), 0)
+	ps = NewSegments(g).Between(n("T1"), n("S1"), false)
 	if len(ps) != 2 {
 		t.Fatalf("up-down T1->S1 = %d paths, want 2", len(ps))
 	}
-	if got := UpDownPaths(g, n("T1"), n("T1"), 0); len(got) != 1 {
+	if got := NewSegments(g).Between(n("T1"), n("T1"), false); len(got) != 1 {
 		t.Error("self up-down")
-	}
-	// Limit respected.
-	if got := UpDownPaths(g, n("T1"), n("T3"), 2); len(got) != 2 {
-		t.Errorf("limit ignored: %d", len(got))
 	}
 }
 
@@ -230,7 +201,7 @@ func TestUpDownPathsAfterFailure(t *testing.T) {
 	n := func(name string) topology.NodeID { return g.MustLookup(name) }
 	// Fail L1-T1: up-down T3 -> T1 must avoid L1 on the down leg.
 	g.FailLink(n("L1"), n("T1"))
-	ps := UpDownPaths(g, n("T3"), n("T1"), 0)
+	ps := NewSegments(g).Between(n("T3"), n("T1"), false)
 	if len(ps) != 4 {
 		t.Fatalf("after failure, up-down T3->T1 = %d paths, want 4", len(ps))
 	}
@@ -254,7 +225,7 @@ func TestUpDownNoValleyFreeRoute(t *testing.T) {
 	l2 := g.AddNode("L2", topology.KindLeaf, 2)
 	g.Connect(t1, l1)
 	g.Connect(t2, l2)
-	if ps := UpDownPaths(g, t1, t2, 0); ps != nil {
+	if ps := NewSegments(g).Between(t1, t2, false); ps != nil {
 		t.Errorf("expected no valley-free route, got %d", len(ps))
 	}
 }
@@ -275,9 +246,9 @@ func TestUpDownPathsProperty(t *testing.T) {
 		if a == b {
 			return true
 		}
-		ps := UpDownPaths(g, a, b, 0)
+		ps := NewSegments(g).Between(a, b, false)
 		for _, p := range ps {
-			if p.Hops() != ps[0].Hops() || !p.ValleyFree(g) || !p.LoopFree() || !p.Valid(g) {
+			if p.Hops() != ps[0].Hops() || p.Bounces(g) != 0 || !p.LoopFree() || !p.Valid(g) {
 				return false
 			}
 		}

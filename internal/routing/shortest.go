@@ -108,25 +108,3 @@ func AllShortestPaths(g *topology.Graph, src, dst topology.NodeID, limit int) []
 	walk(dst, make(Path, 0, t.dist[dst]+1))
 	return out
 }
-
-// Distance returns the shortest hop count from src to dst over healthy
-// links, or -1 if unreachable.
-func Distance(g *topology.Graph, src, dst topology.NodeID) int {
-	if src == dst {
-		return 0
-	}
-	return bfsFrom(g, src, true).dist[dst]
-}
-
-// Eccentricity returns the largest finite shortest-path distance from src
-// to any switch, used to compute lossless-route length bounds for Table 5.
-func Eccentricity(g *topology.Graph, src topology.NodeID) int {
-	t := bfsFrom(g, src, true)
-	ecc := 0
-	for _, sw := range g.Switches() {
-		if d := t.dist[sw]; d > ecc {
-			ecc = d
-		}
-	}
-	return ecc
-}

@@ -273,65 +273,3 @@ func (t *Tables) OverrideNextNode(n, dst, next topology.NodeID) {
 	}
 	t.Override(n, dst, p)
 }
-
-// RouteResult is the outcome of walking the tables from a source.
-type RouteResult struct {
-	Path    Path // nodes visited, starting at src
-	Reached bool // dst reached
-	Looped  bool // walk revisited a (node, entry) state
-	Dropped bool // no entry at some node
-}
-
-// Route walks the forwarding tables from src toward dst, picking among
-// ECMP ports with the flow hash, for at most maxHops hops (<= 0 means 64,
-// a TTL-like default). It reports loops instead of walking forever.
-func (t *Tables) Route(src, dst topology.NodeID, flowHash uint64, maxHops int) RouteResult {
-	if maxHops <= 0 {
-		maxHops = 64
-	}
-	res := RouteResult{Path: Path{src}}
-	seen := map[topology.NodeID]int{src: 1}
-	cur := src
-	for hop := 0; hop < maxHops; hop++ {
-		if cur == dst {
-			res.Reached = true
-			return res
-		}
-		port := t.NextHop(cur, dst, flowHash)
-		if port < 0 {
-			res.Dropped = true
-			return res
-		}
-		next := t.g.Port(t.g.PortOn(cur, port)).Peer
-		res.Path = append(res.Path, next)
-		seen[next]++
-		if seen[next] > 2 {
-			res.Looped = true
-			return res
-		}
-		cur = next
-	}
-	if cur == dst {
-		res.Reached = true
-	} else {
-		res.Looped = true
-	}
-	return res
-}
-
-// Entries returns the number of installed forwarding entries.
-func (t *Tables) Entries() int {
-	k := 0
-	for _, ports := range t.next {
-		if ports != nil {
-			k++
-		}
-	}
-	return k
-}
-
-// Graph returns the topology the tables were computed over.
-func (t *Tables) Graph() *topology.Graph { return t.g }
-
-// Destinations returns the destination set the tables cover.
-func (t *Tables) Destinations() []topology.NodeID { return t.dsts }

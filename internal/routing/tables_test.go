@@ -9,6 +9,56 @@ import (
 	"repro/internal/topology"
 )
 
+// routeResult is the outcome of walking the tables from a source.
+type routeResult struct {
+	Path    Path // nodes visited, starting at src
+	Reached bool // dst reached
+	Looped  bool // walk revisited a node twice, or ran out of hops
+	Dropped bool // no entry at some node
+}
+
+// route walks tb from src toward dst by NextHop, picking among ECMP ports
+// with the flow hash, for at most 64 hops. It reports loops instead of
+// walking forever.
+func route(tb *Tables, src, dst topology.NodeID, flowHash uint64) routeResult {
+	res := routeResult{Path: Path{src}}
+	seen := map[topology.NodeID]int{src: 1}
+	cur := src
+	for hop := 0; hop < 64; hop++ {
+		if cur == dst {
+			res.Reached = true
+			return res
+		}
+		port := tb.NextHop(cur, dst, flowHash)
+		if port < 0 {
+			res.Dropped = true
+			return res
+		}
+		next := tb.g.Port(tb.g.PortOn(cur, port)).Peer
+		res.Path = append(res.Path, next)
+		seen[next]++
+		if seen[next] > 2 {
+			res.Looped = true
+			return res
+		}
+		cur = next
+	}
+	res.Reached = cur == dst
+	res.Looped = !res.Reached
+	return res
+}
+
+// entries counts the installed (node, destination) entries.
+func entries(tb *Tables) int {
+	k := 0
+	for _, ports := range tb.next {
+		if ports != nil {
+			k++
+		}
+	}
+	return k
+}
+
 func TestShortestTablesDeliver(t *testing.T) {
 	c := paperClos(t)
 	g := c.Graph
@@ -18,7 +68,7 @@ func TestShortestTablesDeliver(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			res := tb.Route(src, dst, uint64(src)*1000003+uint64(dst), 0)
+			res := route(tb, src, dst, uint64(src)*1000003+uint64(dst))
 			if !res.Reached {
 				t.Fatalf("route %s->%s failed: %+v", g.Node(src).Name, g.Node(dst).Name, res)
 			}
@@ -39,11 +89,11 @@ func TestUpDownTablesDeliverValleyFree(t *testing.T) {
 				continue
 			}
 			for hash := uint64(0); hash < 4; hash++ {
-				res := tb.Route(src, dst, hash*7919+uint64(src), 0)
+				res := route(tb, src, dst, hash*7919+uint64(src))
 				if !res.Reached {
 					t.Fatalf("route %s->%s failed: %+v", g.Node(src).Name, g.Node(dst).Name, res)
 				}
-				if !res.Path.ValleyFree(g) {
+				if res.Path.Bounces(g) != 0 {
 					t.Fatalf("up-down route bounces: %s", res.Path.String(g))
 				}
 			}
@@ -56,12 +106,12 @@ func TestUpDownTablesShortest(t *testing.T) {
 	g := c.Graph
 	tb := ComputeToHosts(g, UpDown)
 	h1, h9 := g.MustLookup("H1"), g.MustLookup("H9")
-	res := tb.Route(h1, h9, 42, 0)
+	res := route(tb, h1, h9, 42)
 	if res.Path.Hops() != 6 {
 		t.Errorf("H1->H9 = %d hops, want 6 (%s)", res.Path.Hops(), res.Path.String(g))
 	}
 	h2 := g.MustLookup("H2")
-	res = tb.Route(h1, h2, 42, 0)
+	res = route(tb, h1, h2, 42)
 	if res.Path.Hops() != 2 {
 		t.Errorf("H1->H2 = %d hops, want 2 (%s)", res.Path.Hops(), res.Path.String(g))
 	}
@@ -81,7 +131,7 @@ func TestShortestReconvergenceCreatesBounce(t *testing.T) {
 	// loop-free.
 	found := false
 	for hash := uint64(0); hash < 32; hash++ {
-		res := tb.Route(n("H9"), n("H1"), hash, 0)
+		res := route(tb, n("H9"), n("H1"), hash)
 		if !res.Reached {
 			t.Fatalf("reroute failed: %+v", res)
 		}
@@ -111,7 +161,7 @@ func TestOverrideAndLoopDetection(t *testing.T) {
 	// L1 sends it back to T1.
 	tb.OverrideNextNode(n("T1"), n("H6"), n("L1"))
 	tb.OverrideNextNode(n("L1"), n("H6"), n("T1"))
-	res := tb.Route(n("H1"), n("H6"), 1, 0)
+	res := route(tb, n("H1"), n("H6"), 1)
 	if !res.Looped {
 		t.Fatalf("expected loop, got %+v (%s)", res, res.Path.String(g))
 	}
@@ -123,7 +173,7 @@ func TestOverrideBlackhole(t *testing.T) {
 	n := func(name string) topology.NodeID { return g.MustLookup(name) }
 	tb := ComputeToHosts(g, UpDown)
 	tb.Override(n("T1"), n("H9")) // remove entry
-	res := tb.Route(n("H1"), n("H9"), 1, 0)
+	res := route(tb, n("H1"), n("H9"), 1)
 	if !res.Dropped {
 		t.Fatalf("expected drop, got %+v", res)
 	}
@@ -145,13 +195,10 @@ func TestTablesAccessors(t *testing.T) {
 	c := paperClos(t)
 	g := c.Graph
 	tb := ComputeToHosts(g, Shortest)
-	if tb.Graph() != g {
-		t.Error("Graph accessor")
+	if len(tb.dsts) != len(c.Hosts) {
+		t.Error("destination set")
 	}
-	if len(tb.Destinations()) != len(c.Hosts) {
-		t.Error("Destinations accessor")
-	}
-	if tb.Entries() == 0 {
+	if entries(tb) == 0 {
 		t.Error("no entries installed")
 	}
 	if got := tb.NextHops(g.MustLookup("S1"), g.MustLookup("H1")); len(got) == 0 {
@@ -166,7 +213,7 @@ func TestECMPSpreads(t *testing.T) {
 	h1, h9 := g.MustLookup("H1"), g.MustLookup("H9")
 	seen := map[string]bool{}
 	for hash := uint64(0); hash < 64; hash++ {
-		res := tb.Route(h1, h9, hash, 0)
+		res := route(tb, h1, h9, hash)
 		seen[res.Path.Key()] = true
 	}
 	if len(seen) < 2 {
@@ -188,8 +235,8 @@ func TestTablesOnFatTree(t *testing.T) {
 			if hosts[i] == hosts[j] {
 				continue
 			}
-			res := tb.Route(hosts[i], hosts[j], uint64(i*31+j), 0)
-			if !res.Reached || !res.Path.ValleyFree(g) {
+			res := route(tb, hosts[i], hosts[j], uint64(i*31+j))
+			if !res.Reached || res.Path.Bounces(g) != 0 {
 				t.Fatalf("fat-tree route %d->%d: %+v (%s)", i, j, res, res.Path.String(g))
 			}
 		}
@@ -198,7 +245,7 @@ func TestTablesOnFatTree(t *testing.T) {
 
 // snapshot copies every (node, destination) answer of tb.
 func snapshot(tb *Tables) map[[2]topology.NodeID][]int {
-	g := tb.Graph()
+	g := tb.g
 	out := map[[2]topology.NodeID][]int{}
 	for n := 0; n < g.NumNodes(); n++ {
 		for d := 0; d < g.NumNodes(); d++ {
@@ -220,8 +267,8 @@ func TestTablesMutations(t *testing.T) {
 	n := func(name string) topology.NodeID { return g.MustLookup(name) }
 	tb := ComputeToHosts(g, UpDown)
 	fresh := snapshot(tb)
-	if len(fresh) != tb.Entries() {
-		t.Fatalf("%d non-empty answers, Entries() = %d", len(fresh), tb.Entries())
+	if len(fresh) != entries(tb) {
+		t.Fatalf("%d non-empty answers, entries = %d", len(fresh), entries(tb))
 	}
 	if tb.NextHops(n("T1"), n("S1")) != nil {
 		t.Fatal("an entry toward a switch outside the destination set")
@@ -240,8 +287,8 @@ func TestTablesMutations(t *testing.T) {
 				t.Fatalf("after %s: entry %v = %v, was %v", after, k, got[k], ports)
 			}
 		}
-		if !slices.Equal(got[key], want) || len(got) != tb.Entries() {
-			t.Fatalf("after %s: T3->H1 = %v, want %v (%d answers, Entries() %d)", after, got[key], want, len(got), tb.Entries())
+		if !slices.Equal(got[key], want) || len(got) != entries(tb) {
+			t.Fatalf("after %s: T3->H1 = %v, want %v (%d answers, entries %d)", after, got[key], want, len(got), entries(tb))
 		}
 		if nh := tb.NextHop(t3, h1, 7); (len(want) == 0) != (nh < 0) || (nh >= 0 && !slices.Contains(want, nh)) {
 			t.Fatalf("after %s: NextHop = %d outside %v", after, nh, want)
@@ -265,7 +312,7 @@ func TestTablesMutations(t *testing.T) {
 	tb.Override(t3, n("S1"), l4)
 }
 
-// TestRouteFollowsNextHop: Route's walk is NextHop applied node by node,
+// TestRouteFollowsNextHop: route's walk is NextHop applied node by node,
 // so a flow takes the same port at a switch however it got there — the
 // choice the simulator's forwarding makes.
 func TestRouteFollowsNextHop(t *testing.T) {
@@ -274,14 +321,14 @@ func TestRouteFollowsNextHop(t *testing.T) {
 	tb := ComputeToHosts(g, UpDown)
 	for hash := uint64(0); hash < 16; hash++ {
 		src, dst := c.Hosts[0], c.Hosts[len(c.Hosts)-1]
-		res := tb.Route(src, dst, hash, 0)
+		res := route(tb, src, dst, hash)
 		if !res.Reached {
 			t.Fatalf("hash %d: %+v", hash, res)
 		}
 		for i := 0; i+1 < len(res.Path); i++ {
 			out := tb.NextHop(res.Path[i], dst, hash)
 			if peer := g.Port(g.PortOn(res.Path[i], out)).Peer; peer != res.Path[i+1] {
-				t.Fatalf("hash %d: Route went %s->%s, NextHop leads to %s", hash,
+				t.Fatalf("hash %d: route went %s->%s, NextHop leads to %s", hash,
 					g.Node(res.Path[i]).Name, g.Node(res.Path[i+1]).Name, g.Node(peer).Name)
 			}
 		}

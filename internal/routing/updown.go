@@ -6,32 +6,13 @@ import (
 	"repro/internal/topology"
 )
 
-// UpDownPaths enumerates all shortest valley-free (up-down) paths from src
-// to dst over healthy links: the path ascends in layer, optionally turns
-// once, and then descends; it never goes up after going down. limit <= 0
-// means unlimited. Both endpoints may be hosts or switches.
-func UpDownPaths(g *topology.Graph, src, dst topology.NodeID, limit int) []Path {
-	return NewSegments(g).paths(src, dst, false, limit)
-}
-
-// UpDownPathsFirstUp is UpDownPaths restricted to paths whose first hop
-// ascends in layer. This is the continuation a bounced packet takes: it
-// arrived descending and must go back up (§4.2), so the usual shortest
-// valley-free route (which may start downward) is not available to it.
-//
-// The constraint binds the first hop only, so when dst lies below src the
-// shortest such walk may climb one switch and come back down THROUGH src.
-// Those are returned as found: src is the only node a result can repeat.
-func UpDownPathsFirstUp(g *topology.Graph, src, dst topology.NodeID, limit int) []Path {
-	return NewSegments(g).paths(src, dst, true, limit)
-}
-
-// Segments enumerates shortest valley-free segments — what UpDownPaths
-// and UpDownPathsFirstUp return — over one snapshot of a graph's healthy
-// links, for callers that ask about many pairs: one BFS per (source,
-// first-hop mode) serves every destination, and nothing on the way is
-// keyed by a map or a string. Link health changes after NewSegments are
-// not seen. Not safe for concurrent use.
+// Segments enumerates shortest valley-free (up-down) segments over one
+// snapshot of a graph's healthy links, for callers that ask about many
+// pairs: one BFS per (source, first-hop mode) serves every destination,
+// and nothing on the way is keyed by a map or a string. A valley-free
+// path ascends in layer, optionally turns once, and then descends; it
+// never goes up after going down. Link health changes after NewSegments
+// are not seen. Not safe for concurrent use.
 type Segments struct {
 	adj   Adjacency
 	layer []int32
@@ -104,25 +85,22 @@ func decimalRanks(n int) []int32 {
 
 // Between returns every shortest valley-free segment from src to dst —
 // with the first hop forced to ascend when firstUp — in Path.Key() order,
-// nil when there is none. The list and its paths are memoized and shared:
-// do not modify them.
+// nil when there is none. Both endpoints may be hosts or switches. The
+// list and its paths are memoized and shared: do not modify them.
+//
+// firstUp is the continuation a bounced packet takes: it arrived
+// descending and must go back up (§4.2). The constraint binds the first
+// hop only, so when dst lies below src the shortest such walk may climb
+// one switch and come back down THROUGH src. Those are returned as found:
+// src is the only node a result can repeat.
 func (s *Segments) Between(src, dst topology.NodeID, firstUp bool) []Path {
-	return s.paths(src, dst, firstUp, 0)
-}
-
-// paths is Between with UpDownPaths' limit: limit > 0 keeps the first
-// limit paths the backward walk finds, so it bypasses the memo.
-func (s *Segments) paths(src, dst topology.NodeID, firstUp bool, limit int) []Path {
 	if src == dst {
 		return []Path{{src}}
 	}
 	r := s.row(src, firstUp)
-	if limit > 0 {
-		return s.carve(r, src, dst, firstUp, limit)
-	}
 	segs := r.segs[dst]
 	if segs == nil {
-		if segs = s.carve(r, src, dst, firstUp, 0); segs == nil {
+		if segs = s.carve(r, src, dst, firstUp); segs == nil {
 			segs = noSegments
 		}
 		r.segs[dst] = segs
@@ -182,11 +160,9 @@ func (s *Segments) row(src topology.NodeID, firstUp bool) *segRow {
 }
 
 // carve materializes the shortest segments src → dst of a finished row by
-// walking backward from dst over predecessors one step closer to src.
-// Terminal phases are tried ascending-first and predecessors in ascending
-// (node, phase) order; with limit > 0 the walk stops after that many
-// paths, and whatever was found is then put in Key order.
-func (s *Segments) carve(r *segRow, src, dst topology.NodeID, firstUp bool, limit int) []Path {
+// walking backward from dst over predecessors one step closer to src, and
+// puts them in Key order.
+func (s *Segments) carve(r *segRow, src, dst topology.NodeID, firstUp bool) []Path {
 	up, down := r.dist[2*int32(dst)+phaseUp], r.dist[2*int32(dst)+phaseDown]
 	best := up
 	if best < 0 || (down >= 0 && down < best) {
@@ -198,8 +174,8 @@ func (s *Segments) carve(r *segRow, src, dst topology.NodeID, firstUp bool, limi
 	if cap(s.buf) <= int(best) {
 		s.buf = make([]topology.NodeID, best+1)
 	}
-	w := segWalk{s: s, r: r, src: src, firstUp: firstUp, limit: limit, buf: s.buf[:best+1]}
-	for phase := int32(phaseUp); phase <= phaseDown && !w.full(); phase++ {
+	w := segWalk{s: s, r: r, src: src, firstUp: firstUp, buf: s.buf[:best+1]}
+	for phase := int32(phaseUp); phase <= phaseDown; phase++ {
 		if r.dist[2*int32(dst)+phase] == best {
 			w.back(dst, phase, best)
 		}
@@ -224,12 +200,9 @@ type segWalk struct {
 	r       *segRow
 	src     topology.NodeID
 	firstUp bool
-	limit   int
 	buf     []topology.NodeID // the path under construction, filled from the end
 	out     []Path
 }
-
-func (w *segWalk) full() bool { return w.limit > 0 && len(w.out) >= w.limit }
 
 // back places v at position d and recurses into every state that reaches
 // (v, phase) in one valley-free move from distance d-1.
@@ -254,12 +227,9 @@ func (w *segWalk) back(v topology.NodeID, phase, d int32) {
 			if w.r.dist[2*int32(u)+phaseUp] == d-1 && !(w.firstUp && d == 1) {
 				w.back(u, phaseUp, d-1)
 			}
-			if !w.full() && w.r.dist[2*int32(u)+phaseDown] == d-1 {
+			if w.r.dist[2*int32(u)+phaseDown] == d-1 {
 				w.back(u, phaseDown, d-1)
 			}
-		}
-		if w.full() {
-			return
 		}
 	}
 }

@@ -23,11 +23,8 @@ type bruteWalk struct {
 // every hop, so walks are short and the DFS needs no visited set), hosts
 // other than src never forwarding, the first hop ascending under firstUp;
 // those that end at dst in the fewest hops; distinct node sequences only
-// (Neighbors repeats a peer once per parallel link). limit > 0 keeps the
-// first limit walks in UpDownPaths' documented stopping order — walks
-// compared from the far end, state by state, by (node ID, phase) — and the
-// survivors come back sorted by Path.Key().
-func bruteUpDown(g *topology.Graph, src, dst topology.NodeID, firstUp bool, limit int) []Path {
+// (Neighbors repeats a peer once per parallel link), sorted by Path.Key().
+func bruteUpDown(g *topology.Graph, src, dst topology.NodeID, firstUp bool) []Path {
 	if src == dst {
 		return []Path{{src}}
 	}
@@ -65,21 +62,6 @@ func bruteUpDown(g *topology.Graph, src, dst topology.NodeID, firstUp bool, limi
 			seen[w.nodes.Key()] = true
 			shortest = append(shortest, w)
 		}
-	}
-	if limit > 0 && len(shortest) > limit {
-		sort.Slice(shortest, func(a, b int) bool {
-			x, y := shortest[a], shortest[b]
-			for i := best - 1; i >= 0; i-- {
-				if x.nodes[i] != y.nodes[i] {
-					return x.nodes[i] < y.nodes[i]
-				}
-				if x.phases[i] != y.phases[i] {
-					return x.phases[i] < y.phases[i]
-				}
-			}
-			return false
-		})
-		shortest = shortest[:limit]
 	}
 	var out []Path
 	for _, w := range shortest {
@@ -145,8 +127,8 @@ func equalPathLists(a, b []Path) bool {
 }
 
 // TestSegmentsMatchBruteForce: on every fabric, with 0-3 seeded failed
-// links, UpDownPaths/UpDownPathsFirstUp agree with the brute force for
-// every ordered node pair (hosts included) at limit 0, 1 and 2, and one
+// links, a fresh Segments per query agrees with the brute force for every
+// ordered node pair (hosts included) in both first-hop modes, and one
 // shared Segments snapshot answers every pair the same way. All fabrics
 // have more than 10 nodes, so Key order differs from numeric order.
 func TestSegmentsMatchBruteForce(t *testing.T) {
@@ -167,20 +149,13 @@ func TestSegmentsMatchBruteForce(t *testing.T) {
 			for _, a := range g.Nodes() {
 				for _, b := range g.Nodes() {
 					for _, firstUp := range []bool{false, true} {
-						enum := UpDownPaths
-						if firstUp {
-							enum = UpDownPathsFirstUp
-						}
-						for _, limit := range []int{0, 1, 2} {
-							want := bruteUpDown(g, a, b, firstUp, limit)
-							got := enum(g, a, b, limit)
-							if !equalPathLists(got, want) {
-								t.Fatalf("%s failed=%d %d->%d firstUp=%v limit=%d:\n got %v\nwant %v",
-									f.name, failed, a, b, firstUp, limit, got, want)
-							}
+						want := bruteUpDown(g, a, b, firstUp)
+						if got := NewSegments(g).Between(a, b, firstUp); !equalPathLists(got, want) {
+							t.Fatalf("%s failed=%d %d->%d firstUp=%v:\n got %v\nwant %v",
+								f.name, failed, a, b, firstUp, got, want)
 						}
 						got := shared.Between(a, b, firstUp)
-						if want := bruteUpDown(g, a, b, firstUp, 0); !equalPathLists(got, want) {
+						if !equalPathLists(got, want) {
 							t.Fatalf("%s failed=%d %d->%d firstUp=%v shared snapshot:\n got %v\nwant %v",
 								f.name, failed, a, b, firstUp, got, want)
 						}

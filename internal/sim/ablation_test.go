@@ -174,7 +174,7 @@ func TestLargerClosPermutation(t *testing.T) {
 		t.Fatalf("drops: %+v", d)
 	}
 	var agg float64
-	for _, f := range n.Flows() {
+	for _, f := range n.flows {
 		agg += f.MeanGbps(4*time.Millisecond, 8*time.Millisecond)
 	}
 	if agg < 100 {

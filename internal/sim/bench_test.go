@@ -89,7 +89,7 @@ func steadyNet(tb testing.TB, until time.Duration) *Network {
 func BenchmarkSteadyStateForwarding(b *testing.B) {
 	const slice = 100 * time.Microsecond
 	n := steadyNet(b, 2*time.Millisecond)
-	at := n.Now()
+	at := time.Duration(n.now)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -107,14 +107,14 @@ func BenchmarkSteadyStateForwarding(b *testing.B) {
 // allocations — and leaves the warm network's invariants intact.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	n := steadyNet(t, 2*time.Millisecond)
-	at := n.Now()
+	at := time.Duration(n.now)
 	if avg := testing.AllocsPerRun(50, func() {
 		at += 100 * time.Microsecond
 		n.Run(at)
 	}); avg != 0 {
 		t.Errorf("steady-state Run allocates %.1f allocs per 100us slice, want 0", avg)
 	}
-	if got := n.Flows()[0].Received(); got == 0 {
+	if got := n.flows[0].Received(); got == 0 {
 		t.Fatal("no traffic delivered; the zero-alloc run measured an idle network")
 	}
 	if err := n.CheckInvariants(); err != nil {

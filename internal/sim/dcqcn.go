@@ -68,22 +68,6 @@ func (n *Network) EnableDCQCN(cfg DCQCNConfig) {
 	}
 }
 
-// CNPCount returns delivered congestion notifications (0 when disabled).
-func (n *Network) CNPCount() int64 {
-	if n.dcqcn == nil {
-		return 0
-	}
-	return n.dcqcn.cnps
-}
-
-// ECNMarkCount returns the number of marked data packets.
-func (n *Network) ECNMarkCount() int64 {
-	if n.dcqcn == nil {
-		return 0
-	}
-	return n.dcqcn.marks
-}
-
 // initFlowCC sets a flow's initial rate and registers its periodic
 // recovery timer (a flow-addressed timerRT — no closure, no allocation
 // per tick).

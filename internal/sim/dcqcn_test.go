@@ -43,16 +43,16 @@ func TestDCQCNMarksAndCNPs(t *testing.T) {
 	n.AddFlow(FlowSpec{Name: "a", Src: g.MustLookup("H5"), Dst: g.MustLookup("H1")})
 	n.AddFlow(FlowSpec{Name: "b", Src: g.MustLookup("H9"), Dst: g.MustLookup("H1")})
 	n.Run(10 * time.Millisecond)
-	if n.ECNMarkCount() == 0 {
+	if n.dcqcn.marks == 0 {
 		t.Error("no ECN marks under incast")
 	}
-	if n.CNPCount() == 0 {
+	if n.dcqcn.cnps == 0 {
 		t.Error("no CNPs delivered")
 	}
 	// Senders actually slowed down below line rate.
 	slowed := false
-	for _, f := range n.Flows() {
-		if f.CurrentRateBps(n) < n.cfg.LinkBitsPerSec {
+	for _, f := range n.flows {
+		if f.ccRate < n.cfg.LinkBitsPerSec {
 			slowed = true
 		}
 	}
@@ -67,8 +67,8 @@ func TestDCQCNNoMarksUncongested(t *testing.T) {
 	n.EnableDCQCN(DefaultDCQCN())
 	f := n.AddFlow(FlowSpec{Name: "solo", Src: g.MustLookup("H1"), Dst: g.MustLookup("H9")})
 	n.Run(10 * time.Millisecond)
-	if n.ECNMarkCount() != 0 || n.CNPCount() != 0 {
-		t.Errorf("uncongested flow marked: marks=%d cnps=%d", n.ECNMarkCount(), n.CNPCount())
+	if n.dcqcn.marks != 0 || n.dcqcn.cnps != 0 {
+		t.Errorf("uncongested flow marked: marks=%d cnps=%d", n.dcqcn.marks, n.dcqcn.cnps)
 	}
 	if got := f.MeanGbps(5*time.Millisecond, 10*time.Millisecond); got < 35 {
 		t.Errorf("solo flow at %.1f Gbps", got)

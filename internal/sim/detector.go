@@ -3,7 +3,6 @@ package sim
 import (
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/telemetry"
 )
 
@@ -21,11 +20,6 @@ const (
 	// packet charged to the origin ingress is dropped and its ingress
 	// accounting released, un-sticking the upstream pause.
 	MitigateDrop
-	// MitigateDemote reroutes the initiating packets into the lossy
-	// class on their current port (retagged core.LossyTag, so they stay
-	// lossy downstream), releasing the lossless claim without losing the
-	// data unless the lossy queue overflows.
-	MitigateDemote
 )
 
 // DetectorConfig tunes the in-switch detector.
@@ -60,12 +54,10 @@ type DetectorStats struct {
 	SumTTD     time.Duration
 	MaxTTD     time.Duration
 	// Mitigations counts mitigation sweeps; PacketsDropped/BytesDropped
-	// the packets sacrificed (drop mode and demote-overflow), and
-	// PacketsDemoted the packets salvaged into the lossy class.
+	// the packets they sacrificed.
 	Mitigations    int
 	PacketsDropped int64
 	BytesDropped   int64
-	PacketsDemoted int64
 	// The tag machine's activity: Origins counts fresh tags minted (a
 	// pause or refresh with no wait-for edge to inherit from), Inherited
 	// the pauses and refreshes that took a downstream tag, Adopted the
@@ -576,11 +568,9 @@ func (n *Network) detHandle(rt *nodeRT, tg detTag, via string) {
 
 // applyMitigation acts on a detection: it sweeps every egress queue of
 // the detecting switch for packets charged to the origin ingress — the
-// deadlock-initiating traffic — and drops or demotes exactly those.
-// Packets charged elsewhere, and the frame already on the wire, are
-// untouched.
+// deadlock-initiating traffic — and drops exactly those. Packets charged
+// elsewhere, and the frame already on the wire, are untouched.
 func (n *Network) applyMitigation(rt *nodeRT, op, oq int) {
-	drop := n.det.cfg.Mitigation == MitigateDrop
 	st := n.det.stats
 	var pkts, bytes int64
 	for pi := range rt.ports {
@@ -591,8 +581,7 @@ func (n *Network) applyMitigation(rt *nodeRT, op, oq int) {
 				continue
 			}
 			// Filter the queue in place: handles that stay are compacted
-			// toward the head; the rest are dropped or, demoted, move to
-			// the port's lossy queue.
+			// toward the head; the rest are dropped.
 			w := f.head
 			for i := f.head; i < len(f.q); i++ {
 				h := f.q[i]
@@ -605,38 +594,13 @@ func (n *Network) applyMitigation(rt *nodeRT, op, oq int) {
 				f.bytes -= int64(pk.size)
 				pkts++
 				bytes += int64(pk.size)
-				if drop {
-					n.drops.DetectMitigation++
-					st.PacketsDropped++
-					st.BytesDropped += int64(pk.size)
-					n.trace(TraceEvent{Kind: "drop", Node: n.nodeName(rt.id),
-						Flow: pk.flow.spec.Name, Reason: "mitigate"})
-					n.releaseIngress(rt, pk)
-					n.pkts.release(h)
-					continue
-				}
-				// Demote: release the lossless ingress claim (the shared
-				// buffer stays charged until transmit), retag lossy and
-				// requeue on the same port under the lossy cap.
-				in := &rt.ports[op]
-				in.inBytes[oq] -= int64(pk.size)
-				pk.inPrio = 0
-				pk.tag = int16(core.LossyTag)
-				pk.dtag = 0
-				if prt.egress[0].bytes+int64(pk.size) > n.cfg.LossyCap {
-					n.drops.DetectMitigation++
-					st.PacketsDropped++
-					st.BytesDropped += int64(pk.size)
-					rt.bufferUsed -= int64(pk.size)
-					n.trace(TraceEvent{Kind: "drop", Node: n.nodeName(rt.id),
-						Flow: pk.flow.spec.Name, Reason: "mitigate"})
-					n.pkts.release(h)
-					continue
-				}
-				st.PacketsDemoted++
-				n.trace(TraceEvent{Kind: "demote", Node: n.nodeName(rt.id),
-					Flow: pk.flow.spec.Name})
-				prt.enqueue(0, h, pk.size)
+				n.drops.DetectMitigation++
+				st.PacketsDropped++
+				st.BytesDropped += int64(pk.size)
+				n.trace(TraceEvent{Kind: "drop", Node: n.nodeName(rt.id),
+					Flow: pk.flow.spec.Name, Reason: "mitigate"})
+				n.releaseIngress(rt, pk)
+				n.pkts.release(h)
 			}
 			f.q = f.q[:w]
 			if f.empty() {
@@ -646,23 +610,10 @@ func (n *Network) applyMitigation(rt *nodeRT, op, oq int) {
 		}
 	}
 	st.Mitigations++
-	action := "demote"
-	if drop {
-		action = "drop"
-	}
 	n.trace(TraceEvent{Kind: "mitigate", Node: n.nodeName(rt.id),
-		Prio: oq, Reason: action, Depth: bytes})
+		Prio: oq, Reason: "drop", Depth: bytes})
 	if n.tel != nil {
 		n.tel.Counter("sim_mitigation_packets_total").Add(pkts)
-	}
-	if !drop {
-		// The drop path's releaseIngress already re-checks Xon per packet;
-		// the demote path released the claims manually, so check once here.
-		in := &rt.ports[op]
-		if in.pausedUpstream.has(oq) && in.inBytes[oq] <= n.xon(rt) {
-			in.pausedUpstream.clear(oq)
-			n.sendPFC(rt, op, oq, false)
-		}
 	}
 	for pi := range rt.ports {
 		n.tryTx(int(rt.id), pi)

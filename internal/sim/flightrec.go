@@ -105,9 +105,6 @@ func (n *Network) EnableFlightRecorder(cfg FlightRecConfig) *FlightRecorder {
 // Incidents returns the captured incidents in order.
 func (fr *FlightRecorder) Incidents() []Incident { return fr.incidents }
 
-// Captured returns how many incidents were captured.
-func (fr *FlightRecorder) Captured() int { return fr.captured }
-
 // DroppedTriggers returns triggers not captured (cooldown or the
 // MaxIncidents cap).
 func (fr *FlightRecorder) DroppedTriggers() int64 { return fr.dropped }

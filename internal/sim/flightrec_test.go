@@ -147,8 +147,8 @@ func TestFlightRecorderRuleAttribution(t *testing.T) {
 func TestFlightRecorderCooldownCapsIncidents(t *testing.T) {
 	n, fr := fig3FlightRecNet(t, FlightRecConfig{MaxIncidents: 1, Cooldown: time.Microsecond})
 	n.Run(20 * time.Millisecond)
-	if fr.Captured() != 1 {
-		t.Fatalf("captured = %d, want 1", fr.Captured())
+	if fr.captured != 1 {
+		t.Fatalf("captured = %d, want 1", fr.captured)
 	}
 	if fr.DroppedTriggers() == 0 {
 		t.Fatal("persistent deadlock re-triggered nothing; dropped counter idle")
@@ -169,7 +169,7 @@ func TestFlightRecorderChainsInnerTracer(t *testing.T) {
 	if inner == 0 {
 		t.Fatal("inner tracer starved by the flight recorder")
 	}
-	if fr.Captured() == 0 {
+	if fr.captured == 0 {
 		t.Fatal("recorder captured nothing")
 	}
 }
@@ -180,8 +180,8 @@ func TestFlightRecorderSink(t *testing.T) {
 	cfg := FlightRecConfig{Sink: func(inc Incident) error { sunk = append(sunk, inc); return nil }}
 	n, fr := fig3FlightRecNet(t, cfg)
 	n.Run(20 * time.Millisecond)
-	if len(sunk) != fr.Captured() {
-		t.Fatalf("sink saw %d incidents, recorder captured %d", len(sunk), fr.Captured())
+	if len(sunk) != fr.captured {
+		t.Fatalf("sink saw %d incidents, recorder captured %d", len(sunk), fr.captured)
 	}
 	if fr.SinkErr() != nil {
 		t.Fatal(fr.SinkErr())

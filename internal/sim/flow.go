@@ -56,9 +56,6 @@ func (f *Flow) Name() string { return f.spec.Name }
 // Received returns total delivered bytes.
 func (f *Flow) Received() int64 { return f.received }
 
-// Sent returns total injected bytes.
-func (f *Flow) Sent() int64 { return f.sent }
-
 func (f *Flow) record(now int64, bytes int64) {
 	b := int(now / f.bucketNs)
 	for len(f.buckets) <= b {
@@ -146,9 +143,6 @@ func (n *Network) AddFlow(spec FlowSpec) *Flow {
 	return f
 }
 
-// Flows returns all registered flows in creation order.
-func (n *Network) Flows() []*Flow { return n.flows }
-
 // tryHostTx runs the host NIC scheduler: if the uplink is idle, pick the
 // next active, unpaused flow round-robin and serialize one MTU.
 func (n *Network) tryHostTx(nodeIdx, port int) {
@@ -222,17 +216,6 @@ func (f *Flow) paceRate(n *Network) int64 {
 		return 0 // full line rate: let serialization pace
 	}
 	return f.spec.RateBps
-}
-
-// CurrentRateBps exposes the DCQCN sender rate (line rate when CC off).
-func (f *Flow) CurrentRateBps(n *Network) int64 {
-	if n.dcqcn != nil {
-		return f.ccRate
-	}
-	if f.spec.RateBps > 0 {
-		return f.spec.RateBps
-	}
-	return n.cfg.LinkBitsPerSec
 }
 
 // hashString is FNV-1a.

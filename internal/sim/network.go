@@ -215,8 +215,8 @@ type DropStats struct {
 	// invariant.
 	RecoveryFlush int64
 	// DetectMitigation counts lossless packets the in-switch detector's
-	// mitigation hook dropped (MitigateDrop, or a demote that overflowed
-	// the lossy queue). Same contract as RecoveryFlush.
+	// mitigation hook dropped (MitigateDrop). Same contract as
+	// RecoveryFlush.
 	DetectMitigation int64
 }
 
@@ -359,17 +359,8 @@ func (n *Network) SetTelemetry(reg *telemetry.Registry) {
 	}
 }
 
-// Graph returns the topology.
-func (n *Network) Graph() *topology.Graph { return n.g }
-
-// Tables returns the live forwarding tables (scenarios may override).
-func (n *Network) Tables() *routing.Tables { return n.tables }
-
 // Drops returns the loss counters.
 func (n *Network) Drops() DropStats { return n.drops }
-
-// Now returns the current simulation time.
-func (n *Network) Now() time.Duration { return time.Duration(n.now) }
 
 // At schedules fn to run at simulation time t (it must not be earlier
 // than the current time when Run processes it).
@@ -716,8 +707,8 @@ func (n *Network) pfcEffect(nodeIdx, port, prio int, on bool, arg int32) {
 // neutralized so its eventual release is a no-op. A deadlock episode
 // the emptied queues break closes at the reboot. Returns the number of
 // packets lost. The reboot itself is instantaneous: rule state is
-// handled above the simulator (the controller re-pushes the static
-// bundle, see internal/controller.Redeploy).
+// handled above the simulator, which keeps its installed ruleset (the
+// controller re-drives a wiped agent with Reconcile).
 func (n *Network) RebootSwitch(id topology.NodeID) int64 {
 	rt := n.rt(id)
 	if rt.isHost {
@@ -763,18 +754,4 @@ func (n *Network) RebootSwitch(id topology.NodeID) int64 {
 	}
 	n.dlClearCheck() // the emptied queues may have broken a cycle
 	return lost
-}
-
-// MaxIngressObserved returns the fabric-wide high-water mark of lossless
-// ingress occupancy — tests assert it stays within Xoff+headroom.
-func (n *Network) MaxIngressObserved() int64 {
-	var m int64
-	for i := range n.nodes {
-		for p := range n.nodes[i].ports {
-			if v := n.nodes[i].ports[p].maxInBytes; v > m {
-				m = v
-			}
-		}
-	}
-	return m
 }

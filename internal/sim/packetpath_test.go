@@ -175,8 +175,8 @@ func TestZeroPropDelaySlotOrder(t *testing.T) {
 		t.Errorf("drops: %+v", d)
 	}
 	for _, f := range []*Flow{a, b} {
-		if f.Received() == 0 || f.Received() != f.Sent() {
-			t.Errorf("flow %s: sent %d, received %d", f.Name(), f.Sent(), f.Received())
+		if f.Received() == 0 || f.Received() != f.sent {
+			t.Errorf("flow %s: sent %d, received %d", f.Name(), f.sent, f.Received())
 		}
 	}
 	assertDrained(t, n)

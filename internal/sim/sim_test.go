@@ -35,8 +35,8 @@ func TestSingleFlowLineRate(t *testing.T) {
 	if n.PauseFrames != 0 {
 		t.Errorf("unexpected PFC: %d pauses", n.PauseFrames)
 	}
-	if f.Received() == 0 || f.Sent() < f.Received() {
-		t.Errorf("sent=%d received=%d", f.Sent(), f.Received())
+	if f.Received() == 0 || f.sent < f.Received() {
+		t.Errorf("sent=%d received=%d", f.sent, f.Received())
 	}
 	if f.Name() != "f" {
 		t.Error("name")
@@ -66,8 +66,8 @@ func TestIncastIsLosslessUnderPFC(t *testing.T) {
 	if sum < 36 || sum > 41 {
 		t.Errorf("aggregate = %.2f Gbps, want ~40 (bottleneck)", sum)
 	}
-	if n.MaxIngressObserved() > DefaultConfig().PFC.XoffThreshold+DefaultConfig().PFC.Headroom {
-		t.Errorf("headroom exceeded: %d", n.MaxIngressObserved())
+	if m := maxIngress(n); m > DefaultConfig().PFC.XoffThreshold+DefaultConfig().PFC.Headroom {
+		t.Errorf("headroom exceeded: %d", m)
 	}
 	if n.Deadlocked() {
 		t.Error("incast must not deadlock")
@@ -294,7 +294,7 @@ func TestSeriesAndStats(t *testing.T) {
 	if f.MeanGbps(5*time.Millisecond, 5*time.Millisecond) != 0 {
 		t.Error("empty window mean")
 	}
-	if len(n.Flows()) != 1 {
+	if len(n.flows) != 1 {
 		t.Error("Flows()")
 	}
 }
@@ -354,4 +354,16 @@ func TestDeterminism(t *testing.T) {
 	if a1 != a2 || b1 != b2 || p1 != p2 {
 		t.Fatalf("non-deterministic: (%d,%d,%d) vs (%d,%d,%d)", a1, b1, p1, a2, b2, p2)
 	}
+}
+
+// maxIngress returns the fabric-wide high-water mark of lossless ingress
+// occupancy.
+func maxIngress(n *Network) int64 {
+	var m int64
+	for i := range n.nodes {
+		for p := range n.nodes[i].ports {
+			m = max(m, n.nodes[i].ports[p].maxInBytes)
+		}
+	}
+	return m
 }

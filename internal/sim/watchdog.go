@@ -32,12 +32,6 @@ type WatchdogStats struct {
 	MitigationDrops int64
 }
 
-// Clean reports the soak invariant: no deadlock ever observed and no
-// lossless drops beyond those a reboot inherently causes.
-func (w *WatchdogStats) Clean() bool {
-	return w.DeadlockSamples == 0 && w.LosslessDrops == 0
-}
-
 // StartWatchdog installs a continuous deadlock watchdog: every interval
 // it samples DetectDeadlock and the drop counters into the returned
 // stats, which update in place as the run progresses. Sampling rides the

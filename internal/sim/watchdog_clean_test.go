@@ -13,6 +13,12 @@ import (
 // RebootDrops and must NOT fail the soak invariant, while genuine lossless
 // drops (HeadroomViolation) must. A regression that folds SwitchReboot
 // into LosslessDrops — or stops sampling either counter — fails here.
+// clean reports the chaos-soak verdict: no deadlock sample and no
+// lossless drop.
+func clean(w *WatchdogStats) bool {
+	return w.DeadlockSamples == 0 && w.LosslessDrops == 0
+}
+
 func TestWatchdogCleanExcludesRebootDrops(t *testing.T) {
 	c, _, n := testbedNet(t, routing.UpDown)
 	g := c.Graph
@@ -45,7 +51,7 @@ func TestWatchdogCleanExcludesRebootDrops(t *testing.T) {
 	if wd.LosslessDrops != 0 {
 		t.Errorf("reboot losses leaked into LosslessDrops: %d", wd.LosslessDrops)
 	}
-	if !wd.Clean() {
+	if !clean(wd) {
 		t.Errorf("Clean() = false for a reboot-only schedule: %+v", wd)
 	}
 }
@@ -91,7 +97,7 @@ func TestWatchdogCleanExcludesRecoveryFlush(t *testing.T) {
 	if wd.LosslessDrops != 0 {
 		t.Errorf("flush drops leaked into LosslessDrops: %d", wd.LosslessDrops)
 	}
-	if !wd.Clean() {
+	if !clean(wd) {
 		t.Errorf("Clean() = false for a successful detect-and-break run: %+v", wd)
 	}
 	if got := tr.Counts["drop"]; got != rec.PacketsDropped {
@@ -109,7 +115,7 @@ func TestWatchdogDirtyOnLosslessDrops(t *testing.T) {
 	if wd.LosslessDrops == 0 {
 		t.Fatal("legacy egress run had no lossless drops; fixture drifted")
 	}
-	if wd.Clean() {
+	if clean(wd) {
 		t.Errorf("Clean() = true despite %d lossless drops", wd.LosslessDrops)
 	}
 }

@@ -94,14 +94,14 @@ func TestWatchdogObservesDeadlock(t *testing.T) {
 	if wd.FirstDeadlockAt <= 0 {
 		t.Errorf("FirstDeadlockAt = %v", wd.FirstDeadlockAt)
 	}
-	if wd.Clean() {
+	if clean(wd) {
 		t.Error("Clean() true despite deadlock samples")
 	}
 
-	clean := fig3Deadlock(t, true)
-	cwd := clean.StartWatchdog(250 * time.Microsecond)
-	clean.Run(20 * time.Millisecond)
-	if !cwd.Clean() || cwd.Samples == 0 {
+	healthy := fig3Deadlock(t, true)
+	cwd := healthy.StartWatchdog(250 * time.Microsecond)
+	healthy.Run(20 * time.Millisecond)
+	if !clean(cwd) || cwd.Samples == 0 {
 		t.Errorf("Tagger run not clean: %+v", cwd)
 	}
 }

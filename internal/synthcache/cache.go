@@ -141,8 +141,7 @@ type Cache struct {
 const DefaultCapacity = 64
 
 // New returns a cache holding at most capacity entries (0 or negative:
-// DefaultCapacity). Metrics go to telemetry.Default unless SetTelemetry
-// points them elsewhere.
+// DefaultCapacity). Metrics go to telemetry.Default.
 func New(capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
@@ -155,14 +154,6 @@ func New(capacity int) *Cache {
 		pathSums: make(map[pathsAt][sha256.Size]byte),
 		tel:      telemetry.Default,
 	}
-}
-
-// SetTelemetry redirects the cache's counters to reg (tests, or a
-// per-sweep registry). Call before first use.
-func (c *Cache) SetTelemetry(reg *telemetry.Registry) {
-	c.mu.Lock()
-	c.tel = reg
-	c.mu.Unlock()
 }
 
 func (c *Cache) registry() *telemetry.Registry {
@@ -185,13 +176,6 @@ func (c *Cache) Stats() Stats {
 		SingleFlightWait: c.sfWaits.Load(),
 		PodStamped:       c.podStamped.Load(),
 	}
-}
-
-// Len returns the number of resident (built) entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
 }
 
 // pathsSumOf digests a path sequence, memoized by slice identity: a

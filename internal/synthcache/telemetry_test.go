@@ -88,7 +88,7 @@ synthcache_pod_stamped 1
 func TestMetricsEndpointServesCacheCounters(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	driveCounters(t, reg)
-	srv := httptest.NewServer(telemetry.Handler(reg))
+	srv := httptest.NewServer(telemetry.HandlerWithPostmortem(nil, reg))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/metrics")

@@ -8,101 +8,10 @@ import (
 	"repro/internal/topology"
 )
 
-// TestBitmapWordBoundaryCanonical pins the contract the satellite fix
-// establishes: a bitmap pre-sized via NewBitmap and one grown by Set must
-// behave identically in every comparison surface — Equal, Count, Key,
-// Compare, Union, and the logical-width String rendering — across the
-// 63/64/65-bit word boundaries where trailing zero words appear.
-func TestBitmapWordBoundaryCanonical(t *testing.T) {
-	cases := []struct {
-		name  string
-		size  int // NewBitmap pre-size for the "sized" twin
-		bits  []int
-		width int // expected logical word count after trim
-	}{
-		{"bit63-sized128", 128, []int{63}, 1},
-		{"bit63-sized65", 65, []int{63}, 1},
-		{"bit64-sized128", 128, []int{64}, 2},
-		{"bit65-sized192", 192, []int{65}, 2},
-		{"bits63-64-65", 256, []int{63, 64, 65}, 2},
-		{"low-bit-wide-alloc", 1024, []int{0}, 1},
-		{"empty-sized", 640, nil, 0},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			sized := NewBitmap(tc.size)
-			var grown Bitmap
-			for _, b := range tc.bits {
-				sized.Set(b)
-				grown.Set(b)
-			}
-			if !sized.Equal(grown) || !grown.Equal(sized) {
-				t.Error("Equal disagrees across representations")
-			}
-			if sized.Count() != grown.Count() || sized.Count() != len(tc.bits) {
-				t.Errorf("Count: sized=%d grown=%d want %d", sized.Count(), grown.Count(), len(tc.bits))
-			}
-			if sized.Key() != grown.Key() {
-				t.Errorf("Key: %q vs %q", sized.Key(), grown.Key())
-			}
-			if sized.Compare(grown) != 0 || grown.Compare(sized) != 0 {
-				t.Error("Compare nonzero for equal bit sets")
-			}
-			if sized.String(0) != grown.String(0) {
-				t.Errorf("String(0): %q vs %q", sized.String(0), grown.String(0))
-			}
-			if len(sized.String(0)) != tc.width*64 {
-				t.Errorf("String(0) width = %d, want %d", len(sized.String(0)), tc.width*64)
-			}
-			// Mask-merge: unioning the over-allocated twin into a compact
-			// bitmap must neither lose bits nor change the bit set.
-			var acc Bitmap
-			acc.Union(sized)
-			if !acc.Equal(grown) {
-				t.Error("Union(sized) lost or invented bits")
-			}
-			acc.Union(grown)
-			if acc.Count() != len(tc.bits) {
-				t.Error("Union not idempotent")
-			}
-		})
-	}
-}
-
 // TestBitmapCompareOrdering: Compare orders by bit set as an unbounded
 // integer and is insensitive to trailing zero words on either side.
-func TestBitmapCompareOrdering(t *testing.T) {
-	mk := func(size int, bits ...int) Bitmap {
-		b := NewBitmap(size)
-		for _, i := range bits {
-			b.Set(i)
-		}
-		return b
-	}
-	cases := []struct {
-		a, b Bitmap
-		want int
-	}{
-		{mk(0, 63), mk(0, 64), -1},
-		{mk(256, 63), mk(0, 64), -1},
-		{mk(0, 64), mk(256, 63), 1},
-		{mk(0, 5), mk(0, 5, 65), -1},
-		{mk(512, 5, 65), mk(0, 5), 1},
-		{mk(0), mk(128), 0},
-		{mk(0, 64, 3), mk(192, 3, 64), 0},
-	}
-	for i, tc := range cases {
-		if got := tc.a.Compare(tc.b); got != tc.want {
-			t.Errorf("case %d: Compare = %d, want %d", i, got, tc.want)
-		}
-		if got := tc.b.Compare(tc.a); got != -tc.want {
-			t.Errorf("case %d: reverse Compare = %d, want %d", i, got, -tc.want)
-		}
-	}
-}
-
 // TestCompressCanonicalEntries: compressed entries carry canonical
-// (trimmed) bitmaps, so struct-level equality — what the determinism and
+// bitmaps (no trailing zero word), so struct-level equality — what the determinism and
 // differential tests use — agrees with logical equality.
 func TestCompressCanonicalEntries(t *testing.T) {
 	g := topology.New()
@@ -119,11 +28,10 @@ func TestCompressCanonicalEntries(t *testing.T) {
 		t.Error("identical inputs compressed to non-DeepEqual entries")
 	}
 	for _, e := range a {
-		trimmed := e
-		trimmed.InPorts.trim()
-		trimmed.OutPorts.trim()
-		if !reflect.DeepEqual(e, trimmed) {
-			t.Errorf("entry %+v carries trailing zero words", e)
+		for _, b := range []Bitmap{e.InPorts, e.OutPorts} {
+			if n := len(b.words); n > 0 && b.words[n-1] == 0 {
+				t.Errorf("entry %+v carries trailing zero words", e)
+			}
 		}
 	}
 }

@@ -24,11 +24,6 @@ type Entry struct {
 	NewTag   int
 }
 
-// Matches reports whether the entry fires for (tag, in, out).
-func (e *Entry) Matches(tag, in, out int) bool {
-	return e.Tag == tag && e.InPorts.Get(in) && e.OutPorts.Get(out)
-}
-
 // Compress converts exact rules into TCAM entries using the bit-masking
 // aggregation of §7/Figure 9, in two stages:
 //
@@ -122,24 +117,21 @@ func compressChunk(rules []core.Rule) []Entry {
 		stage2[k2] = e
 		out = append(out, e)
 	}
-	return canonical(out)
+	return values(out)
 }
 
 // CompressInPortOnly runs only stage 1 (the paper's n·m(m-1)/2 result),
 // for the compression-level ablation: rules identical except InPort merge;
 // OutPorts stay singletons.
 func CompressInPortOnly(rules []core.Rule) []Entry {
-	return canonical(groupInPorts(rules))
+	return values(groupInPorts(rules))
 }
 
-// canonical copies the entries out with trimmed bitmaps, so logically
-// equal entries are struct-equal.
-func canonical(es []*Entry) []Entry {
+// values copies the entries out of their pointers.
+func values(es []*Entry) []Entry {
 	res := make([]Entry, len(es))
 	for i, e := range es {
 		res[i] = *e
-		res[i].InPorts.trim()
-		res[i].OutPorts.trim()
 	}
 	return res
 }
@@ -223,11 +215,3 @@ func MaxPerSwitch(entries []Entry) int {
 	}
 	return max
 }
-
-// UncompressedBound returns the paper's worst-case per-switch rule count
-// without compression: n(n-1)·m(m-1)/2 for n ports and m tags.
-func UncompressedBound(n, m int) int { return n * (n - 1) * m * (m - 1) / 2 }
-
-// InPortAggregatedBound returns the paper's per-switch bound after InPort
-// aggregation: n·m(m-1)/2.
-func InPortAggregatedBound(n, m int) int { return n * m * (m - 1) / 2 }

@@ -56,7 +56,7 @@ func checkTables(t *testing.T, rs *core.Ruleset) {
 					if r := rules[a.Rule]; r != (core.Rule{Switch: sw, Tag: tag, In: in, Out: out, NewTag: want}) {
 						t.Fatalf("%s tag %d in %d out %d: rule ID %d names %+v", g.Node(sw).Name, tag, in, out, a.Rule, r)
 					}
-					if e := &entries[b.Rule]; e.Switch != sw || !e.Matches(tag, in, out) {
+					if e := &entries[b.Rule]; e.Switch != sw || !matches(e, tag, in, out) {
 						t.Fatalf("%s tag %d in %d out %d: entry ID %d names %+v", g.Node(sw).Name, tag, in, out, b.Rule, *e)
 					}
 				}

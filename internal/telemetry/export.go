@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -172,70 +171,6 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 			if _, err := io.WriteString(w, line+"\n"); err != nil {
 				return err
 			}
-		}
-	}
-	return nil
-}
-
-// jsonlRecord is one exported metric line.
-type jsonlRecord struct {
-	Type   string            `json:"type"`
-	Name   string            `json:"name"`
-	Labels map[string]string `json:"labels,omitempty"`
-	Value  *float64          `json:"value,omitempty"`
-	Bounds []float64         `json:"bounds,omitempty"`
-	Counts []int64           `json:"counts,omitempty"`
-	Sum    *float64          `json:"sum,omitempty"`
-	Count  *int64            `json:"count,omitempty"`
-	P50    *float64          `json:"p50,omitempty"`
-	P95    *float64          `json:"p95,omitempty"`
-	P99    *float64          `json:"p99,omitempty"`
-}
-
-// WriteJSONL renders a snapshot as one JSON object per line, in the
-// snapshot's deterministic order — the machine-readable sibling of the
-// Prometheus exposition, fit for appending to run logs and for golden
-// tests.
-func WriteJSONL(w io.Writer, s Snapshot) error {
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	labelMap := func(ls []Label) map[string]string {
-		if len(ls) == 0 {
-			return nil
-		}
-		m := make(map[string]string, len(ls))
-		for _, l := range ls {
-			m[l.K] = l.V
-		}
-		return m
-	}
-	fptr := func(v float64) *float64 {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil // JSON has no NaN/Inf; omit instead
-		}
-		return &v
-	}
-	for _, c := range s.Counters {
-		v := float64(c.Value)
-		if err := enc.Encode(jsonlRecord{Type: "counter", Name: c.Name,
-			Labels: labelMap(c.Labels), Value: &v}); err != nil {
-			return err
-		}
-	}
-	for _, g := range s.Gauges {
-		if err := enc.Encode(jsonlRecord{Type: "gauge", Name: g.Name,
-			Labels: labelMap(g.Labels), Value: fptr(g.Value)}); err != nil {
-			return err
-		}
-	}
-	for _, h := range s.Hists {
-		cnt := h.Count
-		if err := enc.Encode(jsonlRecord{Type: "histogram", Name: h.Name,
-			Labels: labelMap(h.Labels), Bounds: h.Bounds, Counts: h.Counts,
-			Sum: fptr(h.Sum), Count: &cnt,
-			P50: fptr(h.Quantile(0.50)), P95: fptr(h.Quantile(0.95)),
-			P99: fptr(h.Quantile(0.99))}); err != nil {
-			return err
 		}
 	}
 	return nil

@@ -69,22 +69,6 @@ func TestPrometheusDeterministic(t *testing.T) {
 	}
 }
 
-func TestJSONLGolden(t *testing.T) {
-	var b strings.Builder
-	if err := WriteJSONL(&b, buildSample()); err != nil {
-		t.Fatal(err)
-	}
-	want := `{"type":"counter","name":"deploy.install.fail","value":3}
-{"type":"counter","name":"deploy.install.ok","labels":{"switch":"L1-T1"},"value":7}
-{"type":"counter","name":"deploy.install.ok","labels":{"switch":"we\"ird\\name"},"value":1}
-{"type":"gauge","name":"sim_queue_depth_bytes","labels":{"node":"L2"},"value":4096}
-{"type":"histogram","name":"sim_pause_duration_seconds","labels":{"link":"L1->T1"},"bounds":[0.25,1,4],"counts":[1,2,0,1],"sum":9.125,"count":4,"p50":0.625,"p95":7.199999999999999,"p99":7.84}
-`
-	if got := b.String(); got != want {
-		t.Fatalf("jsonl mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
-}
-
 func TestSanitizeName(t *testing.T) {
 	for in, want := range map[string]string{
 		"deploy.install.fail": "deploy_install_fail",

@@ -72,14 +72,6 @@ func (h *Histogram) Observe(v float64) {
 // the Prometheus convention for time histograms.
 func (h *Histogram) ObserveDuration(ns int64) { h.Observe(float64(ns) / 1e9) }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // Snapshot captures the histogram state. Name/Labels are filled by the
 // registry when snapshotting registered histograms.
 func (h *Histogram) Snapshot() HistSnap {
@@ -200,14 +192,6 @@ type HistSnap struct {
 	Max    float64   `json:"max"`
 
 	key string
-}
-
-// Mean returns the average observation (NaN when empty).
-func (s HistSnap) Mean() float64 {
-	if s.Count == 0 {
-		return math.NaN()
-	}
-	return s.Sum / float64(s.Count)
 }
 
 // ExpBuckets returns n upper bounds starting at start, each factor times

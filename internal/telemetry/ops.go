@@ -9,23 +9,20 @@ import (
 	"time"
 )
 
-// Handler builds the ops endpoint mux over the given registries:
+// HandlerWithPostmortem builds the ops endpoint mux over the given
+// registries:
 //
-//	/metrics       Prometheus text exposition (all registries merged)
-//	/healthz       JSON liveness: status, uptime, metric counts
-//	/debug/pprof/  the standard runtime profiles
+//	/metrics            Prometheus text exposition (all registries merged)
+//	/healthz            JSON liveness: status, uptime, metric counts
+//	/debug/pprof/       the standard runtime profiles
+//	/debug/postmortem   the flight recorder's incident index, and
+//	                    /debug/postmortem/<seq> one report, fed from pm
+//	                    (a nil pm serves an empty index)
 //
 // Multiple registries cover the common deployment shape: the
 // process-wide Default (synthesis spans) plus per-subsystem registries
 // (a soak's simulator histograms, a controller's deploy counters).
 // Same-name metrics across registries are summed at scrape time.
-func Handler(regs ...*Registry) http.Handler {
-	return HandlerWithPostmortem(nil, regs...)
-}
-
-// HandlerWithPostmortem is Handler plus the flight-recorder forensics
-// routes (/debug/postmortem index, /debug/postmortem/<seq> report) fed
-// from pm. A nil pm serves an empty index.
 func HandlerWithPostmortem(pm PostmortemSource, regs ...*Registry) http.Handler {
 	start := time.Now()
 	mux := http.NewServeMux()

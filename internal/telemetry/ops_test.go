@@ -17,7 +17,7 @@ func TestOpsEndpoints(t *testing.T) {
 	other := NewRegistry()
 	other.Counter("deploy.pushes").Add(3) // summed with reg's at scrape time
 
-	srv := httptest.NewServer(Handler(reg, other))
+	srv := httptest.NewServer(HandlerWithPostmortem(nil, reg, other))
 	defer srv.Close()
 
 	get := func(path string) (int, string) {

@@ -80,7 +80,7 @@ func TestPostmortemEndpoints(t *testing.T) {
 // TestPostmortemNilSource: the routes exist (empty index, no panics)
 // even when no recorder is wired in — the plain Handler path.
 func TestPostmortemNilSource(t *testing.T) {
-	srv := httptest.NewServer(Handler(NewRegistry()))
+	srv := httptest.NewServer(HandlerWithPostmortem(nil, NewRegistry()))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/debug/postmortem")
 	if err != nil {

@@ -58,14 +58,6 @@ func (s *Span) Child(name string) *Span {
 	return &Span{reg: s.reg, path: s.path + "/" + name, start: time.Now(), heap0: readHeapAllocs()}
 }
 
-// Path returns the span's slash-joined phase path ("" for nil spans).
-func (s *Span) Path() string {
-	if s == nil {
-		return ""
-	}
-	return s.path
-}
-
 // End closes the span, records its metrics, and returns the wall-clock
 // duration (0 for nil spans).
 func (s *Span) End() time.Duration {

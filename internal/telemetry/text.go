@@ -33,9 +33,6 @@ func (t *Table) AddRow(cells ...any) {
 	t.rows = append(t.rows, row)
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // String renders the table. Rows may have more or fewer cells than the
 // header: column widths cover the widest row, short rows end early, and
 // cells beyond the last sized column render unpadded.

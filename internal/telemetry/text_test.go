@@ -27,8 +27,8 @@ func TestTableRendering(t *testing.T) {
 	if len(lines[0]) != len(lines[1]) {
 		t.Errorf("misaligned header/separator: %d vs %d", len(lines[0]), len(lines[1]))
 	}
-	if tb.NumRows() != 2 {
-		t.Errorf("NumRows = %d", tb.NumRows())
+	if len(tb.rows) != 2 {
+		t.Errorf("rows = %d", len(tb.rows))
 	}
 }
 

@@ -13,7 +13,6 @@ type BCube struct {
 	N, K     int
 	Servers  []NodeID       // index = server number in [0, n^(k+1))
 	Switches [][]NodeID     // Switches[l][i] = i-th switch of level l
-	levelOf  map[NodeID]int // switch -> level
 	serverNo map[NodeID]int // server node -> numeric address
 	switchNo map[NodeID]int // switch node -> index within level
 }
@@ -37,7 +36,6 @@ func NewBCube(n, k int) (*BCube, error) {
 	g := New()
 	b := &BCube{
 		Graph: g, N: n, K: k,
-		levelOf:  make(map[NodeID]int),
 		serverNo: make(map[NodeID]int),
 		switchNo: make(map[NodeID]int),
 	}
@@ -51,7 +49,6 @@ func NewBCube(n, k int) (*BCube, error) {
 		for i := 0; i < nSwitchesPerLevel; i++ {
 			id := g.AddNode(fmt.Sprintf("W%d_%d", l, i), KindSwitch, l+1)
 			level = append(level, id)
-			b.levelOf[id] = l
 			b.switchNo[id] = i
 		}
 		b.Switches = append(b.Switches, level)
@@ -83,16 +80,6 @@ func NewBCube(n, k int) (*BCube, error) {
 func (b *BCube) ServerNumber(id NodeID) (int, bool) {
 	no, ok := b.serverNo[id]
 	return no, ok
-}
-
-// SwitchLevel returns the level of a switch node, or (-1, false) for
-// non-switch nodes.
-func (b *BCube) SwitchLevel(id NodeID) (int, bool) {
-	l, ok := b.levelOf[id]
-	if !ok {
-		return -1, false
-	}
-	return l, true
 }
 
 // Digit returns digit l (base n) of server address s.

@@ -47,11 +47,8 @@ func TestPaperTestbedShape(t *testing.T) {
 	}
 	// Hosts are 4 per ToR, attached to their ToR.
 	h1 := g.MustLookup("H1")
-	if g.HostToR(h1) != t1 {
-		t.Errorf("H1 attaches to %s, want T1", g.Node(g.HostToR(h1)).Name)
-	}
-	if c.PodOfToR(0) != 0 || c.PodOfToR(2) != 1 {
-		t.Errorf("PodOfToR wrong: %d %d", c.PodOfToR(0), c.PodOfToR(2))
+	if g.LinkBetween(h1, t1) == nil || g.PortCount(h1) != 1 {
+		t.Errorf("H1 does not attach to T1 alone")
 	}
 }
 
@@ -94,30 +91,6 @@ func TestClosScaling(t *testing.T) {
 	}
 }
 
-func TestLeafSpine(t *testing.T) {
-	c, err := NewLeafSpine(LeafSpineConfig{Leaves: 4, Spines: 2, HostsPerLeaf: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := c.Graph
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(c.ToRs) != 4 || len(c.Leaves) != 2 || len(c.Hosts) != 8 {
-		t.Fatalf("rosters: %d tors %d uppers %d hosts", len(c.ToRs), len(c.Leaves), len(c.Hosts))
-	}
-	for _, tor := range c.ToRs {
-		for _, up := range c.Leaves {
-			if g.LinkBetween(tor, up) == nil {
-				t.Errorf("%s not connected to %s", g.Node(tor).Name, g.Node(up).Name)
-			}
-		}
-	}
-	if _, err := NewLeafSpine(LeafSpineConfig{Leaves: 0, Spines: 1}); err == nil {
-		t.Error("expected error for zero leaves")
-	}
-}
-
 func TestFatTreeShape(t *testing.T) {
 	for _, k := range []int{2, 4, 6, 8} {
 		ft, err := NewFatTree(k)
@@ -147,7 +120,7 @@ func TestFatTreeShape(t *testing.T) {
 		}
 		// Each core connects to exactly one agg per pod.
 		for _, c := range ft.Cores {
-			if got := g.Degree(c); got != k {
+			if got := len(g.Neighbors(c, nil)); got != k {
 				t.Errorf("k=%d: core degree = %d, want %d", k, got, k)
 			}
 		}
@@ -181,18 +154,17 @@ func TestBCubeShape(t *testing.T) {
 		if len(b.Switches) != c.k+1 {
 			t.Fatalf("BCube(%d,%d): levels = %d, want %d", c.n, c.k, len(b.Switches), c.k+1)
 		}
+		levelOf := map[NodeID]int{}
 		for l, level := range b.Switches {
 			if len(level) != wantServers/c.n {
 				t.Errorf("BCube(%d,%d): level %d has %d switches, want %d",
 					c.n, c.k, l, len(level), wantServers/c.n)
 			}
 			for _, sw := range level {
+				levelOf[sw] = l
 				if got := g.PortCount(sw); got != c.n {
 					t.Errorf("BCube(%d,%d): switch %s has %d ports, want %d",
 						c.n, c.k, g.Node(sw).Name, got, c.n)
-				}
-				if gl, ok := b.SwitchLevel(sw); !ok || gl != l {
-					t.Errorf("SwitchLevel(%s) = %d,%v want %d", g.Node(sw).Name, gl, ok, l)
 				}
 			}
 		}
@@ -209,7 +181,7 @@ func TestBCubeShape(t *testing.T) {
 		var nb []NodeID
 		nb = g.Neighbors(s0, nb)
 		for _, sw := range nb {
-			lvl, ok := b.SwitchLevel(sw)
+			lvl, ok := levelOf[sw]
 			if !ok {
 				t.Fatalf("server neighbor %s is not a switch", g.Node(sw).Name)
 			}
@@ -328,14 +300,5 @@ func TestJellyfishConfigValidation(t *testing.T) {
 		if _, err := NewJellyfish(cfg); err == nil {
 			t.Errorf("case %d: expected error for %+v", i, cfg)
 		}
-	}
-}
-
-func TestMaxPorts(t *testing.T) {
-	c, _ := NewClos(PaperTestbed())
-	g := c.Graph
-	// ToR: 2 leaves + 4 hosts = 6; leaf: 2 spines + 2 tors = 4; spine: 4 leaves.
-	if got := g.MaxPorts(); got != 6 {
-		t.Errorf("MaxPorts = %d, want 6", got)
 	}
 }

@@ -92,9 +92,6 @@ func NewClos(cfg ClosConfig) (*Clos, error) {
 	return c, nil
 }
 
-// PodOfToR returns the pod index (0-based) of the i-th ToR.
-func (c *Clos) PodOfToR(i int) int { return i / c.Config.ToRsPerPod }
-
 // Expand grows the Clos by adding pods under the existing spines — the
 // §6 "Topology changes" scenario: new leaves use up empty spine ports,
 // and (as the paper observes) none of the older switches need any rule
@@ -136,46 +133,6 @@ func (c *Clos) Expand(morePods int) error {
 	}
 	c.Config.Pods += morePods
 	return nil
-}
-
-// LeafSpineConfig describes a two-layer leaf-spine fabric: every leaf
-// connects to every spine.
-type LeafSpineConfig struct {
-	Leaves       int
-	Spines       int
-	HostsPerLeaf int
-}
-
-// NewLeafSpine builds a two-layer leaf-spine fabric with leaves T1..Tn
-// (layer 1) and spines L1..Ln (layer 2). The naming mirrors the two-layer
-// figures in the paper where ToRs bounce off the upper layer.
-func NewLeafSpine(cfg LeafSpineConfig) (*Clos, error) {
-	if cfg.Leaves <= 0 || cfg.Spines <= 0 || cfg.HostsPerLeaf < 0 {
-		return nil, fmt.Errorf("leafspine: invalid config %+v", cfg)
-	}
-	g := New()
-	c := &Clos{Graph: g, Config: ClosConfig{
-		Pods: 1, ToRsPerPod: cfg.Leaves, LeafsPerPod: cfg.Spines,
-		Spines: 0, HostsPerToR: cfg.HostsPerLeaf,
-	}}
-	for s := 0; s < cfg.Spines; s++ {
-		c.Leaves = append(c.Leaves, g.AddNode(fmt.Sprintf("L%d", s+1), KindLeaf, 2))
-	}
-	hostN := 1
-	for t := 0; t < cfg.Leaves; t++ {
-		id := g.AddNode(fmt.Sprintf("T%d", t+1), KindToR, 1)
-		c.ToRs = append(c.ToRs, id)
-		for _, s := range c.Leaves {
-			g.Connect(id, s)
-		}
-		for h := 0; h < cfg.HostsPerLeaf; h++ {
-			hid := g.AddNode(fmt.Sprintf("H%d", hostN), KindHost, 0)
-			hostN++
-			c.Hosts = append(c.Hosts, hid)
-			g.Connect(hid, id)
-		}
-	}
-	return c, nil
 }
 
 // FatTree is a built k-ary fat-tree.

@@ -11,7 +11,6 @@ package topology
 
 import (
 	"fmt"
-	"sort"
 )
 
 // NodeID identifies a node (switch or host) within a Graph.
@@ -315,19 +314,6 @@ func (g *Graph) Neighbors(n NodeID, dst []NodeID) []NodeID {
 	return dst
 }
 
-// HealthyPorts appends to dst the port numbers of node n whose links are
-// healthy, and returns the extended slice.
-func (g *Graph) HealthyPorts(n NodeID, dst []int) []int {
-	for _, pid := range g.nodes[n].Ports {
-		p := &g.ports[pid]
-		if p.Link == InvalidLink || g.links[p.Link].Failed {
-			continue
-		}
-		dst = append(dst, p.Num)
-	}
-	return dst
-}
-
 // FailLink marks the link between a and b as failed. It returns false if
 // the nodes are not adjacent.
 func (g *Graph) FailLink(a, b NodeID) bool {
@@ -419,34 +405,6 @@ func (g *Graph) Hosts() []NodeID {
 	return out
 }
 
-// NodesOfKind returns the IDs of all nodes with the given kind, in ID order.
-func (g *Graph) NodesOfKind(k Kind) []NodeID {
-	var out []NodeID
-	for i := range g.nodes {
-		if g.nodes[i].Kind == k {
-			out = append(out, NodeID(i))
-		}
-	}
-	return out
-}
-
-// HostToR returns the switch a host attaches to. Hosts in all supported
-// topologies are single-homed except BCube, where a host has several
-// uplinks; for BCube the level-0 switch is returned. It panics if n is not
-// a host.
-func (g *Graph) HostToR(n NodeID) NodeID {
-	if g.nodes[n].Kind != KindHost {
-		panic(fmt.Sprintf("topology: HostToR on non-host %s", g.nodes[n].Name))
-	}
-	for _, pid := range g.nodes[n].Ports {
-		p := &g.ports[pid]
-		if p.Peer != InvalidNode {
-			return p.Peer
-		}
-	}
-	return InvalidNode
-}
-
 // Validate performs structural consistency checks and returns a non-nil
 // error describing the first violation found: dangling ports referencing
 // missing links, asymmetric link endpoints, port-number gaps, a
@@ -504,42 +462,4 @@ func (g *Graph) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Degree returns the number of healthy links attached to n.
-func (g *Graph) Degree(n NodeID) int {
-	d := 0
-	for _, pid := range g.nodes[n].Ports {
-		p := &g.ports[pid]
-		if p.Link != InvalidLink && !g.links[p.Link].Failed {
-			d++
-		}
-	}
-	return d
-}
-
-// MaxPorts returns the largest port count of any switch, which bounds the
-// width of TCAM port bitmaps.
-func (g *Graph) MaxPorts() int {
-	m := 0
-	for i := range g.nodes {
-		if !g.nodes[i].Kind.IsSwitch() {
-			continue
-		}
-		if len(g.nodes[i].Ports) > m {
-			m = len(g.nodes[i].Ports)
-		}
-	}
-	return m
-}
-
-// SortedNames returns all node names sorted lexicographically. Intended
-// for deterministic debug dumps.
-func (g *Graph) SortedNames() []string {
-	out := make([]string, 0, len(g.nodes))
-	for i := range g.nodes {
-		out = append(out, g.nodes[i].Name)
-	}
-	sort.Strings(out)
-	return out
 }

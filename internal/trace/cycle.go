@@ -7,7 +7,7 @@ package trace
 // following edges in list order, so the answer is deterministic. It is the
 // repository's one witness-returning cycle search over a plain adjacency
 // list: the simulator's live wait-for scan, the post-mortem's
-// reconstruction from a frozen snapshot and core.RepairReplay's same-tag
+// reconstruction from a frozen snapshot and core's repair replay's same-tag
 // port graphs all call it (DESIGN.md §9 lists the searches that stay
 // separate, and why).
 func FindCycle(adj [][]int) []int {

@@ -141,9 +141,6 @@ func (s *BinarySource) Truncated() bool { return s.r.Truncated() }
 // evidence of a newer producer rather than damage.
 func (s *BinarySource) Alien() int64 { return s.r.AlienKinds() }
 
-// Header exposes the decoded file header.
-func (s *BinarySource) Header() trace.Header { return s.r.Header() }
-
 // Snapshot exposes the flight-recorder snapshot folded out of the
 // stream, nil if the trace carried none. Only meaningful after the
 // source reports io.EOF (snapshot records trail the event window).

@@ -124,10 +124,10 @@ func TestPauseDurationPercentiles(t *testing.T) {
 
 	sum, _ := run(t, NewJSONLSource(strings.NewReader(traceText)))
 	ab, cd := LinkKey{"A", "B"}, LinkKey{"C", "D"}
-	if got := sum.PauseDur[ab].Count(); got != 2 {
+	if got := sum.PauseDur[ab].Snapshot().Count; got != 2 {
 		t.Errorf("A->B intervals = %d, want 2 (open pause must not count)", got)
 	}
-	if got := sum.PauseDur[cd].Count(); got != 3 {
+	if got := sum.PauseDur[cd].Snapshot().Count; got != 3 {
 		t.Errorf("C->D intervals = %d, want 3", got)
 	}
 	snap := sum.PauseDur[cd].Snapshot()
@@ -162,7 +162,7 @@ func TestQueueDepthTable(t *testing.T) {
 		`{"t":3000,"kind":"resume","node":"A","peer":"B","prio":1,"depth":1024}`,
 	}, "\n")
 	sum, _ := run(t, NewJSONLSource(strings.NewReader(traceText)))
-	if got := sum.QDepth[LinkKey{"A", "B"}].Count(); got != 2 {
+	if got := sum.QDepth[LinkKey{"A", "B"}].Snapshot().Count; got != 2 {
 		t.Fatalf("depth samples = %d, want 2", got)
 	}
 	var b strings.Builder
@@ -243,8 +243,8 @@ func TestMixedCorruptionBothFormats(t *testing.T) {
 			t.Errorf("%s: events=%d pauses=%d resumes=%d, want 2/1/1",
 				name, sum.Events, sum.Pauses[k], sum.Resumes[k])
 		}
-		if sum.PauseDur[k].Count() != 1 {
-			t.Errorf("%s: paired intervals = %d, want 1", name, sum.PauseDur[k].Count())
+		if sum.PauseDur[k].Snapshot().Count != 1 {
+			t.Errorf("%s: paired intervals = %d, want 1", name, sum.PauseDur[k].Snapshot().Count)
 		}
 	}
 }

@@ -53,9 +53,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return &Reader{br: br, hdr: hdr, strs: make(map[uint32]string)}, nil
 }
 
-// Header returns the decoded file header.
-func (r *Reader) Header() Header { return r.hdr }
-
 // Skipped counts undecodable entries passed over so far.
 func (r *Reader) Skipped() int64 { return r.skipped }
 

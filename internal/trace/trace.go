@@ -178,7 +178,7 @@ type Event struct {
 	// Reason qualifies drops ("ttl", "lossy-overflow", "no-route",
 	// "headroom", "reboot", "recovery-flush", "mitigate"), the transport
 	// medium for detect events ("packet", "pause"), and the action for
-	// mitigate events ("drop", "demote").
+	// mitigate events ("drop").
 	Reason string `json:"reason,omitempty"`
 	// Cycle carries the pause-wait cycle for deadlock events.
 	Cycle []string `json:"cycle,omitempty"`

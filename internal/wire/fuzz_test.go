@@ -31,7 +31,7 @@ func FuzzDecodeIPv4(f *testing.F) {
 func FuzzDecodeRoCEv2(f *testing.F) {
 	p := &RoCEv2Packet{
 		IP:      IPv4{DSCP: 1, TTL: 64},
-		BTH:     BTH{Opcode: OpcodeRCSendOnly, PSN: 7},
+		BTH:     BTH{Opcode: OpcodeRCWriteOnly, PSN: 7},
 		Payload: []byte{1, 2, 3},
 	}
 	f.Add(EncodeRoCEv2(p))
@@ -49,34 +49,5 @@ func FuzzDecodeRoCEv2(f *testing.F) {
 		if got2.IP.DSCP != got.IP.DSCP || got2.BTH.PSN != got.BTH.PSN {
 			t.Fatal("unstable fields")
 		}
-	})
-}
-
-func FuzzDecodePFC(f *testing.F) {
-	var fr PFCFrame
-	fr.Enabled[2] = true
-	fr.Quanta[2] = 9
-	f.Add(fr.Encode(nil))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := DecodePFC(data)
-		if err != nil {
-			return
-		}
-		got2, err := DecodePFC(got.Encode(nil))
-		if err != nil || got2 != got {
-			t.Fatalf("unstable: %+v vs %+v (%v)", got, got2, err)
-		}
-	})
-}
-
-func FuzzDecapProbe(f *testing.F) {
-	p := &ProbePacket{
-		Outer: IPv4{TTL: 64, Src: [4]byte{10, 0, 0, 9}, Dst: [4]byte{10, 255, 0, 1}},
-		Inner: IPv4{TTL: 64, Src: [4]byte{10, 255, 0, 1}, Dst: [4]byte{10, 0, 0, 9}},
-	}
-	f.Add(EncodeProbe(p))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _, _ = DecapProbe(data) // must not panic
 	})
 }

@@ -99,39 +99,3 @@ func DecrementTTL(frame []byte) (int, error) {
 	ip[10], ip[11] = byte(sum>>8), byte(sum)
 	return int(ip[8]), nil
 }
-
-// ProbePacket is the §3.2 IP-in-IP measurement probe: outer header
-// addressed server -> spine, inner header spine -> server with TTL 64.
-type ProbePacket struct {
-	Outer IPv4
-	Inner IPv4
-}
-
-// EncodeProbe composes the probe (no L2; the measurement rides the
-// routed fabric).
-func EncodeProbe(p *ProbePacket) []byte {
-	p.Outer.Protocol = ProtoIPIP
-	p.Inner.TotalLen = IPv4Len
-	p.Outer.TotalLen = 2 * IPv4Len
-	b := make([]byte, 0, 2*IPv4Len)
-	b = p.Outer.Encode(b)
-	return p.Inner.Encode(b)
-}
-
-// DecapProbe performs the spine's hardware decapsulation: it strips the
-// outer header and returns the inner packet, which the switch then
-// routes by its own header — exactly the paper's measurement trick.
-func DecapProbe(b []byte) (IPv4, []byte, error) {
-	outer, rest, err := DecodeIPv4(b)
-	if err != nil {
-		return IPv4{}, nil, err
-	}
-	if outer.Protocol != ProtoIPIP {
-		return IPv4{}, nil, fmt.Errorf("wire: protocol %d is not IP-in-IP", outer.Protocol)
-	}
-	inner, payload, err := DecodeIPv4(rest)
-	if err != nil {
-		return IPv4{}, nil, err
-	}
-	return inner, payload, nil
-}

@@ -1,10 +1,10 @@
 // Package wire implements the on-the-wire encodings Tagger's deployment
 // story depends on (§7): Ethernet, IPv4 with the DSCP field that carries
-// the tag, UDP, the RoCEv2 Base Transport Header, and the IEEE 802.1Qbb
-// PFC PAUSE frame. The deployment described in the paper is exactly
-// "rewrite DSCP in the IP header with TCAM rules"; this package is the
-// byte-level ground truth for that claim, with layered decoding in the
-// style of gopacket (each layer exposes its payload for the next).
+// the tag, UDP and the RoCEv2 Base Transport Header. The deployment
+// described in the paper is exactly "rewrite DSCP in the IP header with
+// TCAM rules"; this package is the byte-level ground truth for that
+// claim, with layered decoding in the style of gopacket (each layer
+// exposes its payload for the next).
 package wire
 
 import (
@@ -17,18 +17,10 @@ import (
 var (
 	ErrTruncated  = errors.New("wire: truncated packet")
 	ErrBadVersion = errors.New("wire: unsupported IP version")
-	ErrBadOpcode  = errors.New("wire: not a PFC frame")
 )
 
-// EtherType values used here.
-const (
-	EtherTypeIPv4 uint16 = 0x0800
-	// EtherTypeMACControl carries PAUSE/PFC frames.
-	EtherTypeMACControl uint16 = 0x8808
-)
-
-// PFCOpcode is the MAC control opcode for priority-based flow control.
-const PFCOpcode uint16 = 0x0101
+// EtherTypeIPv4 is the EtherType of an IPv4 payload.
+const EtherTypeIPv4 uint16 = 0x0800
 
 // RoCEv2Port is the well-known UDP destination port of RoCEv2.
 const RoCEv2Port uint16 = 4791
@@ -84,11 +76,8 @@ type IPv4 struct {
 // IPv4Len is the encoded header length (no options).
 const IPv4Len = 20
 
-// Protocol numbers used here.
-const (
-	ProtoUDP  uint8 = 17
-	ProtoIPIP uint8 = 4 // IP-in-IP, the Table 1 probe encapsulation
-)
+// ProtoUDP is the IPv4 protocol number of UDP.
+const ProtoUDP uint8 = 17
 
 // Encode appends the header (with correct checksum) to b.
 func (h *IPv4) Encode(b []byte) []byte {
@@ -196,13 +185,9 @@ type BTH struct {
 // BTHLen is the encoded header length.
 const BTHLen = 12
 
-// Common opcodes.
-const (
-	OpcodeRCSendOnly  uint8 = 0x04
-	OpcodeRCWriteOnly uint8 = 0x0A
-	OpcodeRCReadReq   uint8 = 0x0C
-	OpcodeCNP         uint8 = 0x81 // DCQCN congestion notification
-)
+// OpcodeRCWriteOnly is the BTH opcode of a reliable-connection RDMA
+// WRITE Only packet.
+const OpcodeRCWriteOnly uint8 = 0x0A
 
 // Encode appends the header to b. Layout per the InfiniBand spec:
 // opcode, SE/M/Pad/TVer, PKey, reserved, DestQP(24), AckReq+reserved,
@@ -230,48 +215,4 @@ func DecodeBTH(b []byte) (BTH, []byte, error) {
 	h.AckReq = b[8]&0x80 != 0
 	h.PSN = uint32(b[9])<<16 | uint32(b[10])<<8 | uint32(b[11])
 	return h, b[BTHLen:], nil
-}
-
-// PFCFrame is the 802.1Qbb per-priority PAUSE MAC control frame: an
-// enable bitmap plus one pause-quanta counter per priority.
-type PFCFrame struct {
-	Enabled [8]bool
-	Quanta  [8]uint16
-}
-
-// PFCFrameLen is the MAC-control payload length (opcode + vector + 8
-// times).
-const PFCFrameLen = 2 + 2 + 16
-
-// Encode appends opcode, priority-enable vector and the 8 quanta.
-func (f *PFCFrame) Encode(b []byte) []byte {
-	b = binary.BigEndian.AppendUint16(b, PFCOpcode)
-	var vec uint16
-	for i, on := range f.Enabled {
-		if on {
-			vec |= 1 << uint(i)
-		}
-	}
-	b = binary.BigEndian.AppendUint16(b, vec)
-	for _, q := range f.Quanta {
-		b = binary.BigEndian.AppendUint16(b, q)
-	}
-	return b
-}
-
-// DecodePFC parses a MAC-control payload.
-func DecodePFC(b []byte) (PFCFrame, error) {
-	if len(b) < PFCFrameLen {
-		return PFCFrame{}, ErrTruncated
-	}
-	if binary.BigEndian.Uint16(b[0:2]) != PFCOpcode {
-		return PFCFrame{}, ErrBadOpcode
-	}
-	var f PFCFrame
-	vec := binary.BigEndian.Uint16(b[2:4])
-	for i := 0; i < 8; i++ {
-		f.Enabled[i] = vec&(1<<uint(i)) != 0
-		f.Quanta[i] = binary.BigEndian.Uint16(b[4+2*i : 6+2*i])
-	}
-	return f, nil
 }

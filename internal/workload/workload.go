@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/elp"
 	"repro/internal/paper"
 	"repro/internal/routing"
 	"repro/internal/sim"
@@ -164,12 +163,6 @@ func Permutation(opt Options) *Scenario {
 		})
 	}
 	return s
-}
-
-// TaggerELP returns the expected-lossless-path set the testbed deployment
-// uses: all shortest up-down paths plus all 1-bounce paths between ToRs.
-func TaggerELP(c *topology.Clos) *elp.Set {
-	return elp.KBounce(c.Graph, c.ToRs, 1, nil)
 }
 
 // MultiClassIsolation builds the §6 reduced-isolation experiment: a

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/elp"
 	"repro/internal/paper"
 )
 
@@ -119,9 +120,12 @@ func TestPermutationOverheadNegligible(t *testing.T) {
 	}
 }
 
+// TestTaggerELP: the testbed deployment's ELP — all shortest up-down
+// paths plus all 1-bounce paths between ToRs — holds both pinned
+// scenario paths.
 func TestTaggerELP(t *testing.T) {
 	s := Figure10(Options{Bounces: 1})
-	set := TaggerELP(s.Clos)
+	set := elp.KBounce(s.Clos.Graph, s.Clos.ToRs, 1, nil)
 	if set.Len() == 0 {
 		t.Fatal("empty ELP")
 	}

@@ -19,9 +19,6 @@ type (
 	// Incident is one frozen capture: trigger, site, simulated time,
 	// and a self-contained binary trace (events + snapshot).
 	Incident = sim.Incident
-	// FlightRecorder is the armed recorder riding a Network's tracer
-	// chain.
-	FlightRecorder = sim.FlightRecorder
 )
 
 // PostmortemReport runs the forensics pipeline over one incident
@@ -79,11 +76,4 @@ func (s *PostmortemStore) PostmortemEpisodes() []telemetry.PostmortemEpisode {
 	out := make([]telemetry.PostmortemEpisode, len(s.eps))
 	copy(out, s.eps)
 	return out
-}
-
-// Len reports how many episodes the store holds.
-func (s *PostmortemStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.eps)
 }

@@ -24,8 +24,8 @@ func TestPostmortemStoreEndToEnd(t *testing.T) {
 	if len(res.Capture.Incidents) == 0 {
 		t.Fatal("detect arm captured no incidents; the CBD workload should deadlock")
 	}
-	if store.Len() != len(res.Capture.Incidents) {
-		t.Fatalf("store holds %d episodes, run captured %d incidents", store.Len(), len(res.Capture.Incidents))
+	if len(store.PostmortemEpisodes()) != len(res.Capture.Incidents) {
+		t.Fatalf("store holds %d episodes, run captured %d incidents", len(store.PostmortemEpisodes()), len(res.Capture.Incidents))
 	}
 
 	eps := store.PostmortemEpisodes()
@@ -68,8 +68,8 @@ func TestPostmortemStoreEndToEnd(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&idx); err != nil {
 		t.Fatalf("decode index: %v", err)
 	}
-	if idx.Count != store.Len() || len(idx.Episodes) != store.Len() {
-		t.Fatalf("index count = %d (%d rows), want %d", idx.Count, len(idx.Episodes), store.Len())
+	if idx.Count != len(store.PostmortemEpisodes()) || len(idx.Episodes) != len(store.PostmortemEpisodes()) {
+		t.Fatalf("index count = %d (%d rows), want %d", idx.Count, len(idx.Episodes), len(store.PostmortemEpisodes()))
 	}
 	rep, err := http.Get(srv.URL + idx.Episodes[0].ReportURL)
 	if err != nil {

@@ -46,7 +46,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/tcam"
 	"repro/internal/topology"
-	"repro/internal/workload"
 )
 
 // Re-exported topology types and constructors.
@@ -84,13 +83,8 @@ func NewBCube(n, k int) (*BCube, error) { return topology.NewBCube(n, k) }
 // NewJellyfish builds a Jellyfish random-regular topology.
 func NewJellyfish(cfg JellyfishConfig) (*Jellyfish, error) { return topology.NewJellyfish(cfg) }
 
-// Re-exported routing types.
-type (
-	// Path is a node sequence.
-	Path = routing.Path
-	// Tables is destination-based forwarding state with ECMP.
-	Tables = routing.Tables
-)
+// Path is a node sequence.
+type Path = routing.Path
 
 // ELP is an expected-lossless-path set.
 type ELP = elp.Set
@@ -119,14 +113,10 @@ type (
 	// System is a synthesized Tagger deployment: rules plus the verified
 	// runtime tagged graph.
 	System = core.System
-	// TaggedGraph is the paper's G(V, E) over (port, tag) vertices.
-	TaggedGraph = core.TaggedGraph
 	// Ruleset is the per-switch tag rewriting table.
 	Ruleset = core.Ruleset
 	// Rule is one (tag, InPort, OutPort) -> NewTag entry.
 	Rule = core.Rule
-	// MultiClassSystem is the §6 multi-application-class composition.
-	MultiClassSystem = core.MultiClassSystem
 )
 
 // Synthesize runs the generic pipeline (Algorithm 1 + Algorithm 2 + rule
@@ -159,37 +149,6 @@ func CompressRules(rules []Rule) []TCAMEntry { return tcam.Compress(rules) }
 // MaxEntriesPerSwitch returns the largest per-ASIC entry count.
 func MaxEntriesPerSwitch(entries []TCAMEntry) int { return tcam.MaxPerSwitch(entries) }
 
-// Re-exported simulator.
-type (
-	// Network is a deterministic packet-level PFC fabric simulation.
-	Network = sim.Network
-	// SimConfig parameterizes the simulator.
-	SimConfig = sim.Config
-	// FlowSpec describes one transfer.
-	FlowSpec = sim.FlowSpec
-	// Flow is a running transfer with statistics.
-	Flow = sim.Flow
-	// Scenario is a pre-built paper experiment.
-	Scenario = workload.Scenario
-	// ScenarioOptions selects the Tagger deployment for a scenario.
-	ScenarioOptions = workload.Options
-)
-
-// DCQCNConfig parameterizes the simulator's congestion control.
-type DCQCNConfig = sim.DCQCNConfig
-
-// DefaultDCQCN returns testbed-proportioned congestion control
-// parameters.
-func DefaultDCQCN() DCQCNConfig { return sim.DefaultDCQCN() }
-
-// RecoveryStats counts what a detect-and-break deadlock recovery scheme
-// had to do (the related-work baseline the paper argues against).
-type RecoveryStats = sim.RecoveryStats
-
-// WatchdogStats is the continuous deadlock watchdog's tally — the
-// chaos-soak verdict.
-type WatchdogStats = sim.WatchdogStats
-
 // DeadlockString renders a detected pause-wait cycle for logs.
 func DeadlockString(cycle []string) string { return sim.DeadlockString(cycle) }
 
@@ -199,16 +158,12 @@ type (
 	Bundle = deploy.Bundle
 	// ControllerEvent is a topology event delivered to the controller.
 	ControllerEvent = controller.Event
-	// ControllerEventKind is the typed event discriminator.
-	ControllerEventKind = controller.EventKind
 	// FabricController owns a fabric's Tagger deployment.
 	FabricController = controller.Controller
 	// SwitchAgent is the controller's per-switch install RPC surface.
 	SwitchAgent = controller.SwitchAgent
 	// DeployConfig tunes the controller's retry/backoff/rollback pipeline.
 	DeployConfig = controller.DeployConfig
-	// AuditEntry is one recorded deployment RPC attempt.
-	AuditEntry = controller.AuditEntry
 	// ControllerOption customizes controller construction.
 	ControllerOption = controller.Option
 )
@@ -231,10 +186,6 @@ func DefaultDeployConfig() DeployConfig { return controller.DefaultDeployConfig(
 
 // Chaos harness: seeded fault schedules and the unreliable switch fabric.
 type (
-	// ChaosConfig parameterizes fault-schedule generation.
-	ChaosConfig = chaos.Config
-	// ChaosSchedule is a seeded, time-sorted fault plan.
-	ChaosSchedule = chaos.Schedule
 	// ChaosFault is one timed fault event.
 	ChaosFault = chaos.Fault
 	// ChaosFabric is the unreliable in-memory switch-agent fleet.
@@ -243,12 +194,6 @@ type (
 
 // Fault kinds for hand-built chaos faults.
 const (
-	ChaosFaultLinkDown          = chaos.FaultLinkDown
-	ChaosFaultLinkUp            = chaos.FaultLinkUp
-	ChaosFaultSwitchReboot      = chaos.FaultSwitchReboot
-	ChaosFaultRPCDrop           = chaos.FaultRPCDrop
-	ChaosFaultRPCDelay          = chaos.FaultRPCDelay
-	ChaosFaultRPCDuplicate      = chaos.FaultRPCDuplicate
 	ChaosFaultInstallTransient  = chaos.FaultInstallTransient
 	ChaosFaultInstallPersistent = chaos.FaultInstallPersistent
 	ChaosFaultInstallPartial    = chaos.FaultInstallPartial
@@ -257,9 +202,6 @@ const (
 
 // NewChaosFabric builds an unreliable agent fleet over the named switches.
 func NewChaosFabric(switches []string) *ChaosFabric { return chaos.NewFabric(switches) }
-
-// ExportBundle serializes a ruleset for deployment.
-func ExportBundle(rs *Ruleset) *Bundle { return deploy.Export(rs) }
 
 // DiffBundles computes the per-switch rule changes between deployments.
 func DiffBundles(oldB, newB *Bundle) map[string]deploy.SwitchDiff { return deploy.Diff(oldB, newB) }

@@ -3,6 +3,10 @@ package tagger
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/elp"
+	"repro/internal/paper"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -47,8 +51,33 @@ func TestWalkThroughExperiment(t *testing.T) {
 	}
 }
 
+// figure6Result compares Algorithm 2 against the Clos-specific optimum on
+// the shortest + 1-bounce ELP.
+type figure6Result struct {
+	GreedyQueues  int // paper: 3
+	OptimalQueues int // paper: 2
+}
+
+// figure6 runs the comparison on the testbed Clos.
+func figure6() (figure6Result, error) {
+	c := paper.Testbed()
+	set := elp.KBounce(c.Graph, c.ToRs, 1, nil)
+	greedy, err := core.Synthesize(c.Graph, set.Paths(), core.Options{})
+	if err != nil {
+		return figure6Result{}, err
+	}
+	opt, err := core.ClosSynthesize(c.Graph, set.Paths(), 1)
+	if err != nil {
+		return figure6Result{}, err
+	}
+	return figure6Result{
+		GreedyQueues:  greedy.Runtime.NumSwitchTags(),
+		OptimalQueues: opt.Runtime.NumSwitchTags(),
+	}, nil
+}
+
 func TestFigure6Experiment(t *testing.T) {
-	res, err := Figure6()
+	res, err := figure6()
 	if err != nil {
 		t.Fatal(err)
 	}
